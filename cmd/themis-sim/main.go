@@ -4,9 +4,10 @@
 //	    Fig. 1: the §2.2 motivation study (retransmission ratio, sending
 //	    rate, throughput vs the ideal transport).
 //
-//	themis-sim collective [-pattern allreduce|alltoall] [-lb ecmp|rps|adaptive|flowlet|spray-nothemis|themis|reps|congestion]
+//	themis-sim collective [-pattern allreduce|alltoall] [-lb ARM]
 //	    [-bytes N] [-ti us] [-td us] [-leaves N] [-spines N] [-hosts N] [-bw gbps] [-seed S]
-//	    One Fig. 5 cell: tail completion time of the slowest group.
+//	    One Fig. 5 cell: tail completion time of the slowest group. ARM is a
+//	    row of the arm table (internal/workload/arms.go); -h lists the names.
 //
 //	themis-sim run [-workload motivation|collective|incast|chaos|churn|convergence|spray] [-lb ...] [-transport ...]
 //	    [-pattern ...] [-bytes N] [-seed S] [-leaves N] [-spines N] [-hosts N] [-fattree-k K] [-bw gbps]
@@ -39,14 +40,11 @@
 //
 //	themis-sim sweep [-grid fig5|fig1|smoke|chaos|churn|convergence|spray|reps|queue-factor|path-subset|loss-recovery]
 //	    [-pattern allreduce|alltoall] [-bytes N] [-seed S] [-seeds N] [-parallel N] [-shards N] [-json out.json]
-//	    [-sched wheel|heap] [-metrics] [-flight-dir DIR] [-cpuprofile F] [-memprofile F] [-pprof-addr HOST:PORT]
+//	    [-metrics] [-flight-dir DIR] [-cpuprofile F] [-memprofile F] [-pprof-addr HOST:PORT]
 //	    A scenario grid through the parallel runner (default: the full Fig. 5
 //	    matrix, all five DCQCN settings × {ECMP, AR, Themis}). -parallel N
 //	    runs N trials concurrently — per-seed results are bit-identical to a
-//	    sequential run. -json writes the aggregated report artifact. -sched
-//	    selects the engine's event-queue backend: the timing wheel (default)
-//	    or the binary-heap differential oracle — reports are byte-identical
-//	    under both, which bench-smoke re-proves on every run.
+//	    sequential run. -json writes the aggregated report artifact.
 //	    -cpuprofile/-memprofile write pprof profiles of the sweep;
 //	    -pprof-addr serves live net/http/pprof while it runs.
 //
@@ -145,29 +143,6 @@ func parseTransport(s string) (rnic.Transport, error) {
 	}
 }
 
-func parseLB(s string) (workload.LBMode, error) {
-	switch s {
-	case "ecmp":
-		return workload.ECMP, nil
-	case "rps":
-		return workload.RandomSpray, nil
-	case "adaptive":
-		return workload.Adaptive, nil
-	case "flowlet":
-		return workload.Flowlet, nil
-	case "spray-nothemis":
-		return workload.SprayNoThemis, nil
-	case "themis":
-		return workload.Themis, nil
-	case "reps":
-		return workload.REPS, nil
-	case "congestion":
-		return workload.CongestionAware, nil
-	default:
-		return 0, fmt.Errorf("unknown lb mode %q", s)
-	}
-}
-
 func parsePattern(s string) (themis.Pattern, error) {
 	switch s {
 	case "allreduce":
@@ -193,7 +168,8 @@ func runMotivation(args []string) error {
 		return err
 	}
 	res, err := themis.RunMotivation(themis.MotivationConfig{
-		Seed: *seed, MessageBytes: *bytes, Transport: tr,
+		ClusterConfig: themis.ClusterConfig{Seed: *seed, Transport: tr},
+		MessageBytes:  *bytes,
 	})
 	if err != nil {
 		return err
@@ -216,7 +192,7 @@ func runMotivation(args []string) error {
 
 func collectiveConfig(fs *flag.FlagSet) (pattern, lbs *string, bytes, seed *int64, ti, td *int64, leaves, spines, hosts *int, bw *float64) {
 	pattern = fs.String("pattern", "allreduce", "collective: allreduce|alltoall")
-	lbs = fs.String("lb", "themis", "load balancing arm")
+	lbs = fs.String("lb", "themis", "load balancing arm: "+workload.LBNames())
 	bytes = fs.Int64("bytes", 300<<20, "collective size per group")
 	seed = fs.Int64("seed", 1, "random seed")
 	ti = fs.Int64("ti", 900, "DCQCN rate-increase timer, microseconds")
@@ -238,17 +214,20 @@ func runCollective(args []string) error {
 	if err != nil {
 		return err
 	}
-	lbMode, err := parseLB(*lbs)
+	lbMode, err := workload.ParseLB(*lbs)
 	if err != nil {
 		return err
 	}
 	res, err := themis.RunCollective(themis.CollectiveConfig{
-		Seed: *seed, Pattern: p, MessageBytes: *bytes,
-		Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts,
-		Bandwidth: int64(*bw * 1e9),
-		LB:        lbMode,
-		TI:        sim.Duration(*ti) * sim.Microsecond,
-		TD:        sim.Duration(*td) * sim.Microsecond,
+		ClusterConfig: themis.ClusterConfig{
+			Seed:   *seed,
+			Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts,
+			Bandwidth: int64(*bw * 1e9),
+			LB:        lbMode,
+			TI:        sim.Duration(*ti) * sim.Microsecond,
+			TD:        sim.Duration(*td) * sim.Microsecond,
+		},
+		Pattern: p, MessageBytes: *bytes,
 	})
 	if err != nil {
 		return err
@@ -307,7 +286,7 @@ func runScenario(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	wl := fs.String("workload", "collective", "workload: motivation|collective|incast|chaos|churn|convergence|spray")
 	pattern := fs.String("pattern", "allreduce", "collective: allreduce|alltoall")
-	lbs := fs.String("lb", "themis", "load balancing arm")
+	lbs := fs.String("lb", "themis", "load balancing arm: "+workload.LBNames())
 	repsCache := fs.Int("reps-cache", 0, "reps: entropy-cache ring capacity (0 = default)")
 	pathBuckets := fs.Int("path-buckets", 0, "congestion: per-path entropy buckets (0 = default)")
 	transport := fs.String("transport", "nic-sr", "reliable transport: nic-sr|ideal|gbn")
@@ -343,7 +322,7 @@ func runScenario(args []string) error {
 	if err != nil {
 		return err
 	}
-	lbMode, err := parseLB(*lbs)
+	lbMode, err := workload.ParseLB(*lbs)
 	if err != nil {
 		return err
 	}
@@ -423,18 +402,9 @@ func runSweep(args []string) error {
 	jsonOut := fs.String("json", "", "write the aggregated report JSON to this path")
 	metrics := fs.Bool("metrics", false, "snapshot a per-trial metrics registry into each record")
 	flightDir := fs.String("flight-dir", "", "arm per-trial flight recorders; dump JSONL traces here on failure")
-	sched := fs.String("sched", "wheel", "event scheduler backend: wheel|heap (the heap is the differential oracle; reports are byte-identical under both)")
 	pf := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	switch *sched {
-	case "wheel":
-		sim.SetDefaultScheduler(sim.SchedulerWheel)
-	case "heap":
-		sim.SetDefaultScheduler(sim.SchedulerHeap)
-	default:
-		return fmt.Errorf("unknown scheduler %q (wheel|heap)", *sched)
 	}
 	seedList := make([]int64, *seeds)
 	for i := range seedList {
@@ -555,8 +525,8 @@ func runChaos(args []string) error {
 		return err
 	}
 	opt := themis.ChaosOptions{
-		Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts,
-		Flows: *flows, MessageBytes: *bytes,
+		ClusterConfig: themis.ClusterConfig{Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts},
+		Flows:         *flows, MessageBytes: *bytes,
 		FlightDir: *flightDir,
 	}
 	results, err := themis.ChaosSoak(*seed, *seeds, opt)

@@ -24,15 +24,17 @@ func main() {
 		*bytes>>10, *ti, *td)
 	fmt.Printf("%-10s %12s %14s %10s %10s\n", "arm", "tailCCT_ms", "retransRatio", "nacksRx", "blocked")
 
-	var ar, th float64
+	cct := map[themis.LBMode]float64{}
 	for _, arm := range themis.Fig5Arms() {
 		res, err := themis.RunCollective(themis.CollectiveConfig{
-			Seed:         1,
+			ClusterConfig: themis.ClusterConfig{
+				Seed: 1,
+				LB:   arm,
+				TI:   themis.Duration(*ti) * themis.Microsecond,
+				TD:   themis.Duration(*td) * themis.Microsecond,
+			},
 			Pattern:      themis.Allreduce,
 			MessageBytes: *bytes,
-			LB:           arm,
-			TI:           themis.Duration(*ti) * themis.Microsecond,
-			TD:           themis.Duration(*td) * themis.Microsecond,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -40,13 +42,9 @@ func main() {
 		ms := res.TailCCT.Seconds() * 1e3
 		fmt.Printf("%-10s %12.3f %14.4f %10d %10d\n",
 			arm, ms, res.RetransRatio(), res.Sender.NacksRx, res.Middleware.NacksBlocked)
-		switch arm {
-		case themis.Adaptive:
-			ar = ms
-		case themis.Themis:
-			th = ms
-		}
+		cct[arm] = ms
 	}
+	ar, th := cct[themis.Adaptive], cct[themis.Themis]
 	fmt.Printf("\nThemis completes %.1f%% faster than adaptive routing (paper range: 15.6%%-75.3%%).\n",
 		(ar-th)/ar*100)
 }

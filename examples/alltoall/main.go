@@ -22,26 +22,21 @@ func main() {
 	fmt.Printf("Fig. 5b cell: Alltoall, %d KB per group, DCQCN (TI,TD)=(900,4)us\n\n", *bytes>>10)
 	fmt.Printf("%-10s %12s %14s %10s\n", "arm", "tailCCT_ms", "retransRatio", "nacksRx")
 
-	var ar, th float64
+	cct := map[themis.LBMode]float64{}
 	for _, arm := range themis.Fig5Arms() {
 		res, err := themis.RunCollective(themis.CollectiveConfig{
-			Seed:         1,
-			Pattern:      themis.AllToAll,
-			MessageBytes: *bytes,
-			LB:           arm,
+			ClusterConfig: themis.ClusterConfig{Seed: 1, LB: arm},
+			Pattern:       themis.AllToAll,
+			MessageBytes:  *bytes,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		ms := res.TailCCT.Seconds() * 1e3
 		fmt.Printf("%-10s %12.3f %14.4f %10d\n", arm, ms, res.RetransRatio(), res.Sender.NacksRx)
-		switch arm {
-		case themis.Adaptive:
-			ar = ms
-		case themis.Themis:
-			th = ms
-		}
+		cct[arm] = ms
 	}
+	ar, th := cct[themis.Adaptive], cct[themis.Themis]
 	fmt.Printf("\nThemis completes %.1f%% faster than adaptive routing (paper range: 11.5%%-40.7%%).\n",
 		(ar-th)/ar*100)
 

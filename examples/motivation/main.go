@@ -27,9 +27,8 @@ func main() {
 	var nicsr, ideal *themis.MotivationResult
 	for _, tr := range []themis.Transport{themis.SelectiveRepeat, themis.Ideal} {
 		res, err := themis.RunMotivation(themis.MotivationConfig{
-			Seed:         1,
-			MessageBytes: *bytes,
-			Transport:    tr,
+			ClusterConfig: themis.ClusterConfig{Seed: 1, Transport: tr},
+			MessageBytes:  *bytes,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -4,9 +4,12 @@ import (
 	"reflect"
 	"testing"
 
+	"themis/internal/core"
+	"themis/internal/rnic"
 	"themis/internal/sim"
 	"themis/internal/topo"
 	"themis/internal/trace"
+	"themis/internal/workload"
 )
 
 func testTopo(t *testing.T) *topo.Topology {
@@ -108,7 +111,7 @@ func TestLinkFlapRecordsTraceAndRecovers(t *testing.T) {
 	sc := Scenario{Seed: 3, Faults: []Fault{
 		{Kind: LinkFlap, At: 20 * sim.Microsecond, Duration: 100 * sim.Microsecond, Sw: 0, Port: 2},
 	}}
-	res, err := RunScenario(sc, Options{Tracer: tr})
+	res, err := RunScenario(sc, Options{ClusterConfig: workload.ClusterConfig{Tracer: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +138,7 @@ func TestTorRebootRecovery(t *testing.T) {
 		{Kind: TorReboot, At: 40 * sim.Microsecond, Sw: 0},
 		{Kind: DropRate, At: 10 * sim.Microsecond, Duration: 150 * sim.Microsecond, Sw: 0, Port: 2, Rate: 0.01},
 	}}
-	res, err := RunScenario(sc, Options{Tracer: tr})
+	res, err := RunScenario(sc, Options{ClusterConfig: workload.ClusterConfig{Tracer: tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,5 +231,28 @@ func TestChaosSoak(t *testing.T) {
 	// The soak is vacuous if the schedules never actually hurt anything.
 	if faulted < seeds/2 {
 		t.Fatalf("only %d/%d scenarios caused observable damage", faulted, seeds)
+	}
+}
+
+// TestHarnessPins: the hardened harness overrides exactly the knobs
+// BuildCluster documents — a caller cannot soften the transport or arm the
+// §6 fallback — and passes every other ClusterConfig knob through.
+func TestHarnessPins(t *testing.T) {
+	in := workload.ClusterConfig{
+		Seed: 9, LB: workload.Flowlet, Transport: rnic.GoBackN, BurstBytes: 9000,
+		TI: 10 * sim.Microsecond, RTO: sim.Second, RTOBackoff: 1,
+		ThemisCfg: core.Config{FallbackOnFailure: true, DisableBlocking: true},
+	}
+	got := Options{ClusterConfig: in}.cluster(3)
+	want := in
+	want.Seed, want.LB = 3, workload.Themis
+	want.Leaves, want.Spines, want.HostsPerLeaf, want.Bandwidth = 3, 3, 2, 100e9
+	want.LossyControl, want.RTO, want.RTOBackoff, want.RTOMax = true, 200*sim.Microsecond, 2, 10*sim.Millisecond
+	want.ThemisCfg = core.Config{Relearn: true, TableBudgetBytes: got.ThemisCfg.TableBudgetBytes}
+	if !reflect.DeepEqual(got, want) || got.ThemisCfg.TableBudgetBytes <= 0 {
+		t.Fatalf("harness pins drifted:\n got  %+v\n want %+v", got, want)
+	}
+	if armed := (Options{ClusterConfig: in, LBSet: true}).cluster(3); armed.LB != workload.Flowlet {
+		t.Fatalf("LBSet arm = %v, want flowlet", armed.LB)
 	}
 }

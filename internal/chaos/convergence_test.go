@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"themis/internal/sim"
+	"themis/internal/workload"
 )
 
 func TestConvergenceFaultKindStrings(t *testing.T) {
@@ -83,8 +84,7 @@ func TestDrainScenarioGraceful(t *testing.T) {
 	tp := testTopo(t)
 	sc := Scenario{Seed: 21, Faults: []Fault{DrainFault(tp)}}
 	res, err := RunScenario(sc, Options{
-		DistributedRouting: true,
-		ConvergenceDelay:   10 * sim.Microsecond,
+		ClusterConfig: workload.ClusterConfig{DistributedRouting: true, ConvergenceDelay: 10 * sim.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,8 +107,7 @@ func TestFlapStormSlowConvergenceRecovers(t *testing.T) {
 		{Kind: FlapStorm, At: 20 * sim.Microsecond, Duration: 120 * sim.Microsecond, Sw: 0, Port: 2},
 	}}
 	res, err := RunScenario(sc, Options{
-		DistributedRouting: true,
-		ConvergenceDelay:   25 * sim.Microsecond,
+		ClusterConfig: workload.ClusterConfig{DistributedRouting: true, ConvergenceDelay: 25 * sim.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +122,7 @@ func TestUplinkLossShrinksThenRecovers(t *testing.T) {
 		{Kind: UplinkLoss, At: 30 * sim.Microsecond, Duration: 100 * sim.Microsecond, Sw: 1},
 	}}
 	res, err := RunScenario(sc, Options{
-		DistributedRouting: true,
-		ConvergenceDelay:   10 * sim.Microsecond,
+		ClusterConfig: workload.ClusterConfig{DistributedRouting: true, ConvergenceDelay: 10 * sim.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +143,7 @@ func TestDelayZeroDistributedIdenticalToOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist, err := RunScenario(sc, Options{DistributedRouting: true})
+		dist, err := RunScenario(sc, Options{ClusterConfig: workload.ClusterConfig{DistributedRouting: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,8 +171,7 @@ func goodputGbps(res *Result) float64 {
 func TestConvergenceSoak(t *testing.T) {
 	const seeds = 50
 	opt := Options{
-		DistributedRouting: true,
-		ConvergenceDelay:   20 * sim.Microsecond,
+		ClusterConfig: workload.ClusterConfig{DistributedRouting: true, ConvergenceDelay: 20 * sim.Microsecond},
 	}
 	dist, err := SoakConvergence(1, seeds, opt)
 	if err != nil {

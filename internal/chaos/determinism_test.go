@@ -4,13 +4,14 @@ import (
 	"testing"
 
 	"themis/internal/trace"
+	"themis/internal/workload"
 )
 
 // runTraced executes one generated scenario with a tracer installed and
 // returns the full result plus the retained event stream.
 func runTraced(t *testing.T, seed int64) (*Result, []trace.Event) {
 	t.Helper()
-	opt := Options{Tracer: trace.New(1 << 14)}
+	opt := Options{ClusterConfig: workload.ClusterConfig{Tracer: trace.New(1 << 14)}}
 	probe, err := BuildCluster(Scenario{Seed: seed}, opt)
 	if err != nil {
 		t.Fatalf("build probe cluster: %v", err)

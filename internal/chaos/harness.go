@@ -11,7 +11,6 @@ import (
 	"themis/internal/rnic"
 	"themis/internal/sim"
 	"themis/internal/topo"
-	"themis/internal/trace"
 	"themis/internal/workload"
 )
 
@@ -19,30 +18,18 @@ import (
 // cross-rack workload on a 3×3 leaf-spine — big enough for every fault kind
 // to matter, small enough that a 50-seed soak stays cheap.
 type Options struct {
-	Leaves, Spines, HostsPerLeaf int
-	Bandwidth                    int64
-	Flows                        int          // cross-rack ring flows (default one per host)
-	MessageBytes                 int64        // per-flow transfer (default 2 MB)
-	Horizon                      sim.Duration // wall guard (default 2 s virtual)
-	Shards                       int          // drive via the shard coordinator (see workload.ClusterConfig.Shards)
-	// LB selects the spray arm; the zero value means "harness default"
-	// (Themis) unless LBSet marks an explicit choice — workload.ECMP is the
-	// LBMode zero value, so a flag is needed to ask for it.
-	LB    workload.LBMode
+	// ClusterConfig carries every fabric, LB, NIC and CC knob; BuildCluster
+	// overrides the ones the hardened harness pins. Defaults: a 3×3
+	// leaf-spine, 2 hosts per leaf, 100 Gbps.
+	workload.ClusterConfig
+
+	Flows        int          // cross-rack ring flows (default one per host)
+	MessageBytes int64        // per-flow transfer (default 2 MB)
+	Horizon      sim.Duration // wall guard (default 2 s virtual)
+	// LBSet marks LB as an explicit choice; without it the harness runs its
+	// default arm (Themis) — workload.ECMP is the LBMode zero value, so a
+	// flag is needed to ask for it.
 	LBSet bool
-	// RepsCache / PathBuckets tune the REPS and congestion-aware arms
-	// (zero = workload defaults); ignored by the other arms.
-	RepsCache   int
-	PathBuckets int
-	// DistributedRouting runs the per-switch BGP-style control plane instead
-	// of the routing oracle; ConvergenceDelay is its per-hop message delay
-	// (see internal/route).
-	DistributedRouting bool
-	ConvergenceDelay   sim.Duration
-	Tracer             *trace.Tracer
-	// Metrics, if non-nil, is the shared registry cluster components register
-	// their gauges on (see internal/obs).
-	Metrics *obs.Registry
 	// FlightDir, if non-empty, arms a flight recorder: the run records into a
 	// bounded ring (capacity FlightCapacity, default obs.DefaultFlightCapacity)
 	// and, when any invariant is violated, dumps the retained window to
@@ -75,9 +62,6 @@ func (o Options) withDefaults() Options {
 	if o.Horizon == 0 {
 		o.Horizon = 2 * sim.Second
 	}
-	if !o.LBSet {
-		o.LB = workload.Themis
-	}
 	return o
 }
 
@@ -103,33 +87,35 @@ type Result struct {
 // the steady workload itself never deserves an eviction.
 // Exported so the CLI and benchmarks run exactly what the soak tests run.
 func BuildCluster(sc Scenario, opt Options) (*workload.Cluster, error) {
-	opt = opt.withDefaults()
-	budget := core.TableBudget(memmodel.Params{
-		Bandwidth: opt.Bandwidth,
-		RTTLast:   2 * sim.Microsecond, // two 1 us last-hop links
-		MTU:       1500,
-		Factor:    1.5,
-	}, 4*opt.Flows)
-	return workload.BuildCluster(workload.ClusterConfig{
-		Seed:               sc.Seed,
-		Shards:             opt.Shards,
-		Leaves:             opt.Leaves,
-		Spines:             opt.Spines,
-		HostsPerLeaf:       opt.HostsPerLeaf,
-		Bandwidth:          opt.Bandwidth,
-		LB:                 opt.LB,
-		RepsCache:          opt.RepsCache,
-		PathBuckets:        opt.PathBuckets,
-		LossyControl:       true,
-		RTO:                200 * sim.Microsecond,
-		RTOBackoff:         2,
-		RTOMax:             10 * sim.Millisecond,
-		DistributedRouting: opt.DistributedRouting,
-		ConvergenceDelay:   opt.ConvergenceDelay,
-		ThemisCfg:          core.Config{Relearn: true, TableBudgetBytes: budget},
-		Tracer:             opt.Tracer,
-		Metrics:            opt.Metrics,
-	})
+	return workload.BuildCluster(opt.cluster(sc.Seed))
+}
+
+// cluster returns o's cluster config with the defaults and the harness pins
+// applied, whatever o says:
+//   - Seed: the scenario's;
+//   - LB: Themis unless LBSet;
+//   - LossyControl, RTO, RTOBackoff, RTOMax: the hardened transport;
+//   - ThemisCfg: relearn on, the derived budget, nothing else (in particular
+//     never FallbackOnFailure — the soak exercises Themis through failures).
+func (o Options) cluster(seed int64) workload.ClusterConfig {
+	o = o.withDefaults()
+	cfg := o.ClusterConfig
+	cfg.Seed = seed
+	if !o.LBSet {
+		cfg.LB = workload.Themis
+	}
+	cfg.LossyControl = true
+	cfg.RTO, cfg.RTOBackoff, cfg.RTOMax = 200*sim.Microsecond, 2, 10*sim.Millisecond
+	cfg.ThemisCfg = core.Config{
+		Relearn: true,
+		TableBudgetBytes: core.TableBudget(memmodel.Params{
+			Bandwidth: cfg.Bandwidth,
+			RTTLast:   2 * sim.Microsecond, // two 1 us last-hop links
+			MTU:       1500,
+			Factor:    1.5,
+		}, 4*o.Flows),
+	}
+	return cfg
 }
 
 // RunScenario executes one scenario: build the hardened cluster, install the

@@ -44,7 +44,7 @@ const (
 	// Convergence is the routing-focused soak: the fault schedule comes from
 	// chaos.GenerateConvergence (flap storms, pod-uplink loss, maintenance
 	// drains) and the cluster runs the distributed per-switch control plane
-	// with ConvergenceDelay per hop, so forwarding during the windows uses
+	// with a per-hop message delay, so forwarding during the windows uses
 	// honestly stale FIBs. Invariants (including FIB convergence and zero
 	// steady-state loop drops) are checked.
 	Convergence Workload = "convergence"
@@ -146,9 +146,9 @@ type Scenario struct {
 	RTOMax       sim.Duration `json:"rto_max,omitempty"`
 
 	// Routing plane. DistributedRouting replaces the instant global oracle
-	// with the per-switch BGP-style control plane (see internal/route);
-	// ConvergenceDelay is its per-hop message delay. Drain appends a
-	// maintenance drain to a convergence scenario's fault schedule.
+	// with the per-switch BGP-style control plane (see internal/route) and
+	// its per-hop message delay. Drain appends a maintenance drain to a
+	// convergence scenario's fault schedule.
 	DistributedRouting bool         `json:"distributed_routing,omitempty"`
 	ConvergenceDelay   sim.Duration `json:"convergence_delay,omitempty"`
 	Drain              bool         `json:"drain,omitempty"`
@@ -188,164 +188,93 @@ func (s Scenario) Label() string {
 	}
 }
 
-// collectiveConfig lowers the scenario to the workload runner's config.
-func (s Scenario) collectiveConfig() workload.CollectiveConfig {
-	return workload.CollectiveConfig{
-		Seed:           s.Seed,
-		Shards:         s.Shards,
-		Pattern:        s.Pattern,
-		MessageBytes:   s.MessageBytes,
-		Leaves:         s.Leaves,
-		Spines:         s.Spines,
-		HostsPerLeaf:   s.HostsPerLeaf,
-		Bandwidth:      s.Bandwidth,
-		Groups:         s.Groups,
-		LB:             s.LB,
-		Transport:      s.Transport,
-		TI:             s.TI,
-		TD:             s.TD,
-		BurstBytes:     s.BurstBytes,
-		BufferBytes:    s.BufferBytes,
-		Horizon:        s.Horizon,
-		DisablePFC:     s.DisablePFC,
-		RTO:            s.RTO,
-		RTOBackoff:     s.RTOBackoff,
-		RTOMax:         s.RTOMax,
-		LossyControl:   s.LossyControl,
-		ThemisCfg:      s.Themis.coreConfig(),
-		DropEveryNData: s.DropEveryNData,
-		LinkFail:       s.LinkFail,
-
-		DistributedRouting: s.DistributedRouting,
-		ConvergenceDelay:   s.ConvergenceDelay,
-	}
-}
-
-func (s Scenario) motivationConfig() workload.MotivationConfig {
-	return workload.MotivationConfig{
-		Seed:         s.Seed,
-		Shards:       s.Shards,
-		MessageBytes: s.MessageBytes,
-		Transport:    s.Transport,
-		LB:           s.LB,
-		Horizon:      s.Horizon,
-		BurstBytes:   s.BurstBytes,
-		TI:           s.TI,
-		TD:           s.TD,
-		RTO:          s.RTO,
-		RTOBackoff:   s.RTOBackoff,
-		RTOMax:       s.RTOMax,
-
-		DistributedRouting: s.DistributedRouting,
-		ConvergenceDelay:   s.ConvergenceDelay,
-	}
-}
-
-func (s Scenario) incastConfig() workload.IncastConfig {
-	return workload.IncastConfig{
-		Seed:         s.Seed,
-		Shards:       s.Shards,
-		Senders:      s.Senders,
-		MessageBytes: s.MessageBytes,
-		Bandwidth:    s.Bandwidth,
-		LinkDelay:    s.LinkDelay,
-		BufferBytes:  s.BufferBytes,
-		LB:           s.LB,
-		DisablePFC:   s.DisablePFC,
-		Horizon:      s.Horizon,
-
-		DistributedRouting: s.DistributedRouting,
-		ConvergenceDelay:   s.ConvergenceDelay,
-	}
-}
-
-func (s Scenario) churnConfig() workload.ChurnConfig {
-	return workload.ChurnConfig{
-		Seed:         s.Seed,
-		Shards:       s.Shards,
-		Leaves:       s.Leaves,
-		Spines:       s.Spines,
-		HostsPerLeaf: s.HostsPerLeaf,
-		Bandwidth:    s.Bandwidth,
-		LB:           s.LB,
-		RepsCache:    s.RepsCache,
-		PathBuckets:  s.PathBuckets,
-		Transport:    s.Transport,
-		QPs:          s.QPs,
-		Concurrency:  s.Concurrency,
-		MessageBytes: s.MessageBytes,
-		Faults:       s.Faults,
-		BurstBytes:   s.BurstBytes,
-		BufferBytes:  s.BufferBytes,
-		Horizon:      s.Horizon,
-		RTO:          s.RTO,
-		RTOBackoff:   s.RTOBackoff,
-		RTOMax:       s.RTOMax,
-		LossyControl: s.LossyControl,
-		ThemisCfg:    s.Themis.coreConfig(),
-
-		DistributedRouting: s.DistributedRouting,
-		ConvergenceDelay:   s.ConvergenceDelay,
-	}
-}
-
-func (s Scenario) sprayConfig() workload.SprayConfig {
-	return workload.SprayConfig{
-		Seed:         s.Seed,
-		Shards:       s.Shards,
-		FatTreeK:     s.FatTreeK,
-		Bandwidth:    s.Bandwidth,
-		LinkDelay:    s.LinkDelay,
-		BufferBytes:  s.BufferBytes,
-		MessageBytes: s.MessageBytes,
-		BurstBytes:   s.BurstBytes,
-		LB:           s.LB,
-		RepsCache:    s.RepsCache,
-		PathBuckets:  s.PathBuckets,
-		DisablePFC:   s.DisablePFC,
-		Horizon:      s.Horizon,
-	}
-}
-
-func (s Scenario) chaosOptions() chaos.Options {
-	return chaos.Options{
-		Shards:       s.Shards,
-		Leaves:       s.Leaves,
-		Spines:       s.Spines,
-		HostsPerLeaf: s.HostsPerLeaf,
-		Bandwidth:    s.Bandwidth,
-		Flows:        s.Flows,
-		MessageBytes: s.MessageBytes,
-		Horizon:      s.Horizon,
-
-		// LB is an arm only when explicitly armed (see Scenario.LBArmed);
-		// legacy chaos scenarios keep the harness default (Themis).
-		LB:          s.LB,
-		LBSet:       s.LBArmed,
-		RepsCache:   s.RepsCache,
-		PathBuckets: s.PathBuckets,
-	}
-}
-
-// convergenceOptions lowers a convergence scenario to the chaos harness. The
-// LB arm is explicit (LBSet) so an ECMP arm — the LBMode zero value — is not
-// silently replaced with the harness default.
-func (s Scenario) convergenceOptions() chaos.Options {
-	return chaos.Options{
-		Shards:       s.Shards,
-		Leaves:       s.Leaves,
-		Spines:       s.Spines,
-		HostsPerLeaf: s.HostsPerLeaf,
-		Bandwidth:    s.Bandwidth,
-		Flows:        s.Flows,
-		MessageBytes: s.MessageBytes,
-		Horizon:      s.Horizon,
-
+// cluster is the one lowering of a scenario's fabric, LB, NIC, CC and routing
+// knobs, shared by every workload: a field listed here reaches BuildCluster
+// unless the workload's runner pins it (see each runner's resolve, and
+// chaos.BuildCluster). TestScenarioLoweringTotal fails for a Scenario field
+// that is neither lowered here nor a workload-shape field.
+func (s Scenario) cluster() workload.ClusterConfig {
+	return workload.ClusterConfig{
+		Seed:               s.Seed,
+		Shards:             s.Shards,
+		Leaves:             s.Leaves,
+		Spines:             s.Spines,
+		HostsPerLeaf:       s.HostsPerLeaf,
+		FatTreeK:           s.FatTreeK,
+		Bandwidth:          s.Bandwidth,
+		LinkDelay:          s.LinkDelay,
+		BufferBytes:        s.BufferBytes,
+		DisablePFC:         s.DisablePFC,
 		LB:                 s.LB,
-		LBSet:              true,
 		RepsCache:          s.RepsCache,
 		PathBuckets:        s.PathBuckets,
+		Transport:          s.Transport,
+		TI:                 s.TI,
+		TD:                 s.TD,
+		BurstBytes:         s.BurstBytes,
+		RTO:                s.RTO,
+		RTOBackoff:         s.RTOBackoff,
+		RTOMax:             s.RTOMax,
+		LossyControl:       s.LossyControl,
 		DistributedRouting: s.DistributedRouting,
 		ConvergenceDelay:   s.ConvergenceDelay,
+		DropEveryNData:     s.DropEveryNData,
+		ThemisCfg:          s.Themis.coreConfig(),
+	}
+}
+
+// The per-workload lowerings add only the workload's shape fields to cc, the
+// scenario's lowered cluster config with the observability hooks attached.
+
+func (s Scenario) collective(cc workload.ClusterConfig) workload.CollectiveConfig {
+	return workload.CollectiveConfig{
+		ClusterConfig: cc,
+		Pattern:       s.Pattern,
+		MessageBytes:  s.MessageBytes,
+		Groups:        s.Groups,
+		Horizon:       s.Horizon,
+		LinkFail:      s.LinkFail,
+	}
+}
+
+func (s Scenario) motivation(cc workload.ClusterConfig) workload.MotivationConfig {
+	return workload.MotivationConfig{ClusterConfig: cc, MessageBytes: s.MessageBytes, Horizon: s.Horizon}
+}
+
+func (s Scenario) incast(cc workload.ClusterConfig) workload.IncastConfig {
+	return workload.IncastConfig{
+		ClusterConfig: cc,
+		Senders:       s.Senders,
+		MessageBytes:  s.MessageBytes,
+		Horizon:       s.Horizon,
+	}
+}
+
+func (s Scenario) churn(cc workload.ClusterConfig) workload.ChurnConfig {
+	return workload.ChurnConfig{
+		ClusterConfig: cc,
+		QPs:           s.QPs,
+		Concurrency:   s.Concurrency,
+		MessageBytes:  s.MessageBytes,
+		Faults:        s.Faults,
+		Horizon:       s.Horizon,
+	}
+}
+
+func (s Scenario) spray(cc workload.ClusterConfig) workload.SprayConfig {
+	return workload.SprayConfig{ClusterConfig: cc, MessageBytes: s.MessageBytes, Horizon: s.Horizon}
+}
+
+// chaos lowers a chaos or convergence scenario to the chaos harness. The LB
+// arm is opt-in for chaos (see Scenario.LBArmed) and always explicit for
+// convergence, so an ECMP arm — the LBMode zero value — is not silently
+// replaced with the harness default.
+func (s Scenario) chaos(cc workload.ClusterConfig) chaos.Options {
+	return chaos.Options{
+		ClusterConfig: cc,
+		Flows:         s.Flows,
+		MessageBytes:  s.MessageBytes,
+		Horizon:       s.Horizon,
+		LBSet:         s.LBArmed || s.Workload == Convergence,
 	}
 }

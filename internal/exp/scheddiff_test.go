@@ -39,16 +39,7 @@ func TestGridSchedulerEquivalence(t *testing.T) {
 		heap := runUnder(sim.SchedulerHeap, c.name, c.grid)
 		wheel := runUnder(sim.SchedulerWheel, c.name, c.grid)
 		if !bytes.Equal(heap, wheel) {
-			// Locate the first differing line for an actionable failure.
-			hl := bytes.Split(heap, []byte("\n"))
-			wl := bytes.Split(wheel, []byte("\n"))
-			for i := range hl {
-				if i >= len(wl) || !bytes.Equal(hl[i], wl[i]) {
-					t.Fatalf("grid %s: report diverges at line %d:\n heap  %s\n wheel %s",
-						c.name, i+1, hl[i], wl[i])
-				}
-			}
-			t.Fatalf("grid %s: reports differ in length only", c.name)
+			t.Fatalf("grid %s: heap and wheel reports diverge at %s", c.name, firstDiff(heap, wheel))
 		}
 	}
 }

@@ -133,11 +133,11 @@ func RunObserved(sc Scenario, o Obs) (t Trial) {
 // hooks threaded through.
 func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 	t := Trial{Name: sc.Label(), Scenario: sc}
+	cc := sc.cluster()
+	cc.Tracer, cc.Metrics = tr, reg
 	switch sc.Workload {
 	case Motivation:
-		cfg := sc.motivationConfig()
-		cfg.Tracer, cfg.Metrics = tr, reg
-		res, err := workload.RunMotivation(cfg)
+		res, err := workload.RunMotivation(sc.motivation(cc))
 		if err != nil {
 			t.Err = err.Error()
 			return t
@@ -149,9 +149,7 @@ func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 		t.Sender = res.Sender
 		t.Engine = res.Engine
 	case Collective:
-		cfg := sc.collectiveConfig()
-		cfg.Tracer, cfg.Metrics = tr, reg
-		res, err := workload.RunCollective(cfg)
+		res, err := workload.RunCollective(sc.collective(cc))
 		if err != nil {
 			t.Err = err.Error()
 			return t
@@ -163,9 +161,7 @@ func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 		t.Net = res.Net
 		t.Engine = res.Engine
 	case Incast:
-		cfg := sc.incastConfig()
-		cfg.Tracer, cfg.Metrics = tr, reg
-		res, err := workload.RunIncast(cfg)
+		res, err := workload.RunIncast(sc.incast(cc))
 		if err != nil {
 			t.Err = err.Error()
 			return t
@@ -179,9 +175,8 @@ func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 		}
 		t.Net.DataDrops = res.Drops
 		t.Engine = res.Engine
-	case Chaos:
-		opt := sc.chaosOptions()
-		opt.Tracer, opt.Metrics = tr, reg
+	case Chaos, Convergence:
+		opt := sc.chaos(cc)
 		// The fault generator needs the topology; probe-build the cluster
 		// once (cheap: no traffic runs on it).
 		probe, err := chaos.BuildCluster(chaos.Scenario{Seed: sc.Seed}, opt)
@@ -189,31 +184,12 @@ func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 			t.Err = err.Error()
 			return t
 		}
-		res, err := chaos.RunScenario(chaos.Generate(sc.Seed, probe.Topo), opt)
-		if err != nil {
-			t.Err = err.Error()
-			return t
-		}
-		t.CCTMillis = res.End.Seconds() * 1e3
-		if res.Sender.DataPackets > 0 {
-			t.RetransRatio = float64(res.Sender.Retransmits) / float64(res.Sender.DataPackets)
-		}
-		t.Sender = res.Sender
-		t.Middleware = res.Middleware
-		t.Net = res.Net
-		t.Engine = res.Engine
-		t.Violations = res.Violations
-	case Convergence:
-		opt := sc.convergenceOptions()
-		opt.Tracer, opt.Metrics = tr, reg
-		probe, err := chaos.BuildCluster(chaos.Scenario{Seed: sc.Seed}, opt)
-		if err != nil {
-			t.Err = err.Error()
-			return t
-		}
-		csc := chaos.GenerateConvergence(sc.Seed, probe.Topo)
-		if sc.Drain {
-			csc.Faults = append(csc.Faults, chaos.DrainFault(probe.Topo))
+		csc := chaos.Generate(sc.Seed, probe.Topo)
+		if sc.Workload == Convergence {
+			csc = chaos.GenerateConvergence(sc.Seed, probe.Topo)
+			if sc.Drain {
+				csc.Faults = append(csc.Faults, chaos.DrainFault(probe.Topo))
+			}
 		}
 		res, err := chaos.RunScenario(csc, opt)
 		if err != nil {
@@ -230,9 +206,7 @@ func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 		t.Engine = res.Engine
 		t.Violations = res.Violations
 	case Churn:
-		cfg := sc.churnConfig()
-		cfg.Tracer, cfg.Metrics = tr, reg
-		res, err := workload.RunChurn(cfg)
+		res, err := workload.RunChurn(sc.churn(cc))
 		if err != nil {
 			t.Err = err.Error()
 			return t
@@ -250,11 +224,9 @@ func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 		t.Engine = res.Engine
 		t.Violations = res.Violations
 	case Spray:
-		if tr != nil || reg != nil {
-			t.Err = "exp: spray does not support tracing or metrics (global observability state cannot span shards; see fabric.NewShardedNetwork)"
-			return t
-		}
-		res, err := workload.RunSpray(sc.sprayConfig())
+		// A tracer or registry reaches fabric.NewShardedNetwork, which refuses
+		// them (global observability state cannot span shards).
+		res, err := workload.RunSpray(sc.spray(cc))
 		if err != nil {
 			t.Err = err.Error()
 			return t

@@ -75,8 +75,8 @@ func (s Scheduler) String() string {
 
 // defaultScheduler is what NewEngine uses. It is a package variable rather
 // than a constructor parameter because engines are built deep inside
-// workloads; the differential tests (and the themis-sim -sched flag) flip it
-// for a whole run via SetDefaultScheduler. Not synchronized: set it before
+// workloads; the differential tests flip it for a whole run via
+// SetDefaultScheduler. Not synchronized: set it before
 // any concurrent engine construction (the exp.Runner workers only read it).
 var defaultScheduler = SchedulerWheel
 

@@ -6,11 +6,9 @@ import (
 
 	"themis/internal/core"
 	"themis/internal/fabric"
-	"themis/internal/obs"
 	"themis/internal/packet"
 	"themis/internal/rnic"
 	"themis/internal/sim"
-	"themis/internal/trace"
 )
 
 // ChurnConfig parameterizes the flow-churn workload: a stream of short-lived
@@ -19,18 +17,10 @@ import (
 // hold. It is the workload the §4 lifecycle layer exists for: production
 // clusters see millions of short-lived QPs, not a fixed set sized to SRAM.
 type ChurnConfig struct {
-	Seed int64
-
-	// Topology (defaults: the chaos harness's 3×3 leaf-spine, 2 hosts per
-	// leaf, 100 Gbps).
-	Leaves, Spines, HostsPerLeaf int
-	Bandwidth                    int64
-
-	// Arms.
-	LB          LBMode
-	RepsCache   int // REPS ring capacity (LB == REPS; 0 = default)
-	PathBuckets int // congestion-aware entropy buckets (LB == CongestionAware; 0 = default)
-	Transport rnic.Transport
+	// ClusterConfig carries every fabric, LB, NIC and CC knob. Defaults: the
+	// chaos harness's 3×3 leaf-spine, 2 hosts per leaf, 100 Gbps, and its
+	// hardened RTO (200 us, ×2 backoff capped at 10 ms).
+	ClusterConfig
 
 	// Churn shape: QPs flows are opened over the run, Concurrency at a time;
 	// each transfers MessageBytes then closes, and its slot opens the next
@@ -44,26 +34,11 @@ type ChurnConfig struct {
 	// while flows are being opened and closed.
 	Faults bool
 
-	// Mechanics.
-	BurstBytes   int
-	BufferBytes  int
-	Horizon      sim.Duration // wall guard (default 2 s virtual)
-	Shards       int          // drive via the shard coordinator (see ClusterConfig.Shards)
-	RTO          sim.Duration
-	RTOBackoff   float64
-	RTOMax       sim.Duration
-	LossyControl bool
-	// DistributedRouting/ConvergenceDelay select the BGP-style per-switch
-	// control plane (see ClusterConfig).
-	DistributedRouting bool
-	ConvergenceDelay   sim.Duration
-	ThemisCfg          core.Config
-
-	Tracer  *trace.Tracer `json:"-"`
-	Metrics *obs.Registry `json:"-"`
+	Horizon sim.Duration // wall guard (default 2 s virtual)
 }
 
-func (c ChurnConfig) withDefaults() ChurnConfig {
+// resolve applies the churn defaults in place; the runner pins nothing.
+func (c *ChurnConfig) resolve() {
 	if c.Leaves == 0 {
 		c.Leaves = 3
 	}
@@ -100,7 +75,6 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 	if c.RTOMax == 0 {
 		c.RTOMax = 10 * sim.Millisecond
 	}
-	return c
 }
 
 // ChurnResult is the outcome of one churn run.
@@ -222,30 +196,8 @@ func scheduleChurnFaults(cl *Cluster, cfg ChurnConfig) {
 // an evicted/unknown QP is forwarded, never blocked), and no armed
 // compensation outlives the run.
 func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
-	cfg = cfg.withDefaults()
-	cl, err := BuildCluster(ClusterConfig{
-		Seed:               cfg.Seed,
-		Shards:             cfg.Shards,
-		Leaves:             cfg.Leaves,
-		Spines:             cfg.Spines,
-		HostsPerLeaf:       cfg.HostsPerLeaf,
-		Bandwidth:          cfg.Bandwidth,
-		LB:                 cfg.LB,
-		RepsCache:          cfg.RepsCache,
-		PathBuckets:        cfg.PathBuckets,
-		Transport:          cfg.Transport,
-		BurstBytes:         cfg.BurstBytes,
-		BufferBytes:        cfg.BufferBytes,
-		RTO:                cfg.RTO,
-		RTOBackoff:         cfg.RTOBackoff,
-		RTOMax:             cfg.RTOMax,
-		LossyControl:       cfg.LossyControl,
-		DistributedRouting: cfg.DistributedRouting,
-		ConvergenceDelay:   cfg.ConvergenceDelay,
-		ThemisCfg:          cfg.ThemisCfg,
-		Tracer:             cfg.Tracer,
-		Metrics:            cfg.Metrics,
-	})
+	cfg.resolve()
+	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
 		return nil, err
 	}

@@ -70,8 +70,8 @@ func TestOverlappingFailureWithFallbackLatches(t *testing.T) {
 // every flow completes, nothing is ever evicted or rejected.
 func TestChurnUnboundedCompletes(t *testing.T) {
 	res, err := RunChurn(ChurnConfig{
-		Seed: 1, QPs: 60, Concurrency: 12, MessageBytes: 64 << 10,
-		LB: Themis, ThemisCfg: core.Config{Relearn: true},
+		ClusterConfig: ClusterConfig{Seed: 1, LB: Themis, ThemisCfg: core.Config{Relearn: true}},
+		QPs:           60, Concurrency: 12, MessageBytes: 64 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,9 +100,11 @@ func TestChurnUnboundedCompletes(t *testing.T) {
 func TestChurnBudgetedDegradesGracefully(t *testing.T) {
 	budget := 6 * dstEntryBytes // 60 QPs offered, table fits ~6 dst entries
 	res, err := RunChurn(ChurnConfig{
-		Seed: 1, QPs: 60, Concurrency: 12, MessageBytes: 64 << 10,
-		LB:        Themis,
-		ThemisCfg: core.Config{Relearn: true, TableBudgetBytes: budget},
+		ClusterConfig: ClusterConfig{
+			Seed: 1, LB: Themis,
+			ThemisCfg: core.Config{Relearn: true, TableBudgetBytes: budget},
+		},
+		QPs: 60, Concurrency: 12, MessageBytes: 64 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,10 +130,11 @@ func TestChurnBudgetedDegradesGracefully(t *testing.T) {
 // TestChurnDeterministic: same seed, same config → byte-identical results.
 func TestChurnDeterministic(t *testing.T) {
 	cfg := ChurnConfig{
-		Seed: 3, QPs: 40, Concurrency: 8, MessageBytes: 32 << 10,
-		LB: Themis, Faults: true,
-		ThemisCfg: core.Config{Relearn: true, FallbackOnFailure: true,
-			TableBudgetBytes: 4 * dstEntryBytes},
+		ClusterConfig: ClusterConfig{
+			Seed: 3, LB: Themis,
+			ThemisCfg: core.Config{Relearn: true, FallbackOnFailure: true, TableBudgetBytes: 4 * dstEntryBytes},
+		},
+		QPs: 40, Concurrency: 8, MessageBytes: 32 << 10, Faults: true,
 	}
 	a, err := RunChurn(cfg)
 	if err != nil {
@@ -158,12 +161,11 @@ func TestChurnDeterministic(t *testing.T) {
 func TestChurnSoak(t *testing.T) {
 	const seeds = 50
 	base := ChurnConfig{
-		QPs: 120, Concurrency: 24, MessageBytes: 64 << 10,
+		QPs: 120, Concurrency: 24, MessageBytes: 64 << 10, Faults: true,
 		// The burst pacer is what turns spraying into OOO arrivals and hence
 		// NACK traffic (rnic.Config.BurstBytes); without it the soak's NACK
 		// invariants are near-vacuous.
-		BurstBytes: 9000,
-		LB:         Themis, Faults: true, LossyControl: true,
+		ClusterConfig: ClusterConfig{BurstBytes: 9000, LB: Themis, LossyControl: true},
 	}
 	budget := 12 * dstEntryBytes // table for 1/10 of the offered QPs
 	arms := []struct {

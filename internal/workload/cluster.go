@@ -16,8 +16,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"themis/internal/collective"
 	"themis/internal/core"
 	"themis/internal/fabric"
@@ -31,61 +29,10 @@ import (
 	"themis/internal/trace"
 )
 
-// LBMode selects the load-balancing arm of an experiment.
-type LBMode int
-
-const (
-	// ECMP is flow-level hashing (the deployed default).
-	ECMP LBMode = iota
-	// RandomSpray is per-packet uniform spraying (RPS).
-	RandomSpray
-	// Adaptive is per-packet least-queue adaptive routing (AR).
-	Adaptive
-	// Flowlet is flowlet switching.
-	Flowlet
-	// SprayNoThemis applies the PSN-based spraying policy with no Themis-D
-	// filtering — the "direct combination" the paper's deltas are against.
-	SprayNoThemis
-	// Themis installs the full middleware: Themis-S spraying at source ToRs
-	// and Themis-D NACK filtering + compensation at destination ToRs.
-	Themis
-	// REPS is Recycled Entropy Packet Spraying: the sender sprays via a
-	// bounded cache of recently-ACKed entropy values (lb.REPS) fed by the
-	// RNIC's transport feedback; switches hash the stamped entropy with
-	// plain ECMP.
-	REPS
-	// CongestionAware sprays per-packet round-robin entropy at the sender
-	// and steers around congested paths switch-locally (lb.CongestionAware:
-	// per-port ECN-knee EWMA), with DCQCN cutting by per-path α estimates
-	// instead of the flow-global one.
-	CongestionAware
-)
-
-// String returns the arm mnemonic.
-func (m LBMode) String() string {
-	switch m {
-	case ECMP:
-		return "ecmp"
-	case RandomSpray:
-		return "rps"
-	case Adaptive:
-		return "adaptive"
-	case Flowlet:
-		return "flowlet"
-	case SprayNoThemis:
-		return "spray-nothemis"
-	case Themis:
-		return "themis"
-	case REPS:
-		return "reps"
-	case CongestionAware:
-		return "congestion"
-	default:
-		return fmt.Sprintf("LBMode(%d)", int(m))
-	}
-}
-
-// ClusterConfig describes one simulated cluster.
+// ClusterConfig describes one simulated cluster. It is the only declaration
+// of the fabric, LB, NIC, CC, routing and observability knobs: every runner
+// config and chaos.Options embed it, and exp.Scenario lowers to it in one
+// place (Scenario.cluster).
 type ClusterConfig struct {
 	Seed int64
 
@@ -108,12 +55,10 @@ type ClusterConfig struct {
 
 	// Switch.
 	BufferBytes int  // default 64 MB (the paper's switch buffer)
-	DisableECN  bool // ECN marking is on by default (DCQCN needs it)
 	DisablePFC  bool // PFC is on by default (RoCE fabrics run lossless)
 
 	// Load balancing.
-	LB         LBMode
-	FlowletGap sim.Duration // default 50 us
+	LB LBMode
 	// RepsCache is the REPS entropy-ring capacity (default
 	// lb.DefaultREPSCache). Used when LB == REPS.
 	RepsCache int
@@ -125,15 +70,11 @@ type ClusterConfig struct {
 
 	// NIC / transport.
 	Transport  rnic.Transport
-	MTU        int
 	BurstBytes int // default 16 KB pacer bursts
 	RTO        sim.Duration
 	RTOBackoff float64      // RTO multiplier per consecutive timeout (<=1: fixed RTO)
 	RTOMax     sim.Duration // backoff cap (default 100x RTO when backing off)
-	AckEvery   int
-	DisableCC  bool
 	TI, TD     sim.Duration // DCQCN knobs (Fig. 5 sweep)
-	NackFactor float64      // DCQCN NACK-cut factor (default cc's 0.75)
 
 	// LossyControl subjects ACK/NACK/CNP to buffer drops and injected loss
 	// (fabric.Config.ControlLossless = false) — the robustness configuration;
@@ -180,9 +121,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.BurstBytes == 0 {
 		c.BurstBytes = 16 << 10
 	}
-	if c.FlowletGap == 0 {
-		c.FlowletGap = 50 * sim.Microsecond
-	}
 	if c.RepsCache == 0 {
 		c.RepsCache = lb.DefaultREPSCache
 	}
@@ -192,54 +130,64 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	return c
 }
 
-func (c ClusterConfig) selector() func() lb.Selector {
-	switch c.LB {
-	case ECMP, Themis:
-		// Themis steers via the ToR pipeline; non-steered traffic (e.g.
-		// unregistered or fallback flows) uses ECMP.
-		return func() lb.Selector { return lb.ECMP{} }
-	case RandomSpray:
-		return func() lb.Selector { return lb.RandomSpray{} }
-	case Adaptive:
-		return func() lb.Selector { return lb.Adaptive{} }
-	case Flowlet:
-		gap := c.FlowletGap
-		return func() lb.Selector { return lb.NewFlowlet(gap) }
-	case SprayNoThemis:
-		return func() lb.Selector { return lb.PSNSpray{} }
-	case REPS:
-		// The sender's entropy cache does the path steering; switches just
-		// hash the stamped five-tuple.
-		return func() lb.Selector { return lb.ECMP{} }
-	case CongestionAware:
-		// Bias the spray away from ports whose queue has been sitting at or
-		// above the ECN-marking knee — the same signal DCQCN reacts to, read
-		// switch-locally and a feedback-delay earlier.
-		mark := fabric.DefaultECN(c.Bandwidth).KminBytes
-		return func() lb.Selector { return lb.NewCongestionAware(mark, 0, 0) }
-	default:
-		panic(fmt.Sprintf("workload: unknown LB mode %d", int(c.LB)))
+// topology builds the fabric graph: a leaf-spine unless FatTreeK > 0.
+func (c *ClusterConfig) topology() (*topo.Topology, error) {
+	link := topo.LinkSpec{Bandwidth: c.Bandwidth, Delay: c.LinkDelay}
+	if c.FatTreeK > 0 {
+		return topo.NewFatTree(topo.FatTreeConfig{K: c.FatTreeK, HostLink: link, FabricLink: link})
 	}
+	return topo.NewLeafSpine(topo.LeafSpineConfig{
+		Leaves: c.Leaves, Spines: c.Spines, HostsPerLeaf: c.HostsPerLeaf,
+		HostLink: link, FabricLink: link,
+	})
 }
 
-// entropyWiring applies the sender-side half of the spraying arms to a NIC
-// config: the REPS cache (with its ACK-feedback hook) or the round-robin
-// bucket entropy plus per-path DCQCN of the congestion-aware arm. A no-op
-// for every other mode, byte-for-byte.
-func (c ClusterConfig) entropyWiring(ncfg *rnic.Config) {
-	switch c.LB {
-	case REPS:
-		size := c.RepsCache
-		ncfg.NewEntropy = func(_ packet.QPID, base uint16) lb.EntropySource {
-			return lb.NewREPS(base, size)
-		}
-	case CongestionAware:
-		buckets := c.PathBuckets
-		ncfg.NewEntropy = func(_ packet.QPID, base uint16) lb.EntropySource {
-			return lb.EntropyRoundRobin{Base: base, Buckets: buckets}
-		}
-		ncfg.CC.PathBuckets = buckets
+// fabricConfig lowers the switch-side knobs. pool is nil on a sharded
+// network, which owns one pool per shard.
+func (c *ClusterConfig) fabricConfig(a *arm, pool *packet.Pool) fabric.Config {
+	fcfg := fabric.Config{
+		BufferBytes:     c.BufferBytes,
+		ControlLossless: !c.LossyControl,
+		NewDataSelector: func() lb.Selector { return a.selector(c) },
+		ECN:             fabric.DefaultECN(c.Bandwidth), // DCQCN needs the marks
+		Tracer:          c.Tracer,
+		Pool:            pool,
+		Metrics:         c.Metrics,
 	}
+	if c.DistributedRouting {
+		fcfg.Routing = route.Config{Mode: route.Distributed, PerHopDelay: c.ConvergenceDelay}
+	}
+	if !c.DisablePFC {
+		fcfg.PFC = fabric.DefaultPFC(c.Bandwidth)
+	}
+	if n := c.DropEveryNData; n > 0 {
+		count := 0
+		fcfg.LossFunc = func(p *packet.Packet, sw, port int) bool {
+			count++
+			return count%n == 0
+		}
+	}
+	return fcfg
+}
+
+// nicConfig lowers the NIC, transport and congestion-control knobs, including
+// the arm's sender-side wiring.
+func (c *ClusterConfig) nicConfig(a *arm, pool *packet.Pool) rnic.Config {
+	ncfg := rnic.Config{
+		Transport:  c.Transport,
+		LineRate:   c.Bandwidth,
+		RTO:        c.RTO,
+		RTOBackoff: c.RTOBackoff,
+		RTOMax:     c.RTOMax,
+		BurstBytes: c.BurstBytes,
+		Pool:       pool,
+		Metrics:    c.Metrics,
+	}
+	ncfg.CC.TI, ncfg.CC.TD = c.TI, c.TD // CC.LineRate defaults to LineRate
+	if a.sender != nil {
+		a.sender(c, &ncfg)
+	}
+	return ncfg
 }
 
 // Cluster is a fully wired simulation instance.
@@ -274,21 +222,11 @@ type Cluster struct {
 // BuildCluster assembles a cluster from the configuration.
 func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 	cfg = cfg.withDefaults()
-	var t *topo.Topology
-	var err error
-	if cfg.FatTreeK > 0 {
-		t, err = topo.NewFatTree(topo.FatTreeConfig{
-			K:          cfg.FatTreeK,
-			HostLink:   topo.LinkSpec{Bandwidth: cfg.Bandwidth, Delay: cfg.LinkDelay},
-			FabricLink: topo.LinkSpec{Bandwidth: cfg.Bandwidth, Delay: cfg.LinkDelay},
-		})
-	} else {
-		t, err = topo.NewLeafSpine(topo.LeafSpineConfig{
-			Leaves: cfg.Leaves, Spines: cfg.Spines, HostsPerLeaf: cfg.HostsPerLeaf,
-			HostLink:   topo.LinkSpec{Bandwidth: cfg.Bandwidth, Delay: cfg.LinkDelay},
-			FabricLink: topo.LinkSpec{Bandwidth: cfg.Bandwidth, Delay: cfg.LinkDelay},
-		})
+	a, err := cfg.LB.arm()
+	if err != nil {
+		return nil, err
 	}
+	t, err := cfg.topology()
 	if err != nil {
 		return nil, err
 	}
@@ -297,31 +235,7 @@ func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 	// on it can share the free list. The fabric recycles packets at their
 	// terminals; NICs and Themis draw replacements from the same pool.
 	pool := packet.NewPool()
-	fcfg := fabric.Config{
-		BufferBytes:     cfg.BufferBytes,
-		ControlLossless: !cfg.LossyControl,
-		NewDataSelector: cfg.selector(),
-		Tracer:          cfg.Tracer,
-		Pool:            pool,
-		Metrics:         cfg.Metrics,
-	}
-	if cfg.DistributedRouting {
-		fcfg.Routing = route.Config{Mode: route.Distributed, PerHopDelay: cfg.ConvergenceDelay}
-	}
-	if !cfg.DisableECN {
-		fcfg.ECN = fabric.DefaultECN(cfg.Bandwidth)
-	}
-	if !cfg.DisablePFC {
-		fcfg.PFC = fabric.DefaultPFC(cfg.Bandwidth)
-	}
-	net := fabric.NewNetwork(engine, t, fcfg)
-	if n := cfg.DropEveryNData; n > 0 {
-		count := 0
-		net.SetLossFunc(func(p *packet.Packet, sw, port int) bool {
-			count++
-			return count%n == 0
-		})
-	}
+	net := fabric.NewNetwork(engine, t, cfg.fabricConfig(a, pool))
 
 	cl := &Cluster{
 		Config:      cfg,
@@ -341,24 +255,7 @@ func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 		cl.group = sim.NewShardGroup([]*sim.Engine{engine}, sim.Duration(sim.Forever))
 	}
 
-	ncfg := rnic.Config{
-		MTU:        cfg.MTU,
-		Transport:  cfg.Transport,
-		LineRate:   cfg.Bandwidth,
-		DisableCC:  cfg.DisableCC,
-		RTO:        cfg.RTO,
-		RTOBackoff: cfg.RTOBackoff,
-		RTOMax:     cfg.RTOMax,
-		AckEvery:   cfg.AckEvery,
-		BurstBytes: cfg.BurstBytes,
-		Pool:       pool,
-		Metrics:    cfg.Metrics,
-	}
-	ncfg.CC.LineRate = cfg.Bandwidth
-	ncfg.CC.TI = cfg.TI
-	ncfg.CC.TD = cfg.TD
-	ncfg.CC.NackFactor = cfg.NackFactor
-	cfg.entropyWiring(&ncfg)
+	ncfg := cfg.nicConfig(a, pool)
 	for h := 0; h < t.NumHosts(); h++ {
 		id := packet.NodeID(h)
 		nic := rnic.New(engine, id, ncfg, func(p *packet.Packet) { net.Inject(id, p) })
@@ -366,7 +263,7 @@ func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 		cl.NICs = append(cl.NICs, nic)
 	}
 
-	if cfg.LB == Themis {
+	if a.pipeline {
 		tcfg := cfg.ThemisCfg
 		tcfg.Pool = pool
 		// The lifecycle layer (idle eviction, last-touch LRU) needs virtual

@@ -3,10 +3,8 @@ package workload
 import (
 	"fmt"
 
-	"themis/internal/obs"
 	"themis/internal/packet"
 	"themis/internal/sim"
-	"themis/internal/trace"
 )
 
 // IncastConfig parameterizes a many-to-one stress test: every other host
@@ -16,30 +14,25 @@ import (
 // blocked NACK into a compensation or timeout) and the strict-priority
 // control class (NACK return latency bounds the §3.3 ring sizing).
 type IncastConfig struct {
-	Seed         int64
+	// ClusterConfig carries every fabric, LB, NIC and CC knob (the fabric
+	// shape is pinned, see resolve). Bandwidth defaults to 100 Gbps.
+	ClusterConfig
+
 	Senders      int   // fan-in degree (default 15)
 	MessageBytes int64 // per sender (default 2 MB)
-	Bandwidth    int64 // default 100 Gbps
-	LinkDelay    sim.Duration
-	BufferBytes  int // switch shared buffer (default 64 MB)
-	LB           LBMode
-	DisablePFC   bool
 	Horizon      sim.Duration
-	Shards       int // drive via the shard coordinator (see ClusterConfig.Shards)
-	// DistributedRouting/ConvergenceDelay select the BGP-style per-switch
-	// control plane (see ClusterConfig).
-	DistributedRouting bool
-	ConvergenceDelay   sim.Duration
-	// Tracer/Metrics hook up the observability harness (see internal/obs);
-	// not part of the serialized scenario.
-	Tracer  *trace.Tracer `json:"-"`
-	Metrics *obs.Registry `json:"-"`
 }
 
-func (c IncastConfig) withDefaults() IncastConfig {
+// resolve applies the incast defaults in place and enforces the runner's
+// pins:
+//   - Leaves/Spines/HostsPerLeaf/FatTreeK: each sender sits alone on its own
+//     rack (Senders+1 leaves and spines, one host each) so every flow crosses
+//     the fabric.
+func (c *IncastConfig) resolve() {
 	if c.Senders == 0 {
 		c.Senders = 15
 	}
+	c.Leaves, c.Spines, c.HostsPerLeaf, c.FatTreeK = c.Senders+1, c.Senders+1, 1, 0
 	if c.MessageBytes == 0 {
 		c.MessageBytes = 2 << 20
 	}
@@ -49,7 +42,6 @@ func (c IncastConfig) withDefaults() IncastConfig {
 	if c.Horizon == 0 {
 		c.Horizon = 30 * sim.Second
 	}
-	return c
 }
 
 // IncastResult carries the incast measurements.
@@ -73,23 +65,8 @@ type SenderAgg struct {
 // RunIncast places each sender on its own rack (Senders+1 leaves, one host
 // each) so every flow crosses the fabric, then blasts them all at host 0.
 func RunIncast(cfg IncastConfig) (*IncastResult, error) {
-	cfg = cfg.withDefaults()
-	cl, err := BuildCluster(ClusterConfig{
-		Seed:               cfg.Seed,
-		Shards:             cfg.Shards,
-		Leaves:             cfg.Senders + 1,
-		Spines:             cfg.Senders + 1,
-		HostsPerLeaf:       1,
-		Bandwidth:          cfg.Bandwidth,
-		LinkDelay:          cfg.LinkDelay,
-		BufferBytes:        cfg.BufferBytes,
-		LB:                 cfg.LB,
-		DisablePFC:         cfg.DisablePFC,
-		DistributedRouting: cfg.DistributedRouting,
-		ConvergenceDelay:   cfg.ConvergenceDelay,
-		Tracer:             cfg.Tracer,
-		Metrics:            cfg.Metrics,
-	})
+	cfg.resolve()
+	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
 		return nil, err
 	}

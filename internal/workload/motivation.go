@@ -3,12 +3,10 @@ package workload
 import (
 	"fmt"
 
-	"themis/internal/obs"
 	"themis/internal/packet"
 	"themis/internal/rnic"
 	"themis/internal/sim"
 	"themis/internal/stats"
-	"themis/internal/trace"
 )
 
 // MotivationConfig parameterizes the §2.2 motivation experiment (Fig. 1):
@@ -16,47 +14,31 @@ import (
 // random packet spraying, each node sending MessageBytes to the next node of
 // its group.
 type MotivationConfig struct {
-	Seed         int64
-	MessageBytes int64          // default 100 MB (the paper's size)
-	Transport    rnic.Transport // NIC-SR (default) or Ideal for the Fig. 1d bound
-	LB           LBMode         // default RandomSpray (the paper's motivation LB)
-	Window       sim.Duration   // meter window for time series (default 100 us)
-	SampleEvery  sim.Duration   // rate sampling period (default 10 us)
-	Horizon      sim.Duration   // simulation cap (default 10 s)
-	Shards       int            // drive via the shard coordinator (see ClusterConfig.Shards)
-	BurstBytes   int            // pacer burst (default 16 KB)
-	// TI/TD are the DCQCN rate-increase timer and minimum decrease
-	// interval. The motivation study defaults to the classic DCQCN values
+	// ClusterConfig carries the transport, LB and CC knobs (the fabric shape
+	// is pinned, see resolve). TI/TD default to the classic DCQCN values
 	// (55 us fast-recovery timer, 50 us rate-reduce gate [41]) — the Fig. 1c
 	// sawtooth (drops to ~50-90% with quick recovery, averaging ~86% of
 	// line rate) requires cuts to be rate-limited and recovery to be fast;
 	// Fig. 5 separately sweeps these knobs.
-	TI, TD sim.Duration
-	// NackFactor overrides the DCQCN NACK-cut factor (0 = cc default).
-	NackFactor float64
-	// Transport recovery knobs (see rnic.Config).
-	RTO        sim.Duration
-	RTOBackoff float64
-	RTOMax     sim.Duration
-	// DistributedRouting/ConvergenceDelay select the BGP-style per-switch
-	// control plane (see ClusterConfig).
-	DistributedRouting bool
-	ConvergenceDelay   sim.Duration
-	// Tracer/Metrics hook up the observability harness (see internal/obs);
-	// not part of the serialized scenario.
-	Tracer  *trace.Tracer `json:"-"`
-	Metrics *obs.Registry `json:"-"`
+	ClusterConfig
+
+	MessageBytes int64        // default 100 MB (the paper's size)
+	Horizon      sim.Duration // simulation cap (default 10 s)
 }
 
-func (c MotivationConfig) withDefaults() MotivationConfig {
+// resolve applies the motivation defaults in place and enforces the
+// runner's pins:
+//   - Leaves/Spines/HostsPerLeaf/FatTreeK/Bandwidth: Fig. 1a's fixed 4×4×2
+//     leaf-spine at 100 Gbps (MotivationFlows hard-codes its eight hosts).
+//   - LB: the zero value (ECMP) means the study's arm, RandomSpray.
+func (c *MotivationConfig) resolve() {
+	c.Leaves, c.Spines, c.HostsPerLeaf, c.FatTreeK = 4, 4, 2, 0
+	c.Bandwidth = 100e9
+	if c.LB == ECMP {
+		c.LB = RandomSpray
+	}
 	if c.MessageBytes == 0 {
 		c.MessageBytes = 100 << 20
-	}
-	if c.Window == 0 {
-		c.Window = 100 * sim.Microsecond
-	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 10 * sim.Microsecond
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 10 * sim.Second
@@ -67,7 +49,6 @@ func (c MotivationConfig) withDefaults() MotivationConfig {
 	if c.TD == 0 {
 		c.TD = 50 * sim.Microsecond
 	}
-	return c
 }
 
 // MotivationResult carries the Fig. 1 measurements.
@@ -110,39 +91,15 @@ func MotivationFlows() [][2]packet.NodeID {
 
 // RunMotivation executes the Fig. 1 experiment and returns its measurements.
 func RunMotivation(cfg MotivationConfig) (*MotivationResult, error) {
-	cfg = cfg.withDefaults()
-	lbMode := cfg.LB
-	if lbMode == ECMP {
-		lbMode = RandomSpray // the motivation study's default arm
-	}
-	cl, err := BuildCluster(ClusterConfig{
-		Seed:               cfg.Seed,
-		Shards:             cfg.Shards,
-		Leaves:             4,
-		Spines:             4,
-		HostsPerLeaf:       2,
-		Bandwidth:          100e9,
-		LB:                 lbMode,
-		Transport:          cfg.Transport,
-		BurstBytes:         cfg.BurstBytes,
-		TI:                 cfg.TI,
-		TD:                 cfg.TD,
-		NackFactor:         cfg.NackFactor,
-		RTO:                cfg.RTO,
-		RTOBackoff:         cfg.RTOBackoff,
-		RTOMax:             cfg.RTOMax,
-		DistributedRouting: cfg.DistributedRouting,
-		ConvergenceDelay:   cfg.ConvergenceDelay,
-		Tracer:             cfg.Tracer,
-		Metrics:            cfg.Metrics,
-	})
+	cfg.resolve()
+	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
 		return nil, err
 	}
 
 	flows := MotivationFlows()
 	res := &MotivationResult{}
-	ratio := stats.NewRatioMeter("retransmission ratio (flow 0->2)", cfg.Window)
+	ratio := stats.NewRatioMeter("retransmission ratio (flow 0->2)", 100*sim.Microsecond)
 	rate := stats.NewSeries("rate Gbps (flow 0->2)")
 
 	remaining := len(flows)
@@ -171,7 +128,7 @@ func RunMotivation(cfg MotivationConfig) (*MotivationResult, error) {
 	}
 
 	// Sample the observed flow's DCQCN rate (Fig. 1c).
-	sampler := sim.NewTicker(cl.Engine, cfg.SampleEvery, func() {
+	sampler := sim.NewTicker(cl.Engine, 10*sim.Microsecond, func() {
 		rate.Add(cl.Engine.Now(), float64(conns[0].Sender.Rate())/1e9)
 	})
 	sampler.Start()

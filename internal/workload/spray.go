@@ -24,43 +24,34 @@ func streamKeyShardEngine(shard int) uint64 { return 0xE5<<56 | uint64(shard) }
 // the sharded engine — the legacy Cluster workloads have global drivers and
 // pin themselves to one shard (see ClusterConfig.Shards).
 type SprayConfig struct {
-	Seed         int64
-	FatTreeK     int          // default 4
-	Bandwidth    int64        // default 100 Gbps
-	LinkDelay    sim.Duration // default 1 us
-	BufferBytes  int          // switch shared buffer (default 64 MB)
-	MessageBytes int64        // per host (default 1 MB)
-	BurstBytes   int          // NIC pacer burst (default: ClusterConfig default)
-	LB           LBMode       // any non-Themis arm (incl. REPS / CongestionAware)
-	RepsCache    int          // REPS ring capacity (LB == REPS; 0 = default)
-	PathBuckets  int          // congestion-aware entropy buckets (0 = default)
-	DisablePFC   bool
-	DisableECN   bool
-	// Shards is the number of space-parallel shards (default 1). The result
-	// is byte-identical for every legal value — that is the determinism
+	// ClusterConfig carries the fabric, LB and NIC knobs. Defaults: a k=4
+	// fat-tree at 100 Gbps. Shards is the number of space-parallel shards
+	// (default 1) and is genuinely partitioned here; the result is
+	// byte-identical for every legal value — that is the determinism
 	// contract TestSprayShardInvariance enforces.
-	Shards  int
-	Horizon sim.Duration // default 30 s
+	ClusterConfig
+
+	MessageBytes int64        // per host (default 1 MB)
+	Horizon      sim.Duration // default 30 s
 }
 
-func (c SprayConfig) withDefaults() SprayConfig {
+// resolve applies the spray defaults in place. The runner's pins are
+// rejections, not overrides — RunSpray and fabric.NewShardedNetwork return an
+// error for what a partitioned dataplane cannot host:
+//   - LB arms that install a ToR pipeline (core wiring is classic-engine only);
+//   - Tracer, Metrics, DropEveryNData and DistributedRouting (global mutable
+//     state that would couple the shards).
+//
+// The topology is always a fat-tree, so Leaves/Spines/HostsPerLeaf are moot.
+func (c *SprayConfig) resolve() {
 	if c.FatTreeK == 0 {
 		c.FatTreeK = 4
 	}
 	if c.Bandwidth == 0 {
 		c.Bandwidth = 100e9
 	}
-	if c.LinkDelay == 0 {
-		c.LinkDelay = sim.Microsecond
-	}
-	if c.BufferBytes == 0 {
-		c.BufferBytes = 64 << 20
-	}
 	if c.MessageBytes == 0 {
 		c.MessageBytes = 1 << 20
-	}
-	if c.BurstBytes == 0 {
-		c.BurstBytes = 16 << 10
 	}
 	if c.Shards == 0 {
 		c.Shards = 1
@@ -68,7 +59,7 @@ func (c SprayConfig) withDefaults() SprayConfig {
 	if c.Horizon == 0 {
 		c.Horizon = 30 * sim.Second
 	}
-	return c
+	c.ClusterConfig = c.ClusterConfig.withDefaults()
 }
 
 // SprayResult carries the permutation measurements.
@@ -88,15 +79,15 @@ type SprayResult struct {
 
 // RunSpray builds the sharded fat-tree dataplane and runs the permutation.
 func RunSpray(cfg SprayConfig) (*SprayResult, error) {
-	cfg = cfg.withDefaults()
-	if cfg.LB == Themis {
-		return nil, fmt.Errorf("workload: spray does not support the Themis pipeline yet (core wiring is classic-engine only)")
+	cfg.resolve()
+	a, err := cfg.LB.arm()
+	if err != nil {
+		return nil, err
 	}
-	t, err := topo.NewFatTree(topo.FatTreeConfig{
-		K:          cfg.FatTreeK,
-		HostLink:   topo.LinkSpec{Bandwidth: cfg.Bandwidth, Delay: cfg.LinkDelay},
-		FabricLink: topo.LinkSpec{Bandwidth: cfg.Bandwidth, Delay: cfg.LinkDelay},
-	})
+	if a.pipeline {
+		return nil, fmt.Errorf("workload: spray does not support the %v pipeline yet (core wiring is classic-engine only)", cfg.LB)
+	}
+	t, err := cfg.topology()
 	if err != nil {
 		return nil, err
 	}
@@ -114,27 +105,8 @@ func RunSpray(cfg SprayConfig) (*SprayResult, error) {
 	}
 	group := sim.NewShardGroup(engines, la)
 
-	// The selector and the sender-side entropy wiring share one lowered
-	// ClusterConfig so the switch MarkBytes knee and the NIC bucket counts
-	// stay consistent with the single-shard cluster path.
-	lcfg := ClusterConfig{
-		LB:          cfg.LB,
-		Bandwidth:   cfg.Bandwidth,
-		RepsCache:   cfg.RepsCache,
-		PathBuckets: cfg.PathBuckets,
-	}.withDefaults()
-	fcfg := fabric.Config{
-		BufferBytes:     cfg.BufferBytes,
-		ControlLossless: true,
-		NewDataSelector: lcfg.selector(),
-	}
-	if !cfg.DisableECN {
-		fcfg.ECN = fabric.DefaultECN(cfg.Bandwidth)
-	}
-	if !cfg.DisablePFC {
-		fcfg.PFC = fabric.DefaultPFC(cfg.Bandwidth)
-	}
-	net, err := fabric.NewShardedNetwork(group, t, part, cfg.Seed, fcfg)
+	// Pools are per shard, so the shared lowerings get none here.
+	net, err := fabric.NewShardedNetwork(group, t, part, cfg.Seed, cfg.fabricConfig(a, nil))
 	if err != nil {
 		return nil, err
 	}
@@ -144,16 +116,10 @@ func RunSpray(cfg SprayConfig) (*SprayResult, error) {
 	for h := 0; h < h2; h++ {
 		id := packet.NodeID(h)
 		shard := part.HostShard[h]
-		ncfg := rnic.Config{
-			MTU:        packet.DefaultMTU,
-			LineRate:   cfg.Bandwidth,
-			BurstBytes: cfg.BurstBytes,
-			Pool:       net.ShardPool(shard),
-		}
 		// Per-sender entropy state lives on the sender's own shard and is a
 		// pure function of its transport feedback, so the spraying arms stay
 		// shard-invariant.
-		lcfg.entropyWiring(&ncfg)
+		ncfg := cfg.nicConfig(a, net.ShardPool(shard))
 		nic := rnic.New(group.Shard(shard), id, ncfg, func(p *packet.Packet) { net.Inject(id, p) })
 		net.AttachHost(id, nic.HandlePacket)
 		nics[h] = nic

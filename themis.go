@@ -12,9 +12,13 @@
 // The package re-exports the experiment harness used to regenerate every
 // figure and table of the paper:
 //
-//	res, err := themis.RunMotivation(themis.MotivationConfig{Seed: 1})   // Fig. 1
-//	res, err := themis.RunCollective(themis.CollectiveConfig{...})       // Fig. 5
-//	fmt.Print(themis.MemoryModel().Report())                             // Table 1 / §4
+//	res, err := themis.RunMotivation(themis.MotivationConfig{})      // Fig. 1
+//	res, err := themis.RunCollective(themis.CollectiveConfig{...})   // Fig. 5
+//	fmt.Print(themis.MemoryModel().Report())                         // Table 1 / §4
+//
+// Every experiment config embeds ClusterConfig, the one declaration of the
+// fabric, load-balancing, RNIC and congestion-control knobs, and adds only
+// its own shape fields (pattern, sizes, groups).
 //
 // Lower-level building blocks (the simulator, fabric, RNIC models and the
 // middleware itself) live under internal/ and are wired together by
@@ -89,14 +93,17 @@ type (
 	Report = exp.Report
 )
 
-// Load-balancing arms.
+// Load-balancing arms: one constant per row of the arm table
+// (internal/workload/arms.go); TestFacadeExportsEveryArm keeps them in step.
 const (
-	ECMP          = workload.ECMP
-	RandomSpray   = workload.RandomSpray
-	Adaptive      = workload.Adaptive
-	Flowlet       = workload.Flowlet
-	SprayNoThemis = workload.SprayNoThemis
-	Themis        = workload.Themis
+	ECMP            = workload.ECMP
+	RandomSpray     = workload.RandomSpray
+	Adaptive        = workload.Adaptive
+	Flowlet         = workload.Flowlet
+	SprayNoThemis   = workload.SprayNoThemis
+	Themis          = workload.Themis
+	REPS            = workload.REPS
+	CongestionAware = workload.CongestionAware
 )
 
 // Collective patterns.

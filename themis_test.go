@@ -1,14 +1,16 @@
 package themis_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"themis"
+	"themis/internal/workload"
 )
 
 func TestFacadeMotivation(t *testing.T) {
-	res, err := themis.RunMotivation(themis.MotivationConfig{Seed: 1, MessageBytes: 1 << 20})
+	res, err := themis.RunMotivation(themis.MotivationConfig{ClusterConfig: themis.ClusterConfig{Seed: 1}, MessageBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,9 +21,11 @@ func TestFacadeMotivation(t *testing.T) {
 
 func TestFacadeCollective(t *testing.T) {
 	res, err := themis.RunCollective(themis.CollectiveConfig{
-		Seed: 1, Pattern: themis.Allreduce, MessageBytes: 1 << 20,
-		Leaves: 4, Spines: 4, HostsPerLeaf: 4, Bandwidth: 100e9, Groups: 2,
-		LB: themis.Themis,
+		ClusterConfig: themis.ClusterConfig{
+			Seed: 1, Leaves: 4, Spines: 4, HostsPerLeaf: 4, Bandwidth: 100e9,
+			LB: themis.Themis,
+		},
+		Pattern: themis.Allreduce, MessageBytes: 1 << 20, Groups: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,5 +68,25 @@ func TestFacadeBuildCluster(t *testing.T) {
 	cl.Run(themis.Second)
 	if !done {
 		t.Fatal("transfer incomplete")
+	}
+}
+
+// TestFacadeExportsEveryArm: the re-exported arm constants are exactly the
+// rows of the arm table, so a new arm cannot be unreachable from the façade.
+func TestFacadeExportsEveryArm(t *testing.T) {
+	exported := []themis.LBMode{
+		themis.ECMP, themis.RandomSpray, themis.Adaptive, themis.Flowlet,
+		themis.SprayNoThemis, themis.Themis, themis.REPS, themis.CongestionAware,
+	}
+	var table []themis.LBMode
+	for _, name := range strings.Split(workload.LBNames(), "|") {
+		m, err := workload.ParseLB(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table = append(table, m)
+	}
+	if !reflect.DeepEqual(exported, table) {
+		t.Fatalf("façade exports %v, arm table has %v", exported, table)
 	}
 }
