@@ -31,9 +31,10 @@
 //	    storms, pod-uplink loss, maintenance drains) and -drain appends an
 //	    explicit maintenance drain to it. The spray workload is the
 //	    space-parallel fat-tree permutation (-fattree-k sets the radix);
-//	    -shards N partitions any workload's trial across N engine shards —
-//	    results are byte-identical for every shard count, so like -parallel
-//	    it is an execution knob, not an experiment arm. The reps and
+//	    -shards N cuts a spray trial's racks across N engine shards (the
+//	    other workloads have global drivers, run on one engine and ignore
+//	    it) — results are byte-identical for every shard count, so like
+//	    -parallel it is an execution knob, not an experiment arm. The reps and
 //	    congestion LB arms take -reps-cache (entropy-cache ring capacity)
 //	    and -path-buckets (per-path entropy buckets for the switch EWMA and
 //	    per-path DCQCN coupling).
@@ -296,7 +297,7 @@ func runScenario(args []string) error {
 	spines := fs.Int("spines", 0, "spine switches")
 	hosts := fs.Int("hosts", 0, "hosts per leaf")
 	bw := fs.Float64("bw", 0, "link bandwidth, Gbps")
-	shards := fs.Int("shards", 0, "space-parallel engine shards (0 = classic single engine; results are byte-identical for any value)")
+	shards := fs.Int("shards", 0, "spray: space-parallel engine shards (0 = one; results are byte-identical for any value; other workloads run on one engine and ignore it)")
 	fatTreeK := fs.Int("fattree-k", 0, "spray: fat-tree radix k (0 = workload default)")
 	qps := fs.Int("qps", 0, "churn: total flows opened over the run (0 = workload default)")
 	concurrency := fs.Int("concurrency", 0, "churn: flows open at a time (0 = workload default)")
@@ -398,7 +399,7 @@ func runSweep(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed (first seed for multi-seed grids)")
 	seeds := fs.Int("seeds", 1, "seed count (fig1, smoke, chaos)")
 	parallel := fs.Int("parallel", 1, "worker pool size")
-	shards := fs.Int("shards", 0, "space-parallel engine shards per trial (0 = classic single engine; reports are byte-identical for any value)")
+	shards := fs.Int("shards", 0, "spray grid: space-parallel engine shards per trial (0 = one; reports are byte-identical for any value; other grids run on one engine and ignore it)")
 	jsonOut := fs.String("json", "", "write the aggregated report JSON to this path")
 	metrics := fs.Bool("metrics", false, "snapshot a per-trial metrics registry into each record")
 	flightDir := fs.String("flight-dir", "", "arm per-trial flight recorders; dump JSONL traces here on failure")

@@ -12,12 +12,7 @@ import (
 func runTraced(t *testing.T, seed int64) (*Result, []trace.Event) {
 	t.Helper()
 	opt := Options{ClusterConfig: workload.ClusterConfig{Tracer: trace.New(1 << 14)}}
-	probe, err := BuildCluster(Scenario{Seed: seed}, opt)
-	if err != nil {
-		t.Fatalf("build probe cluster: %v", err)
-	}
-	sc := Generate(seed, probe.Topo)
-	res, err := RunScenario(sc, opt)
+	res, err := RunGenerated(seed, Generate, opt)
 	if err != nil {
 		t.Fatalf("run scenario: %v", err)
 	}

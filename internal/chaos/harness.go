@@ -123,16 +123,25 @@ func (o Options) cluster(seed int64) workload.ClusterConfig {
 // invariants. The same (scenario, options) pair always produces the same
 // Result.
 func RunScenario(sc Scenario, opt Options) (*Result, error) {
+	return RunGenerated(sc.Seed, func(int64, *topo.Topology) Scenario { return sc }, opt)
+}
+
+// RunGenerated is RunScenario for a fault schedule that depends on the
+// topology (Generate, GenerateConvergence): the cluster for seed is built
+// once, gen derives the scenario from its topology, and that same cluster
+// runs it.
+func RunGenerated(seed int64, gen func(int64, *topo.Topology) Scenario, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	var flight *obs.FlightRecorder
 	if opt.FlightDir != "" && opt.Tracer == nil {
 		flight = obs.NewFlightRecorder(opt.FlightDir, opt.FlightCapacity)
 		opt.Tracer = flight.Tracer()
 	}
-	cl, err := BuildCluster(sc, opt)
+	cl, err := workload.BuildCluster(opt.cluster(seed))
 	if err != nil {
 		return nil, err
 	}
+	sc := gen(seed, cl.Topo)
 	NewInjector(cl, sc).Install()
 
 	// Cross-rack ring: host i sends to the same-index host of the next leaf,
@@ -192,17 +201,10 @@ func SoakConvergence(first int64, count int, opt Options) ([]*Result, error) {
 }
 
 func soak(first int64, count int, opt Options, gen func(int64, *topo.Topology) Scenario) ([]*Result, error) {
-	opt = opt.withDefaults()
-	// The generator needs the topology; build a throwaway cluster once.
-	probe, err := BuildCluster(Scenario{Seed: first}, opt)
-	if err != nil {
-		return nil, err
-	}
 	var out []*Result
 	for i := 0; i < count; i++ {
 		seed := first + int64(i)
-		sc := gen(seed, probe.Topo)
-		res, err := RunScenario(sc, opt)
+		res, err := RunGenerated(seed, gen, opt)
 		if err != nil {
 			return out, fmt.Errorf("chaos: seed %d: %w", seed, err)
 		}

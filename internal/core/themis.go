@@ -234,9 +234,6 @@ func (th *Themis) registerMetrics(r *obs.Registry) {
 // Stats returns a snapshot of this instance's counters.
 func (th *Themis) Stats() Stats { return th.stats }
 
-// SwitchID returns the ToR this instance runs on.
-func (th *Themis) SwitchID() int { return th.swID }
-
 // Disabled reports whether Themis is currently bypassing itself, for any
 // reason: an operator hold (SetDisabled) or the §6 failure response.
 func (th *Themis) Disabled() bool { return th.adminDisabled || th.failDisabled }

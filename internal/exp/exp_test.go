@@ -66,14 +66,12 @@ func TestRunnerParallelDeterminism(t *testing.T) {
 
 // The shard-determinism guarantee, enforced the same way as worker-count
 // determinism above: the serialized report is byte-identical for every shard
-// count. Legacy workloads prove the coordinator is inert (any Shards > 0
-// drives the classic engine through a single-shard group); the spray cells
-// genuinely repartition the fat tree across engines, so they prove the
-// mailbox drain order, per-channel priorities and partition-invariant RNG
-// streams reproduce the single-shard schedule exactly.
+// count. The spray cells genuinely repartition the fat tree across engines,
+// so they prove the mailbox drain order, per-channel priorities and
+// partition-invariant RNG streams reproduce the single-shard schedule
+// exactly. (No other workload is partitioned; Shards does not reach them.)
 func TestShardCountDeterminism(t *testing.T) {
-	grid := testGrid()
-	grid = append(grid, SprayGrid(8)...)
+	grid := SprayGrid(8)
 	withShards := func(n int) []Scenario {
 		out := make([]Scenario, len(grid))
 		for i, sc := range grid {

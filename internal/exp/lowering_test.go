@@ -64,7 +64,7 @@ func TestScenarioLoweringTotal(t *testing.T) {
 	shape := map[string]bool{
 		"LBArmed": true, "Pattern": true, "MessageBytes": true, "Groups": true,
 		"Senders": true, "Flows": true, "QPs": true, "Concurrency": true,
-		"Faults": true, "Horizon": true, "LinkFail": true,
+		"Faults": true, "Horizon": true, "LinkFail": true, "Shards": true,
 	}
 	// leaves lists the settable leaf fields of Scenario, descending into the
 	// ThemisKnobs block so each knob is checked on its own.

@@ -94,10 +94,12 @@ type Scenario struct {
 	Seed     int64    `json:"seed"`
 
 	// Shards is an execution knob, not an experiment arm: it selects how many
-	// space-parallel engine shards drive the trial (0 = classic single
-	// engine). Results are byte-identical for every value — the shard
-	// determinism regression enforces it — so like Runner.Parallel it is
-	// excluded from the serialized scenario and the BENCH artifacts.
+	// space-parallel engine shards a Spray trial is cut across (0 = the
+	// workload default, one; other workloads have global drivers, always run
+	// on one engine and ignore it). Results are byte-identical for every
+	// value — the shard determinism regression enforces it — so like
+	// Runner.Parallel it is excluded from the serialized scenario and the
+	// BENCH artifacts.
 	Shards int `json:"-"`
 
 	// Experiment arms.
@@ -196,7 +198,6 @@ func (s Scenario) Label() string {
 func (s Scenario) cluster() workload.ClusterConfig {
 	return workload.ClusterConfig{
 		Seed:               s.Seed,
-		Shards:             s.Shards,
 		Leaves:             s.Leaves,
 		Spines:             s.Spines,
 		HostsPerLeaf:       s.HostsPerLeaf,
@@ -262,7 +263,7 @@ func (s Scenario) churn(cc workload.ClusterConfig) workload.ChurnConfig {
 }
 
 func (s Scenario) spray(cc workload.ClusterConfig) workload.SprayConfig {
-	return workload.SprayConfig{ClusterConfig: cc, MessageBytes: s.MessageBytes, Horizon: s.Horizon}
+	return workload.SprayConfig{ClusterConfig: cc, Shards: s.Shards, MessageBytes: s.MessageBytes, Horizon: s.Horizon}
 }
 
 // chaos lowers a chaos or convergence scenario to the chaos harness. The LB

@@ -9,6 +9,7 @@ import (
 	"themis/internal/obs"
 	"themis/internal/rnic"
 	"themis/internal/sim"
+	"themis/internal/topo"
 	"themis/internal/trace"
 	"themis/internal/workload"
 )
@@ -176,22 +177,19 @@ func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 		t.Net.DataDrops = res.Drops
 		t.Engine = res.Engine
 	case Chaos, Convergence:
-		opt := sc.chaos(cc)
-		// The fault generator needs the topology; probe-build the cluster
-		// once (cheap: no traffic runs on it).
-		probe, err := chaos.BuildCluster(chaos.Scenario{Seed: sc.Seed}, opt)
-		if err != nil {
-			t.Err = err.Error()
-			return t
-		}
-		csc := chaos.Generate(sc.Seed, probe.Topo)
+		// The fault schedule is generated from the topology of the one
+		// cluster the trial builds and runs.
+		gen := chaos.Generate
 		if sc.Workload == Convergence {
-			csc = chaos.GenerateConvergence(sc.Seed, probe.Topo)
-			if sc.Drain {
-				csc.Faults = append(csc.Faults, chaos.DrainFault(probe.Topo))
+			gen = func(seed int64, tp *topo.Topology) chaos.Scenario {
+				csc := chaos.GenerateConvergence(seed, tp)
+				if sc.Drain {
+					csc.Faults = append(csc.Faults, chaos.DrainFault(tp))
+				}
+				return csc
 			}
 		}
-		res, err := chaos.RunScenario(csc, opt)
+		res, err := chaos.RunGenerated(sc.Seed, gen, sc.chaos(cc))
 		if err != nil {
 			t.Err = err.Error()
 			return t

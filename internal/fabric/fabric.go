@@ -12,7 +12,7 @@
 package fabric
 
 import (
-	"fmt"
+	"math/rand"
 
 	"themis/internal/lb"
 	"themis/internal/obs"
@@ -77,9 +77,6 @@ type Config struct {
 	// A factory (not a shared instance) because some selectors (flowlet)
 	// carry per-switch state. Defaults to ECMP.
 	NewDataSelector func() lb.Selector
-	// NewCtrlSelector constructs the per-switch selector for control
-	// packets. Defaults to ECMP.
-	NewCtrlSelector func() lb.Selector
 	// LossFunc, if set, is consulted at every switch egress enqueue of a
 	// data packet — and of control packets too when ControlLossless is false;
 	// returning true drops the packet (fault injection).
@@ -134,7 +131,6 @@ type Counters struct {
 
 // Network is the running dataplane.
 type Network struct {
-	engine   *sim.Engine
 	topology *topo.Topology
 	cfg      Config
 
@@ -154,122 +150,149 @@ type Network struct {
 	dstValid     []bool
 	dstRoutes    [][][]int // [dstTor][sw] = candidate egress ports
 
-	counters Counters
-	seqNo    uint64
-
-	// sh is the space-parallel shard wiring; nil for the classic
-	// single-engine dataplane (see NewShardedNetwork in shard.go).
-	sh *shardState
+	// group holds the per-shard engines and the mailboxes cross-shard links
+	// post into; counters, pools and seq are the per-shard blocks components
+	// charge during an epoch. The classic dataplane is the one-shard case:
+	// every slice has length 1 and nothing is ever posted.
+	group    *sim.ShardGroup
+	counters []Counters
+	pools    []*packet.Pool
+	seq      []uint64
 }
 
-// newNetwork builds the engine-independent parts of the dataplane: switch
-// instances, egress queues and host uplink serializers. Callers wire the
-// engine(s), counter blocks and pools afterwards — NewNetwork points every
-// component at the one shared engine, NewShardedNetwork deals them out per
-// shard.
-func newNetwork(t *topo.Topology, cfg Config) *Network {
+// scheme is everything that differs between the two exported constructors
+// once their arguments are validated: where a switch draws its randomness
+// and whether cross-component events carry channel priorities.
+//
+// The classic scheme (NewNetwork) shares the engine RNG and leaves every
+// priority zero, so same-time events run in pure schedule order. The
+// partition-invariant scheme (NewShardedNetwork) gives each switch a stream
+// keyed by its ID and stamps fabric-link deliveries with 2·chanID and pause
+// frames with 2·chanID+1, so neither draws nor same-time order at a
+// component depend on which engine scheduled what. Moving the classic
+// constructor onto the second scheme is ROADMAP item 2(a2).
+type scheme struct {
+	rng   func(swID int) *rand.Rand
+	stamp bool
+}
+
+// wire builds the dataplane: it creates every switch, egress queue and host
+// uplink serializer and is the one place that assigns each its shard's
+// engine, counter block and pool, its RNG and its channel priorities.
+func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []*packet.Pool, cfg Config, sc scheme) *Network {
 	if cfg.NewDataSelector == nil {
 		cfg.NewDataSelector = func() lb.Selector { return lb.ECMP{} }
-	}
-	if cfg.NewCtrlSelector == nil {
-		cfg.NewCtrlSelector = func() lb.Selector { return lb.ECMP{} }
 	}
 	n := &Network{
 		topology: t,
 		cfg:      cfg,
+		switches: make([]*swInst, t.NumSwitches()),
 		hostRecv: make([]func(*packet.Packet), t.NumHosts()),
 		hostUp:   make([]*outQueue, t.NumHosts()),
-		dstValid: make([]bool, t.NumSwitches()),
+		group:    group,
+		counters: make([]Counters, part.Shards),
+		pools:    pools,
+		seq:      make([]uint64, part.Shards),
 	}
-	n.switches = make([]*swInst, t.NumSwitches())
-	for _, sw := range t.Switches() {
-		n.switches[sw.ID] = newSwInst(n, sw)
+	if cfg.Routing.Mode == route.Distributed {
+		n.plane = route.NewPlane(group.Shard(0), t, cfg.Routing)
+	} else {
+		n.dstValid = make([]bool, t.NumSwitches())
+		n.dstRoutes = make([][][]int, t.NumSwitches())
 	}
-	for h := 0; h < t.NumHosts(); h++ {
-		a := t.HostAttach(packet.NodeID(h))
-		sw := n.switches[a.Switch]
-		inPort := a.Port
-		n.hostUp[h] = &outQueue{
-			net:   n,
-			bw:    a.Bandwidth,
-			delay: a.Delay,
-			name:  fmt.Sprintf("host%d-up", h),
-			deliver: func(p *packet.Packet) {
-				sw.receive(p, inPort)
-			},
+
+	// chanID enumeration order (switch ID, then port; hosts after all
+	// switches) is a pure function of the topology, never of the partition —
+	// the invariance of the stamped priorities depends on that.
+	chanID := uint64(0)
+	own := func(q *outQueue, shard int) {
+		q.shard = shard
+		q.eng = group.Shard(shard)
+		q.ctr = &n.counters[shard]
+		q.pool = pools[shard]
+		chanID++
+		if sc.stamp {
+			q.pausePri = chanID*2 + 1
+			// Host-facing hops never leave the rack's shard and keep pri 0.
+			if q.sw != nil && !q.isHostPort {
+				q.pri = chanID * 2
+			}
 		}
-		n.hostUp[h].bind()
+		q.bind()
 	}
+	for _, sw := range t.Switches() {
+		shard := part.SwitchShard[sw.ID]
+		s := newSwInst(n, sw)
+		s.shard = shard
+		s.eng = group.Shard(shard)
+		s.ctr = &n.counters[shard]
+		s.pool = pools[shard]
+		s.rng = sc.rng(sw.ID)
+		n.switches[sw.ID] = s
+		for pi, q := range s.ports {
+			own(q, shard)
+			p := &sw.Ports[pi]
+			if p.IsHostPort() {
+				continue
+			}
+			if peerShard := part.SwitchShard[p.PeerSwitch]; peerShard != shard {
+				q.post = func(pkt *packet.Packet) {
+					group.PostArg(shard, peerShard, q.eng.Now().Add(q.delay), q.pri, q.deliverFn, pkt)
+				}
+			}
+		}
+	}
+	for h := range n.hostUp {
+		a := t.HostAttach(packet.NodeID(h))
+		sw, inPort := n.switches[a.Switch], a.Port
+		q := &outQueue{
+			net:     n,
+			bw:      a.Bandwidth,
+			delay:   a.Delay,
+			deliver: func(p *packet.Packet) { sw.receive(p, inPort) },
+		}
+		own(q, part.HostShard[h])
+		n.hostUp[h] = q
+	}
+	n.registerMetrics(cfg.Metrics)
 	return n
 }
 
-// NewNetwork builds the dataplane for a topology. Hosts start detached;
-// packets to a detached host are delivered to a no-op sink.
+// NewNetwork builds the dataplane for a topology on one engine — the
+// one-shard wiring under the classic scheme. Hosts start detached; packets
+// to a detached host are delivered to a no-op sink.
 func NewNetwork(engine *sim.Engine, t *topo.Topology, cfg Config) *Network {
-	n := newNetwork(t, cfg)
-	n.engine = engine
-	if n.cfg.Routing.Mode == route.Distributed {
-		n.plane = route.NewPlane(engine, t, n.cfg.Routing)
-		n.dstValid = nil
-	} else {
-		n.dstRoutes = make([][][]int, t.NumSwitches())
-	}
-	// Every component shares the one engine, counter block, pool and RNG —
-	// the classic dataplane is the degenerate single-shard wiring.
-	for _, s := range n.switches {
-		s.eng = engine
-		s.ctr = &n.counters
-		s.pool = n.cfg.Pool
-		s.rng = engine.Rand()
-		for _, q := range s.ports {
-			q.eng = engine
-			q.ctr = &n.counters
-			q.pool = n.cfg.Pool
-		}
-	}
-	for _, q := range n.hostUp {
-		q.eng = engine
-		q.ctr = &n.counters
-		q.pool = n.cfg.Pool
-	}
-	n.registerMetrics(n.cfg.Metrics)
-	return n
+	group := sim.NewShardGroup([]*sim.Engine{engine}, sim.Duration(sim.Forever))
+	part := topo.Partition{Shards: 1, SwitchShard: make([]int, t.NumSwitches()), HostShard: make([]int, t.NumHosts())}
+	shared := func(int) *rand.Rand { return engine.Rand() }
+	return wire(group, t, part, []*packet.Pool{cfg.Pool}, cfg, scheme{rng: shared})
 }
 
 // registerMetrics exposes the network counters as gauges; no-op on nil.
 func (n *Network) registerMetrics(r *obs.Registry) {
-	r.GaugeFunc("fabric.delivered", func() float64 { return float64(n.counters.Delivered) })
-	r.GaugeFunc("fabric.data_drops", func() float64 { return float64(n.counters.DataDrops) })
-	r.GaugeFunc("fabric.ctrl_drops", func() float64 { return float64(n.counters.CtrlDrops) })
-	r.GaugeFunc("fabric.ecn_marks", func() float64 { return float64(n.counters.EcnMarks) })
-	r.GaugeFunc("fabric.blocked", func() float64 { return float64(n.counters.Blocked) })
-	r.GaugeFunc("fabric.compensated", func() float64 { return float64(n.counters.Compensated) })
-	r.GaugeFunc("fabric.link_drops", func() float64 { return float64(n.counters.LinkDrops) })
-	r.GaugeFunc("fabric.loop_drops", func() float64 { return float64(n.counters.LoopDrops) })
-	r.GaugeFunc("fabric.steady_loop_drops", func() float64 { return float64(n.counters.SteadyLoopDrops) })
-	r.GaugeFunc("fabric.watchdog_fires", func() float64 { return float64(n.counters.WatchdogFires) })
-	r.GaugeFunc("fabric.watchdog_drops", func() float64 { return float64(n.counters.WatchdogDrops) })
+	r.GaugeFunc("fabric.delivered", func() float64 { return float64(n.Counters().Delivered) })
+	r.GaugeFunc("fabric.data_drops", func() float64 { return float64(n.Counters().DataDrops) })
+	r.GaugeFunc("fabric.ctrl_drops", func() float64 { return float64(n.Counters().CtrlDrops) })
+	r.GaugeFunc("fabric.ecn_marks", func() float64 { return float64(n.Counters().EcnMarks) })
+	r.GaugeFunc("fabric.blocked", func() float64 { return float64(n.Counters().Blocked) })
+	r.GaugeFunc("fabric.compensated", func() float64 { return float64(n.Counters().Compensated) })
+	r.GaugeFunc("fabric.link_drops", func() float64 { return float64(n.Counters().LinkDrops) })
+	r.GaugeFunc("fabric.loop_drops", func() float64 { return float64(n.Counters().LoopDrops) })
+	r.GaugeFunc("fabric.steady_loop_drops", func() float64 { return float64(n.Counters().SteadyLoopDrops) })
+	r.GaugeFunc("fabric.watchdog_fires", func() float64 { return float64(n.Counters().WatchdogFires) })
+	r.GaugeFunc("fabric.watchdog_drops", func() float64 { return float64(n.Counters().WatchdogDrops) })
 	if n.plane != nil {
 		r.GaugeFunc("route.msgs", func() float64 { return float64(n.plane.MessagesSent()) })
 		r.GaugeFunc("route.episodes", func() float64 { return float64(n.plane.Episodes()) })
 	}
 }
 
-// Engine returns the simulation engine.
-func (n *Network) Engine() *sim.Engine { return n.engine }
-
-// Topology returns the static topology.
-func (n *Network) Topology() *topo.Topology { return n.topology }
-
-// Counters returns a snapshot of network-wide counters. On a sharded
-// network the per-shard blocks are summed in shard-index order.
+// Counters returns a snapshot of network-wide counters: the per-shard blocks
+// summed in shard-index order.
 func (n *Network) Counters() Counters {
-	if n.sh == nil {
-		return n.counters
-	}
 	var c Counters
-	for i := range n.sh.counters {
-		c.add(&n.sh.counters[i])
+	for i := range n.counters {
+		c.add(&n.counters[i])
 	}
 	return c
 }
@@ -320,38 +343,31 @@ func (n *Network) SetLossFunc(f func(pkt *packet.Packet, sw, port int) bool) {
 }
 
 // Inject transmits pkt from host h over its access link. The packet is
-// stamped with a global sequence number for tracing, a hop limit (unless a
-// test pre-set a smaller one) and the current routing epoch.
+// stamped with a sequence number for tracing, a hop limit and the current
+// routing epoch. Sequence spaces are per shard: SeqNo is tracing-only
+// provenance, so shards numbering independently never changes behaviour, and
+// one shared counter would be a data race.
 func (n *Network) Inject(h packet.NodeID, pkt *packet.Packet) {
 	up := n.hostUp[h]
-	if n.sh == nil {
-		n.seqNo++
-		pkt.SeqNo = n.seqNo
-	} else {
-		// Per-shard sequence spaces: SeqNo is tracing-only provenance, so
-		// shards numbering independently never changes behaviour, and the
-		// alternative — one shared counter — would be a data race.
-		sh := up.shard
-		n.sh.seq[sh]++
-		pkt.SeqNo = n.sh.seq[sh]
-	}
+	n.seq[up.shard]++
+	pkt.SeqNo = n.seq[up.shard]
+	n.stampHop(pkt)
+	n.cfg.Tracer.RecordPacket(up.eng.Now(), trace.HostTx, -1, -1, pkt)
+	up.enqueue(pkt)
+}
+
+// stampHop gives a packet entering the fabric its hop limit (unless a test
+// pre-set a smaller one) and the current routing epoch.
+func (n *Network) stampHop(pkt *packet.Packet) {
 	if pkt.TTL == 0 {
 		pkt.TTL = packet.DefaultTTL
 	}
 	pkt.RouteEpoch = n.routeEpoch()
-	n.cfg.Tracer.RecordPacket(up.eng.Now(), trace.HostTx, -1, -1, pkt)
-	up.enqueue(pkt)
 }
 
 // HostUplinkBytes returns the queued bytes on host h's access link,
 // giving transports visibility into local backlog (used by tests).
 func (n *Network) HostUplinkBytes(h packet.NodeID) int { return n.hostUp[h].bytes }
-
-// SwitchCounters returns per-switch (drops, marks) counters.
-func (n *Network) SwitchCounters(sw int) (dataDrops, ecnMarks uint64) {
-	s := n.switches[sw]
-	return s.dataDrops, s.ecnMarks
-}
 
 // QueueBytes returns the egress queue depth of a switch port.
 func (n *Network) QueueBytes(sw, port int) int {
@@ -372,9 +388,7 @@ func (n *Network) PortTxStats(sw, port int) (pkts, bytes uint64) {
 // endpoint switches react immediately and everyone else learns hop-by-hop.
 // Repeated same-state calls are no-ops.
 func (n *Network) SetLinkState(sw, port int, up bool) {
-	if n.sh != nil {
-		panic("fabric: link state changes are not supported on a sharded network")
-	}
+	n.mustBeOneShard("link state changes")
 	s := n.switches[sw]
 	p := &s.sw.Ports[port]
 	if p.IsHostPort() {
@@ -404,9 +418,7 @@ func (n *Network) SetLinkState(sw, port int, up bool) {
 // by the time the operator calls SetLinkState(down), no route uses the link
 // and the drop causes zero churn. Repeated same-state calls are no-ops.
 func (n *Network) SetLinkDrained(sw, port int, drained bool) {
-	if n.sh != nil {
-		panic("fabric: link drains are not supported on a sharded network")
-	}
+	n.mustBeOneShard("link drains")
 	s := n.switches[sw]
 	p := &s.sw.Ports[port]
 	if p.IsHostPort() {
@@ -427,6 +439,15 @@ func (n *Network) SetLinkDrained(sw, port int, drained bool) {
 		return
 	}
 	n.invalidateOracle()
+}
+
+// mustBeOneShard guards the runtime mutations that reach across the whole
+// fabric — both link ends and the shared oracle route cache — and would
+// therefore race once switches run on different shards' workers.
+func (n *Network) mustBeOneShard(what string) {
+	if n.group.Shards() > 1 {
+		panic("fabric: " + what + " are not supported on a network partitioned across shards")
+	}
 }
 
 // DrainedLinks returns the number of fabric links currently drained.
@@ -486,12 +507,6 @@ func (n *Network) routeQuiescent() bool {
 	return true
 }
 
-// RouteQuiescent is the exported view of routeQuiescent for invariants.
-func (n *Network) RouteQuiescent() bool { return n.routeQuiescent() }
-
-// RoutePlane returns the distributed control plane, or nil in oracle mode.
-func (n *Network) RoutePlane() *route.Plane { return n.plane }
-
 // RouteConverged verifies the routing layer sits on the oracle fixed point:
 // in distributed mode every switch FIB must equal topo.RoutesWithFilter over
 // usable links with no messages outstanding; oracle mode is converged by
@@ -505,8 +520,7 @@ func (n *Network) RouteConverged() error {
 
 // deliverToHost hands pkt to host h's receive callback. q is the ToR→host
 // egress queue the packet arrived through; its engine, counter block and
-// pool are the ones owned by the host's shard (in classic mode they alias
-// the network-wide singletons).
+// pool are the ones owned by the host's shard.
 func (n *Network) deliverToHost(h packet.NodeID, pkt *packet.Packet, q *outQueue) {
 	q.ctr.Delivered++
 	n.cfg.Tracer.RecordPacket(q.eng.Now(), trace.Deliver, -1, -1, pkt)
@@ -519,6 +533,8 @@ func (n *Network) deliverToHost(h packet.NodeID, pkt *packet.Packet, q *outQueue
 	q.pool.Put(pkt)
 }
 
-// Pool returns the packet pool packets are recycled through (nil when
-// pooling is disabled).
-func (n *Network) Pool() *packet.Pool { return n.cfg.Pool }
+// ShardPool returns shard i's packet pool (shard 0 is the whole classic
+// network; nil there when pooling is disabled). Components that inject
+// packets (NICs, traffic sources) must allocate from the pool of the shard
+// that owns them, so that Get/Put stay shard-local.
+func (n *Network) ShardPool(i int) *packet.Pool { return n.pools[i] }

@@ -710,28 +710,39 @@ func BenchmarkFabricThroughput(b *testing.B) {
 // TestPipeDeliveryOrderAndCompaction floods one path with enough packets
 // that every link's propagation pipe crosses the head-compaction threshold
 // while still holding a tail, then checks nothing was lost, reordered, or
-// duplicated by the burst machinery.
+// duplicated by the burst machinery — under the classic scheme (pri 0) and
+// with the fabric links' burst events stamped (pri ≠ 0).
 func TestPipeDeliveryOrderAndCompaction(t *testing.T) {
 	tp := leafSpine(t, 2, 1, 1)
-	e := sim.NewEngine(1)
-	n := NewNetwork(e, tp, Config{ControlLossless: true})
-	var c collector
-	n.AttachHost(1, c.recv(e))
-	const total = 300
-	for i := 0; i < total; i++ {
-		n.Inject(0, newData(0, 1, packet.PSN(i), 1000))
-	}
-	e.RunAll()
-	if len(c.pkts) != total {
-		t.Fatalf("delivered %d of %d", len(c.pkts), total)
-	}
-	for i, p := range c.pkts {
-		if p.PSN != packet.PSN(i) {
-			t.Fatalf("delivery %d has PSN %d — pipe reordered or duplicated", i, p.PSN)
-		}
-		if i > 0 && c.times[i] <= c.times[i-1] {
-			t.Fatalf("delivery %d not after %d: %v <= %v", i, i-1, c.times[i], c.times[i-1])
-		}
+	for _, tc := range []struct {
+		name  string
+		build func(*sim.Engine) *Network
+	}{
+		{"classic", func(e *sim.Engine) *Network { return NewNetwork(e, tp, Config{ControlLossless: true}) }},
+		{"stamped", func(e *sim.Engine) *Network { return oneShardNetwork(t, e, tp) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine(1)
+			n := tc.build(e)
+			var c collector
+			n.AttachHost(1, c.recv(e))
+			const total = 300
+			for i := 0; i < total; i++ {
+				n.Inject(0, newData(0, 1, packet.PSN(i), 1000))
+			}
+			e.RunAll()
+			if len(c.pkts) != total {
+				t.Fatalf("delivered %d of %d", len(c.pkts), total)
+			}
+			for i, p := range c.pkts {
+				if p.PSN != packet.PSN(i) {
+					t.Fatalf("delivery %d has PSN %d — pipe reordered or duplicated", i, p.PSN)
+				}
+				if i > 0 && c.times[i] <= c.times[i-1] {
+					t.Fatalf("delivery %d not after %d: %v <= %v", i, i-1, c.times[i], c.times[i-1])
+				}
+			}
+		})
 	}
 }
 

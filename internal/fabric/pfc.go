@@ -47,7 +47,6 @@ func DefaultPFC(linkBps int64) PFCConfig {
 type pfcState struct {
 	ingressBytes []int  // data bytes buffered per ingress port
 	pauseSent    []bool // PAUSE currently asserted towards each ingress
-	hostIngress  []int  // ingress bytes for host uplinks, indexed by port
 	pausesTx     uint64
 	resumesTx    uint64
 }
@@ -107,23 +106,15 @@ func (s *swInst) sendPauseFrame(inPort int, pause bool) {
 	if pause {
 		fn = target.pauseFn
 	}
-	if s.net.sh != nil {
-		// Sharded dataplane: pause frames carry the target queue's pause
-		// channel priority so same-time arrival order at the target engine
-		// is partition-invariant, and they cross shard boundaries through
-		// the epoch mailbox. Their one-link propagation delay is >= the
-		// group lookahead by construction, which is what makes the post
-		// legal (see topo.Lookahead).
-		at := s.eng.Now().Add(p.Delay)
-		pri := target.chanID*2 + 1
-		if target.shard != s.shard {
-			s.net.sh.group.Post(s.shard, target.shard, at, pri, fn)
-		} else {
-			s.eng.AtPri(at, pri, fn)
-		}
-		return
+	// Pause frames cross shard boundaries through the epoch mailbox; their
+	// one-link propagation delay is >= the group lookahead by construction,
+	// which is what makes the post legal (see topo.Lookahead).
+	at := s.eng.Now().Add(p.Delay)
+	if target.shard != s.shard {
+		s.net.group.Post(s.shard, target.shard, at, target.pausePri, fn)
+	} else {
+		s.eng.AtPri(at, target.pausePri, fn)
 	}
-	s.net.engine.Schedule(sim.Duration(p.Delay), fn)
 }
 
 // PFCStats reports (pauses, resumes) sent by a switch.

@@ -153,7 +153,7 @@ func TestPFCWatchdogFlushesStuckQueue(t *testing.T) {
 	if c.WatchdogFires != 1 || c.WatchdogDrops != 5 {
 		t.Fatalf("watchdog fires=%d drops=%d, want 1/5", c.WatchdogFires, c.WatchdogDrops)
 	}
-	if q.bytes != 0 || q.head < len(q.q) {
+	if q.bytes != 0 || q.data.len() > 0 {
 		t.Fatalf("data backlog not flushed: %d bytes", q.bytes)
 	}
 	if s.bufUsed != 0 {

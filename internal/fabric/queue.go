@@ -6,6 +6,41 @@ import (
 	"themis/internal/trace"
 )
 
+// fifo is a head-indexed queue over a retained backing array: pop advances
+// the head instead of shifting, the array rewinds when the queue empties and
+// is compacted once the dead prefix dominates, so steady-state push/pop
+// allocates nothing. Vacated slots are zeroed so popped packets do not stay
+// reachable.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// at returns the i-th queued element (0 is the head).
+func (f *fifo[T]) at(i int) *T { return &f.buf[f.head+i] }
+
+func (f *fifo[T]) push(v T) {
+	f.buf = append(f.buf, v) //lint:alloc-ok FIFO growth is amortized; the backing array is retained
+}
+
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
+	f.head++
+	switch {
+	case f.head == len(f.buf):
+		f.buf, f.head = f.buf[:0], 0
+	case f.head > 64 && f.head*2 >= len(f.buf):
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	return v
+}
+
 // outQueue is one egress serializer: two FIFOs (a strict-priority control
 // class for ACK/NACK/CNP and a data class) draining at the link rate,
 // followed by the link's propagation delay. RoCE deployments carry control
@@ -21,24 +56,23 @@ type outQueue struct {
 	isHostPort bool    // this egress faces a host (ToR last hop)
 	bw         int64
 	delay      sim.Duration
-	name       string
 	deliver    func(*packet.Packet)
 
-	// eng/ctr/pool are the engine, counter block and packet pool this queue
-	// charges. On the classic dataplane they alias the network singletons;
-	// on a sharded network they are the owning shard's (see shard.go).
-	eng  *sim.Engine
-	ctr  *Counters
-	pool *packet.Pool
+	// shard is the owning shard; eng/ctr/pool are that shard's engine, counter
+	// block and packet pool (see wire).
+	shard int
+	eng   *sim.Engine
+	ctr   *Counters
+	pool  *packet.Pool
 
-	// Sharded-mode fields. shard is the owning shard index; chanID the
-	// queue's stable 1-based channel identity (pri = chanID*2 for packet
-	// deliveries, chanID*2+1 for PFC pause frames addressed to this queue);
-	// post, when non-nil, replaces the direct propagation-delay schedule in
-	// txDone with a pri-stamped schedule or a cross-shard mailbox post.
-	shard  int
-	chanID uint64
-	post   func(*packet.Packet)
+	// pri orders this link's deliveries, and pausePri the PFC pause frames
+	// addressed to this queue, against same-time events at the receiver. Both
+	// are zero under the classic scheme (pure FIFO); the partition-invariant
+	// scheme derives them from the queue's channel identity (see scheme).
+	pri, pausePri uint64
+	// post, set only on links whose peer switch lives on another shard,
+	// replaces the propagation pipe with a post into the group's epoch mailbox.
+	post func(*packet.Packet)
 
 	// txDoneFn/deliverFn are the deliver/txDone callbacks pre-bound once at
 	// construction (see bind). The serializer schedules them with
@@ -63,14 +97,11 @@ type outQueue struct {
 	// next distinct arrival, bounding the scheduler to ONE pending event per
 	// link regardless of how many packets are on the wire. PFC pause frames
 	// bypass the serializer entirely (see pfc.go) and never enter the pipe.
-	pipe    []pipeSlot
-	phead   int
+	pipe    fifo[pipeSlot]
 	burstFn func()
 
-	q     []*packet.Packet // data class FIFO
-	head  int
-	cq    []*packet.Packet // control class FIFO (strict priority)
-	chead int
+	data fifo[*packet.Packet] // data class
+	ctrl fifo[*packet.Packet] // control class (strict priority)
 
 	bytes  int // queued data-class bytes (LB and ECN look at this)
 	busy   bool
@@ -107,9 +138,9 @@ func (q *outQueue) bind() {
 // enqueue appends pkt to its class and starts the serializer if possible.
 func (q *outQueue) enqueue(pkt *packet.Packet) {
 	if pkt.Kind.IsControl() {
-		q.cq = append(q.cq, pkt) //lint:alloc-ok FIFO growth is amortized; the backing array is retained
+		q.ctrl.push(pkt)
 	} else {
-		q.q = append(q.q, pkt) //lint:alloc-ok FIFO growth is amortized; the backing array is retained
+		q.data.push(pkt)
 		q.bytes += pkt.Size()
 		if q.paused {
 			q.armWatchdog()
@@ -123,28 +154,13 @@ func (q *outQueue) enqueue(pkt *packet.Packet) {
 // next dequeues the next transmittable packet: control first, then data
 // unless PFC-paused.
 func (q *outQueue) next() *packet.Packet {
-	if q.chead < len(q.cq) {
-		pkt := q.cq[q.chead]
-		q.cq[q.chead] = nil
-		q.chead++
-		if q.chead > 64 && q.chead*2 >= len(q.cq) {
-			n := copy(q.cq, q.cq[q.chead:])
-			q.cq = q.cq[:n]
-			q.chead = 0
-		}
-		return pkt
+	if q.ctrl.len() > 0 {
+		return q.ctrl.pop()
 	}
-	if q.paused || q.head >= len(q.q) {
+	if q.paused || q.data.len() == 0 {
 		return nil
 	}
-	pkt := q.q[q.head]
-	q.q[q.head] = nil
-	q.head++
-	if q.head > 64 && q.head*2 >= len(q.q) {
-		n := copy(q.q, q.q[q.head:])
-		q.q = q.q[:n]
-		q.head = 0
-	}
+	pkt := q.data.pop()
 	q.bytes -= pkt.Size()
 	return pkt
 }
@@ -162,10 +178,7 @@ func (q *outQueue) maybeStart() {
 	if q.sw != nil && pkt.Kind == packet.Data && q.sw.pipeline != nil && q.isHostPort {
 		for _, extra := range q.sw.pipeline.OnDeliverToHost(pkt) {
 			q.ctr.Compensated++
-			if extra.TTL == 0 {
-				extra.TTL = packet.DefaultTTL
-			}
-			extra.RouteEpoch = q.net.routeEpoch()
+			q.net.stampHop(extra)
 			q.sw.receive(extra, -1)
 		}
 	}
@@ -182,20 +195,16 @@ func (q *outQueue) txDone(pkt *packet.Packet) {
 	if q.sw != nil {
 		q.sw.release(pkt)
 	}
-	if q.sw != nil && !q.sw.portUp[q.port] {
+	switch {
+	case q.sw != nil && !q.sw.portUp[q.port]:
 		q.ctr.LinkDrops++
 		q.pool.Put(pkt)
-	} else if q.delay > 0 {
-		if q.post != nil {
-			// Sharded switch-to-switch link: pri-stamped schedule on the
-			// peer's engine, via the epoch mailbox when the peer lives on
-			// another shard (see shard.go).
-			q.post(pkt)
-		} else {
-			q.pipePush(pkt)
-		}
-	} else {
+	case q.delay <= 0:
 		q.deliver(pkt)
+	case q.post != nil:
+		q.post(pkt)
+	default:
+		q.pipePush(pkt)
 	}
 	q.busy = false
 	q.maybeStart()
@@ -207,12 +216,10 @@ func (q *outQueue) txDone(pkt *packet.Packet) {
 // empty — otherwise the pending deliverBurst chains the next arm itself.
 func (q *outQueue) pipePush(pkt *packet.Packet) {
 	at := q.eng.Now().Add(q.delay)
-	if q.phead >= len(q.pipe) {
-		q.pipe = q.pipe[:0]
-		q.phead = 0
-		q.eng.At(at, q.burstFn)
+	if q.pipe.len() == 0 {
+		q.eng.AtPri(at, q.pri, q.burstFn)
 	}
-	q.pipe = append(q.pipe, pipeSlot{pkt: pkt, at: at}) //lint:alloc-ok pipe growth is amortized; the backing array is retained
+	q.pipe.push(pipeSlot{pkt: pkt, at: at})
 }
 
 // deliverBurst fires at the head arrival time and delivers every contiguous
@@ -227,31 +234,15 @@ func (q *outQueue) pipePush(pkt *packet.Packet) {
 // committed to the wire under the per-event model too.
 func (q *outQueue) deliverBurst() {
 	now := q.eng.Now()
-	end := q.phead
-	for end < len(q.pipe) && q.pipe[end].at == now {
-		end++
+	burst := 1
+	for burst < q.pipe.len() && q.pipe.at(burst).at == now {
+		burst++
 	}
-	if end < len(q.pipe) {
-		q.eng.At(q.pipe[end].at, q.burstFn)
+	if burst < q.pipe.len() {
+		q.eng.AtPri(q.pipe.at(burst).at, q.pri, q.burstFn)
 	}
-	for q.phead < end {
-		pkt := q.pipe[q.phead].pkt
-		q.pipe[q.phead] = pipeSlot{}
-		q.phead++
-		q.deliver(pkt)
-	}
-	if q.phead >= len(q.pipe) {
-		q.pipe = q.pipe[:0]
-		q.phead = 0
-		return
-	}
-	if q.phead > 64 && q.phead*2 >= len(q.pipe) {
-		n := copy(q.pipe, q.pipe[q.phead:])
-		for i := n; i < len(q.pipe); i++ {
-			q.pipe[i] = pipeSlot{}
-		}
-		q.pipe = q.pipe[:n]
-		q.phead = 0
+	for ; burst > 0; burst-- {
+		q.deliver(q.pipe.pop().pkt)
 	}
 }
 
@@ -264,7 +255,7 @@ func (q *outQueue) setPaused(pause bool) {
 	q.paused = pause
 	if pause {
 		q.pausedSince = q.eng.Now()
-		if q.head < len(q.q) {
+		if q.data.len() > 0 {
 			q.armWatchdog()
 		}
 		return
@@ -295,7 +286,7 @@ func (q *outQueue) armWatchdog() {
 // drained.
 func (q *outQueue) watchdogCheck() {
 	q.wdArmed = false
-	if !q.paused || q.head >= len(q.q) {
+	if !q.paused || q.data.len() == 0 {
 		return
 	}
 	wd := q.net.cfg.PFC.WatchdogTimeout
@@ -307,16 +298,12 @@ func (q *outQueue) watchdogCheck() {
 		return
 	}
 	q.ctr.WatchdogFires++
-	for q.head < len(q.q) {
-		pkt := q.q[q.head]
-		q.q[q.head] = nil
-		q.head++
+	for q.data.len() > 0 {
+		pkt := q.data.pop()
 		q.bytes -= pkt.Size()
 		q.sw.release(pkt)
 		q.ctr.WatchdogDrops++
 		q.net.cfg.Tracer.RecordPacket(q.eng.Now(), trace.Drop, q.sw.sw.ID, q.port, pkt)
 		q.pool.Put(pkt)
 	}
-	q.q = q.q[:0]
-	q.head = 0
 }

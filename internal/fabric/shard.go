@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/rand"
 
 	"themis/internal/packet"
 	"themis/internal/route"
@@ -9,10 +10,10 @@ import (
 	"themis/internal/topo"
 )
 
-// This file wires the dataplane onto a sim.ShardGroup: every switch and host
-// uplink is owned by exactly one shard (engine, counter block, packet pool),
-// switch-to-switch link egress crossing a shard boundary goes through the
-// group's epoch mailboxes instead of a direct Schedule call, and every
+// This file is the partitioned entry to the one wiring (wire, fabric.go): every
+// switch and host uplink is owned by exactly one shard (engine, counter block,
+// packet pool), switch-to-switch link egress crossing a shard boundary goes
+// through the group's epoch mailboxes instead of the propagation pipe, and every
 // cross-component delivery carries a stable per-channel priority so that
 // same-time event order at any component is invariant under repartitioning.
 //
@@ -27,17 +28,6 @@ import (
 // — a partition-invariant identity — so the draws a switch observes are the
 // same for every shard count.
 func streamKeySwitch(swID int) uint64 { return 0xFA<<56 | uint64(swID) }
-
-// shardState is the sharded-mode wiring of a Network.
-type shardState struct {
-	group *sim.ShardGroup
-	part  topo.Partition
-	// counters/pools/seq are the per-shard blocks components charge during
-	// an epoch; Counters() sums them in shard-index order.
-	counters []Counters
-	pools    []*packet.Pool
-	seq      []uint64
-}
 
 // NewShardedNetwork builds a dataplane partitioned across the engines of a
 // sim.ShardGroup. seed is the trial seed per-switch RNG streams derive from
@@ -69,73 +59,10 @@ func NewShardedNetwork(group *sim.ShardGroup, t *topo.Topology, part topo.Partit
 		}
 	}
 
-	n := newNetwork(t, cfg)
-	sh := &shardState{
-		group:    group,
-		part:     part,
-		counters: make([]Counters, part.Shards),
-		pools:    make([]*packet.Pool, part.Shards),
-		seq:      make([]uint64, part.Shards),
+	pools := make([]*packet.Pool, part.Shards)
+	for i := range pools {
+		pools[i] = packet.NewPool()
 	}
-	for i := range sh.pools {
-		sh.pools[i] = packet.NewPool()
-	}
-	n.sh = sh
-
-	// Deal every switch and queue to its shard and assign channel
-	// identities. chanID enumeration order (switch ID, then port; hosts
-	// after all switches) is a pure function of the topology, never of the
-	// partition — the invariance of delivery priorities depends on that.
-	chanID := uint64(1)
-	for _, s := range n.switches {
-		shard := part.SwitchShard[s.sw.ID]
-		s.shard = shard
-		s.eng = group.Shard(shard)
-		s.ctr = &sh.counters[shard]
-		s.pool = sh.pools[shard]
-		s.rng = sim.NewStream(seed, streamKeySwitch(s.sw.ID))
-		for pi, q := range s.ports {
-			q.shard = shard
-			q.eng = s.eng
-			q.ctr = s.ctr
-			q.pool = s.pool
-			q.chanID = chanID
-			chanID++
-			p := &s.sw.Ports[pi]
-			if p.IsHostPort() {
-				continue // ToR→host delivery stays a plain same-shard schedule
-			}
-			peerShard := part.SwitchShard[p.PeerSwitch]
-			pri := q.chanID * 2
-			src := q
-			if peerShard == shard {
-				src.post = func(pkt *packet.Packet) {
-					src.eng.AtArgPri(src.eng.Now().Add(src.delay), pri, src.deliverFn, pkt)
-				}
-			} else {
-				dst := peerShard
-				src.post = func(pkt *packet.Packet) {
-					sh.group.PostArg(shard, dst, src.eng.Now().Add(src.delay), pri, src.deliverFn, pkt)
-				}
-			}
-		}
-	}
-	for h, q := range n.hostUp {
-		shard := part.HostShard[h]
-		q.shard = shard
-		q.eng = group.Shard(shard)
-		q.ctr = &sh.counters[shard]
-		q.pool = sh.pools[shard]
-		q.chanID = chanID
-		chanID++
-	}
-	return n, nil
+	streams := func(swID int) *rand.Rand { return sim.NewStream(seed, streamKeySwitch(swID)) }
+	return wire(group, t, part, pools, cfg, scheme{rng: streams, stamp: true}), nil
 }
-
-// Sharded reports whether this network runs on a shard group.
-func (n *Network) Sharded() bool { return n.sh != nil }
-
-// ShardPool returns shard i's packet pool. Components that inject packets
-// (NICs, traffic sources) must allocate from the pool of the shard that owns
-// them, so that Get/Put stay shard-local.
-func (n *Network) ShardPool(i int) *packet.Pool { return n.sh.pools[i] }

@@ -68,6 +68,102 @@ func runShardedFabric(t *testing.T, shards int) ([][]shardRec, Counters, sim.Tim
 	return recs, n.Counters(), end
 }
 
+// oneShardNetwork builds the partition-invariant scheme over a single engine:
+// the same wiring as NewNetwork with per-switch RNG streams and stamped
+// channel priorities, and no cross-shard link.
+func oneShardNetwork(t *testing.T, e *sim.Engine, tp *topo.Topology) *Network {
+	t.Helper()
+	part, err := topo.PartitionRacks(tp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sim.NewShardGroup([]*sim.Engine{e}, sim.Duration(sim.Forever))
+	n, err := NewShardedNetwork(g, tp, part, 1, Config{ControlLossless: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// Same-shard links ride the propagation pipe under either scheme: however
+// many packets are on a fabric link's wire, the link holds ONE pending
+// engine event. Only a link whose peer lives on another shard posts per
+// packet.
+func TestSameShardLinkHoldsOnePropagationEvent(t *testing.T) {
+	tp := leafSpine(t, 2, 1, 1)
+	e := sim.NewEngine(1)
+	n := oneShardNetwork(t, e, tp)
+	var c collector
+	n.AttachHost(1, c.recv(e))
+	const total = 300
+	for i := 0; i < total; i++ {
+		n.Inject(0, newData(0, 1, packet.PSN(i), 1000))
+	}
+	// 5 us in, all four links of the path (1 us each, ~85 ns per packet) are
+	// full: about eleven packets on each wire.
+	e.Run(sim.Time(5 * usec))
+	var uplink *outQueue
+	for _, q := range n.switches[tp.ToROf(0)].ports {
+		if !q.isHostPort {
+			uplink = q
+		}
+	}
+	if uplink.pri == 0 || uplink.post != nil {
+		t.Fatalf("leaf uplink: pri=%d post set=%t, want a stamped same-shard link", uplink.pri, uplink.post != nil)
+	}
+	if got := uplink.pipe.len(); got < 5 {
+		t.Fatalf("only %d packets in flight on the leaf uplink; the probe instant is wrong", got)
+	}
+	// One serializer completion and one pipe arrival per link on the path.
+	if got := e.Pending(); got > 8 {
+		t.Fatalf("%d pending events with %d packets on one wire: in-flight packets are scheduled one by one", got, uplink.pipe.len())
+	}
+	e.RunAll()
+	if len(c.pkts) != total {
+		t.Fatalf("delivered %d of %d", len(c.pkts), total)
+	}
+}
+
+// A link whose peer switch lives on another shard, and only such a link,
+// leaves the pipe for the epoch mailbox.
+func TestPostOnlyOnCrossShardLinks(t *testing.T) {
+	tp := leafSpine(t, 4, 2, 2)
+	part, err := topo.PartitionRacks(tp, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	la, err := topo.Lookahead(tp, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sim.NewShardGroup([]*sim.Engine{sim.NewEngine(1), sim.NewEngine(2)}, la)
+	n, err := NewShardedNetwork(g, tp, part, 1, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross := 0
+	for _, s := range n.switches {
+		for pi, q := range s.ports {
+			p := &s.sw.Ports[pi]
+			want := !p.IsHostPort() && part.SwitchShard[p.PeerSwitch] != s.shard
+			if (q.post != nil) != want {
+				t.Errorf("switch %d port %d: post set=%t, want %t", s.sw.ID, pi, q.post != nil, want)
+			}
+			if want {
+				cross++
+			}
+		}
+	}
+	if cross == 0 {
+		t.Fatal("partition has no cross-shard link; the test checks nothing")
+	}
+	for h, q := range n.hostUp {
+		if q.post != nil {
+			t.Errorf("host %d uplink posts; hosts live in their ToR's shard", h)
+		}
+	}
+}
+
 // The sharded-fabric determinism contract: every host observes the exact same
 // delivery sequence — times, sources, PSNs — no matter how many shards the
 // topology is cut into, and the summed counters agree too.

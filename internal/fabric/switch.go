@@ -21,24 +21,17 @@ type swInst struct {
 	anyDown     bool
 	bufUsed     int
 	dataSel     lb.Selector
-	ctrlSel     lb.Selector
 	pipeline    TorPipeline
 	seed        uint32 // cached lb.TierSeed(sw.Tier), hot on every ECMP decision
 
-	// eng/ctr/pool are the engine, counter block and pool this switch runs
-	// on; classic networks alias the singletons, sharded networks hand out
-	// the owning shard's (see shard.go). rng is the switch's random source:
-	// the shared engine RNG classically, a private identity-keyed stream
-	// (sim.NewStream) on a sharded network so draws never depend on the
-	// partition. shard is the owning shard index.
+	// shard is the owning shard; eng/ctr/pool are that shard's engine,
+	// counter block and pool, and rng the switch's random source under the
+	// network's scheme (see wire).
+	shard int
 	eng   *sim.Engine
 	ctr   *Counters
 	pool  *packet.Pool
 	rng   *rand.Rand
-	shard int
-
-	dataDrops uint64
-	ecnMarks  uint64
 
 	// pfc holds per-ingress pause state (nil when PFC is disabled).
 	pfc *pfcState
@@ -52,7 +45,6 @@ func newSwInst(n *Network, sw *topo.Switch) *swInst {
 		net:         n,
 		sw:          sw,
 		dataSel:     n.cfg.NewDataSelector(),
-		ctrlSel:     n.cfg.NewCtrlSelector(),
 		portUp:      make([]bool, len(sw.Ports)),
 		portDrained: make([]bool, len(sw.Ports)),
 		seed:        lb.TierSeed(sw.Tier),
@@ -80,7 +72,6 @@ func newSwInst(n *Network, sw *topo.Switch) *swInst {
 			peerPort := p.PeerPort
 			q.deliver = func(pkt *packet.Packet) { n.switches[peer].receive(pkt, peerPort) }
 		}
-		q.bind()
 		s.ports[pi] = q
 	}
 	return s
@@ -148,7 +139,7 @@ func (s *swInst) receive(pkt *packet.Packet, inPort int) {
 
 	sel := s.dataSel
 	if pkt.Kind.IsControl() {
-		sel = s.ctrlSel
+		sel = lb.ECMP{} // control packets always hash per flow
 	}
 	s.enqueue(pkt, sel.Select(pkt, cands, s), inPort)
 }
@@ -200,7 +191,6 @@ func (s *swInst) enqueue(pkt *packet.Packet, port, inPort int) {
 	}
 	if !isCtrl && s.net.cfg.ECN.Enabled && s.shouldMark(q.bytes) {
 		if !pkt.ECN {
-			s.ecnMarks++
 			s.ctr.EcnMarks++
 			s.net.cfg.Tracer.RecordPacket(s.eng.Now(), trace.Mark, s.sw.ID, port, pkt)
 		}
@@ -249,7 +239,6 @@ func (s *swInst) loopDrop(pkt *packet.Packet) {
 }
 
 func (s *swInst) drop(pkt *packet.Packet) {
-	s.dataDrops++
 	s.ctr.DataDrops++
 	s.net.cfg.Tracer.RecordPacket(s.eng.Now(), trace.Drop, s.sw.ID, -1, pkt)
 	s.free(pkt)

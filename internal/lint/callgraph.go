@@ -121,7 +121,9 @@ func BuildGraph(pkgs []*Package, modPath string) *Graph {
 					if fn == nil {
 						return true
 					}
-					g.Edges[from] = append(g.Edges[from], CallEdge{Caller: from, Callee: fn.FullName(), Pos: call.Pos()})
+					// Origin names a method of an instantiated generic type by its
+					// declaration, so the edge lands on the body in Funcs.
+					g.Edges[from] = append(g.Edges[from], CallEdge{Caller: from, Callee: fn.Origin().FullName(), Pos: call.Pos()})
 					if recv := recvOf(fn); recv != nil {
 						if iface, ok := recv.Underlying().(*types.Interface); ok {
 							for _, impl := range implementers(iface, fn.Name(), fn.Pkg()) {
@@ -136,31 +138,6 @@ func BuildGraph(pkgs []*Package, modPath string) *Graph {
 	}
 	sort.Strings(g.FuncNames)
 	return g
-}
-
-// ReachableFrom computes the forward closure of the given roots: every
-// function reachable from a root through the static call graph, roots
-// included (when they exist in the module).
-func (g *Graph) ReachableFrom(roots []string) map[string]bool {
-	hot := make(map[string]bool)
-	var queue []string
-	for _, r := range roots {
-		if !hot[r] {
-			hot[r] = true
-			queue = append(queue, r)
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range g.Edges[cur] {
-			if !hot[e.Callee] {
-				hot[e.Callee] = true
-				queue = append(queue, e.Callee)
-			}
-		}
-	}
-	return hot
 }
 
 // ReachingTo computes the reverse closure of the given sinks: every function

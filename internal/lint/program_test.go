@@ -111,6 +111,10 @@ func TestHotSetSpansRealPackages(t *testing.T) {
 		"/internal/fabric.outQueue).txDone",
 		"/internal/fabric.outQueue).deliverBurst",
 		"/internal/fabric.outQueue).pipePush",
+		// Methods of the generic FIFO resolve by declaration (fifo[T]), not by
+		// instantiation: lose this and the queues' append goes unscanned.
+		"/internal/fabric.fifo[T]).push",
+		"/internal/fabric.fifo[T]).pop",
 		"/internal/lb.CongestionAware).Select",
 		"/internal/lb.Flowlet).Select",
 	} {

@@ -296,7 +296,3 @@ func (n *NIC) addClosed(s *SenderStats) {
 	n.closedStats.Timeouts += s.Timeouts
 	n.closedStats.Completions += s.Completions
 }
-
-// ClosedSenderStats returns the accumulated counters of senders already
-// closed on this NIC.
-func (n *NIC) ClosedSenderStats() SenderStats { return n.closedStats }

@@ -291,10 +291,6 @@ func (p *Plane) MessagesSent() uint64 { return p.msgsSent }
 // Episodes returns the number of completed reconvergence episodes.
 func (p *Plane) Episodes() uint64 { return p.episodes }
 
-// LinkUsable reports whether the control plane considers the link at
-// (sw, port) usable: physically up and not drained.
-func (p *Plane) LinkUsable(sw, port int) bool { return p.nodes[sw].usable(port) }
-
 // SetLinkState informs the plane that the fabric link at (sw, port) changed
 // physical state. Both endpoints observe the transition immediately (fast
 // local failure detection); only the propagation of its consequences is

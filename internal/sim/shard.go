@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // This file implements the space-parallel shard coordinator: several engines
@@ -118,9 +119,6 @@ func (g *ShardGroup) Shards() int { return len(g.engines) }
 // Shard returns shard i's engine.
 func (g *ShardGroup) Shard(i int) *Engine { return g.engines[i] }
 
-// Lookahead returns the group's conservative synchronization window.
-func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
-
 // Post queues fn to run on shard dst at absolute time at. It must be called
 // from shard src's worker during an epoch (or from the build phase before
 // Run), and at must be at least one lookahead past the posting instant —
@@ -199,6 +197,12 @@ func (g *ShardGroup) Metrics() Metrics {
 // With one shard and no mail this degenerates to exactly Engine.Run(until):
 // a single epoch bounded by until, identical event order, identical metrics.
 //
+// An event callback that panics on a worker is recovered there, carried
+// across the barrier and re-raised here on the calling goroutine once every
+// worker has exited, so the caller's recover sees it like a panic out of
+// Engine.Run (the lowest panicking shard's value when several do). The
+// group's state past that point is whatever the interrupted epoch left.
+//
 // This is — alongside exp.Runner.Run — one of exactly two concurrent symbols
 // in the deterministic core. The themis-lint purity analyzer allowlists it
 // by name, which is why every goroutine, channel and barrier lives lexically
@@ -207,15 +211,31 @@ func (g *ShardGroup) Run(until Time) Time {
 	n := len(g.engines)
 	cmd := make([]chan Time, n)
 	done := make(chan int, n)
+	// panics[i] is written by worker i before its done send and read by the
+	// coordinator after the barrier.
+	panics := make([]any, n)
+	var workers sync.WaitGroup
+	workers.Add(n)
 	for i := 0; i < n; i++ {
 		cmd[i] = make(chan Time)
 		go func(i int) {
+			defer workers.Done()
 			for limit := range cmd[i] {
-				g.engines[i].AdvanceTo(limit)
+				func() {
+					defer func() { panics[i] = recover() }()
+					g.engines[i].AdvanceTo(limit)
+				}()
 				done <- i
 			}
 		}(i)
 	}
+	// Every return path, the re-raised panic included, leaves no worker behind.
+	defer func() {
+		for i := 0; i < n; i++ {
+			close(cmd[i])
+		}
+		workers.Wait()
+	}()
 	for {
 		// Barrier state: every worker is idle blocking on cmd, so the
 		// coordinator owns all engine and mailbox state here.
@@ -254,9 +274,11 @@ func (g *ShardGroup) Run(until Time) Time {
 		for i := 0; i < n; i++ {
 			<-done
 		}
-	}
-	for i := 0; i < n; i++ {
-		close(cmd[i])
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
+		}
 	}
 	var end Time
 	for _, e := range g.engines {

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // A Stop issued before Run must be sticky: the next Run observes it, executes
@@ -208,6 +210,50 @@ func TestShardGroupStopHaltsGroup(t *testing.T) {
 	g.Run(100)
 	if fired[0] != 2 || fired[1] != 1 {
 		t.Fatalf("fired = %v after resume, want [2 1]", fired)
+	}
+}
+
+// An event that panics on a shard worker must surface as a panic on the
+// goroutine that called Run — where exp.RunObserved's recover turns it into
+// Trial.Err — and Run must not return, normally or by panic, before its
+// workers have exited.
+func TestShardGroupWorkerPanicReachesCaller(t *testing.T) {
+	run := func(g *ShardGroup) (r any) {
+		defer func() { r = recover() }()
+		g.RunAll()
+		return nil
+	}
+	before := runtime.NumGoroutine()
+
+	engines := []*Engine{NewEngine(1), NewEngine(2)}
+	g := NewShardGroup(engines, Duration(10))
+	peerRan := false
+	engines[0].At(5, func() { peerRan = true })
+	engines[1].At(5, func() { panic("boom") })
+	if got := run(g); got != "boom" {
+		t.Fatalf("caller recovered %v, want the worker's panic value", got)
+	}
+	if !peerRan {
+		t.Fatal("the other shard's epoch was cut short")
+	}
+
+	// Two shards panicking in one epoch: the lowest shard's value wins, so
+	// the report does not depend on which worker finished first.
+	engines = []*Engine{NewEngine(1), NewEngine(2)}
+	g = NewShardGroup(engines, Duration(10))
+	engines[0].At(5, func() { panic("first") })
+	engines[1].At(5, func() { panic("second") })
+	if got := run(g); got != "first" {
+		t.Fatalf("caller recovered %v, want shard 0's value", got)
+	}
+
+	// Run waited for the workers, so at most the last instants of their
+	// exit are still visible to the scheduler.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 1000 {
+			t.Fatalf("%d goroutines before, %d after: a worker is still running", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

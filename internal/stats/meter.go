@@ -126,12 +126,3 @@ func (m *RatioMeter) Reset() {
 	m.num, m.denom = 0, 0
 	m.series = NewSeries(m.series.Name)
 }
-
-// Counter is a named monotonically increasing counter.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Inc adds n.
-func (c *Counter) Inc(n uint64) { c.Value += n }

@@ -75,25 +75,6 @@ func (s *Series) Max() float64 {
 	return m
 }
 
-// TimeMean returns the time-weighted mean, treating each sample value as
-// holding until the next sample. Returns the plain mean when fewer than two
-// samples exist.
-func (s *Series) TimeMean() float64 {
-	if len(s.Samples) < 2 {
-		return s.Mean()
-	}
-	var area, span float64
-	for i := 0; i < len(s.Samples)-1; i++ {
-		dt := float64(s.Samples[i+1].T - s.Samples[i].T)
-		area += s.Samples[i].V * dt
-		span += dt
-	}
-	if span == 0 {
-		return s.Mean()
-	}
-	return area / span
-}
-
 // Table renders the series as "t_us value" rows, one per sample, suitable for
 // plotting the paper's time-series figures.
 func (s *Series) Table() string {

@@ -28,30 +28,6 @@ func TestSeriesBasics(t *testing.T) {
 	}
 }
 
-func TestSeriesTimeMean(t *testing.T) {
-	s := NewSeries("x")
-	s.Add(0, 10) // holds 0..10
-	s.Add(10, 0) // holds 10..40
-	s.Add(40, 5) // terminal sample: not weighted
-	want := (10.0*10 + 0.0*30) / 40
-	if got := s.TimeMean(); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("TimeMean = %g want %g", got, want)
-	}
-	// Single sample falls back to mean.
-	one := NewSeries("y")
-	one.Add(5, 7)
-	if one.TimeMean() != 7 {
-		t.Fatalf("single-sample TimeMean = %g", one.TimeMean())
-	}
-	// Zero span falls back to mean.
-	z := NewSeries("z")
-	z.Add(5, 1)
-	z.Add(5, 3)
-	if z.TimeMean() != 2 {
-		t.Fatalf("zero-span TimeMean = %g", z.TimeMean())
-	}
-}
-
 func TestSeriesTable(t *testing.T) {
 	s := NewSeries("rate")
 	s.Add(sim.Time(2*sim.Microsecond), 42)
@@ -272,15 +248,6 @@ func TestRatioMeterReset(t *testing.T) {
 	s := m.Finish(sim.Time(sim.Microsecond))
 	if s.Len() != 1 || math.Abs(s.Samples[0].V-0.75) > 1e-12 {
 		t.Fatalf("post-reset series = %+v", s.Samples)
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := Counter{Name: "drops"}
-	c.Inc(3)
-	c.Inc(4)
-	if c.Value != 7 {
-		t.Fatalf("counter = %d", c.Value)
 	}
 }
 

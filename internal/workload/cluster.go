@@ -16,6 +16,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"themis/internal/collective"
 	"themis/internal/core"
 	"themis/internal/fabric"
@@ -35,17 +37,6 @@ import (
 // place (Scenario.cluster).
 type ClusterConfig struct {
 	Seed int64
-
-	// Shards > 0 drives the trial through the sim.ShardGroup epoch
-	// coordinator instead of calling Engine.Run directly. The legacy
-	// workloads built on Cluster have global drivers (collective round
-	// logic, the churn driver, chaos injectors, shared loss hooks) that
-	// cannot be space-partitioned without changing their timing, so they
-	// always run as a single shard regardless of the requested count — the
-	// knob proves coordinator inertness (byte-identical results for any
-	// value) rather than buying parallelism here. The spray workload
-	// (RunSpray) is the genuinely partitioned path.
-	Shards int
 
 	// Topology: leaf-spine unless FatTreeK > 0.
 	Leaves, Spines, HostsPerLeaf int
@@ -142,7 +133,7 @@ func (c *ClusterConfig) topology() (*topo.Topology, error) {
 	})
 }
 
-// fabricConfig lowers the switch-side knobs. pool is nil on a sharded
+// fabricConfig lowers the switch-side knobs. pool is nil on a partitioned
 // network, which owns one pool per shard.
 func (c *ClusterConfig) fabricConfig(a *arm, pool *packet.Pool) fabric.Config {
 	fcfg := fabric.Config{
@@ -193,6 +184,8 @@ func (c *ClusterConfig) nicConfig(a *arm, pool *packet.Pool) rnic.Config {
 // Cluster is a fully wired simulation instance.
 type Cluster struct {
 	Config ClusterConfig
+	// Engine is the cluster's engine — shard 0's on a partitioned cluster
+	// (host h's NIC runs on engines[hostShard[h]]).
 	Engine *sim.Engine
 	Topo   *topo.Topology
 	Net    *fabric.Network
@@ -214,13 +207,34 @@ type Cluster struct {
 	// whole again.
 	failedLinks map[[2]int]bool
 
-	// group is the shard coordinator Run drives when Config.Shards > 0 (a
-	// single-shard group over Engine; see ClusterConfig.Shards).
-	group *sim.ShardGroup
+	// engines holds one engine per shard (just Engine classically) and
+	// hostShard maps each host to its shard. group coordinates the engines of
+	// a partitioned cluster; a classic cluster has none and Run drives Engine
+	// directly.
+	engines   []*sim.Engine
+	hostShard []int
+	group     *sim.ShardGroup
 }
 
-// BuildCluster assembles a cluster from the configuration.
-func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
+// streamKeyShardEngine is the sim.StreamSeed key namespace for per-shard
+// engine seeds. A partitioned fabric never draws from engine RNGs (switches
+// use identity-keyed streams, NICs are deterministic), so these seeds only
+// matter if a future component forgets that rule — distinct per-shard seeds
+// make such a bug show up as shard-count-dependent output instead of silently
+// passing.
+func streamKeyShardEngine(shard int) uint64 { return 0xE5<<56 | uint64(shard) }
+
+// BuildCluster assembles a classic cluster from the configuration: one
+// engine seeded with cfg.Seed, one packet pool, fabric.NewNetwork.
+func BuildCluster(cfg ClusterConfig) (*Cluster, error) { return buildCluster(cfg, 0) }
+
+// buildCluster is the one cluster builder. shards == 0 is the classic scheme
+// above; shards >= 1 cuts the racks across that many engines under the
+// partition-invariant scheme (identity-keyed seeds, fabric.NewShardedNetwork,
+// a pool per shard), whose results are byte-identical for every legal count.
+// An arm that installs a ToR pipeline cannot be partitioned: core's wiring
+// assumes one engine and one pool.
+func buildCluster(cfg ClusterConfig, shards int) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	a, err := cfg.LB.arm()
 	if err != nil {
@@ -230,45 +244,67 @@ func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := sim.NewEngine(cfg.Seed)
-	// One pool per cluster: the engine is single-threaded, so every component
-	// on it can share the free list. The fabric recycles packets at their
-	// terminals; NICs and Themis draw replacements from the same pool.
-	pool := packet.NewPool()
-	net := fabric.NewNetwork(engine, t, cfg.fabricConfig(a, pool))
-
 	cl := &Cluster{
 		Config:      cfg,
-		Engine:      engine,
 		Topo:        t,
-		Net:         net,
 		Themis:      make(map[int]*core.Themis),
 		nextQP:      1,
 		nextSport:   1000,
 		conns:       make(map[[2]packet.NodeID]*Conn),
 		failedLinks: make(map[[2]int]bool),
 	}
-	if cfg.Shards > 0 {
-		// One shard holding the whole topology: no cross-shard links, so the
-		// lookahead is infinite and the coordinator runs a single epoch that
-		// executes exactly what Engine.Run would.
-		cl.group = sim.NewShardGroup([]*sim.Engine{engine}, sim.Duration(sim.Forever))
+	if shards == 0 {
+		// The engine is single-threaded, so every component on it shares one
+		// free list: the fabric recycles packets at their terminals; NICs and
+		// Themis draw replacements from the same pool.
+		cl.engines = []*sim.Engine{sim.NewEngine(cfg.Seed)}
+		cl.hostShard = make([]int, t.NumHosts())
+		cl.Net = fabric.NewNetwork(cl.engines[0], t, cfg.fabricConfig(a, packet.NewPool()))
+	} else {
+		if a.pipeline {
+			return nil, fmt.Errorf("workload: the %v pipeline cannot run on a partitioned cluster yet (core wiring is classic-engine only)", cfg.LB)
+		}
+		part, err := topo.PartitionRacks(t, shards)
+		if err != nil {
+			return nil, err
+		}
+		la, err := topo.Lookahead(t, part)
+		if err != nil {
+			return nil, err
+		}
+		cl.engines = make([]*sim.Engine, shards)
+		for i := range cl.engines {
+			cl.engines[i] = sim.NewEngine(sim.StreamSeed(cfg.Seed, streamKeyShardEngine(i)))
+		}
+		cl.group = sim.NewShardGroup(cl.engines, la)
+		cl.hostShard = part.HostShard
+		cl.Net, err = fabric.NewShardedNetwork(cl.group, t, part, cfg.Seed, cfg.fabricConfig(a, nil))
+		if err != nil {
+			return nil, err
+		}
 	}
+	cl.Engine = cl.engines[0]
 
-	ncfg := cfg.nicConfig(a, pool)
+	// One NIC config per shard: a NIC allocates from its own shard's pool.
+	// Per-sender entropy state lives with the sender and is a pure function
+	// of its transport feedback, so the spraying arms stay shard-invariant.
+	ncfgs := make([]rnic.Config, len(cl.engines))
+	for i := range ncfgs {
+		ncfgs[i] = cfg.nicConfig(a, cl.Net.ShardPool(i))
+	}
 	for h := 0; h < t.NumHosts(); h++ {
-		id := packet.NodeID(h)
-		nic := rnic.New(engine, id, ncfg, func(p *packet.Packet) { net.Inject(id, p) })
-		net.AttachHost(id, nic.HandlePacket)
+		id, shard := packet.NodeID(h), cl.hostShard[h]
+		nic := rnic.New(cl.engines[shard], id, ncfgs[shard], func(p *packet.Packet) { cl.Net.Inject(id, p) })
+		cl.Net.AttachHost(id, nic.HandlePacket)
 		cl.NICs = append(cl.NICs, nic)
 	}
 
 	if a.pipeline {
 		tcfg := cfg.ThemisCfg
-		tcfg.Pool = pool
+		tcfg.Pool = cl.Net.ShardPool(0)
 		// The lifecycle layer (idle eviction, last-touch LRU) needs virtual
 		// timestamps even without tracing, so the engine is always the clock.
-		tcfg.Clock = engine
+		tcfg.Clock = cl.Engine
 		if tcfg.Metrics == nil {
 			tcfg.Metrics = cfg.Metrics
 		}
@@ -281,7 +317,7 @@ func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 		for _, sw := range t.Switches() {
 			if sw.Tier == 0 && len(sw.Hosts()) > 0 {
 				th := core.New(t, sw.ID, tcfg)
-				net.SetTorPipeline(sw.ID, th)
+				cl.Net.SetTorPipeline(sw.ID, th)
 				cl.Themis[sw.ID] = th
 				cl.torIDs = append(cl.torIDs, sw.ID)
 			}
@@ -365,9 +401,8 @@ func (m clusterMesh) Conn(src, dst int) collective.Conn {
 }
 
 // Run drives the simulation until the event queue drains or the horizon is
-// reached, returning the final virtual time. With Config.Shards > 0 the
-// epoch coordinator drives the (single-shard) group instead; the executed
-// event sequence is identical either way.
+// reached, returning the final virtual time. A partitioned cluster advances
+// its shards through the epoch coordinator.
 func (cl *Cluster) Run(horizon sim.Duration) sim.Time {
 	if cl.group != nil {
 		return cl.group.Run(sim.Time(horizon))
@@ -512,9 +547,6 @@ func (cn *Conn) Src() packet.NodeID { return cn.src }
 
 // Dst returns the receiving host.
 func (cn *Conn) Dst() packet.NodeID { return cn.dst }
-
-// Closed reports whether CloseFlow has retired this connection.
-func (cn *Conn) Closed() bool { return cn.closed }
 
 // Close retires the connection (see Cluster.CloseFlow).
 func (cn *Conn) Close() { cn.cluster.CloseFlow(cn) }

@@ -5,39 +5,33 @@ import (
 
 	"themis/internal/fabric"
 	"themis/internal/packet"
-	"themis/internal/rnic"
 	"themis/internal/sim"
-	"themis/internal/topo"
 )
-
-// streamKeyShardEngine is the sim.StreamSeed key namespace for per-shard
-// engine seeds. The sharded fabric never draws from engine RNGs (switches use
-// identity-keyed streams, NICs are deterministic), so these seeds only matter
-// if a future component forgets that rule — distinct per-shard seeds make such
-// a bug show up as shard-count-dependent output instead of silently passing.
-func streamKeyShardEngine(shard int) uint64 { return 0xE5<<56 | uint64(shard) }
 
 // SprayConfig parameterizes the space-parallel permutation workload: every
 // host on a K-ary fat-tree sends one message to the host half the cluster
 // away (dst = (src + H/2) mod H), so all traffic crosses the core and every
-// shard carries an equal slice. This is the workload that genuinely exercises
-// the sharded engine — the legacy Cluster workloads have global drivers and
-// pin themselves to one shard (see ClusterConfig.Shards).
+// shard carries an equal slice. This is the one workload that runs on a
+// partitioned cluster — the others have global drivers (collective round
+// logic, the churn driver, chaos injectors, shared loss hooks) that cannot be
+// cut across shards without changing their timing.
 type SprayConfig struct {
 	// ClusterConfig carries the fabric, LB and NIC knobs. Defaults: a k=4
-	// fat-tree at 100 Gbps. Shards is the number of space-parallel shards
-	// (default 1) and is genuinely partitioned here; the result is
-	// byte-identical for every legal value — that is the determinism
-	// contract TestSprayShardInvariance enforces.
+	// fat-tree at 100 Gbps.
 	ClusterConfig
 
+	// Shards is the number of space-parallel shards the racks are cut across
+	// (default 1). An execution knob, not an experiment arm: the result is
+	// byte-identical for every legal value — the determinism contract
+	// TestSprayShardInvariance enforces.
+	Shards       int
 	MessageBytes int64        // per host (default 1 MB)
 	Horizon      sim.Duration // default 30 s
 }
 
 // resolve applies the spray defaults in place. The runner's pins are
-// rejections, not overrides — RunSpray and fabric.NewShardedNetwork return an
-// error for what a partitioned dataplane cannot host:
+// rejections, not overrides — buildCluster and fabric.NewShardedNetwork return
+// an error for what a partitioned dataplane cannot host:
 //   - LB arms that install a ToR pipeline (core wiring is classic-engine only);
 //   - Tracer, Metrics, DropEveryNData and DistributedRouting (global mutable
 //     state that would couple the shards).
@@ -77,69 +71,24 @@ type SprayResult struct {
 	End    sim.Time
 }
 
-// RunSpray builds the sharded fat-tree dataplane and runs the permutation.
+// RunSpray builds the partitioned fat-tree cluster and runs the permutation.
 func RunSpray(cfg SprayConfig) (*SprayResult, error) {
 	cfg.resolve()
-	a, err := cfg.LB.arm()
+	cl, err := buildCluster(cfg.ClusterConfig, cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	if a.pipeline {
-		return nil, fmt.Errorf("workload: spray does not support the %v pipeline yet (core wiring is classic-engine only)", cfg.LB)
-	}
-	t, err := cfg.topology()
-	if err != nil {
-		return nil, err
-	}
-	part, err := topo.PartitionRacks(t, cfg.Shards)
-	if err != nil {
-		return nil, err
-	}
-	la, err := topo.Lookahead(t, part)
-	if err != nil {
-		return nil, err
-	}
-	engines := make([]*sim.Engine, cfg.Shards)
-	for i := range engines {
-		engines[i] = sim.NewEngine(sim.StreamSeed(cfg.Seed, streamKeyShardEngine(i)))
-	}
-	group := sim.NewShardGroup(engines, la)
-
-	// Pools are per shard, so the shared lowerings get none here.
-	net, err := fabric.NewShardedNetwork(group, t, part, cfg.Seed, cfg.fabricConfig(a, nil))
-	if err != nil {
-		return nil, err
-	}
-
-	h2 := t.NumHosts()
-	nics := make([]*rnic.NIC, h2)
-	for h := 0; h < h2; h++ {
-		id := packet.NodeID(h)
-		shard := part.HostShard[h]
-		// Per-sender entropy state lives on the sender's own shard and is a
-		// pure function of its transport feedback, so the spraying arms stay
-		// shard-invariant.
-		ncfg := cfg.nicConfig(a, net.ShardPool(shard))
-		nic := rnic.New(group.Shard(shard), id, ncfg, func(p *packet.Packet) { net.Inject(id, p) })
-		net.AttachHost(id, nic.HandlePacket)
-		nics[h] = nic
-	}
-
-	res := &SprayResult{Complete: make([]sim.Time, h2)}
-	senders := make([]*rnic.SenderQP, h2)
-	for h := 0; h < h2; h++ {
-		src, dst := packet.NodeID(h), packet.NodeID((h+h2/2)%h2)
-		qp, sport := packet.QPID(h+1), uint16(1000+h)
-		s := nics[src].OpenSender(qp, dst, sport)
-		nics[dst].OpenReceiver(qp, src, sport)
-		senders[h] = s
+	hosts := cl.Topo.NumHosts()
+	res := &SprayResult{Complete: make([]sim.Time, hosts)}
+	for h := 0; h < hosts; h++ {
+		src, dst := packet.NodeID(h), packet.NodeID((h+hosts/2)%hosts)
 		// Each completion closure writes only its own slot on its own
 		// shard's engine — no cross-shard state, so no coordination needed.
-		eng, slot := group.Shard(part.HostShard[h]), h
-		s.SendMessage(cfg.MessageBytes, func() { res.Complete[slot] = eng.Now() })
+		eng, slot := cl.engines[cl.hostShard[h]], h
+		cl.OpenFlow(src, dst).Send(cfg.MessageBytes, func() { res.Complete[slot] = eng.Now() })
 	}
 
-	res.End = group.Run(sim.Time(cfg.Horizon))
+	res.End = cl.Run(cfg.Horizon)
 	for h, at := range res.Complete {
 		if at == 0 {
 			return nil, fmt.Errorf("workload: spray incomplete: host %d unfinished at %v", h, res.End)
@@ -148,13 +97,9 @@ func RunSpray(cfg SprayConfig) (*SprayResult, error) {
 			res.CCT = at
 		}
 	}
-	for _, s := range senders {
-		st := s.Stats()
-		res.Sender.Retransmits += st.Retransmits
-		res.Sender.Timeouts += st.Timeouts
-		res.Sender.NacksRx += st.NacksRx
-	}
-	res.Net = net.Counters()
-	res.Engine = group.Metrics()
+	agg := cl.AggregateSenderStats()
+	res.Sender = SenderAgg{Retransmits: agg.Retransmits, Timeouts: agg.Timeouts, NacksRx: agg.NacksRx}
+	res.Net = cl.Net.Counters()
+	res.Engine = cl.group.Metrics()
 	return res, nil
 }

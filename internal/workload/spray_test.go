@@ -60,9 +60,76 @@ func TestSprayShardInvariance(t *testing.T) {
 	}
 }
 
+// RunSpray builds through the shared cluster builder (buildCluster, OpenFlow)
+// instead of wiring engines, NICs and QPs itself. The numbers below are what
+// the private wiring it replaced produced (commit d9bd665, k=4, seed 7,
+// 64 KB): per-host completion times in picoseconds, sender and delivery
+// counters. They must hold at every shard count, for a switch-RNG arm and a
+// sender-feedback arm.
+func TestSprayThroughSharedBuilderMatchesPrivateWiring(t *testing.T) {
+	for _, tc := range []struct {
+		lb        LBMode
+		complete  []sim.Time
+		nacks     uint64
+		delivered uint64
+	}{
+		{RandomSpray, []sim.Time{
+			19714240, 19770240, 19401280, 19457280, 19761280, 19886400, 19417920, 19561920,
+			18968320, 19423040, 19767680, 19093440, 20527360, 20803200, 19167680, 19000320,
+		}, 187, 1672},
+		{REPS, []sim.Time{
+			18254720, 18249600, 18254720, 18249600, 18254720, 18249600, 18254720, 18249600,
+			18254720, 18249600, 18254720, 18249600, 18249600, 18300480, 18462720, 18411840,
+		}, 175, 1758},
+	} {
+		for _, shards := range []int{1, 2, 4} {
+			res, err := RunSpray(SprayConfig{
+				ClusterConfig: ClusterConfig{Seed: 7, FatTreeK: 4, LB: tc.lb},
+				Shards:        shards,
+				MessageBytes:  64 << 10,
+			})
+			if err != nil {
+				t.Fatalf("%v shards=%d: %v", tc.lb, shards, err)
+			}
+			for h, want := range tc.complete {
+				if res.Complete[h] != want {
+					t.Errorf("%v shards=%d: host %d completed at %d ps, want %d", tc.lb, shards, h, res.Complete[h], want)
+				}
+			}
+			want := SenderAgg{Retransmits: tc.nacks, NacksRx: tc.nacks}
+			if res.Sender != want || res.Net.Delivered != tc.delivered {
+				t.Errorf("%v shards=%d: sender %+v delivered %d, want %+v / %d", tc.lb, shards, res.Sender, res.Net.Delivered, want, tc.delivered)
+			}
+		}
+	}
+}
+
+// The propagation pipe bounds a same-shard link to one pending event however
+// many packets are on its wire, so on one shard — where no link crosses — the
+// k=8 permutation's queue never gets deep. Exact, deterministic numbers (see
+// PERF.md): the private spray wiring executed the same 538 432 events with a
+// high-water of 7 518.
+func TestSprayQueueHighWater(t *testing.T) {
+	res, err := RunSpray(SprayConfig{
+		ClusterConfig: ClusterConfig{Seed: 1, FatTreeK: 8, LB: RandomSpray},
+		Shards:        1,
+		MessageBytes:  256 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Engine.EventsExecuted != 538432 {
+		t.Errorf("EventsExecuted = %d, want 538432 (the schedule itself moved)", res.Engine.EventsExecuted)
+	}
+	if res.Engine.HeapHighWater > 2000 {
+		t.Errorf("HeapHighWater = %d, want <= 2000: in-flight packets are scheduled one by one again", res.Engine.HeapHighWater)
+	}
+}
+
 func TestSprayCompletes(t *testing.T) {
 	res, err := RunSpray(SprayConfig{
-		ClusterConfig: ClusterConfig{Seed: 1, FatTreeK: 4, LB: RandomSpray, Shards: 2},
+		ClusterConfig: ClusterConfig{Seed: 1, FatTreeK: 4, LB: RandomSpray},
+		Shards:        2,
 		MessageBytes:  32 << 10,
 	})
 	if err != nil {
@@ -93,7 +160,8 @@ func BenchmarkShardScaling(b *testing.B) {
 		b.Run(map[int]string{1: "shards=1", 2: "shards=2", 4: "shards=4"}[shards], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res, err := RunSpray(SprayConfig{
-					ClusterConfig: ClusterConfig{Seed: 11, FatTreeK: 8, LB: RandomSpray, Shards: shards},
+					ClusterConfig: ClusterConfig{Seed: 11, FatTreeK: 8, LB: RandomSpray},
+					Shards:        shards,
 					MessageBytes:  128 << 10,
 				})
 				if err != nil {
