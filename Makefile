@@ -6,7 +6,7 @@ GO ?= go
 # trip it, while a wholesale untested subsystem still does.
 COVER_FLOOR ?= 80
 
-.PHONY: build test vet lint lint-sarif lint-escapes loc race race-sim cover fuzz-smoke verify bench bench-smoke bench-shard bench-selftest
+.PHONY: build test vet lint lint-sarif lint-escapes loc race race-sim cover fuzz-smoke verify bench bench-smoke bench-shard bench-selftest soak
 
 build:
 	$(GO) build ./...
@@ -132,6 +132,21 @@ bench-smoke: lint
 	$(GO) run ./cmd/themis-sim sweep -grid spray -seeds 2 -parallel 2 -json BENCH_spray.json
 	$(GO) run ./cmd/themis-sim sweep -grid reps -seeds 2 -parallel 2 -json BENCH_reps.json
 	$(GO) test -run '^$$' -bench 'BenchmarkFabricForward|BenchmarkFabricThroughput' -benchmem ./internal/fabric/
+
+# soak is the wide-seed invariant sweep: the four fault-injecting grids over
+# hundreds of consecutive seeds, ~30 s on two cores. `sweep` exits non-zero on
+# a trial that errored or violated an invariant (its VIOLATION lines name the
+# seed), so the target fails on any.
+# It exists because the one finding it has produced (reps/chaos/themis-relearn
+# seed 123: an armed compensation surviving a §6 bypass window) was invisible
+# to the 2-seed artifacts and the 50-seed tests. Too slow for `make verify`;
+# CI runs it as its own job.
+SOAK = $(GO) run ./cmd/themis-sim sweep -parallel $$(nproc)
+soak:
+	$(SOAK) -grid reps -seeds 300
+	$(SOAK) -grid chaos -seeds 300
+	$(SOAK) -grid churn -seeds 100
+	$(SOAK) -grid convergence -seeds 60
 
 # bench-shard measures the space-parallel engine's scaling: the k=8 fat-tree
 # permutation at 1, 2 and 4 shards (see BenchmarkShardScaling). Numbers are

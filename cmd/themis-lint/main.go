@@ -1,43 +1,34 @@
 // Command themis-lint runs the repo's static-analysis suite (internal/lint)
 // over the given package patterns and prints findings in file:line:col form,
 // with source→sink paths on indented continuation lines for the dataflow
-// analyzers. It exits 1 when any non-baselined finding is reported, so the
-// suite gates `make verify`.
+// analyzers. It exits 1 when any finding is reported, so the suite gates
+// `make verify`.
 //
 // Usage:
 //
-//	themis-lint [-C moddir] [-json] [-sarif file] [-baseline file]
-//	            [-write-baseline] [-escapes] [patterns...]
+//	themis-lint [-C moddir] [-sarif file] [-escapes] [patterns...]
 //
 // Patterns default to ./internal/... ./cmd/... and follow go-tool spelling
 // (a directory, or dir/... for the subtree).
 //
-//	-json           emit findings as a JSON array on stdout
-//	-sarif file     also write SARIF 2.1.0 (taint paths become codeFlows)
-//	-baseline file  suppress findings recorded in the baseline (default
-//	                lint.baseline.json at the module root, if present)
-//	-write-baseline rewrite the baseline file to accept all current findings
-//	-escapes        list every active //lint:* escape with its justification
+//	-sarif file  also write SARIF 2.1.0 (taint paths become codeFlows)
+//	-escapes     list every active //lint:* escape with its justification
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"themis/internal/lint"
 )
 
 func main() {
 	modRoot := flag.String("C", ".", "module root directory (containing go.mod)")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	sarifPath := flag.String("sarif", "", "write SARIF 2.1.0 report to this file")
-	baselinePath := flag.String("baseline", "", "baseline file of accepted findings (default lint.baseline.json if present)")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the baseline file accepting all current findings")
 	listEscapes := flag.Bool("escapes", false, "list active //lint:* escape directives and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: themis-lint [-C moddir] [-json] [-sarif file] [-baseline file] [-write-baseline] [-escapes] [patterns...]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: themis-lint [-C moddir] [-sarif file] [-escapes] [patterns...]\n")
 		flag.PrintDefaults()
 		fmt.Fprintln(flag.CommandLine.Output(), "\nanalyzers:")
 		for _, a := range lint.Analyzers {
@@ -74,33 +65,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	bp := *baselinePath
-	if bp == "" {
-		if def := filepath.Join(*modRoot, "lint.baseline.json"); fileExists(def) {
-			bp = def
-		}
-	}
-	if *writeBaseline {
-		if bp == "" {
-			bp = filepath.Join(*modRoot, "lint.baseline.json")
-		}
-		if err := lint.WriteBaseline(bp, *modRoot, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "themis-lint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "themis-lint: wrote %d finding(s) to %s\n", len(diags), bp)
-		return
-	}
-	baselined := 0
-	if bp != "" {
-		base, err := lint.LoadBaseline(bp)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "themis-lint:", err)
-			os.Exit(2)
-		}
-		diags, baselined = base.Filter(*modRoot, diags)
-	}
-
 	if *sarifPath != "" {
 		f, err := os.Create(*sarifPath)
 		if err != nil {
@@ -116,26 +80,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, *modRoot, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "themis-lint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
-	}
-	if baselined > 0 {
-		fmt.Fprintf(os.Stderr, "themis-lint: %d baselined finding(s) suppressed\n", baselined)
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "themis-lint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-func fileExists(path string) bool {
-	st, err := os.Stat(path)
-	return err == nil && !st.IsDir()
 }

@@ -9,14 +9,16 @@
 //	    One Fig. 5 cell: tail completion time of the slowest group. ARM is a
 //	    row of the arm table (internal/workload/arms.go); -h lists the names.
 //
-//	themis-sim run [-workload motivation|collective|incast|chaos|churn|convergence|spray] [-lb ...] [-transport ...]
+//	themis-sim run [-workload NAME] [-lb ...] [-transport ...]
 //	    [-pattern ...] [-bytes N] [-seed S] [-leaves N] [-spines N] [-hosts N] [-fattree-k K] [-bw gbps]
 //	    [-shards N] [-json out.json]
 //	    [-qps N] [-concurrency N] [-faults] [-table-budget BYTES] [-idle-timeout US] [-relearn]
 //	    [-distributed] [-convergence-delay US] [-drain]
 //	    [-metrics] [-flight-dir DIR] [-cpuprofile F] [-memprofile F] [-pprof-addr HOST:PORT]
 //	    One declarative scenario through the experiment harness; prints the
-//	    trial record and optionally writes it as a JSON report. -metrics
+//	    trial record and optionally writes it as a JSON report. NAME is a row
+//	    of the workload table (internal/exp/workloads.go); -h lists the names.
+//	    Exits non-zero if the trial failed or violated an invariant. -metrics
 //	    snapshots the trial's metrics registry into the record; -flight-dir
 //	    arms a flight recorder that dumps a JSONL trace on failure. The churn
 //	    workload takes -qps/-concurrency (flow churn shape), -faults (seeded
@@ -45,7 +47,8 @@
 //	    A scenario grid through the parallel runner (default: the full Fig. 5
 //	    matrix, all five DCQCN settings × {ECMP, AR, Themis}). -parallel N
 //	    runs N trials concurrently — per-seed results are bit-identical to a
-//	    sequential run. -json writes the aggregated report artifact.
+//	    sequential run. -json writes the aggregated report artifact. Exits
+//	    non-zero if any trial failed or violated an invariant.
 //	    -cpuprofile/-memprofile write pprof profiles of the sweep;
 //	    -pprof-addr serves live net/http/pprof while it runs.
 //
@@ -176,15 +179,15 @@ func runMotivation(args []string) error {
 		return err
 	}
 	fmt.Printf("motivation (Fig. 1): transport=%s bytes=%d seed=%d\n", tr, *bytes, *seed)
-	fmt.Printf("  completion time          : %.3f ms\n", res.CompletionTime.Seconds()*1e3)
-	fmt.Printf("  avg retransmission ratio : %.4f   (Fig. 1b, paper ~0.16)\n", res.AvgRetransRatio)
+	fmt.Printf("  completion time          : %.3f ms\n", res.CCTMillis)
+	fmt.Printf("  avg retransmission ratio : %.4f   (Fig. 1b, paper ~0.16)\n", res.RetransRatio)
 	fmt.Printf("  avg sending rate         : %.1f Gbps (Fig. 1c, paper ~86)\n", res.AvgRateGbps)
-	fmt.Printf("  avg flow throughput      : %.2f Gbps (Fig. 1d, paper 68.09 nic-sr / 95.43 ideal)\n", res.AvgThroughput)
+	fmt.Printf("  avg flow throughput      : %.2f Gbps (Fig. 1d, paper 68.09 nic-sr / 95.43 ideal)\n", res.GoodputGbps)
 	fmt.Printf("  sender: packets=%d retransmits=%d nacks=%d timeouts=%d\n",
 		res.Sender.DataPackets, res.Sender.Retransmits, res.Sender.NacksRx, res.Sender.Timeouts)
 	if *series {
 		fmt.Println()
-		fmt.Print(res.RetransRatio.Table())
+		fmt.Print(res.RetransSeries.Table())
 		fmt.Println()
 		fmt.Print(res.RateGbps.Table())
 	}
@@ -235,8 +238,8 @@ func runCollective(args []string) error {
 	}
 	fmt.Printf("collective (Fig. 5): pattern=%s lb=%s bytes=%d (TI,TD)=(%d,%d)us\n",
 		p, lbMode, *bytes, *ti, *td)
-	fmt.Printf("  tail completion time : %.3f ms\n", res.TailCCT.Seconds()*1e3)
-	fmt.Printf("  retransmission ratio : %.4f\n", res.RetransRatio())
+	fmt.Printf("  tail completion time : %.3f ms\n", res.CCTMillis)
+	fmt.Printf("  retransmission ratio : %.4f\n", res.RetransRatio)
 	fmt.Printf("  sender: packets=%d retransmits=%d nacks=%d cnps=%d timeouts=%d\n",
 		res.Sender.DataPackets, res.Sender.Retransmits, res.Sender.NacksRx, res.Sender.CnpsRx, res.Sender.Timeouts)
 	if lbMode == workload.Themis {
@@ -244,15 +247,6 @@ func runCollective(args []string) error {
 			res.Middleware.Sprayed, res.Middleware.NacksBlocked, res.Middleware.NacksForwarded, res.Middleware.Compensations)
 	}
 	return nil
-}
-
-func parseWorkload(s string) (exp.Workload, error) {
-	switch exp.Workload(s) {
-	case exp.Motivation, exp.Collective, exp.Incast, exp.Chaos, exp.Churn, exp.Convergence, exp.Spray:
-		return exp.Workload(s), nil
-	default:
-		return "", fmt.Errorf("unknown workload %q (motivation|collective|incast|chaos|churn|convergence|spray)", s)
-	}
 }
 
 // writeReport serializes trials to path as a BENCH-style report artifact.
@@ -285,7 +279,7 @@ func printTrial(t exp.Trial) {
 
 func runScenario(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	wl := fs.String("workload", "collective", "workload: motivation|collective|incast|chaos|churn|convergence|spray")
+	wl := fs.String("workload", "collective", "workload: "+exp.WorkloadNames())
 	pattern := fs.String("pattern", "allreduce", "collective: allreduce|alltoall")
 	lbs := fs.String("lb", "themis", "load balancing arm: "+workload.LBNames())
 	repsCache := fs.Int("reps-cache", 0, "reps: entropy-cache ring capacity (0 = default)")
@@ -315,7 +309,7 @@ func runScenario(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := parseWorkload(*wl)
+	w, err := exp.ParseWorkload(*wl)
 	if err != nil {
 		return err
 	}
@@ -367,21 +361,42 @@ func runScenario(args []string) error {
 	if trial.Metrics != nil {
 		printSnapshot(trial.Metrics)
 	}
-	if trial.Err != "" {
-		return fmt.Errorf("scenario failed: %s", trial.Err)
+	if trial.Err == "" && *jsonOut != "" {
+		if err := writeReport(trial.Name, *jsonOut, []exp.Trial{trial}); err != nil {
+			return err
+		}
 	}
-	if *jsonOut != "" {
-		return writeReport(trial.Name, *jsonOut, []exp.Trial{trial})
+	if failedTrials([]exp.Trial{trial}) > 0 {
+		return fmt.Errorf("scenario failed: %s", failure(trial))
 	}
 	return nil
+}
+
+// failure says why a trial must fail the command: it errored or it violated
+// an invariant ("" if neither).
+func failure(t exp.Trial) string {
+	if t.Err != "" {
+		return t.Err
+	}
+	if n := len(t.Violations); n > 0 {
+		return fmt.Sprintf("%d invariant violations", n)
+	}
+	return ""
+}
+
+// failedTrials is the count run and sweep derive their exit status from.
+func failedTrials(trials []exp.Trial) (n int) {
+	for _, t := range trials {
+		if failure(t) != "" {
+			n++
+		}
+	}
+	return n
 }
 
 // printSnapshot renders a metrics-registry snapshot (already sorted by name).
 func printSnapshot(s *obs.Snapshot) {
 	fmt.Println("metrics:")
-	for _, c := range s.Counters {
-		fmt.Printf("  %-32s %g\n", c.Name, c.Value)
-	}
 	for _, g := range s.Gauges {
 		fmt.Printf("  %-32s %g\n", g.Name, g.Value)
 	}
@@ -471,19 +486,13 @@ func runSweep(args []string) error {
 			printTrial(t)
 		}
 	}
-	failed := 0
-	for _, t := range trials {
-		if t.Err != "" {
-			failed++
-		}
-	}
 	if *jsonOut != "" {
 		if err := writeReport(*gridName, *jsonOut, trials); err != nil {
 			return err
 		}
 	}
-	if failed > 0 {
-		return fmt.Errorf("%d/%d scenarios failed", failed, len(trials))
+	if failed := failedTrials(trials); failed > 0 {
+		return fmt.Errorf("%d/%d scenarios failed or violated invariants", failed, len(trials))
 	}
 	return nil
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"themis/internal/exp"
 )
 
 // readProfile validates that path holds a pprof profile: gzip-compressed
@@ -96,5 +98,24 @@ func TestRunWithMetricsAndFlightDir(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Fatalf("successful run must not leave flight dumps, found %v", ents)
+	}
+}
+
+// TestViolationsFailTheCommand: run and sweep exit non-zero on a trial that
+// completed but violated an invariant, not only on one that errored. Fed
+// synthetic trials — no violating seed is left to drive it end to end.
+func TestViolationsFailTheCommand(t *testing.T) {
+	clean := exp.Trial{Name: "clean"}
+	errored := exp.Trial{Name: "errored", Err: "incomplete"}
+	violating := exp.Trial{Name: "violating"}
+	violating.Violations = []string{"sw 0: 1 armed compensations after all transfers completed"}
+	if n := failedTrials([]exp.Trial{clean, violating}); n != 1 {
+		t.Fatalf("failedTrials = %d with one violating trial, want 1", n)
+	}
+	if n := failedTrials([]exp.Trial{clean, errored, violating}); n != 2 {
+		t.Fatalf("failedTrials = %d, want 2", n)
+	}
+	if n := failedTrials([]exp.Trial{clean}); n != 0 {
+		t.Fatalf("failedTrials = %d on a clean trial", n)
 	}
 }

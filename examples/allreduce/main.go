@@ -39,9 +39,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ms := res.TailCCT.Seconds() * 1e3
+		ms := res.CCTMillis
 		fmt.Printf("%-10s %12.3f %14.4f %10d %10d\n",
-			arm, ms, res.RetransRatio(), res.Sender.NacksRx, res.Middleware.NacksBlocked)
+			arm, ms, res.RetransRatio, res.Sender.NacksRx, res.Middleware.NacksBlocked)
 		cct[arm] = ms
 	}
 	ar, th := cct[themis.Adaptive], cct[themis.Themis]

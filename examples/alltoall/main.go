@@ -32,8 +32,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ms := res.TailCCT.Seconds() * 1e3
-		fmt.Printf("%-10s %12.3f %14.4f %10d\n", arm, ms, res.RetransRatio(), res.Sender.NacksRx)
+		ms := res.CCTMillis
+		fmt.Printf("%-10s %12.3f %14.4f %10d\n", arm, ms, res.RetransRatio, res.Sender.NacksRx)
 		cct[arm] = ms
 	}
 	ar, th := cct[themis.Adaptive], cct[themis.Themis]

@@ -34,8 +34,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-8s %12.4f %12.1f %12.2f %12.3f\n",
-			tr, res.AvgRetransRatio, res.AvgRateGbps, res.AvgThroughput,
-			res.CompletionTime.Seconds()*1e3)
+			tr, res.RetransRatio, res.AvgRateGbps, res.GoodputGbps, res.CCTMillis)
 		if tr == themis.SelectiveRepeat {
 			nicsr = res
 		} else {
@@ -44,14 +43,14 @@ func main() {
 	}
 
 	fmt.Printf("\nNIC-SR achieves %.0f%% of the ideal transport's throughput (paper: 71%% = 68.09/95.43 Gbps).\n",
-		nicsr.AvgThroughput/ideal.AvgThroughput*100)
+		nicsr.GoodputGbps/ideal.GoodputGbps*100)
 	fmt.Printf("All %d retransmissions were spurious: the fabric dropped nothing.\n",
 		nicsr.Sender.Retransmits)
 
 	// A glimpse of the Fig. 1b series: the first few windows of the
 	// observed flow's retransmission ratio.
 	fmt.Printf("\nFig. 1b head (time_us ratio):\n")
-	for i, s := range nicsr.RetransRatio.Samples {
+	for i, s := range nicsr.RetransSeries.Samples {
 		if i >= 8 {
 			break
 		}

@@ -4,11 +4,9 @@ import (
 	"fmt"
 
 	"themis/internal/core"
-	"themis/internal/fabric"
 	"themis/internal/memmodel"
 	"themis/internal/obs"
 	"themis/internal/packet"
-	"themis/internal/rnic"
 	"themis/internal/sim"
 	"themis/internal/topo"
 	"themis/internal/workload"
@@ -65,15 +63,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is the outcome of one scenario run.
+// Result is the outcome of one scenario run: the full workload.Outcome
+// (CCTMillis is End; empty Violations = all invariants held) plus the
+// scenario it ran.
 type Result struct {
-	Scenario   Scenario
-	End        sim.Time // drain time of the last event
-	Sender     rnic.SenderStats
-	Middleware core.Stats
-	Net        fabric.Counters
-	Engine     sim.Metrics // event-loop counter block for this run's engine
-	Violations []string    // empty = all invariants held
+	workload.Outcome
+	Scenario Scenario
+	End      sim.Time // drain time of the last event
 	// FlightDump is the path of the flight-recorder dump written for a
 	// violating run (empty when no recorder was armed or nothing tripped).
 	FlightDump string
@@ -161,15 +157,8 @@ func RunGenerated(seed int64, gen func(int64, *topo.Topology) Scenario, opt Opti
 
 	end := cl.Run(opt.Horizon)
 	cl.Engine.RunAll()
-	res := &Result{
-		Scenario:   sc,
-		End:        end,
-		Sender:     cl.AggregateSenderStats(),
-		Middleware: cl.ThemisStats(),
-		Net:        cl.Net.Counters(),
-		Engine:     cl.Engine.Metrics(),
-		Violations: CheckInvariants(cl, remaining),
-	}
+	res := &Result{Outcome: cl.Outcome(end), Scenario: sc, End: end}
+	res.Violations = CheckInvariants(cl, remaining)
 	if len(res.Violations) > 0 && flight != nil {
 		path, err := flight.Dump(fmt.Sprintf("seed%d", sc.Seed), sc.Seed, res.Violations)
 		if err != nil {

@@ -324,14 +324,43 @@ func TestConvergenceGridTrials(t *testing.T) {
 	}
 }
 
-func TestLabelDerivation(t *testing.T) {
+// TestWorkloadTable pins the one workload table behind Label, run,
+// ParseWorkload and WorkloadNames.
+func TestWorkloadTable(t *testing.T) {
+	seen := map[Workload]bool{}
+	for _, row := range workloads {
+		if seen[row.name] {
+			t.Errorf("workload %q listed twice", row.name)
+		}
+		seen[row.name] = true
+		if w, err := ParseWorkload(string(row.name)); err != nil || w != row.name {
+			t.Errorf("ParseWorkload(%q) = %q, %v", row.name, w, err)
+		}
+		if !strings.Contains("|"+WorkloadNames()+"|", "|"+string(row.name)+"|") {
+			t.Errorf("WorkloadNames() = %q misses %q", WorkloadNames(), row.name)
+		}
+		label := Scenario{Workload: row.name, Seed: 9}.Label()
+		if !strings.HasPrefix(label, string(row.name)+"/") || !strings.HasSuffix(label, "/seed9") {
+			t.Errorf("%s: derived label %q", row.name, label)
+		}
+	}
 	sc := Scenario{Workload: Collective, Seed: 9, LB: workload.Themis, Pattern: collective.AllToAll}
-	if got := sc.Label(); !strings.Contains(got, "alltoall") || !strings.Contains(got, "seed9") {
-		t.Fatalf("Label = %q", got)
+	if got := sc.Label(); got != "collective/alltoall/themis/ti0s-td0s/seed9" {
+		t.Errorf("Label = %q", got)
 	}
 	sc.Name = "explicit"
 	if sc.Label() != "explicit" {
-		t.Fatal("explicit name not honoured")
+		t.Error("explicit name not honoured")
+	}
+
+	// An unknown workload parses to an error and runs to a Trial.Err that
+	// still carries its derived label.
+	if _, err := ParseWorkload("nope"); err == nil || !strings.Contains(err.Error(), WorkloadNames()) {
+		t.Errorf("ParseWorkload(nope) error = %v, want one listing the names", err)
+	}
+	tr := run(Scenario{Workload: "nope", Seed: 3}, nil, nil)
+	if tr.Name != "nope/seed3" || !strings.Contains(tr.Err, "unknown workload") {
+		t.Errorf("unknown workload: Name %q Err %q", tr.Name, tr.Err)
 	}
 }
 

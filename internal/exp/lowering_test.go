@@ -8,29 +8,20 @@ import (
 	"themis/internal/workload"
 )
 
-var allWorkloads = []Workload{Motivation, Collective, Incast, Chaos, Churn, Convergence, Spray}
+// lowerings maps every table row to the shape lowering its run calls; a row
+// missing here fails TestScenarioLoweringTotal.
+var lowerings = map[Workload]any{
+	Motivation: Scenario.motivation, Collective: Scenario.collective, Incast: Scenario.incast,
+	Chaos: Scenario.chaos, Churn: Scenario.churn, Convergence: Scenario.chaos, Spray: Scenario.spray,
+}
 
-// lowered returns the runner config exp.run hands to sc's workload.
+// lowered returns the runner config sc's table row hands to its runner.
 func lowered(t *testing.T, sc Scenario) reflect.Value {
-	cc := sc.cluster()
-	var cfg any
-	switch sc.Workload {
-	case Motivation:
-		cfg = sc.motivation(cc)
-	case Collective:
-		cfg = sc.collective(cc)
-	case Incast:
-		cfg = sc.incast(cc)
-	case Chaos, Convergence:
-		cfg = sc.chaos(cc)
-	case Churn:
-		cfg = sc.churn(cc)
-	case Spray:
-		cfg = sc.spray(cc)
-	default:
-		t.Fatalf("no lowering for workload %q", sc.Workload)
+	fn, ok := lowerings[sc.Workload]
+	if !ok {
+		t.Fatalf("no lowering listed for workload %q", sc.Workload)
 	}
-	return reflect.ValueOf(cfg)
+	return reflect.ValueOf(fn).Call([]reflect.Value{reflect.ValueOf(sc), reflect.ValueOf(sc.cluster())})[0]
 }
 
 // setSentinel makes one leaf field non-zero.
@@ -97,7 +88,8 @@ func TestScenarioLoweringTotal(t *testing.T) {
 	}
 	for _, lf := range leaves {
 		reached := 0
-		for _, w := range allWorkloads {
+		for _, row := range workloads {
+			w := row.name
 			base := Scenario{Workload: w}
 			sc := base
 			setSentinel(t, lf.get(&sc))
@@ -123,7 +115,8 @@ func TestScenarioLoweringTotal(t *testing.T) {
 // "lb" fails every workload with Trial.Err straight from the runner — run is
 // called directly, so RunObserved's recover is not what catches it.
 func TestUnknownArmIsATrialError(t *testing.T) {
-	for _, w := range allWorkloads {
+	for _, row := range workloads {
+		w := row.name
 		tr := run(Scenario{Workload: w, Seed: 1, LB: workload.LBMode(99), LBArmed: true, MessageBytes: 4 << 10}, nil, nil)
 		if !strings.Contains(tr.Err, "unknown LB mode 99") {
 			t.Errorf("%s: Err = %q", w, tr.Err)

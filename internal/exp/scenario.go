@@ -14,44 +14,11 @@ package exp
 import (
 	"fmt"
 
-	"themis/internal/chaos"
 	"themis/internal/collective"
 	"themis/internal/core"
 	"themis/internal/rnic"
 	"themis/internal/sim"
 	"themis/internal/workload"
-)
-
-// Workload names the experiment family a scenario runs.
-type Workload string
-
-const (
-	// Motivation is the §2.2 Fig. 1 study: two 4-node ring groups spraying
-	// over a fixed 4×4×2 leaf-spine at 100 Gbps. Topology fields are ignored.
-	Motivation Workload = "motivation"
-	// Collective is the §5 Fig. 5 evaluation: synchronized collective groups
-	// spanning all racks of a leaf-spine.
-	Collective Workload = "collective"
-	// Incast is the many-to-one stress test (Senders flows into host 0).
-	Incast Workload = "incast"
-	// Chaos is a fault-injection soak run: the fault schedule is generated
-	// from the seed (see internal/chaos), and invariants are checked.
-	Chaos Workload = "chaos"
-	// Churn is the flow-lifecycle stress: a stream of short-lived cross-rack
-	// QPs (QPs total, Concurrency at a time) against a bounded flow table,
-	// with lifecycle invariants checked (see workload.RunChurn).
-	Churn Workload = "churn"
-	// Convergence is the routing-focused soak: the fault schedule comes from
-	// chaos.GenerateConvergence (flap storms, pod-uplink loss, maintenance
-	// drains) and the cluster runs the distributed per-switch control plane
-	// with a per-hop message delay, so forwarding during the windows uses
-	// honestly stale FIBs. Invariants (including FIB convergence and zero
-	// steady-state loop drops) are checked.
-	Convergence Workload = "convergence"
-	// Spray is the space-parallel fat-tree permutation (workload.RunSpray):
-	// the only workload whose trial genuinely runs on multiple shards. Uses
-	// FatTreeK instead of the leaf-spine fields.
-	Spray Workload = "spray"
 )
 
 // ThemisKnobs is the serializable subset of core.Config — the middleware
@@ -164,30 +131,17 @@ type Scenario struct {
 	LinkFail       *workload.LinkFault `json:"link_fail,omitempty"`
 }
 
-// Label returns Name, or a derived "workload/arm/seed" identifier.
+// Label returns Name, or a derived "workload/arm/seed" identifier whose arm
+// segment comes from the workload's table row.
 func (s Scenario) Label() string {
 	if s.Name != "" {
 		return s.Name
 	}
-	switch s.Workload {
-	case Motivation:
-		return fmt.Sprintf("motivation/%v/seed%d", s.Transport, s.Seed)
-	case Collective:
-		return fmt.Sprintf("collective/%v/%v/ti%v-td%v/seed%d", s.Pattern, s.LB, s.TI, s.TD, s.Seed)
-	case Incast:
-		return fmt.Sprintf("incast/%v/seed%d", s.LB, s.Seed)
-	case Chaos:
-		return fmt.Sprintf("chaos/seed%d", s.Seed)
-	case Churn:
-		return fmt.Sprintf("churn/%v/seed%d", s.LB, s.Seed)
-	case Convergence:
-		return fmt.Sprintf("convergence/%v/d%dus/seed%d",
-			s.LB, int64(s.ConvergenceDelay/sim.Microsecond), s.Seed)
-	case Spray:
-		return fmt.Sprintf("spray/%v/seed%d", s.LB, s.Seed)
-	default:
-		return fmt.Sprintf("%s/seed%d", s.Workload, s.Seed)
+	label := string(s.Workload)
+	if row, err := s.Workload.row(); err == nil && row.arm != nil {
+		label += "/" + row.arm(s)
 	}
+	return fmt.Sprintf("%s/seed%d", label, s.Seed)
 }
 
 // cluster is the one lowering of a scenario's fabric, LB, NIC, CC and routing
@@ -221,61 +175,5 @@ func (s Scenario) cluster() workload.ClusterConfig {
 		ConvergenceDelay:   s.ConvergenceDelay,
 		DropEveryNData:     s.DropEveryNData,
 		ThemisCfg:          s.Themis.coreConfig(),
-	}
-}
-
-// The per-workload lowerings add only the workload's shape fields to cc, the
-// scenario's lowered cluster config with the observability hooks attached.
-
-func (s Scenario) collective(cc workload.ClusterConfig) workload.CollectiveConfig {
-	return workload.CollectiveConfig{
-		ClusterConfig: cc,
-		Pattern:       s.Pattern,
-		MessageBytes:  s.MessageBytes,
-		Groups:        s.Groups,
-		Horizon:       s.Horizon,
-		LinkFail:      s.LinkFail,
-	}
-}
-
-func (s Scenario) motivation(cc workload.ClusterConfig) workload.MotivationConfig {
-	return workload.MotivationConfig{ClusterConfig: cc, MessageBytes: s.MessageBytes, Horizon: s.Horizon}
-}
-
-func (s Scenario) incast(cc workload.ClusterConfig) workload.IncastConfig {
-	return workload.IncastConfig{
-		ClusterConfig: cc,
-		Senders:       s.Senders,
-		MessageBytes:  s.MessageBytes,
-		Horizon:       s.Horizon,
-	}
-}
-
-func (s Scenario) churn(cc workload.ClusterConfig) workload.ChurnConfig {
-	return workload.ChurnConfig{
-		ClusterConfig: cc,
-		QPs:           s.QPs,
-		Concurrency:   s.Concurrency,
-		MessageBytes:  s.MessageBytes,
-		Faults:        s.Faults,
-		Horizon:       s.Horizon,
-	}
-}
-
-func (s Scenario) spray(cc workload.ClusterConfig) workload.SprayConfig {
-	return workload.SprayConfig{ClusterConfig: cc, Shards: s.Shards, MessageBytes: s.MessageBytes, Horizon: s.Horizon}
-}
-
-// chaos lowers a chaos or convergence scenario to the chaos harness. The LB
-// arm is opt-in for chaos (see Scenario.LBArmed) and always explicit for
-// convergence, so an ECMP arm — the LBMode zero value — is not silently
-// replaced with the harness default.
-func (s Scenario) chaos(cc workload.ClusterConfig) chaos.Options {
-	return chaos.Options{
-		ClusterConfig: cc,
-		Flows:         s.Flows,
-		MessageBytes:  s.MessageBytes,
-		Horizon:       s.Horizon,
-		LBSet:         s.LBArmed || s.Workload == Convergence,
 	}
 }

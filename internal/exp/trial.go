@@ -3,21 +3,15 @@ package exp
 import (
 	"fmt"
 
-	"themis/internal/chaos"
-	"themis/internal/core"
-	"themis/internal/fabric"
 	"themis/internal/obs"
-	"themis/internal/rnic"
-	"themis/internal/sim"
-	"themis/internal/topo"
 	"themis/internal/trace"
 	"themis/internal/workload"
 )
 
 // Trial is the result record of one scenario run: the scenario echoed back
-// (artifacts are self-describing), the headline metrics every workload maps
-// onto, and the raw counter blocks. Fixed fields only — the JSON form must be
-// byte-identical across runs.
+// (artifacts are self-describing) around the workload.Outcome its runner
+// returned. Fixed fields only — the JSON form must be byte-identical across
+// runs.
 type Trial struct {
 	Name     string   `json:"name"`
 	Scenario Scenario `json:"scenario"`
@@ -25,32 +19,10 @@ type Trial struct {
 	// metric fields are zero in that case.
 	Err string `json:"err,omitempty"`
 
-	// CCTMillis is the completion time of the workload in milliseconds —
-	// tail-group CCT for collectives, last-flow completion for motivation
-	// and chaos, last-ack for incast.
-	CCTMillis float64 `json:"cct_ms"`
-	// RetransRatio is retransmitted/total data packets over all flows.
-	RetransRatio float64 `json:"retrans_ratio"`
-	// GoodputGbps is the workload's aggregate goodput where defined
-	// (motivation: mean per-flow throughput; incast: receiver goodput).
-	GoodputGbps float64 `json:"goodput_gbps,omitempty"`
-	// AvgRateGbps is the observed flow's mean DCQCN sending rate
-	// (motivation only, Fig. 1c).
-	AvgRateGbps float64 `json:"avg_rate_gbps,omitempty"`
-
-	// TableBytesPeak/TableBudgetBytes record the peak flow-table occupancy
-	// against the configured §4 budget (churn scenarios only).
-	TableBytesPeak   int `json:"table_bytes_peak,omitempty"`
-	TableBudgetBytes int `json:"table_budget_bytes,omitempty"`
-
-	// Counter blocks.
-	Sender     rnic.SenderStats `json:"sender"`
-	Middleware core.Stats       `json:"middleware"`
-	Net        fabric.Counters  `json:"net"`
-	Engine     sim.Metrics      `json:"engine"`
-
-	// Violations lists invariant violations (chaos scenarios only).
-	Violations []string `json:"violations,omitempty"`
+	// Outcome is the record the workload's runner returned — headline
+	// metrics, the four counter blocks and the violations — flattened into
+	// the trial's JSON at this position.
+	workload.Outcome
 
 	// Metrics is the trial's metrics-registry snapshot (RunObserved with
 	// Obs.Metrics; nil otherwise).
@@ -130,122 +102,19 @@ func RunObserved(sc Scenario, o Obs) (t Trial) {
 	return t
 }
 
-// run dispatches the scenario to its workload runner with the observability
-// hooks threaded through.
+// run hands the scenario to its row of the workload table with the
+// observability hooks threaded through; the trial is the runner's Outcome,
+// or Err.
 func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry) Trial {
 	t := Trial{Name: sc.Label(), Scenario: sc}
-	cc := sc.cluster()
-	cc.Tracer, cc.Metrics = tr, reg
-	switch sc.Workload {
-	case Motivation:
-		res, err := workload.RunMotivation(sc.motivation(cc))
-		if err != nil {
-			t.Err = err.Error()
-			return t
-		}
-		t.CCTMillis = res.CompletionTime.Seconds() * 1e3
-		t.RetransRatio = res.AvgRetransRatio
-		t.GoodputGbps = res.AvgThroughput
-		t.AvgRateGbps = res.AvgRateGbps
-		t.Sender = res.Sender
-		t.Engine = res.Engine
-	case Collective:
-		res, err := workload.RunCollective(sc.collective(cc))
-		if err != nil {
-			t.Err = err.Error()
-			return t
-		}
-		t.CCTMillis = res.TailCCT.Seconds() * 1e3
-		t.RetransRatio = res.RetransRatio()
-		t.Sender = res.Sender
-		t.Middleware = res.Middleware
-		t.Net = res.Net
-		t.Engine = res.Engine
-	case Incast:
-		res, err := workload.RunIncast(sc.incast(cc))
-		if err != nil {
-			t.Err = err.Error()
-			return t
-		}
-		t.CCTMillis = res.CCT.Seconds() * 1e3
-		t.GoodputGbps = res.GoodputGbps
-		t.Sender = rnic.SenderStats{
-			Retransmits: res.Sender.Retransmits,
-			Timeouts:    res.Sender.Timeouts,
-			NacksRx:     res.Sender.NacksRx,
-		}
-		t.Net.DataDrops = res.Drops
-		t.Engine = res.Engine
-	case Chaos, Convergence:
-		// The fault schedule is generated from the topology of the one
-		// cluster the trial builds and runs.
-		gen := chaos.Generate
-		if sc.Workload == Convergence {
-			gen = func(seed int64, tp *topo.Topology) chaos.Scenario {
-				csc := chaos.GenerateConvergence(seed, tp)
-				if sc.Drain {
-					csc.Faults = append(csc.Faults, chaos.DrainFault(tp))
-				}
-				return csc
-			}
-		}
-		res, err := chaos.RunGenerated(sc.Seed, gen, sc.chaos(cc))
-		if err != nil {
-			t.Err = err.Error()
-			return t
-		}
-		t.CCTMillis = res.End.Seconds() * 1e3
-		if res.Sender.DataPackets > 0 {
-			t.RetransRatio = float64(res.Sender.Retransmits) / float64(res.Sender.DataPackets)
-		}
-		t.Sender = res.Sender
-		t.Middleware = res.Middleware
-		t.Net = res.Net
-		t.Engine = res.Engine
-		t.Violations = res.Violations
-	case Churn:
-		res, err := workload.RunChurn(sc.churn(cc))
-		if err != nil {
-			t.Err = err.Error()
-			return t
-		}
-		t.CCTMillis = res.End.Seconds() * 1e3
-		if res.Sender.DataPackets > 0 {
-			t.RetransRatio = float64(res.Sender.Retransmits) / float64(res.Sender.DataPackets)
-		}
-		t.GoodputGbps = res.GoodputGbps
-		t.TableBytesPeak = res.MaxTableBytes
-		t.TableBudgetBytes = res.TableBudgetBytes
-		t.Sender = res.Sender
-		t.Middleware = res.Middleware
-		t.Net = res.Net
-		t.Engine = res.Engine
-		t.Violations = res.Violations
-	case Spray:
-		// A tracer or registry reaches fabric.NewShardedNetwork, which refuses
-		// them (global observability state cannot span shards).
-		res, err := workload.RunSpray(sc.spray(cc))
-		if err != nil {
-			t.Err = err.Error()
-			return t
-		}
-		t.CCTMillis = res.CCT.Seconds() * 1e3
-		t.Sender = rnic.SenderStats{
-			Retransmits: res.Sender.Retransmits,
-			Timeouts:    res.Sender.Timeouts,
-			NacksRx:     res.Sender.NacksRx,
-		}
-		t.Net = res.Net
-		// Only the partition-invariant engine counters go into the artifact:
-		// the allocator fields (allocs, reuses, heap depth) depend on how the
-		// event set is cut across shards, and Trial bytes must not vary with
-		// the Shards execution knob.
-		t.Engine = sim.Metrics{
-			EventsExecuted:  res.Engine.EventsExecuted,
-			EventsCancelled: res.Engine.EventsCancelled,
-		}
-	default:
-		t.Err = fmt.Sprintf("exp: unknown workload %q", sc.Workload)
+	row, err := sc.Workload.row()
+	if err == nil {
+		cc := sc.cluster()
+		cc.Tracer, cc.Metrics = tr, reg
+		t.Outcome, err = row.run(sc, cc)
+	}
+	if err != nil {
+		t.Err = err.Error()
 	}
 	return t
 }

@@ -61,8 +61,6 @@ func hotAllocRootNames(modPath string) []string {
 		// burst drain are per-packet work on every hop.
 		"(*" + modPath + "/internal/fabric.outQueue).txDone",
 		"(*" + modPath + "/internal/fabric.outQueue).deliverBurst",
-		"(*" + modPath + "/internal/obs.Counter).Inc",
-		"(*" + modPath + "/internal/obs.Counter).Add",
 	}
 }
 

@@ -63,17 +63,17 @@ import (
 
 // Step is one hop of an interprocedural source→sink path.
 type Step struct {
-	Pos  token.Position `json:"pos"`
-	Note string         `json:"note"`
+	Pos  token.Position
+	Note string
 }
 
 // Diagnostic is one finding, carrying an exact source position and, for the
 // dataflow analyzers, the source→sink path that produced it.
 type Diagnostic struct {
-	Pos     token.Position `json:"pos"`
-	Rule    string         `json:"rule"` // analyzer name
-	Message string         `json:"message"`
-	Path    []Step         `json:"path,omitempty"` // source→sink chain, nil for site findings
+	Pos     token.Position
+	Rule    string // analyzer name
+	Message string
+	Path    []Step // source→sink chain, nil for site findings
 }
 
 // String renders the diagnostic in the conventional file:line:col form, with

@@ -7,28 +7,6 @@ import (
 	"strings"
 )
 
-// WriteJSON emits the findings as an indented JSON array — the
-// machine-readable twin of the file:line:col text output. File names are
-// rewritten relative to modRoot so output is stable across checkouts.
-func WriteJSON(w io.Writer, modRoot string, diags []Diagnostic) error {
-	out := make([]Diagnostic, len(diags))
-	for i, d := range diags {
-		d.Pos.Filename = relFile(modRoot, d.Pos.Filename)
-		if d.Path != nil {
-			steps := make([]Step, len(d.Path))
-			for j, s := range d.Path {
-				s.Pos.Filename = relFile(modRoot, s.Pos.Filename)
-				steps[j] = s
-			}
-			d.Path = steps
-		}
-		out[i] = d
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // sarif mirrors the slice of the SARIF 2.1.0 schema the suite emits: one run,
 // one result per finding, and the source→sink path as a codeFlow so PR
 // annotation UIs can render the full chain.

@@ -67,10 +67,9 @@ func TestTaintSinksNonVacuous(t *testing.T) {
 
 // TestHotSetSpansRealPackages pins the hot-alloc root set to the packages the
 // pinned zero-alloc benchmarks actually live in: the 18 ns schedule path
-// (internal/sim), the 852 ns forward path (internal/fabric + internal/core),
-// and the metrics gauges (internal/obs). If a root is renamed away, the hot
-// set collapses to fixtures only and this guard fails before the analyzer can
-// rot into vacuity.
+// (internal/sim) and the 852 ns forward path (internal/fabric + internal/core
+// + internal/lb). If a root is renamed away, the hot set collapses to fixtures
+// only and this guard fails before the analyzer can rot into vacuity.
 func TestHotSetSpansRealPackages(t *testing.T) {
 	prog, err := realProg()
 	if err != nil {
@@ -81,7 +80,6 @@ func TestHotSetSpansRealPackages(t *testing.T) {
 		"/internal/sim.",
 		"/internal/fabric.",
 		"/internal/core.",
-		"/internal/obs.",
 		"/internal/lb.",
 	} {
 		found := false

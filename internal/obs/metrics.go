@@ -20,33 +20,16 @@ import (
 // The registry is not safe for concurrent use; like the packet pool, each
 // parallel trial owns its own instance.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string][]func() float64
-	hists    map[string]*Histogram
+	gauges map[string][]func() float64
+	hists  map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string][]func() float64),
-		hists:    make(map[string]*Histogram),
+		gauges: make(map[string][]func() float64),
+		hists:  make(map[string]*Histogram),
 	}
-}
-
-// Counter returns the named counter, creating it on first use. Instances
-// asking for the same name share one counter (e.g. every NIC incrementing
-// "rnic.messages"). Nil registry returns a nil (no-op) counter.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{name: name}
-		r.counters[name] = c
-	}
-	return c
 }
 
 // GaugeFunc registers a gauge callback under name. Gauges are additive:
@@ -60,8 +43,9 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.gauges[name] = append(r.gauges[name], fn)
 }
 
-// Histogram returns the named histogram, creating it on first use; same
-// sharing semantics as Counter. Nil registry returns a nil (no-op) histogram.
+// Histogram returns the named histogram, creating it on first use: instances
+// asking for the same name share one histogram. Nil registry returns a nil
+// (no-op) histogram.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
@@ -72,34 +56,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// Counter is a monotonically increasing metric.
-type Counter struct {
-	name string
-	v    uint64
-}
-
-// Inc adds one. Safe on nil.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds n. Safe on nil.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
 }
 
 // Histogram accumulates samples and digests them into percentiles at
@@ -146,7 +102,6 @@ type HistogramValue struct {
 // Fixed field order and sorted names keep the JSON form byte-identical for
 // identical runs (the report artifacts depend on this).
 type Snapshot struct {
-	Counters   []MetricValue    `json:"counters,omitempty"`
 	Gauges     []MetricValue    `json:"gauges,omitempty"`
 	Histograms []HistogramValue `json:"histograms,omitempty"`
 }
@@ -159,9 +114,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	s := &Snapshot{}
 	// Map iteration order is irrelevant here: the slices are sorted by name
 	// before the snapshot is returned.
-	for _, c := range r.counters { //lint:ordered snapshot slices are sorted by name before return
-		s.Counters = append(s.Counters, MetricValue{Name: c.name, Value: float64(c.v)})
-	}
 	for name, fns := range r.gauges { //lint:ordered snapshot slices are sorted by name before return
 		sum := 0.0
 		for _, fn := range fns {
@@ -180,15 +132,13 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 		s.Histograms = append(s.Histograms, hv)
 	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
 }
 
-// Lookup returns the snapshot value of a named counter or gauge (gauges take
-// precedence), with ok reporting whether the name exists. Convenience for
-// tests and tools; nil-safe.
+// Lookup returns the snapshot value of a named gauge, with ok reporting
+// whether the name exists. Convenience for tests and tools; nil-safe.
 func (s *Snapshot) Lookup(name string) (float64, bool) {
 	if s == nil {
 		return 0, false
@@ -196,11 +146,6 @@ func (s *Snapshot) Lookup(name string) (float64, bool) {
 	for _, g := range s.Gauges {
 		if g.Name == name {
 			return g.Value, true
-		}
-	}
-	for _, c := range s.Counters {
-		if c.Name == name {
-			return c.Value, true
 		}
 	}
 	return 0, false

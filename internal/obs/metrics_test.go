@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func TestCountersSharedByName(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("themis.nacks")
-	b := r.Counter("themis.nacks")
-	if a != b {
-		t.Fatal("same name should yield the same counter instance")
-	}
-	a.Inc()
-	b.Add(2)
-	if got := a.Value(); got != 3 {
-		t.Fatalf("shared counter value: got %d want 3", got)
-	}
-}
-
 func TestGaugesAreAdditive(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("fabric.drops", func() float64 { return 2 })
@@ -64,8 +50,6 @@ func TestHistogramDigest(t *testing.T) {
 
 func TestSnapshotSortedAndStable(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("z").Inc()
-	r.Counter("a").Inc()
 	r.GaugeFunc("m", func() float64 { return 1 })
 	r.GaugeFunc("b", func() float64 { return 1 })
 	r.Histogram("y").Observe(1)
@@ -82,19 +66,13 @@ func TestSnapshotSortedAndStable(t *testing.T) {
 		t.Fatalf("snapshot JSON not stable:\n%s\n%s", first, second)
 	}
 	s := r.Snapshot()
-	if s.Counters[0].Name != "a" || s.Gauges[0].Name != "b" || s.Histograms[0].Name != "c" {
+	if s.Gauges[0].Name != "b" || s.Histograms[0].Name != "c" {
 		t.Fatalf("snapshot not sorted: %+v", s)
 	}
 }
 
 func TestNilRegistrySafe(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x")
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter should read 0")
-	}
 	r.GaugeFunc("g", func() float64 { return 1 })
 	h := r.Histogram("h")
 	h.Observe(1)
@@ -112,11 +90,8 @@ func TestNilRegistrySafe(t *testing.T) {
 
 func TestDisabledInstrumentsAllocateNothing(t *testing.T) {
 	var r *Registry
-	c := r.Counter("off")
 	h := r.Histogram("off")
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(3)
 		h.Observe(1.5)
 	})
 	if allocs != 0 {

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"themis/internal/core"
-	"themis/internal/fabric"
 	"themis/internal/packet"
-	"themis/internal/rnic"
 	"themis/internal/sim"
 )
 
@@ -77,29 +74,19 @@ func (c *ChurnConfig) resolve() {
 	}
 }
 
-// ChurnResult is the outcome of one churn run.
+// ChurnResult is the outcome of one churn run. Its Outcome holds the full
+// record: CCTMillis (End), GoodputGbps (total goodput bytes × 8 / End), the
+// peak table occupancy against the budget — TableBytesPeak <=
+// TableBudgetBytes (budget > 0) is checked continuously and lands in
+// Violations if ever broken — and all four counter blocks.
 type ChurnResult struct {
+	Outcome
 	// End is the virtual time the last flow completed.
 	End sim.Time
 	// Opened and Completed count flows; they are equal on a clean run.
 	Opened, Completed int
 	// MeanFCT is the mean flow completion time (open to last ack).
 	MeanFCT sim.Duration
-	// GoodputGbps is aggregate acked payload over the run (total goodput
-	// bytes × 8 / End).
-	GoodputGbps float64
-	// MaxTableBytes is the peak flow-table occupancy observed on any ToR at
-	// flow open/close points; TableBudgetBytes echoes the configured budget.
-	// The invariant MaxTableBytes <= TableBudgetBytes (budget > 0) is checked
-	// continuously and lands in Violations if ever broken.
-	MaxTableBytes    int
-	TableBudgetBytes int
-
-	Sender     rnic.SenderStats
-	Middleware core.Stats
-	Net        fabric.Counters
-	Engine     sim.Metrics
-	Violations []string
 }
 
 // churnDriver holds the open-loop state: it keeps Concurrency flows in
@@ -212,24 +199,15 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	end := cl.Run(cfg.Horizon)
 	cl.Engine.RunAll() // drain in-flight control traffic and timers
 
-	res := &ChurnResult{
-		End:        end,
-		Opened:     d.opened,
-		Completed:  d.completed,
-		Sender:     cl.AggregateSenderStats(),
-		Middleware: cl.ThemisStats(),
-		Net:        cl.Net.Counters(),
-		Engine:     cl.Engine.Metrics(),
-		Violations: d.violations,
-	}
-	res.MaxTableBytes, res.TableBudgetBytes = d.maxTable, cl.Config.ThemisCfg.TableBudgetBytes
+	res := &ChurnResult{Outcome: cl.Outcome(end), End: end, Opened: d.opened, Completed: d.completed}
+	res.TableBytesPeak, res.TableBudgetBytes = d.maxTable, cl.Config.ThemisCfg.TableBudgetBytes
 	if d.completed > 0 {
 		res.MeanFCT = d.sumFCT / sim.Duration(d.completed)
 	}
 	if sec := end.Seconds(); sec > 0 {
 		res.GoodputGbps = float64(res.Sender.GoodputBytes) * 8 / sec / 1e9
 	}
-	res.Violations = append(res.Violations, churnInvariants(cl, d)...)
+	res.Violations = append(d.violations, churnInvariants(cl, d)...)
 	return res, nil
 }
 

@@ -115,8 +115,8 @@ func TestChurnBudgetedDegradesGracefully(t *testing.T) {
 	if res.Completed != 60 {
 		t.Fatalf("completed %d/60 under budget pressure", res.Completed)
 	}
-	if res.MaxTableBytes > budget {
-		t.Fatalf("peak occupancy %d B exceeds budget %d B", res.MaxTableBytes, budget)
+	if res.TableBytesPeak > budget {
+		t.Fatalf("peak occupancy %d B exceeds budget %d B", res.TableBytesPeak, budget)
 	}
 	// Non-vacuity: the budget must actually have displaced flows.
 	if res.Middleware.Evictions == 0 && res.Middleware.TableFull == 0 {

@@ -4,10 +4,7 @@ import (
 	"fmt"
 
 	"themis/internal/collective"
-	"themis/internal/core"
-	"themis/internal/fabric"
 	"themis/internal/packet"
-	"themis/internal/rnic"
 	"themis/internal/sim"
 )
 
@@ -65,30 +62,15 @@ func (c *CollectiveConfig) resolve() {
 	}
 }
 
-// CollectiveResult carries one Fig. 5 data point.
+// CollectiveResult carries one Fig. 5 data point: the Outcome (CCTMillis is
+// the tail CCT, all four counter blocks) plus the per-group times.
 type CollectiveResult struct {
+	Outcome
 	// TailCCT is the completion time of the slowest group — the paper's
 	// metric ("the training job's communication bottleneck").
 	TailCCT sim.Time
 	// GroupCCT is each group's completion time.
 	GroupCCT []sim.Time
-	// Sender aggregates transport counters over all QPs.
-	Sender rnic.SenderStats
-	// Middleware aggregates Themis counters (zero unless LB == Themis).
-	Middleware core.Stats
-	// Net aggregates fabric counters (drops, PFC pauses, ECN marks).
-	Net fabric.Counters
-	// Engine is the event-loop counter block for this trial's engine.
-	Engine sim.Metrics
-}
-
-// RetransRatio is the fraction of transmitted data packets that were
-// retransmissions.
-func (r *CollectiveResult) RetransRatio() float64 {
-	if r.Sender.DataPackets == 0 {
-		return 0
-	}
-	return float64(r.Sender.Retransmits) / float64(r.Sender.DataPackets)
 }
 
 // GroupHosts returns the members of group g: host g of every leaf, i.e. one
@@ -140,10 +122,7 @@ func RunCollective(cfg CollectiveConfig) (*CollectiveResult, error) {
 		return nil, fmt.Errorf("workload: collective incomplete: %d groups unfinished at %v (pattern=%v lb=%v)", remaining, end, cfg.Pattern, cfg.LB)
 	}
 	res.TailCCT = maxTime(res.GroupCCT)
-	res.Sender = cl.AggregateSenderStats()
-	res.Middleware = cl.ThemisStats()
-	res.Net = cl.Net.Counters()
-	res.Engine = cl.Engine.Metrics()
+	res.Outcome = cl.Outcome(res.TailCCT)
 	return res, nil
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"themis/internal/fabric"
 	"themis/internal/packet"
 	"themis/internal/sim"
 )
@@ -44,22 +45,13 @@ func (c *IncastConfig) resolve() {
 	}
 }
 
-// IncastResult carries the incast measurements.
+// IncastResult carries the incast measurements. Its Outcome holds CCTMillis,
+// GoodputGbps (receiver goodput over the completion time), the three-counter
+// sender subset, Net.DataDrops alone and the Engine block.
 type IncastResult struct {
-	CCT         sim.Time // when the last sender's message is acknowledged
-	Drops       uint64
-	Pauses      uint64 // PFC pause frames sent by the destination ToR
-	Sender      SenderAgg
-	GoodputGbps float64 // receiver goodput over the completion time
-	// Engine is the event-loop counter block for this trial's engine.
-	Engine sim.Metrics
-}
-
-// SenderAgg is the aggregate sender-side counters of an incast run.
-type SenderAgg struct {
-	Retransmits uint64
-	Timeouts    uint64
-	NacksRx     uint64
+	Outcome
+	CCT    sim.Time // when the last sender's message is acknowledged
+	Pauses uint64   // PFC pause frames sent by the destination ToR
 }
 
 // RunIncast places each sender on its own rack (Senders+1 leaves, one host
@@ -88,12 +80,14 @@ func RunIncast(cfg IncastConfig) (*IncastResult, error) {
 	if done != cfg.Senders {
 		return nil, fmt.Errorf("workload: incast incomplete: %d/%d senders at %v", done, cfg.Senders, end)
 	}
-	agg := cl.AggregateSenderStats()
-	res.Sender = SenderAgg{Retransmits: agg.Retransmits, Timeouts: agg.Timeouts, NacksRx: agg.NacksRx}
-	res.Drops = cl.Net.Counters().DataDrops
+	full := cl.Outcome(res.CCT)
+	res.Outcome = Outcome{
+		CCTMillis:   full.CCTMillis,
+		GoodputGbps: float64(cfg.MessageBytes) * float64(cfg.Senders) * 8 / res.CCT.Seconds() / 1e9,
+		Sender:      senderSubset(full.Sender),
+		Net:         fabric.Counters{DataDrops: full.Net.DataDrops},
+		Engine:      full.Engine,
+	}
 	res.Pauses, _ = cl.Net.PFCStats(cl.Topo.ToROf(0))
-	total := float64(cfg.MessageBytes) * float64(cfg.Senders)
-	res.GoodputGbps = total * 8 / res.CCT.Seconds() / 1e9
-	res.Engine = cl.Engine.Metrics()
 	return res, nil
 }

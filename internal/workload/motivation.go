@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"themis/internal/packet"
-	"themis/internal/rnic"
 	"themis/internal/sim"
 	"themis/internal/stats"
 )
@@ -51,28 +50,22 @@ func (c *MotivationConfig) resolve() {
 	}
 }
 
-// MotivationResult carries the Fig. 1 measurements.
+// MotivationResult carries the Fig. 1 measurements. Its Outcome holds the
+// figure's scalars — CCTMillis (last flow's completion), RetransRatio over
+// all flows (Fig. 1b's average), AvgRateGbps (Fig. 1c) and GoodputGbps, the
+// mean per-flow throughput (Fig. 1d's bar) — and the Sender and Engine
+// blocks only.
 type MotivationResult struct {
-	// RetransRatio is the windowed retransmission ratio of the observed
+	Outcome
+	// RetransSeries is the windowed retransmission ratio of the observed
 	// flow (node 0 → node 2), Fig. 1b.
-	RetransRatio *stats.Series
-	// AvgRetransRatio is retransmitted/total data packets over all flows.
-	AvgRetransRatio float64
+	RetransSeries *stats.Series
 	// RateGbps is the observed flow's sending rate over time, Fig. 1c.
 	RateGbps *stats.Series
-	// AvgRateGbps is the time-average of the observed flow's rate while it
-	// was active.
-	AvgRateGbps float64
-	// ThroughputGbps is each flow's goodput over its completion time; the
-	// average reproduces Fig. 1d's bar.
+	// ThroughputGbps is each flow's goodput over its completion time.
 	ThroughputGbps []float64
-	AvgThroughput  float64
 	// CompletionTime is when the last flow finished.
 	CompletionTime sim.Time
-	// Aggregate transport counters.
-	Sender rnic.SenderStats
-	// Engine is the event-loop counter block for this trial's engine.
-	Engine sim.Metrics
 }
 
 // MotivationFlows returns the ring flow pairs of Fig. 1a: two groups
@@ -140,12 +133,15 @@ func RunMotivation(cfg MotivationConfig) (*MotivationResult, error) {
 		return nil, fmt.Errorf("workload: motivation run incomplete: %d flows unfinished at %v", remaining, end)
 	}
 
-	res.RetransRatio = ratio.Finish(completions[0])
+	res.RetransSeries = ratio.Finish(completions[0])
 	res.RateGbps = rate
 	res.CompletionTime = maxTime(completions)
-	res.Sender = cl.AggregateSenderStats()
-	if res.Sender.DataPackets > 0 {
-		res.AvgRetransRatio = float64(res.Sender.Retransmits) / float64(res.Sender.DataPackets)
+	full := cl.Outcome(res.CompletionTime)
+	res.Outcome = Outcome{
+		CCTMillis:    full.CCTMillis,
+		RetransRatio: full.RetransRatio,
+		Sender:       full.Sender,
+		Engine:       full.Engine,
 	}
 	// Truncate the rate series to the observed flow's active period before
 	// averaging.
@@ -160,8 +156,7 @@ func RunMotivation(cfg MotivationConfig) (*MotivationResult, error) {
 		gbps := float64(conns[i].Sender.Stats().GoodputBytes) * 8 / completions[i].Seconds() / 1e9
 		res.ThroughputGbps = append(res.ThroughputGbps, gbps)
 	}
-	res.AvgThroughput = stats.Mean(res.ThroughputGbps)
-	res.Engine = cl.Engine.Metrics()
+	res.GoodputGbps = stats.Mean(res.ThroughputGbps)
 	return res, nil
 }
 

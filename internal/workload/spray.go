@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"themis/internal/fabric"
 	"themis/internal/packet"
 	"themis/internal/sim"
 )
@@ -56,19 +55,19 @@ func (c *SprayConfig) resolve() {
 	c.ClusterConfig = c.ClusterConfig.withDefaults()
 }
 
-// SprayResult carries the permutation measurements.
+// SprayResult carries the permutation measurements. Its Outcome holds only
+// what is identical for every shard count: CCTMillis, the three-counter sender
+// subset, the Net block and the two partition-invariant Engine counters.
 type SprayResult struct {
+	Outcome
 	CCT      sim.Time   // when the last message is acknowledged
 	Complete []sim.Time // per-sender completion time, indexed by source host
-	Sender   SenderAgg
-	Net      fabric.Counters
-	// Engine is the merged event-loop counter block of all shard engines.
-	// EventsExecuted and EventsCancelled are partition-invariant; the
-	// allocator counters (EventAllocs, EventReuses, HeapHighWater) depend on
-	// per-shard free-list locality and are excluded from the determinism
-	// contract.
-	Engine sim.Metrics
-	End    sim.Time
+	// MergedEngine is the merged event-loop counter block of all shard
+	// engines. Its allocator counters (EventAllocs, EventReuses,
+	// HeapHighWater) depend on how the event set is cut across shards, so
+	// they stay out of Outcome and the determinism contract.
+	MergedEngine sim.Metrics
+	End          sim.Time
 }
 
 // RunSpray builds the partitioned fat-tree cluster and runs the permutation.
@@ -97,9 +96,15 @@ func RunSpray(cfg SprayConfig) (*SprayResult, error) {
 			res.CCT = at
 		}
 	}
-	agg := cl.AggregateSenderStats()
-	res.Sender = SenderAgg{Retransmits: agg.Retransmits, Timeouts: agg.Timeouts, NacksRx: agg.NacksRx}
-	res.Net = cl.Net.Counters()
-	res.Engine = cl.group.Metrics()
+	res.MergedEngine = cl.group.Metrics()
+	res.Outcome = Outcome{
+		CCTMillis: res.CCT.Seconds() * 1e3,
+		Sender:    senderSubset(cl.AggregateSenderStats()),
+		Net:       cl.Net.Counters(),
+		Engine: sim.Metrics{
+			EventsExecuted:  res.MergedEngine.EventsExecuted,
+			EventsCancelled: res.MergedEngine.EventsCancelled,
+		},
+	}
 	return res, nil
 }

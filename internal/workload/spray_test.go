@@ -3,21 +3,15 @@ package workload
 import (
 	"testing"
 
+	"themis/internal/rnic"
 	"themis/internal/sim"
 )
 
-// normalizeEngine strips the allocator counters that legitimately vary with
-// partitioning: free-list locality (allocs/reuses) and per-shard queue depth
-// are properties of how the event set is cut across engines, not of the
-// simulated system. EventsExecuted and EventsCancelled ARE part of the
-// contract and stay.
-func normalizeEngine(m sim.Metrics) sim.Metrics {
-	m.EventAllocs, m.EventReuses, m.HeapHighWater = 0, 0, 0
-	return m
-}
-
 // The spray determinism contract: the entire result — completion times,
-// counters, executed-event totals — is identical for every shard count.
+// counters, executed-event totals — is identical for every shard count. The
+// Outcome's Engine block carries only EventsExecuted and EventsCancelled; the
+// allocator counters (free-list locality, per-shard queue depth) are
+// properties of how the event set is cut, and live on MergedEngine.
 func TestSprayShardInvariance(t *testing.T) {
 	for _, lbm := range []LBMode{ECMP, RandomSpray} {
 		base := SprayConfig{
@@ -53,7 +47,7 @@ func TestSprayShardInvariance(t *testing.T) {
 			if got.Net != ref.Net {
 				t.Fatalf("%v shards=%d: net counters %+v, want %+v", lbm, shards, got.Net, ref.Net)
 			}
-			if normalizeEngine(got.Engine) != normalizeEngine(ref.Engine) {
+			if got.Engine != ref.Engine || got.Engine.EventsExecuted != got.MergedEngine.EventsExecuted {
 				t.Fatalf("%v shards=%d: engine metrics %+v, want %+v", lbm, shards, got.Engine, ref.Engine)
 			}
 		}
@@ -96,7 +90,7 @@ func TestSprayThroughSharedBuilderMatchesPrivateWiring(t *testing.T) {
 					t.Errorf("%v shards=%d: host %d completed at %d ps, want %d", tc.lb, shards, h, res.Complete[h], want)
 				}
 			}
-			want := SenderAgg{Retransmits: tc.nacks, NacksRx: tc.nacks}
+			want := rnic.SenderStats{Retransmits: tc.nacks, NacksRx: tc.nacks}
 			if res.Sender != want || res.Net.Delivered != tc.delivered {
 				t.Errorf("%v shards=%d: sender %+v delivered %d, want %+v / %d", tc.lb, shards, res.Sender, res.Net.Delivered, want, tc.delivered)
 			}
@@ -118,11 +112,11 @@ func TestSprayQueueHighWater(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Engine.EventsExecuted != 538432 {
-		t.Errorf("EventsExecuted = %d, want 538432 (the schedule itself moved)", res.Engine.EventsExecuted)
+	if res.MergedEngine.EventsExecuted != 538432 {
+		t.Errorf("EventsExecuted = %d, want 538432 (the schedule itself moved)", res.MergedEngine.EventsExecuted)
 	}
-	if res.Engine.HeapHighWater > 2000 {
-		t.Errorf("HeapHighWater = %d, want <= 2000: in-flight packets are scheduled one by one again", res.Engine.HeapHighWater)
+	if res.MergedEngine.HeapHighWater > 2000 {
+		t.Errorf("HeapHighWater = %d, want <= 2000: in-flight packets are scheduled one by one again", res.MergedEngine.HeapHighWater)
 	}
 }
 

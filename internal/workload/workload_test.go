@@ -157,16 +157,16 @@ func TestRunMotivationSmall(t *testing.T) {
 	if res.Sender.Retransmits == 0 {
 		t.Fatal("no spurious retransmissions in the motivation scenario")
 	}
-	if res.AvgRetransRatio <= 0 || res.AvgRetransRatio >= 1 {
-		t.Fatalf("retrans ratio = %f", res.AvgRetransRatio)
+	if res.RetransRatio <= 0 || res.RetransRatio >= 1 {
+		t.Fatalf("retrans ratio = %f", res.RetransRatio)
 	}
 	if res.AvgRateGbps <= 0 || res.AvgRateGbps > 100 {
 		t.Fatalf("avg rate = %f", res.AvgRateGbps)
 	}
-	if res.AvgThroughput <= 0 || res.AvgThroughput > 100 {
-		t.Fatalf("avg throughput = %f", res.AvgThroughput)
+	if res.GoodputGbps <= 0 || res.GoodputGbps > 100 {
+		t.Fatalf("avg throughput = %f", res.GoodputGbps)
 	}
-	if res.RetransRatio.Len() == 0 || res.RateGbps.Len() == 0 {
+	if res.RetransSeries.Len() == 0 || res.RateGbps.Len() == 0 {
 		t.Fatal("empty time series")
 	}
 }
@@ -186,8 +186,8 @@ func TestRunMotivationIdealBeatsNICSR(t *testing.T) {
 	if ideal.Sender.Retransmits != 0 {
 		t.Fatalf("ideal transport retransmitted %d", ideal.Sender.Retransmits)
 	}
-	if ideal.AvgThroughput <= nicsr.AvgThroughput {
-		t.Fatalf("ideal %.1f <= nic-sr %.1f Gbps", ideal.AvgThroughput, nicsr.AvgThroughput)
+	if ideal.GoodputGbps <= nicsr.GoodputGbps {
+		t.Fatalf("ideal %.1f <= nic-sr %.1f Gbps", ideal.GoodputGbps, nicsr.GoodputGbps)
 	}
 }
 
@@ -248,8 +248,8 @@ func TestRunCollectiveThemisBeatsAdaptive(t *testing.T) {
 	if themis.Sender.NacksRx >= ar.Sender.NacksRx {
 		t.Fatalf("themis nacks %d >= adaptive %d", themis.Sender.NacksRx, ar.Sender.NacksRx)
 	}
-	if themis.RetransRatio() >= ar.RetransRatio() {
-		t.Fatalf("themis retrans ratio %.4f >= adaptive %.4f", themis.RetransRatio(), ar.RetransRatio())
+	if themis.RetransRatio >= ar.RetransRatio {
+		t.Fatalf("themis retrans ratio %.4f >= adaptive %.4f", themis.RetransRatio, ar.RetransRatio)
 	}
 	if themis.TailCCT >= ar.TailCCT {
 		t.Fatalf("themis tail CCT %v >= adaptive %v", themis.TailCCT, ar.TailCCT)
@@ -443,8 +443,8 @@ func TestRunIncastLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Drops != 0 {
-		t.Fatalf("PFC incast dropped %d", res.Drops)
+	if res.Net.DataDrops != 0 {
+		t.Fatalf("PFC incast dropped %d", res.Net.DataDrops)
 	}
 	if res.CCT <= 0 {
 		t.Fatal("no CCT")
@@ -478,10 +478,10 @@ func TestRunIncastLossyVsLossless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lossless.Drops != 0 {
-		t.Fatalf("lossless dropped %d", lossless.Drops)
+	if lossless.Net.DataDrops != 0 {
+		t.Fatalf("lossless dropped %d", lossless.Net.DataDrops)
 	}
-	if lossy.Drops == 0 {
+	if lossy.Net.DataDrops == 0 {
 		t.Fatal("lossy fabric did not drop — regime mis-tuned")
 	}
 	if lossy.CCT <= lossless.CCT {

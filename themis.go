@@ -148,12 +148,6 @@ func MemoryModel() MemoryParams { return memmodel.PaperDefaults() }
 // PaperDCQCNSettings returns the five Fig. 5 DCQCN (TI, TD) configurations.
 func PaperDCQCNSettings() []DCQCNSetting { return workload.PaperDCQCNSettings() }
 
-// RunChaosScenario executes one deterministic fault-injection scenario on
-// the hardened cluster and audits the graceful-degradation invariants.
-func RunChaosScenario(sc ChaosScenario, opt ChaosOptions) (*ChaosResult, error) {
-	return chaos.RunScenario(sc, opt)
-}
-
 // ChaosSoak generates and runs count seeded scenarios starting at seed
 // first; see internal/chaos.Soak.
 func ChaosSoak(first int64, count int, opt ChaosOptions) ([]*ChaosResult, error) {

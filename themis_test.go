@@ -14,7 +14,7 @@ func TestFacadeMotivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AvgThroughput <= 0 {
+	if res.GoodputGbps <= 0 {
 		t.Fatal("no throughput")
 	}
 }
