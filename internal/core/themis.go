@@ -112,7 +112,7 @@ type Stats struct {
 	NacksForwarded        uint64 // valid NACKs passed through
 	NacksBlocked          uint64 // invalid NACKs blocked
 	Compensations         uint64 // compensation NACKs generated (§3.4)
-	CompensationCancelled uint64 // BePSN arrived: blocked NACK proven spurious
+	CompensationCancelled uint64 // BePSN arrived (bypassed or not): blocked NACK proven spurious
 	ScanMisses            uint64 // NACKs whose tPSN was not found in the ring
 	RingOverflows         uint64 // ring evictions (undersized queue)
 	Bypassed              uint64 // packets passed through while disabled (failure mode)
@@ -302,6 +302,8 @@ func (th *Themis) relearn(qp packet.QPID, src, dst packet.NodeID, sport uint16) 
 // (BePSN recorded, Valid set): blocked NACKs whose verdict is still open.
 // After traffic drains it must be possible for these to be zero or resolve
 // via the sender's RTO — the chaos invariant checker asserts exactly that.
+// A bypass window (§6) arms nothing, fires nothing and still disarms: the
+// BePSN's delivery clears Valid whether or not Themis is bypassed.
 func (th *Themis) PendingCompensations() int {
 	n := 0
 	for _, fs := range th.dstFlows {
@@ -475,36 +477,41 @@ func (th *Themis) OnDeliverToHost(pkt *packet.Packet) []*packet.Packet {
 		th.relearn(pkt.QP, pkt.Src, pkt.Dst, pkt.SPort)
 		fs, ok = th.dstFlows[pkt.QP]
 	}
-	if !ok || th.bypassed() {
+	if !ok {
+		return nil
+	}
+	armed := fs.valid && !th.cfg.DisableCompensation
+	if armed && pkt.PSN == fs.bepsn {
+		// The blocked NACK's packet arrived after all: no loss. This edge
+		// runs even while bypassed (§3.4 × §6) — the window is otherwise
+		// unobserved, and an entry left armed across it would fire for a PSN
+		// delivered long ago, or stay armed and pin its table entry forever.
+		fs.valid, armed = false, false
+		th.stats.CompensationCancelled++
+	}
+	if th.bypassed() {
 		return nil
 	}
 	th.touch(fs)
 	var out []*packet.Packet
-	if fs.valid && !th.cfg.DisableCompensation {
-		switch {
-		case pkt.PSN == fs.bepsn:
-			// The blocked NACK's packet arrived after all: no loss.
-			fs.valid = false
-			th.stats.CompensationCancelled++
-		case pkt.PSN.After(fs.bepsn) && pkt.PSN.Mod(fs.nPaths) == fs.bepsn.Mod(fs.nPaths):
-			// A later packet on the same path arrived: the BePSN packet is
-			// confirmed lost. Generate the NACK the RNIC cannot (§3.4).
-			fs.valid = false
-			th.stats.Compensations++
-			nack := th.cfg.Pool.Get()
-			nack.Kind = packet.Nack
-			nack.Src = fs.dst
-			nack.Dst = fs.src
-			nack.QP = pkt.QP
-			nack.SPort = pkt.SPort
-			nack.DPort = 4791
-			nack.PSN = fs.bepsn
-			// Trace the generated NACK, not the triggering data packet: the
-			// event then carries PSN=BePSN and lands in the ledger entry of
-			// the blocked NACK it stands in for.
-			th.trace(trace.Compensate, nack)
-			out = append(out, nack)
-		}
+	if armed && pkt.PSN.After(fs.bepsn) && pkt.PSN.Mod(fs.nPaths) == fs.bepsn.Mod(fs.nPaths) {
+		// A later packet on the same path arrived: the BePSN packet is
+		// confirmed lost. Generate the NACK the RNIC cannot (§3.4).
+		fs.valid = false
+		th.stats.Compensations++
+		nack := th.cfg.Pool.Get()
+		nack.Kind = packet.Nack
+		nack.Src = fs.dst
+		nack.Dst = fs.src
+		nack.QP = pkt.QP
+		nack.SPort = pkt.SPort
+		nack.DPort = 4791
+		nack.PSN = fs.bepsn
+		// Trace the generated NACK, not the triggering data packet: the
+		// event then carries PSN=BePSN and lands in the ledger entry of
+		// the blocked NACK it stands in for.
+		th.trace(trace.Compensate, nack)
+		out = append(out, nack)
 	}
 	if fs.ring.Push(pkt.PSN.Trunc()) {
 		// Incremental: the ring reports its own eviction, so the hot path

@@ -293,6 +293,61 @@ func TestSetDisabledBypassesFiltering(t *testing.T) {
 	}
 }
 
+// An armed compensation must not survive a bypass window in which its BePSN
+// was delivered (§3.4 × §6): Themis-D does not watch deliveries while
+// bypassed, so without the disarm the stale entry either compensates for a
+// PSN delivered long ago or stays armed forever. Both bypass latches — the
+// cluster hold (Cluster.FailLink's SetDisabled) and the FallbackOnFailure
+// link latch — must behave the same.
+func TestArmedCompensationDisarmedByDeliveryWhileBypassed(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		cfg             Config
+		bypass, restore func(*Themis)
+	}{
+		{"SetDisabled", Config{},
+			func(th *Themis) { th.SetDisabled(true) },
+			func(th *Themis) { th.SetDisabled(false) }},
+		{"LinkStateChanged", Config{FallbackOnFailure: true},
+			func(th *Themis) { th.LinkStateChanged(2, false) },
+			func(th *Themis) { th.LinkStateChanged(2, true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, dst, _ := setup(t, tc.cfg)
+			for _, psn := range []packet.PSN{0, 1, 3} {
+				dst.OnDeliverToHost(dataPkt(1, 0, 2, psn))
+			}
+			if dst.FilterHostControl(nackPkt(1, 2, 0, 2)) {
+				t.Fatal("NACK should have been blocked")
+			}
+			if dst.PendingCompensations() != 1 {
+				t.Fatal("compensation not armed")
+			}
+			tc.bypass(dst)
+			if !dst.Disabled() {
+				t.Fatal("not bypassed")
+			}
+			// The delayed packet 2 arrives inside the window.
+			if out := dst.OnDeliverToHost(dataPkt(1, 0, 2, 2)); len(out) != 0 {
+				t.Fatal("compensation while bypassed")
+			}
+			tc.restore(dst)
+			if dst.Disabled() {
+				t.Fatal("still bypassed")
+			}
+			if n := dst.PendingCompensations(); n != 0 {
+				t.Fatalf("%d compensations still armed after the BePSN was delivered in the bypass window", n)
+			}
+			if out := dst.OnDeliverToHost(dataPkt(1, 0, 2, 4)); len(out) != 0 {
+				t.Fatal("compensation NACK for a PSN delivered during the bypass window")
+			}
+			if st := dst.Stats(); st.CompensationCancelled != 1 || st.Compensations != 0 {
+				t.Fatalf("stats = %+v", st)
+			}
+		})
+	}
+}
+
 func TestRingCapacityFromBDP(t *testing.T) {
 	_, dst, _ := setup(t, Config{})
 	fs := dst.dstFlows[1]
