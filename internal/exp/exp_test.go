@@ -335,6 +335,62 @@ func TestWideSeedRegression(t *testing.T) {
 	}
 }
 
+// TestEventsPerPacketBudget is the exact proxy for host cost: engine events
+// per simulated packet on one small Fig. 5 cell per arm (64 KB ring Allreduce
+// on the paper's 16×16×16 fabric, seed 1). A perf-only change must leave every
+// number here unchanged; a change that removes events moves this gate.
+//
+// The budget, derived from the model:
+//
+//   - Forwarding: every packet the fabric delivers crossed 4 links
+//     (host→ToR, ToR→spine, spine→ToR, ToR→host — ring neighbours sit in
+//     different racks), and a link costs 2 events: the serializer's txDone and
+//     the propagation pipe's burst delivery. That is 8 per data packet, and
+//     the same 8 for the ACK each one draws at AckEvery = 1 (or the NACK an
+//     out-of-order arrival draws instead). A NACK Themis-D blocks dies at the
+//     receiver's ToR after its first link: 2.
+//   - The pacer: one event per burst (≤ 16 KB on the wire). A 4 KB ring chunk
+//     is one burst, whose pacing slot fires once and finds nothing to send.
+//   - Timers: a DCQCN rate cut starts the α and rate-increase timers, and a
+//     retransmission opens an extra pacer burst. Neither exists on a cell
+//     without NACKs reaching the sender (ecmp: in order; themis: all blocked).
+//
+// So executed = 8·delivered + 2·blocked + messages exactly on ecmp and
+// themis — 16⅓ events per data packet at 3 packets a message — and the
+// adaptive arm's remainder over forwarding (pacer bursts plus DCQCN timers
+// after 819 reordering NACKs) is pinned as measured. Cancellations are RTO
+// re-arms: one per ACK that moves the ack point.
+func TestEventsPerPacketBudget(t *testing.T) {
+	const messages = 256 * 30 // 256 ranks × 2·(16−1) ring steps
+	for _, want := range []struct {
+		lb                              workload.LBMode
+		data, executed, cancelled, rest uint64
+	}{
+		{workload.ECMP, 23040, 376320, 23040, messages},
+		{workload.Adaptive, 23859, 396681, 22221, 14937},
+		{workload.Themis, 23040, 371534, 22247, messages},
+	} {
+		tr := Run(Fig5Cell(1, 64<<10, collective.RingAllreduce, workload.PaperDCQCNSettings()[0], want.lb))
+		if tr.Err != "" {
+			t.Fatalf("%v: %s", want.lb, tr.Err)
+		}
+		if tr.Sender.Completions != messages {
+			t.Errorf("%v: %d messages completed, want %d", want.lb, tr.Sender.Completions, messages)
+		}
+		if tr.Sender.DataPackets != want.data || tr.Engine.EventsExecuted != want.executed ||
+			tr.Engine.EventsCancelled != want.cancelled {
+			t.Errorf("%v: data packets %d, events executed %d, cancelled %d; want %d, %d, %d", want.lb,
+				tr.Sender.DataPackets, tr.Engine.EventsExecuted, tr.Engine.EventsCancelled,
+				want.data, want.executed, want.cancelled)
+		}
+		forwarding := 8*tr.Net.Delivered + 2*tr.Net.Blocked
+		if rest := tr.Engine.EventsExecuted - forwarding; rest != want.rest {
+			t.Errorf("%v: %d events beyond forwarding (8·%d delivered + 2·%d blocked), want %d",
+				want.lb, rest, tr.Net.Delivered, tr.Net.Blocked, want.rest)
+		}
+	}
+}
+
 // TestWorkloadTable pins the one workload table behind Label, run,
 // ParseWorkload and WorkloadNames.
 func TestWorkloadTable(t *testing.T) {

@@ -470,11 +470,8 @@ func (n *Network) portUsable(sw, port int) bool {
 }
 
 // candidatePorts returns the (failure-aware) equal-cost egress set at sw for
-// dst.
+// a dst attached elsewhere (receive delivers locally before asking).
 func (n *Network) candidatePorts(sw int, dst packet.NodeID) []int {
-	if _, ok := n.switches[sw].sw.HostPort(dst); ok {
-		return n.topology.CandidatePorts(sw, dst) // host ports never fail here
-	}
 	if n.plane != nil {
 		return n.plane.Candidates(sw, n.topology.ToROf(dst))
 	}

@@ -91,8 +91,8 @@ func (s *swInst) receive(pkt *packet.Packet, inPort int) {
 	// host (outQueue.startNext), not here: under congestion the ToR→host
 	// queue adds arbitrary delay, and recording PSNs at departure keeps the
 	// ring queue window equal to the true last-hop RTT (§3.3).
-	if hp, ok := s.sw.HostPort(pkt.Dst); ok {
-		s.enqueue(pkt, hp, inPort)
+	if a := s.net.topology.HostAttach(pkt.Dst); a.Switch == s.sw.ID {
+		s.enqueue(pkt, a.Port, inPort)
 		return
 	}
 

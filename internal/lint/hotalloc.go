@@ -10,9 +10,9 @@ import (
 
 // HotAlloc turns the AllocsPerRun benchmark guarantees into compile-time
 // findings: allocation sites reachable from the pinned zero-alloc paths —
-// the 18 ns engine schedule/cancel, the 852 ns fabric forward, the per-packet
-// TorPipeline methods, and the 14 ns counter update — are flagged with the
-// full root→site call chain. Flagged sites:
+// the 18 ns engine schedule/cancel, the timer re-arm built on it, the 852 ns
+// fabric forward, the per-packet TorPipeline methods, and the 14 ns counter
+// update — are flagged with the full root→site call chain. Flagged sites:
 //
 //   - composite literals that allocate (&T{...}, slice and map literals);
 //   - make and new;
@@ -54,6 +54,10 @@ func hotAllocRootNames(modPath string) []string {
 		// allocation fails the lint before it shows up in a benchmark.
 		"(*" + modPath + "/internal/sim.Engine).Run",
 		"(*" + modPath + "/internal/sim.Engine).AdvanceTo",
+		// The sender re-arms its RTO on every cumulative ACK and DCQCN its α
+		// timer on every congestion signal: a re-arm is per-packet work.
+		"(*" + modPath + "/internal/sim.Timer).Reset",
+		"(*" + modPath + "/internal/sim.Timer).Stop",
 		"(*" + modPath + "/internal/fabric.Network).Inject",
 		"(*" + modPath + "/internal/fabric.Network).deliverToHost",
 		"(*" + modPath + "/internal/fabric.swInst).receive",

@@ -368,19 +368,13 @@ func (s *SenderQP) advanceCumAck(epsn packet.PSN) {
 			s.entropy.OnAck(psn)
 		}
 	}
-	// Drop tail-size records below the ack point. Deleting stale entries is
-	// commutative, so the map iteration order cannot leak into the run.
-	for psn := range s.lastSize { //lint:ordered commutative deletes of stale entries
-		if psn.Before(epsn) {
-			delete(s.lastSize, psn)
-		}
-	}
 	s.cumAck = epsn
 	s.rtoStreak = 0 // ack progress: the path works again, back to the base RTO
 	now := s.nic.engine.Now()
 	for len(s.messages) > 0 && !s.messages[0].endPSN.After(s.cumAck) {
 		m := s.messages[0]
 		s.messages = s.messages[1:]
+		delete(s.lastSize, m.endPSN.Add(-1)) // the tail-size record, if any, is stale now
 		s.stats.Completions++
 		s.nic.msgHist.Observe(now.Sub(m.postedAt).Microseconds())
 		if s.OnComplete != nil {

@@ -465,6 +465,30 @@ func TestTickerZeroPeriodPanics(t *testing.T) {
 	NewTicker(e, 0, func() {})
 }
 
+// TestTimerTickerAllocs gates the timer layer at zero steady-state
+// allocations: the sender re-arms its RTO on every cumulative ACK and DCQCN
+// its α timer on every congestion signal, so a closure built per Reset (or per
+// tick) is a heap allocation per packet.
+func TestTimerTickerAllocs(t *testing.T) {
+	e := NewEngine(1)
+	tm := NewTimer(e, func() {})
+	tm.Reset(10) // warm the event free list
+	if n := testing.AllocsPerRun(200, func() { tm.Reset(10) }); n != 0 {
+		t.Fatalf("Timer.Reset allocates %.1f/op, want 0", n)
+	}
+	tm.Stop()
+	ticks := 0
+	tk := NewTicker(e, 10, func() { ticks++ })
+	tk.Start()
+	e.Run(e.Now().Add(100))
+	if n := testing.AllocsPerRun(200, func() { e.Run(e.Now().Add(100)) }); n != 0 {
+		t.Fatalf("a running Ticker allocates %.1f per 10 ticks, want 0", n)
+	}
+	if ticks < 2000 {
+		t.Fatalf("ticker ticked %d times, want >= 2000", ticks)
+	}
+}
+
 // BenchmarkEngineScheduleCancel measures the schedule-then-cancel cycle that
 // dominates transport timer traffic: every ack progress re-arms the RTO timer
 // (Timer.Reset = Cancel + Schedule), so this pair is the hottest engine
@@ -488,5 +512,34 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 			e.RunAll()
 		}
 	}
+	e.RunAll()
+}
+
+// BenchmarkEngineRunDense measures the pop side at the depth and spacing of
+// the Fig. 5 allreduce cells: ~2000 pending events, each rescheduling itself
+// 40–400 ns ahead (LCG-drawn), so every level-0 granule the frontier crosses
+// holds a few events and the whole population sits within one or two level-0
+// windows. BenchmarkEngineScheduleRun drains bursts of near-simultaneous
+// events and cannot see a pop cost that grows with the number of events the
+// run heap holds at once; this one does. One op = one executed event.
+func BenchmarkEngineRunDense(b *testing.B) {
+	e := NewEngine(1)
+	x := uint32(1)
+	left := b.N
+	var fn func()
+	fn = func() {
+		if left--; left < 0 {
+			e.Stop()
+			return
+		}
+		x = x*1664525 + 1013904223
+		e.Schedule(40*Nanosecond+Duration(x>>8)%(360*Nanosecond), fn)
+	}
+	for i := 0; i < 2000; i++ {
+		x = x*1664525 + 1013904223
+		e.Schedule(Duration(x>>8)%(400*Nanosecond), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	e.RunAll()
 }

@@ -15,12 +15,18 @@ func NewTimer(e *Engine, fn func()) *Timer {
 }
 
 // Reset (re)arms the timer to fire after d, cancelling any pending firing.
+// The sender re-arms its RTO on every cumulative ACK, so this is per-packet
+// work: the callback is the shared timerFire with the timer as its argument (a
+// *Timer in an interface is a direct pointer), not a closure built per call.
 func (t *Timer) Reset(d Duration) {
 	t.Stop()
-	t.ev = t.engine.Schedule(d, func() {
-		t.ev = nil
-		t.fn()
-	})
+	t.ev = t.engine.ScheduleArg(d, timerFire, t)
+}
+
+func timerFire(a any) {
+	t := a.(*Timer)
+	t.ev = nil
+	t.fn()
 }
 
 // Stop cancels the pending firing, if any. It reports whether a firing was
@@ -71,17 +77,18 @@ func (t *Ticker) Start() {
 	t.arm()
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.engine.Schedule(t.period, func() {
-		t.ev = nil
-		t.fn()
-		// Re-arm unless the callback stopped or restarted the ticker. The
-		// callback runs before re-arming so SetPeriod applies to the very
-		// next tick.
-		if t.running && t.ev == nil {
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.ev = t.engine.ScheduleArg(t.period, tickerFire, t) }
+
+func tickerFire(a any) {
+	t := a.(*Ticker)
+	t.ev = nil
+	t.fn()
+	// Re-arm unless the callback stopped or restarted the ticker. The
+	// callback runs before re-arming so SetPeriod applies to the very
+	// next tick.
+	if t.running && t.ev == nil {
+		t.arm()
+	}
 }
 
 // Stop cancels future ticks.

@@ -29,7 +29,8 @@ import "math/bits"
 //
 //   - run: a small binary min-heap (explicit (time, pri, seq) comparator,
 //     index-maintained for O(log) cancel) holding every pending event with
-//     time < runEnd. Pops come only from here.
+//     time < runEnd — one level-0 granule's worth, since refill sorts a
+//     slot at a time. Pops come only from here.
 //   - slots: per-level 256-slot arrays of intrusive doubly-linked lists
 //     (the Event's own next/prev fields — no allocation), holding events
 //     with runEnd <= time < horizon. Lists are unordered; a slot is sorted
@@ -63,7 +64,9 @@ import "math/bits"
 // re-insert, landing at least one level lower — all events in one slot
 // share their level-k slot number with the new frontier, so the level-(k-1)
 // distance is < 256. That strict descent bounds a cascade at one re-link
-// per level per event.
+// per level per event. The coarse levels are scanned once per level-0
+// window, not once per granule: the winning coarse start is cached as the
+// bound below which level 0 alone is consulted (see refill).
 const (
 	wheelGranBits  = 10 // level-0 slot span: 2^10 ps ≈ 1 ns
 	wheelLevelBits = 8  // 256 slots per level
@@ -89,6 +92,7 @@ const (
 type wheel struct {
 	run      []*Event // min-heap of events with time < runEnd
 	runEnd   Time     // frontier: exclusive upper bound of the run heap's window
+	bound    Time     // cached coarse bound: level >= 1 and overflow residents are at/after it (see refill)
 	count    int      // events resident in slots + overflow
 	overflow *Event   // events past the wheel horizon (unordered list)
 	// cnt tracks occupied slots per level so refill skips empty levels
@@ -197,16 +201,26 @@ func (w *wheel) pop() *Event {
 	return w.runPop()
 }
 
-// refill moves the next batch of due events into the run heap, cascading
-// coarser slots and migrating overflow as needed. Returns false when no
-// event is pending outside the run heap.
+// refill sorts the next due level-0 granule into the run heap, cascading
+// coarser slots and migrating overflow as needed. Returns false when no event
+// is pending outside the run heap.
 //
-// The coarse-level candidate scan is paid once per batch, not once per slot:
-// every level-0 slot strictly before the earliest coarse slot's span start
-// (or before the level-0 window's end, when no coarse slot is occupied) is
-// loaded in one pass, and the frontier jumps to that bound — coarser events
-// are provably at/after it, and any event scheduled inside the loaded window
-// later goes straight to the run heap, which orders it correctly.
+// One granule per call keeps the run heap at the population of a single ~1 ns
+// slot; the coarse-level candidate scan is paid once per level-0 window, not
+// once per granule, because the bound it computes is cached. The cache needs
+// no invalidation:
+//
+//   - insert places an event at level >= 1 (or overflow) only if its time is
+//     at/after the level-0 window end ((runEnd>>gran)+256)<<gran;
+//   - runEnd only grows, and bound never exceeds the window end it was
+//     computed from, so every such insert is at/after bound;
+//   - cascade and migrateOverflow only move events that already were.
+//
+// So every coarse/overflow resident is at/after bound at all times, and the
+// circularly-first level-0 slot below it holds the global minimum. Anything
+// scheduled below bound later lands in level 0 (found by the next firstSlot)
+// or, below runEnd, in the run heap. bound is granule-aligned, so once runEnd
+// reaches it no level-0 slot starts below it and the scan runs again.
 //
 // Termination: every loop iteration either returns, strictly descends every
 // event of one coarse slot by a level (see cascade), or advances the
@@ -215,6 +229,11 @@ func (w *wheel) refill() bool {
 	if w.count == 0 {
 		return false
 	}
+	if w.loadLevel0() {
+		return true
+	}
+	// Level 0 is exhausted below the cached bound, so nothing pending lies
+	// below it: advance the coarse levels.
 	for {
 		w.migrateOverflow()
 		cLv, cSlot := -1, 0
@@ -229,17 +248,14 @@ func (w *wheel) refill() bool {
 				cLv, cSlot, cStart = lv, slot, start
 			}
 		}
-		if w.cnt[0] > 0 {
-			// The anti-aliasing invariant bounds every level-0 resident
-			// below the window end, so with no coarse candidate one pass
-			// loads them all.
-			bound := Time(((uint64(w.runEnd) >> wheelGranBits) + wheelSlots) << wheelGranBits)
-			if cLv >= 0 && cStart < bound {
-				bound = cStart
-			}
-			if w.loadLevel0(bound) {
-				return true
-			}
+		// The anti-aliasing invariant bounds every level-0 resident below
+		// the window end, so with no coarse candidate that is the bound.
+		w.bound = Time(((uint64(w.runEnd) >> wheelGranBits) + wheelSlots) << wheelGranBits)
+		if cLv >= 0 && cStart < w.bound {
+			w.bound = cStart
+		}
+		if w.loadLevel0() {
+			return true
 		}
 		if cLv < 0 {
 			// Slots are empty; only far-future overflow remains. Jump the
@@ -286,37 +302,32 @@ func (w *wheel) firstSlot(lv int) (slot int, start Time, ok bool) {
 	return slot, start, true
 }
 
-// loadLevel0 sorts every level-0 slot strictly before bound into the run
-// heap and advances the frontier to bound. The caller guarantees every
-// pending event outside level 0 is at/after bound, and circular scan order
-// equals time order within the level, so the frontier can jump the whole
-// window at once. Reports whether anything was loaded.
-func (w *wheel) loadLevel0(bound Time) bool {
-	loaded := false
-	for w.cnt[0] > 0 {
-		slot, start, ok := w.firstSlot(0)
-		if !ok || start >= bound {
-			break
-		}
-		ev := w.slots[0][slot]
-		w.slots[0][slot] = nil
-		w.occ[0][slot>>6] &^= 1 << uint(slot&63)
-		w.cnt[0]--
-		for ev != nil {
-			next := ev.next
-			ev.next, ev.prev = nil, nil
-			w.runPush(ev)
-			w.count--
-			ev = next
-		}
-		loaded = true
-		// Advance past the emptied slot so firstSlot's cursor moves on.
-		w.runEnd = start + wheelGran
+// loadLevel0 sorts the circularly-first occupied level-0 slot into the run
+// heap if it starts below bound, and advances the frontier to the slot's end.
+// Circular scan order equals time order within the level and everything
+// outside level 0 is at/after bound, so that slot holds the global minimum.
+// Reports whether a slot was loaded.
+func (w *wheel) loadLevel0() bool {
+	if w.cnt[0] == 0 {
+		return false
 	}
-	if bound > w.runEnd {
-		w.runEnd = bound
+	slot, start, _ := w.firstSlot(0)
+	if start >= w.bound {
+		return false
 	}
-	return loaded
+	ev := w.slots[0][slot]
+	w.slots[0][slot] = nil
+	w.occ[0][slot>>6] &^= 1 << uint(slot&63)
+	w.cnt[0]--
+	for ev != nil {
+		next := ev.next
+		ev.next, ev.prev = nil, nil
+		w.runPush(ev)
+		w.count--
+		ev = next
+	}
+	w.runEnd = start + wheelGran
+	return true
 }
 
 // cascade re-inserts one coarse slot's events a level down. The frontier

@@ -21,8 +21,10 @@ type fireRec struct {
 
 // runOps interprets data as an op bytecode against a fresh engine on the
 // given backend and returns the complete firing log, the final metrics
-// snapshot, and the final clock. The decoder is total: every byte string is
-// a valid program (missing operand bytes read as zero).
+// snapshot, the final clock, and — on the wheel backend, where
+// checkWheelInvariants runs after every op — the first invariant violation.
+// The decoder is total: every byte string is a valid program (missing
+// operand bytes read as zero).
 //
 // Op encoding (op := b & 7):
 //
@@ -35,8 +37,9 @@ type fireRec struct {
 //	5    AdvanceTo(now+u16)              — epoch boundary, frontier advance
 //	6    Run(now+u8)                     — bounded run
 //	7    nextTime probe                  — forces a refill via the peek path
-func runOps(s Scheduler, data []byte) ([]fireRec, Metrics, Time) {
+func runOps(s Scheduler, data []byte) ([]fireRec, Metrics, Time, error) {
 	e := NewEngineWithScheduler(5, s)
+	var broken error
 	var fires []fireRec
 	var live []*Event
 	id := 0
@@ -76,16 +79,70 @@ func runOps(s Scheduler, data []byte) ([]fireRec, Metrics, Time) {
 		default:
 			_ = e.nextTime()
 		}
+		if s == SchedulerWheel && broken == nil {
+			broken = checkWheelInvariants(&e.wheel)
+		}
 	}
 	e.RunAll()
-	return fires, e.Metrics(), e.Now()
+	return fires, e.Metrics(), e.Now(), broken
+}
+
+// checkWheelInvariants verifies the wheel's three-tier partition: every
+// run-heap resident is before runEnd and knows its heap position, every slot
+// and overflow resident is at/after runEnd, every level >= 1 and overflow
+// resident is at/after the cached bound (the claim that lets refill consult
+// level 0 alone below it), and the occupancy bitmaps and counts match the
+// lists.
+func checkWheelInvariants(w *wheel) error {
+	for i, ev := range w.run {
+		if ev.time >= w.runEnd || ev.index != i {
+			return fmt.Errorf("run[%d]: time %v index %d with runEnd %v", i, ev.time, ev.index, w.runEnd)
+		}
+	}
+	resident := 0
+	for lv := range w.slots {
+		occupied := int32(0)
+		for slot, ev := range w.slots[lv] {
+			if (ev != nil) != (w.occ[lv][slot>>6]&(1<<uint(slot&63)) != 0) {
+				return fmt.Errorf("level %d slot %d: occupancy bit disagrees with list", lv, slot)
+			}
+			if ev != nil {
+				occupied++
+			}
+			for ; ev != nil; ev = ev.next {
+				resident++
+				if ev.time < w.runEnd {
+					return fmt.Errorf("level %d slot %d holds %v before runEnd %v", lv, slot, ev.time, w.runEnd)
+				}
+				if lv > 0 && ev.time < w.bound {
+					return fmt.Errorf("level %d slot %d holds %v below the cached bound %v", lv, slot, ev.time, w.bound)
+				}
+			}
+		}
+		if occupied != w.cnt[lv] {
+			return fmt.Errorf("level %d: cnt %d, %d slots occupied", lv, w.cnt[lv], occupied)
+		}
+	}
+	for ev := w.overflow; ev != nil; ev = ev.next {
+		resident++
+		if ev.time < w.runEnd || ev.time < w.bound {
+			return fmt.Errorf("overflow holds %v with runEnd %v, bound %v", ev.time, w.runEnd, w.bound)
+		}
+	}
+	if resident != w.count {
+		return fmt.Errorf("count %d, %d events resident in slots and overflow", w.count, resident)
+	}
+	return nil
 }
 
 // diffOps runs one op program on both backends and returns a description of
 // the first divergence, or nil when they agree exactly.
 func diffOps(data []byte) error {
-	hf, hm, ht := runOps(SchedulerHeap, data)
-	wf, wm, wt := runOps(SchedulerWheel, data)
+	hf, hm, ht, _ := runOps(SchedulerHeap, data)
+	wf, wm, wt, broken := runOps(SchedulerWheel, data)
+	if broken != nil {
+		return fmt.Errorf("wheel invariant: %v", broken)
+	}
 	if len(hf) != len(wf) {
 		return fmt.Errorf("fired %d events on heap, %d on wheel", len(hf), len(wf))
 	}
@@ -142,6 +199,55 @@ func TestWheelHeapPropertyEquivalence(t *testing.T) {
 			t.Fatalf("sequence %d diverges: %v\nminimized program (add to fuzz corpus): %x",
 				s, diffOps(min), min)
 		}
+	}
+}
+
+// TestRunQueueHoldsOneGranule is the exact, machine-independent form of the
+// claim that the run heap is small: a few thousand events spread over one
+// level-0 window, some of which schedule a follow-up into the granule being
+// run, plus an RTO-distance level-2 timer. While draining, the run heap never
+// holds more than the population of the granule being run. (Loading the whole
+// window at once, it would hold the window's population.)
+func TestRunQueueHoldsOneGranule(t *testing.T) {
+	e := NewEngineWithScheduler(1, SchedulerWheel)
+	const events = 4096
+	population := map[Time]int{} // granule start -> events that run in it
+	maxDepth, fired := 0, 0
+	var fn func(any)
+	fn = func(arg any) {
+		fired++
+		granule := e.Now() &^ (wheelGran - 1)
+		if arg.(bool) {
+			population[granule]++
+			e.ScheduleArg(0, fn, false)
+		}
+		depth := len(e.wheel.run) + 1 // the event being run was popped from it
+		if depth > population[granule] {
+			t.Fatalf("at %v the run heap holds %d events; its granule only ever holds %d",
+				e.Now(), depth, population[granule])
+		}
+		if depth > maxDepth {
+			maxDepth = depth
+		}
+	}
+	x := uint32(1)
+	for i := 0; i < events; i++ {
+		x = x*1664525 + 1013904223
+		at := Time(x>>8) % (wheelSlots * wheelGran)
+		population[at&^(wheelGran-1)]++
+		e.AtArg(at, fn, i%8 == 0)
+	}
+	rto := Time(100 * Microsecond)
+	population[rto&^(wheelGran-1)]++
+	if lv := e.AtArg(rto, fn, false).loc >> wheelLevelBits; lv != 2 {
+		t.Fatalf("the RTO-distance timer sits at level %d, want 2", lv)
+	}
+	e.RunAll()
+	if want := events + events/8 + 1; fired != want {
+		t.Fatalf("fired %d of %d events", fired, want)
+	}
+	if maxDepth < 2 {
+		t.Fatalf("deepest run heap %d: the workload never put two events in one granule", maxDepth)
 	}
 }
 

@@ -26,12 +26,7 @@ func NewBuilder() *Builder { return &Builder{} }
 // AddSwitch adds a switch at the given tier and returns its ID.
 func (b *Builder) AddSwitch(name string, tier int) int {
 	id := len(b.switches)
-	b.switches = append(b.switches, &Switch{
-		ID:       id,
-		Name:     name,
-		Tier:     tier,
-		hostPort: make(map[packet.NodeID]int),
-	})
+	b.switches = append(b.switches, &Switch{ID: id, Name: name, Tier: tier})
 	return id
 }
 
@@ -48,7 +43,6 @@ func (b *Builder) AddHost(sw int, bw int64, delay sim.Duration) packet.NodeID {
 		PeerPort:   -1,
 		Host:       h,
 	})
-	s.hostPort[h] = port
 	b.attach = append(b.attach, Attach{Switch: sw, Port: port, Bandwidth: bw, Delay: delay})
 	return h
 }
@@ -65,10 +59,13 @@ func (b *Builder) Connect(a, c int, bw int64, delay sim.Duration) (portA, portC 
 
 // Build computes the equal-cost routing tables and validates the topology.
 func (b *Builder) Build() (*Topology, error) {
-	t := &Topology{switches: b.switches, attach: b.attach}
+	t := &Topology{switches: b.switches, attach: b.attach, hostPorts: make([]int, len(b.attach))}
 	n := len(b.switches)
 	if n == 0 {
 		return nil, fmt.Errorf("topo: no switches")
+	}
+	for h := range b.attach {
+		t.hostPorts[h] = b.attach[h].Port
 	}
 	t.dist = make([][]int, n)
 	t.routes = make([][][]int, n)

@@ -37,15 +37,6 @@ type Switch struct {
 	Ports []Port
 	// Tier is builder-assigned (0 = ToR/leaf/edge, 1 = spine/agg, 2 = core).
 	Tier int
-
-	hostPort   map[packet.NodeID]int
-	hostSlices map[int][]int // lazily cached single-port slices
-}
-
-// HostPort returns the port index facing host h, if h is attached here.
-func (s *Switch) HostPort(h packet.NodeID) (int, bool) {
-	p, ok := s.hostPort[h]
-	return p, ok
 }
 
 // Hosts returns the hosts attached to this switch in port order.
@@ -72,6 +63,9 @@ type Attach struct {
 type Topology struct {
 	switches []*Switch
 	attach   []Attach // indexed by host NodeID
+	// hostPorts[h] = attach[h].Port: CandidatePorts answers a locally
+	// attached destination with a one-element subslice of it.
+	hostPorts []int
 
 	// routes[sw][dstTor] = sorted candidate egress ports on sw that lie on a
 	// shortest path towards dstTor. Empty for sw == dstTor.
@@ -102,28 +96,11 @@ func (t *Topology) ToROf(h packet.NodeID) int { return t.attach[h].Switch }
 // reaching host dst. If dst is attached to sw, the single host port is
 // returned. The slice is shared; callers must not modify it.
 func (t *Topology) CandidatePorts(sw int, dst packet.NodeID) []int {
-	s := t.switches[sw]
-	if p, ok := s.HostPort(dst); ok {
-		return t.hostPortSlice(sw, p)
+	tor := t.attach[dst].Switch
+	if tor == sw {
+		return t.hostPorts[dst : dst+1 : dst+1]
 	}
-	return t.routes[sw][t.ToROf(dst)]
-}
-
-// hostPortCache caches single-element host port slices to avoid allocation
-// on the forwarding fast path.
-//
-//lint:alloc-ok memoization cache fill; steady-state forwarding hits the cached slice
-func (t *Topology) hostPortSlice(sw, port int) []int {
-	s := t.switches[sw]
-	if s.hostSlices == nil {
-		s.hostSlices = make(map[int][]int, len(s.hostPort))
-	}
-	sl, ok := s.hostSlices[port]
-	if !ok {
-		sl = []int{port}
-		s.hostSlices[port] = sl
-	}
-	return sl
+	return t.routes[sw][tor]
 }
 
 // Distance returns the switch-hop distance between two switches.

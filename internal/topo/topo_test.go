@@ -251,8 +251,11 @@ func TestHostAttach(t *testing.T) {
 	if a.Bandwidth != testLink.Bandwidth || a.Delay != testLink.Delay {
 		t.Fatal("attach link spec wrong")
 	}
-	if p, ok := tp.Switch(1).HostPort(3); !ok || p != a.Port {
-		t.Fatal("HostPort inconsistent with attach")
+	if tp.Switch(1).Ports[a.Port].Host != 3 {
+		t.Fatal("attach port does not face the host")
+	}
+	if c := tp.CandidatePorts(1, 3); len(c) != 1 || cap(c) != 1 || c[0] != a.Port {
+		t.Fatalf("local CandidatePorts = %v, want [%d]", c, a.Port)
 	}
 }
 
