@@ -6,7 +6,7 @@ GO ?= go
 # trip it, while a wholesale untested subsystem still does.
 COVER_FLOOR ?= 80
 
-.PHONY: build test vet lint lint-sarif lint-escapes loc race race-sim cover fuzz-smoke verify bench bench-smoke bench-shard bench-selftest soak
+.PHONY: build test vet fmt-check lint lint-sarif lint-escapes loc race race-sim cover fuzz-smoke verify bench bench-smoke bench-shard bench-selftest soak
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails on any tracked Go file gofmt would rewrite (the linter's
+# testdata fixtures are unformatted on purpose and stay out of it).
+fmt-check:
+	@out=$$(git ls-files '*.go' | grep -v '/testdata/' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt would rewrite:"; echo "$$out"; exit 1; fi
 
 # themis-lint enforces the determinism contract statically: site rules (no
 # wall clock, no global rand, no map-order leaks into the event queue, no raw
@@ -98,6 +104,7 @@ bench-selftest:
 # it. The explicit sub-makes keep the ordering under `make -j` too.
 verify:
 	$(MAKE) build
+	$(MAKE) fmt-check
 	$(MAKE) vet
 	$(MAKE) lint
 	$(MAKE) test

@@ -1,13 +1,15 @@
 // Command themis-sim runs the paper's experiments from the command line.
 //
-//	themis-sim motivation [-bytes N] [-seed S] [-transport nic-sr|ideal|gbn] [-series]
+//	themis-sim motivation [-bytes N] [-seed S] [-transport NAME] [-series]
 //	    Fig. 1: the §2.2 motivation study (retransmission ratio, sending
 //	    rate, throughput vs the ideal transport).
 //
-//	themis-sim collective [-pattern allreduce|alltoall] [-lb ARM]
+//	themis-sim collective [-pattern NAME] [-lb ARM]
 //	    [-bytes N] [-ti us] [-td us] [-leaves N] [-spines N] [-hosts N] [-bw gbps] [-seed S]
 //	    One Fig. 5 cell: tail completion time of the slowest group. ARM is a
-//	    row of the arm table (internal/workload/arms.go); -h lists the names.
+//	    row of the arm table (internal/workload/arms.go); -h lists the names
+//	    of every named flag value (arms, patterns, transports, workloads,
+//	    grids), each generated from the table that defines it.
 //
 //	themis-sim run [-workload NAME] [-lb ...] [-transport ...]
 //	    [-pattern ...] [-bytes N] [-seed S] [-leaves N] [-spines N] [-hosts N] [-fattree-k K] [-bw gbps]
@@ -41,11 +43,12 @@
 //	    and -path-buckets (per-path entropy buckets for the switch EWMA and
 //	    per-path DCQCN coupling).
 //
-//	themis-sim sweep [-grid fig5|fig1|smoke|chaos|churn|convergence|spray|reps|queue-factor|path-subset|loss-recovery]
-//	    [-pattern allreduce|alltoall] [-bytes N] [-seed S] [-seeds N] [-parallel N] [-shards N] [-json out.json]
+//	themis-sim sweep [-grid NAME]
+//	    [-pattern NAME] [-bytes N] [-seed S] [-seeds N] [-parallel N] [-shards N] [-json out.json]
 //	    [-metrics] [-flight-dir DIR] [-cpuprofile F] [-memprofile F] [-pprof-addr HOST:PORT]
-//	    A scenario grid through the parallel runner (default: the full Fig. 5
-//	    matrix, all five DCQCN settings × {ECMP, AR, Themis}). -parallel N
+//	    A scenario grid through the parallel runner: NAME is a row of the grid
+//	    table (internal/exp/grids.go; default fig5, the full Fig. 5 matrix, all
+//	    five DCQCN settings × {ECMP, AR, Themis}). -parallel N
 //	    runs N trials concurrently — per-seed results are bit-identical to a
 //	    sequential run. -json writes the aggregated report artifact. Exits
 //	    non-zero if any trial failed or violated an invariant.
@@ -83,6 +86,7 @@ import (
 	"time"
 
 	"themis"
+	"themis/internal/collective"
 	"themis/internal/exp"
 	"themis/internal/memmodel"
 	"themis/internal/obs"
@@ -134,40 +138,16 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "run 'themis-sim <command> -h' for command flags")
 }
 
-func parseTransport(s string) (rnic.Transport, error) {
-	switch s {
-	case "nic-sr":
-		return rnic.SelectiveRepeat, nil
-	case "ideal":
-		return rnic.Ideal, nil
-	case "gbn":
-		return rnic.GoBackN, nil
-	default:
-		return 0, fmt.Errorf("unknown transport %q (nic-sr|ideal|gbn)", s)
-	}
-}
-
-func parsePattern(s string) (themis.Pattern, error) {
-	switch s {
-	case "allreduce":
-		return themis.Allreduce, nil
-	case "alltoall":
-		return themis.AllToAll, nil
-	default:
-		return 0, fmt.Errorf("unknown pattern %q (allreduce|alltoall)", s)
-	}
-}
-
 func runMotivation(args []string) error {
 	fs := flag.NewFlagSet("motivation", flag.ExitOnError)
 	bytes := fs.Int64("bytes", 100<<20, "message size per flow")
 	seed := fs.Int64("seed", 1, "random seed")
-	transport := fs.String("transport", "nic-sr", "reliable transport: nic-sr|ideal|gbn")
+	transport := fs.String("transport", "nic-sr", "reliable transport: "+rnic.TransportNames())
 	series := fs.Bool("series", false, "print full time series (Fig. 1b/1c data)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tr, err := parseTransport(*transport)
+	tr, err := rnic.ParseTransport(*transport)
 	if err != nil {
 		return err
 	}
@@ -195,7 +175,7 @@ func runMotivation(args []string) error {
 }
 
 func collectiveConfig(fs *flag.FlagSet) (pattern, lbs *string, bytes, seed *int64, ti, td *int64, leaves, spines, hosts *int, bw *float64) {
-	pattern = fs.String("pattern", "allreduce", "collective: allreduce|alltoall")
+	pattern = fs.String("pattern", "allreduce", "collective: "+collective.PatternNames())
 	lbs = fs.String("lb", "themis", "load balancing arm: "+workload.LBNames())
 	bytes = fs.Int64("bytes", 300<<20, "collective size per group")
 	seed = fs.Int64("seed", 1, "random seed")
@@ -214,7 +194,7 @@ func runCollective(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := parsePattern(*pattern)
+	p, err := collective.ParsePattern(*pattern)
 	if err != nil {
 		return err
 	}
@@ -280,11 +260,11 @@ func printTrial(t exp.Trial) {
 func runScenario(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	wl := fs.String("workload", "collective", "workload: "+exp.WorkloadNames())
-	pattern := fs.String("pattern", "allreduce", "collective: allreduce|alltoall")
+	pattern := fs.String("pattern", "allreduce", "collective: "+collective.PatternNames())
 	lbs := fs.String("lb", "themis", "load balancing arm: "+workload.LBNames())
 	repsCache := fs.Int("reps-cache", 0, "reps: entropy-cache ring capacity (0 = default)")
 	pathBuckets := fs.Int("path-buckets", 0, "congestion: per-path entropy buckets (0 = default)")
-	transport := fs.String("transport", "nic-sr", "reliable transport: nic-sr|ideal|gbn")
+	transport := fs.String("transport", "nic-sr", "reliable transport: "+rnic.TransportNames())
 	bytes := fs.Int64("bytes", 0, "message/collective size (0 = workload default)")
 	seed := fs.Int64("seed", 1, "random seed")
 	leaves := fs.Int("leaves", 0, "leaf switches (0 = workload default)")
@@ -313,7 +293,7 @@ func runScenario(args []string) error {
 	if err != nil {
 		return err
 	}
-	p, err := parsePattern(*pattern)
+	p, err := collective.ParsePattern(*pattern)
 	if err != nil {
 		return err
 	}
@@ -321,7 +301,7 @@ func runScenario(args []string) error {
 	if err != nil {
 		return err
 	}
-	tr, err := parseTransport(*transport)
+	tr, err := rnic.ParseTransport(*transport)
 	if err != nil {
 		return err
 	}
@@ -408,11 +388,11 @@ func printSnapshot(s *obs.Snapshot) {
 
 func runSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	gridName := fs.String("grid", "fig5", "scenario grid: fig5|fig1|smoke|chaos|churn|convergence|spray|reps|queue-factor|path-subset|loss-recovery")
-	pattern := fs.String("pattern", "allreduce", "collective: allreduce|alltoall (fig5)")
-	bytes := fs.Int64("bytes", 300<<20, "collective size per group (fig5) / message size (fig1)")
+	gridName := fs.String("grid", "fig5", "scenario grid: "+exp.GridNames())
+	pattern := fs.String("pattern", "allreduce", "collective (fig5): "+collective.PatternNames())
+	bytes := fs.Int64("bytes", 0, "collective size per group (fig5) / message size (fig1); 0 = the grid's default")
 	seed := fs.Int64("seed", 1, "random seed (first seed for multi-seed grids)")
-	seeds := fs.Int("seeds", 1, "seed count (fig1, smoke, chaos)")
+	seeds := fs.Int("seeds", 1, "seed count (multi-seed grids)")
 	parallel := fs.Int("parallel", 1, "worker pool size")
 	shards := fs.Int("shards", 0, "spray grid: space-parallel engine shards per trial (0 = one; reports are byte-identical for any value; other grids run on one engine and ignore it)")
 	jsonOut := fs.String("json", "", "write the aggregated report JSON to this path")
@@ -422,45 +402,15 @@ func runSweep(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	seedList := make([]int64, *seeds)
-	for i := range seedList {
-		seedList[i] = *seed + int64(i)
+	g, err := exp.ParseGrid(*gridName)
+	if err != nil {
+		return err
 	}
-	var grid []exp.Scenario
-	switch *gridName {
-	case "fig5":
-		p, err := parsePattern(*pattern)
-		if err != nil {
-			return err
-		}
-		grid = exp.Fig5Grid(*seed, *bytes, p)
-	case "fig1":
-		b := *bytes
-		if b == 300<<20 {
-			b = 100 << 20 // the motivation study's default message size
-		}
-		grid = exp.Fig1Grid(b, seedList...)
-	case "smoke":
-		grid = exp.SmokeGrid(seedList...)
-	case "chaos":
-		grid = exp.ChaosGrid(*seed, *seeds)
-	case "churn":
-		grid = exp.ChurnGrid(*seed, *seeds)
-	case "convergence":
-		grid = exp.ConvergenceGrid(*seed, *seeds)
-	case "spray":
-		grid = exp.SprayGrid(seedList...)
-	case "reps":
-		grid = exp.RepsGrid(*seed, *seeds)
-	case "queue-factor":
-		grid = exp.QueueFactorGrid(*seed, []float64{0.05, 0.2, 0.5, 1.5, 3.0})
-	case "path-subset":
-		grid = exp.PathSubsetGrid(*seed, []int{1, 2, 4, 8, 16})
-	case "loss-recovery":
-		grid = exp.LossRecoveryGrid(*seed)
-	default:
-		return fmt.Errorf("unknown grid %q", *gridName)
+	p, err := collective.ParsePattern(*pattern)
+	if err != nil {
+		return err
 	}
+	grid := g.Scenarios(*seed, *seeds, *bytes, p)
 	for i := range grid {
 		grid[i].Shards = *shards
 	}

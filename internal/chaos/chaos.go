@@ -1,15 +1,18 @@
-// Package chaos is a deterministic fault-injection subsystem for the Themis
-// simulator. A Scenario — derived entirely from a seed — schedules faults on
-// the discrete-event engine: link flaps with routing reconvergence, per-link
-// random drop and corruption, control-plane (ACK/NACK/CNP) loss, ToR reboots
-// that wipe the middleware's Fig. 4a state mid-flow, and black-holed ports
-// that silently eat traffic until the monitoring plane notices.
+// Package chaos is the seeded fault-scenario harness of the Themis simulator.
+// A Scenario — derived entirely from a seed — is a schedule of
+// workload.Faults: link flaps with routing reconvergence, per-link random
+// drop and corruption, control-plane (ACK/NACK/CNP) loss, ToR reboots that
+// wipe the middleware's Fig. 4a state mid-flow, and black-holed ports that
+// silently eat traffic until the monitoring plane notices. The vocabulary,
+// the injector (Cluster.Inject) and the audit (Cluster.Audit) belong to
+// workload.Cluster; this package keeps the generators, the hardened cluster
+// and the ring-flow runner.
 //
 // The point of the package is the paper's §6 robustness story made
 // executable: under every generated fault schedule the system must degrade
 // gracefully — every message completes, no QP wedges, Themis never leaks
 // ring state, and every compensation NACK corresponds to a previously
-// blocked NACK. RunScenario wires a cluster, injects the scenario and checks
+// blocked NACK. RunScenario wires a cluster, injects the scenario and audits
 // those invariants; a violating seed reproduces the exact run.
 package chaos
 
@@ -19,108 +22,15 @@ import (
 
 	"themis/internal/sim"
 	"themis/internal/topo"
+	"themis/internal/workload"
 )
-
-// FaultKind enumerates the injectable fault classes.
-type FaultKind int
-
-const (
-	// LinkFlap takes a fabric link down at At and repairs it At+Duration
-	// later, driving the §6 monitoring-plane reaction both ways (Themis
-	// disables cluster-wide, routing reconverges, then recovers).
-	LinkFlap FaultKind = iota
-	// DropRate drops each data packet crossing the target link with
-	// probability Rate during [At, At+Duration).
-	DropRate
-	// CorruptRate models bit corruption on the target link: a corrupted
-	// packet fails its ICRC at the receiver and is discarded, so on the wire
-	// it is indistinguishable from a drop — but it is generated as a
-	// distinct class because real fabrics exhibit both independently.
-	CorruptRate
-	// CtrlLoss drops each control packet (ACK/NACK/CNP) fabric-wide with
-	// probability Rate during [At, At+Duration). Requires a cluster built
-	// with LossyControl (the harness's default).
-	CtrlLoss
-	// TorReboot power-cycles the Themis instance on switch Sw at At: flow
-	// table and ring queues are lost mid-flow (core.Themis.Reboot).
-	TorReboot
-	// Blackhole silently drops everything on the target link from At until
-	// the monitoring plane detects it At+Duration later and fails the link
-	// over (FailLink); the link is repaired another Duration after that.
-	Blackhole
-	// FlapStorm cycles the target link down/up three times inside
-	// [At, At+Duration). Under a distributed routing plane with non-zero
-	// per-hop delay every cycle restarts convergence before the previous
-	// episode finishes — the stale-FIB stress test. Generate never draws the
-	// kinds below Blackhole; they belong to GenerateConvergence.
-	FlapStorm
-	// UplinkLoss takes down every uplink of the ToR Sw except its lowest at
-	// At and repairs them all at At+Duration: the pod-uplink-loss event that
-	// shrinks every remote ECMP group toward the ToR to a single path.
-	UplinkLoss
-	// Drain models a maintenance drain: the target link is administratively
-	// withdrawn from routing at At (traffic shifts away while the link still
-	// forwards), physically taken down at At+Duration/2, repaired at
-	// At+Duration and undrained after. Done right this is lossless.
-	Drain
-)
-
-// String returns the fault mnemonic.
-func (k FaultKind) String() string {
-	switch k {
-	case LinkFlap:
-		return "link-flap"
-	case DropRate:
-		return "drop-rate"
-	case CorruptRate:
-		return "corrupt-rate"
-	case CtrlLoss:
-		return "ctrl-loss"
-	case TorReboot:
-		return "tor-reboot"
-	case Blackhole:
-		return "blackhole"
-	case FlapStorm:
-		return "flap-storm"
-	case UplinkLoss:
-		return "uplink-loss"
-	case Drain:
-		return "drain"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
-	}
-}
-
-// Fault is one scheduled fault. Sw/Port identify the target fabric link
-// (TorReboot uses only Sw; CtrlLoss ignores both and applies fabric-wide).
-type Fault struct {
-	Kind     FaultKind
-	At       sim.Duration // injection time
-	Duration sim.Duration // outage / active window / detection latency
-	Sw, Port int
-	Rate     float64 // drop probability for the rate-based kinds
-}
-
-// String renders the fault compactly.
-func (f Fault) String() string {
-	switch f.Kind {
-	case TorReboot:
-		return fmt.Sprintf("%v@%v sw%d", f.Kind, f.At, f.Sw)
-	case CtrlLoss:
-		return fmt.Sprintf("%v@%v+%v p=%.3f", f.Kind, f.At, f.Duration, f.Rate)
-	case DropRate, CorruptRate:
-		return fmt.Sprintf("%v@%v+%v sw%d.%d p=%.3f", f.Kind, f.At, f.Duration, f.Sw, f.Port, f.Rate)
-	default:
-		return fmt.Sprintf("%v@%v+%v sw%d.%d", f.Kind, f.At, f.Duration, f.Sw, f.Port)
-	}
-}
 
 // Scenario is a seeded fault schedule. Everything about a run — the fault
 // schedule, every probabilistic drop decision, and the workload — derives
 // from Seed, so a scenario that violates an invariant replays exactly.
 type Scenario struct {
 	Seed   int64
-	Faults []Fault
+	Faults []workload.Fault
 }
 
 // String renders the scenario for failure reports.
@@ -138,33 +48,9 @@ func (s Scenario) String() string {
 // transfers so faults land mid-flow.
 func Generate(seed int64, tp *topo.Topology) Scenario {
 	rng := rand.New(rand.NewSource(seed))
-	links := fabricLinks(tp)
-	tors := torSwitches(tp)
-	n := 1 + rng.Intn(3)
-	sc := Scenario{Seed: seed}
-	for i := 0; i < n; i++ {
-		kind := FaultKind(rng.Intn(int(Blackhole) + 1))
-		f := Fault{
-			Kind:     kind,
-			At:       sim.Duration(10+rng.Intn(150)) * sim.Microsecond,
-			Duration: sim.Duration(20+rng.Intn(180)) * sim.Microsecond,
-		}
-		switch kind {
-		case TorReboot:
-			f.Sw = tors[rng.Intn(len(tors))]
-		case CtrlLoss:
-			f.Sw, f.Port = -1, -1
-			f.Rate = 0.002 + 0.02*rng.Float64()
-		default:
-			l := links[rng.Intn(len(links))]
-			f.Sw, f.Port = l[0], l[1]
-			if kind == DropRate || kind == CorruptRate {
-				f.Rate = 0.001 + 0.02*rng.Float64()
-			}
-		}
-		sc.Faults = append(sc.Faults, f)
-	}
-	return sc
+	return generate(seed, rng, tp, 20, func() workload.FaultKind {
+		return workload.FaultKind(rng.Intn(int(workload.Blackhole) + 1))
+	})
 }
 
 // GenerateConvergence derives a routing-focused scenario deterministically
@@ -175,34 +61,45 @@ func Generate(seed int64, tp *topo.Topology) Scenario {
 // an unrelated schedule from Generate's.
 func GenerateConvergence(seed int64, tp *topo.Topology) Scenario {
 	rng := rand.New(rand.NewSource(seed ^ 0xc0e7))
-	links := fabricLinks(tp)
-	tors := torSwitches(tp)
-	n := 1 + rng.Intn(3)
-	sc := Scenario{Seed: seed}
 	// Kind menu: the three routing stressors appear twice so roughly two
 	// thirds of the draws exercise the convergence machinery; the remainder
 	// mixes in the classic kinds so routing churn overlaps state loss and
 	// control-plane loss.
-	menu := []FaultKind{
-		FlapStorm, FlapStorm, UplinkLoss, UplinkLoss, Drain, Drain,
-		LinkFlap, TorReboot, CtrlLoss,
+	menu := []workload.FaultKind{
+		workload.FlapStorm, workload.FlapStorm,
+		workload.UplinkLoss, workload.UplinkLoss,
+		workload.Drain, workload.Drain,
+		workload.LinkFlap, workload.TorReboot, workload.CtrlLoss,
 	}
-	for i := 0; i < n; i++ {
-		kind := menu[rng.Intn(len(menu))]
-		f := Fault{
-			Kind:     kind,
+	return generate(seed, rng, tp, 40, func() workload.FaultKind { return menu[rng.Intn(len(menu))] })
+}
+
+// generate draws one to three faults from rng: per fault the kind (kind's own
+// draw), the injection time in [10, 160) us, a duration in [minDur, 200) us,
+// then the target the kind needs — in that order, which the seeds' schedules
+// depend on.
+func generate(seed int64, rng *rand.Rand, tp *topo.Topology, minDur int, kind func() workload.FaultKind) Scenario {
+	links := fabricLinks(tp)
+	tors := tp.ToRs()
+	sc := Scenario{Seed: seed}
+	for n := 1 + rng.Intn(3); n > 0; n-- {
+		f := workload.Fault{
+			Kind:     kind(),
 			At:       sim.Duration(10+rng.Intn(150)) * sim.Microsecond,
-			Duration: sim.Duration(40+rng.Intn(160)) * sim.Microsecond,
+			Duration: sim.Duration(minDur+rng.Intn(200-minDur)) * sim.Microsecond,
 		}
-		switch kind {
-		case TorReboot, UplinkLoss:
+		switch f.Kind {
+		case workload.TorReboot, workload.UplinkLoss:
 			f.Sw = tors[rng.Intn(len(tors))]
-		case CtrlLoss:
+		case workload.CtrlLoss:
 			f.Sw, f.Port = -1, -1
 			f.Rate = 0.002 + 0.02*rng.Float64()
 		default:
 			l := links[rng.Intn(len(links))]
 			f.Sw, f.Port = l[0], l[1]
+			if f.Kind == workload.DropRate || f.Kind == workload.CorruptRate {
+				f.Rate = 0.001 + 0.02*rng.Float64()
+			}
 		}
 		sc.Faults = append(sc.Faults, f)
 	}
@@ -212,22 +109,14 @@ func GenerateConvergence(seed int64, tp *topo.Topology) Scenario {
 // DrainFault returns a deterministic maintenance drain of the first ToR's
 // first uplink, placed late enough that transfers are in full flight. The
 // CLI's -drain flag and the convergence grid's drain arm both append it.
-func DrainFault(tp *topo.Topology) Fault {
-	tors := torSwitches(tp)
-	sw := tors[0]
-	port := -1
-	for pi := range tp.Switches()[sw].Ports {
-		if !tp.Switches()[sw].Ports[pi].IsHostPort() {
-			port = pi
-			break
-		}
-	}
-	return Fault{
-		Kind:     Drain,
+func DrainFault(tp *topo.Topology) workload.Fault {
+	sw := tp.ToRs()[0]
+	return workload.Fault{
+		Kind:     workload.Drain,
 		At:       30 * sim.Microsecond,
 		Duration: 80 * sim.Microsecond,
 		Sw:       sw,
-		Port:     port,
+		Port:     tp.Switch(sw).FabricPorts()[0],
 	}
 }
 
@@ -235,22 +124,9 @@ func DrainFault(tp *topo.Topology) Fault {
 func fabricLinks(tp *topo.Topology) [][2]int {
 	var links [][2]int
 	for _, sw := range tp.Switches() {
-		for pi := range sw.Ports {
-			if !sw.Ports[pi].IsHostPort() {
-				links = append(links, [2]int{sw.ID, pi})
-			}
+		for _, pi := range sw.FabricPorts() {
+			links = append(links, [2]int{sw.ID, pi})
 		}
 	}
 	return links
-}
-
-// torSwitches lists the switches that can host a Themis instance.
-func torSwitches(tp *topo.Topology) []int {
-	var tors []int
-	for _, sw := range tp.Switches() {
-		if sw.Tier == 0 && len(sw.Hosts()) > 0 {
-			tors = append(tors, sw.ID)
-		}
-	}
-	return tors
 }

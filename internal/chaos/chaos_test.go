@@ -26,9 +26,9 @@ func testTopo(t *testing.T) *topo.Topology {
 }
 
 func TestFaultKindStrings(t *testing.T) {
-	names := map[FaultKind]string{
-		LinkFlap: "link-flap", DropRate: "drop-rate", CorruptRate: "corrupt-rate",
-		CtrlLoss: "ctrl-loss", TorReboot: "tor-reboot", Blackhole: "blackhole",
+	names := map[workload.FaultKind]string{
+		workload.LinkFlap: "link-flap", workload.DropRate: "drop-rate", workload.CorruptRate: "corrupt-rate",
+		workload.CtrlLoss: "ctrl-loss", workload.TorReboot: "tor-reboot", workload.Blackhole: "blackhole",
 	}
 	for k, want := range names {
 		if k.String() != want {
@@ -54,11 +54,11 @@ func TestGenerateDeterministicAndWellFormed(t *testing.T) {
 				t.Fatalf("seed %d: non-positive times in %v", seed, f)
 			}
 			switch f.Kind {
-			case TorReboot:
+			case workload.TorReboot:
 				if sw := tp.Switch(f.Sw); sw.Tier != 0 {
 					t.Fatalf("seed %d: reboot targets non-ToR %v", seed, f)
 				}
-			case CtrlLoss:
+			case workload.CtrlLoss:
 				if f.Rate <= 0 || f.Rate >= 0.05 {
 					t.Fatalf("seed %d: ctrl-loss rate %v", seed, f.Rate)
 				}
@@ -72,9 +72,9 @@ func TestGenerateDeterministicAndWellFormed(t *testing.T) {
 }
 
 func TestScenarioString(t *testing.T) {
-	sc := Scenario{Seed: 7, Faults: []Fault{
-		{Kind: LinkFlap, At: sim.Microsecond, Duration: sim.Microsecond, Sw: 1, Port: 2},
-		{Kind: TorReboot, At: sim.Microsecond, Sw: 0},
+	sc := Scenario{Seed: 7, Faults: []workload.Fault{
+		{Kind: workload.LinkFlap, At: sim.Microsecond, Duration: sim.Microsecond, Sw: 1, Port: 2},
+		{Kind: workload.TorReboot, At: sim.Microsecond, Sw: 0},
 	}}
 	s := sc.String()
 	for _, want := range []string{"seed 7", "link-flap", "sw1.2", "tor-reboot", "sw0"} {
@@ -108,8 +108,8 @@ func TestRunScenarioNoFaultsBaseline(t *testing.T) {
 
 func TestLinkFlapRecordsTraceAndRecovers(t *testing.T) {
 	tr := trace.New(1 << 19)
-	sc := Scenario{Seed: 3, Faults: []Fault{
-		{Kind: LinkFlap, At: 20 * sim.Microsecond, Duration: 100 * sim.Microsecond, Sw: 0, Port: 2},
+	sc := Scenario{Seed: 3, Faults: []workload.Fault{
+		{Kind: workload.LinkFlap, At: 20 * sim.Microsecond, Duration: 100 * sim.Microsecond, Sw: 0, Port: 2},
 	}}
 	res, err := RunScenario(sc, Options{ClusterConfig: workload.ClusterConfig{Tracer: tr}})
 	if err != nil {
@@ -132,11 +132,11 @@ func TestLinkFlapRecordsTraceAndRecovers(t *testing.T) {
 // observable proof, relearns and the reboot counter pin down the mechanism.
 func TestTorRebootRecovery(t *testing.T) {
 	tr := trace.New(1 << 19)
-	sc := Scenario{Seed: 11, Faults: []Fault{
+	sc := Scenario{Seed: 11, Faults: []workload.Fault{
 		// Reboot ToR 0 while its flows are mid-transfer, with concurrent
 		// data loss so NACK traffic exercises the rebuilt state.
-		{Kind: TorReboot, At: 40 * sim.Microsecond, Sw: 0},
-		{Kind: DropRate, At: 10 * sim.Microsecond, Duration: 150 * sim.Microsecond, Sw: 0, Port: 2, Rate: 0.01},
+		{Kind: workload.TorReboot, At: 40 * sim.Microsecond, Sw: 0},
+		{Kind: workload.DropRate, At: 10 * sim.Microsecond, Duration: 150 * sim.Microsecond, Sw: 0, Port: 2, Rate: 0.01},
 	}}
 	res, err := RunScenario(sc, Options{ClusterConfig: workload.ClusterConfig{Tracer: tr}})
 	if err != nil {
@@ -157,8 +157,8 @@ func TestTorRebootRecovery(t *testing.T) {
 }
 
 func TestBlackholeDetectedAndRepaired(t *testing.T) {
-	sc := Scenario{Seed: 5, Faults: []Fault{
-		{Kind: Blackhole, At: 30 * sim.Microsecond, Duration: 120 * sim.Microsecond, Sw: 1, Port: 2},
+	sc := Scenario{Seed: 5, Faults: []workload.Fault{
+		{Kind: workload.Blackhole, At: 30 * sim.Microsecond, Duration: 120 * sim.Microsecond, Sw: 1, Port: 2},
 	}}
 	res, err := RunScenario(sc, Options{})
 	if err != nil {
@@ -174,9 +174,42 @@ func TestBlackholeDetectedAndRepaired(t *testing.T) {
 	}
 }
 
+// DropEveryNData is a rule of the cluster's one loss hook, so a schedule that
+// brings a rule of its own (seed 4: a drop-rate window; seed 6: a blackhole)
+// composes with it just as a schedule with none does (seed 5: a lone reboot).
+func TestDropEveryNComposesWithScheduleLossRules(t *testing.T) {
+	for seed, wantRule := range map[int64]bool{4: true, 6: true, 5: false} {
+		base, err := RunGenerated(seed, Generate, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hasRule := false
+		for _, f := range base.Scenario.Faults {
+			switch f.Kind {
+			case workload.DropRate, workload.CorruptRate, workload.CtrlLoss, workload.Blackhole:
+				hasRule = true
+			}
+		}
+		if hasRule != wantRule {
+			t.Fatalf("seed %d: schedule %v no longer fits the case it stands for", seed, base.Scenario)
+		}
+		knob, err := RunGenerated(seed, Generate, Options{ClusterConfig: workload.ClusterConfig{DropEveryNData: 50}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if knob.Net.DataDrops <= base.Net.DataDrops {
+			t.Errorf("seed %d (%v): DropEveryNData ignored: %d data drops with the knob, %d without",
+				seed, base.Scenario, knob.Net.DataDrops, base.Net.DataDrops)
+		}
+		if len(knob.Violations) != 0 {
+			t.Errorf("seed %d: violations under periodic loss: %v", seed, knob.Violations)
+		}
+	}
+}
+
 func TestCtrlLossScenarioCompletes(t *testing.T) {
-	sc := Scenario{Seed: 9, Faults: []Fault{
-		{Kind: CtrlLoss, At: 10 * sim.Microsecond, Duration: 200 * sim.Microsecond, Sw: -1, Port: -1, Rate: 0.02},
+	sc := Scenario{Seed: 9, Faults: []workload.Fault{
+		{Kind: workload.CtrlLoss, At: 10 * sim.Microsecond, Duration: 200 * sim.Microsecond, Sw: -1, Port: -1, Rate: 0.02},
 	}}
 	res, err := RunScenario(sc, Options{})
 	if err != nil {

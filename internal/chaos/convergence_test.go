@@ -9,8 +9,8 @@ import (
 )
 
 func TestConvergenceFaultKindStrings(t *testing.T) {
-	names := map[FaultKind]string{
-		FlapStorm: "flap-storm", UplinkLoss: "uplink-loss", Drain: "drain",
+	names := map[workload.FaultKind]string{
+		workload.FlapStorm: "flap-storm", workload.UplinkLoss: "uplink-loss", workload.Drain: "drain",
 	}
 	for k, want := range names {
 		if k.String() != want {
@@ -37,15 +37,15 @@ func TestGenerateConvergenceDeterministicAndWellFormed(t *testing.T) {
 				t.Fatalf("seed %d: non-positive times in %v", seed, f)
 			}
 			switch f.Kind {
-			case FlapStorm, UplinkLoss, Drain:
+			case workload.FlapStorm, workload.UplinkLoss, workload.Drain:
 				sawRouting = true
 			}
 			switch f.Kind {
-			case TorReboot, UplinkLoss:
+			case workload.TorReboot, workload.UplinkLoss:
 				if sw := tp.Switch(f.Sw); sw.Tier != 0 {
 					t.Fatalf("seed %d: %v targets non-ToR", seed, f)
 				}
-			case CtrlLoss:
+			case workload.CtrlLoss:
 				if f.Rate <= 0 || f.Rate >= 0.05 {
 					t.Fatalf("seed %d: ctrl-loss rate %v", seed, f.Rate)
 				}
@@ -64,7 +64,7 @@ func TestGenerateConvergenceDeterministicAndWellFormed(t *testing.T) {
 func TestDrainFaultTargetsUplink(t *testing.T) {
 	tp := testTopo(t)
 	f := DrainFault(tp)
-	if f.Kind != Drain {
+	if f.Kind != workload.Drain {
 		t.Fatalf("kind = %v", f.Kind)
 	}
 	if tp.Switch(f.Sw).Tier != 0 {
@@ -82,7 +82,7 @@ func TestDrainFaultTargetsUplink(t *testing.T) {
 // holds at drain time.
 func TestDrainScenarioGraceful(t *testing.T) {
 	tp := testTopo(t)
-	sc := Scenario{Seed: 21, Faults: []Fault{DrainFault(tp)}}
+	sc := Scenario{Seed: 21, Faults: []workload.Fault{DrainFault(tp)}}
 	res, err := RunScenario(sc, Options{
 		ClusterConfig: workload.ClusterConfig{DistributedRouting: true, ConvergenceDelay: 10 * sim.Microsecond},
 	})
@@ -103,8 +103,8 @@ func TestDrainScenarioGraceful(t *testing.T) {
 // complete every transfer and end converged with zero post-quiescence loop
 // drops.
 func TestFlapStormSlowConvergenceRecovers(t *testing.T) {
-	sc := Scenario{Seed: 23, Faults: []Fault{
-		{Kind: FlapStorm, At: 20 * sim.Microsecond, Duration: 120 * sim.Microsecond, Sw: 0, Port: 2},
+	sc := Scenario{Seed: 23, Faults: []workload.Fault{
+		{Kind: workload.FlapStorm, At: 20 * sim.Microsecond, Duration: 120 * sim.Microsecond, Sw: 0, Port: 2},
 	}}
 	res, err := RunScenario(sc, Options{
 		ClusterConfig: workload.ClusterConfig{DistributedRouting: true, ConvergenceDelay: 25 * sim.Microsecond},
@@ -118,8 +118,8 @@ func TestFlapStormSlowConvergenceRecovers(t *testing.T) {
 }
 
 func TestUplinkLossShrinksThenRecovers(t *testing.T) {
-	sc := Scenario{Seed: 29, Faults: []Fault{
-		{Kind: UplinkLoss, At: 30 * sim.Microsecond, Duration: 100 * sim.Microsecond, Sw: 1},
+	sc := Scenario{Seed: 29, Faults: []workload.Fault{
+		{Kind: workload.UplinkLoss, At: 30 * sim.Microsecond, Duration: 100 * sim.Microsecond, Sw: 1},
 	}}
 	res, err := RunScenario(sc, Options{
 		ClusterConfig: workload.ClusterConfig{DistributedRouting: true, ConvergenceDelay: 10 * sim.Microsecond},

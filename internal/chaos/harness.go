@@ -114,9 +114,9 @@ func (o Options) cluster(seed int64) workload.ClusterConfig {
 	return cfg
 }
 
-// RunScenario executes one scenario: build the hardened cluster, install the
-// injector, start a cross-rack ring of transfers, run to drain and audit the
-// invariants. The same (scenario, options) pair always produces the same
+// RunScenario executes one scenario: build the hardened cluster, inject the
+// faults, start a cross-rack ring of transfers, run to drain and audit the
+// invariants (Cluster.Audit). The same (scenario, options) pair always produces the same
 // Result.
 func RunScenario(sc Scenario, opt Options) (*Result, error) {
 	return RunGenerated(sc.Seed, func(int64, *topo.Topology) Scenario { return sc }, opt)
@@ -138,7 +138,7 @@ func RunGenerated(seed int64, gen func(int64, *topo.Topology) Scenario, opt Opti
 		return nil, err
 	}
 	sc := gen(seed, cl.Topo)
-	NewInjector(cl, sc).Install()
+	cl.Inject(sc.Faults)
 
 	// Cross-rack ring: host i sends to the same-index host of the next leaf,
 	// so every flow traverses the fabric and every ToR plays both roles.
@@ -158,7 +158,7 @@ func RunGenerated(seed int64, gen func(int64, *topo.Topology) Scenario, opt Opti
 	end := cl.Run(opt.Horizon)
 	cl.Engine.RunAll()
 	res := &Result{Outcome: cl.Outcome(end), Scenario: sc, End: end}
-	res.Violations = CheckInvariants(cl, remaining)
+	res.Violations = cl.Audit(remaining)
 	if len(res.Violations) > 0 && flight != nil {
 		path, err := flight.Dump(fmt.Sprintf("seed%d", sc.Seed), sc.Seed, res.Violations)
 		if err != nil {

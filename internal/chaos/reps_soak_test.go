@@ -12,8 +12,8 @@ import (
 // spraying arms keep losing ~1/3 of their packets until their feedback reacts
 // — and is then failed over and repaired by the detector.
 func blackholeScenario(seed int64) Scenario {
-	return Scenario{Seed: seed, Faults: []Fault{
-		{Kind: Blackhole, At: 20 * sim.Microsecond, Duration: 300 * sim.Microsecond, Sw: 1, Port: 2},
+	return Scenario{Seed: seed, Faults: []workload.Fault{
+		{Kind: workload.Blackhole, At: 20 * sim.Microsecond, Duration: 300 * sim.Microsecond, Sw: 1, Port: 2},
 	}}
 }
 

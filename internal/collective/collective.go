@@ -4,7 +4,10 @@
 // experiment harness (internal/workload) backs with simulated RDMA QPs.
 package collective
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Conn is one reliable, ordered, unidirectional connection between two group
 // members (one RDMA QP in practice).
@@ -35,16 +38,29 @@ const (
 	AllToAll
 )
 
+// patternNames is the mnemonic table behind String, ParsePattern and
+// PatternNames.
+var patternNames = [...]string{RingAllreduce: "allreduce", AllToAll: "alltoall"}
+
 // String returns the pattern mnemonic.
 func (p Pattern) String() string {
-	switch p {
-	case RingAllreduce:
-		return "allreduce"
-	case AllToAll:
-		return "alltoall"
-	default:
+	if p < 0 || int(p) >= len(patternNames) {
 		return fmt.Sprintf("Pattern(%d)", int(p))
 	}
+	return patternNames[p]
+}
+
+// PatternNames returns the mnemonics joined by "|", for flag help and errors.
+func PatternNames() string { return strings.Join(patternNames[:], "|") }
+
+// ParsePattern is the inverse of Pattern.String.
+func ParsePattern(s string) (Pattern, error) {
+	for p, name := range patternNames {
+		if name == s {
+			return Pattern(p), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown pattern %q (%s)", s, PatternNames())
 }
 
 // Run executes the pattern over a group of size g exchanging totalBytes,

@@ -366,7 +366,7 @@ func (th *Themis) RegisterFlow(qp packet.QPID, src, dst packet.NodeID, sport uin
 		// §6 extension: spray over a flow-specific subset of the paths.
 		n = th.cfg.PathSubset
 	}
-	key := packet.FlowKey{Src: src, Dst: dst, SPort: sport, DPort: 4791}
+	key := packet.FlowKey{Src: src, Dst: dst, SPort: sport, DPort: packet.RoCEv2Port}
 	fs := &flowState{
 		src:      src,
 		dst:      dst,
@@ -499,14 +499,7 @@ func (th *Themis) OnDeliverToHost(pkt *packet.Packet) []*packet.Packet {
 		// confirmed lost. Generate the NACK the RNIC cannot (§3.4).
 		fs.valid = false
 		th.stats.Compensations++
-		nack := th.cfg.Pool.Get()
-		nack.Kind = packet.Nack
-		nack.Src = fs.dst
-		nack.Dst = fs.src
-		nack.QP = pkt.QP
-		nack.SPort = pkt.SPort
-		nack.DPort = 4791
-		nack.PSN = fs.bepsn
+		nack := th.cfg.Pool.Control(packet.Nack, fs.dst, fs.src, pkt.QP, pkt.SPort, fs.bepsn)
 		// Trace the generated NACK, not the triggering data packet: the
 		// event then carries PSN=BePSN and lands in the ledger entry of
 		// the blocked NACK it stands in for.

@@ -10,6 +10,7 @@ import (
 	"themis/internal/collective"
 	"themis/internal/obs"
 	"themis/internal/rnic"
+	"themis/internal/trace"
 	"themis/internal/workload"
 )
 
@@ -152,12 +153,18 @@ func TestTrialCarriesEngineMetrics(t *testing.T) {
 }
 
 func TestLinkFailureScenarioCompletes(t *testing.T) {
-	tr := Run(LinkFailureScenario(7))
+	ring := trace.New(1 << 18)
+	tr := RunObserved(LinkFailureScenario(7), Obs{Tracer: ring})
 	if tr.Err != "" {
 		t.Fatal(tr.Err)
 	}
 	if tr.Middleware.Bypassed == 0 {
 		t.Fatal("link failure never engaged the ECMP fallback (no bypassed packets)")
+	}
+	// LinkFail goes through the cluster's one fault path, so the trace (and a
+	// flight dump) shows the failure; its zero Repair means it never comes up.
+	if down, up := len(ring.ByOp(trace.FaultLinkDown)), len(ring.ByOp(trace.FaultLinkUp)); down != 1 || up != 0 {
+		t.Fatalf("fault-down/up events = %d/%d, want 1/0", down, up)
 	}
 }
 
@@ -197,16 +204,26 @@ func TestGridShapes(t *testing.T) {
 		}
 	}
 	// Names must be unique within each grid — they key the artifact rows.
-	for _, grid := range [][]Scenario{
-		Fig5Grid(1, 3<<20, collective.AllToAll),
-		Fig1Grid(10<<20, 1),
-		QueueFactorGrid(7, []float64{0.05, 1.5}),
-		PathSubsetGrid(7, []int{1, 4, 16}),
-		LossRecoveryGrid(7),
-		SmokeGrid(1, 2),
-		ChurnGrid(7, 2),
-		ConvergenceGrid(7, 2),
-	} {
+	// Every row of the grid table is covered, built the way `sweep -grid`
+	// builds it (bytes 0 = the row's default size).
+	var all [][]Scenario
+	for _, name := range strings.Split(GridNames(), "|") {
+		g, err := ParseGrid(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, g.Scenarios(7, 2, 0, collective.AllToAll))
+	}
+	if _, err := ParseGrid("fig6"); err == nil || !strings.Contains(err.Error(), GridNames()) {
+		t.Fatalf("unknown grid error %v does not list the table", err)
+	}
+	if fig1, _ := ParseGrid("fig1"); fig1.Scenarios(1, 1, 0, 0)[0].MessageBytes != 100<<20 {
+		t.Fatal("fig1's default size is the motivation study's 100 MB")
+	}
+	for i, grid := range all {
+		if len(grid) == 0 {
+			t.Fatalf("grid %d of %s is empty", i, GridNames())
+		}
 		seen := map[string]bool{}
 		for _, sc := range grid {
 			if sc.Name == "" || seen[sc.Name] {

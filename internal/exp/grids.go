@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
 	"themis/internal/collective"
 	"themis/internal/core"
@@ -189,20 +190,11 @@ func ConvergenceDelays() []sim.Duration {
 // control plane, with the seeded routing-stressor fault schedule (flap
 // storms, pod-uplink loss, maintenance drains).
 func ConvergenceGrid(first int64, count int) []Scenario {
-	arms := []struct {
-		name  string
-		lb    workload.LBMode
-		knobs ThemisKnobs
-	}{
-		{"themis-relearn", workload.Themis, ThemisKnobs{Relearn: true, FallbackOnFailure: true}},
-		{"ecmp", workload.ECMP, ThemisKnobs{}},
-		{"flowlet", workload.Flowlet, ThemisKnobs{}},
-	}
 	var grid []Scenario
 	for i := 0; i < count; i++ {
 		seed := first + int64(i)
 		for _, d := range ConvergenceDelays() {
-			for _, arm := range arms {
+			for _, arm := range repsArms[2:] {
 				sc := Scenario{
 					Name: fmt.Sprintf("convergence/%s/d%dus/seed%d",
 						arm.name, int64(d/sim.Microsecond), seed),
@@ -276,27 +268,25 @@ func ChurnGrid(first int64, count int) []Scenario {
 	return grid
 }
 
-// repsArms returns the spraying-arm comparison set the REPS grid sweeps: the
-// two feedback-driven arms (REPS entropy cache, congestion-aware bias) against
-// the established baselines — Themis with relearn, plain ECMP and flowlet
-// switching. Themis knobs only matter on the churn cells; the chaos and
-// convergence harness pins its own hardened middleware config.
-func repsArms() []struct {
+// sprayArm is one compared system of the REPS and convergence grids.
+type sprayArm struct {
 	name  string
 	lb    workload.LBMode
 	knobs ThemisKnobs
-} {
-	return []struct {
-		name  string
-		lb    workload.LBMode
-		knobs ThemisKnobs
-	}{
-		{"reps", workload.REPS, ThemisKnobs{}},
-		{"congestion", workload.CongestionAware, ThemisKnobs{}},
-		{"themis-relearn", workload.Themis, ThemisKnobs{Relearn: true, FallbackOnFailure: true}},
-		{"ecmp", workload.ECMP, ThemisKnobs{}},
-		{"flowlet", workload.Flowlet, ThemisKnobs{}},
-	}
+}
+
+// repsArms is the spraying-arm comparison set the REPS grid sweeps: the two
+// feedback-driven arms (REPS entropy cache, congestion-aware bias) against the
+// established baselines — Themis with relearn, plain ECMP and flowlet
+// switching — which are also the convergence grid's three arms. Themis knobs
+// only matter on the churn cells; the chaos and convergence harness pins its
+// own hardened middleware config.
+var repsArms = []sprayArm{
+	{"reps", workload.REPS, ThemisKnobs{}},
+	{"congestion", workload.CongestionAware, ThemisKnobs{}},
+	{"themis-relearn", workload.Themis, ThemisKnobs{Relearn: true, FallbackOnFailure: true}},
+	{"ecmp", workload.ECMP, ThemisKnobs{}},
+	{"flowlet", workload.Flowlet, ThemisKnobs{}},
 }
 
 // RepsGrid returns the REPS evaluation sweep for seeds [first, first+count):
@@ -311,7 +301,7 @@ func RepsGrid(first int64, count int) []Scenario {
 	var grid []Scenario
 	for i := 0; i < count; i++ {
 		seed := first + int64(i)
-		for _, arm := range repsArms() {
+		for _, arm := range repsArms {
 			grid = append(grid,
 				Scenario{
 					Name:         fmt.Sprintf("reps/chaos/%s/seed%d", arm.name, seed),
@@ -402,4 +392,75 @@ func SprayGrid(seeds ...int64) []Scenario {
 		}
 	}
 	return grid
+}
+
+// Grid is one row of the grid table: a named scenario grid `themis-sim sweep
+// -grid` can build.
+type Grid struct {
+	name string
+	// bytes is the default message size for grids that take one (0: the grid
+	// fixes its own sizes).
+	bytes int64
+	build func(gridArgs) []Scenario
+}
+
+// gridArgs is what a sweep can vary: seeds [seed, seed+seeds) — single-seed
+// grids use seed only — the message size and the collective pattern.
+type gridArgs struct {
+	seed    int64
+	seeds   int
+	bytes   int64
+	pattern collective.Pattern
+}
+
+// list returns the seeds [seed, seed+seeds).
+func (a gridArgs) list() []int64 {
+	list := make([]int64, a.seeds)
+	for i := range list {
+		list[i] = a.seed + int64(i)
+	}
+	return list
+}
+
+// grids is the grid table, behind ParseGrid and GridNames. Adding a grid is
+// its constructor above and one row here.
+var grids = []Grid{
+	{"fig5", 300 << 20, func(a gridArgs) []Scenario { return Fig5Grid(a.seed, a.bytes, a.pattern) }},
+	{"fig1", 100 << 20, func(a gridArgs) []Scenario { return Fig1Grid(a.bytes, a.list()...) }},
+	{"smoke", 0, func(a gridArgs) []Scenario { return SmokeGrid(a.list()...) }},
+	{"chaos", 0, func(a gridArgs) []Scenario { return ChaosGrid(a.seed, a.seeds) }},
+	{"churn", 0, func(a gridArgs) []Scenario { return ChurnGrid(a.seed, a.seeds) }},
+	{"convergence", 0, func(a gridArgs) []Scenario { return ConvergenceGrid(a.seed, a.seeds) }},
+	{"spray", 0, func(a gridArgs) []Scenario { return SprayGrid(a.list()...) }},
+	{"reps", 0, func(a gridArgs) []Scenario { return RepsGrid(a.seed, a.seeds) }},
+	{"queue-factor", 0, func(a gridArgs) []Scenario { return QueueFactorGrid(a.seed, []float64{0.05, 0.2, 0.5, 1.5, 3.0}) }},
+	{"path-subset", 0, func(a gridArgs) []Scenario { return PathSubsetGrid(a.seed, []int{1, 2, 4, 8, 16}) }},
+	{"loss-recovery", 0, func(a gridArgs) []Scenario { return LossRecoveryGrid(a.seed) }},
+}
+
+// Scenarios builds the grid; bytes 0 takes the grid's default size.
+func (g Grid) Scenarios(seed int64, seeds int, bytes int64, pattern collective.Pattern) []Scenario {
+	if bytes == 0 {
+		bytes = g.bytes
+	}
+	return g.build(gridArgs{seed, seeds, bytes, pattern})
+}
+
+// GridNames returns the grid names joined by "|", for flag help and errors.
+func GridNames() string {
+	names := make([]string, len(grids))
+	for i := range grids {
+		names[i] = grids[i].name
+	}
+	return strings.Join(names, "|")
+}
+
+// ParseGrid looks a grid up by name.
+func ParseGrid(name string) (Grid, error) {
+	for _, g := range grids {
+		if g.name == name {
+			return g, nil
+		}
+	}
+	return Grid{}, fmt.Errorf("unknown grid %q (%s)", name, GridNames())
 }

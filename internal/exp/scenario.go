@@ -125,8 +125,10 @@ type Scenario struct {
 	// Middleware ablation knobs.
 	Themis ThemisKnobs `json:"themis,omitempty"`
 
-	// Declarative faults. Chaos scenarios generate their own schedule from
-	// the seed and ignore these.
+	// Declarative faults. DropEveryNData is a rule of the cluster's composed
+	// loss hook and holds on every workload, beside whatever schedule a chaos,
+	// convergence or churn trial generates from its seed (spray rejects it);
+	// LinkFail is collective-only, as Faults above is churn-only.
 	DropEveryNData int                 `json:"drop_every_n_data,omitempty"`
 	LinkFail       *workload.LinkFault `json:"link_fail,omitempty"`
 }

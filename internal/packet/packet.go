@@ -64,6 +64,9 @@ const (
 	DefaultMTU   = 1500 // default payload bytes per data packet (paper Table 1)
 )
 
+// RoCEv2Port is the UDP destination port every RoCEv2 packet carries.
+const RoCEv2Port = 4791
+
 // DefaultTTL is the hop limit stamped on packets entering the fabric (the
 // IPv4 TTL / IPv6 hop-limit of the encapsulating header). Any loop-free CLOS
 // path is at most a handful of switch hops, so a packet that burns through
@@ -82,7 +85,7 @@ type Packet struct {
 	Src, Dst NodeID // endpoints (hosts)
 	QP       QPID   // queue pair the packet belongs to
 	SPort    uint16 // UDP source port: ECMP entropy, rewritten by Themis-S
-	DPort    uint16 // UDP destination port (RoCEv2 4791, constant)
+	DPort    uint16 // UDP destination port (RoCEv2Port, constant)
 
 	// Transport fields.
 	PSN     PSN // BTH packet sequence number (Data), or AETH ePSN (Ack/Nack)

@@ -36,6 +36,18 @@ func (pl *Pool) Get() *Packet {
 	return p
 }
 
+// Control returns a header-only control packet (ACK/NACK/CNP) from src to dst
+// on qp: psn is the AETH ePSN an ACK or NACK carries, zero for a CNP.
+func (pl *Pool) Control(kind Kind, src, dst NodeID, qp QPID, sport uint16, psn PSN) *Packet {
+	p := pl.Get()
+	p.Kind = kind
+	p.Src, p.Dst = src, dst
+	p.QP = qp
+	p.SPort, p.DPort = sport, RoCEv2Port
+	p.PSN = psn
+	return p
+}
+
 // Put releases a packet back to the pool. The caller must not retain the
 // pointer afterwards.
 func (pl *Pool) Put(p *Packet) {

@@ -45,9 +45,9 @@ func TestPSNDiff(t *testing.T) {
 	}{
 		{10, 3, 7},
 		{3, 10, -7},
-		{0, psnMask, 1},       // 0 is one after 0xFFFFFF
-		{psnMask, 0, -1},      // and 0xFFFFFF one before 0
-		{5, 5, 0},             // equal
+		{0, psnMask, 1},               // 0 is one after 0xFFFFFF
+		{psnMask, 0, -1},              // and 0xFFFFFF one before 0
+		{5, 5, 0},                     // equal
 		{psnHalf - 1, 0, psnHalf - 1}, // largest positive distance
 	}
 	for _, c := range cases {

@@ -138,28 +138,13 @@ func (r *ReceiverQP) deliver(psn packet.PSN, payload int) {
 
 func (r *ReceiverQP) sendAck() {
 	r.stats.AcksTx++
-	p := r.nic.cfg.Pool.Get()
-	p.Kind = packet.Ack
-	p.Src = r.nic.id
-	p.Dst = r.src
-	p.QP = r.qp
-	p.SPort = r.sport
-	p.DPort = 4791
-	p.PSN = r.epsn
-	r.nic.inject(p)
+	r.nic.inject(r.nic.cfg.Pool.Control(packet.Ack, r.nic.id, r.src, r.qp, r.sport, r.epsn))
 }
 
 func (r *ReceiverQP) sendNack() {
 	r.stats.NacksTx++
-	p := r.nic.cfg.Pool.Get()
-	p.Kind = packet.Nack
-	p.Src = r.nic.id
-	p.Dst = r.src
-	p.QP = r.qp
-	p.SPort = r.sport
-	p.DPort = 4791
-	p.PSN = r.epsn // NACKs carry only the ePSN (§2.2)
-	r.nic.inject(p)
+	// NACKs carry only the ePSN (§2.2).
+	r.nic.inject(r.nic.cfg.Pool.Control(packet.Nack, r.nic.id, r.src, r.qp, r.sport, r.epsn))
 }
 
 // maybeSendCNP rate-limits congestion notifications to one per CNPInterval.
@@ -175,12 +160,5 @@ func (r *ReceiverQP) maybeSendCNP(entropy uint16) {
 	r.lastCNP = now
 	r.cnpEverSent = true
 	r.stats.CnpsTx++
-	p := r.nic.cfg.Pool.Get()
-	p.Kind = packet.Cnp
-	p.Src = r.nic.id
-	p.Dst = r.src
-	p.QP = r.qp
-	p.SPort = entropy
-	p.DPort = 4791
-	r.nic.inject(p)
+	r.nic.inject(r.nic.cfg.Pool.Control(packet.Cnp, r.nic.id, r.src, r.qp, entropy, 0))
 }

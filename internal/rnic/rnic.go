@@ -22,6 +22,7 @@ package rnic
 
 import (
 	"fmt"
+	"strings"
 
 	"themis/internal/cc"
 	"themis/internal/lb"
@@ -43,18 +44,29 @@ const (
 	Ideal
 )
 
+// transportNames is the mnemonic table behind String, ParseTransport and
+// TransportNames.
+var transportNames = [...]string{SelectiveRepeat: "nic-sr", GoBackN: "gbn", Ideal: "ideal"}
+
 // String returns the transport mnemonic.
 func (t Transport) String() string {
-	switch t {
-	case SelectiveRepeat:
-		return "nic-sr"
-	case GoBackN:
-		return "gbn"
-	case Ideal:
-		return "ideal"
-	default:
+	if t < 0 || int(t) >= len(transportNames) {
 		return fmt.Sprintf("Transport(%d)", int(t))
 	}
+	return transportNames[t]
+}
+
+// TransportNames returns the mnemonics joined by "|", for flag help and errors.
+func TransportNames() string { return strings.Join(transportNames[:], "|") }
+
+// ParseTransport is the inverse of Transport.String.
+func ParseTransport(s string) (Transport, error) {
+	for t, name := range transportNames {
+		if name == s {
+			return Transport(t), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown transport %q (%s)", s, TransportNames())
 }
 
 // Config parameterizes a NIC. Zero fields take defaults.

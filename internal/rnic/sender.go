@@ -192,33 +192,7 @@ func (s *SenderQP) transmitNext() {
 		if !ok {
 			break
 		}
-		payload := s.payloadOf(psn)
-		p := s.nic.cfg.Pool.Get()
-		p.Kind = packet.Data
-		p.Src = s.nic.id
-		p.Dst = s.dst
-		p.QP = s.qp
-		p.SPort = s.sport
-		if s.entropy != nil {
-			p.SPort = s.entropy.Pick(psn)
-		}
-		p.DPort = 4791
-		p.PSN = psn
-		p.Payload = payload
-		p.Retransmit = retrans
-		s.stats.DataPackets++
-		s.stats.BytesSent += uint64(payload)
-		if retrans {
-			s.stats.Retransmits++
-		}
-		if s.dcqcn != nil {
-			s.dcqcn.OnBytesSent(p.Size())
-		}
-		if s.OnSend != nil {
-			s.OnSend(now, psn, payload, retrans)
-		}
-		s.nic.inject(p)
-		sentWire += p.Size()
+		sentWire += s.emit(psn, retrans)
 		if sentWire >= burstLimit {
 			break // burstLimit <= 0 still sends exactly one packet
 		}
@@ -232,6 +206,39 @@ func (s *SenderQP) transmitNext() {
 	// Pacing gap: the burst's on-wire time at the current rate.
 	s.nextSendAt = now.Add(sim.TransmitTime(sentWire, s.Rate()))
 	s.pumpEv = s.nic.engine.At(s.nextSendAt, s.pumpFire)
+}
+
+// emit builds the data packet for psn, accounts it and hands it to the wire;
+// it returns the packet's on-wire size.
+func (s *SenderQP) emit(psn packet.PSN, retransmit bool) int {
+	payload := s.payloadOf(psn)
+	p := s.nic.cfg.Pool.Get()
+	p.Kind = packet.Data
+	p.Src = s.nic.id
+	p.Dst = s.dst
+	p.QP = s.qp
+	p.SPort = s.sport
+	if s.entropy != nil {
+		p.SPort = s.entropy.Pick(psn)
+	}
+	p.DPort = packet.RoCEv2Port
+	p.PSN = psn
+	p.Payload = payload
+	p.Retransmit = retransmit
+	s.stats.DataPackets++
+	s.stats.BytesSent += uint64(payload)
+	if retransmit {
+		s.stats.Retransmits++
+	}
+	size := p.Size()
+	if s.dcqcn != nil {
+		s.dcqcn.OnBytesSent(size)
+	}
+	if s.OnSend != nil {
+		s.OnSend(s.nic.engine.Now(), psn, payload, retransmit)
+	}
+	s.nic.inject(p)
+	return size
 }
 
 // pickNext chooses the next PSN to send.
@@ -304,30 +311,7 @@ func (s *SenderQP) retransmitNow(psn packet.PSN) {
 	if !psn.Before(s.maxSent) || psn.Before(s.cumAck) {
 		return
 	}
-	payload := s.payloadOf(psn)
-	p := s.nic.cfg.Pool.Get()
-	p.Kind = packet.Data
-	p.Src = s.nic.id
-	p.Dst = s.dst
-	p.QP = s.qp
-	p.SPort = s.sport
-	if s.entropy != nil {
-		p.SPort = s.entropy.Pick(psn)
-	}
-	p.DPort = 4791
-	p.PSN = psn
-	p.Payload = payload
-	p.Retransmit = true
-	s.stats.DataPackets++
-	s.stats.BytesSent += uint64(payload)
-	s.stats.Retransmits++
-	if s.dcqcn != nil {
-		s.dcqcn.OnBytesSent(p.Size())
-	}
-	if s.OnSend != nil {
-		s.OnSend(s.nic.engine.Now(), psn, payload, true)
-	}
-	s.nic.inject(p)
+	s.emit(psn, true)
 	if !s.rto.Active() {
 		s.rto.Reset(s.curRTO())
 	}

@@ -50,6 +50,18 @@ func (s *Switch) Hosts() []packet.NodeID {
 	return hs
 }
 
+// FabricPorts returns the indices of the ports that face another switch,
+// ascending.
+func (s *Switch) FabricPorts() []int {
+	var ports []int
+	for pi := range s.Ports {
+		if !s.Ports[pi].IsHostPort() {
+			ports = append(ports, pi)
+		}
+	}
+	return ports
+}
+
 // Attach records where a host plugs into the fabric.
 type Attach struct {
 	Switch    int // ToR switch ID
@@ -85,6 +97,18 @@ func (t *Topology) Switch(id int) *Switch { return t.switches[id] }
 
 // Switches returns all switches.
 func (t *Topology) Switches() []*Switch { return t.switches }
+
+// ToRs returns the IDs of the tier-0 switches hosts attach to — the ones
+// that can host a Themis instance — ascending.
+func (t *Topology) ToRs() []int {
+	var tors []int
+	for _, sw := range t.switches {
+		if sw.Tier == 0 && len(sw.Hosts()) > 0 {
+			tors = append(tors, sw.ID)
+		}
+	}
+	return tors
+}
 
 // HostAttach returns the attachment point of host h.
 func (t *Topology) HostAttach(h packet.NodeID) Attach { return t.attach[h] }

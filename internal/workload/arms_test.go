@@ -149,14 +149,18 @@ func TestRunnerPins(t *testing.T) {
 // host is an error, not a silently ignored knob (TestSprayRejectsThemisLB
 // covers the pipeline arm).
 func TestSprayRejectsUnshardableKnobs(t *testing.T) {
-	for name, c := range map[string]ClusterConfig{
-		"tracer":              {Tracer: trace.New(16)},
-		"metrics":             {Metrics: obs.NewRegistry()},
-		"drop-every-n":        {DropEveryNData: 100},
+	// Keyed by the words the error must carry. DropEveryNData is refused by
+	// the cluster builder (the loss hook is the cluster's), the rest by the
+	// fabric.
+	for want, c := range map[string]ClusterConfig{
+		"tracing":             {Tracer: trace.New(16)},
+		"metrics registry":    {Metrics: obs.NewRegistry()},
+		"DropEveryNData":      {DropEveryNData: 100},
 		"distributed routing": {DistributedRouting: true},
 	} {
-		if _, err := RunSpray(SprayConfig{ClusterConfig: c, MessageBytes: 4 << 10}); err == nil {
-			t.Errorf("%s: RunSpray accepted it", name)
+		_, err := RunSpray(SprayConfig{ClusterConfig: c, MessageBytes: 4 << 10})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: RunSpray returned %v", want, err)
 		}
 	}
 }

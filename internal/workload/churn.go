@@ -6,6 +6,7 @@ import (
 
 	"themis/internal/packet"
 	"themis/internal/sim"
+	"themis/internal/topo"
 )
 
 // ChurnConfig parameterizes the flow-churn workload: a stream of short-lived
@@ -143,45 +144,36 @@ func (d *churnDriver) openNext() {
 	})
 }
 
-// scheduleChurnFaults injects the soak fault mix: two ToR reboots and one
-// link flap, drawn deterministically from the seed so a failing seed
-// reproduces exactly. Times land in the early life of the run (the same
-// 10–200 us window the chaos generator uses) so state loss and the §6
-// fallback overlap live churn.
-func scheduleChurnFaults(cl *Cluster, cfg ChurnConfig) {
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
-	var tors []int
+// churnFaults is the soak fault mix: two ToR reboots and one flap of a ToR
+// uplink, drawn deterministically from the seed so a failing seed reproduces
+// exactly. Times land in the early life of the run (the same 10–200 us window
+// the chaos generator uses) so state loss and the §6 fallback overlap live
+// churn.
+func churnFaults(seed int64, tp *topo.Topology) []Fault {
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	tors := tp.ToRs()
 	var links [][2]int
-	for _, sw := range cl.Topo.Switches() {
-		if sw.Tier == 0 && len(sw.Hosts()) > 0 {
-			tors = append(tors, sw.ID)
-			for pi := range sw.Ports {
-				if !sw.Ports[pi].IsHostPort() {
-					links = append(links, [2]int{sw.ID, pi})
-				}
-			}
+	for _, sw := range tors {
+		for _, pi := range tp.Switch(sw).FabricPorts() {
+			links = append(links, [2]int{sw, pi})
 		}
 	}
-	if len(tors) == 0 {
-		return // no middleware deployed: reboots and the §6 reaction are moot
-	}
 	us := sim.Microsecond
+	var faults []Fault
 	for i := 0; i < 2; i++ {
 		sw := tors[rng.Intn(len(tors))]
-		cl.Engine.Schedule(sim.Duration(10+rng.Intn(150))*us, func() { cl.RebootToR(sw) })
+		faults = append(faults, Fault{Kind: TorReboot, Sw: sw, At: sim.Duration(10+rng.Intn(150)) * us})
 	}
 	l := links[rng.Intn(len(links))]
 	down := sim.Duration(20+rng.Intn(100)) * us
-	up := down + sim.Duration(30+rng.Intn(120))*us
-	cl.Engine.Schedule(down, func() { cl.FailLink(l[0], l[1]) })
-	cl.Engine.Schedule(up, func() { cl.RepairLink(l[0], l[1]) })
+	return append(faults, Fault{Kind: LinkFlap, Sw: l[0], Port: l[1], At: down, Duration: sim.Duration(30+rng.Intn(120)) * us})
 }
 
-// RunChurn executes one flow-churn trial and audits the lifecycle
-// invariants: occupancy never exceeds the budget, every flow completes,
-// blocked NACKs are exactly the middleware's deliberate verdicts (a NACK for
-// an evicted/unknown QP is forwarded, never blocked), and no armed
-// compensation outlives the run.
+// RunChurn executes one flow-churn trial and audits it: occupancy never
+// exceeds the budget at any open/close point, and the drained cluster passes
+// Cluster.Audit (every flow completes, blocked NACKs are exactly the
+// middleware's deliberate verdicts, no armed compensation outlives the run,
+// …).
 func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	cfg.resolve()
 	cl, err := BuildCluster(cfg.ClusterConfig)
@@ -189,7 +181,7 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 		return nil, err
 	}
 	if cfg.Faults {
-		scheduleChurnFaults(cl, cfg)
+		cl.Inject(churnFaults(cfg.Seed, cl.Topo))
 	}
 
 	d := &churnDriver{cl: cl, cfg: cfg, rng: cl.Engine.Rand()}
@@ -207,37 +199,6 @@ func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
 	if sec := end.Seconds(); sec > 0 {
 		res.GoodputGbps = float64(res.Sender.GoodputBytes) * 8 / sec / 1e9
 	}
-	res.Violations = append(d.violations, churnInvariants(cl, d)...)
+	res.Violations = append(d.violations, cl.Audit(cfg.QPs-d.completed)...)
 	return res, nil
-}
-
-// churnInvariants audits the cluster after the run drained.
-func churnInvariants(cl *Cluster, d *churnDriver) []string {
-	var v []string
-	if d.completed != d.cfg.QPs {
-		v = append(v, fmt.Sprintf("%d/%d flows never completed", d.cfg.QPs-d.completed, d.cfg.QPs))
-	}
-	if n := cl.FailedLinks(); n != 0 {
-		v = append(v, fmt.Sprintf("%d link failures left outstanding", n))
-	}
-	// Blocked-NACK conservation: the fabric blocks a host control packet
-	// exactly when a Themis-D instance returned a deliberate "block" verdict.
-	// Equality proves structurally that NACKs for evicted/unknown/rejected
-	// QPs — which never reach the verdict path — were all forwarded.
-	st := cl.ThemisStats()
-	if blocked := cl.Net.Counters().Blocked; blocked != st.NacksBlocked {
-		v = append(v, fmt.Sprintf("blocked-NACK conservation broken: fabric blocked %d != middleware verdicts %d",
-			blocked, st.NacksBlocked))
-	}
-	// With every flow closed, no armed compensation may survive: an armed
-	// entry either resolved (cancelled/compensated) or its flow completed and
-	// was unregistered.
-	if d.completed == d.cfg.QPs {
-		for _, id := range cl.torIDs {
-			if n := cl.Themis[id].PendingCompensations(); n != 0 {
-				v = append(v, fmt.Sprintf("sw %d: %d armed compensations after all flows closed", id, n))
-			}
-		}
-	}
-	return v
 }

@@ -7,6 +7,7 @@ import (
 	"themis/internal/core"
 	"themis/internal/memmodel"
 	"themis/internal/sim"
+	"themis/internal/trace"
 )
 
 // dstEntryBytes is the §4 cost of one Themis-D entry on the default cluster
@@ -146,6 +147,61 @@ func TestChurnDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different results:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestChurnFaultSchedule pins the churn fault mix to the draws the private
+// scheduler it replaced made (recorded from scheduleChurnFaults at b68edb8 on
+// the default 3×3×2 fabric): reboot, reboot, then one flap of a ToR uplink.
+func TestChurnFaultSchedule(t *testing.T) {
+	us := sim.Microsecond
+	want := map[int64][]Fault{
+		1: {
+			{Kind: TorReboot, Sw: 1, At: 87 * us},
+			{Kind: TorReboot, Sw: 1, At: 128 * us},
+			{Kind: LinkFlap, Sw: 1, Port: 4, At: 97 * us, Duration: 87 * us},
+		},
+		2: {
+			{Kind: TorReboot, Sw: 2, At: 94 * us},
+			{Kind: TorReboot, Sw: 1, At: 144 * us},
+			{Kind: LinkFlap, Sw: 1, Port: 4, At: 68 * us, Duration: 93 * us},
+		},
+		3: {
+			{Kind: TorReboot, Sw: 1, At: 72 * us},
+			{Kind: TorReboot, Sw: 0, At: 159 * us},
+			{Kind: LinkFlap, Sw: 0, Port: 4, At: 91 * us, Duration: 123 * us},
+		},
+	}
+	var cfg ChurnConfig
+	cfg.resolve()
+	tp, err := cfg.topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed, w := range want {
+		if got := churnFaults(seed, tp); !reflect.DeepEqual(got, w) {
+			t.Errorf("seed %d:\n got  %v\n want %v", seed, got, w)
+		}
+	}
+}
+
+// TestChurnFaultsReachTheTrace: the churn flap goes through Cluster.FailLink /
+// RepairLink like every injected fault, so a traced run (and hence a flight
+// dump) shows it.
+func TestChurnFaultsReachTheTrace(t *testing.T) {
+	tr := trace.New(1 << 18)
+	res, err := RunChurn(ChurnConfig{
+		ClusterConfig: ClusterConfig{Seed: 1, LB: Themis, Tracer: tr, ThemisCfg: core.Config{Relearn: true}},
+		QPs:           24, Concurrency: 8, MessageBytes: 32 << 10, Faults: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) != 0 {
+		t.Fatalf("violations: %v", res.Violations)
+	}
+	if down, up := len(tr.ByOp(trace.FaultLinkDown)), len(tr.ByOp(trace.FaultLinkUp)); down != 1 || up != 1 {
+		t.Fatalf("fault-down/up events = %d/%d, want 1/1", down, up)
 	}
 }
 

@@ -17,6 +17,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 
 	"themis/internal/collective"
 	"themis/internal/core"
@@ -82,8 +83,12 @@ type ClusterConfig struct {
 	ConvergenceDelay sim.Duration
 
 	// DropEveryNData, if positive, drops every Nth data packet at switch
-	// egress — the declarative form of the counter-based LossFunc the loss
-	// ablations use, expressible in a serialized scenario.
+	// egress — the declarative form of the counter-based loss hook the loss
+	// ablations use, expressible in a serialized scenario. It is a rule of the
+	// cluster's composed loss hook (Cluster.Inject), so it holds on every
+	// workload whatever faults are injected beside it; with LossyControl the
+	// count and the drops take in control packets too, which then consult the
+	// hook like data. A partitioned cluster rejects it.
 	DropEveryNData int
 
 	// Themis middleware (used when LB == Themis).
@@ -151,13 +156,6 @@ func (c *ClusterConfig) fabricConfig(a *arm, pool *packet.Pool) fabric.Config {
 	if !c.DisablePFC {
 		fcfg.PFC = fabric.DefaultPFC(c.Bandwidth)
 	}
-	if n := c.DropEveryNData; n > 0 {
-		count := 0
-		fcfg.LossFunc = func(p *packet.Packet, sw, port int) bool {
-			count++
-			return count%n == 0
-		}
-	}
 	return fcfg
 }
 
@@ -192,9 +190,9 @@ type Cluster struct {
 	NICs   []*rnic.NIC
 	Themis map[int]*core.Themis // per-ToR middleware (LB == Themis only)
 
-	// torIDs holds the Themis ToR switch IDs in creation order so that every
-	// cluster-wide middleware sweep visits instances in the same order on
-	// every run — ranging over the Themis map would not.
+	// torIDs holds the Themis ToR switch IDs, ascending (topo.ToRs), so that
+	// every cluster-wide middleware sweep visits instances in the same order
+	// on every run — ranging over the Themis map would not.
 	torIDs []int
 
 	nextQP    packet.QPID
@@ -206,6 +204,11 @@ type Cluster struct {
 	// failures repaired in any order only re-enable Themis once the fabric is
 	// whole again.
 	failedLinks map[[2]int]bool
+
+	// lossRules are the rules of the composed fabric loss hook and lossRNG the
+	// stream their probabilistic draws come from (see addLossRule).
+	lossRules []lossRule
+	lossRNG   *rand.Rand
 
 	// engines holds one engine per shard (just Engine classically) and
 	// hostShard maps each host to its shard. group coordinates the engines of
@@ -264,6 +267,9 @@ func buildCluster(cfg ClusterConfig, shards int) (*Cluster, error) {
 		if a.pipeline {
 			return nil, fmt.Errorf("workload: the %v pipeline cannot run on a partitioned cluster yet (core wiring is classic-engine only)", cfg.LB)
 		}
+		if cfg.DropEveryNData > 0 {
+			return nil, fmt.Errorf("workload: DropEveryNData is not supported on a partitioned cluster (a shared loss hook couples shards)")
+		}
 		part, err := topo.PartitionRacks(t, shards)
 		if err != nil {
 			return nil, err
@@ -284,6 +290,9 @@ func buildCluster(cfg ClusterConfig, shards int) (*Cluster, error) {
 		}
 	}
 	cl.Engine = cl.engines[0]
+	if n := cfg.DropEveryNData; n > 0 {
+		cl.addLossRule(lossRule{to: sim.Forever, sw: -1, port: -1, ctrl: true, dat: true, every: n})
+	}
 
 	// One NIC config per shard: a NIC allocates from its own shard's pool.
 	// Per-sender entropy state lives with the sender and is a pure function
@@ -314,13 +323,11 @@ func buildCluster(cfg ClusterConfig, shards int) (*Cluster, error) {
 		if cfg.Tracer != nil && tcfg.Tracer == nil {
 			tcfg.Tracer = cfg.Tracer
 		}
-		for _, sw := range t.Switches() {
-			if sw.Tier == 0 && len(sw.Hosts()) > 0 {
-				th := core.New(t, sw.ID, tcfg)
-				cl.Net.SetTorPipeline(sw.ID, th)
-				cl.Themis[sw.ID] = th
-				cl.torIDs = append(cl.torIDs, sw.ID)
-			}
+		cl.torIDs = t.ToRs()
+		for _, id := range cl.torIDs {
+			th := core.New(t, id, tcfg)
+			cl.Net.SetTorPipeline(id, th)
+			cl.Themis[id] = th
 		}
 	}
 	return cl, nil
@@ -418,6 +425,7 @@ func (cl *Cluster) Run(horizon sim.Duration) sim.Time {
 // steering the same PSN residues into the dead path forever. Failures may
 // overlap; Themis stays disabled until every one is repaired.
 func (cl *Cluster) FailLink(sw, port int) {
+	cl.Config.Tracer.RecordFault(cl.Engine.Now(), trace.FaultLinkDown, sw, port)
 	cl.failedLinks[[2]int{sw, port}] = true
 	cl.Net.SetLinkState(sw, port, false)
 	for _, id := range cl.torIDs {
@@ -429,6 +437,7 @@ func (cl *Cluster) FailLink(sw, port int) {
 // re-enables the middleware. Repairs may arrive in any order relative to the
 // failures.
 func (cl *Cluster) RepairLink(sw, port int) {
+	cl.Config.Tracer.RecordFault(cl.Engine.Now(), trace.FaultLinkUp, sw, port)
 	delete(cl.failedLinks, [2]int{sw, port})
 	cl.Net.SetLinkState(sw, port, true)
 	if len(cl.failedLinks) > 0 {
@@ -441,35 +450,6 @@ func (cl *Cluster) RepairLink(sw, port int) {
 
 // FailedLinks returns the number of outstanding link failures.
 func (cl *Cluster) FailedLinks() int { return len(cl.failedLinks) }
-
-// DrainLink starts a maintenance drain of the fabric link at (sw, port): the
-// routing layer withdraws it from candidate sets while the link keeps
-// carrying in-flight traffic, so a later FailLink on the same link hits a
-// path nothing routes over. Themis stays enabled — a drained link is alive,
-// it is merely no longer a candidate, so deterministic PSN spraying never
-// steers into a dead path because of a drain alone.
-func (cl *Cluster) DrainLink(sw, port int) {
-	cl.Net.SetLinkDrained(sw, port, true)
-}
-
-// UndrainLink ends the maintenance drain, restoring the link to candidate
-// sets (after reconvergence, under distributed routing).
-func (cl *Cluster) UndrainLink(sw, port int) {
-	cl.Net.SetLinkDrained(sw, port, false)
-}
-
-// DrainedLinks returns the number of fabric links currently drained.
-func (cl *Cluster) DrainedLinks() int { return cl.Net.DrainedLinks() }
-
-// RebootToR power-cycles the Themis instance on ToR sw (no-op on clusters
-// without the middleware): all flow-table and ring-queue state is lost
-// mid-flow. With ThemisCfg.Relearn the instance rebuilds state from live
-// traffic; otherwise its flows stay unmanaged until re-registered.
-func (cl *Cluster) RebootToR(sw int) {
-	if th, ok := cl.Themis[sw]; ok {
-		th.Reboot()
-	}
-}
 
 // AggregateSenderStats sums sender-side stats over all connections.
 func (cl *Cluster) AggregateSenderStats() rnic.SenderStats {

@@ -29,7 +29,10 @@ type CollectiveConfig struct {
 }
 
 // LinkFault declaratively describes a single link failure: switch Switch's
-// port Port goes down at time At; Repair > 0 brings it back up at that time.
+// port Port goes down at time At; a Repair after At brings it back up at that
+// time (zero: never repaired). RunCollective lowers it to a one-fault
+// schedule for Cluster.Inject and, unlike the fault-bearing soaks, runs no
+// audit.
 type LinkFault struct {
 	Switch int          `json:"switch"`
 	Port   int          `json:"port"`
@@ -95,11 +98,7 @@ func RunCollective(cfg CollectiveConfig) (*CollectiveResult, error) {
 		return nil, err
 	}
 	if f := cfg.LinkFail; f != nil {
-		f := *f
-		cl.Engine.Schedule(f.At, func() { cl.FailLink(f.Switch, f.Port) })
-		if f.Repair > 0 {
-			cl.Engine.Schedule(f.Repair, func() { cl.RepairLink(f.Switch, f.Port) })
-		}
+		cl.Inject([]Fault{{Kind: LinkFlap, Sw: f.Switch, Port: f.Port, At: f.At, Duration: f.Repair - f.At}})
 	}
 
 	res := &CollectiveResult{GroupCCT: make([]sim.Time, cfg.Groups)}

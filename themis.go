@@ -78,7 +78,7 @@ type (
 	// ChaosScenario is a seeded fault schedule for the chaos harness.
 	ChaosScenario = chaos.Scenario
 	// ChaosFault is one scheduled fault of a ChaosScenario.
-	ChaosFault = chaos.Fault
+	ChaosFault = workload.Fault
 	// ChaosOptions parameterizes the chaos scenario harness.
 	ChaosOptions = chaos.Options
 	// ChaosResult is the audited outcome of one chaos scenario.
