@@ -448,6 +448,19 @@ func TestWorkloadTable(t *testing.T) {
 	}
 }
 
+// The aggregate's percentiles are taken across the trials, not copied from
+// the first one.
+func TestReportAggregatePercentiles(t *testing.T) {
+	var trials []Trial
+	for _, cct := range []float64{3, 1, 2} {
+		trials = append(trials, Trial{Outcome: workload.Outcome{CCTMillis: cct}})
+	}
+	agg := NewReport("p", trials).Aggregate.CCTMillis
+	if agg.Count != 3 || agg.Sum != 6 || agg.Min != 1 || agg.Max != 3 || agg.P50 != 2 || agg.P99 != 3 {
+		t.Fatalf("aggregate of CCT 3, 1, 2 = %+v, want p50 2, p99 3", agg)
+	}
+}
+
 func TestReportWriteFile(t *testing.T) {
 	dir := t.TempDir()
 	rep := NewReport("smoke", Runner{}.Run(SmokeGrid(1)[:1]))

@@ -8,8 +8,9 @@ import (
 	"themis/internal/stats"
 )
 
-// Aggregate digests a set of trials: per-metric summaries folded from the
-// per-trial scalars with stats.Summary.Merge, plus sweep-level counts.
+// Aggregate digests a set of trials: per-metric summaries of the per-trial
+// scalars (stats.Summarize, so p50/p99 are percentiles across trials), plus
+// sweep-level counts.
 type Aggregate struct {
 	CCTMillis    stats.Summary `json:"cct_ms"`
 	RetransRatio stats.Summary `json:"retrans_ratio"`
@@ -37,6 +38,7 @@ type Report struct {
 func NewReport(name string, trials []Trial) *Report {
 	r := &Report{Name: name, Trials: trials}
 	agg := &r.Aggregate
+	var cct, retrans, goodput []float64
 	for _, t := range trials {
 		agg.EventsExecuted += t.Engine.EventsExecuted
 		agg.EventAllocs += t.Engine.EventAllocs
@@ -46,12 +48,15 @@ func NewReport(name string, trials []Trial) *Report {
 			agg.Errors++
 			continue
 		}
-		agg.CCTMillis = agg.CCTMillis.Merge(stats.Summarize([]float64{t.CCTMillis}))
-		agg.RetransRatio = agg.RetransRatio.Merge(stats.Summarize([]float64{t.RetransRatio}))
+		cct = append(cct, t.CCTMillis)
+		retrans = append(retrans, t.RetransRatio)
 		if t.GoodputGbps != 0 {
-			agg.GoodputGbps = agg.GoodputGbps.Merge(stats.Summarize([]float64{t.GoodputGbps}))
+			goodput = append(goodput, t.GoodputGbps)
 		}
 	}
+	agg.CCTMillis = stats.Summarize(cct)
+	agg.RetransRatio = stats.Summarize(retrans)
+	agg.GoodputGbps = stats.Summarize(goodput)
 	return r
 }
 

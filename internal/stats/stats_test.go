@@ -194,28 +194,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestSummaryMerge(t *testing.T) {
-	a := Summarize([]float64{1, 2, 3})
-	b := Summarize([]float64{10, 20})
-	m := a.Merge(b)
-	if m.Count != 5 || m.Sum != 36 || m.Min != 1 || m.Max != 20 {
-		t.Fatalf("Merge = %+v", m)
-	}
-	if math.Abs(m.Mean-36.0/5) > 1e-12 {
-		t.Fatalf("Mean = %g", m.Mean)
-	}
-	// Merging with the empty summary is the identity in either direction —
-	// the parallel runner folds trial records starting from the zero value.
-	if a.Merge(Summary{}) != a || (Summary{}).Merge(a) != a {
-		t.Fatal("merge with zero summary should be identity")
-	}
-	// Merge is commutative on the exact fields.
-	ba := b.Merge(a)
-	if ba.Count != m.Count || ba.Sum != m.Sum || ba.Min != m.Min || ba.Max != m.Max {
-		t.Fatalf("merge not commutative: %+v vs %+v", ba, m)
-	}
-}
-
 func TestRateMeterReset(t *testing.T) {
 	m := NewRateMeter("tx", sim.Microsecond)
 	m.Observe(sim.Time(100*sim.Nanosecond), 100)

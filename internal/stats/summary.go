@@ -1,16 +1,13 @@
 package stats
 
-import "math"
-
 // Summary is the scalar digest of one metric across many observations — the
 // form trial records carry so that per-seed results can be aggregated across
 // a sweep without retaining every sample. The zero value is an empty summary.
 //
-// Percentiles are computed at Summarize time from the full sample set; Merge
-// combines count/sum/min/max exactly but keeps the percentile fields of the
-// receiver only when the other side is empty (exact percentile merge would
-// need the samples — callers that need cross-trial percentiles summarize the
-// per-trial scalars instead, which is what the paper's figures report).
+// Percentiles are computed at Summarize time from the full sample set, so a
+// summary cannot be merged with another: callers that need cross-trial
+// percentiles collect the per-trial scalars and summarize them once, which is
+// what the paper's figures report.
 type Summary struct {
 	Count int     `json:"count"`
 	Sum   float64 `json:"sum"`
@@ -45,27 +42,4 @@ func Summarize(values []float64) Summary {
 	}
 	s.Mean = s.Sum / float64(s.Count)
 	return s
-}
-
-// Merge combines two summaries, as when aggregating per-trial records from
-// the parallel runner. Count, Sum, Mean, Min and Max are exact; percentiles
-// are taken from whichever side is non-empty (approximate when both are —
-// see the type comment).
-func (s Summary) Merge(o Summary) Summary {
-	switch {
-	case s.Count == 0:
-		return o
-	case o.Count == 0:
-		return s
-	}
-	m := Summary{
-		Count: s.Count + o.Count,
-		Sum:   s.Sum + o.Sum,
-		Min:   math.Min(s.Min, o.Min),
-		Max:   math.Max(s.Max, o.Max),
-		P50:   s.P50,
-		P99:   s.P99,
-	}
-	m.Mean = m.Sum / float64(m.Count)
-	return m
 }
