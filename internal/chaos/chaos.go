@@ -79,7 +79,12 @@ func GenerateConvergence(seed int64, tp *topo.Topology) Scenario {
 // then the target the kind needs — in that order, which the seeds' schedules
 // depend on.
 func generate(seed int64, rng *rand.Rand, tp *topo.Topology, minDur int, kind func() workload.FaultKind) Scenario {
-	links := fabricLinks(tp)
+	var links [][2]int // every (switch, port) fabric link endpoint
+	for _, sw := range tp.Switches() {
+		for _, pi := range sw.FabricPorts() {
+			links = append(links, [2]int{sw.ID, pi})
+		}
+	}
 	tors := tp.ToRs()
 	sc := Scenario{Seed: seed}
 	for n := 1 + rng.Intn(3); n > 0; n-- {
@@ -118,15 +123,4 @@ func DrainFault(tp *topo.Topology) workload.Fault {
 		Sw:       sw,
 		Port:     tp.Switch(sw).FabricPorts()[0],
 	}
-}
-
-// fabricLinks lists every (switch, port) fabric link endpoint.
-func fabricLinks(tp *topo.Topology) [][2]int {
-	var links [][2]int
-	for _, sw := range tp.Switches() {
-		for _, pi := range sw.FabricPorts() {
-			links = append(links, [2]int{sw.ID, pi})
-		}
-	}
-	return links
 }

@@ -244,7 +244,7 @@ func TestRunScenarioDeterministic(t *testing.T) {
 // RunScenario(Generate(seed, topo), Options{}) to reproduce deterministically.
 func TestChaosSoak(t *testing.T) {
 	const seeds = 50
-	results, err := Soak(1, seeds, Options{})
+	results, err := Soak(1, seeds, Options{}, Generate)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -173,11 +173,11 @@ func TestConvergenceSoak(t *testing.T) {
 	opt := Options{
 		ClusterConfig: workload.ClusterConfig{DistributedRouting: true, ConvergenceDelay: 20 * sim.Microsecond},
 	}
-	dist, err := SoakConvergence(1, seeds, opt)
+	dist, err := Soak(1, seeds, opt, GenerateConvergence)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := SoakConvergence(1, seeds, Options{})
+	oracle, err := Soak(1, seeds, Options{}, GenerateConvergence)
 	if err != nil {
 		t.Fatal(err)
 	}

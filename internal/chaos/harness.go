@@ -116,8 +116,8 @@ func (o Options) cluster(seed int64) workload.ClusterConfig {
 
 // RunScenario executes one scenario: build the hardened cluster, inject the
 // faults, start a cross-rack ring of transfers, run to drain and audit the
-// invariants (Cluster.Audit). The same (scenario, options) pair always produces the same
-// Result.
+// invariants (Cluster.Audit). The same (scenario, options) pair always
+// produces the same Result.
 func RunScenario(sc Scenario, opt Options) (*Result, error) {
 	return RunGenerated(sc.Seed, func(int64, *topo.Topology) Scenario { return sc }, opt)
 }
@@ -172,24 +172,14 @@ func RunGenerated(seed int64, gen func(int64, *topo.Topology) Scenario, opt Opti
 	return res, nil
 }
 
-// Soak generates and runs scenarios for seeds [first, first+count) and
-// returns the results. It stops early only on harness errors (config bugs),
-// never on invariant violations — those are reported per result so a sweep
-// surfaces every bad seed at once.
-func Soak(first int64, count int, opt Options) ([]*Result, error) {
-	return soak(first, count, opt, Generate)
-}
-
-// SoakConvergence is Soak with the routing-focused generator: flap storms,
-// pod-uplink loss and maintenance drains (plus the classic kinds) against
-// whatever routing mode opt selects. Run it once with DistributedRouting
-// and a non-zero ConvergenceDelay and once against the oracle to compare
-// graceful degradation across reconvergence windows.
-func SoakConvergence(first int64, count int, opt Options) ([]*Result, error) {
-	return soak(first, count, opt, GenerateConvergence)
-}
-
-func soak(first int64, count int, opt Options, gen func(int64, *topo.Topology) Scenario) ([]*Result, error) {
+// Soak runs the scenario gen derives for each seed in [first, first+count)
+// and returns the results. gen is Generate, or GenerateConvergence for the
+// routing-focused mix — run that one once with DistributedRouting and a
+// non-zero ConvergenceDelay and once against the oracle to compare graceful
+// degradation across reconvergence windows. Soak stops early only on harness
+// errors (config bugs), never on invariant violations — those are reported
+// per result so a sweep surfaces every bad seed at once.
+func Soak(first int64, count int, opt Options, gen func(int64, *topo.Topology) Scenario) ([]*Result, error) {
 	var out []*Result
 	for i := 0; i < count; i++ {
 		seed := first + int64(i)

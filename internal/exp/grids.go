@@ -194,7 +194,7 @@ func ConvergenceGrid(first int64, count int) []Scenario {
 	for i := 0; i < count; i++ {
 		seed := first + int64(i)
 		for _, d := range ConvergenceDelays() {
-			for _, arm := range repsArms[2:] {
+			for _, arm := range repsArms[2:] { // the three established baselines
 				sc := Scenario{
 					Name: fmt.Sprintf("convergence/%s/d%dus/seed%d",
 						arm.name, int64(d/sim.Microsecond), seed),

@@ -151,7 +151,7 @@ func PaperDCQCNSettings() []DCQCNSetting { return workload.PaperDCQCNSettings() 
 // ChaosSoak generates and runs count seeded scenarios starting at seed
 // first; see internal/chaos.Soak.
 func ChaosSoak(first int64, count int, opt ChaosOptions) ([]*ChaosResult, error) {
-	return chaos.Soak(first, count, opt)
+	return chaos.Soak(first, count, opt, chaos.Generate)
 }
 
 // Fig5Arms returns the three systems Fig. 5 compares, in paper order.
