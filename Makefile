@@ -141,9 +141,11 @@ bench-smoke: lint
 	$(GO) test -run '^$$' -bench 'BenchmarkFabricForward|BenchmarkFabricThroughput' -benchmem ./internal/fabric/
 
 # soak is the wide-seed invariant sweep: the four fault-injecting grids over
-# hundreds of consecutive seeds, ~30 s on two cores. `sweep` exits non-zero on
-# a trial that errored or violated an invariant (its VIOLATION lines name the
-# seed), so the target fails on any.
+# hundreds of consecutive seeds and every grid over at least seeds 1..80 — the
+# window the frozen benchmark folds `-seed` into reaches 79 on all five —
+# ~40 s on two cores. `sweep` exits non-zero on a trial that errored or
+# violated an invariant (its VIOLATION lines name the seed), so the target
+# fails on any.
 # It exists because the one finding it has produced (reps/chaos/themis-relearn
 # seed 123: an armed compensation surviving a §6 bypass window) was invisible
 # to the 2-seed artifacts and the 50-seed tests. Too slow for `make verify`;
@@ -153,7 +155,9 @@ soak:
 	$(SOAK) -grid reps -seeds 300
 	$(SOAK) -grid chaos -seeds 300
 	$(SOAK) -grid churn -seeds 100
-	$(SOAK) -grid convergence -seeds 60
+	$(SOAK) -grid convergence -seeds 80
+	$(SOAK) -grid smoke -seeds 80
+	$(SOAK) -grid spray -seeds 80
 
 # bench-shard measures the space-parallel engine's scaling: the k=8 fat-tree
 # permutation at 1, 2 and 4 shards (see BenchmarkShardScaling). Numbers are

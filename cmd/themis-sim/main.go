@@ -38,7 +38,9 @@
 //	    -shards N cuts a spray trial's racks across N engine shards (the
 //	    other workloads have global drivers, run on one engine and ignore
 //	    it) — results are byte-identical for every shard count, so like
-//	    -parallel it is an execution knob, not an experiment arm. The reps and
+//	    -parallel it is an execution knob, not an experiment arm; what shards
+//	    would have to share (-lb themis, -metrics, -flight-dir, -distributed)
+//	    is an error at N > 1 and runs at 0 or 1. The reps and
 //	    congestion LB arms take -reps-cache (entropy-cache ring capacity)
 //	    and -path-buckets (per-path entropy buckets for the switch EWMA and
 //	    per-path DCQCN coupling).

@@ -127,8 +127,8 @@ type Scenario struct {
 
 	// Declarative faults. DropEveryNData is a rule of the cluster's composed
 	// loss hook and holds on every workload, beside whatever schedule a chaos,
-	// convergence or churn trial generates from its seed (spray rejects it);
-	// LinkFail is collective-only, as Faults above is churn-only.
+	// convergence or churn trial generates from its seed (spray rejects it at
+	// Shards > 1); LinkFail is collective-only, as Faults above is churn-only.
 	DropEveryNData int                 `json:"drop_every_n_data,omitempty"`
 	LinkFail       *workload.LinkFault `json:"link_fail,omitempty"`
 }

@@ -12,8 +12,6 @@
 package fabric
 
 import (
-	"math/rand"
-
 	"themis/internal/lb"
 	"themis/internal/obs"
 	"themis/internal/packet"
@@ -152,34 +150,27 @@ type Network struct {
 
 	// group holds the per-shard engines and the mailboxes cross-shard links
 	// post into; counters, pools and seq are the per-shard blocks components
-	// charge during an epoch. The classic dataplane is the one-shard case:
-	// every slice has length 1 and nothing is ever posted.
+	// charge during an epoch. On one shard every slice has length 1 and
+	// nothing is ever posted.
 	group    *sim.ShardGroup
 	counters []Counters
 	pools    []*packet.Pool
 	seq      []uint64
-}
 
-// scheme is everything that differs between the two exported constructors
-// once their arguments are validated: where a switch draws its randomness
-// and whether cross-component events carry channel priorities.
-//
-// The classic scheme (NewNetwork) shares the engine RNG and leaves every
-// priority zero, so same-time events run in pure schedule order. The
-// partition-invariant scheme (NewShardedNetwork) gives each switch a stream
-// keyed by its ID and stamps fabric-link deliveries with 2·chanID and pause
-// frames with 2·chanID+1, so neither draws nor same-time order at a
-// component depend on which engine scheduled what. Moving the classic
-// constructor onto the second scheme is ROADMAP item 2(a2).
-type scheme struct {
-	rng   func(swID int) *rand.Rand
-	stamp bool
+	// seed is the trial seed every switch's RNG stream derives from (see
+	// swInst.Rand).
+	seed int64
 }
 
 // wire builds the dataplane: it creates every switch, egress queue and host
 // uplink serializer and is the one place that assigns each its shard's
-// engine, counter block and pool, its RNG and its channel priorities.
-func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []*packet.Pool, cfg Config, sc scheme) *Network {
+// engine, counter block and pool and its channel priorities.
+//
+// There is one set of tie-breaks, whatever the shard count: fabric-link
+// deliveries are stamped 2·chanID and pause frames 2·chanID+1, and a switch
+// draws from a stream keyed by its ID under seed, so neither draws nor
+// same-time order at a component depend on which engine scheduled what.
+func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []*packet.Pool, seed int64, cfg Config) *Network {
 	if cfg.NewDataSelector == nil {
 		cfg.NewDataSelector = func() lb.Selector { return lb.ECMP{} }
 	}
@@ -193,6 +184,7 @@ func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []
 		counters: make([]Counters, part.Shards),
 		pools:    pools,
 		seq:      make([]uint64, part.Shards),
+		seed:     seed,
 	}
 	if cfg.Routing.Mode == route.Distributed {
 		n.plane = route.NewPlane(group.Shard(0), t, cfg.Routing)
@@ -211,12 +203,10 @@ func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []
 		q.ctr = &n.counters[shard]
 		q.pool = pools[shard]
 		chanID++
-		if sc.stamp {
-			q.pausePri = chanID*2 + 1
-			// Host-facing hops never leave the rack's shard and keep pri 0.
-			if q.sw != nil && !q.isHostPort {
-				q.pri = chanID * 2
-			}
+		q.pausePri = chanID*2 + 1
+		// Host-facing hops never leave the rack's shard and keep pri 0.
+		if q.sw != nil && !q.isHostPort {
+			q.pri = chanID * 2
 		}
 		q.bind()
 	}
@@ -227,7 +217,6 @@ func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []
 		s.eng = group.Shard(shard)
 		s.ctr = &n.counters[shard]
 		s.pool = pools[shard]
-		s.rng = sc.rng(sw.ID)
 		n.switches[sw.ID] = s
 		for pi, q := range s.ports {
 			own(q, shard)
@@ -258,14 +247,14 @@ func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []
 	return n
 }
 
-// NewNetwork builds the dataplane for a topology on one engine — the
-// one-shard wiring under the classic scheme. Hosts start detached; packets
-// to a detached host are delivered to a no-op sink.
+// NewNetwork builds the dataplane for a topology on one engine: the one-shard
+// case of NewShardedNetwork, its streams seeded from the engine's construction
+// seed and cfg.Pool (nil: no recycling) as its one pool. Hosts start
+// detached; packets to a detached host are delivered to a no-op sink.
 func NewNetwork(engine *sim.Engine, t *topo.Topology, cfg Config) *Network {
 	group := sim.NewShardGroup([]*sim.Engine{engine}, sim.Duration(sim.Forever))
 	part := topo.Partition{Shards: 1, SwitchShard: make([]int, t.NumSwitches()), HostShard: make([]int, t.NumHosts())}
-	shared := func(int) *rand.Rand { return engine.Rand() }
-	return wire(group, t, part, []*packet.Pool{cfg.Pool}, cfg, scheme{rng: shared})
+	return wire(group, t, part, []*packet.Pool{cfg.Pool}, engine.Seed(), cfg)
 }
 
 // registerMetrics exposes the network counters as gauges; no-op on nil.
@@ -530,8 +519,8 @@ func (n *Network) deliverToHost(h packet.NodeID, pkt *packet.Packet, q *outQueue
 	q.pool.Put(pkt)
 }
 
-// ShardPool returns shard i's packet pool (shard 0 is the whole classic
-// network; nil there when pooling is disabled). Components that inject
+// ShardPool returns shard i's packet pool (nil on a NewNetwork dataplane
+// built without Config.Pool). Components that inject
 // packets (NICs, traffic sources) must allocate from the pool of the shard
 // that owns them, so that Get/Put stay shard-local.
 func (n *Network) ShardPool(i int) *packet.Pool { return n.pools[i] }

@@ -710,16 +710,18 @@ func BenchmarkFabricThroughput(b *testing.B) {
 // TestPipeDeliveryOrderAndCompaction floods one path with enough packets
 // that every link's propagation pipe crosses the head-compaction threshold
 // while still holding a tail, then checks nothing was lost, reordered, or
-// duplicated by the burst machinery — under the classic scheme (pri 0) and
-// with the fabric links' burst events stamped (pri ≠ 0).
+// duplicated by the burst machinery, through either constructor (the fabric
+// links' burst events are stamped, pri ≠ 0, under both).
 func TestPipeDeliveryOrderAndCompaction(t *testing.T) {
 	tp := leafSpine(t, 2, 1, 1)
 	for _, tc := range []struct {
 		name  string
 		build func(*sim.Engine) *Network
 	}{
-		{"classic", func(e *sim.Engine) *Network { return NewNetwork(e, tp, Config{ControlLossless: true}) }},
-		{"stamped", func(e *sim.Engine) *Network { return oneShardNetwork(t, e, tp) }},
+		{"NewNetwork", func(e *sim.Engine) *Network { return NewNetwork(e, tp, Config{ControlLossless: true}) }},
+		{"NewShardedNetwork", func(e *sim.Engine) *Network {
+			return oneShardNetwork(t, e, tp, 1, Config{ControlLossless: true})
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := sim.NewEngine(1)

@@ -67,8 +67,7 @@ type outQueue struct {
 
 	// pri orders this link's deliveries, and pausePri the PFC pause frames
 	// addressed to this queue, against same-time events at the receiver. Both
-	// are zero under the classic scheme (pure FIFO); the partition-invariant
-	// scheme derives them from the queue's channel identity (see scheme).
+	// derive from the queue's channel identity (see wire).
 	pri, pausePri uint64
 	// post, set only on links whose peer switch lives on another shard,
 	// replaces the propagation pipe with a post into the group's epoch mailbox.

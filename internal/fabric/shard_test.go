@@ -68,31 +68,29 @@ func runShardedFabric(t *testing.T, shards int) ([][]shardRec, Counters, sim.Tim
 	return recs, n.Counters(), end
 }
 
-// oneShardNetwork builds the partition-invariant scheme over a single engine:
-// the same wiring as NewNetwork with per-switch RNG streams and stamped
-// channel priorities, and no cross-shard link.
-func oneShardNetwork(t *testing.T, e *sim.Engine, tp *topo.Topology) *Network {
+// oneShardNetwork is NewShardedNetwork over a single engine: what NewNetwork
+// must be equivalent to.
+func oneShardNetwork(t *testing.T, e *sim.Engine, tp *topo.Topology, seed int64, cfg Config) *Network {
 	t.Helper()
 	part, err := topo.PartitionRacks(tp, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := sim.NewShardGroup([]*sim.Engine{e}, sim.Duration(sim.Forever))
-	n, err := NewShardedNetwork(g, tp, part, 1, Config{ControlLossless: true})
+	n, err := NewShardedNetwork(g, tp, part, seed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n
 }
 
-// Same-shard links ride the propagation pipe under either scheme: however
-// many packets are on a fabric link's wire, the link holds ONE pending
-// engine event. Only a link whose peer lives on another shard posts per
-// packet.
+// Same-shard links ride the propagation pipe: however many packets are on a
+// fabric link's wire, the link holds ONE pending engine event. Only a link
+// whose peer lives on another shard posts per packet.
 func TestSameShardLinkHoldsOnePropagationEvent(t *testing.T) {
 	tp := leafSpine(t, 2, 1, 1)
 	e := sim.NewEngine(1)
-	n := oneShardNetwork(t, e, tp)
+	n := NewNetwork(e, tp, Config{ControlLossless: true})
 	var c collector
 	n.AttachHost(1, c.recv(e))
 	const total = 300
@@ -190,8 +188,123 @@ func TestShardedNetworkShardCountInvariance(t *testing.T) {
 	}
 }
 
-// Sharded networks refuse every feature that couples shards through global
-// mutable state, with an explanatory error rather than a race.
+// runContended blasts the far half of a k=4 fat-tree at hosts 0 and 1 under
+// random spraying with RED marking on — two consumers of every switch's
+// randomness, so a stream shared between switches or between the two uses
+// shows — and returns every delivery in order plus the counters.
+func runContended(t *testing.T, e *sim.Engine, build func(*topo.Topology, Config) *Network) ([]contendedRec, Counters) {
+	t.Helper()
+	link := topo.LinkSpec{Bandwidth: gbps100, Delay: usec}
+	tp, err := topo.NewFatTree(topo.FatTreeConfig{K: 4, HostLink: link, FabricLink: link})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := build(tp, Config{
+		ControlLossless: true,
+		NewDataSelector: func() lb.Selector { return lb.RandomSpray{} },
+		ECN:             ECNConfig{Enabled: true, KminBytes: 20e3, KmaxBytes: 400e3, PMax: 0.5},
+	})
+	var recs []contendedRec
+	hosts := tp.NumHosts()
+	for h := 0; h < hosts; h++ {
+		h := packet.NodeID(h)
+		n.AttachHost(h, func(p *packet.Packet) {
+			recs = append(recs, contendedRec{e.Now(), h, p.QP, p.PSN, p.ECN})
+		})
+	}
+	for i := 0; i < 60; i++ {
+		for h := hosts / 2; h < hosts; h++ {
+			src, dst := packet.NodeID(h), packet.NodeID(h%2)
+			n.Inject(src, &packet.Packet{Kind: packet.Data, Src: src, Dst: dst, QP: packet.QPID(h), SPort: uint16(1000 + h), DPort: 4791, PSN: packet.PSN(i), Payload: 1000})
+		}
+	}
+	e.RunAll()
+	return recs, n.Counters()
+}
+
+type contendedRec struct {
+	at   sim.Time
+	host packet.NodeID
+	qp   packet.QPID
+	psn  packet.PSN
+	ce   bool
+}
+
+// There is one scheme: NewNetwork on an engine seeded s is NewShardedNetwork
+// on a one-engine group with seed s — the same streams and the same
+// tie-breaks, so the same delivery sequence and the same counters.
+func TestNewNetworkIsTheOneShardCase(t *testing.T) {
+	const seed = 42
+	e1 := sim.NewEngine(seed)
+	got, gotCtr := runContended(t, e1, func(tp *topo.Topology, cfg Config) *Network {
+		return NewNetwork(e1, tp, cfg)
+	})
+	e2 := sim.NewEngine(seed)
+	want, wantCtr := runContended(t, e2, func(tp *topo.Topology, cfg Config) *Network {
+		return oneShardNetwork(t, e2, tp, seed, cfg)
+	})
+	if wantCtr.EcnMarks == 0 || wantCtr.EcnMarks == wantCtr.Delivered {
+		t.Fatalf("%d of %d packets marked: the RED profile's probabilistic band was never drawn from", wantCtr.EcnMarks, wantCtr.Delivered)
+	}
+	if gotCtr != wantCtr {
+		t.Fatalf("NewNetwork counters %+v, NewShardedNetwork at one shard %+v", gotCtr, wantCtr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("NewNetwork delivered %d packets, NewShardedNetwork at one shard %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("delivery %d: NewNetwork %+v, NewShardedNetwork at one shard %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// A switch's stream is built on its first draw, never at wiring time: seeding
+// one math/rand source per switch more than doubled the setup of a fabric
+// whose ECMP switches, below the ECN knee, never draw.
+func TestSwitchStreamsAreBuiltOnFirstDraw(t *testing.T) {
+	streams := func(sel lb.Selector) int {
+		tp := leafSpine(t, 4, 4, 2)
+		e := sim.NewEngine(1)
+		n := NewNetwork(e, tp, Config{
+			NewDataSelector: func() lb.Selector { return sel },
+			ECN:             DefaultECN(gbps100),
+		})
+		for _, s := range n.switches {
+			if s.rng != nil {
+				t.Fatalf("switch %d has a stream before any packet moved", s.sw.ID)
+			}
+		}
+		hosts := tp.NumHosts()
+		for i := 0; i < 20; i++ {
+			for h := 0; h < hosts; h++ {
+				n.Inject(packet.NodeID(h), newData(packet.NodeID(h), packet.NodeID((h+2)%hosts), packet.PSN(i), 1000))
+			}
+		}
+		e.RunAll()
+		if got := n.Counters().Delivered; got != uint64(20*hosts) {
+			t.Fatalf("delivered %d of %d", got, 20*hosts)
+		}
+		built := 0
+		for _, s := range n.switches {
+			if s.rng != nil {
+				built++
+			}
+		}
+		return built
+	}
+	if got := streams(lb.ECMP{}); got != 0 {
+		t.Errorf("an ECMP run below the ECN knee built %d switch streams, want 0", got)
+	}
+	// Only the ToRs choose among uplinks; a spine has one port per rack.
+	if got := streams(lb.RandomSpray{}); got != 4 {
+		t.Errorf("a random-spray run built %d switch streams, want one per ToR (4)", got)
+	}
+}
+
+// More than one shard refuses every feature that couples shards through
+// global mutable state, with an explanatory error rather than a race; one
+// shard shares nothing and refuses none of them.
 func TestShardedNetworkRejectsGlobalFeatures(t *testing.T) {
 	tp := leafSpine(t, 2, 2, 1)
 	part, err := topo.PartitionRacks(tp, 2)
@@ -216,6 +329,16 @@ func TestShardedNetworkRejectsGlobalFeatures(t *testing.T) {
 	if err := build(Config{}); err != nil {
 		t.Fatalf("plain config rejected: %v", err)
 	}
+	one, err := topo.PartitionRacks(tp, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := sim.NewShardGroup([]*sim.Engine{sim.NewEngine(1)}, sim.Duration(sim.Forever))
+	pool := packet.NewPool()
+	n, err := NewShardedNetwork(g, tp, one, 1, Config{Tracer: trace.New(16), Pool: pool})
+	if err != nil || n.ShardPool(0) != pool {
+		t.Fatalf("one shard: err %v, caller's pool adopted: %t", err, n != nil && n.ShardPool(0) == pool)
+	}
 	// Mismatched group size.
 	g1 := sim.NewShardGroup([]*sim.Engine{sim.NewEngine(1)}, la)
 	if _, err := NewShardedNetwork(g1, tp, part, 1, Config{}); err == nil {
@@ -223,8 +346,8 @@ func TestShardedNetworkRejectsGlobalFeatures(t *testing.T) {
 	}
 }
 
-// Runtime link-state changes are a classic-network feature; on a sharded
-// network they must fail loudly instead of racing the oracle recompute.
+// Runtime link-state changes reach across the whole fabric; on more than one
+// shard they must fail loudly instead of racing the oracle recompute.
 func TestShardedNetworkLinkStatePanics(t *testing.T) {
 	tp := leafSpine(t, 2, 2, 1)
 	part, _ := topo.PartitionRacks(tp, 2)

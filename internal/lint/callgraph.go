@@ -8,13 +8,21 @@ import (
 )
 
 // sinkNames lists the functions whose invocation order is order-sensitive
-// simulation state: scheduling on the event queue, (re)arming timers, and
-// appending to the trace ring. A function from which any of these is
-// reachable must not iterate maps (see MapOrder).
+// simulation state: scheduling on the event queue or posting to a shard
+// mailbox (every fabric-link delivery, serializer completion and pause frame
+// is one of the Arg/Pri forms), (re)arming timers, and appending to the trace
+// ring. A function from which any of these is reachable must not iterate maps
+// (see MapOrder).
 func sinkNames(modPath string) map[string]bool {
 	return map[string]bool{
 		"(*" + modPath + "/internal/sim.Engine).At":             true,
+		"(*" + modPath + "/internal/sim.Engine).AtArg":          true,
+		"(*" + modPath + "/internal/sim.Engine).AtPri":          true,
+		"(*" + modPath + "/internal/sim.Engine).AtArgPri":       true,
 		"(*" + modPath + "/internal/sim.Engine).Schedule":       true,
+		"(*" + modPath + "/internal/sim.Engine).ScheduleArg":    true,
+		"(*" + modPath + "/internal/sim.ShardGroup).Post":       true,
+		"(*" + modPath + "/internal/sim.ShardGroup).PostArg":    true,
 		"(*" + modPath + "/internal/sim.Timer).Reset":           true,
 		"(*" + modPath + "/internal/sim.Ticker).Start":          true,
 		"(*" + modPath + "/internal/trace.Tracer).Record":       true,

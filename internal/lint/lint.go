@@ -48,10 +48,9 @@
 //     AllocsPerRun benchmark guarantees into compile-time findings.
 //
 // The driver (cmd/themis-lint) exits non-zero on findings so the suite gates
-// `make verify`; it also emits JSON and SARIF for CI annotation, honors a
-// checked-in baseline of accepted findings, and lists active escape hatches
-// with -escapes. Analyzers are built on go/parser + go/types only — no
-// dependencies beyond the standard library.
+// `make verify`; it also emits SARIF for CI annotation (-sarif) and lists
+// active escape hatches with -escapes. Analyzers are built on go/parser +
+// go/types only — no dependencies beyond the standard library.
 package lint
 
 import (

@@ -42,8 +42,11 @@ var NDTaint = &Analyzer{
 // taintSinkNames maps fully-qualified function names to sink categories.
 func taintSinkNames(modPath string) map[string]string {
 	m := make(map[string]string)
-	for _, n := range []string{"At", "AtArg", "Schedule", "ScheduleArg"} {
+	for _, n := range []string{"At", "AtArg", "AtPri", "AtArgPri", "Schedule", "ScheduleArg"} {
 		m["(*"+modPath+"/internal/sim.Engine)."+n] = "event scheduling"
+	}
+	for _, n := range []string{"Post", "PostArg"} {
+		m["(*"+modPath+"/internal/sim.ShardGroup)."+n] = "event scheduling"
 	}
 	m["(*"+modPath+"/internal/sim.Timer).Reset"] = "event scheduling"
 	for _, n := range []string{"Record", "RecordPacket", "RecordFault"} {

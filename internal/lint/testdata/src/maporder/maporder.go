@@ -7,7 +7,8 @@ package maporder
 import "themis/internal/sim"
 
 type node struct {
-	eng *sim.Engine
+	eng   *sim.Engine
+	group *sim.ShardGroup
 }
 
 // fire reaches the event queue, making every caller order-sensitive.
@@ -35,6 +36,22 @@ func (n *node) deferred(m map[int]int) {
 	for k := range m { // want "map iteration in deferred, which reaches the event queue"
 		k := k
 		n.eng.At(sim.Time(k), func() {}) // want "nondeterministic value \(map iteration order, maporder.go:\d+\) reaches event scheduling"
+	}
+}
+
+// stamped and posted reach the queue only through the priority-carrying and
+// mailbox forms the fabric schedules every link delivery and pause frame with.
+func (n *node) stamped(m map[int]int) {
+	for k := range m { // want "map iteration in stamped, which reaches the event queue"
+		_ = k
+		n.eng.AtPri(0, 2, func() {})
+	}
+}
+
+func (n *node) posted(m map[int]int) {
+	for k := range m { // want "map iteration in posted, which reaches the event queue"
+		_ = k
+		n.group.Post(0, 1, 0, 3, func() {})
 	}
 }
 

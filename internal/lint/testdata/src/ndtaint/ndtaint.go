@@ -16,13 +16,29 @@ import (
 )
 
 type node struct {
-	eng *sim.Engine
+	eng   *sim.Engine
+	group *sim.ShardGroup
 }
 
 // direct: the ranged key flows into the event queue inside the loop.
 func (n *node) direct(m map[int]int) {
 	for k := range m { // want "map iteration in direct, which reaches the event queue"
 		n.eng.At(sim.Time(k), func() {}) // want "nondeterministic value \(map iteration order, ndtaint.go:\d+\) reaches event scheduling"
+	}
+}
+
+// stamped and posted: the ranged key becomes a same-time priority, on the
+// engine and through a shard mailbox — the forms every fabric-link delivery
+// and pause frame is scheduled with.
+func (n *node) stamped(m map[int]int) {
+	for k := range m { // want "map iteration in stamped, which reaches the event queue"
+		n.eng.AtPri(0, uint64(k), func() {}) // want "nondeterministic value \(map iteration order, ndtaint.go:\d+\) reaches event scheduling"
+	}
+}
+
+func (n *node) posted(m map[int]int) {
+	for k := range m { // want "map iteration in posted, which reaches the event queue"
+		n.group.Post(0, 1, 0, uint64(k), func() {}) // want "nondeterministic value \(map iteration order, ndtaint.go:\d+\) reaches event scheduling"
 	}
 }
 

@@ -18,13 +18,13 @@ import (
 // callback.
 type Event struct {
 	time Time
-	// pri orders same-time events before seq. Classic single-engine code
-	// never sets it (zero), preserving pure FIFO order among same-time
-	// events. The sharded fabric stamps cross-component deliveries with a
-	// stable per-channel priority so that same-time arrival order at a
-	// component is a function of the channel identity, not of which engine
-	// happened to schedule the event — the property that makes event order
-	// invariant under repartitioning (see ShardGroup).
+	// pri orders same-time events before seq. Most code never sets it (zero),
+	// which is pure FIFO order among same-time events. The fabric stamps
+	// cross-component deliveries with a stable per-channel priority so that
+	// same-time arrival order at a component is a function of the channel
+	// identity, not of which engine happened to schedule the event — the
+	// property that makes event order invariant under repartitioning (see
+	// ShardGroup).
 	pri uint64
 	seq uint64 // tie-breaker: FIFO among same-(time, pri) events
 	// index is the event's position in the run/event heap when >= 0, or one
@@ -135,6 +135,7 @@ type Engine struct {
 	heapq   eventHeap // heap backend (SchedulerHeap)
 	pending int       // events queued across whichever backend is active
 	nextSeq uint64
+	seed    int64
 	rng     *rand.Rand
 	stopped bool
 
@@ -155,15 +156,19 @@ func NewEngine(seed int64) *Engine {
 // the hook the differential tests use to run one workload on both backends
 // without touching the global default.
 func NewEngineWithScheduler(seed int64, s Scheduler) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), sched: s}
+	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed)), sched: s}
 }
+
+// Seed returns the seed the engine was constructed with: what a component
+// built on a bare engine derives its identity-keyed streams from (NewStream).
+func (e *Engine) Seed() int64 { return e.seed }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Rand returns the engine's deterministic random source. All randomized
-// components (random spraying, jitter) must draw from it so that a seed fully
-// determines a run.
+// Rand returns the engine's deterministic random source, for drivers that
+// live on one engine (the churn arrival process). Anything a partition can
+// split across engines — switches — draws from its own NewStream instead.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Pending returns the number of events currently queued.
@@ -221,7 +226,7 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
 }
 
 // AtPri schedules fn at absolute time t with a same-time ordering priority
-// (see Event.pri). Only the sharded fabric uses non-zero priorities.
+// (see Event.pri). Only the fabric uses non-zero priorities.
 func (e *Engine) AtPri(t Time, pri uint64, fn func()) *Event {
 	ev := e.newEvent()
 	ev.fn = fn

@@ -145,9 +145,9 @@ func TestRunnerPins(t *testing.T) {
 	}
 }
 
-// TestSprayRejectsUnshardableKnobs: what the partitioned dataplane cannot
-// host is an error, not a silently ignored knob (TestSprayRejectsThemisLB
-// covers the pipeline arm).
+// TestSprayRejectsUnshardableKnobs: what more than one shard cannot host is
+// an error there, not a silently ignored knob (TestSprayRejectsThemisLB
+// covers the pipeline arm) — and is not refused where nothing is shared.
 func TestSprayRejectsUnshardableKnobs(t *testing.T) {
 	// Keyed by the words the error must carry. DropEveryNData is refused by
 	// the cluster builder (the loss hook is the cluster's), the rest by the
@@ -158,9 +158,27 @@ func TestSprayRejectsUnshardableKnobs(t *testing.T) {
 		"DropEveryNData":      {DropEveryNData: 100},
 		"distributed routing": {DistributedRouting: true},
 	} {
-		_, err := RunSpray(SprayConfig{ClusterConfig: c, MessageBytes: 4 << 10})
+		_, err := RunSpray(SprayConfig{ClusterConfig: c, Shards: 2, MessageBytes: 4 << 10})
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: RunSpray returned %v", want, err)
+		}
+	}
+
+	// The refusals are causes, not workloads: on one shard the paper's own
+	// arm runs the permutation traced, metered and under injected loss.
+	for _, shards := range []int{0, 1} {
+		tr := trace.New(1 << 16)
+		res, err := RunSpray(SprayConfig{
+			ClusterConfig: ClusterConfig{Seed: 3, LB: Themis, Tracer: tr, Metrics: obs.NewRegistry(), DropEveryNData: 100},
+			Shards:        shards,
+			MessageBytes:  64 << 10,
+		})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if res.Middleware.Sprayed == 0 || res.Net.DataDrops == 0 || len(tr.ByOp(trace.Spray)) == 0 {
+			t.Errorf("shards=%d: sprayed %d, dropped %d, %d spray events in the trace", shards,
+				res.Middleware.Sprayed, res.Net.DataDrops, len(tr.ByOp(trace.Spray)))
 		}
 	}
 }

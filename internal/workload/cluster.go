@@ -88,7 +88,7 @@ type ClusterConfig struct {
 	// cluster's composed loss hook (Cluster.Inject), so it holds on every
 	// workload whatever faults are injected beside it; with LossyControl the
 	// count and the drops take in control packets too, which then consult the
-	// hook like data. A partitioned cluster rejects it.
+	// hook like data. A cluster cut across more than one shard rejects it.
 	DropEveryNData int
 
 	// Themis middleware (used when LB == Themis).
@@ -138,16 +138,15 @@ func (c *ClusterConfig) topology() (*topo.Topology, error) {
 	})
 }
 
-// fabricConfig lowers the switch-side knobs. pool is nil on a partitioned
-// network, which owns one pool per shard.
-func (c *ClusterConfig) fabricConfig(a *arm, pool *packet.Pool) fabric.Config {
+// fabricConfig lowers the switch-side knobs (the network owns one packet pool
+// per shard).
+func (c *ClusterConfig) fabricConfig(a *arm) fabric.Config {
 	fcfg := fabric.Config{
 		BufferBytes:     c.BufferBytes,
 		ControlLossless: !c.LossyControl,
 		NewDataSelector: func() lb.Selector { return a.selector(c) },
 		ECN:             fabric.DefaultECN(c.Bandwidth), // DCQCN needs the marks
 		Tracer:          c.Tracer,
-		Pool:            pool,
 		Metrics:         c.Metrics,
 	}
 	if c.DistributedRouting {
@@ -182,8 +181,8 @@ func (c *ClusterConfig) nicConfig(a *arm, pool *packet.Pool) rnic.Config {
 // Cluster is a fully wired simulation instance.
 type Cluster struct {
 	Config ClusterConfig
-	// Engine is the cluster's engine — shard 0's on a partitioned cluster
-	// (host h's NIC runs on engines[hostShard[h]]).
+	// Engine is shard 0's engine — the cluster's only one unless it was cut
+	// across several (host h's NIC runs on engines[hostShard[h]]).
 	Engine *sim.Engine
 	Topo   *topo.Topology
 	Net    *fabric.Network
@@ -210,33 +209,32 @@ type Cluster struct {
 	lossRules []lossRule
 	lossRNG   *rand.Rand
 
-	// engines holds one engine per shard (just Engine classically) and
-	// hostShard maps each host to its shard. group coordinates the engines of
-	// a partitioned cluster; a classic cluster has none and Run drives Engine
-	// directly.
+	// engines holds one engine per shard, hostShard maps each host to its
+	// shard and group is the epoch coordinator Run drives them through.
 	engines   []*sim.Engine
 	hostShard []int
 	group     *sim.ShardGroup
 }
 
 // streamKeyShardEngine is the sim.StreamSeed key namespace for per-shard
-// engine seeds. A partitioned fabric never draws from engine RNGs (switches
-// use identity-keyed streams, NICs are deterministic), so these seeds only
-// matter if a future component forgets that rule — distinct per-shard seeds
-// make such a bug show up as shard-count-dependent output instead of silently
-// passing.
+// engine seeds. The fabric never draws from engine RNGs (switches use
+// identity-keyed streams, NICs are deterministic) and the one driver that
+// does — churn's arrival process — cannot be cut across shards, so beyond
+// shard 0 these seeds only matter if a future component forgets that rule:
+// distinct per-shard seeds make such a bug show up as shard-count-dependent
+// output instead of silently passing.
 func streamKeyShardEngine(shard int) uint64 { return 0xE5<<56 | uint64(shard) }
 
-// BuildCluster assembles a classic cluster from the configuration: one
-// engine seeded with cfg.Seed, one packet pool, fabric.NewNetwork.
-func BuildCluster(cfg ClusterConfig) (*Cluster, error) { return buildCluster(cfg, 0) }
+// BuildCluster assembles a cluster on one engine: the one-shard case of the
+// builder RunSpray cuts across several.
+func BuildCluster(cfg ClusterConfig) (*Cluster, error) { return buildCluster(cfg, 1) }
 
-// buildCluster is the one cluster builder. shards == 0 is the classic scheme
-// above; shards >= 1 cuts the racks across that many engines under the
-// partition-invariant scheme (identity-keyed seeds, fabric.NewShardedNetwork,
-// a pool per shard), whose results are byte-identical for every legal count.
-// An arm that installs a ToR pipeline cannot be partitioned: core's wiring
-// assumes one engine and one pool.
+// buildCluster is the one cluster builder: it cuts the racks across shards
+// engines (0 means 1) with identity-keyed seeds and a pool per shard, so a
+// trial's results are byte-identical for every legal count. What shards would
+// have to share is refused only when there really is more than one: a ToR
+// pipeline (core's wiring assumes one engine and one pool), DropEveryNData
+// (one loss hook), and what fabric.NewShardedNetwork lists.
 func buildCluster(cfg ClusterConfig, shards int) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	a, err := cfg.LB.arm()
@@ -244,6 +242,25 @@ func buildCluster(cfg ClusterConfig, shards int) (*Cluster, error) {
 		return nil, err
 	}
 	t, err := cfg.topology()
+	if err != nil {
+		return nil, err
+	}
+	if shards == 0 {
+		shards = 1
+	}
+	if shards > 1 {
+		if a.pipeline {
+			return nil, fmt.Errorf("workload: the %v pipeline cannot run on a cluster partitioned across shards yet (core wiring assumes one engine)", cfg.LB)
+		}
+		if cfg.DropEveryNData > 0 {
+			return nil, fmt.Errorf("workload: DropEveryNData is not supported on a cluster partitioned across shards (a shared loss hook couples shards)")
+		}
+	}
+	part, err := topo.PartitionRacks(t, shards)
+	if err != nil {
+		return nil, err
+	}
+	la, err := topo.Lookahead(t, part)
 	if err != nil {
 		return nil, err
 	}
@@ -255,39 +272,16 @@ func buildCluster(cfg ClusterConfig, shards int) (*Cluster, error) {
 		nextSport:   1000,
 		conns:       make(map[[2]packet.NodeID]*Conn),
 		failedLinks: make(map[[2]int]bool),
+		engines:     make([]*sim.Engine, shards),
+		hostShard:   part.HostShard,
 	}
-	if shards == 0 {
-		// The engine is single-threaded, so every component on it shares one
-		// free list: the fabric recycles packets at their terminals; NICs and
-		// Themis draw replacements from the same pool.
-		cl.engines = []*sim.Engine{sim.NewEngine(cfg.Seed)}
-		cl.hostShard = make([]int, t.NumHosts())
-		cl.Net = fabric.NewNetwork(cl.engines[0], t, cfg.fabricConfig(a, packet.NewPool()))
-	} else {
-		if a.pipeline {
-			return nil, fmt.Errorf("workload: the %v pipeline cannot run on a partitioned cluster yet (core wiring is classic-engine only)", cfg.LB)
-		}
-		if cfg.DropEveryNData > 0 {
-			return nil, fmt.Errorf("workload: DropEveryNData is not supported on a partitioned cluster (a shared loss hook couples shards)")
-		}
-		part, err := topo.PartitionRacks(t, shards)
-		if err != nil {
-			return nil, err
-		}
-		la, err := topo.Lookahead(t, part)
-		if err != nil {
-			return nil, err
-		}
-		cl.engines = make([]*sim.Engine, shards)
-		for i := range cl.engines {
-			cl.engines[i] = sim.NewEngine(sim.StreamSeed(cfg.Seed, streamKeyShardEngine(i)))
-		}
-		cl.group = sim.NewShardGroup(cl.engines, la)
-		cl.hostShard = part.HostShard
-		cl.Net, err = fabric.NewShardedNetwork(cl.group, t, part, cfg.Seed, cfg.fabricConfig(a, nil))
-		if err != nil {
-			return nil, err
-		}
+	for i := range cl.engines {
+		cl.engines[i] = sim.NewEngine(sim.StreamSeed(cfg.Seed, streamKeyShardEngine(i)))
+	}
+	cl.group = sim.NewShardGroup(cl.engines, la)
+	cl.Net, err = fabric.NewShardedNetwork(cl.group, t, part, cfg.Seed, cfg.fabricConfig(a))
+	if err != nil {
+		return nil, err
 	}
 	cl.Engine = cl.engines[0]
 	if n := cfg.DropEveryNData; n > 0 {
@@ -407,14 +401,11 @@ func (m clusterMesh) Conn(src, dst int) collective.Conn {
 	return m.cl.Conn(m.hosts[src], m.hosts[dst])
 }
 
-// Run drives the simulation until the event queue drains or the horizon is
-// reached, returning the final virtual time. A partitioned cluster advances
-// its shards through the epoch coordinator.
+// Run drives the simulation through the epoch coordinator until every
+// shard's event queue drains or the horizon is reached, returning the final
+// virtual time. On one shard that is a single epoch: Engine.Run.
 func (cl *Cluster) Run(horizon sim.Duration) sim.Time {
-	if cl.group != nil {
-		return cl.group.Run(sim.Time(horizon))
-	}
-	return cl.Engine.Run(sim.Time(horizon))
+	return cl.group.Run(sim.Time(horizon))
 }
 
 // FailLink takes the fabric link at (sw, port) down and simulates the §6

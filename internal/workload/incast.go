@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"themis/internal/fabric"
 	"themis/internal/packet"
 	"themis/internal/sim"
 )
@@ -45,9 +44,8 @@ func (c *IncastConfig) resolve() {
 	}
 }
 
-// IncastResult carries the incast measurements. Its Outcome holds CCTMillis,
-// GoodputGbps (receiver goodput over the completion time), the three-counter
-// sender subset, Net.DataDrops alone and the Engine block.
+// IncastResult carries the incast measurements. Its Outcome adds GoodputGbps
+// (receiver goodput over the completion time) to the cluster record.
 type IncastResult struct {
 	Outcome
 	CCT    sim.Time // when the last sender's message is acknowledged
@@ -80,14 +78,8 @@ func RunIncast(cfg IncastConfig) (*IncastResult, error) {
 	if done != cfg.Senders {
 		return nil, fmt.Errorf("workload: incast incomplete: %d/%d senders at %v", done, cfg.Senders, end)
 	}
-	full := cl.Outcome(res.CCT)
-	res.Outcome = Outcome{
-		CCTMillis:   full.CCTMillis,
-		GoodputGbps: float64(cfg.MessageBytes) * float64(cfg.Senders) * 8 / res.CCT.Seconds() / 1e9,
-		Sender:      senderSubset(full.Sender),
-		Net:         fabric.Counters{DataDrops: full.Net.DataDrops},
-		Engine:      full.Engine,
-	}
+	res.Outcome = cl.Outcome(res.CCT)
+	res.GoodputGbps = float64(cfg.MessageBytes) * float64(cfg.Senders) * 8 / res.CCT.Seconds() / 1e9
 	res.Pauses, _ = cl.Net.PFCStats(cl.Topo.ToROf(0))
 	return res, nil
 }

@@ -50,11 +50,10 @@ func (c *MotivationConfig) resolve() {
 	}
 }
 
-// MotivationResult carries the Fig. 1 measurements. Its Outcome holds the
-// figure's scalars — CCTMillis (last flow's completion), RetransRatio over
-// all flows (Fig. 1b's average), AvgRateGbps (Fig. 1c) and GoodputGbps, the
-// mean per-flow throughput (Fig. 1d's bar) — and the Sender and Engine
-// blocks only.
+// MotivationResult carries the Fig. 1 measurements. Its Outcome adds the
+// figure's scalars to the cluster record — CCTMillis is the last flow's
+// completion, RetransRatio over all flows Fig. 1b's average, AvgRateGbps
+// Fig. 1c and GoodputGbps, the mean per-flow throughput, Fig. 1d's bar.
 type MotivationResult struct {
 	Outcome
 	// RetransSeries is the windowed retransmission ratio of the observed
@@ -136,13 +135,7 @@ func RunMotivation(cfg MotivationConfig) (*MotivationResult, error) {
 	res.RetransSeries = ratio.Finish(completions[0])
 	res.RateGbps = rate
 	res.CompletionTime = maxTime(completions)
-	full := cl.Outcome(res.CompletionTime)
-	res.Outcome = Outcome{
-		CCTMillis:    full.CCTMillis,
-		RetransRatio: full.RetransRatio,
-		Sender:       full.Sender,
-		Engine:       full.Engine,
-	}
+	res.Outcome = cl.Outcome(res.CompletionTime)
 	// Truncate the rate series to the observed flow's active period before
 	// averaging.
 	var active []float64

@@ -12,12 +12,6 @@ import (
 // once where the run ends, and exp.Trial embeds the same struct, so no layer
 // copies it field by field. Fixed fields only — the JSON form must be
 // byte-identical across runs.
-//
-// Three runners report partial blocks, exactly what their trials have always
-// carried (widening one rewrites committed artifacts, so it belongs with the
-// results-changing ROADMAP 2(a2) PR): motivation leaves Middleware and Net
-// zero; incast and spray report senderSubset and no RetransRatio; spray
-// reports only the two partition-invariant Engine counters.
 type Outcome struct {
 	// CCTMillis is the completion time of the workload in milliseconds —
 	// tail-group CCT for collectives, last-flow completion for motivation
@@ -41,7 +35,8 @@ type Outcome struct {
 
 	// Counter blocks: transport counters over all QPs, Themis counters over
 	// all ToRs (zero unless the arm installs the pipeline), fabric counters,
-	// and the event-loop counters of the trial's engine.
+	// and the event-loop counters of the trial's engine (spray, which may run
+	// on several, reports only the two that do not depend on how many).
 	Sender     rnic.SenderStats `json:"sender"`
 	Middleware core.Stats       `json:"middleware"`
 	Net        fabric.Counters  `json:"net"`
@@ -51,9 +46,10 @@ type Outcome struct {
 	Violations []string `json:"violations,omitempty"`
 }
 
-// Outcome reads the full record off a drained classic cluster whose workload
+// Outcome reads the full record off a drained cluster whose workload
 // completed at cct: the headline time and retransmission ratio and all four
-// counter blocks. Runners add their own headline fields and violations.
+// counter blocks, Engine being shard 0's. Runners add their own headline
+// fields and violations.
 func (cl *Cluster) Outcome(cct sim.Time) Outcome {
 	o := Outcome{
 		CCTMillis:  cct.Seconds() * 1e3,
@@ -66,10 +62,4 @@ func (cl *Cluster) Outcome(cct sim.Time) Outcome {
 		o.RetransRatio = float64(o.Sender.Retransmits) / float64(o.Sender.DataPackets)
 	}
 	return o
-}
-
-// senderSubset keeps the three loss-recovery counters the incast and spray
-// trials report.
-func senderSubset(s rnic.SenderStats) rnic.SenderStats {
-	return rnic.SenderStats{Retransmits: s.Retransmits, Timeouts: s.Timeouts, NacksRx: s.NacksRx}
 }

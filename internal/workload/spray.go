@@ -10,10 +10,10 @@ import (
 // SprayConfig parameterizes the space-parallel permutation workload: every
 // host on a K-ary fat-tree sends one message to the host half the cluster
 // away (dst = (src + H/2) mod H), so all traffic crosses the core and every
-// shard carries an equal slice. This is the one workload that runs on a
-// partitioned cluster — the others have global drivers (collective round
-// logic, the churn driver, chaos injectors, shared loss hooks) that cannot be
-// cut across shards without changing their timing.
+// shard carries an equal slice. This is the one workload that cuts its
+// cluster across several shards — the others have global drivers (collective
+// round logic, the churn driver, chaos injectors, shared loss hooks) that
+// cannot be cut without changing their timing.
 type SprayConfig struct {
 	// ClusterConfig carries the fabric, LB and NIC knobs. Defaults: a k=4
 	// fat-tree at 100 Gbps.
@@ -28,14 +28,11 @@ type SprayConfig struct {
 	Horizon      sim.Duration // default 30 s
 }
 
-// resolve applies the spray defaults in place. The runner's pins are
-// rejections, not overrides — buildCluster and fabric.NewShardedNetwork return
-// an error for what a partitioned dataplane cannot host:
-//   - LB arms that install a ToR pipeline (core wiring is classic-engine only);
-//   - Tracer, Metrics, DropEveryNData and DistributedRouting (global mutable
-//     state that would couple the shards).
-//
-// The topology is always a fat-tree, so Leaves/Spines/HostsPerLeaf are moot.
+// resolve applies the spray defaults in place. The runner pins nothing: what
+// more than one shard cannot host (a ToR pipeline, Tracer, Metrics,
+// DropEveryNData, DistributedRouting) is an error from buildCluster or
+// fabric.NewShardedNetwork at Shards > 1 and runs at Shards 1. The topology
+// is always a fat-tree, so Leaves/Spines/HostsPerLeaf are moot.
 func (c *SprayConfig) resolve() {
 	if c.FatTreeK == 0 {
 		c.FatTreeK = 4
@@ -46,18 +43,15 @@ func (c *SprayConfig) resolve() {
 	if c.MessageBytes == 0 {
 		c.MessageBytes = 1 << 20
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
 	if c.Horizon == 0 {
 		c.Horizon = 30 * sim.Second
 	}
 	c.ClusterConfig = c.ClusterConfig.withDefaults()
 }
 
-// SprayResult carries the permutation measurements. Its Outcome holds only
-// what is identical for every shard count: CCTMillis, the three-counter sender
-// subset, the Net block and the two partition-invariant Engine counters.
+// SprayResult carries the permutation measurements. Its Outcome is the
+// cluster record less what depends on the shard count: of the Engine block it
+// keeps the two partition-invariant counters.
 type SprayResult struct {
 	Outcome
 	CCT      sim.Time   // when the last message is acknowledged
@@ -97,14 +91,10 @@ func RunSpray(cfg SprayConfig) (*SprayResult, error) {
 		}
 	}
 	res.MergedEngine = cl.group.Metrics()
-	res.Outcome = Outcome{
-		CCTMillis: res.CCT.Seconds() * 1e3,
-		Sender:    senderSubset(cl.AggregateSenderStats()),
-		Net:       cl.Net.Counters(),
-		Engine: sim.Metrics{
-			EventsExecuted:  res.MergedEngine.EventsExecuted,
-			EventsCancelled: res.MergedEngine.EventsCancelled,
-		},
+	res.Outcome = cl.Outcome(res.CCT)
+	res.Engine = sim.Metrics{
+		EventsExecuted:  res.MergedEngine.EventsExecuted,
+		EventsCancelled: res.MergedEngine.EventsCancelled,
 	}
 	return res, nil
 }

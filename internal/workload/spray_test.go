@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
-	"themis/internal/rnic"
+	"themis/internal/packet"
 	"themis/internal/sim"
 )
 
@@ -90,9 +92,48 @@ func TestSprayThroughSharedBuilderMatchesPrivateWiring(t *testing.T) {
 					t.Errorf("%v shards=%d: host %d completed at %d ps, want %d", tc.lb, shards, h, res.Complete[h], want)
 				}
 			}
-			want := rnic.SenderStats{Retransmits: tc.nacks, NacksRx: tc.nacks}
-			if res.Sender != want || res.Net.Delivered != tc.delivered {
-				t.Errorf("%v shards=%d: sender %+v delivered %d, want %+v / %d", tc.lb, shards, res.Sender, res.Net.Delivered, want, tc.delivered)
+			if s := res.Sender; s.Retransmits != tc.nacks || s.NacksRx != tc.nacks || s.Timeouts != 0 || res.Net.Delivered != tc.delivered {
+				t.Errorf("%v shards=%d: sender %+v delivered %d, want %d NACKs each retransmitted once, no timeout / %d", tc.lb, shards, s, res.Net.Delivered, tc.nacks, tc.delivered)
+			}
+		}
+	}
+}
+
+// BuildCluster is the one-shard case of the builder RunSpray cuts across
+// shards: the permutation driven by hand on a BuildCluster cluster serializes
+// to the same record as RunSpray at every shard count, for a switch-RNG arm
+// and a sender-feedback arm.
+func TestBuildClusterIsRunSprayAtOneShard(t *testing.T) {
+	for _, lbm := range []LBMode{RandomSpray, REPS} {
+		cfg := SprayConfig{ClusterConfig: ClusterConfig{Seed: 5, LB: lbm}, MessageBytes: 64 << 10}
+		cfg.resolve()
+		cl, err := BuildCluster(cfg.ClusterConfig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cct sim.Time
+		hosts := cl.Topo.NumHosts()
+		for h := 0; h < hosts; h++ {
+			cl.OpenFlow(packet.NodeID(h), packet.NodeID((h+hosts/2)%hosts)).Send(cfg.MessageBytes, func() { cct = cl.Engine.Now() })
+		}
+		cl.Run(cfg.Horizon)
+		o := cl.Outcome(cct)
+		o.Engine = sim.Metrics{EventsExecuted: o.Engine.EventsExecuted, EventsCancelled: o.Engine.EventsCancelled}
+		want, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Sender.Completions != uint64(hosts) || o.Sender.NacksRx == 0 {
+			t.Fatalf("%v: degenerate hand-driven run: %s", lbm, want)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			cfg.Shards = shards
+			res, err := RunSpray(cfg)
+			if err != nil {
+				t.Fatalf("%v shards=%d: %v", lbm, shards, err)
+			}
+			if got, _ := json.Marshal(res.Outcome); !bytes.Equal(got, want) {
+				t.Errorf("%v: RunSpray at %d shards\n %s\nBuildCluster driven by hand\n %s", lbm, shards, got, want)
 			}
 		}
 	}
@@ -140,8 +181,8 @@ func TestSprayCompletes(t *testing.T) {
 }
 
 func TestSprayRejectsThemisLB(t *testing.T) {
-	if _, err := RunSpray(SprayConfig{ClusterConfig: ClusterConfig{Seed: 1, LB: Themis}}); err == nil {
-		t.Fatal("Themis LB accepted on the sharded spray path")
+	if _, err := RunSpray(SprayConfig{ClusterConfig: ClusterConfig{Seed: 1, LB: Themis}, Shards: 2}); err == nil {
+		t.Fatal("Themis LB accepted on a cluster cut across two shards")
 	}
 }
 
