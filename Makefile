@@ -145,7 +145,9 @@ bench-smoke: lint
 # window the frozen benchmark folds `-seed` into reaches 79 on all five —
 # ~40 s on two cores. `sweep` exits non-zero on a trial that errored or
 # violated an invariant (its VIOLATION lines name the seed), so the target
-# fails on any.
+# fails on any. The spray grid runs twice, at one shard and cut across two,
+# and the two reports must be the same bytes: shard invariance over seeds
+# 1..80, not only at the seed the tests pin.
 # It exists because the one finding it has produced (reps/chaos/themis-relearn
 # seed 123: an armed compensation surviving a §6 bypass window) was invisible
 # to the 2-seed artifacts and the 50-seed tests. Too slow for `make verify`;
@@ -157,11 +159,14 @@ soak:
 	$(SOAK) -grid churn -seeds 100
 	$(SOAK) -grid convergence -seeds 80
 	$(SOAK) -grid smoke -seeds 80
-	$(SOAK) -grid spray -seeds 80
+	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(SOAK) -grid spray -seeds 80 -json $$tmp/shards1.json && \
+	$(SOAK) -grid spray -seeds 80 -shards 2 -json $$tmp/shards2.json && \
+	cmp $$tmp/shards1.json $$tmp/shards2.json
 
 # bench-shard measures the space-parallel engine's scaling: the k=8 fat-tree
-# permutation at 1, 2 and 4 shards (see BenchmarkShardScaling). Numbers are
-# recorded in PERF.md; rerun this after touching the coordinator or the
-# sharded fabric path.
+# permutation at 1, 2 and 4 shards, under random spraying and under the
+# paper's arm (see BenchmarkShardScaling). Numbers are recorded in PERF.md;
+# rerun this after touching the coordinator or the sharded fabric path.
 bench-shard:
 	$(GO) test -run '^$$' -bench BenchmarkShardScaling -benchmem ./internal/workload/

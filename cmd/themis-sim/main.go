@@ -21,13 +21,15 @@
 //	    trial record and optionally writes it as a JSON report. NAME is a row
 //	    of the workload table (internal/exp/workloads.go); -h lists the names.
 //	    Exits non-zero if the trial failed or violated an invariant. -metrics
-//	    snapshots the trial's metrics registry into the record; -flight-dir
-//	    arms a flight recorder that dumps a JSONL trace on failure. The churn
-//	    workload takes -qps/-concurrency (flow churn shape), -faults (seeded
-//	    ToR reboots + a link flap), and the lifecycle knobs: -table-budget
-//	    caps each instance's flow table at the §4 SRAM budget, -idle-timeout
-//	    evicts entries idle for that long, -relearn re-registers evicted
-//	    flows from live data packets. -distributed replaces the instant
+//	    prints the trial's sender, middleware and net counter blocks and
+//	    snapshots its metrics registry (what those blocks lack) into the
+//	    record; -flight-dir arms a flight recorder that dumps a JSONL trace
+//	    on failure. The churn workload takes -qps/-concurrency (flow churn
+//	    shape), -faults (seeded ToR reboots + a link flap), and the
+//	    lifecycle knobs: -table-budget caps each instance's flow table at
+//	    the §4 SRAM budget, -idle-timeout evicts entries idle for that long,
+//	    -relearn re-registers evicted flows from live data packets.
+//	    -distributed replaces the instant
 //	    routing oracle with the per-switch BGP-style control plane and
 //	    -convergence-delay sets its per-hop message delay (delay 0 is the
 //	    oracle fixed point, bit-identical to oracle mode); the convergence
@@ -39,8 +41,9 @@
 //	    other workloads have global drivers, run on one engine and ignore
 //	    it) — results are byte-identical for every shard count, so like
 //	    -parallel it is an execution knob, not an experiment arm; what shards
-//	    would have to share (-lb themis, -metrics, -flight-dir, -distributed)
-//	    is an error at N > 1 and runs at 0 or 1. The reps and
+//	    would have to share (-flight-dir, -distributed, a scenario's
+//	    DropEveryNData) is an error at N > 1 and runs at 0 or 1 — every -lb
+//	    arm, themis included, and -metrics run at any N. The reps and
 //	    congestion LB arms take -reps-cache (entropy-cache ring capacity)
 //	    and -path-buckets (per-path entropy buckets for the switch EWMA and
 //	    per-path DCQCN coupling).
@@ -52,8 +55,9 @@
 //	    table (internal/exp/grids.go; default fig5, the full Fig. 5 matrix, all
 //	    five DCQCN settings × {ECMP, AR, Themis}). -parallel N
 //	    runs N trials concurrently — per-seed results are bit-identical to a
-//	    sequential run. -json writes the aggregated report artifact. Exits
-//	    non-zero if any trial failed or violated an invariant.
+//	    sequential run. -seeds below 1 is an error. -json writes the
+//	    aggregated report artifact. Exits non-zero if any trial failed or
+//	    violated an invariant.
 //	    -cpuprofile/-memprofile write pprof profiles of the sweep;
 //	    -pprof-addr serves live net/http/pprof while it runs.
 //
@@ -251,6 +255,9 @@ func printTrial(t exp.Trial) {
 	}
 	fmt.Printf("%-40s cct=%10.3fms retrans=%.4f timeouts=%d events=%d\n",
 		t.Name, t.CCTMillis, t.RetransRatio, t.Sender.Timeouts, t.Engine.EventsExecuted)
+	if t.Metrics != nil { // -metrics: the counter blocks the registry does not repeat
+		fmt.Printf("  sender:     %+v\n  middleware: %+v\n  net:        %+v\n", t.Sender, t.Middleware, t.Net)
+	}
 	for _, v := range t.Violations {
 		fmt.Printf("  VIOLATION: %s\n", v)
 	}
@@ -273,7 +280,7 @@ func runScenario(args []string) error {
 	spines := fs.Int("spines", 0, "spine switches")
 	hosts := fs.Int("hosts", 0, "hosts per leaf")
 	bw := fs.Float64("bw", 0, "link bandwidth, Gbps")
-	shards := fs.Int("shards", 0, "spray: space-parallel engine shards (0 = one; results are byte-identical for any value; other workloads run on one engine and ignore it)")
+	shards := fs.Int("shards", 0, "spray: space-parallel engine shards (0 = one; results are byte-identical for any value; an error at N > 1: -flight-dir, -distributed, a scenario's DropEveryNData; other workloads run on one engine and ignore it)")
 	fatTreeK := fs.Int("fattree-k", 0, "spray: fat-tree radix k (0 = workload default)")
 	qps := fs.Int("qps", 0, "churn: total flows opened over the run (0 = workload default)")
 	concurrency := fs.Int("concurrency", 0, "churn: flows open at a time (0 = workload default)")
@@ -396,7 +403,7 @@ func runSweep(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed (first seed for multi-seed grids)")
 	seeds := fs.Int("seeds", 1, "seed count (multi-seed grids)")
 	parallel := fs.Int("parallel", 1, "worker pool size")
-	shards := fs.Int("shards", 0, "spray grid: space-parallel engine shards per trial (0 = one; reports are byte-identical for any value; other grids run on one engine and ignore it)")
+	shards := fs.Int("shards", 0, "spray grid: space-parallel engine shards per trial (0 = one; reports are byte-identical for any value; an error at N > 1: -flight-dir, -distributed, a scenario's DropEveryNData; other grids run on one engine and ignore it)")
 	jsonOut := fs.String("json", "", "write the aggregated report JSON to this path")
 	metrics := fs.Bool("metrics", false, "snapshot a per-trial metrics registry into each record")
 	flightDir := fs.String("flight-dir", "", "arm per-trial flight recorders; dump JSONL traces here on failure")
@@ -411,6 +418,9 @@ func runSweep(args []string) error {
 	p, err := collective.ParsePattern(*pattern)
 	if err != nil {
 		return err
+	}
+	if *seeds < 1 {
+		return fmt.Errorf("sweep: -seeds must be at least 1, got %d", *seeds)
 	}
 	grid := g.Scenarios(*seed, *seeds, *bytes, p)
 	for i := range grid {

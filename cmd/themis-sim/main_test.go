@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"themis/internal/exp"
@@ -57,6 +58,23 @@ func TestSweepWritesProfiles(t *testing.T) {
 	readProfile(t, mem)
 	if _, err := os.Stat(report); err != nil {
 		t.Fatalf("report not written: %v", err)
+	}
+}
+
+// TestSweepRejectsNonPositiveSeeds: a seed count below one is an error from
+// every grid — not a makeslice panic (the grids that list seeds) and not a
+// green "0 scenarios" (the ones that loop over them).
+func TestSweepRejectsNonPositiveSeeds(t *testing.T) {
+	for _, args := range [][]string{
+		{"-grid", "smoke", "-seeds", "-1"},
+		{"-grid", "chaos", "-seeds", "-1"},
+		{"-grid", "churn", "-seeds", "-1"},
+		{"-grid", "churn", "-seeds", "0"},
+		{"-grid", "spray", "-seeds", "0"},
+	} {
+		if err := runSweep(args); err == nil || !strings.Contains(err.Error(), "-seeds") {
+			t.Errorf("sweep %v returned %v, want an error naming -seeds", args, err)
+		}
 	}
 }
 

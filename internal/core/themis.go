@@ -99,9 +99,9 @@ type Config struct {
 	// Pool, if non-nil, supplies packets for compensation NACKs. Share it
 	// with fabric.Config.Pool. Nil allocates normally.
 	Pool *packet.Pool
-	// Metrics, if non-nil, receives this instance's verdict counters as
-	// additive "themis.*" gauges (pull-based: no per-packet cost). Share one
-	// registry across all ToRs to get cluster-wide totals.
+	// Metrics, if non-nil, receives this instance's live flow-table state as
+	// additive gauges (see registerMetrics). Share one registry across all
+	// ToRs to get cluster-wide totals.
 	Metrics *obs.Registry
 }
 
@@ -206,28 +206,12 @@ func New(t *topo.Topology, swID int, cfg Config) *Themis {
 	return th
 }
 
-// registerMetrics exposes the verdict counters as additive gauges. Pull-based
-// (evaluated only at Snapshot time), so the per-packet cost of enabling
-// metrics is exactly zero. No-op on a nil registry.
+// registerMetrics exposes what the Stats block does not count: the SRAM and
+// entries the flow table holds right now, as additive gauges. Pull-based
+// (evaluated only at Snapshot time), so enabling metrics costs nothing per
+// packet. No-op on a nil registry.
 func (th *Themis) registerMetrics(r *obs.Registry) {
-	r.GaugeFunc("themis.sprayed", func() float64 { return float64(th.stats.Sprayed) })
-	r.GaugeFunc("themis.nacks_seen", func() float64 { return float64(th.stats.NacksSeen) })
-	r.GaugeFunc("themis.nacks_forwarded", func() float64 { return float64(th.stats.NacksForwarded) })
-	r.GaugeFunc("themis.nacks_blocked", func() float64 { return float64(th.stats.NacksBlocked) })
-	r.GaugeFunc("themis.compensations", func() float64 { return float64(th.stats.Compensations) })
-	r.GaugeFunc("themis.compensation_cancelled", func() float64 { return float64(th.stats.CompensationCancelled) })
-	r.GaugeFunc("themis.scan_misses", func() float64 { return float64(th.stats.ScanMisses) })
-	r.GaugeFunc("themis.ring_overflows", func() float64 { return float64(th.stats.RingOverflows) })
-	r.GaugeFunc("themis.bypassed", func() float64 { return float64(th.stats.Bypassed) })
-	r.GaugeFunc("themis.reboots", func() float64 { return float64(th.stats.Reboots) })
-	r.GaugeFunc("themis.relearns", func() float64 { return float64(th.stats.Relearns) })
-	r.GaugeFunc("themis.evictions", func() float64 { return float64(th.stats.Evictions) })
-	r.GaugeFunc("themis.idle_evictions", func() float64 { return float64(th.stats.IdleEvictions) })
-	r.GaugeFunc("themis.table_full", func() float64 { return float64(th.stats.TableFull) })
-	r.GaugeFunc("themis.unregistered", func() float64 { return float64(th.stats.Unregistered) })
-	r.GaugeFunc("themis.unknown_nacks_forwarded", func() float64 { return float64(th.stats.UnknownNacksForwarded) })
 	r.GaugeFunc("themis.table_bytes", func() float64 { return float64(th.tableBytes) })
-	r.GaugeFunc("themis.table_budget_bytes", func() float64 { return float64(th.cfg.TableBudgetBytes) })
 	r.GaugeFunc("themis.flows", func() float64 { return float64(len(th.srcFlows) + len(th.dstFlows)) })
 }
 

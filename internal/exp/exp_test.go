@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,12 +72,22 @@ func TestRunnerParallelDeterminism(t *testing.T) {
 // so they prove the mailbox drain order, per-channel priorities and
 // partition-invariant RNG streams reproduce the single-shard schedule
 // exactly. (No other workload is partitioned; Shards does not reach them.)
+// The paper's arm rides along — appended here, not in SprayGrid, whose cells
+// the frozen benchmark's soak runs — and every trial is metered, so the bytes
+// compared include Trial.Metrics: per-ToR pipelines and the registry are
+// partition-invariant too.
 //
 // {0, 1} is an identity since PR 19 — the cluster builder normalises 0 to 1,
 // there being no second scheme for 0 to select — so the base run at 0 only
 // guards that normalisation; {1, 2, 4} is the claim.
 func TestShardCountDeterminism(t *testing.T) {
 	grid := SprayGrid(8)
+	for _, k := range []int{4, 8} {
+		sc := grid[0]
+		sc.Name, sc.LB, sc.FatTreeK = fmt.Sprintf("spray/themis/k%d/seed8", k), workload.Themis, k
+		grid = append(grid, sc)
+	}
+	run := Runner{Parallel: 4, Obs: Obs{Metrics: true}}.Run
 	withShards := func(n int) []Scenario {
 		out := make([]Scenario, len(grid))
 		for i, sc := range grid {
@@ -85,7 +96,7 @@ func TestShardCountDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	base := NewReport("shard-determinism", Runner{Parallel: 4}.Run(withShards(0)))
+	base := NewReport("shard-determinism", run(withShards(0)))
 	want, err := base.JSON()
 	if err != nil {
 		t.Fatal(err)
@@ -94,9 +105,15 @@ func TestShardCountDeterminism(t *testing.T) {
 		if tr.Err != "" {
 			t.Fatalf("trial %d (%s) failed: %s", i, tr.Name, tr.Err)
 		}
+		if tr.Metrics == nil || len(tr.Metrics.Histograms) == 0 {
+			t.Fatalf("trial %d (%s) is not metered: %+v", i, tr.Name, tr.Metrics)
+		}
+	}
+	if last := base.Trials[len(base.Trials)-1]; last.Middleware.NacksBlocked == 0 {
+		t.Fatalf("%s blocked no NACK; Themis-D is not exercised", last.Name)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		rep := NewReport("shard-determinism", Runner{Parallel: 4}.Run(withShards(shards)))
+		rep := NewReport("shard-determinism", run(withShards(shards)))
 		got, err := rep.JSON()
 		if err != nil {
 			t.Fatal(err)
@@ -132,6 +149,37 @@ func TestRunnerPreservesOrderAndReportsErrors(t *testing.T) {
 	// The failed trial contributes nothing to the metric summaries.
 	if rep.Aggregate.CCTMillis.Count != 1 {
 		t.Fatalf("CCT summary count = %d, want 1", rep.Aggregate.CCTMillis.Count)
+	}
+}
+
+// The registry carries what workload.Outcome does not, and nothing Outcome
+// does: these are the exact instrument names of a metered trial. The frozen
+// benchmark's route.* Lookups depend on the second list.
+func TestMeteredTrialInstrumentNames(t *testing.T) {
+	for _, c := range []struct {
+		sc   Scenario
+		want string
+	}{
+		{SmokeGrid(1)[0], "themis.flows themis.table_bytes rnic.message_complete_us"},
+		{ConvergenceGrid(6, 1)[3], "route.episodes route.msgs themis.flows themis.table_bytes rnic.message_complete_us"},
+	} {
+		tr := RunObserved(c.sc, Obs{Metrics: true})
+		if tr.Err != "" {
+			t.Fatalf("%s: %s", tr.Name, tr.Err)
+		}
+		var names []string
+		for _, g := range tr.Metrics.Gauges {
+			names = append(names, g.Name)
+		}
+		for _, h := range tr.Metrics.Histograms {
+			names = append(names, h.Name)
+		}
+		if got := strings.Join(names, " "); got != c.want {
+			t.Errorf("%s registers %q, want %q", tr.Name, got, c.want)
+		}
+		if msgs, _ := tr.Metrics.Lookup("route.msgs"); c.sc.DistributedRouting && msgs == 0 {
+			t.Errorf("%s: route.msgs = 0 on the distributed plane", tr.Name)
+		}
 	}
 }
 

@@ -94,8 +94,10 @@ type Config struct {
 	// Get from the same pool. Nil keeps the historical allocate-and-GC
 	// behaviour — required by tests that retain delivered packets.
 	Pool *packet.Pool
-	// Metrics, if non-nil, exposes the network-wide Counters as "fabric.*"
-	// gauges (pull-based: read only at Snapshot time, zero hot-path cost).
+	// Metrics, if non-nil, receives the distributed routing plane's
+	// "route.msgs" and "route.episodes" gauges (pull-based: read only at
+	// Snapshot time). The Counters are not re-exported: a trial's record
+	// (workload.Outcome.Net) already carries them.
 	Metrics *obs.Registry
 	// Routing selects how candidate egress ports react to link events:
 	// route.Oracle (default) is the historical instant global recompute;
@@ -149,13 +151,12 @@ type Network struct {
 	dstRoutes    [][][]int // [dstTor][sw] = candidate egress ports
 
 	// group holds the per-shard engines and the mailboxes cross-shard links
-	// post into; counters, pools and seq are the per-shard blocks components
+	// post into; counters and pools are the per-shard blocks components
 	// charge during an epoch. On one shard every slice has length 1 and
 	// nothing is ever posted.
 	group    *sim.ShardGroup
 	counters []Counters
 	pools    []*packet.Pool
-	seq      []uint64
 
 	// seed is the trial seed every switch's RNG stream derives from (see
 	// swInst.Rand).
@@ -183,11 +184,12 @@ func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []
 		group:    group,
 		counters: make([]Counters, part.Shards),
 		pools:    pools,
-		seq:      make([]uint64, part.Shards),
 		seed:     seed,
 	}
 	if cfg.Routing.Mode == route.Distributed {
 		n.plane = route.NewPlane(group.Shard(0), t, cfg.Routing)
+		cfg.Metrics.GaugeFunc("route.msgs", func() float64 { return float64(n.plane.MessagesSent()) })
+		cfg.Metrics.GaugeFunc("route.episodes", func() float64 { return float64(n.plane.Episodes()) })
 	} else {
 		n.dstValid = make([]bool, t.NumSwitches())
 		n.dstRoutes = make([][][]int, t.NumSwitches())
@@ -243,7 +245,6 @@ func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []
 		own(q, part.HostShard[h])
 		n.hostUp[h] = q
 	}
-	n.registerMetrics(cfg.Metrics)
 	return n
 }
 
@@ -255,25 +256,6 @@ func NewNetwork(engine *sim.Engine, t *topo.Topology, cfg Config) *Network {
 	group := sim.NewShardGroup([]*sim.Engine{engine}, sim.Duration(sim.Forever))
 	part := topo.Partition{Shards: 1, SwitchShard: make([]int, t.NumSwitches()), HostShard: make([]int, t.NumHosts())}
 	return wire(group, t, part, []*packet.Pool{cfg.Pool}, engine.Seed(), cfg)
-}
-
-// registerMetrics exposes the network counters as gauges; no-op on nil.
-func (n *Network) registerMetrics(r *obs.Registry) {
-	r.GaugeFunc("fabric.delivered", func() float64 { return float64(n.Counters().Delivered) })
-	r.GaugeFunc("fabric.data_drops", func() float64 { return float64(n.Counters().DataDrops) })
-	r.GaugeFunc("fabric.ctrl_drops", func() float64 { return float64(n.Counters().CtrlDrops) })
-	r.GaugeFunc("fabric.ecn_marks", func() float64 { return float64(n.Counters().EcnMarks) })
-	r.GaugeFunc("fabric.blocked", func() float64 { return float64(n.Counters().Blocked) })
-	r.GaugeFunc("fabric.compensated", func() float64 { return float64(n.Counters().Compensated) })
-	r.GaugeFunc("fabric.link_drops", func() float64 { return float64(n.Counters().LinkDrops) })
-	r.GaugeFunc("fabric.loop_drops", func() float64 { return float64(n.Counters().LoopDrops) })
-	r.GaugeFunc("fabric.steady_loop_drops", func() float64 { return float64(n.Counters().SteadyLoopDrops) })
-	r.GaugeFunc("fabric.watchdog_fires", func() float64 { return float64(n.Counters().WatchdogFires) })
-	r.GaugeFunc("fabric.watchdog_drops", func() float64 { return float64(n.Counters().WatchdogDrops) })
-	if n.plane != nil {
-		r.GaugeFunc("route.msgs", func() float64 { return float64(n.plane.MessagesSent()) })
-		r.GaugeFunc("route.episodes", func() float64 { return float64(n.plane.Episodes()) })
-	}
 }
 
 // Counters returns a snapshot of network-wide counters: the per-shard blocks
@@ -332,14 +314,9 @@ func (n *Network) SetLossFunc(f func(pkt *packet.Packet, sw, port int) bool) {
 }
 
 // Inject transmits pkt from host h over its access link. The packet is
-// stamped with a sequence number for tracing, a hop limit and the current
-// routing epoch. Sequence spaces are per shard: SeqNo is tracing-only
-// provenance, so shards numbering independently never changes behaviour, and
-// one shared counter would be a data race.
+// stamped with a hop limit and the current routing epoch.
 func (n *Network) Inject(h packet.NodeID, pkt *packet.Packet) {
 	up := n.hostUp[h]
-	n.seq[up.shard]++
-	pkt.SeqNo = n.seq[up.shard]
 	n.stampHop(pkt)
 	n.cfg.Tracer.RecordPacket(up.eng.Now(), trace.HostTx, -1, -1, pkt)
 	up.enqueue(pkt)

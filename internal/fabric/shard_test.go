@@ -1,10 +1,13 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 
 	"themis/internal/lb"
+	"themis/internal/obs"
 	"themis/internal/packet"
+	"themis/internal/route"
 	"themis/internal/sim"
 	"themis/internal/topo"
 	"themis/internal/trace"
@@ -303,8 +306,9 @@ func TestSwitchStreamsAreBuiltOnFirstDraw(t *testing.T) {
 }
 
 // More than one shard refuses every feature that couples shards through
-// global mutable state, with an explanatory error rather than a race; one
-// shard shares nothing and refuses none of them.
+// global mutable state, with an error that names the knob rather than a race;
+// one shard shares nothing and refuses none of them. A metrics registry is not
+// such a feature: it is written at build time and read after the run.
 func TestShardedNetworkRejectsGlobalFeatures(t *testing.T) {
 	tp := leafSpine(t, 2, 2, 1)
 	part, err := topo.PartitionRacks(tp, 2)
@@ -320,14 +324,21 @@ func TestShardedNetworkRejectsGlobalFeatures(t *testing.T) {
 		_, err := NewShardedNetwork(g, tp, part, 1, cfg)
 		return err
 	}
-	if err := build(Config{Tracer: trace.New(16)}); err == nil {
-		t.Fatal("tracer accepted")
-	}
-	if err := build(Config{Pool: packet.NewPool()}); err == nil {
-		t.Fatal("shared pool accepted")
+	for want, cfg := range map[string]Config{
+		"tracing":             {Tracer: trace.New(16)},
+		"LossFunc":            {LossFunc: func(*packet.Packet, int, int) bool { return false }},
+		"distributed routing": {Routing: route.Config{Mode: route.Distributed}},
+		"Config.Pool":         {Pool: packet.NewPool()},
+	} {
+		if err := build(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: NewShardedNetwork returned %v", want, err)
+		}
 	}
 	if err := build(Config{}); err != nil {
 		t.Fatalf("plain config rejected: %v", err)
+	}
+	if err := build(Config{Metrics: obs.NewRegistry()}); err != nil {
+		t.Fatalf("a registry is accepted at two shards: %v", err)
 	}
 	one, err := topo.PartitionRacks(tp, 1)
 	if err != nil {

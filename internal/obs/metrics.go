@@ -17,18 +17,21 @@ import (
 // methods are also nil-safe no-ops), so instrumented code carries no guards
 // and disabled metrics cost one predictable branch per observation.
 //
-// The registry is not safe for concurrent use; like the packet pool, each
-// parallel trial owns its own instance.
+// The registry is not safe for concurrent use and need not be: components
+// register at build time and Snapshot runs after the run, both on the
+// caller's goroutine, and in between each component touches only instruments
+// of its own — nothing here is written by two shards. Each parallel trial
+// owns its own instance.
 type Registry struct {
 	gauges map[string][]func() float64
-	hists  map[string]*Histogram
+	hists  map[string][]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		gauges: make(map[string][]func() float64),
-		hists:  make(map[string]*Histogram),
+		hists:  make(map[string][]*Histogram),
 	}
 }
 
@@ -43,25 +46,23 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	r.gauges[name] = append(r.gauges[name], fn)
 }
 
-// Histogram returns the named histogram, creating it on first use: instances
-// asking for the same name share one histogram. Nil registry returns a nil
-// (no-op) histogram.
+// Histogram registers a new histogram under name and returns it. Histograms
+// are additive like gauges: every caller gets its own instance (e.g. one per
+// NIC) and the instances under one name are digested as one, their samples
+// concatenated in registration order at Snapshot time. Nil registry returns a
+// nil (no-op) histogram.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{name: name}
-		r.hists[name] = h
-	}
+	h := &Histogram{}
+	r.hists[name] = append(r.hists[name], h)
 	return h
 }
 
-// Histogram accumulates samples and digests them into percentiles at
-// Snapshot time (via stats.Percentile).
+// Histogram accumulates samples; the registry digests them into percentiles
+// at Snapshot time (via stats.Percentile).
 type Histogram struct {
-	name    string
 	samples []float64
 }
 
@@ -121,14 +122,18 @@ func (r *Registry) Snapshot() *Snapshot {
 		}
 		s.Gauges = append(s.Gauges, MetricValue{Name: name, Value: sum})
 	}
-	for _, h := range r.hists { //lint:ordered snapshot slices are sorted by name before return
-		hv := HistogramValue{Name: h.name, Count: len(h.samples)}
-		if len(h.samples) > 0 {
-			hv.Mean = stats.Mean(h.samples)
-			hv.P50 = stats.Percentile(h.samples, 50)
-			hv.P90 = stats.Percentile(h.samples, 90)
-			hv.P99 = stats.Percentile(h.samples, 99)
-			hv.Max = stats.Percentile(h.samples, 100)
+	for name, hs := range r.hists { //lint:ordered snapshot slices are sorted by name before return
+		var samples []float64
+		for _, h := range hs {
+			samples = append(samples, h.samples...)
+		}
+		hv := HistogramValue{Name: name, Count: len(samples)}
+		if len(samples) > 0 {
+			hv.Mean = stats.Mean(samples)
+			hv.P50 = stats.Percentile(samples, 50)
+			hv.P90 = stats.Percentile(samples, 90)
+			hv.P99 = stats.Percentile(samples, 99)
+			hv.Max = stats.Percentile(samples, 100)
 		}
 		s.Histograms = append(s.Histograms, hv)
 	}

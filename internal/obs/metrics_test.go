@@ -48,6 +48,32 @@ func TestHistogramDigest(t *testing.T) {
 	}
 }
 
+// Histograms are additive like gauges: every Histogram(name) call is a new
+// instance (no two components share one), and the instances under a name
+// digest as one — count the sum, percentiles over the union of the samples.
+func TestHistogramsAreAdditive(t *testing.T) {
+	r := NewRegistry()
+	a, b := r.Histogram("x"), r.Histogram("x")
+	if a == b {
+		t.Fatal("Histogram returned an instance it had returned before")
+	}
+	for i := 1; i <= 50; i++ {
+		a.Observe(float64(i))
+		b.Observe(float64(50 + i))
+	}
+	if a.Count() != 50 || b.Count() != 50 {
+		t.Fatalf("instances share samples: counts %d, %d", a.Count(), b.Count())
+	}
+	s := r.Snapshot()
+	if len(s.Histograms) != 1 {
+		t.Fatalf("want one digest for one name, got %+v", s.Histograms)
+	}
+	want := HistogramValue{Name: "x", Count: 100, Mean: 50.5, P50: 50, P90: 90, P99: 99, Max: 100}
+	if s.Histograms[0] != want {
+		t.Fatalf("digest %+v, want %+v", s.Histograms[0], want)
+	}
+}
+
 func TestSnapshotSortedAndStable(t *testing.T) {
 	r := NewRegistry()
 	r.GaugeFunc("m", func() float64 { return 1 })

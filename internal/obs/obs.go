@@ -16,12 +16,13 @@
 //   - timeline.go: per-flow, per-PSN ledger reconstruction — the structure
 //     that answers "why was this NACK blocked?" and carries the executable
 //     form of the paper's §3 correctness argument (ledger invariants).
-//   - metrics.go: named counters, gauges and histograms registered by the
-//     fabric, the RNICs and the Themis middleware, snapshotted into every
-//     experiment trial.
+//   - metrics.go: named, additive gauges and histograms for what the trial
+//     record (workload.Outcome) does not carry — routing-plane message
+//     counts, live flow-table occupancy, the message completion latency
+//     distribution — snapshotted into a metered experiment trial.
 //
 // Everything here follows the tracer's nil-object convention: a nil
-// *Registry, *FlightRecorder, *Counter or *Histogram is safe to use and
-// free, so instrumented code needs no guards and the hot path stays
-// zero-alloc when observability is disabled.
+// *Registry, *FlightRecorder or *Histogram is safe to use and free, so
+// instrumented code needs no guards and the hot path stays zero-alloc when
+// observability is disabled.
 package obs

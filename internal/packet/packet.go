@@ -108,11 +108,10 @@ type Packet struct {
 	RouteEpoch uint32
 
 	// Bookkeeping (not on the wire).
-	Retransmit bool   // this data packet is a retransmission
-	Buffered   bool   // currently counted against a switch buffer (fabric-internal)
-	Accounted  bool   // currently counted against a PFC ingress (fabric-internal)
-	InPort     int32  // ingress port at the current switch (fabric-internal)
-	SeqNo      uint64 // global emission sequence for tracing
+	Retransmit bool  // this data packet is a retransmission
+	Buffered   bool  // currently counted against a switch buffer (fabric-internal)
+	Accounted  bool  // currently counted against a PFC ingress (fabric-internal)
+	InPort     int32 // ingress port at the current switch (fabric-internal)
 }
 
 // Size returns the on-wire size in bytes including headers.

@@ -118,11 +118,11 @@ type Config struct {
 	// from. Share it with fabric.Config.Pool so delivered packets recycle
 	// back. Nil allocates normally.
 	Pool *packet.Pool
-	// Metrics, if non-nil, exposes this NIC's sender counters as additive
-	// "rnic.*" gauges and feeds message completion latencies into the shared
-	// "rnic.message_complete_us" histogram. Share one registry across all
-	// NICs for cluster totals. Gauges are pull-based (zero hot-path cost);
-	// the histogram costs one nil-check per message completion when disabled.
+	// Metrics, if non-nil, gives this NIC a "rnic.message_complete_us"
+	// histogram of its message completion latencies; share one registry
+	// across all NICs and the snapshot digests them as one. It costs one
+	// nil-check per message completion when disabled. Sender counters are not
+	// re-exported: SenderQP.Stats is what a trial's record sums.
 	Metrics *obs.Registry
 }
 
@@ -165,10 +165,6 @@ type NIC struct {
 	senders   map[packet.QPID]*SenderQP
 	receivers map[packet.QPID]*ReceiverQP
 
-	// closedStats accumulates counters of senders retired by CloseSender so
-	// the additive rnic.* gauges stay monotone under flow churn.
-	closedStats SenderStats
-
 	// msgHist receives message completion latencies (nil when metrics are
 	// off; Observe on a nil histogram is a no-op).
 	msgHist *obs.Histogram
@@ -177,41 +173,15 @@ type NIC struct {
 // New creates a NIC for host id. inject transmits a packet onto the host's
 // access link (normally fabric.Network.Inject bound to the host).
 func New(engine *sim.Engine, id packet.NodeID, cfg Config, inject func(*packet.Packet)) *NIC {
-	n := &NIC{
+	return &NIC{
 		engine:    engine,
 		id:        id,
 		cfg:       cfg.withDefaults(),
 		inject:    inject,
 		senders:   make(map[packet.QPID]*SenderQP),
 		receivers: make(map[packet.QPID]*ReceiverQP),
+		msgHist:   cfg.Metrics.Histogram("rnic.message_complete_us"),
 	}
-	n.registerMetrics(cfg.Metrics)
-	return n
-}
-
-// registerMetrics exposes the NIC's aggregate sender counters as additive
-// gauges; no-op on a nil registry. The closures sum over sender QPs only at
-// Snapshot time, so the per-packet cost of enabled metrics is still zero.
-func (n *NIC) registerMetrics(r *obs.Registry) {
-	n.msgHist = r.Histogram("rnic.message_complete_us")
-	sum := func(field func(*SenderStats) uint64) func() float64 {
-		return func() float64 {
-			total := field(&n.closedStats)
-			// Summation is commutative; iteration order cannot leak.
-			for _, s := range n.senders { //lint:ordered commutative sum over per-sender counters
-				total += field(&s.stats)
-			}
-			return float64(total)
-		}
-	}
-	r.GaugeFunc("rnic.data_packets", sum(func(s *SenderStats) uint64 { return s.DataPackets }))
-	r.GaugeFunc("rnic.retransmits", sum(func(s *SenderStats) uint64 { return s.Retransmits }))
-	r.GaugeFunc("rnic.goodput_bytes", sum(func(s *SenderStats) uint64 { return s.GoodputBytes }))
-	r.GaugeFunc("rnic.acks_rx", sum(func(s *SenderStats) uint64 { return s.AcksRx }))
-	r.GaugeFunc("rnic.nacks_rx", sum(func(s *SenderStats) uint64 { return s.NacksRx }))
-	r.GaugeFunc("rnic.cnps_rx", sum(func(s *SenderStats) uint64 { return s.CnpsRx }))
-	r.GaugeFunc("rnic.timeouts", sum(func(s *SenderStats) uint64 { return s.Timeouts }))
-	r.GaugeFunc("rnic.completions", sum(func(s *SenderStats) uint64 { return s.Completions }))
 }
 
 // ID returns the host NodeID.
@@ -276,16 +246,15 @@ func (n *NIC) Senders() map[packet.QPID]*SenderQP { return n.senders }
 // CloseSender tears down the send side of QP qp: timers and pending pacer
 // events are cancelled and the QP is removed from the dispatch table, so
 // stray ACKs/NACKs still in flight are simply dropped (HandlePacket ignores
-// unknown QPs, matching how a real RNIC treats a destroyed QP). The QP's
-// counters are folded into the NIC aggregate so the rnic.* gauges stay
-// monotone across churn. Unknown QPs are a no-op.
+// unknown QPs, matching how a real RNIC treats a destroyed QP). The closed
+// QP's Stats stay readable through the handle the caller holds. Unknown QPs
+// are a no-op.
 func (n *NIC) CloseSender(qp packet.QPID) {
 	s, ok := n.senders[qp]
 	if !ok {
 		return
 	}
 	s.Close()
-	n.addClosed(&s.stats)
 	delete(n.senders, qp)
 }
 
@@ -294,17 +263,4 @@ func (n *NIC) CloseSender(qp packet.QPID) {
 // QP are dropped. Unknown QPs are a no-op.
 func (n *NIC) CloseReceiver(qp packet.QPID) {
 	delete(n.receivers, qp)
-}
-
-// addClosed accumulates a retired sender's counters (see registerMetrics).
-func (n *NIC) addClosed(s *SenderStats) {
-	n.closedStats.DataPackets += s.DataPackets
-	n.closedStats.Retransmits += s.Retransmits
-	n.closedStats.BytesSent += s.BytesSent
-	n.closedStats.GoodputBytes += s.GoodputBytes
-	n.closedStats.AcksRx += s.AcksRx
-	n.closedStats.NacksRx += s.NacksRx
-	n.closedStats.CnpsRx += s.CnpsRx
-	n.closedStats.Timeouts += s.Timeouts
-	n.closedStats.Completions += s.Completions
 }

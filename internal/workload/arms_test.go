@@ -146,15 +146,14 @@ func TestRunnerPins(t *testing.T) {
 }
 
 // TestSprayRejectsUnshardableKnobs: what more than one shard cannot host is
-// an error there, not a silently ignored knob (TestSprayRejectsThemisLB
-// covers the pipeline arm) — and is not refused where nothing is shared.
+// an error there, not a silently ignored knob — and is not refused where
+// nothing is shared, nor is what shards never shared refused anywhere.
 func TestSprayRejectsUnshardableKnobs(t *testing.T) {
 	// Keyed by the words the error must carry. DropEveryNData is refused by
 	// the cluster builder (the loss hook is the cluster's), the rest by the
 	// fabric.
 	for want, c := range map[string]ClusterConfig{
 		"tracing":             {Tracer: trace.New(16)},
-		"metrics registry":    {Metrics: obs.NewRegistry()},
 		"DropEveryNData":      {DropEveryNData: 100},
 		"distributed routing": {DistributedRouting: true},
 	} {
@@ -165,20 +164,25 @@ func TestSprayRejectsUnshardableKnobs(t *testing.T) {
 	}
 
 	// The refusals are causes, not workloads: on one shard the paper's own
-	// arm runs the permutation traced, metered and under injected loss.
-	for _, shards := range []int{0, 1} {
-		tr := trace.New(1 << 16)
-		res, err := RunSpray(SprayConfig{
-			ClusterConfig: ClusterConfig{Seed: 3, LB: Themis, Tracer: tr, Metrics: obs.NewRegistry(), DropEveryNData: 100},
-			Shards:        shards,
-			MessageBytes:  64 << 10,
-		})
+	// arm runs the permutation traced, metered and under injected loss; on
+	// several it runs metered — a ToR pipeline and a registry are per-ToR and
+	// pull-based, nothing two shards share.
+	for _, shards := range []int{0, 1, 2, 4} {
+		c := ClusterConfig{Seed: 3, LB: Themis, Metrics: obs.NewRegistry()}
+		if shards <= 1 {
+			c.Tracer, c.DropEveryNData = trace.New(1<<16), 100
+		}
+		res, err := RunSpray(SprayConfig{ClusterConfig: c, Shards: shards, MessageBytes: 64 << 10})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if res.Middleware.Sprayed == 0 || res.Net.DataDrops == 0 || len(tr.ByOp(trace.Spray)) == 0 {
-			t.Errorf("shards=%d: sprayed %d, dropped %d, %d spray events in the trace", shards,
-				res.Middleware.Sprayed, res.Net.DataDrops, len(tr.ByOp(trace.Spray)))
+		flows, _ := c.Metrics.Snapshot().Lookup("themis.flows")
+		if res.Middleware.Sprayed == 0 || flows == 0 {
+			t.Errorf("shards=%d: sprayed %d, themis.flows %v", shards, res.Middleware.Sprayed, flows)
+		}
+		if shards <= 1 && (res.Net.DataDrops == 0 || len(c.Tracer.ByOp(trace.Spray)) == 0) {
+			t.Errorf("shards=%d: dropped %d, %d spray events in the trace", shards,
+				res.Net.DataDrops, len(c.Tracer.ByOp(trace.Spray)))
 		}
 	}
 }

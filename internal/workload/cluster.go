@@ -98,9 +98,10 @@ type ClusterConfig struct {
 	// debugging (see internal/trace).
 	Tracer *trace.Tracer
 
-	// Metrics, if non-nil, is shared by every component of the cluster:
-	// fabric counters, per-NIC sender stats and per-ToR Themis verdicts all
-	// register on it as pull-based gauges (see internal/obs).
+	// Metrics, if non-nil, is shared by every component of the cluster for
+	// what Outcome does not carry: the routing plane's message counts, each
+	// ToR's live flow-table occupancy and each NIC's message completion
+	// latencies register on it (see internal/obs).
 	Metrics *obs.Registry
 }
 
@@ -232,9 +233,8 @@ func BuildCluster(cfg ClusterConfig) (*Cluster, error) { return buildCluster(cfg
 // buildCluster is the one cluster builder: it cuts the racks across shards
 // engines (0 means 1) with identity-keyed seeds and a pool per shard, so a
 // trial's results are byte-identical for every legal count. What shards would
-// have to share is refused only when there really is more than one: a ToR
-// pipeline (core's wiring assumes one engine and one pool), DropEveryNData
-// (one loss hook), and what fabric.NewShardedNetwork lists.
+// have to share is refused only when there really is more than one:
+// DropEveryNData (one loss hook) and what fabric.NewShardedNetwork lists.
 func buildCluster(cfg ClusterConfig, shards int) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	a, err := cfg.LB.arm()
@@ -248,13 +248,8 @@ func buildCluster(cfg ClusterConfig, shards int) (*Cluster, error) {
 	if shards == 0 {
 		shards = 1
 	}
-	if shards > 1 {
-		if a.pipeline {
-			return nil, fmt.Errorf("workload: the %v pipeline cannot run on a cluster partitioned across shards yet (core wiring assumes one engine)", cfg.LB)
-		}
-		if cfg.DropEveryNData > 0 {
-			return nil, fmt.Errorf("workload: DropEveryNData is not supported on a cluster partitioned across shards (a shared loss hook couples shards)")
-		}
+	if shards > 1 && cfg.DropEveryNData > 0 {
+		return nil, fmt.Errorf("workload: DropEveryNData is not supported on a cluster partitioned across shards (a shared loss hook couples shards)")
 	}
 	part, err := topo.PartitionRacks(t, shards)
 	if err != nil {
@@ -304,10 +299,6 @@ func buildCluster(cfg ClusterConfig, shards int) (*Cluster, error) {
 
 	if a.pipeline {
 		tcfg := cfg.ThemisCfg
-		tcfg.Pool = cl.Net.ShardPool(0)
-		// The lifecycle layer (idle eviction, last-touch LRU) needs virtual
-		// timestamps even without tracing, so the engine is always the clock.
-		tcfg.Clock = cl.Engine
 		if tcfg.Metrics == nil {
 			tcfg.Metrics = cfg.Metrics
 		}
@@ -319,6 +310,12 @@ func buildCluster(cfg ClusterConfig, shards int) (*Cluster, error) {
 		}
 		cl.torIDs = t.ToRs()
 		for _, id := range cl.torIDs {
+			// An instance lives on its ToR's shard: the rack partition puts the
+			// ToR, its hosts and so every packet its pipeline touches there.
+			// The lifecycle layer (idle eviction, last-touch LRU) needs virtual
+			// timestamps even without tracing, so the engine is always the clock.
+			shard := part.SwitchShard[id]
+			tcfg.Pool, tcfg.Clock = cl.Net.ShardPool(shard), cl.engines[shard]
 			th := core.New(t, id, tcfg)
 			cl.Net.SetTorPipeline(id, th)
 			cl.Themis[id] = th

@@ -29,10 +29,10 @@ type SprayConfig struct {
 }
 
 // resolve applies the spray defaults in place. The runner pins nothing: what
-// more than one shard cannot host (a ToR pipeline, Tracer, Metrics,
-// DropEveryNData, DistributedRouting) is an error from buildCluster or
-// fabric.NewShardedNetwork at Shards > 1 and runs at Shards 1. The topology
-// is always a fat-tree, so Leaves/Spines/HostsPerLeaf are moot.
+// more than one shard cannot host (Tracer, DropEveryNData, DistributedRouting)
+// is an error from buildCluster or fabric.NewShardedNetwork at Shards > 1 and
+// runs at Shards 1. The topology is always a fat-tree, so
+// Leaves/Spines/HostsPerLeaf are moot.
 func (c *SprayConfig) resolve() {
 	if c.FatTreeK == 0 {
 		c.FatTreeK = 4
