@@ -167,8 +167,9 @@ type Network struct {
 // uplink serializer and is the one place that assigns each its shard's
 // engine, counter block and pool and its channel priorities.
 //
-// There is one set of tie-breaks, whatever the shard count: fabric-link
-// deliveries are stamped 2·chanID and pause frames 2·chanID+1, and a switch
+// There is one set of tie-breaks, whatever the shard count: every link's
+// deliveries — host-facing hops included — are stamped 2·chanID and the pause
+// frames addressed to it 2·chanID+1, and a switch
 // draws from a stream keyed by its ID under seed, so neither draws nor
 // same-time order at a component depend on which engine scheduled what.
 func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []*packet.Pool, seed int64, cfg Config) *Network {
@@ -205,11 +206,7 @@ func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []
 		q.ctr = &n.counters[shard]
 		q.pool = pools[shard]
 		chanID++
-		q.pausePri = chanID*2 + 1
-		// Host-facing hops never leave the rack's shard and keep pri 0.
-		if q.sw != nil && !q.isHostPort {
-			q.pri = chanID * 2
-		}
+		q.pri, q.pausePri = chanID*2, chanID*2+1
 		q.bind()
 	}
 	for _, sw := range t.Switches() {

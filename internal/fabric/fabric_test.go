@@ -248,18 +248,27 @@ func TestControlLossless(t *testing.T) {
 	}
 }
 
+// Two hosts on one leaf each send a NACK train at line rate to the other rack:
+// the leaf's one uplink drains at half the offered rate, so a buffer that holds
+// a single 64-byte control packet must overflow. (One sender on equal-rate
+// links never queues — each arrival finds the previous packet already gone.)
 func TestControlLossyWhenConfigured(t *testing.T) {
-	tp := leafSpine(t, 2, 1, 1)
+	tp := leafSpine(t, 2, 1, 2) // hosts 0,1 on leaf0; 2,3 on leaf1
 	e := sim.NewEngine(1)
 	n := NewNetwork(e, tp, Config{BufferBytes: 70, ControlLossless: false})
 	var c collector
-	n.AttachHost(1, c.recv(e))
+	n.AttachHost(2, c.recv(e))
 	for i := 0; i < 10; i++ {
-		n.Inject(0, &packet.Packet{Kind: packet.Nack, Src: 0, Dst: 1, PSN: packet.PSN(i)})
+		n.Inject(0, &packet.Packet{Kind: packet.Nack, Src: 0, Dst: 2, PSN: packet.PSN(i)})
+		n.Inject(1, &packet.Packet{Kind: packet.Nack, Src: 1, Dst: 2, PSN: packet.PSN(i)})
 	}
 	e.RunAll()
-	if n.Counters().CtrlDrops == 0 {
+	drops := n.Counters().CtrlDrops
+	if drops == 0 {
 		t.Fatal("expected control drops with tiny buffer and lossy control")
+	}
+	if got := uint64(len(c.pkts)); got+drops != 20 {
+		t.Fatalf("delivered %d + dropped %d != 20 injected", got, drops)
 	}
 }
 

@@ -64,6 +64,13 @@ func TestSprayShardInvariance(t *testing.T) {
 // 64 KB): per-host completion times in picoseconds, sender and delivery
 // counters. They must hold at every shard count, for a switch-RNG arm and a
 // sender-feedback arm.
+//
+// Re-pinned once, in PR 24, when the host-facing hops took their channel's
+// delivery stamp like every other link: same-instant arrivals at a ToR from
+// two of its hosts now run in channel order. rps: host 7 finishes 960 ps
+// later (19561920 → 19562880); reps: hosts 0–11 trade places pairwise, one
+// 64-byte serialization apart (18254720 ↔ 18249600). NACK and delivery counts
+// did not move.
 func TestSprayThroughSharedBuilderMatchesPrivateWiring(t *testing.T) {
 	for _, tc := range []struct {
 		lb        LBMode
@@ -72,12 +79,12 @@ func TestSprayThroughSharedBuilderMatchesPrivateWiring(t *testing.T) {
 		delivered uint64
 	}{
 		{RandomSpray, []sim.Time{
-			19714240, 19770240, 19401280, 19457280, 19761280, 19886400, 19417920, 19561920,
+			19714240, 19770240, 19401280, 19457280, 19761280, 19886400, 19417920, 19562880,
 			18968320, 19423040, 19767680, 19093440, 20527360, 20803200, 19167680, 19000320,
 		}, 187, 1672},
 		{REPS, []sim.Time{
-			18254720, 18249600, 18254720, 18249600, 18254720, 18249600, 18254720, 18249600,
-			18254720, 18249600, 18254720, 18249600, 18249600, 18300480, 18462720, 18411840,
+			18249600, 18254720, 18249600, 18254720, 18249600, 18254720, 18249600, 18254720,
+			18249600, 18254720, 18249600, 18254720, 18249600, 18300480, 18462720, 18411840,
 		}, 175, 1758},
 	} {
 		for _, shards := range []int{1, 2, 4} {
@@ -144,8 +151,9 @@ func TestBuildClusterIsRunSprayAtOneShard(t *testing.T) {
 // The propagation pipe bounds a same-shard link to one pending event however
 // many packets are on its wire, so on one shard — where no link crosses — the
 // k=8 permutation's queue never gets deep. Exact, deterministic numbers (see
-// PERF.md): the private spray wiring executed the same 538 432 events with a
-// high-water of 7 518.
+// PERF.md): the private spray wiring executed 538 432 events with a high-water
+// of 7 518; the count moved to 539 524 in PR 24 with the host-hop delivery
+// stamps (a handful of packets reorder, so a handful more NACKs).
 func TestSprayQueueHighWater(t *testing.T) {
 	res, err := RunSpray(SprayConfig{
 		ClusterConfig: ClusterConfig{Seed: 1, FatTreeK: 8, LB: RandomSpray},
@@ -155,8 +163,8 @@ func TestSprayQueueHighWater(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MergedEngine.EventsExecuted != 538432 {
-		t.Errorf("EventsExecuted = %d, want 538432 (the schedule itself moved)", res.MergedEngine.EventsExecuted)
+	if res.MergedEngine.EventsExecuted != 539524 {
+		t.Errorf("EventsExecuted = %d, want 539524 (the schedule itself moved)", res.MergedEngine.EventsExecuted)
 	}
 	if res.MergedEngine.HeapHighWater > 2000 {
 		t.Errorf("HeapHighWater = %d, want <= 2000: in-flight packets are scheduled one by one again", res.MergedEngine.HeapHighWater)
