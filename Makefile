@@ -6,7 +6,7 @@ GO ?= go
 # trip it, while a wholesale untested subsystem still does.
 COVER_FLOOR ?= 80
 
-.PHONY: build test vet fmt-check lint lint-sarif lint-escapes loc race race-sim cover fuzz-smoke verify bench bench-smoke bench-shard bench-selftest soak
+.PHONY: build test vet fmt-check lint lint-sarif lint-escapes loc race race-sim cover fuzz-smoke verify bench bench-smoke bench-shard bench-selftest bench-pair soak
 
 build:
 	$(GO) build ./...
@@ -97,6 +97,19 @@ fuzz-smoke:
 bench-selftest:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+# bench-pair is the paired procedure every perf claim goes through
+# (benchmark/README.md "Comparing a parent and a change"): the frozen benchmark
+# built at PARENT and at HEAD from `git archive` exports, N alternating
+# parent/change pairs of workload W at -seed SEED (~25 s a run, so 10 pairs is
+# ~9 min), then per-side median and quartiles of the four end-to-end metrics
+# and calib_ns, the change's win count on wall_s and whether sim_digest moved.
+# Keep the machine otherwise idle. A change that edits benchmark/ is refused.
+N ?= 10
+SEED ?= 9
+bench-pair:
+	@test -n "$(PARENT)" -a -n "$(W)" || { echo "usage: make bench-pair PARENT=<rev> W=<workload> [N=10] [SEED=9]"; exit 2; }
+	sh scripts/bench-pair.sh $(PARENT) $(W) $(N) $(SEED)
 
 # verify is the full pre-merge recipe, staged so the cheap static gates run
 # (and fail) before any expensive dynamic stage: the ~4s lint pass proves the

@@ -80,7 +80,8 @@
 //	    drop/corruption rates, control-plane loss, ToR reboots, blackholes)
 //	    against the hardened cluster, auditing the graceful-degradation
 //	    invariants after each. Exits non-zero if any invariant is violated;
-//	    rerun with -seed to replay a single violating scenario. -flight-dir
+//	    rerun with -seed to replay a single violating scenario. -seeds below
+//	    1 is an error (zero scenarios would pass vacuously). -flight-dir
 //	    arms a per-scenario flight recorder: a violating seed dumps its
 //	    trace ring as <DIR>/flight-seed<S>.jsonl for `inspect`.
 package main
@@ -495,6 +496,9 @@ func runChaos(args []string) error {
 	flightDir := fs.String("flight-dir", "", "arm per-scenario flight recorders; dump JSONL traces here on violation")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *seeds < 1 {
+		return fmt.Errorf("chaos: -seeds must be at least 1, got %d", *seeds)
 	}
 	opt := themis.ChaosOptions{
 		ClusterConfig: themis.ClusterConfig{Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts},

@@ -78,6 +78,16 @@ func TestSweepRejectsNonPositiveSeeds(t *testing.T) {
 	}
 }
 
+// TestChaosRejectsNonPositiveSeeds: zero scenarios used to pass vacuously
+// ("0 scenarios", exit 0), a negative count panicked in makeslice.
+func TestChaosRejectsNonPositiveSeeds(t *testing.T) {
+	for _, n := range []string{"0", "-1"} {
+		if err := runChaos([]string{"-seeds", n}); err == nil || !strings.Contains(err.Error(), "-seeds must be at least 1") {
+			t.Errorf("chaos -seeds %s returned %v, want an error naming -seeds", n, err)
+		}
+	}
+}
+
 // TestTraceExportInspectRoundTrip drives trace -json and then inspect on the
 // resulting dump — the full offline-debugging loop.
 func TestTraceExportInspectRoundTrip(t *testing.T) {

@@ -224,8 +224,8 @@ func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []
 				continue
 			}
 			if peerShard := part.SwitchShard[p.PeerSwitch]; peerShard != shard {
-				q.post = func(pkt *packet.Packet) {
-					group.PostArg(shard, peerShard, q.eng.Now().Add(q.delay), q.pri, q.deliverFn, pkt)
+				q.post = func(pkt *packet.Packet, at sim.Time) {
+					group.PostArg(shard, peerShard, at, q.pri, q.deliverFn, pkt)
 				}
 			}
 		}

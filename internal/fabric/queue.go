@@ -41,6 +41,19 @@ func (f *fifo[T]) pop() T {
 	return v
 }
 
+// popTail removes and returns the most recently pushed element.
+func (f *fifo[T]) popTail() T {
+	var zero T
+	n := len(f.buf) - 1
+	v := f.buf[n]
+	f.buf[n] = zero
+	f.buf = f.buf[:n]
+	if f.head == n {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
+}
+
 // outQueue is one egress serializer: two FIFOs (a strict-priority control
 // class for ACK/NACK/CNP and a data class) draining at the link rate,
 // followed by the link's propagation delay. RoCE deployments carry control
@@ -70,8 +83,9 @@ type outQueue struct {
 	// derive from the queue's channel identity (see wire).
 	pri, pausePri uint64
 	// post, set only on links whose peer switch lives on another shard,
-	// replaces the propagation pipe with a post into the group's epoch mailbox.
-	post func(*packet.Packet)
+	// replaces the propagation pipe with a post into the group's epoch mailbox
+	// for delivery at the given arrival time.
+	post func(*packet.Packet, sim.Time)
 
 	// txDoneFn/deliverFn are the deliver/txDone callbacks pre-bound once at
 	// construction (see bind). The serializer schedules them with
@@ -88,23 +102,35 @@ type outQueue struct {
 	resumeFn func()
 
 	// pipe models the link's propagation delay as a FIFO of in-flight
-	// packets. Arrival times are monotone per queue — txDone completions
-	// strictly increase (TransmitTime rounds up to ≥1 ps) and the delay is
-	// fixed — so only the head's arrival ever needs an engine event.
+	// packets. Arrival times are monotone per queue — transmission
+	// completions strictly increase (TransmitTime rounds up to ≥1 ps), whether
+	// the packet is committed at its completion (txDone) or at its start (an
+	// elided completion, see maybeStart), and the delay is fixed — so only the
+	// head's arrival ever needs an engine event.
 	// deliverBurst drains every contiguous entry sharing the head's arrival
 	// timestamp in one callback (the DPDK rx-burst idiom) and re-arms for the
 	// next distinct arrival, bounding the scheduler to ONE pending event per
 	// link regardless of how many packets are on the wire. PFC pause frames
 	// bypass the serializer entirely (see pfc.go) and never enter the pipe.
+	// burstEv is that event while the pipe is non-empty (stale otherwise).
 	pipe    fifo[pipeSlot]
 	burstFn func()
+	burstEv *sim.Event
 
 	data fifo[*packet.Packet] // data class
 	ctrl fifo[*packet.Packet] // control class (strict priority)
 
-	bytes  int // queued data-class bytes (LB and ECN look at this)
-	busy   bool
+	bytes  int  // queued data-class bytes (LB and ECN look at this)
+	busy   bool // a txDone event is pending and will start the next packet
 	paused bool // PFC pause asserted by the downstream ingress (data only)
+
+	// done is the reserved place of the latest elided transmission's
+	// completion (see maybeStart): the instant its last bit leaves the port,
+	// in the order a txDone scheduled at its start would have run. No event
+	// fills the turn unless something arrives to wait for it, in which case
+	// wake is armed there (wakeArmed).
+	done      sim.Turn
+	wakeArmed bool
 
 	// PFC deadlock watchdog (see PFCConfig.WatchdogTimeout). pausedSince is
 	// when the current pause was asserted; wdArmed is whether a check is
@@ -134,7 +160,7 @@ func (q *outQueue) bind() {
 	q.burstFn = q.deliverBurst
 }
 
-// enqueue appends pkt to its class and starts the serializer if possible.
+// enqueue appends pkt to its class and starts the serializer if it is free.
 func (q *outQueue) enqueue(pkt *packet.Packet) {
 	if pkt.Kind.IsControl() {
 		q.ctrl.push(pkt)
@@ -145,9 +171,32 @@ func (q *outQueue) enqueue(pkt *packet.Packet) {
 			q.armWatchdog()
 		}
 	}
-	if !q.busy {
+	q.kick()
+}
+
+// kick starts the serializer if it is free, and otherwise makes sure an event
+// will: the pending txDone, or the wake event in the turn of an elided
+// completion. The port is free once execution has passed that turn — exactly
+// when the eager model's txDone would have run and cleared busy — so what is
+// enqueued at the completion instant queues or starts as it did there.
+func (q *outQueue) kick() {
+	switch {
+	case q.busy || q.wakeArmed:
+	case q.eng.Passed(q.done):
 		q.maybeStart()
+	default:
+		q.wakeArmed = true
+		q.eng.AtTurn(q.done, wake, q)
 	}
+}
+
+// wake fills the turn of an elided completion when something was enqueued (or
+// the data class resumed) before it. One function serves every queue — the
+// queue rides in the event's argument — so wiring binds no callback for it.
+func wake(a any) {
+	q := a.(*outQueue)
+	q.wakeArmed = false
+	q.maybeStart()
 }
 
 // next dequeues the next transmittable packet: control first, then data
@@ -165,6 +214,20 @@ func (q *outQueue) next() *packet.Packet {
 }
 
 // maybeStart begins serializing the next eligible packet, if any.
+//
+// A transmission normally ends in a txDone event. That event is elided when
+// it would have nothing to do: nothing to release (the packet holds no buffer
+// space and no PFC ingress bytes — control on a lossless-control fabric,
+// anything on a host uplink), nothing to start (control FIFO empty, data FIFO
+// empty or paused) and a wire to put the packet on (up port, delay > 0). The
+// completion instant and hence the arrival are known now, so the packet is
+// committed to the pipe at once and the completion's place in the execution
+// order is only reserved (done); an arrival before it arms the one wake
+// event there (kick), so a backlogged queue pays one event per packet as
+// before and an idle one none. Deliveries are ordered by (time, channel
+// stamp) alone, never by when their burst event was armed, so committing
+// early reorders nothing downstream, and the wake runs where the txDone
+// would have: the elision removes events and moves none.
 func (q *outQueue) maybeStart() {
 	pkt := q.next()
 	if pkt == nil {
@@ -182,6 +245,15 @@ func (q *outQueue) maybeStart() {
 		}
 	}
 	ser := sim.TransmitTime(pkt.Size(), q.bw)
+	if !pkt.Buffered && !pkt.Accounted && q.delay > 0 && q.ctrl.len() == 0 &&
+		(q.paused || q.data.len() == 0) && (q.sw == nil || q.sw.portUp[q.port]) {
+		q.busy = false
+		q.done = q.eng.Reserve(q.eng.Now().Add(ser))
+		q.txPackets++
+		q.txBytes += uint64(pkt.Size())
+		q.commit(pkt, q.done.Time().Add(q.delay))
+		return
+	}
 	q.eng.ScheduleArg(ser, q.txDoneFn, pkt)
 }
 
@@ -200,23 +272,53 @@ func (q *outQueue) txDone(pkt *packet.Packet) {
 		q.pool.Put(pkt)
 	case q.delay <= 0:
 		q.deliver(pkt)
-	case q.post != nil:
-		q.post(pkt)
 	default:
-		q.pipePush(pkt)
+		q.commit(pkt, q.eng.Now().Add(q.delay))
 	}
 	q.busy = false
 	q.maybeStart()
 }
 
-// pipePush commits pkt to the propagation pipe, arriving one link delay from
-// now. Appending preserves arrival order (arrival times strictly increase per
+// commit puts pkt on the wire to arrive at time at: the cross-shard post, or
+// the propagation pipe.
+func (q *outQueue) commit(pkt *packet.Packet, at sim.Time) {
+	if q.post != nil {
+		q.post(pkt, at)
+		return
+	}
+	q.pipePush(pkt, at)
+}
+
+// retract is the link-failure edge of an elided completion. txDone drops a
+// packet iff its port is down when the last bit leaves; an elided
+// transmission was committed to the pipe at its start, so when the port fails
+// before its completion turn the packet comes back off the pipe's tail
+// (nothing can have been pushed behind it) and is dropped here. If that
+// empties the pipe its burst event goes too. One difference from txDone is
+// accepted: a port that fails and recovers within the one serialization
+// still drops the packet (a second failure inside it finds the tail gone).
+// Link state only changes on an unpartitioned network (mustBeOneShard), so
+// the packet is on the pipe, never in a shard mailbox.
+func (q *outQueue) retract() {
+	n := q.pipe.len()
+	if q.eng.Passed(q.done) || n == 0 || q.pipe.at(n-1).at != q.done.Time().Add(q.delay) {
+		return
+	}
+	pkt := q.pipe.popTail().pkt
+	if n == 1 {
+		q.eng.Cancel(q.burstEv)
+	}
+	q.ctr.LinkDrops++
+	q.pool.Put(pkt)
+}
+
+// pipePush appends pkt to the propagation pipe, arriving at time at.
+// Appending preserves arrival order (arrival times strictly increase per
 // queue); the head-arrival engine event is armed only when the pipe was
 // empty — otherwise the pending deliverBurst chains the next arm itself.
-func (q *outQueue) pipePush(pkt *packet.Packet) {
-	at := q.eng.Now().Add(q.delay)
+func (q *outQueue) pipePush(pkt *packet.Packet, at sim.Time) {
 	if q.pipe.len() == 0 {
-		q.eng.AtPri(at, q.pri, q.burstFn)
+		q.burstEv = q.eng.AtPri(at, q.pri, q.burstFn)
 	}
 	q.pipe.push(pipeSlot{pkt: pkt, at: at})
 }
@@ -228,8 +330,9 @@ func (q *outQueue) pipePush(pkt *packet.Packet) {
 // downstream port's txDone in particular), matching the per-event model
 // where every delivery was scheduled at its own transmission completion —
 // ahead of anything the receiving switch schedules on arrival. A link
-// failing mid-flight does not drop pipe residents: txDone gates on portUp at
-// transmission completion, and a packet past that point was already
+// failing mid-flight does not drop pipe residents whose last bit has left
+// the port: txDone gates on portUp at transmission completion (retract does
+// the same for an elided one), and a packet past that point was already
 // committed to the wire under the per-event model too.
 func (q *outQueue) deliverBurst() {
 	now := q.eng.Now()
@@ -238,7 +341,7 @@ func (q *outQueue) deliverBurst() {
 		burst++
 	}
 	if burst < q.pipe.len() {
-		q.eng.AtPri(q.pipe.at(burst).at, q.pri, q.burstFn)
+		q.burstEv = q.eng.AtPri(q.pipe.at(burst).at, q.pri, q.burstFn)
 	}
 	for ; burst > 0; burst-- {
 		q.deliver(q.pipe.pop().pkt)
@@ -259,8 +362,8 @@ func (q *outQueue) setPaused(pause bool) {
 		}
 		return
 	}
-	if !q.busy {
-		q.maybeStart()
+	if q.data.len() > 0 {
+		q.kick()
 	}
 }
 

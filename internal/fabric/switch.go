@@ -267,6 +267,9 @@ func (s *swInst) setPortState(port int, up bool) {
 		return
 	}
 	s.portUp[port] = up
+	if !up {
+		s.ports[port].retract()
+	}
 	s.anyDown = false
 	for _, u := range s.portUp {
 		if !u {

@@ -147,8 +147,13 @@ func ECMPIndex(k packet.FlowKey, seed uint32, n int) int {
 // ECMP hashes the five-tuple; all packets of a flow take one path.
 type ECMP struct{}
 
-// Select implements Selector.
+// Select implements Selector. A single candidate — every spine→leaf and
+// fat-tree down-hop, half of all calls — is returned without hashing: an
+// index into one slot is 0 whatever the hash.
 func (ECMP) Select(pkt *packet.Packet, cands []int, ctx Context) int {
+	if len(cands) == 1 {
+		return cands[0]
+	}
 	return cands[ECMPIndex(pkt.Key(), ctx.Seed(), len(cands))]
 }
 
@@ -183,6 +188,9 @@ type Adaptive struct{}
 // candidate in rotation order starting from the flow-hash position, so ties
 // genuinely spread by flow hash rather than collapsing onto cands[0].
 func (Adaptive) Select(pkt *packet.Packet, cands []int, ctx Context) int {
+	if len(cands) == 1 {
+		return cands[0]
+	}
 	start := ECMPIndex(pkt.Key(), ctx.Seed(), len(cands))
 	best := cands[start]
 	bestQ := ctx.QueueBytes(best)
@@ -208,6 +216,9 @@ type PSNSpray struct{}
 // sprays only data packets, whose PSNs are meaningful.
 func (PSNSpray) Select(pkt *packet.Packet, cands []int, ctx Context) int {
 	n := len(cands)
+	if n == 1 {
+		return cands[0]
+	}
 	if pkt.Kind != packet.Data {
 		return cands[ECMPIndex(pkt.Key(), ctx.Seed(), n)]
 	}

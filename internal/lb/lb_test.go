@@ -417,6 +417,30 @@ func TestRandomSpraySingleCandidateDrawsNoRNG(t *testing.T) {
 	}
 }
 
+// untouchableCtx fails the test if a selector consults it at all.
+type untouchableCtx struct{ t *testing.T }
+
+func (c untouchableCtx) Now() sim.Time      { c.t.Error("Now consulted"); return 0 }
+func (c untouchableCtx) QueueBytes(int) int { c.t.Error("QueueBytes consulted"); return 0 }
+func (c untouchableCtx) Rand() *rand.Rand   { c.t.Error("Rand consulted"); return nil }
+func (c untouchableCtx) Seed() uint32       { c.t.Error("Seed consulted"); return 0 }
+
+// A decision with one candidate has no freedom: the stateless selectors
+// return it without hashing, reading a queue or drawing — every spine→leaf
+// and fat-tree down-hop is such a decision.
+func TestStatelessSelectorsShortCircuitSingleCandidate(t *testing.T) {
+	for _, sel := range []Selector{ECMP{}, Adaptive{}, PSNSpray{}, RandomSpray{}} {
+		for _, p := range []*packet.Packet{
+			dataPkt(1, 2, 100, 17),
+			{Kind: packet.Ack, Src: 2, Dst: 1, QP: 1, SPort: 100, DPort: packet.RoCEv2Port, PSN: 17},
+		} {
+			if got := sel.Select(p, []int{9}, untouchableCtx{t}); got != 9 {
+				t.Errorf("%s: single candidate 9, got %d", sel.Name(), got)
+			}
+		}
+	}
+}
+
 // TestFlowletTableBounded is the flow-churn regression: one packet each from
 // a long stream of distinct flows must not grow the table monotonically — the
 // amortized sweep has to evict idle entries, keeping occupancy proportional

@@ -10,7 +10,8 @@ import (
 // sinkNames lists the functions whose invocation order is order-sensitive
 // simulation state: scheduling on the event queue or posting to a shard
 // mailbox (every fabric-link delivery, serializer completion and pause frame
-// is one of the Arg/Pri forms), (re)arming timers, and appending to the trace
+// is one of the Arg/Pri forms; an elided completion reserves its place in the
+// order and fills it later), (re)arming timers, and appending to the trace
 // ring. A function from which any of these is reachable must not iterate maps
 // (see MapOrder).
 func sinkNames(modPath string) map[string]bool {
@@ -19,6 +20,8 @@ func sinkNames(modPath string) map[string]bool {
 		"(*" + modPath + "/internal/sim.Engine).AtArg":          true,
 		"(*" + modPath + "/internal/sim.Engine).AtPri":          true,
 		"(*" + modPath + "/internal/sim.Engine).AtArgPri":       true,
+		"(*" + modPath + "/internal/sim.Engine).AtTurn":         true,
+		"(*" + modPath + "/internal/sim.Engine).Reserve":        true,
 		"(*" + modPath + "/internal/sim.Engine).Schedule":       true,
 		"(*" + modPath + "/internal/sim.Engine).ScheduleArg":    true,
 		"(*" + modPath + "/internal/sim.ShardGroup).Post":       true,

@@ -45,6 +45,7 @@ func hotAllocRootNames(modPath string) []string {
 		"(*" + modPath + "/internal/sim.Engine).AtArg",
 		"(*" + modPath + "/internal/sim.Engine).AtPri",
 		"(*" + modPath + "/internal/sim.Engine).AtArgPri",
+		"(*" + modPath + "/internal/sim.Engine).AtTurn",
 		"(*" + modPath + "/internal/sim.Engine).Schedule",
 		"(*" + modPath + "/internal/sim.Engine).ScheduleArg",
 		"(*" + modPath + "/internal/sim.Engine).Cancel",

@@ -42,7 +42,7 @@ var NDTaint = &Analyzer{
 // taintSinkNames maps fully-qualified function names to sink categories.
 func taintSinkNames(modPath string) map[string]string {
 	m := make(map[string]string)
-	for _, n := range []string{"At", "AtArg", "AtPri", "AtArgPri", "Schedule", "ScheduleArg"} {
+	for _, n := range []string{"At", "AtArg", "AtPri", "AtArgPri", "AtTurn", "Reserve", "Schedule", "ScheduleArg"} {
 		m["(*"+modPath+"/internal/sim.Engine)."+n] = "event scheduling"
 	}
 	for _, n := range []string{"Post", "PostArg"} {

@@ -55,6 +55,15 @@ func (n *node) posted(m map[int]int) {
 	}
 }
 
+// reserved reaches the queue only by reserving a place in the execution order
+// and filling it, the form an elided serializer completion uses.
+func (n *node) reserved(m map[int]int) {
+	for k := range m { // want "map iteration in reserved, which reaches the event queue"
+		_ = k
+		n.eng.AtTurn(n.eng.Reserve(0), func(any) {}, nil)
+	}
+}
+
 func (n *node) annotated(m map[int]int) {
 	// Deleting independent entries is commutative; the annotation records
 	// that the body was audited.

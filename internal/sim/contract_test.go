@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -229,5 +230,58 @@ func TestEngineMetricsBackendIdentity(t *testing.T) {
 	h, w := run(SchedulerHeap), run(SchedulerWheel)
 	if h != w {
 		t.Fatalf("metrics diverge across backends:\n heap  %+v\n wheel %+v", h, w)
+	}
+}
+
+// TestReservedTurnContract pins the turn half of the ordering contract: an
+// event filled into a reserved turn runs exactly where an event scheduled at
+// the moment of the reservation would have — after same-time events scheduled
+// before the reservation, before those scheduled after it and before every
+// stamped (priority > 0) one — and Passed flips exactly there.
+func TestReservedTurnContract(t *testing.T) {
+	for _, backend := range []Scheduler{SchedulerHeap, SchedulerWheel} {
+		e := NewEngineWithScheduler(1, backend)
+		if !e.Passed(Turn{}) {
+			t.Fatalf("%v: the zero turn must read as passed on a fresh engine", backend)
+		}
+		var order []string
+		var turn Turn
+		note := func(s string) func() {
+			return func() {
+				order = append(order, s)
+				if e.Passed(turn) {
+					order = append(order, "passed")
+				}
+			}
+		}
+		e.At(50, note("earlier"))
+		// The turn is filled late: from an event at its own instant that was
+		// scheduled before the reservation and therefore precedes it.
+		e.At(100, func() {
+			note("before")()
+			e.AtTurn(turn, func(a any) { note(a.(string))() }, "turn")
+		})
+		e.AtPri(100, 4, note("stamped"))
+		turn = e.Reserve(100)
+		e.At(100, note("after"))
+		e.RunAll()
+		want := []string{"earlier", "before", "turn", "passed", "after", "passed", "stamped", "passed"}
+		if !slices.Equal(order, want) {
+			t.Fatalf("%v: order %v, want %v", backend, order, want)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v: filling a passed turn did not panic", backend)
+				}
+			}()
+			e.AtTurn(turn, func(any) {}, nil)
+		}()
+		// An unfilled reservation costs nothing: no event, no counter.
+		before := e.Metrics()
+		e.Reserve(e.Now().Add(10))
+		if e.Pending() != 0 || e.Metrics() != before {
+			t.Errorf("%v: a bare reservation changed the queue: pending %d", backend, e.Pending())
+		}
 	}
 }

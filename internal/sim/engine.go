@@ -129,15 +129,18 @@ func (m *Metrics) Merge(o Metrics) {
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
 // concurrent use; the whole simulation runs on the goroutine that calls Run.
 type Engine struct {
-	now     Time
-	sched   Scheduler
-	wheel   wheel     // timing-wheel backend (SchedulerWheel)
-	heapq   eventHeap // heap backend (SchedulerHeap)
-	pending int       // events queued across whichever backend is active
-	nextSeq uint64
-	seed    int64
-	rng     *rand.Rand
-	stopped bool
+	now Time
+	// curPri/curSeq complete (with now) the key of the event being executed,
+	// or last executed: what Passed compares a reserved Turn against.
+	curPri, curSeq uint64
+	sched          Scheduler
+	wheel          wheel     // timing-wheel backend (SchedulerWheel)
+	heapq          eventHeap // heap backend (SchedulerHeap)
+	pending        int       // events queued across whichever backend is active
+	nextSeq        uint64
+	seed           int64
+	rng            *rand.Rand
+	stopped        bool
 
 	// free is the intrusive free list: fired and cancelled events are pushed
 	// here and reused by the next Schedule/At instead of allocating.
@@ -247,12 +250,17 @@ func (e *Engine) AtArgPri(t Time, pri uint64, fn func(any), arg any) *Event {
 }
 
 func (e *Engine) schedule(t Time, ev *Event) {
+	e.insert(t, e.nextSeq, ev)
+	e.nextSeq++
+}
+
+// insert queues ev at time t with insertion sequence seq.
+func (e *Engine) insert(t Time, seq uint64, ev *Event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	ev.time = t
-	ev.seq = e.nextSeq
-	e.nextSeq++
+	ev.seq = seq
 	if e.sched == SchedulerHeap {
 		e.heapPush(ev)
 	} else {
@@ -262,6 +270,52 @@ func (e *Engine) schedule(t Time, ev *Event) {
 	if e.pending > e.metrics.HeapHighWater {
 		e.metrics.HeapHighWater = e.pending
 	}
+}
+
+// Turn is a reserved place in the execution order: a time, and the insertion
+// sequence a priority-0 event scheduled at the moment of the reservation would
+// have been given. A component that knows when an operation ends but not yet
+// whether anything will have to run then — a serializer whose completion has
+// work to do only if something queues up behind it — reserves the turn when
+// the operation starts and fills it (AtTurn) only if the need arises: the
+// late event runs exactly where an eagerly scheduled one would have, so
+// leaving the turn empty changes the order of nothing else. The zero Turn has
+// always passed.
+type Turn struct {
+	at  Time
+	seq uint64
+}
+
+// Time returns the turn's instant.
+func (s Turn) Time() Time { return s.at }
+
+// Reserve takes the next insertion sequence for a turn at time t without
+// scheduling anything.
+func (e *Engine) Reserve(t Time) Turn {
+	s := Turn{at: t, seq: e.nextSeq}
+	e.nextSeq++
+	return s
+}
+
+// Passed reports whether execution is already at or beyond s: an event filling
+// the turn now would run too late. Turns are priority 0, so any delivery
+// (priority > 0) at the turn's instant is beyond it.
+func (e *Engine) Passed(s Turn) bool {
+	return e.now > s.at || e.now == s.at && (e.curPri > 0 || e.curSeq >= s.seq)
+}
+
+// AtTurn schedules fn(arg) in a reserved turn that has not passed. Like AtArg
+// it takes the callback's receiver as an argument, so a component with many
+// instances fills turns from one shared function and binds no closure each.
+func (e *Engine) AtTurn(s Turn, fn func(any), arg any) *Event {
+	if e.Passed(s) {
+		panic(fmt.Sprintf("sim: filling a turn at %v that execution (now %v) has passed", s.at, e.now))
+	}
+	ev := e.newEvent()
+	ev.fnArg = fn
+	ev.arg = arg
+	e.insert(s.at, s.seq, ev)
+	return ev
 }
 
 // Schedule schedules fn to run after delay d (d may be zero).
@@ -336,7 +390,7 @@ func (e *Engine) step() {
 		ev = e.wheel.pop()
 	}
 	e.pending--
-	e.now = ev.time
+	e.now, e.curPri, e.curSeq = ev.time, ev.pri, ev.seq
 	e.metrics.EventsExecuted++
 	// Mark fired before invoking so a callback cancelling its own handle
 	// is a no-op rather than a double release.
