@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"testing"
 
-	"themis"
 	"themis/internal/core"
 	"themis/internal/exp"
 	"themis/internal/packet"
@@ -37,7 +36,7 @@ func BenchmarkAblation_NoCompensation(b *testing.B) {
 // BenchmarkAblation_GBNSpray shows the previous-generation (CX-4/5) RNIC
 // behaviour the paper's §1 describes: Go-Back-N under spraying collapses.
 func BenchmarkAblation_GBNSpray(b *testing.B) {
-	sr := exp.AblationCell(7, themis.RandomSpray)
+	sr := exp.AblationCell(7, workload.RandomSpray)
 	sr.Name = "gbn-spray/nic-sr"
 	sr.MessageBytes = 4 << 20
 	gbn := sr
@@ -60,9 +59,9 @@ func BenchmarkAblation_GBNSpray(b *testing.B) {
 // flowlet gaps, so flowlet switching degenerates to flow-level balancing.
 func BenchmarkAblation_Flowlet(b *testing.B) {
 	grid := []exp.Scenario{
-		exp.AblationCell(7, themis.Flowlet),
-		exp.AblationCell(7, themis.ECMP),
-		exp.AblationCell(7, themis.Themis),
+		exp.AblationCell(7, workload.Flowlet),
+		exp.AblationCell(7, workload.ECMP),
+		exp.AblationCell(7, workload.Themis),
 	}
 	for i := 0; i < b.N; i++ {
 		trials := mustTrials(b, benchRunner().Run(grid))
@@ -155,7 +154,7 @@ func BenchmarkExt_RandomLoss(b *testing.B) {
 // k=8 fat-tree (16 cross-pod paths). A micro-benchmark of the construction
 // algorithm itself, not an experiment — it stays off the harness.
 func BenchmarkPathMapConstruction(b *testing.B) {
-	tp, err := themis.BuildCluster(themis.ClusterConfig{Seed: 1, FatTreeK: 8, Bandwidth: 100e9})
+	tp, err := workload.BuildCluster(workload.ClusterConfig{Seed: 1, FatTreeK: 8, Bandwidth: 100e9})
 	if err != nil {
 		b.Fatal(err)
 	}

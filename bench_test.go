@@ -1,8 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper. Each
-// benchmark builds the corresponding scenario grid and drives it through the
-// experiment harness (internal/exp); `go test -bench=. -benchmem` therefore
-// doubles as the reproduction harness (see EXPERIMENTS.md for recorded
-// outputs). The Fig. 1b/1c time series are emitted by
+// Benchmarks regenerating every table and figure of the paper. The root of
+// the module is a test-only package: it exports nothing, and each benchmark
+// builds the corresponding scenario grid and drives it through the experiment
+// harness (internal/exp), the same front door `themis-sim run`/`sweep` use.
+// `go test -bench=. -benchmem .` therefore doubles as the reproduction
+// harness (see EXPERIMENTS.md for recorded outputs). The Fig. 1b/1c time series are emitted by
 // `themis-sim motivation -series`; the benchmarks report the scalar averages.
 //
 // Scale: by default messages are scaled down from the paper (10 MB instead
@@ -16,9 +17,11 @@ import (
 	"runtime"
 	"testing"
 
-	"themis"
+	"themis/internal/collective"
 	"themis/internal/exp"
+	"themis/internal/memmodel"
 	"themis/internal/rnic"
+	"themis/internal/workload"
 )
 
 func fullScale() bool { return os.Getenv("THEMIS_FULL") == "1" }
@@ -30,11 +33,11 @@ func fig1Bytes() int64 {
 	return 10 << 20
 }
 
-func fig5Bytes(pattern themis.Pattern) int64 {
+func fig5Bytes(pattern collective.Pattern) int64 {
 	if fullScale() {
 		return 300 << 20
 	}
-	if pattern == themis.AllToAll {
+	if pattern == collective.AllToAll {
 		// Alltoall splits the group size across G-1 peer messages; below
 		// ~12 MB the per-pair messages are too small for the transport
 		// dynamics to differentiate the arms (see EXPERIMENTS.md).
@@ -110,7 +113,7 @@ func BenchmarkFig1d_Throughput(b *testing.B) {
 func BenchmarkTable1_MemoryModel(b *testing.B) {
 	var total int
 	for i := 0; i < b.N; i++ {
-		m := themis.MemoryModel()
+		m := memmodel.PaperDefaults()
 		total = m.TotalBytes()
 		if i == 0 {
 			fmt.Printf("\n%s", m.Report())
@@ -121,9 +124,9 @@ func BenchmarkTable1_MemoryModel(b *testing.B) {
 
 // fig5 sweeps the Fig. 5 matrix for one pattern through the parallel runner
 // and prints the paper's rows.
-func fig5(b *testing.B, pattern themis.Pattern, label string) {
+func fig5(b *testing.B, pattern collective.Pattern, label string) {
 	grid := exp.Fig5Grid(1, fig5Bytes(pattern), pattern)
-	arms := themis.Fig5Arms()
+	arms := workload.Fig5Arms()
 	for i := 0; i < b.N; i++ {
 		trials := mustTrials(b, benchRunner().Run(grid))
 		minRed, maxRed := 1.0, 0.0
@@ -140,7 +143,7 @@ func fig5(b *testing.B, pattern themis.Pattern, label string) {
 		if i == 0 {
 			fmt.Printf("\n# Fig 5%s: %s tail completion time (ms), %d MB per group\n", label, pattern, fig5Bytes(pattern)>>20)
 			fmt.Printf("%-12s %10s %10s %10s\n", "(TI,TD) us", "ecmp", "adaptive", "themis")
-			for j, s := range themis.PaperDCQCNSettings() {
+			for j, s := range workload.PaperDCQCNSettings() {
 				row := trials[j*len(arms) : (j+1)*len(arms)]
 				fmt.Printf("(%d,%d)%*s %10.3f %10.3f %10.3f\n",
 					int64(s.TI.Microseconds()), int64(s.TD.Microseconds()),
@@ -148,7 +151,7 @@ func fig5(b *testing.B, pattern themis.Pattern, label string) {
 					row[0].CCTMillis, row[1].CCTMillis, row[2].CCTMillis)
 			}
 			fmt.Printf("# themis vs adaptive reduction: %.1f%% .. %.1f%%", minRed*100, maxRed*100)
-			if pattern == themis.Allreduce {
+			if pattern == collective.RingAllreduce {
 				fmt.Printf(" (paper: 15.6%% .. 75.3%%)\n")
 			} else {
 				fmt.Printf(" (paper: 11.5%% .. 40.7%%)\n")
@@ -161,8 +164,8 @@ func fig5(b *testing.B, pattern themis.Pattern, label string) {
 
 // BenchmarkFig5a_Allreduce regenerates Fig. 5a: Allreduce tail CCT across
 // DCQCN (TI,TD) settings for ECMP / adaptive routing / Themis.
-func BenchmarkFig5a_Allreduce(b *testing.B) { fig5(b, themis.Allreduce, "a") }
+func BenchmarkFig5a_Allreduce(b *testing.B) { fig5(b, collective.RingAllreduce, "a") }
 
 // BenchmarkFig5b_Alltoall regenerates Fig. 5b: Alltoall tail CCT across
 // DCQCN (TI,TD) settings for ECMP / adaptive routing / Themis.
-func BenchmarkFig5b_Alltoall(b *testing.B) { fig5(b, themis.AllToAll, "b") }
+func BenchmarkFig5b_Alltoall(b *testing.B) { fig5(b, collective.AllToAll, "b") }

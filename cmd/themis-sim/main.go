@@ -4,24 +4,19 @@
 //	    Fig. 1: the §2.2 motivation study (retransmission ratio, sending
 //	    rate, throughput vs the ideal transport).
 //
-//	themis-sim collective [-pattern NAME] [-lb ARM]
-//	    [-bytes N] [-ti us] [-td us] [-leaves N] [-spines N] [-hosts N] [-bw gbps] [-seed S]
-//	    One Fig. 5 cell: tail completion time of the slowest group, cut
-//	    across one engine shard per core. ARM is a row of the arm table
-//	    (internal/workload/arms.go); -h lists the names of every named flag
-//	    value (arms, patterns, transports, workloads, grids), each generated
-//	    from the table that defines it.
-//
 //	themis-sim run [-workload NAME] [-lb ...] [-transport ...]
 //	    [-pattern ...] [-bytes N] [-seed S] [-leaves N] [-spines N] [-hosts N] [-fattree-k K] [-bw gbps]
-//	    [-shards N] [-json out.json]
-//	    [-qps N] [-concurrency N] [-faults] [-table-budget BYTES] [-idle-timeout US] [-relearn]
+//	    [-ti US] [-td US] [-shards N] [-json out.json]
+//	    [-flows N] [-qps N] [-concurrency N] [-faults] [-table-budget BYTES] [-idle-timeout US] [-relearn]
 //	    [-distributed] [-convergence-delay US] [-drain]
 //	    [-metrics] [-flight-dir DIR] [-cpuprofile F] [-memprofile F] [-pprof-addr HOST:PORT]
 //	    One declarative scenario through the experiment harness; prints the
 //	    trial record and optionally writes it as a JSON report. NAME is a row
 //	    of the workload table (internal/exp/workloads.go); -h lists the names.
-//	    Exits non-zero if the trial failed or violated an invariant. -metrics
+//	    Exits non-zero if the trial failed or violated an invariant. One Fig. 5
+//	    cell is -workload collective with its -pattern, -lb and the DCQCN
+//	    -ti/-td (0 = the 900/4 us default); a chaos sweep cell replays as
+//	    -workload chaos -seed S (-flows sets its ring flows). -metrics
 //	    prints the trial's sender, middleware and net counter blocks and
 //	    snapshots its metrics registry (what those blocks lack) into the
 //	    record; -flight-dir arms a flight recorder that dumps a JSONL trace
@@ -77,27 +72,14 @@
 //	    Reconstruct per-flow timelines from a JSONL trace dump (written by
 //	    `trace -json` or a flight recorder), re-check the ledger invariants,
 //	    and explain NACK verdicts ("why was this NACK blocked?").
-//
-//	themis-sim chaos [-seed S] [-seeds N] [-bytes N] [-flows N] [-leaves N] [-spines N] [-hosts N]
-//	    [-flight-dir DIR] [-v]
-//	    Deterministic fault-injection soak: N seeded scenarios (link flaps,
-//	    drop/corruption rates, control-plane loss, ToR reboots, blackholes)
-//	    against the hardened cluster, auditing the graceful-degradation
-//	    invariants after each. Exits non-zero if any invariant is violated;
-//	    rerun with -seed to replay a single violating scenario. -seeds below
-//	    1 is an error (zero scenarios would pass vacuously). -flight-dir
-//	    arms a per-scenario flight recorder: a violating seed dumps its
-//	    trace ring as <DIR>/flight-seed<S>.jsonl for `inspect`.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
-	"themis"
 	"themis/internal/collective"
 	"themis/internal/exp"
 	"themis/internal/memmodel"
@@ -118,8 +100,6 @@ func main() {
 	switch os.Args[1] {
 	case "motivation":
 		err = runMotivation(os.Args[2:])
-	case "collective":
-		err = runCollective(os.Args[2:])
 	case "run":
 		err = runScenario(os.Args[2:])
 	case "sweep":
@@ -130,8 +110,6 @@ func main() {
 		err = runTrace(os.Args[2:])
 	case "inspect":
 		err = runInspect(os.Args[2:])
-	case "chaos":
-		err = runChaos(os.Args[2:])
 	case "-h", "--help", "help":
 		usage()
 	default:
@@ -146,7 +124,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: themis-sim <motivation|collective|run|sweep|memory|trace|inspect|chaos> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: themis-sim <motivation|run|sweep|memory|trace|inspect> [flags]")
 	fmt.Fprintln(os.Stderr, "run 'themis-sim <command> -h' for command flags")
 }
 
@@ -163,8 +141,8 @@ func runMotivation(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := themis.RunMotivation(themis.MotivationConfig{
-		ClusterConfig: themis.ClusterConfig{Seed: *seed, Transport: tr},
+	res, err := workload.RunMotivation(workload.MotivationConfig{
+		ClusterConfig: workload.ClusterConfig{Seed: *seed, Transport: tr},
 		MessageBytes:  *bytes,
 	})
 	if err != nil {
@@ -182,58 +160,6 @@ func runMotivation(args []string) error {
 		fmt.Print(res.RetransSeries.Table())
 		fmt.Println()
 		fmt.Print(res.RateGbps.Table())
-	}
-	return nil
-}
-
-func collectiveConfig(fs *flag.FlagSet) (pattern, lbs *string, bytes, seed *int64, ti, td *int64, leaves, spines, hosts *int, bw *float64) {
-	pattern = fs.String("pattern", "allreduce", "collective: "+collective.PatternNames())
-	lbs = fs.String("lb", "themis", "load balancing arm: "+workload.LBNames())
-	bytes = fs.Int64("bytes", 300<<20, "collective size per group")
-	seed = fs.Int64("seed", 1, "random seed")
-	ti = fs.Int64("ti", 900, "DCQCN rate-increase timer, microseconds")
-	td = fs.Int64("td", 4, "DCQCN rate-decrease interval, microseconds")
-	leaves = fs.Int("leaves", 16, "leaf switches")
-	spines = fs.Int("spines", 16, "spine switches")
-	hosts = fs.Int("hosts", 16, "hosts per leaf")
-	bw = fs.Float64("bw", 400, "link bandwidth, Gbps")
-	return
-}
-
-func runCollective(args []string) error {
-	fs := flag.NewFlagSet("collective", flag.ExitOnError)
-	pattern, lbs, bytes, seed, ti, td, leaves, spines, hosts, bw := collectiveConfig(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	p, err := collective.ParsePattern(*pattern)
-	if err != nil {
-		return err
-	}
-	lbMode, err := workload.ParseLB(*lbs)
-	if err != nil {
-		return err
-	}
-	// Through the harness, so the cell is cut across the idle cores like any
-	// collective scenario (exp.Scenario.Shards 0).
-	res := exp.Run(exp.Scenario{
-		Workload: exp.Collective, Seed: *seed,
-		Pattern: p, LB: lbMode, MessageBytes: *bytes,
-		TI: sim.Duration(*ti) * sim.Microsecond, TD: sim.Duration(*td) * sim.Microsecond,
-		Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts, Bandwidth: int64(*bw * 1e9),
-	})
-	if res.Err != "" {
-		return errors.New(res.Err)
-	}
-	fmt.Printf("collective (Fig. 5): pattern=%s lb=%s bytes=%d (TI,TD)=(%d,%d)us\n",
-		p, lbMode, *bytes, *ti, *td)
-	fmt.Printf("  tail completion time : %.3f ms\n", res.CCTMillis)
-	fmt.Printf("  retransmission ratio : %.4f\n", res.RetransRatio)
-	fmt.Printf("  sender: packets=%d retransmits=%d nacks=%d cnps=%d timeouts=%d\n",
-		res.Sender.DataPackets, res.Sender.Retransmits, res.Sender.NacksRx, res.Sender.CnpsRx, res.Sender.Timeouts)
-	if lbMode == workload.Themis {
-		fmt.Printf("  themis: sprayed=%d blocked=%d forwarded=%d compensated=%d\n",
-			res.Middleware.Sprayed, res.Middleware.NacksBlocked, res.Middleware.NacksForwarded, res.Middleware.Compensations)
 	}
 	return nil
 }
@@ -283,8 +209,11 @@ func runScenario(args []string) error {
 	spines := fs.Int("spines", 0, "spine switches")
 	hosts := fs.Int("hosts", 0, "hosts per leaf")
 	bw := fs.Float64("bw", 0, "link bandwidth, Gbps")
+	ti := fs.Int64("ti", 0, "DCQCN rate-increase timer, microseconds (0 = 900)")
+	td := fs.Int64("td", 0, "DCQCN rate-decrease interval, microseconds (0 = 4)")
 	shards := fs.Int("shards", 0, "engine shards a collective or spray trial's racks are cut across, at most one per rack (0 = one per core, or one with -flight-dir, -distributed or a DropEveryNData/LinkFail scenario, which N > 1 refuses by name); results are byte-identical for any value; motivation, incast, churn, chaos and convergence always run on one")
 	fatTreeK := fs.Int("fattree-k", 0, "spray: fat-tree radix k (0 = workload default)")
+	flows := fs.Int("flows", 0, "chaos: cross-rack ring flows (0 = one per host)")
 	qps := fs.Int("qps", 0, "churn: total flows opened over the run (0 = workload default)")
 	concurrency := fs.Int("concurrency", 0, "churn: flows open at a time (0 = workload default)")
 	faults := fs.Bool("faults", false, "churn: inject seeded ToR reboots and a link flap")
@@ -333,7 +262,8 @@ func runScenario(args []string) error {
 		Leaves:       *leaves, Spines: *spines, HostsPerLeaf: *hosts,
 		FatTreeK:  *fatTreeK,
 		Bandwidth: int64(*bw * 1e9),
-		QPs:       *qps, Concurrency: *concurrency, Faults: *faults,
+		TI:        sim.Duration(*ti) * sim.Microsecond, TD: sim.Duration(*td) * sim.Microsecond,
+		Flows: *flows, QPs: *qps, Concurrency: *concurrency, Faults: *faults,
 
 		DistributedRouting: *distributed || *convergenceDelay > 0,
 		ConvergenceDelay:   sim.Duration(*convergenceDelay) * sim.Microsecond,
@@ -342,6 +272,12 @@ func runScenario(args []string) error {
 	sc.Themis.TableBudgetBytes = *tableBudget
 	sc.Themis.IdleTimeout = sim.Duration(*idleTimeout) * sim.Microsecond
 	sc.Themis.Relearn = *relearn
+	// Unarmed, a chaos scenario is named and carries no arm, as the cells of
+	// exp.ChaosGrid do, so `run -workload chaos -seed S` writes the record of
+	// that sweep cell.
+	if w == exp.Chaos && !lbArmed {
+		sc.Name, sc.LB = sc.Label(), 0
+	}
 	if _, err := pf.start(); err != nil {
 		return err
 	}
@@ -465,9 +401,9 @@ func runSweep(args []string) error {
 // printFig5Table renders the Fig. 5 matrix from its trials (settings × arms,
 // in grid order).
 func printFig5Table(trials []exp.Trial) {
-	arms := themis.Fig5Arms()
+	arms := workload.Fig5Arms()
 	fmt.Printf("%-12s %10s %10s %10s %12s\n", "(TI,TD) us", "ecmp", "adaptive", "themis", "themis-vs-AR")
-	for si, s := range themis.PaperDCQCNSettings() {
+	for si, s := range workload.PaperDCQCNSettings() {
 		row := make([]float64, len(arms))
 		for ai := range arms {
 			t := trials[si*len(arms)+ai]
@@ -483,61 +419,6 @@ func printFig5Table(trials []exp.Trial) {
 			12-len(fmt.Sprintf("(%d,%d)", int64(s.TI.Microseconds()), int64(s.TD.Microseconds()))), "",
 			row[0], row[1], row[2], red)
 	}
-}
-
-func runChaos(args []string) error {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "first scenario seed")
-	seeds := fs.Int("seeds", 50, "number of consecutive seeds to run")
-	bytes := fs.Int64("bytes", 2<<20, "message size per flow")
-	flows := fs.Int("flows", 0, "cross-rack flows (0 = one per host)")
-	leaves := fs.Int("leaves", 3, "leaf switches")
-	spines := fs.Int("spines", 3, "spine switches")
-	hosts := fs.Int("hosts", 2, "hosts per leaf")
-	verbose := fs.Bool("v", false, "print every scenario, not just violations")
-	flightDir := fs.String("flight-dir", "", "arm per-scenario flight recorders; dump JSONL traces here on violation")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *seeds < 1 {
-		return fmt.Errorf("chaos: -seeds must be at least 1, got %d", *seeds)
-	}
-	opt := themis.ChaosOptions{
-		ClusterConfig: themis.ClusterConfig{Leaves: *leaves, Spines: *spines, HostsPerLeaf: *hosts},
-		Flows:         *flows, MessageBytes: *bytes,
-		FlightDir: *flightDir,
-	}
-	results, err := themis.ChaosSoak(*seed, *seeds, opt)
-	if err != nil {
-		return err
-	}
-	violated := 0
-	for _, res := range results {
-		bad := len(res.Violations) > 0
-		if bad {
-			violated++
-		}
-		if bad || *verbose {
-			fmt.Printf("%v\n", res.Scenario)
-			fmt.Printf("  end=%.3fms completions=%d retransmits=%d timeouts=%d\n",
-				res.End.Seconds()*1e3, res.Sender.Completions, res.Sender.Retransmits, res.Sender.Timeouts)
-			fmt.Printf("  drops: data=%d ctrl=%d link=%d  themis: blocked=%d compensated=%d reboots=%d relearns=%d\n",
-				res.Net.DataDrops, res.Net.CtrlDrops, res.Net.LinkDrops,
-				res.Middleware.NacksBlocked, res.Middleware.Compensations,
-				res.Middleware.Reboots, res.Middleware.Relearns)
-			for _, v := range res.Violations {
-				fmt.Printf("  VIOLATION: %s\n", v)
-			}
-			if res.FlightDump != "" {
-				fmt.Printf("  flight dump: %s\n", res.FlightDump)
-			}
-		}
-	}
-	fmt.Printf("chaos soak: %d scenarios, %d with invariant violations\n", len(results), violated)
-	if violated > 0 {
-		return fmt.Errorf("%d scenarios violated invariants (replay with -seed <seed> -seeds 1)", violated)
-	}
-	return nil
 }
 
 func runMemory(args []string) error {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,6 +11,8 @@ import (
 	"testing"
 
 	"themis/internal/exp"
+	"themis/internal/sim"
+	"themis/internal/workload"
 )
 
 // readProfile validates that path holds a pprof profile: gzip-compressed
@@ -74,16 +77,6 @@ func TestSweepRejectsNonPositiveSeeds(t *testing.T) {
 	} {
 		if err := runSweep(args); err == nil || !strings.Contains(err.Error(), "-seeds") {
 			t.Errorf("sweep %v returned %v, want an error naming -seeds", args, err)
-		}
-	}
-}
-
-// TestChaosRejectsNonPositiveSeeds: zero scenarios used to pass vacuously
-// ("0 scenarios", exit 0), a negative count panicked in makeslice.
-func TestChaosRejectsNonPositiveSeeds(t *testing.T) {
-	for _, n := range []string{"0", "-1"} {
-		if err := runChaos([]string{"-seeds", n}); err == nil || !strings.Contains(err.Error(), "-seeds must be at least 1") {
-			t.Errorf("chaos -seeds %s returned %v, want an error naming -seeds", n, err)
 		}
 	}
 }
@@ -173,5 +166,63 @@ func TestRunShardCountsWriteTheSameBytes(t *testing.T) {
 		} else if !bytes.Equal(got, want) {
 			t.Errorf("-shards %s wrote a different report than -shards 0", shards)
 		}
+	}
+}
+
+// reportTrials returns the trial records of the JSON report at path, each as
+// the bytes it was written with.
+func reportTrials(t *testing.T, path string) []json.RawMessage {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r struct{ Trials []json.RawMessage }
+	if err := json.Unmarshal(raw, &r); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return r.Trials
+}
+
+// TestRunLowersDCQCNFlags: run's -ti/-td (microseconds) reach Scenario.TI/TD,
+// so one Fig. 5 cell from the command line is the trial exp.Run gives.
+func TestRunLowersDCQCNFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	err := runScenario([]string{
+		"-workload", "collective", "-bytes", "65536",
+		"-leaves", "2", "-spines", "2", "-hosts", "2",
+		"-ti", "10", "-td", "50", "-json", path,
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	trial := exp.Run(exp.Scenario{
+		Workload: exp.Collective, Seed: 1, LB: workload.Themis, MessageBytes: 64 << 10,
+		Leaves: 2, Spines: 2, HostsPerLeaf: 2,
+		TI: 10 * sim.Microsecond, TD: 50 * sim.Microsecond,
+	})
+	want, err := exp.NewReport(trial.Name, []exp.Trial{trial}).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("run wrote (%v)\n%s\nexp.Run gives\n%s", err, got, want)
+	}
+}
+
+// TestChaosRunReplaysSweepCell: a chaos sweep cell replays with run at its
+// seed, writing the same trial record.
+func TestChaosRunReplaysSweepCell(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.json"), filepath.Join(dir, "b.json")
+	if err := runScenario([]string{"-workload", "chaos", "-seed", "3", "-json", a}); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := runSweep([]string{"-grid", "chaos", "-seed", "3", "-seeds", "1", "-json", b}); err != nil {
+		t.Fatalf("sweep: %v", err)
+	}
+	ran, swept := reportTrials(t, a), reportTrials(t, b)
+	if len(ran) != 1 || len(swept) != 1 || !bytes.Equal(ran[0], swept[0]) {
+		t.Errorf("run wrote\n%s\nsweep wrote\n%s", ran, swept)
 	}
 }

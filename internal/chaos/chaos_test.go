@@ -25,6 +25,21 @@ func testTopo(t *testing.T) *topo.Topology {
 	return tp
 }
 
+// runSeed runs the scenario gen derives for seed through RunGenerated and
+// returns that scenario beside the outcome, for failure messages.
+func runSeed(t *testing.T, seed int64, gen func(int64, *topo.Topology) Scenario, opt Options) (Scenario, workload.Outcome) {
+	t.Helper()
+	var sc Scenario
+	res, err := RunGenerated(seed, func(seed int64, tp *topo.Topology) Scenario {
+		sc = gen(seed, tp)
+		return sc
+	}, opt)
+	if err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
+	}
+	return sc, res
+}
+
 func TestFaultKindStrings(t *testing.T) {
 	names := map[workload.FaultKind]string{
 		workload.LinkFlap: "link-flap", workload.DropRate: "drop-rate", workload.CorruptRate: "corrupt-rate",
@@ -179,19 +194,16 @@ func TestBlackholeDetectedAndRepaired(t *testing.T) {
 // composes with it just as a schedule with none does (seed 5: a lone reboot).
 func TestDropEveryNComposesWithScheduleLossRules(t *testing.T) {
 	for seed, wantRule := range map[int64]bool{4: true, 6: true, 5: false} {
-		base, err := RunGenerated(seed, Generate, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sc, base := runSeed(t, seed, Generate, Options{})
 		hasRule := false
-		for _, f := range base.Scenario.Faults {
+		for _, f := range sc.Faults {
 			switch f.Kind {
 			case workload.DropRate, workload.CorruptRate, workload.CtrlLoss, workload.Blackhole:
 				hasRule = true
 			}
 		}
 		if hasRule != wantRule {
-			t.Fatalf("seed %d: schedule %v no longer fits the case it stands for", seed, base.Scenario)
+			t.Fatalf("seed %d: schedule %v no longer fits the case it stands for", seed, sc)
 		}
 		knob, err := RunGenerated(seed, Generate, Options{ClusterConfig: workload.ClusterConfig{DropEveryNData: 50}})
 		if err != nil {
@@ -199,7 +211,7 @@ func TestDropEveryNComposesWithScheduleLossRules(t *testing.T) {
 		}
 		if knob.Net.DataDrops <= base.Net.DataDrops {
 			t.Errorf("seed %d (%v): DropEveryNData ignored: %d data drops with the knob, %d without",
-				seed, base.Scenario, knob.Net.DataDrops, base.Net.DataDrops)
+				seed, sc, knob.Net.DataDrops, base.Net.DataDrops)
 		}
 		if len(knob.Violations) != 0 {
 			t.Errorf("seed %d: violations under periodic loss: %v", seed, knob.Violations)
@@ -234,7 +246,7 @@ func TestRunScenarioDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.End != b.End || a.Sender != b.Sender || a.Middleware != b.Middleware || a.Net != b.Net {
+	if a.CCTMillis != b.CCTMillis || a.Sender != b.Sender || a.Middleware != b.Middleware || a.Net != b.Net {
 		t.Fatalf("same scenario, different runs:\n%+v\n%+v", a, b)
 	}
 }
@@ -244,17 +256,11 @@ func TestRunScenarioDeterministic(t *testing.T) {
 // RunScenario(Generate(seed, topo), Options{}) to reproduce deterministically.
 func TestChaosSoak(t *testing.T) {
 	const seeds = 50
-	results, err := Soak(1, seeds, Options{}, Generate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != seeds {
-		t.Fatalf("ran %d scenarios, want %d", len(results), seeds)
-	}
 	faulted := 0
-	for _, res := range results {
+	for seed := int64(1); seed <= seeds; seed++ {
+		sc, res := runSeed(t, seed, Generate, Options{})
 		if len(res.Violations) != 0 {
-			t.Errorf("%v\n  violations: %v", res.Scenario, res.Violations)
+			t.Errorf("%v\n  violations: %v", sc, res.Violations)
 		}
 		if res.Net.DataDrops+res.Net.CtrlDrops+res.Net.LinkDrops > 0 ||
 			res.Middleware.Reboots > 0 || res.Sender.Timeouts > 0 {

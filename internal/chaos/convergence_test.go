@@ -134,7 +134,7 @@ func TestUplinkLossShrinksThenRecovers(t *testing.T) {
 
 // Delay-0 distributed is the oracle: same fault schedules, same traffic,
 // identical results down to every counter and the engine event count —
-// reflect.DeepEqual over the whole Result, not a tolerance.
+// reflect.DeepEqual over the whole Outcome, not a tolerance.
 func TestDelayZeroDistributedIdenticalToOracle(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		tp := testTopo(t)
@@ -153,8 +153,8 @@ func TestDelayZeroDistributedIdenticalToOracle(t *testing.T) {
 	}
 }
 
-func goodputGbps(res *Result) float64 {
-	sec := res.End.Seconds()
+func goodputGbps(res workload.Outcome) float64 {
+	sec := res.CCTMillis / 1e3
 	if sec <= 0 {
 		return 0
 	}
@@ -173,24 +173,15 @@ func TestConvergenceSoak(t *testing.T) {
 	opt := Options{
 		ClusterConfig: workload.ClusterConfig{DistributedRouting: true, ConvergenceDelay: 20 * sim.Microsecond},
 	}
-	dist, err := Soak(1, seeds, opt, GenerateConvergence)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := Soak(1, seeds, Options{}, GenerateConvergence)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dist) != seeds || len(oracle) != seeds {
-		t.Fatalf("ran %d/%d scenarios, want %d", len(dist), len(oracle), seeds)
-	}
 	faulted := 0
-	for i, res := range dist {
+	for seed := int64(1); seed <= seeds; seed++ {
+		sc, res := runSeed(t, seed, GenerateConvergence, opt)
+		_, oracle := runSeed(t, seed, GenerateConvergence, Options{})
 		if len(res.Violations) != 0 {
-			t.Errorf("%v\n  violations: %v", res.Scenario, res.Violations)
+			t.Errorf("%v\n  violations: %v", sc, res.Violations)
 		}
-		if len(oracle[i].Violations) != 0 {
-			t.Errorf("oracle %v\n  violations: %v", oracle[i].Scenario, oracle[i].Violations)
+		if len(oracle.Violations) != 0 {
+			t.Errorf("oracle %v\n  violations: %v", sc, oracle.Violations)
 		}
 		if res.Net.DataDrops+res.Net.CtrlDrops+res.Net.LinkDrops+res.Net.LoopDrops > 0 ||
 			res.Middleware.Reboots > 0 || res.Sender.Timeouts > 0 {
@@ -202,9 +193,9 @@ func TestConvergenceSoak(t *testing.T) {
 		// 10 ms) while the oracle loses nothing, so tens of ms of slip is
 		// legitimate; 200 ms (≈0.5 Gbps aggregate over 12 MB) means flows
 		// are leaking packets steadily, and the 2 s horizon means a wedge.
-		if res.End > oracle[i].End+sim.Time(200*sim.Millisecond) {
-			t.Errorf("%v\n  end %v exceeds oracle %v by more than 200ms (goodput %.2f vs %.2f Gbps)",
-				res.Scenario, res.End, oracle[i].End, goodputGbps(res), goodputGbps(oracle[i]))
+		if res.CCTMillis > oracle.CCTMillis+200 {
+			t.Errorf("%v\n  end %.3fms exceeds oracle %.3fms by more than 200ms (goodput %.2f vs %.2f Gbps)",
+				sc, res.CCTMillis, oracle.CCTMillis, goodputGbps(res), goodputGbps(oracle))
 		}
 	}
 	// The soak is vacuous if the schedules never actually hurt anything.

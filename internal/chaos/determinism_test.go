@@ -9,7 +9,7 @@ import (
 
 // runTraced executes one generated scenario with a tracer installed and
 // returns the full result plus the retained event stream.
-func runTraced(t *testing.T, seed int64) (*Result, []trace.Event) {
+func runTraced(t *testing.T, seed int64) (workload.Outcome, []trace.Event) {
 	t.Helper()
 	opt := Options{ClusterConfig: workload.ClusterConfig{Tracer: trace.New(1 << 14)}}
 	res, err := RunGenerated(seed, Generate, opt)
@@ -30,8 +30,8 @@ func TestRunDeterminism(t *testing.T) {
 		resA, evA := runTraced(t, seed)
 		resB, evB := runTraced(t, seed)
 
-		if resA.End != resB.End {
-			t.Errorf("seed %d: end time differs: %v vs %v", seed, resA.End, resB.End)
+		if resA.CCTMillis != resB.CCTMillis {
+			t.Errorf("seed %d: end time differs: %vms vs %vms", seed, resA.CCTMillis, resB.CCTMillis)
 		}
 		if resA.Sender != resB.Sender {
 			t.Errorf("seed %d: sender stats differ:\n  %+v\n  %+v", seed, resA.Sender, resB.Sender)

@@ -1,11 +1,8 @@
 package chaos
 
 import (
-	"fmt"
-
 	"themis/internal/core"
 	"themis/internal/memmodel"
-	"themis/internal/obs"
 	"themis/internal/packet"
 	"themis/internal/sim"
 	"themis/internal/topo"
@@ -28,13 +25,6 @@ type Options struct {
 	// default arm (Themis) — workload.ECMP is the LBMode zero value, so a
 	// flag is needed to ask for it.
 	LBSet bool
-	// FlightDir, if non-empty, arms a flight recorder: the run records into a
-	// bounded ring (capacity FlightCapacity, default obs.DefaultFlightCapacity)
-	// and, when any invariant is violated, dumps the retained window to
-	// <FlightDir>/flight-seed<seed>.jsonl for `themis-sim inspect`. When
-	// Tracer is also set it takes precedence and no recorder is created.
-	FlightDir      string
-	FlightCapacity int
 }
 
 func (o Options) withDefaults() Options {
@@ -63,25 +53,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result is the outcome of one scenario run: the full workload.Outcome
-// (CCTMillis is End; empty Violations = all invariants held) plus the
-// scenario it ran.
-type Result struct {
-	workload.Outcome
-	Scenario Scenario
-	End      sim.Time // drain time of the last event
-	// FlightDump is the path of the flight-recorder dump written for a
-	// violating run (empty when no recorder was armed or nothing tripped).
-	FlightDump string
-}
-
 // BuildCluster assembles the hardened cluster the harness runs scenarios
 // against: Themis with lazy state relearning, exponential RTO backoff on the
 // NICs, a lossy control class so control-plane faults are injectable, and a
 // finite (but roomy: 4 entries per flow) §4 flow-table budget so the soak
 // exercises real SRAM accounting — the budget invariant is meaningful, while
 // the steady workload itself never deserves an eviction.
-// Exported so the CLI and benchmarks run exactly what the soak tests run.
+// Exported so the benchmarks run exactly what the soak tests run.
 func BuildCluster(sc Scenario, opt Options) (*workload.Cluster, error) {
 	return workload.BuildCluster(opt.cluster(sc.Seed))
 }
@@ -117,8 +95,9 @@ func (o Options) cluster(seed int64) workload.ClusterConfig {
 // RunScenario executes one scenario: build the hardened cluster, inject the
 // faults, start a cross-rack ring of transfers, run to drain and audit the
 // invariants (Cluster.Audit). The same (scenario, options) pair always
-// produces the same Result.
-func RunScenario(sc Scenario, opt Options) (*Result, error) {
+// produces the same Outcome; CCTMillis is the drain time of the last event
+// and empty Violations means every invariant held.
+func RunScenario(sc Scenario, opt Options) (workload.Outcome, error) {
 	return RunGenerated(sc.Seed, func(int64, *topo.Topology) Scenario { return sc }, opt)
 }
 
@@ -126,16 +105,11 @@ func RunScenario(sc Scenario, opt Options) (*Result, error) {
 // topology (Generate, GenerateConvergence): the cluster for seed is built
 // once, gen derives the scenario from its topology, and that same cluster
 // runs it.
-func RunGenerated(seed int64, gen func(int64, *topo.Topology) Scenario, opt Options) (*Result, error) {
+func RunGenerated(seed int64, gen func(int64, *topo.Topology) Scenario, opt Options) (workload.Outcome, error) {
 	opt = opt.withDefaults()
-	var flight *obs.FlightRecorder
-	if opt.FlightDir != "" && opt.Tracer == nil {
-		flight = obs.NewFlightRecorder(opt.FlightDir, opt.FlightCapacity)
-		opt.Tracer = flight.Tracer()
-	}
 	cl, err := workload.BuildCluster(opt.cluster(seed))
 	if err != nil {
-		return nil, err
+		return workload.Outcome{}, err
 	}
 	sc := gen(seed, cl.Topo)
 	cl.Inject(sc.Faults)
@@ -157,37 +131,7 @@ func RunGenerated(seed int64, gen func(int64, *topo.Topology) Scenario, opt Opti
 
 	end := cl.Run(opt.Horizon)
 	cl.Engine.RunAll()
-	res := &Result{Outcome: cl.Outcome(end), Scenario: sc, End: end}
+	res := cl.Outcome(end)
 	res.Violations = cl.Audit(remaining)
-	if len(res.Violations) > 0 && flight != nil {
-		path, err := flight.Dump(fmt.Sprintf("seed%d", sc.Seed), sc.Seed, res.Violations)
-		if err != nil {
-			// Surface the dump failure next to the violations it documents;
-			// never mask the original finding.
-			res.Violations = append(res.Violations, obs.DumpError(err))
-		} else {
-			res.FlightDump = path
-		}
-	}
 	return res, nil
-}
-
-// Soak runs the scenario gen derives for each seed in [first, first+count)
-// and returns the results. gen is Generate, or GenerateConvergence for the
-// routing-focused mix — run that one once with DistributedRouting and a
-// non-zero ConvergenceDelay and once against the oracle to compare graceful
-// degradation across reconvergence windows. Soak stops early only on harness
-// errors (config bugs), never on invariant violations — those are reported
-// per result so a sweep surfaces every bad seed at once.
-func Soak(first int64, count int, opt Options, gen func(int64, *topo.Topology) Scenario) ([]*Result, error) {
-	var out []*Result
-	for i := 0; i < count; i++ {
-		seed := first + int64(i)
-		res, err := RunGenerated(seed, gen, opt)
-		if err != nil {
-			return out, fmt.Errorf("chaos: seed %d: %w", seed, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }

@@ -26,12 +26,12 @@ func blackholeScenario(seed int64) Scenario {
 // it until the detector fails the link over.
 func TestREPSRecoversFasterThanRPSUnderBlackhole(t *testing.T) {
 	const seeds = 50
-	run := func(mode workload.LBMode) (mean sim.Duration) {
+	run := func(mode workload.LBMode) (meanMillis float64) {
 		opt := Options{
 			ClusterConfig: workload.ClusterConfig{LB: mode},
 			LBSet:         true, MessageBytes: 256 << 10,
 		}
-		var total sim.Duration
+		var total float64
 		for seed := int64(1); seed <= seeds; seed++ {
 			res, err := RunScenario(blackholeScenario(seed), opt)
 			if err != nil {
@@ -40,18 +40,18 @@ func TestREPSRecoversFasterThanRPSUnderBlackhole(t *testing.T) {
 			if len(res.Violations) != 0 {
 				t.Fatalf("%v seed %d violations: %v", mode, seed, res.Violations)
 			}
-			total += sim.Duration(res.End)
+			total += res.CCTMillis
 		}
 		return total / seeds
 	}
 	reps := run(workload.REPS)
 	rps := run(workload.RandomSpray)
-	t.Logf("mean completion: reps=%v rps=%v", reps, rps)
+	t.Logf("mean completion: reps=%.3fms rps=%.3fms", reps, rps)
 	if reps >= rps {
-		t.Fatalf("REPS (%v) did not beat RPS (%v) under a blackhole", reps, rps)
+		t.Fatalf("REPS (%.3fms) did not beat RPS (%.3fms) under a blackhole", reps, rps)
 	}
 	// "Measurably": at least a few percent, not a rounding artifact.
 	if margin := rps - reps; margin*100 < rps*2 {
-		t.Fatalf("REPS margin %v over RPS %v is below 2%%", margin, rps)
+		t.Fatalf("REPS margin %.3fms over RPS %.3fms is below 2%%", margin, rps)
 	}
 }

@@ -282,6 +282,27 @@ func TestShardRefusals(t *testing.T) {
 	}
 }
 
+// A shared tracer runs the grid sequentially instead of panicking at
+// Parallel > 1, and the trials are the ones Parallel 1 returns.
+func TestRunnerSharedTracerRunsSequentially(t *testing.T) {
+	grid := SmokeGrid(1)[:2]
+	var got [2][]byte
+	for i, parallel := range []int{1, 4} {
+		ring := trace.New(1 << 12)
+		b, err := json.Marshal(Runner{Parallel: parallel, Obs: Obs{Tracer: ring}}.Run(grid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ring.Events()) == 0 {
+			t.Fatalf("Parallel %d: the shared tracer recorded nothing", parallel)
+		}
+		got[i] = b
+	}
+	if !bytes.Equal(got[0], got[1]) {
+		t.Errorf("Parallel 4 with a shared tracer wrote\n%s\nParallel 1 wrote\n%s", got[1], got[0])
+	}
+}
+
 func TestLinkFailureScenarioCompletes(t *testing.T) {
 	ring := trace.New(1 << 18)
 	tr := RunObserved(LinkFailureScenario(7), Obs{Tracer: ring})

@@ -16,8 +16,8 @@ type Runner struct {
 	// Parallel is the worker count; values < 1 mean 1 (sequential).
 	Parallel int
 	// Obs is the per-trial observability configuration. Flight recorders and
-	// metrics registries are created per trial, so every Obs field except
-	// Tracer is parallel-safe; a shared Tracer requires Parallel <= 1.
+	// metrics registries are created per trial; a shared Tracer runs the grid
+	// sequentially whatever Parallel says (results do not depend on it).
 	Obs Obs
 }
 
@@ -33,14 +33,11 @@ func (r Runner) Run(grid []Scenario) []Trial {
 		workers = len(grid)
 	}
 	cores := max(runtime.GOMAXPROCS(0)/max(workers, 1), 1)
-	if workers <= 1 {
+	if workers <= 1 || r.Obs.Tracer != nil {
 		for i := range grid {
 			out[i] = runObserved(grid[i], r.Obs, cores)
 		}
 		return out
-	}
-	if r.Obs.Tracer != nil {
-		panic("exp: Runner with a shared Obs.Tracer requires Parallel <= 1 (use Obs.FlightDir for per-trial rings)")
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup

@@ -37,8 +37,8 @@ type Trial struct {
 // the zero value observes nothing and adds no cost).
 type Obs struct {
 	// Tracer, if non-nil, records the run's packet and middleware events.
-	// Owned by the caller; with Runner parallelism > 1 leave it nil (a shared
-	// ring would race) and use FlightDir, which is per-trial.
+	// Owned by the caller and shared by every trial of a grid, so a Runner
+	// holding one runs its trials one at a time; FlightDir is per-trial.
 	Tracer *trace.Tracer
 	// Metrics creates a per-trial metrics registry; its snapshot lands in
 	// Trial.Metrics.

@@ -85,7 +85,7 @@ var workloads = []workloadRow{
 		}},
 	{Chaos, nil,
 		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
-			return s.runChaos(cc, chaos.Generate)
+			return chaos.RunGenerated(s.Seed, chaos.Generate, s.chaos(cc))
 		}},
 	{Churn, lbArm,
 		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
@@ -99,13 +99,13 @@ var workloads = []workloadRow{
 		return fmt.Sprintf("%v/d%dus", s.LB, int64(s.ConvergenceDelay/sim.Microsecond))
 	},
 		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
-			return s.runChaos(cc, func(seed int64, tp *topo.Topology) chaos.Scenario {
+			return chaos.RunGenerated(s.Seed, func(seed int64, tp *topo.Topology) chaos.Scenario {
 				csc := chaos.GenerateConvergence(seed, tp)
 				if s.Drain {
 					csc.Faults = append(csc.Faults, chaos.DrainFault(tp))
 				}
 				return csc
-			})
+			}, s.chaos(cc))
 		}},
 	{Spray, lbArm,
 		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
@@ -118,16 +118,6 @@ var workloads = []workloadRow{
 }
 
 func lbArm(s Scenario) string { return s.LB.String() }
-
-// runChaos runs a chaos-harness workload: the fault schedule is generated by
-// gen from the topology of the one cluster the trial builds and runs.
-func (s Scenario) runChaos(cc workload.ClusterConfig, gen func(int64, *topo.Topology) chaos.Scenario) (workload.Outcome, error) {
-	res, err := chaos.RunGenerated(s.Seed, gen, s.chaos(cc))
-	if err != nil {
-		return workload.Outcome{}, err
-	}
-	return res.Outcome, nil
-}
 
 // row looks the workload up in the table; an unknown name (e.g. a hand-edited
 // scenario JSON) is an error, which run reports as Trial.Err.

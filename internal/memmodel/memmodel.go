@@ -71,7 +71,7 @@ func (p Params) FractionOfSRAM(sramBytes int) float64 {
 	return float64(p.TotalBytes()) / float64(sramBytes)
 }
 
-// Report renders the full §4 calculation as text (the cmd/memcalc output).
+// Report renders the full §4 calculation as text (the `themis-sim memory` output).
 func (p Params) Report() string {
 	return fmt.Sprintf(`Themis memory overhead model (paper §4, Table 1)
   N_paths = %d   BW = %g Gbps   RTT_last = %v   N_NIC = %d   N_QP = %d   MTU = %d B   F = %g

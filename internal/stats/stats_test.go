@@ -91,44 +91,6 @@ func TestPercentileProperty(t *testing.T) {
 	}
 }
 
-func TestRateMeter(t *testing.T) {
-	m := NewRateMeter("tx", sim.Microsecond)
-	// 1000 bytes in window [0,1us), 500 in [1,2us), nothing in [2,3us),
-	// 250 in [3,4us).
-	m.Observe(0, 600)
-	m.Observe(sim.Time(500*sim.Nanosecond), 400)
-	m.Observe(sim.Time(1500*sim.Nanosecond), 500)
-	m.Observe(sim.Time(3500*sim.Nanosecond), 250)
-	s := m.Finish(sim.Time(4 * sim.Microsecond))
-	if s.Len() != 4 {
-		t.Fatalf("windows = %d: %+v", s.Len(), s.Samples)
-	}
-	wantPerSec := []float64{1000 / 1e-6, 500 / 1e-6, 0, 250 / 1e-6}
-	for i, w := range wantPerSec {
-		if math.Abs(s.Samples[i].V-w) > 1e-6 {
-			t.Fatalf("window %d rate = %g want %g", i, s.Samples[i].V, w)
-		}
-	}
-}
-
-func TestRateMeterFinishPartialWindow(t *testing.T) {
-	m := NewRateMeter("tx", sim.Microsecond)
-	m.Observe(sim.Time(100*sim.Nanosecond), 100)
-	s := m.Finish(sim.Time(200 * sim.Nanosecond))
-	if s.Len() != 1 {
-		t.Fatalf("windows = %d", s.Len())
-	}
-}
-
-func TestRateMeterZeroWindowPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewRateMeter("x", 0)
-}
-
 func TestRatioMeter(t *testing.T) {
 	m := NewRatioMeter("retrans", sim.Microsecond)
 	m.Observe(0, 1, 10)                            // 10% in window 0
@@ -191,63 +153,5 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.P50 != 2 || s.P99 != 4 {
 		t.Fatalf("percentiles = p50 %g p99 %g", s.P50, s.P99)
-	}
-}
-
-func TestRateMeterReset(t *testing.T) {
-	m := NewRateMeter("tx", sim.Microsecond)
-	m.Observe(sim.Time(100*sim.Nanosecond), 100)
-	m.Finish(sim.Time(2 * sim.Microsecond))
-	m.Reset()
-	if m.Series().Len() != 0 {
-		t.Fatal("Reset kept samples")
-	}
-	if m.Series().Name != "tx" {
-		t.Fatal("Reset lost the name")
-	}
-	// The window clock restarted: an observation at t=0 must not panic or
-	// land in a stale window, and the pending amount from before Reset is gone.
-	m.Observe(0, 50)
-	s := m.Finish(sim.Time(sim.Microsecond))
-	if s.Len() != 1 || math.Abs(s.Samples[0].V-50/1e-6) > 1e-6 {
-		t.Fatalf("post-reset series = %+v", s.Samples)
-	}
-}
-
-func TestRatioMeterReset(t *testing.T) {
-	m := NewRatioMeter("rt", sim.Microsecond)
-	m.Observe(0, 1, 2)
-	m.Finish(sim.Time(2 * sim.Microsecond))
-	m.Reset()
-	if m.Series().Len() != 0 {
-		t.Fatal("Reset kept samples")
-	}
-	m.Observe(0, 3, 4)
-	s := m.Finish(sim.Time(sim.Microsecond))
-	if s.Len() != 1 || math.Abs(s.Samples[0].V-0.75) > 1e-12 {
-		t.Fatalf("post-reset series = %+v", s.Samples)
-	}
-}
-
-// Property: total bytes observed equals the integral of the rate series.
-func TestRateMeterConservationProperty(t *testing.T) {
-	f := func(amounts []uint16) bool {
-		m := NewRateMeter("x", sim.Microsecond)
-		var total float64
-		t := sim.Time(0)
-		for i, a := range amounts {
-			t = t.Add(sim.Duration(i%700) * sim.Nanosecond)
-			m.Observe(t, float64(a))
-			total += float64(a)
-		}
-		s := m.Finish(t.Add(sim.Microsecond))
-		var integral float64
-		for _, smp := range s.Samples {
-			integral += smp.V * sim.Microsecond.Seconds()
-		}
-		return math.Abs(integral-total) < 1e-6*(1+total)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // Outcome is the record every runner returns and the experiment harness
-// serializes: each runner result (and chaos.Result) embeds it and fills it
-// once where the run ends, and exp.Trial embeds the same struct, so no layer
-// copies it field by field. Fixed fields only — the JSON form must be
+// serializes: each runner result embeds it (the chaos harness returns it
+// bare) and fills it once where the run ends, and exp.Trial embeds the same
+// struct, so no layer copies it field by field. Fixed fields only — the JSON form must be
 // byte-identical across runs.
 type Outcome struct {
 	// CCTMillis is the completion time of the workload in milliseconds —
