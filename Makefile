@@ -61,9 +61,11 @@ race:
 # race-sim is the focused race gate for the one package that is genuinely
 # concurrent: the shard coordinator's barrier loop, mailboxes and worker pool
 # live in internal/sim, so its tests run under -race on every verify even when
-# the full-tree race stage is skipped locally.
+# the full-tree race stage is skipped locally. They run at 1, 2 and 4
+# processors: the barrier polls instead of blocking, so a lost wake-up or a
+# livelock with fewer processors than shards hangs here rather than in a run.
 race-sim:
-	$(GO) test -race ./internal/sim/...
+	$(GO) test -race -cpu 1,2,4 ./internal/sim/...
 
 # cover gates statement coverage on the simulation packages: the observability
 # and fuzz hardening work is only worth keeping if the floor holds.

@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements the space-parallel shard coordinator: several engines
@@ -75,13 +77,18 @@ func callFunc(fn any) { fn.(func())() }
 // time; Run advances them all under barrier-per-epoch synchronization.
 //
 // Concurrency contract: an epoch has two phases, each ended by a barrier.
-// In the drain phase shard i's worker reads and truncates column i of the
+// In the drain phase shard i's share reads and truncates column i of the
 // mailboxes — the mail addressed to it — and schedules it on engine i; in
 // the advance phase it owns engine i and everything reachable from it and
-// appends to row i (Post, PostArg, Hand). Between phases the coordinator owns
-// everything. The hand-offs happen through the barrier channels inside Run,
-// which provide the happens-before edges; no other synchronization exists,
-// which is why the themis-lint purity analyzer can allowlist Run alone.
+// appends to row i (Post, PostArg, Hand). Each share runs on one goroutine:
+// shard i's worker, or the coordinator when it takes the share first.
+// Between phases the coordinator owns everything. The hand-offs happen
+// through the generation barrier inside Run: the coordinator's store to the
+// generation word hands a phase out, a compare-and-swap on the shard's slot
+// takes its share, and a decrement of the outstanding count hands it back;
+// those atomic operations are the happens-before edges. No other
+// synchronization exists, which is why the themis-lint purity analyzer can
+// allowlist Run alone.
 type ShardGroup struct {
 	engines   []*Engine
 	lookahead Duration
@@ -92,6 +99,10 @@ type ShardGroup struct {
 	// epochs counts the windows Run has advanced the engines through, drains
 	// the drain phases it has run.
 	epochs, drains int
+	// work is the events the advance phases executed, span the sum over
+	// epochs of the busiest shard's share: work/span bounds the speed-up this
+	// partition allows on any number of processors.
+	work, span uint64
 }
 
 // NewShardGroup assembles a coordinator over the given per-shard engines.
@@ -169,18 +180,6 @@ func (g *ShardGroup) drain(dst int) {
 	}
 }
 
-// mailed reports whether any mailbox holds a post.
-func (g *ShardGroup) mailed() bool {
-	for _, row := range g.mail {
-		for _, box := range row {
-			if len(box) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Metrics returns the group's counter block: every shard engine's metrics
 // folded together with Metrics.Merge.
 func (g *ShardGroup) Metrics() Metrics {
@@ -204,6 +203,16 @@ func (g *ShardGroup) Metrics() Metrics {
 // Engine.Run(until): a single epoch bounded by until, identical event order,
 // identical metrics.
 //
+// A phase is handed out through a generation barrier that never blocks a
+// thread: the coordinator publishes the phase and bumps an atomic generation,
+// each worker polls it, takes and runs its shard's share and decrements an
+// atomic count of shares outstanding, which the coordinator polls down to
+// zero after running shard 0's share and every share no worker has taken
+// yet. Waking a parked thread costs hundreds of microseconds on a small VM —
+// a large slice of an epoch — so a waiting side spins on the word before it
+// starts yielding its processor between polls, and yields at once when the
+// group has more shards than processors to run them.
+//
 // An event callback that panics on a worker is recovered there, carried
 // across the barrier and re-raised here on the calling goroutine once every
 // worker has exited, so the caller's recover sees it like a panic out of
@@ -212,83 +221,161 @@ func (g *ShardGroup) Metrics() Metrics {
 //
 // This is — alongside exp.Runner.Run — one of exactly two concurrent symbols
 // in the deterministic core. The themis-lint purity analyzer allowlists it
-// by name, which is why every goroutine, channel and barrier lives lexically
+// by name, which is why every goroutine, atomic and barrier lives lexically
 // inside this one function.
 func (g *ShardGroup) Run(until Time) Time {
 	n := len(g.engines)
-	var (
-		cmd  []chan func(int)
-		done chan int
-		// panics[i] is written by shard i's side of a phase before the
-		// barrier and read by the coordinator after it.
-		panics  = make([]any, n)
-		workers sync.WaitGroup
-	)
+	// ctl is what the coordinator hands the workers, alone on one cache line
+	// so that taking a phase and handing it back moves as few lines between
+	// cores as possible. The plain fields are ordered by the atomics: the
+	// coordinator writes phase and limit before its store to gen, which a
+	// worker loads before it takes its share and reads them; whoever ran a
+	// share wrote its engine, its state slot and any panic before its
+	// decrement of left, which the coordinator loads before reading them.
+	var ctl struct {
+		phase  func(int)
+		limit  Time
+		gen    atomic.Uint32
+		left   atomic.Int32
+		closed atomic.Bool
+		_      [39]byte // to 64 bytes
+	}
+	// state[i] is what the coordinator reads of shard i at a barrier,
+	// recorded by whichever goroutine ran shard i's phase, and taken, the
+	// last generation whose share of shard i someone took. Each sits on a
+	// cache line of its own, so the coordinator reads one line per shard
+	// instead of the engine and mailbox lines the shard's worker just wrote.
+	type shardState struct {
+		next            Time   // the engine's earliest pending event
+		executed        uint64 // the engine's EventsExecuted
+		taken           atomic.Uint32
+		stopped, posted bool     // a pending Stop; mail in the shard's row
+		_               [42]byte // to 64 bytes
+	}
+	state := make([]shardState, n)
+	panics := make([]any, n)
+	// share runs shard i's part of the current phase and hands it back.
+	share := func(i int) {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					panics[i] = p
+				}
+			}()
+			ctl.phase(i)
+		}()
+		ctl.left.Add(-1)
+	}
+	// spins is how many times a waiting side polls before it yields between
+	// polls. With a processor per shard the other side is usually running
+	// and answers within the budget; with more shards than processors it may
+	// be the one waiting for this processor, so yield from the first poll.
+	spins := 0
+	if n <= runtime.GOMAXPROCS(0) {
+		spins = 4096
+	}
+	await := func(ready func() bool) {
+		for i := 0; !ready(); i++ {
+			if i >= spins {
+				runtime.Gosched()
+			}
+		}
+	}
+	finished := func() bool { return ctl.left.Load() == 0 }
+	var workers sync.WaitGroup
 	if n > 1 {
-		cmd, done = make([]chan func(int), n), make(chan int, n)
 		workers.Add(n - 1)
 		for i := 1; i < n; i++ {
-			cmd[i] = make(chan func(int))
 			go func(i int) {
 				defer workers.Done()
-				for phase := range cmd[i] {
-					func() {
-						defer func() { panics[i] = recover() }()
-						phase(i)
-					}()
-					done <- i
+				var seen uint32
+				bumped := func() bool { return ctl.gen.Load() != seen }
+				for {
+					await(bumped)
+					// Generation seen hands out one share per shard; the
+					// coordinator takes this one itself when it gets there
+					// first, and the bump after it waits for that share.
+					// Check closed after loading seen: the closing bump
+					// comes after the store to closed.
+					seen = ctl.gen.Load()
+					if ctl.closed.Load() {
+						return
+					}
+					if state[i].taken.CompareAndSwap(seen-1, seen) {
+						share(i)
+					}
 				}
 			}(i)
 		}
 		// Every return path, the re-raised panic included, leaves no worker
-		// behind.
+		// behind: it happens at a barrier, with every share handed back.
 		defer func() {
-			for i := 1; i < n; i++ {
-				close(cmd[i])
-			}
+			ctl.closed.Store(true)
+			ctl.gen.Add(1)
 			workers.Wait()
 		}()
 	}
-	// run executes one phase on every shard — shard 0's share on the calling
-	// goroutine — and returns at the barrier.
+	// run executes one phase on every shard and returns at the barrier. The
+	// calling goroutine runs shard 0's share, then every share whose worker
+	// has not taken it yet: a worker that is not running — its thread not yet
+	// woken, or its processor taken by the host — would otherwise hold up
+	// the barrier for longer than the share takes to run here.
 	run := func(phase func(int)) {
+		ctl.phase = phase
+		ctl.left.Store(int32(n))
+		gen := ctl.gen.Add(1)
+		share(0)
 		for i := 1; i < n; i++ {
-			cmd[i] <- phase
+			if state[i].taken.Load() == gen-1 && state[i].taken.CompareAndSwap(gen-1, gen) {
+				share(i)
+			}
 		}
-		func() {
-			defer func() { panics[0] = recover() }()
-			phase(0)
-		}()
-		for i := 1; i < n; i++ {
-			<-done
-		}
+		await(finished)
 		for _, p := range panics {
 			if p != nil {
 				panic(p)
 			}
 		}
 	}
-	var limit Time
-	drain, advance := g.drain, func(i int) { g.engines[i].AdvanceTo(limit) }
-	for {
-		// Barrier state: every worker is idle blocking on cmd, so the
-		// coordinator owns all engine and mailbox state here.
-		halted := false
-		for _, e := range g.engines {
-			if e.stopped {
-				halted = true
+	note := func(i int) {
+		e, s := g.engines[i], &state[i]
+		s.next, s.executed, s.stopped = e.nextTime(), e.metrics.EventsExecuted, e.stopped
+	}
+	// Row i is shard i's own only in the advance phase: in the drain phase
+	// every destination truncates its column of it (and nothing posts).
+	noteMail := func(i int) {
+		state[i].posted = false
+		for _, box := range g.mail[i] {
+			if len(box) > 0 {
+				state[i].posted = true
 			}
+		}
+	}
+	ran := make([]uint64, n) // each shard's executed count at the last barrier
+	for i := range state {
+		note(i)
+		noteMail(i)
+		ran[i] = state[i].executed
+	}
+	drain := func(i int) { g.drain(i); note(i) }
+	advance := func(i int) { g.engines[i].AdvanceTo(ctl.limit); note(i); noteMail(i) }
+	for {
+		// Barrier state: every worker is polling gen, so the coordinator
+		// owns all engine and mailbox state here, and state is current.
+		halted, posted, next := false, false, Forever
+		for i := range state {
+			halted = halted || state[i].stopped
+			posted = posted || state[i].posted
 		}
 		if halted {
 			break
 		}
-		if g.mailed() {
+		if posted {
 			g.drains++
 			run(drain)
 		}
-		next := Forever
-		for _, e := range g.engines {
-			next = min(next, e.nextTime())
+		for i := range state {
+			next = min(next, state[i].next)
 		}
 		if next == Forever || next > until {
 			break
@@ -296,15 +383,21 @@ func (g *ShardGroup) Run(until Time) Time {
 		// The epoch executes [next, next+W); AdvanceTo is inclusive, so the
 		// limit is one tick short of the window end (saturating near
 		// Forever), and never past until.
-		limit = Forever
+		limit := Forever
 		if g.lookahead < Duration(Forever-next) {
 			limit = next.Add(g.lookahead) - 1
 		}
-		if limit > until {
-			limit = until
-		}
+		ctl.limit = min(limit, until)
 		g.epochs++
 		run(advance)
+		var busiest uint64
+		for i := range state {
+			d := state[i].executed - ran[i]
+			ran[i] = state[i].executed
+			g.work += d
+			busiest = max(busiest, d)
+		}
+		g.span += busiest
 	}
 	var end Time
 	for _, e := range g.engines {

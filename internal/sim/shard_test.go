@@ -458,7 +458,9 @@ func TestShardGroupHaltKeepsMail(t *testing.T) {
 // The coordinator reproduces the one-engine schedule: components that message
 // each other — over the mailboxes when they live on different shards,
 // straight onto their engine when they share one — execute exactly the same
-// events at the same instants whether the group has 1, 2 or 4 shards. Each
+// events at the same instants whether the group has 1, 2, 4 or 8 shards — 8
+// being more shards than processors on a small box, where the barrier's
+// waiting sides yield instead of spinning. Each
 // component draws from its own stream and stamps its messages with its own
 // priority at strictly increasing times, the fabric's rule, so (time, pri) is
 // unique at every receiver. Half the components post, half hand off. Under
@@ -518,12 +520,41 @@ func TestShardGroupMatchesOneEngine(t *testing.T) {
 	if total < 500 {
 		t.Fatalf("only %d events: the storm is too small to check anything", total)
 	}
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{2, 4, 8} {
 		got := run(shards)
 		for c := range want {
 			if fmt.Sprint(got[c]) != fmt.Sprint(want[c]) {
 				t.Fatalf("shards=%d: component %d ran at\n%v\nwant\n%v", shards, c, got[c], want[c])
 			}
 		}
+	}
+}
+
+// The barrier costs no allocation per epoch: whatever Run allocates it
+// allocates once, so a two-shard ping-pong through 2 000 single-post epochs
+// allocates exactly what one through 20 does.
+func TestShardGroupEpochsDoNotAllocate(t *testing.T) {
+	allocs := func(hops int) float64 {
+		const W = Duration(10)
+		engines := []*Engine{NewEngine(1), NewEngine(2)}
+		g := NewShardGroup(engines, W)
+		left := 0
+		var hop [2]func()
+		for s := range hop {
+			hop[s] = func() {
+				if left > 0 {
+					left--
+					g.Post(s, 1-s, engines[s].Now().Add(W), 1, hop[1-s])
+				}
+			}
+		}
+		return testing.AllocsPerRun(5, func() {
+			left = hops
+			engines[0].Schedule(W, hop[0])
+			g.RunAll()
+		})
+	}
+	if few, many := allocs(20), allocs(2000); few != many {
+		t.Fatalf("RunAll allocates %v over 20 epochs and %v over 2000", few, many)
 	}
 }

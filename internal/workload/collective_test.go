@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -56,6 +57,38 @@ func TestCollectiveShardInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The coordinator's work and span are exact counts of a cut run: work is
+// every event the advance phases executed — the merged EventsExecuted — and
+// span sums each epoch's busiest shard, so on two shards it lies between half
+// the work (a perfect split) and all of it (one shard idle). The group keeps
+// both unexported, so they are read by field name.
+func TestShardGroupWorkAndSpan(t *testing.T) {
+	cfg := smallCollective(collective.RingAllreduce, Themis, 3)
+	cfg.Shards = 2
+	cfg.resolve()
+	cl, err := buildCluster(cfg.ClusterConfig, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := 0; g < cfg.Groups; g++ {
+		hosts := GroupHosts(cfg.Leaves, cfg.HostsPerLeaf, g)
+		collective.RunRanks(cfg.Pattern, cl.Mesh(hosts), len(hosts), cfg.MessageBytes, func(int) {})
+	}
+	cl.Run(sim.Duration(sim.Forever))
+	if cl.group.Shards() != 2 {
+		t.Fatalf("%d shards, want 2", cl.group.Shards())
+	}
+	group := reflect.ValueOf(cl.group).Elem()
+	work, span := group.FieldByName("work").Uint(), group.FieldByName("span").Uint()
+	if executed := cl.group.Metrics().EventsExecuted; work != executed {
+		t.Fatalf("work = %d, want the merged EventsExecuted %d", work, executed)
+	}
+	if work == 0 || span < work/2 || span > work {
+		t.Fatalf("span = %d outside [work/2, work] = [%d, %d]", span, work/2, work)
+	}
+	t.Logf("work %d, span %d: work/span %.3f", work, span, float64(work)/float64(span))
 }
 
 // A link failure reaches across the fabric (both link ends, every Themis
