@@ -36,10 +36,11 @@
 //	    -shards N cuts a collective or spray trial's racks across N engine
 //	    shards (at most one per rack); the default, 0, takes one per core,
 //	    or one where the trial holds what shards would have to share
-//	    (-flight-dir, -distributed, a scenario's DropEveryNData or LinkFail),
-//	    which N > 1 refuses with an error naming it. Motivation, incast,
-//	    churn, chaos and convergence have global drivers and always run on
-//	    one engine. Results are byte-identical for every shard count, so like
+//	    (-flight-dir, -distributed, a scenario's DropEveryNData or LinkFail
+//	    fault schedule), which N > 1 refuses with an error naming it.
+//	    Motivation, incast, churn, chaos and convergence run on one engine:
+//	    churn because its closed loop is global, the rest by choice. Results
+//	    are byte-identical for every shard count, so like
 //	    -parallel it is an execution knob, not an experiment arm; every -lb
 //	    arm, themis included, and -metrics run at any N. The reps and
 //	    congestion LB arms take -reps-cache (entropy-cache ring capacity)
@@ -211,7 +212,7 @@ func runScenario(args []string) error {
 	bw := fs.Float64("bw", 0, "link bandwidth, Gbps")
 	ti := fs.Int64("ti", 0, "DCQCN rate-increase timer, microseconds (0 = 900)")
 	td := fs.Int64("td", 0, "DCQCN rate-decrease interval, microseconds (0 = 4)")
-	shards := fs.Int("shards", 0, "engine shards a collective or spray trial's racks are cut across, at most one per rack (0 = one per core, or one with -flight-dir, -distributed or a DropEveryNData/LinkFail scenario, which N > 1 refuses by name); results are byte-identical for any value; motivation, incast, churn, chaos and convergence always run on one")
+	shards := fs.Int("shards", 0, "engine shards a collective or spray trial's racks are cut across, at most one per rack (0 = one per core, or one with -flight-dir, -distributed or a DropEveryNData/LinkFail scenario, which N > 1 refuses by name); results are byte-identical for any value; motivation, incast, churn, chaos and convergence run on one, churn because its closed loop is global and the rest by choice")
 	fatTreeK := fs.Int("fattree-k", 0, "spray: fat-tree radix k (0 = workload default)")
 	flows := fs.Int("flows", 0, "chaos: cross-rack ring flows (0 = one per host)")
 	qps := fs.Int("qps", 0, "churn: total flows opened over the run (0 = workload default)")
@@ -342,7 +343,7 @@ func runSweep(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed (first seed for multi-seed grids)")
 	seeds := fs.Int("seeds", 1, "seed count (multi-seed grids)")
 	parallel := fs.Int("parallel", 1, "worker pool size")
-	shards := fs.Int("shards", 0, "engine shards each collective or spray trial's racks are cut across, at most one per rack (0 = its share of the cores, GOMAXPROCS/-parallel, or one where the trial holds what shards cannot share, which N > 1 refuses by name; see run -h); reports are byte-identical for any value; motivation, incast, churn, chaos and convergence trials always run on one")
+	shards := fs.Int("shards", 0, "engine shards each collective or spray trial's racks are cut across, at most one per rack (0 = its share of the cores, GOMAXPROCS/-parallel, or one where the trial holds what shards cannot share, which N > 1 refuses by name; see run -h); reports are byte-identical for any value; motivation, incast, churn, chaos and convergence trials run on one, churn because its closed loop is global and the rest by choice")
 	jsonOut := fs.String("json", "", "write the aggregated report JSON to this path")
 	metrics := fs.Bool("metrics", false, "snapshot a per-trial metrics registry into each record")
 	flightDir := fs.String("flight-dir", "", "arm per-trial flight recorders; dump JSONL traces here on failure")
@@ -470,13 +471,12 @@ func runTrace(args []string) error {
 	if err != nil {
 		return err
 	}
-	done := 0
-	for i := 0; i < 4; i++ {
-		cl.Conn(packet.NodeID(i), packet.NodeID(4+i)).Send(2<<20, func() { done++ })
+	ts := make([]workload.Transfer, 4)
+	for i := range ts {
+		ts[i] = workload.Transfer{Src: packet.NodeID(i), Dst: packet.NodeID(4 + i), Bytes: 2 << 20}
 	}
-	cl.Run(sim.Second)
-	if done != 4 {
-		return fmt.Errorf("scenario incomplete (%d/4 flows)", done)
+	if err := cl.Drive(nil, ts, sim.Second).Err("trace", "flow"); err != nil {
+		return err
 	}
 	evs := tr.Events()
 	if *qp > 0 {

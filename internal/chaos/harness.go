@@ -92,11 +92,12 @@ func (o Options) cluster(seed int64) workload.ClusterConfig {
 	return cfg
 }
 
-// RunScenario executes one scenario: build the hardened cluster, inject the
-// faults, start a cross-rack ring of transfers, run to drain and audit the
-// invariants (Cluster.Audit). The same (scenario, options) pair always
-// produces the same Outcome; CCTMillis is the drain time of the last event
-// and empty Violations means every invariant held.
+// RunScenario executes one scenario: build the hardened cluster, start a
+// cross-rack ring of transfers under the scenario's faults, run to the
+// horizon, drain and audit the invariants (Cluster.Audit). The same
+// (scenario, options) pair always produces the same Outcome; CCTMillis is the
+// last transfer's completion, and empty Violations means every invariant held
+// — a transfer the horizon cut is one ("N transfers never completed").
 func RunScenario(sc Scenario, opt Options) (workload.Outcome, error) {
 	return RunGenerated(sc.Seed, func(int64, *topo.Topology) Scenario { return sc }, opt)
 }
@@ -111,27 +112,19 @@ func RunGenerated(seed int64, gen func(int64, *topo.Topology) Scenario, opt Opti
 	if err != nil {
 		return workload.Outcome{}, err
 	}
-	sc := gen(seed, cl.Topo)
-	cl.Inject(sc.Faults)
-
 	// Cross-rack ring: host i sends to the same-index host of the next leaf,
 	// so every flow traverses the fabric and every ToR plays both roles.
 	nHosts := cl.Topo.NumHosts()
-	remaining := opt.Flows
-	for i := 0; i < opt.Flows; i++ {
-		src := packet.NodeID(i % nHosts)
-		dst := packet.NodeID((i + opt.HostsPerLeaf) % nHosts)
-		cl.Conn(src, dst).Send(opt.MessageBytes, func() {
-			remaining--
-			if remaining == 0 {
-				cl.Engine.Stop()
-			}
-		})
+	ts := make([]workload.Transfer, opt.Flows)
+	for i := range ts {
+		ts[i] = workload.Transfer{
+			Src:   packet.NodeID(i % nHosts),
+			Dst:   packet.NodeID((i + opt.HostsPerLeaf) % nHosts),
+			Bytes: opt.MessageBytes,
+		}
 	}
-
-	end := cl.Run(opt.Horizon)
-	cl.Engine.RunAll()
-	res := cl.Outcome(end)
-	res.Violations = cl.Audit(remaining)
+	c := cl.Drive(gen(seed, cl.Topo).Faults, ts, opt.Horizon)
+	res := cl.Outcome(c.Last())
+	res.Violations = cl.Audit(c.Unfinished)
 	return res, nil
 }

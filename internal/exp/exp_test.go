@@ -12,6 +12,7 @@ import (
 	"themis/internal/collective"
 	"themis/internal/obs"
 	"themis/internal/rnic"
+	"themis/internal/sim"
 	"themis/internal/trace"
 	"themis/internal/workload"
 )
@@ -260,7 +261,7 @@ func TestShardRefusals(t *testing.T) {
 		{"Tracer", traced, Obs{FlightDir: t.TempDir()}},
 		{"DropEveryNData", lossy, Obs{}},
 		{"DistributedRouting", distributed, Obs{}},
-		{"LinkFail", LinkFailureScenario(3), Obs{}},
+		{"fault schedule", LinkFailureScenario(3), Obs{}},
 	} {
 		sc := c.sc
 		sc.Shards = 2
@@ -313,7 +314,7 @@ func TestLinkFailureScenarioCompletes(t *testing.T) {
 		t.Fatal("link failure never engaged the ECMP fallback (no bypassed packets)")
 	}
 	// LinkFail goes through the cluster's one fault path, so the trace (and a
-	// flight dump) shows the failure; its zero Repair means it never comes up.
+	// flight dump) shows the failure; its zero Duration means it never comes up.
 	if down, up := len(ring.ByOp(trace.FaultLinkDown)), len(ring.ByOp(trace.FaultLinkUp)); down != 1 || up != 0 {
 		t.Fatalf("fault-down/up events = %d/%d, want 1/0", down, up)
 	}
@@ -630,6 +631,27 @@ func TestWorkloadTable(t *testing.T) {
 	tr := run(Scenario{Workload: "nope", Seed: 3}, nil, nil, 1)
 	if tr.Name != "nope/seed3" || !strings.Contains(tr.Err, "unknown workload") {
 		t.Errorf("unknown workload: Name %q Err %q", tr.Name, tr.Err)
+	}
+}
+
+// A horizon that ends before the work does cuts the run, and a cut run is
+// never a success: every workload errors or — the audited ones, chaos,
+// convergence and churn — lists the transfers the horizon left unfinished,
+// although the drain after the horizon finishes them. Every committed trial
+// ends far inside its horizon, so this is the only place one is cut.
+func TestHorizonCutIsNeverSuccess(t *testing.T) {
+	for _, row := range workloads {
+		tr := Run(Scenario{
+			Workload: row.name, Seed: 3, Horizon: 5 * sim.Microsecond, MessageBytes: 256 << 10,
+			Leaves: 2, Spines: 2, HostsPerLeaf: 2,
+		})
+		cut := tr.Err != ""
+		for _, v := range tr.Violations {
+			cut = cut || strings.HasSuffix(v, " transfers never completed")
+		}
+		if !cut {
+			t.Errorf("%s: a 5 us horizon reported success (cct_ms %v, err %q, violations %q)", row.name, tr.CCTMillis, tr.Err, tr.Violations)
+		}
 	}
 }
 

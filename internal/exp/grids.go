@@ -160,7 +160,7 @@ func LinkFailureScenario(seed int64) Scenario {
 	sc.Name = fmt.Sprintf("link-failure/seed%d", seed)
 	sc.Groups = 1
 	sc.Themis.FallbackOnFailure = true
-	sc.LinkFail = &workload.LinkFault{Switch: 0, Port: 4, At: 20 * sim.Microsecond}
+	sc.LinkFail = []workload.Fault{{Kind: workload.LinkFlap, Sw: 0, Port: 4, At: 20 * sim.Microsecond}}
 	return sc
 }
 

@@ -15,13 +15,18 @@ var lowerings = map[Workload]any{
 	Chaos: Scenario.chaos, Churn: Scenario.churn, Convergence: Scenario.chaos, Spray: Scenario.spray,
 }
 
-// lowered returns the runner config sc's table row hands to its runner.
-func lowered(t *testing.T, sc Scenario) reflect.Value {
+// lowered returns what sc's table row hands to its runner: the runner config
+// first, then (collective) the fault schedule.
+func lowered(t *testing.T, sc Scenario) []any {
 	fn, ok := lowerings[sc.Workload]
 	if !ok {
 		t.Fatalf("no lowering listed for workload %q", sc.Workload)
 	}
-	return reflect.ValueOf(fn).Call([]reflect.Value{reflect.ValueOf(sc), reflect.ValueOf(sc.cluster())})[0]
+	var out []any
+	for _, v := range reflect.ValueOf(fn).Call([]reflect.Value{reflect.ValueOf(sc), reflect.ValueOf(sc.cluster())}) {
+		out = append(out, v.Interface())
+	}
+	return out
 }
 
 // setSentinel makes one leaf field non-zero.
@@ -35,6 +40,8 @@ func setSentinel(t *testing.T, v reflect.Value) {
 		v.SetBool(true)
 	case reflect.Ptr:
 		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
 	default:
 		t.Fatalf("setSentinel: unhandled kind %v", v.Kind())
 	}
@@ -94,13 +101,13 @@ func TestScenarioLoweringTotal(t *testing.T) {
 			sc := base
 			setSentinel(t, lf.get(&sc))
 			got, zero := lowered(t, sc), lowered(t, base)
-			if !reflect.DeepEqual(got.Interface(), zero.Interface()) {
+			if !reflect.DeepEqual(got, zero) {
 				reached++
 			}
 			if shape[lf.name] {
 				continue
 			}
-			cc := func(v reflect.Value) any { return v.FieldByName("ClusterConfig").Interface() }
+			cc := func(v []any) any { return reflect.ValueOf(v[0]).FieldByName("ClusterConfig").Interface() }
 			if reflect.DeepEqual(cc(got), cc(zero)) {
 				t.Errorf("Scenario.%s never reaches the %s workload's ClusterConfig: add it to Scenario.cluster()", lf.name, w)
 			}

@@ -66,10 +66,11 @@ type Scenario struct {
 	// itself — GOMAXPROCS for Run, GOMAXPROCS/Parallel for a Runner worker —
 	// or one when the cluster holds what shards cannot share
 	// (workload.ClusterConfig.ShardRefusal), which an explicit count above one
-	// makes an error. The other workloads have global drivers, always run on
-	// one engine and ignore it. Results are byte-identical for every value —
-	// the shard determinism regression enforces it — so like Runner.Parallel
-	// it is excluded from the serialized scenario and the BENCH artifacts.
+	// makes an error. The other workloads run on one engine and ignore it:
+	// churn because its closed loop is global, the rest by choice. Results
+	// are byte-identical for every value — the shard determinism regression
+	// enforces it — so like Runner.Parallel it is excluded from the
+	// serialized scenario and the BENCH artifacts.
 	Shards int `json:"-"`
 
 	// Experiment arms.
@@ -130,11 +131,11 @@ type Scenario struct {
 
 	// Declarative faults. DropEveryNData is a rule of the cluster's composed
 	// loss hook and holds on every workload, beside whatever schedule a chaos,
-	// convergence or churn trial generates from its seed; LinkFail is
-	// collective-only, as Faults above is churn-only. Both keep a trial on one
-	// shard (see Shards).
-	DropEveryNData int                 `json:"drop_every_n_data,omitempty"`
-	LinkFail       *workload.LinkFault `json:"link_fail,omitempty"`
+	// convergence or churn trial generates from its seed; LinkFail is a
+	// collective's fault schedule (§5.3's link failure is one LinkFlap), as
+	// Faults above is churn-only. Both keep a trial on one shard (see Shards).
+	DropEveryNData int              `json:"drop_every_n_data,omitempty"`
+	LinkFail       []workload.Fault `json:"link_fail,omitempty"`
 }
 
 // Label returns Name, or a derived "workload/arm/seed" identifier whose arm

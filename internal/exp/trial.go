@@ -122,7 +122,7 @@ func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry, cores int) Trial {
 		cc.Tracer, cc.Metrics = tr, reg
 		if cc.Shards == 0 {
 			cc.Shards = cores
-			if cc.ShardRefusal(sc.LinkFail != nil) != nil {
+			if cc.ShardRefusal(sc.LinkFail) != nil {
 				cc.Shards = 1
 			}
 		}

@@ -62,26 +62,16 @@ var workloads = []workloadRow{
 	{Motivation, func(s Scenario) string { return s.Transport.String() },
 		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
 			res, err := workload.RunMotivation(s.motivation(cc))
-			if err != nil {
-				return workload.Outcome{}, err
-			}
-			return res.Outcome, nil
+			return res.Outcome, err
 		}},
 	{Collective, func(s Scenario) string { return fmt.Sprintf("%v/%v/ti%v-td%v", s.Pattern, s.LB, s.TI, s.TD) },
 		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
 			res, err := workload.RunCollective(s.collective(cc))
-			if err != nil {
-				return workload.Outcome{}, err
-			}
-			return res.Outcome, nil
+			return res.Outcome, err
 		}},
 	{Incast, lbArm,
 		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
-			res, err := workload.RunIncast(s.incast(cc))
-			if err != nil {
-				return workload.Outcome{}, err
-			}
-			return res.Outcome, nil
+			return workload.RunIncast(s.incast(cc))
 		}},
 	{Chaos, nil,
 		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
@@ -90,10 +80,7 @@ var workloads = []workloadRow{
 	{Churn, lbArm,
 		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
 			res, err := workload.RunChurn(s.churn(cc))
-			if err != nil {
-				return workload.Outcome{}, err
-			}
-			return res.Outcome, nil
+			return res.Outcome, err
 		}},
 	{Convergence, func(s Scenario) string {
 		return fmt.Sprintf("%v/d%dus", s.LB, int64(s.ConvergenceDelay/sim.Microsecond))
@@ -110,10 +97,7 @@ var workloads = []workloadRow{
 	{Spray, lbArm,
 		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
 			res, err := workload.RunSpray(s.spray(cc))
-			if err != nil {
-				return workload.Outcome{}, err
-			}
-			return res.Outcome, nil
+			return res.Outcome, err
 		}},
 }
 
@@ -148,15 +132,15 @@ func ParseWorkload(s string) (Workload, error) {
 
 // The shape lowerings add only the workload's shape fields to cc.
 
-func (s Scenario) collective(cc workload.ClusterConfig) workload.CollectiveConfig {
+// collective also hands LinkFail to the runner as its fault schedule.
+func (s Scenario) collective(cc workload.ClusterConfig) (workload.CollectiveConfig, []workload.Fault) {
 	return workload.CollectiveConfig{
 		ClusterConfig: cc,
 		Pattern:       s.Pattern,
 		MessageBytes:  s.MessageBytes,
 		Groups:        s.Groups,
 		Horizon:       s.Horizon,
-		LinkFail:      s.LinkFail,
-	}
+	}, s.LinkFail
 }
 
 func (s Scenario) motivation(cc workload.ClusterConfig) workload.MotivationConfig {

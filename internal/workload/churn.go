@@ -76,18 +76,14 @@ func (c *ChurnConfig) resolve() {
 }
 
 // ChurnResult is the outcome of one churn run. Its Outcome holds the full
-// record: CCTMillis (End), GoodputGbps (total goodput bytes × 8 / End), the
-// peak table occupancy against the budget — TableBytesPeak <=
-// TableBudgetBytes (budget > 0) is checked continuously and lands in
-// Violations if ever broken — and all four counter blocks.
+// record: CCTMillis (the last flow's completion), GoodputGbps (total goodput
+// bytes × 8 / CCT), the peak table occupancy against the budget —
+// TableBytesPeak <= TableBudgetBytes (budget > 0) is checked continuously and
+// lands in Violations if ever broken — and all four counter blocks.
 type ChurnResult struct {
 	Outcome
-	// End is the virtual time the last flow completed.
-	End sim.Time
 	// Opened and Completed count flows; they are equal on a clean run.
 	Opened, Completed int
-	// MeanFCT is the mean flow completion time (open to last ack).
-	MeanFCT sim.Duration
 }
 
 // churnDriver holds the open-loop state: it keeps Concurrency flows in
@@ -96,9 +92,10 @@ type churnDriver struct {
 	cl  *Cluster
 	cfg ChurnConfig
 	rng *rand.Rand
+	// run holds a completion slot per flow: the i-th opened writes slot i.
+	run driver
 
 	opened, completed int
-	sumFCT            sim.Duration
 	maxTable          int
 	violations        []string
 }
@@ -120,6 +117,7 @@ func (d *churnDriver) openNext() {
 	if d.opened >= d.cfg.QPs {
 		return
 	}
+	i := d.opened
 	d.opened++
 	nHosts := d.cl.Topo.NumHosts()
 	src := packet.NodeID(d.rng.Intn(nHosts))
@@ -129,11 +127,10 @@ func (d *churnDriver) openNext() {
 		dst = packet.NodeID(d.rng.Intn(nHosts))
 	}
 	cn := d.cl.OpenFlow(src, dst)
-	start := d.cl.Engine.Now()
 	d.sampleOccupancy()
 	cn.Send(d.cfg.MessageBytes, func() {
+		d.run.finish(i, src)
 		d.completed++
-		d.sumFCT += d.cl.Engine.Now().Sub(start)
 		d.cl.CloseFlow(cn)
 		d.sampleOccupancy()
 		if d.completed == d.cfg.QPs {
@@ -174,31 +171,28 @@ func churnFaults(seed int64, tp *topo.Topology) []Fault {
 // Cluster.Audit (every flow completes, blocked NACKs are exactly the
 // middleware's deliberate verdicts, no armed compensation outlives the run,
 // …).
-func RunChurn(cfg ChurnConfig) (*ChurnResult, error) {
+func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	cfg.resolve()
 	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
-		return nil, err
+		return ChurnResult{}, err
 	}
+	var faults []Fault
 	if cfg.Faults {
-		cl.Inject(churnFaults(cfg.Seed, cl.Topo))
+		faults = churnFaults(cfg.Seed, cl.Topo)
 	}
 
-	d := &churnDriver{cl: cl, cfg: cfg, rng: cl.Engine.Rand()}
+	d := &churnDriver{cl: cl, cfg: cfg, rng: cl.Engine.Rand(), run: cl.newDriver(faults, cfg.QPs)}
 	for i := 0; i < cfg.Concurrency; i++ {
 		d.openNext()
 	}
-	end := cl.Run(cfg.Horizon)
-	cl.Engine.RunAll() // drain in-flight control traffic and timers
+	c := d.run.wait(cfg.Horizon)
 
-	res := &ChurnResult{Outcome: cl.Outcome(end), End: end, Opened: d.opened, Completed: d.completed}
+	res := ChurnResult{Outcome: cl.Outcome(c.End), Opened: d.opened, Completed: cfg.QPs - c.Unfinished}
 	res.TableBytesPeak, res.TableBudgetBytes = d.maxTable, cl.Config.ThemisCfg.TableBudgetBytes
-	if d.completed > 0 {
-		res.MeanFCT = d.sumFCT / sim.Duration(d.completed)
-	}
-	if sec := end.Seconds(); sec > 0 {
+	if sec := c.End.Seconds(); sec > 0 {
 		res.GoodputGbps = float64(res.Sender.GoodputBytes) * 8 / sec / 1e9
 	}
-	res.Violations = append(d.violations, cl.Audit(cfg.QPs-d.completed)...)
+	res.Violations = append(d.violations, cl.Audit(c.Unfinished)...)
 	return res, nil
 }

@@ -44,8 +44,9 @@ type ClusterConfig struct {
 	// is clipped to it). An execution knob, not an experiment arm: a result
 	// is byte-identical for every value (TestCollectiveShardInvariance,
 	// TestSprayShardInvariance). What shards would have to share is refused
-	// above one (ShardRefusal). The other runners have global drivers and
-	// build through BuildCluster, on one engine, whatever it says.
+	// above one (ShardRefusal). The other runners build through BuildCluster
+	// and run on one engine whatever it says: churn because its closed loop
+	// is global, the rest by choice.
 	Shards int
 
 	// Topology: leaf-spine unless FatTreeK > 0.
@@ -228,11 +229,11 @@ type Cluster struct {
 
 // streamKeyShardEngine is the sim.StreamSeed key namespace for per-shard
 // engine seeds. The fabric never draws from engine RNGs (switches use
-// identity-keyed streams, NICs are deterministic) and the one driver that
-// does — churn's arrival process — cannot be cut across shards, so beyond
-// shard 0 these seeds only matter if a future component forgets that rule:
-// distinct per-shard seeds make such a bug show up as shard-count-dependent
-// output instead of silently passing.
+// identity-keyed streams, NICs are deterministic) and the one component that
+// does — churn's arrival process — runs on one shard, so beyond shard 0 these
+// seeds only matter if a future component forgets that rule: distinct
+// per-shard seeds make such a bug show up as shard-count-dependent output
+// instead of silently passing.
 func streamKeyShardEngine(shard int) uint64 { return 0xE5<<56 | uint64(shard) }
 
 // shardRefusals is the one list of what a cluster cut across more than one
@@ -244,24 +245,23 @@ func streamKeyShardEngine(shard int) uint64 { return 0xE5<<56 | uint64(shard) }
 // at any count.
 var shardRefusals = []struct {
 	knob, why string
-	holds     func(c *ClusterConfig, faults bool) bool
+	holds     func(c *ClusterConfig, faults []Fault) bool
 }{
 	{"Tracer", "tracing: the trace ring, a flight recorder's included, is global mutable state",
-		func(c *ClusterConfig, _ bool) bool { return c.Tracer != nil }},
+		func(c *ClusterConfig, _ []Fault) bool { return c.Tracer != nil }},
 	{"DropEveryNData", "a shared loss hook couples shards",
-		func(c *ClusterConfig, _ bool) bool { return c.DropEveryNData > 0 }},
+		func(c *ClusterConfig, _ []Fault) bool { return c.DropEveryNData > 0 }},
 	{"DistributedRouting", "distributed routing: the plane is a global subsystem",
-		func(c *ClusterConfig, _ bool) bool { return c.DistributedRouting }},
-	{"LinkFail", "a fault schedule's link-state changes reach across the fabric",
-		func(_ *ClusterConfig, faults bool) bool { return faults }},
+		func(c *ClusterConfig, _ []Fault) bool { return c.DistributedRouting }},
+	{"a fault schedule", "its link-state changes reach across the fabric",
+		func(_ *ClusterConfig, faults []Fault) bool { return len(faults) > 0 }},
 }
 
 // ShardRefusal returns the error a cluster of c cut across more than one
 // shard is refused with — naming the first knob on the list whose state the
-// shards would have to share — or nil if it holds none. faults reports
-// whether the run injects a fault schedule (a collective's LinkFail: every
-// Cluster.Inject goes through the fabric's link state).
-func (c ClusterConfig) ShardRefusal(faults bool) error {
+// shards would have to share — or nil if it holds none. faults is the run's
+// fault schedule: every Cluster.Inject goes through the fabric's link state.
+func (c ClusterConfig) ShardRefusal(faults []Fault) error {
 	for _, r := range shardRefusals {
 		if r.holds(&c, faults) {
 			return fmt.Errorf("workload: %s is not supported on a cluster cut across shards (%s); run it on one shard", r.knob, r.why)
@@ -275,16 +275,16 @@ func (c ClusterConfig) ShardRefusal(faults bool) error {
 // several.
 func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 	cfg.Shards = 1
-	return buildCluster(cfg, false)
+	return buildCluster(cfg, nil)
 }
 
 // buildCluster is the one cluster builder: it cuts the racks across
 // cfg.Shards engines (0 means 1; a count above the rack count is clipped to
 // it, as exp.Runner clips its workers to the grid) with identity-keyed seeds
 // and a pool per shard, so a trial's results are byte-identical for every
-// count. What shards would have to share (ShardRefusal; faults as there) is
-// refused only when there really is more than one.
-func buildCluster(cfg ClusterConfig, faults bool) (*Cluster, error) {
+// count. What shards would have to share (ShardRefusal, with the run's fault
+// schedule) is refused only when there really is more than one.
+func buildCluster(cfg ClusterConfig, faults []Fault) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	a, err := cfg.LB.arm()
 	if err != nil {

@@ -24,22 +24,6 @@ type CollectiveConfig struct {
 	// Leaves. Defaults to HostsPerLeaf (every NIC participates).
 	Groups  int
 	Horizon sim.Duration // simulation cap (default 30 s)
-	// LinkFail, if non-nil, takes one switch port down mid-run (§5.3). A
-	// failure reaches across the fabric, so it runs on one shard only
-	// (ClusterConfig.ShardRefusal).
-	LinkFail *LinkFault
-}
-
-// LinkFault declaratively describes a single link failure: switch Switch's
-// port Port goes down at time At; a Repair after At brings it back up at that
-// time (zero: never repaired). RunCollective lowers it to a one-fault
-// schedule for Cluster.Inject and, unlike the fault-bearing soaks, runs no
-// audit.
-type LinkFault struct {
-	Switch int          `json:"switch"`
-	Port   int          `json:"port"`
-	At     sim.Duration `json:"at"`
-	Repair sim.Duration `json:"repair,omitempty"`
 }
 
 // resolve applies the collective defaults in place and enforces the
@@ -88,51 +72,40 @@ func GroupHosts(leaves, hostsPerLeaf, g int) []packet.NodeID {
 	return hosts
 }
 
-// RunCollective executes one Fig. 5 cell: all groups start the same
-// collective simultaneously; the result records per-group and tail CCT. The
-// racks are cut across cfg.Shards engines: a group finishes when its last
-// rank does, and each rank's finish is written by the rank's own callbacks on
-// its host's shard, so the cell runs to quiescence at any shard count without
-// a global stop.
-func RunCollective(cfg CollectiveConfig) (*CollectiveResult, error) {
+// RunCollective executes one Fig. 5 cell under a fault schedule (nil for the
+// paper's fault-free cells; §5.3's link failure is one LinkFlap): all groups
+// start the same collective simultaneously; the result records per-group and
+// tail CCT. The racks are cut across cfg.Shards engines: every rank is a
+// completion slot written by the rank's own callbacks on its host's shard, so
+// the cell runs to quiescence at any shard count without a global stop. A
+// fault schedule reaches across the fabric, so it runs on one shard only
+// (ClusterConfig.ShardRefusal).
+func RunCollective(cfg CollectiveConfig, faults []Fault) (CollectiveResult, error) {
 	cfg.resolve()
 	if cfg.Groups > cfg.HostsPerLeaf {
-		return nil, fmt.Errorf("workload: %d groups need at most HostsPerLeaf=%d", cfg.Groups, cfg.HostsPerLeaf)
+		return CollectiveResult{}, fmt.Errorf("workload: %d groups need at most HostsPerLeaf=%d", cfg.Groups, cfg.HostsPerLeaf)
 	}
-	cl, err := buildCluster(cfg.ClusterConfig, cfg.LinkFail != nil)
+	cl, err := buildCluster(cfg.ClusterConfig, faults)
 	if err != nil {
-		return nil, err
+		return CollectiveResult{}, err
 	}
-	if f := cfg.LinkFail; f != nil {
-		cl.Inject([]Fault{{Kind: LinkFlap, Sw: f.Switch, Port: f.Port, At: f.At, Duration: f.Repair - f.At}})
-	}
-
-	// finished[g][r] is when rank r of group g finished, -1 until it has.
-	finished := make([][]sim.Time, cfg.Groups)
-	for g := range finished {
+	// Rank r of group g is slot g*ranks+r.
+	ranks := cfg.Leaves
+	d := cl.newDriver(faults, cfg.Groups*ranks)
+	for g := 0; g < cfg.Groups; g++ {
 		hosts := GroupHosts(cfg.Leaves, cfg.HostsPerLeaf, g)
-		at := make([]sim.Time, len(hosts))
-		for r := range at {
-			at[r] = -1
-		}
-		finished[g] = at
-		collective.RunRanks(cfg.Pattern, cl.Mesh(hosts), len(hosts), cfg.MessageBytes, func(r int) {
-			at[r] = cl.hostEngine(hosts[r]).Now()
+		collective.RunRanks(cfg.Pattern, cl.Mesh(hosts), ranks, cfg.MessageBytes, func(r int) {
+			d.finish(g*ranks+r, hosts[r])
 		})
 	}
-	end := cl.Run(cfg.Horizon)
-
-	res := &CollectiveResult{GroupCCT: make([]sim.Time, cfg.Groups)}
-	for g, at := range finished {
-		for _, t := range at {
-			if t < 0 {
-				return nil, fmt.Errorf("workload: collective incomplete: group %d unfinished at %v (pattern=%v lb=%v)", g, end, cfg.Pattern, cfg.LB)
-			}
-		}
-		res.GroupCCT[g] = maxTime(at)
+	c := d.wait(cfg.Horizon)
+	if err := c.Err(fmt.Sprintf("collective %v/%v", cfg.Pattern, cfg.LB), "rank"); err != nil {
+		return CollectiveResult{}, err
 	}
-	cl.Run(sim.Duration(sim.Forever)) // drain what is scheduled past the horizon
-	res.TailCCT = maxTime(res.GroupCCT)
+	res := CollectiveResult{TailCCT: c.Last(), GroupCCT: make([]sim.Time, cfg.Groups)}
+	for g := range res.GroupCCT {
+		res.GroupCCT[g] = maxTime(c.At[g*ranks : (g+1)*ranks])
+	}
 	res.Outcome = cl.Outcome(res.TailCCT)
 	return res, nil
 }

@@ -21,12 +21,12 @@ import (
 // adaptive arm must draw reordering NACKs and Themis must block some, or the
 // claim would not reach the transport and the middleware.
 func TestCollectiveShardInvariance(t *testing.T) {
-	run := func(p collective.Pattern, lb LBMode, shards int) ([]byte, *CollectiveResult) {
+	run := func(p collective.Pattern, lb LBMode, shards int) ([]byte, CollectiveResult) {
 		cfg := smallCollective(p, lb, 3)
 		cfg.MessageBytes, cfg.Shards = 256<<10, shards
 		reg := obs.NewRegistry()
 		cfg.Metrics = reg
-		res, err := RunCollective(cfg)
+		res, err := RunCollective(cfg, nil)
 		if err != nil {
 			t.Fatalf("%v %v shards=%d: %v", p, lb, shards, err)
 		}
@@ -68,7 +68,7 @@ func TestShardGroupWorkAndSpan(t *testing.T) {
 	cfg := smallCollective(collective.RingAllreduce, Themis, 3)
 	cfg.Shards = 2
 	cfg.resolve()
-	cl, err := buildCluster(cfg.ClusterConfig, false)
+	cl, err := buildCluster(cfg.ClusterConfig, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +98,13 @@ func TestCollectiveLinkFailNeedsOneShard(t *testing.T) {
 	cfg := smallCollective(collective.RingAllreduce, Themis, 3)
 	cfg.MessageBytes, cfg.Groups = 256<<10, 1
 	cfg.ThemisCfg.FallbackOnFailure = true
-	cfg.LinkFail = &LinkFault{Switch: 0, Port: 4, At: 20 * sim.Microsecond}
+	faults := []Fault{{Kind: LinkFlap, Sw: 0, Port: 4, At: 20 * sim.Microsecond}}
 	cfg.Shards = 2
-	if _, err := RunCollective(cfg); err == nil || !strings.Contains(err.Error(), "LinkFail") {
-		t.Fatalf("LinkFail at 2 shards: err %v, want one naming LinkFail", err)
+	if _, err := RunCollective(cfg, faults); err == nil || !strings.Contains(err.Error(), "fault schedule") {
+		t.Fatalf("a link failure at 2 shards: err %v, want one naming the fault schedule", err)
 	}
 	cfg.Shards = 1
-	res, err := RunCollective(cfg)
+	res, err := RunCollective(cfg, faults)
 	if err != nil {
 		t.Fatal(err)
 	}

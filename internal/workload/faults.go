@@ -122,8 +122,9 @@ func (r *lossRule) matches(now sim.Time, pkt *packet.Packet, sw, port int) bool 
 // Inject schedules faults on the cluster's engine: the discrete ones (flaps,
 // reboots, drains, blackhole detection) as events, the rate-based ones as
 // rules of the cluster's loss hook. It is the one fault path — the chaos
-// generators, the churn mix and CollectiveConfig.LinkFail all lower to it —
-// and must be called before the simulation runs (fault times are absolute).
+// generators, the churn mix and exp's LinkFail all lower to it, and the
+// completion driver calls it — before the simulation runs (fault times are
+// absolute).
 // Every probabilistic drop draws from one stream seeded with Config.Seed, so
 // a seed replays its run exactly.
 func (cl *Cluster) Inject(faults []Fault) {

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"themis/internal/packet"
 	"themis/internal/sim"
 )
@@ -44,42 +42,24 @@ func (c *IncastConfig) resolve() {
 	}
 }
 
-// IncastResult carries the incast measurements. Its Outcome adds GoodputGbps
-// (receiver goodput over the completion time) to the cluster record.
-type IncastResult struct {
-	Outcome
-	CCT    sim.Time // when the last sender's message is acknowledged
-	Pauses uint64   // PFC pause frames sent by the destination ToR
-}
-
 // RunIncast places each sender on its own rack (Senders+1 leaves, one host
-// each) so every flow crosses the fabric, then blasts them all at host 0.
-func RunIncast(cfg IncastConfig) (*IncastResult, error) {
+// each) so every flow crosses the fabric, then blasts them all at host 0. The
+// record's GoodputGbps is the receiver's goodput over the completion time.
+func RunIncast(cfg IncastConfig) (Outcome, error) {
 	cfg.resolve()
 	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
-		return nil, err
+		return Outcome{}, err
 	}
-	res := &IncastResult{}
-	done := 0
-	for h := 1; h <= cfg.Senders; h++ {
-		cl.Conn(packet.NodeID(h), 0).Send(cfg.MessageBytes, func() {
-			done++
-			if cl.Engine.Now() > res.CCT {
-				res.CCT = cl.Engine.Now()
-			}
-			if done == cfg.Senders {
-				cl.Engine.Stop()
-			}
-		})
+	ts := make([]Transfer, cfg.Senders)
+	for i := range ts {
+		ts[i] = Transfer{Src: packet.NodeID(i + 1), Dst: 0, Bytes: cfg.MessageBytes}
 	}
-	end := cl.Run(cfg.Horizon)
-	cl.Engine.RunAll()
-	if done != cfg.Senders {
-		return nil, fmt.Errorf("workload: incast incomplete: %d/%d senders at %v", done, cfg.Senders, end)
+	c := cl.Drive(nil, ts, cfg.Horizon)
+	if err := c.Err("incast", "transfer"); err != nil {
+		return Outcome{}, err
 	}
-	res.Outcome = cl.Outcome(res.CCT)
-	res.GoodputGbps = float64(cfg.MessageBytes) * float64(cfg.Senders) * 8 / res.CCT.Seconds() / 1e9
-	res.Pauses, _ = cl.Net.PFCStats(cl.Topo.ToROf(0))
-	return res, nil
+	o := cl.Outcome(c.Last())
+	o.GoodputGbps = float64(cfg.MessageBytes) * float64(cfg.Senders) * 8 / c.Last().Seconds() / 1e9
+	return o, nil
 }

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"themis/internal/packet"
 	"themis/internal/sim"
 	"themis/internal/stats"
@@ -63,8 +61,6 @@ type MotivationResult struct {
 	RateGbps *stats.Series
 	// ThroughputGbps is each flow's goodput over its completion time.
 	ThroughputGbps []float64
-	// CompletionTime is when the last flow finished.
-	CompletionTime sim.Time
 }
 
 // MotivationFlows returns the ring flow pairs of Fig. 1a: two groups
@@ -82,83 +78,60 @@ func MotivationFlows() [][2]packet.NodeID {
 }
 
 // RunMotivation executes the Fig. 1 experiment and returns its measurements.
-func RunMotivation(cfg MotivationConfig) (*MotivationResult, error) {
+func RunMotivation(cfg MotivationConfig) (MotivationResult, error) {
 	cfg.resolve()
 	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
-		return nil, err
+		return MotivationResult{}, err
 	}
 
 	flows := MotivationFlows()
-	res := &MotivationResult{}
 	ratio := stats.NewRatioMeter("retransmission ratio (flow 0->2)", 100*sim.Microsecond)
 	rate := stats.NewSeries("rate Gbps (flow 0->2)")
 
-	remaining := len(flows)
-	completions := make([]sim.Time, len(flows))
-	conns := make([]*Conn, len(flows))
-	for i, f := range flows {
-		i := i
-		cn := cl.Conn(f[0], f[1])
-		conns[i] = cn
-		if i == 0 { // the observed flow: node 0 -> node 2
-			cn.Sender.OnSend = func(t sim.Time, _ packet.PSN, _ int, retrans bool) {
-				r := 0.0
-				if retrans {
-					r = 1
-				}
-				ratio.Observe(t, r, 1)
-			}
+	// The observed flow: node 0 -> node 2.
+	observed := cl.Conn(flows[0][0], flows[0][1]).Sender
+	observed.OnSend = func(t sim.Time, _ packet.PSN, _ int, retrans bool) {
+		r := 0.0
+		if retrans {
+			r = 1
 		}
-		cn.Send(cfg.MessageBytes, func() {
-			completions[i] = cl.Engine.Now()
-			remaining--
-			if remaining == 0 {
-				cl.Engine.Stop()
-			}
-		})
+		ratio.Observe(t, r, 1)
 	}
-
-	// Sample the observed flow's DCQCN rate (Fig. 1c).
+	// Sample the observed flow's DCQCN rate (Fig. 1c) until the last flow
+	// completes: the run is on one engine, so the flows count down locally.
 	sampler := sim.NewTicker(cl.Engine, 10*sim.Microsecond, func() {
-		rate.Add(cl.Engine.Now(), float64(conns[0].Sender.Rate())/1e9)
+		rate.Add(cl.Engine.Now(), float64(observed.Rate())/1e9)
 	})
-	sampler.Start()
-	end := cl.Run(cfg.Horizon)
-	sampler.Stop()
-	cl.Engine.RunAll() // drain remaining events (acks in flight, timers)
-
-	if remaining != 0 {
-		return nil, fmt.Errorf("workload: motivation run incomplete: %d flows unfinished at %v", remaining, end)
+	left := len(flows)
+	countdown := func() {
+		if left--; left == 0 {
+			sampler.Stop()
+		}
 	}
-
-	res.RetransSeries = ratio.Finish(completions[0])
-	res.RateGbps = rate
-	res.CompletionTime = maxTime(completions)
-	res.Outcome = cl.Outcome(res.CompletionTime)
+	ts := make([]Transfer, len(flows))
+	for i, f := range flows {
+		ts[i] = Transfer{Src: f[0], Dst: f[1], Bytes: cfg.MessageBytes, Done: countdown}
+	}
+	sampler.Start()
+	c := cl.Drive(nil, ts, cfg.Horizon)
+	if err := c.Err("motivation", "flow"); err != nil {
+		return MotivationResult{}, err
+	}
+	res := MotivationResult{Outcome: cl.Outcome(c.Last()), RetransSeries: ratio.Finish(c.At[0]), RateGbps: rate}
 	// Truncate the rate series to the observed flow's active period before
 	// averaging.
 	var active []float64
-	for _, s := range res.RateGbps.Samples {
-		if s.T <= completions[0] {
+	for _, s := range rate.Samples {
+		if s.T <= c.At[0] {
 			active = append(active, s.V)
 		}
 	}
 	res.AvgRateGbps = stats.Mean(active)
-	for i := range flows {
-		gbps := float64(conns[i].Sender.Stats().GoodputBytes) * 8 / completions[i].Seconds() / 1e9
+	for i, f := range flows {
+		gbps := float64(cl.Conn(f[0], f[1]).Sender.Stats().GoodputBytes) * 8 / c.At[i].Seconds() / 1e9
 		res.ThroughputGbps = append(res.ThroughputGbps, gbps)
 	}
 	res.GoodputGbps = stats.Mean(res.ThroughputGbps)
 	return res, nil
-}
-
-func maxTime(ts []sim.Time) sim.Time {
-	var m sim.Time
-	for _, t := range ts {
-		if t > m {
-			m = t
-		}
-	}
-	return m
 }

@@ -8,14 +8,15 @@ import (
 )
 
 // Outcome is the record every runner returns and the experiment harness
-// serializes: each runner result embeds it (the chaos harness returns it
-// bare) and fills it once where the run ends, and exp.Trial embeds the same
-// struct, so no layer copies it field by field. Fixed fields only — the JSON form must be
-// byte-identical across runs.
+// serializes: each runner result embeds it (incast and the chaos harness
+// return it bare) and fills it once where the run ends, and exp.Trial embeds
+// the same struct, so no layer copies it field by field. Fixed fields only —
+// the JSON form must be byte-identical across runs.
 type Outcome struct {
-	// CCTMillis is the completion time of the workload in milliseconds —
-	// tail-group CCT for collectives, last-flow completion for motivation
-	// and chaos, last-ack for incast.
+	// CCTMillis is when the workload's last unit of work completed, in
+	// milliseconds: the slowest group's last rank for collectives, the last
+	// transfer's acknowledgement for motivation, incast, spray, chaos and
+	// convergence, the last flow's for churn.
 	CCTMillis float64 `json:"cct_ms"`
 	// RetransRatio is retransmitted/total data packets over all flows.
 	RetransRatio float64 `json:"retrans_ratio"`

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"themis/internal/packet"
 	"themis/internal/sim"
 )
@@ -11,9 +9,8 @@ import (
 // host on a K-ary fat-tree sends one message to the host half the cluster
 // away (dst = (src + H/2) mod H), so all traffic crosses the core and every
 // shard carries an equal slice. Like RunCollective it cuts its cluster across
-// ClusterConfig.Shards engines; the other runners have global drivers (the
-// churn driver, chaos injectors, motivation's sampler) that cannot be cut
-// without changing their timing.
+// ClusterConfig.Shards engines: each transfer's completion slot is written on
+// its sender's shard, so nothing is shared.
 type SprayConfig struct {
 	// ClusterConfig carries the fabric, LB and NIC knobs and the shard
 	// count. Defaults: a k=4 fat-tree at 100 Gbps.
@@ -52,31 +49,22 @@ type SprayResult struct {
 }
 
 // RunSpray builds the partitioned fat-tree cluster and runs the permutation.
-func RunSpray(cfg SprayConfig) (*SprayResult, error) {
+func RunSpray(cfg SprayConfig) (SprayResult, error) {
 	cfg.resolve()
-	cl, err := buildCluster(cfg.ClusterConfig, false)
+	cl, err := buildCluster(cfg.ClusterConfig, nil)
 	if err != nil {
-		return nil, err
+		return SprayResult{}, err
 	}
 	hosts := cl.Topo.NumHosts()
-	res := &SprayResult{Complete: make([]sim.Time, hosts)}
-	for h := 0; h < hosts; h++ {
-		src, dst := packet.NodeID(h), packet.NodeID((h+hosts/2)%hosts)
-		// Each completion closure writes only its own slot on its own
-		// shard's engine — no cross-shard state, so no coordination needed.
-		eng := cl.hostEngine(src)
-		cl.OpenFlow(src, dst).Send(cfg.MessageBytes, func() { res.Complete[h] = eng.Now() })
+	ts := make([]Transfer, hosts)
+	for h := range ts {
+		ts[h] = Transfer{Src: packet.NodeID(h), Dst: packet.NodeID((h + hosts/2) % hosts), Bytes: cfg.MessageBytes}
 	}
-
-	res.End = cl.Run(cfg.Horizon)
-	for h, at := range res.Complete {
-		if at == 0 {
-			return nil, fmt.Errorf("workload: spray incomplete: host %d unfinished at %v", h, res.End)
-		}
-		if at > res.CCT {
-			res.CCT = at
-		}
+	c := cl.Drive(nil, ts, cfg.Horizon)
+	if err := c.Err("spray", "host"); err != nil {
+		return SprayResult{}, err
 	}
+	res := SprayResult{CCT: c.Last(), Complete: c.At, End: c.End}
 	res.Outcome = cl.Outcome(res.CCT)
 	return res, nil
 }

@@ -147,7 +147,7 @@ func TestRunMotivationSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CompletionTime <= 0 {
+	if res.CCTMillis <= 0 {
 		t.Fatal("no completion time")
 	}
 	if len(res.ThroughputGbps) != 8 {
@@ -200,7 +200,7 @@ func smallCollective(pattern collective.Pattern, lb LBMode, seed int64) Collecti
 
 func TestRunCollectiveAllreduceArms(t *testing.T) {
 	for _, arm := range Fig5Arms() {
-		res, err := RunCollective(smallCollective(collective.RingAllreduce, arm, 5))
+		res, err := RunCollective(smallCollective(collective.RingAllreduce, arm, 5), nil)
 		if err != nil {
 			t.Fatalf("%v: %v", arm, err)
 		}
@@ -219,7 +219,7 @@ func TestRunCollectiveAllreduceArms(t *testing.T) {
 }
 
 func TestRunCollectiveAlltoall(t *testing.T) {
-	res, err := RunCollective(smallCollective(collective.AllToAll, Themis, 5))
+	res, err := RunCollective(smallCollective(collective.AllToAll, Themis, 5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,11 @@ func TestRunCollectiveAlltoall(t *testing.T) {
 func TestRunCollectiveThemisBeatsAdaptive(t *testing.T) {
 	// The paper's headline comparison: Themis vs the direct combination of
 	// commodity RNICs and adaptive routing (§5).
-	themis, err := RunCollective(smallCollective(collective.RingAllreduce, Themis, 5))
+	themis, err := RunCollective(smallCollective(collective.RingAllreduce, Themis, 5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := RunCollective(smallCollective(collective.RingAllreduce, Adaptive, 5))
+	ar, err := RunCollective(smallCollective(collective.RingAllreduce, Adaptive, 5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +257,11 @@ func TestRunCollectiveThemisBeatsAdaptive(t *testing.T) {
 }
 
 func TestRunCollectiveDeterministic(t *testing.T) {
-	a, err := RunCollective(smallCollective(collective.RingAllreduce, Adaptive, 9))
+	a, err := RunCollective(smallCollective(collective.RingAllreduce, Adaptive, 9), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCollective(smallCollective(collective.RingAllreduce, Adaptive, 9))
+	b, err := RunCollective(smallCollective(collective.RingAllreduce, Adaptive, 9), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestRunCollectiveDeterministic(t *testing.T) {
 func TestRunCollectiveTooManyGroups(t *testing.T) {
 	cfg := smallCollective(collective.RingAllreduce, ECMP, 1)
 	cfg.Groups = 10
-	if _, err := RunCollective(cfg); err == nil {
+	if _, err := RunCollective(cfg, nil); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -446,7 +446,7 @@ func TestRunIncastLossless(t *testing.T) {
 	if res.Net.DataDrops != 0 {
 		t.Fatalf("PFC incast dropped %d", res.Net.DataDrops)
 	}
-	if res.CCT <= 0 {
+	if res.CCTMillis <= 0 {
 		t.Fatal("no CCT")
 	}
 	// 8 MB through a 100 Gbps bottleneck. The run is one big DCQCN
@@ -484,7 +484,7 @@ func TestRunIncastLossyVsLossless(t *testing.T) {
 	if lossy.Net.DataDrops == 0 {
 		t.Fatal("lossy fabric did not drop — regime mis-tuned")
 	}
-	if lossy.CCT <= lossless.CCT {
-		t.Fatalf("lossy %v <= lossless %v", lossy.CCT, lossless.CCT)
+	if lossy.CCTMillis <= lossless.CCTMillis {
+		t.Fatalf("lossy %v <= lossless %v ms", lossy.CCTMillis, lossless.CCTMillis)
 	}
 }
