@@ -4,36 +4,59 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
+	"strings"
 )
 
-// sinkNames lists the functions whose invocation order is order-sensitive
-// simulation state: scheduling on the event queue or posting to a shard
-// mailbox (every fabric-link delivery, serializer completion and pause frame
-// is one of the Arg/Pri forms or, across a shard boundary, a hand-off; an
-// elided completion reserves its place in the order and fills it later),
-// (re)arming timers, and appending to the trace ring. A function from which
-// any of these is reachable must not iterate maps (see MapOrder).
-func sinkNames(modPath string) map[string]bool {
-	return map[string]bool{
-		"(*" + modPath + "/internal/sim.Engine).At":             true,
-		"(*" + modPath + "/internal/sim.Engine).AtArg":          true,
-		"(*" + modPath + "/internal/sim.Engine).AtPri":          true,
-		"(*" + modPath + "/internal/sim.Engine).AtArgPri":       true,
-		"(*" + modPath + "/internal/sim.Engine).AtTurn":         true,
-		"(*" + modPath + "/internal/sim.Engine).Reserve":        true,
-		"(*" + modPath + "/internal/sim.Engine).Schedule":       true,
-		"(*" + modPath + "/internal/sim.Engine).ScheduleArg":    true,
-		"(*" + modPath + "/internal/sim.ShardGroup).Post":       true,
-		"(*" + modPath + "/internal/sim.ShardGroup).PostArg":    true,
-		"(*" + modPath + "/internal/sim.ShardGroup).Hand":       true,
-		"(*" + modPath + "/internal/sim.Timer).Reset":           true,
-		"(*" + modPath + "/internal/sim.Ticker).Start":          true,
-		"(*" + modPath + "/internal/trace.Tracer).Record":       true,
-		"(*" + modPath + "/internal/trace.Tracer).RecordPacket": true,
-		"(*" + modPath + "/internal/trace.Tracer).RecordFault":  true,
-		"(*" + modPath + "/internal/fabric.Network).Inject":     true,
+// sinkTable is the one list of sinks, spelled relative to the module path,
+// and each entry says which analyzer reads it. An ordered entry is a call
+// whose invocation order is simulation state: scheduling on the event queue
+// or posting to a shard mailbox (every fabric-link delivery, serializer
+// completion and pause frame is one of the Arg/Pri forms or, across a shard
+// boundary, a hand-off; an elided completion reserves its place in the order
+// and fills it later), (re)arming timers, and appending to the trace ring.
+// maporder forbids map iteration in any function that reaches one. A
+// category makes the call an ndtaint sink. The two columns are not the same
+// set: only maporder reads Ticker.Start and Network.Inject, and only ndtaint
+// reads the report, JSONL and FIB builders.
+var sinkTable = []struct {
+	recv     string // "(*internal/sim.Engine)" for methods, "internal/exp" for functions
+	names    []string
+	ordered  bool
+	category string
+}{
+	{"(*internal/sim.Engine)", []string{"At", "AtArg", "AtPri", "AtArgPri", "AtTurn", "Reserve", "Schedule", "ScheduleArg"}, true, "event scheduling"},
+	{"(*internal/sim.ShardGroup)", []string{"Post", "PostArg", "Hand"}, true, "event scheduling"},
+	{"(*internal/sim.Timer)", []string{"Reset"}, true, "event scheduling"},
+	{"(*internal/sim.Ticker)", []string{"Start"}, true, ""},
+	{"(*internal/fabric.Network)", []string{"Inject"}, true, ""},
+	{"(*internal/trace.Tracer)", []string{"Record", "RecordPacket", "RecordFault"}, true, "trace recording"},
+	{"internal/exp", []string{"NewReport"}, false, "report JSON encoding"},
+	{"(*internal/exp.Report)", []string{"JSON", "WriteFile"}, false, "report JSON encoding"},
+	{"internal/obs", []string{"NewDump", "WriteJSONL"}, false, "trace JSONL export"},
+	{"internal/route", []string{"recompute"}, false, "FIB construction"},
+	{"(*internal/route.Plane)", []string{"reconcile"}, false, "FIB construction"},
+}
+
+// sinks returns the sinkTable entries one analyzer reads, keyed by
+// types.Func.FullName: the ordered ones for maporder, the categorized ones
+// (with their category) for ndtaint.
+func sinks(modPath string, ordered bool) map[string]string {
+	m := make(map[string]string)
+	for _, s := range sinkTable {
+		if (ordered && !s.ordered) || (!ordered && s.category == "") {
+			continue
+		}
+		prefix := modPath + "/" + s.recv + "."
+		if rest, ok := strings.CutPrefix(s.recv, "(*"); ok {
+			prefix = "(*" + modPath + "/" + rest + "."
+		}
+		for _, n := range s.names {
+			m[prefix+n] = s.category
+		}
 	}
+	return m
 }
 
 // CallEdge is one statically-resolved call: Caller invokes Callee at Pos.
@@ -152,39 +175,71 @@ func BuildGraph(pkgs []*Package, modPath string) *Graph {
 	return g
 }
 
-// ReachingTo computes the reverse closure of the given sinks: every function
-// from which a sink is reachable through the static call graph.
-func (g *Graph) ReachingTo(sinks map[string]bool) map[string]bool {
-	rev := make(map[string][]string)
-	for _, edges := range g.Edges {
-		for _, e := range edges {
-			rev[e.Callee] = append(rev[e.Callee], e.Caller)
+// walk is the result of search: every node reached, in visiting order, and
+// for each node first reached through an edge, that edge and its source.
+type walk[N comparable, E any] struct {
+	seen   map[N]bool
+	order  []N
+	parent map[N]hop[N, E]
+}
+
+type hop[N comparable, E any] struct {
+	from N
+	edge E
+}
+
+// search is the one breadth-first search of the suite: from roots it follows
+// out and to, visits each node once, and records the edge that first reached
+// it. The map-order reach set, both hot sets and the taint solver all walk
+// through it.
+func search[N comparable, E any](roots []N, out func(N) []E, to func(E) N) *walk[N, E] {
+	w := &walk[N, E]{seen: make(map[N]bool), parent: make(map[N]hop[N, E])}
+	for _, r := range roots {
+		if !w.seen[r] {
+			w.seen[r] = true
+			w.order = append(w.order, r)
 		}
 	}
-	reach := make(map[string]bool)
-	var queue []string
-	for s := range sinks {
-		reach[s] = true
-		queue = append(queue, s)
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, caller := range rev[cur] {
-			if !reach[caller] {
-				reach[caller] = true
-				queue = append(queue, caller)
+	for i := 0; i < len(w.order); i++ {
+		cur := w.order[i]
+		for _, e := range out(cur) {
+			if n := to(e); !w.seen[n] {
+				w.seen[n] = true
+				w.parent[n] = hop[N, E]{from: cur, edge: e}
+				w.order = append(w.order, n)
 			}
 		}
 	}
-	return reach
+	return w
 }
 
-// BuildReach computes, over all loaded module packages, the set of functions
-// (keyed by types.Func.FullName) from which an event-queue or trace sink is
-// reachable through the static call graph.
-func BuildReach(pkgs []*Package, modPath string) map[string]bool {
-	return BuildGraph(pkgs, modPath).ReachingTo(sinkNames(modPath))
+// calls searches the call graph forward from roots, entering only the
+// callees keep accepts.
+func (g *Graph) calls(roots []string, keep func(fn string) bool) *walk[string, CallEdge] {
+	out := func(fn string) []CallEdge {
+		var kept []CallEdge
+		for _, e := range g.Edges[fn] {
+			if keep(e.Callee) {
+				kept = append(kept, e)
+			}
+		}
+		return kept
+	}
+	return search(roots, out, func(e CallEdge) string { return e.Callee })
+}
+
+// path rebuilds the chain that reached n: the root it started from and the
+// edges taken, root first.
+func (w *walk[N, E]) path(n N) (root N, edges []E) {
+	for {
+		h, ok := w.parent[n]
+		if !ok {
+			slices.Reverse(edges)
+			return n, edges
+		}
+		edges = append(edges, h.edge)
+		n = h.from
+	}
 }
 
 // calleeFunc resolves the statically-known callee of a call expression.

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/token"
 	"sort"
 	"strings"
 )
@@ -19,7 +21,8 @@ var Escapes = &Analyzer{
 	Run:  runEscapes,
 }
 
-// knownDirectives are the escape markers honored by the suite.
+// knownDirectives are the escape markers honored by the suite, and the only
+// ones escaped will match.
 var knownDirectives = map[string]bool{
 	"ordered":    true,
 	"hotpath-ok": true,
@@ -31,31 +34,77 @@ var knownDirectives = map[string]bool{
 func runEscapes(pass *Pass) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range pass.Pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				directive, just, ok := parseDirective(c.Text)
-				if !ok {
-					continue
-				}
-				if !knownDirectives[directive] {
-					diags = append(diags, Diagnostic{
-						Pos:     pass.Fset.Position(c.Pos()),
-						Rule:    "escapes",
-						Message: fmt.Sprintf("unknown lint directive //lint:%s suppresses nothing — known directives: %s", directive, knownDirectiveList()),
-					})
-					continue
-				}
-				if just == "" {
-					diags = append(diags, Diagnostic{
-						Pos:     pass.Fset.Position(c.Pos()),
-						Rule:    "escapes",
-						Message: fmt.Sprintf("bare //lint:%s escape without justification — state what was reviewed and why the suppression is sound", directive),
-					})
-				}
+		directives(f, func(c *ast.Comment, directive, just string) {
+			if !knownDirectives[directive] {
+				diags = append(diags, Diagnostic{
+					Pos:     pass.Fset.Position(c.Pos()),
+					Rule:    "escapes",
+					Message: fmt.Sprintf("unknown lint directive //lint:%s suppresses nothing — known directives: %s", directive, knownDirectiveList()),
+				})
+			} else if just == "" {
+				diags = append(diags, Diagnostic{
+					Pos:     pass.Fset.Position(c.Pos()),
+					Rule:    "escapes",
+					Message: fmt.Sprintf("bare //lint:%s escape without justification — state what was reviewed and why the suppression is sound", directive),
+				})
+			}
+		})
+	}
+	return diags
+}
+
+// srcLine is one line of one source file.
+type srcLine struct {
+	file string
+	line int
+}
+
+// escape is one known directive comment.
+type escape struct {
+	directive string
+	pos       token.Pos
+}
+
+// escaped is the one suppression rule of every analyzer: a finding at pos is
+// suppressed by a //lint:<directive> comment on its line or the line directly
+// above. Only comments parseDirective accepts count, so prose that mentions a
+// marker, or a longer directive that starts with one, suppresses nothing —
+// the same comments the escapes audit and -escapes see. Each escape applied
+// is recorded in prog.honored.
+func (prog *Program) escaped(pos token.Pos, directive string) bool {
+	if prog.escapes == nil {
+		prog.escapes = make(map[srcLine]escape)
+		prog.honored = make(map[token.Pos]bool)
+		for _, p := range prog.Pkgs {
+			for _, f := range p.Files {
+				directives(f, func(c *ast.Comment, directive, _ string) {
+					if knownDirectives[directive] {
+						at := prog.Fset.Position(c.Pos())
+						prog.escapes[srcLine{at.Filename, at.Line}] = escape{directive, c.Pos()}
+					}
+				})
 			}
 		}
 	}
-	return diags
+	at := prog.Fset.Position(pos)
+	for _, line := range []int{at.Line, at.Line - 1} {
+		if e, ok := prog.escapes[srcLine{at.Filename, line}]; ok && e.directive == directive {
+			prog.honored[e.pos] = true
+			return true
+		}
+	}
+	return false
+}
+
+// directives calls visit for every `//lint:` directive comment in f.
+func directives(f *ast.File, visit func(c *ast.Comment, directive, justification string)) {
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if directive, just, ok := parseDirective(c.Text); ok {
+				visit(c, directive, just)
+			}
+		}
+	}
 }
 
 // parseDirective recognizes `//lint:<directive> <justification>` comments.
@@ -100,36 +149,30 @@ type ActiveEscape struct {
 // ListEscapes loads the packages matched by patterns and returns every
 // active escape directive, in file/line order.
 func ListEscapes(modRoot string, patterns []string) ([]ActiveEscape, error) {
-	ldr, err := NewLoader(modRoot)
+	ldr, targets, err := load(modRoot, patterns)
 	if err != nil {
 		return nil, err
 	}
-	dirs, err := expandPatterns(modRoot, patterns)
-	if err != nil {
-		return nil, err
-	}
+	return activeEscapes(ldr.Fset, ldr.ModPath, targets), nil
+}
+
+// activeEscapes lists the known directives in the pkgs the escapes audit
+// covers.
+func activeEscapes(fset *token.FileSet, modPath string, pkgs []*Package) []ActiveEscape {
 	var out []ActiveEscape
-	for _, dir := range dirs {
-		p, err := ldr.LoadDir(dir)
-		if err != nil {
-			return nil, fmt.Errorf("lint: loading %s: %w", dir, err)
-		}
-		rel, ok := relPkgPath(ldr.ModPath, p.Path)
-		if !ok || rel == "internal/lint" || strings.HasPrefix(rel, "internal/lint/") {
+	for _, p := range pkgs {
+		rel, ok := relPkgPath(modPath, p.Path)
+		if !ok || !inScope(Escapes, rel) {
 			continue
 		}
 		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					directive, just, ok := parseDirective(c.Text)
-					if !ok || !knownDirectives[directive] {
-						continue
-					}
-					pos := ldr.Fset.Position(c.Pos())
+			directives(f, func(c *ast.Comment, directive, just string) {
+				if knownDirectives[directive] {
+					pos := fset.Position(c.Pos())
 					out = append(out, ActiveEscape{File: pos.Filename, Line: pos.Line, Directive: directive, Justification: just})
 				}
-			}
+			})
 		}
 	}
-	return out, nil
+	return out
 }

@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 )
 
 // wantRe extracts `// want "..."` (or `/* want "..." */`, for lines whose
@@ -87,11 +88,10 @@ func TestGolden(t *testing.T) {
 		pkgs[family] = pkg
 	}
 	prog := NewProgram(ldr.Fset, ldr.Packages(), ldr.ModPath)
-	reach := prog.Reach()
 	for _, family := range families {
 		t.Run(family, func(t *testing.T) {
 			dir := filepath.Join(modRoot, "internal", "lint", "testdata", "src", family)
-			pass := &Pass{Fset: ldr.Fset, Pkg: pkgs[family], Reach: reach, Prog: prog}
+			pass := &Pass{Fset: ldr.Fset, Pkg: pkgs[family], Prog: prog}
 			var got []Diagnostic
 			for _, a := range Analyzers {
 				got = append(got, a.Run(pass)...)
@@ -171,7 +171,7 @@ func TestRunCoversRoutePlane(t *testing.T) {
 	if _, err := ldr.LoadDir(filepath.Join(modRoot, "internal", "route")); err != nil {
 		t.Fatal(err)
 	}
-	reach := BuildReach(ldr.Packages(), ldr.ModPath)
+	reach := NewProgram(ldr.Fset, ldr.Packages(), ldr.ModPath).Reach()
 	routeReached := false
 	for fn, ok := range reach {
 		if ok && strings.Contains(fn, "/internal/route.") {
@@ -185,18 +185,28 @@ func TestRunCoversRoutePlane(t *testing.T) {
 }
 
 // TestRunCleanTree is the self-test that gates make verify from inside the
-// test suite as well: the repaired repository must lint clean.
+// test suite as well: the repaired repository must lint clean. The same run
+// keeps the full-suite wall time inside the CI budget: the suite runs on every
+// verify, so a quadratic regression in the loader or the taint solver must
+// fail loudly here rather than slowly rot the edit cycle. The 30 s ceiling is
+// ~7x the current cost on the CI runner class.
 func TestRunCleanTree(t *testing.T) {
 	modRoot, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
 	diags, err := Run(modRoot, []string{"internal/...", "cmd/..."})
+	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
 		t.Errorf("repository does not lint clean: %s", d)
+	}
+	// The budget is not meaningful under -short.
+	if !testing.Short() && elapsed > 30*time.Second {
+		t.Errorf("full lint suite took %v, over the 30s budget", elapsed)
 	}
 	if testing.Verbose() {
 		fmt.Printf("lint: clean over internal/... and cmd/...\n")

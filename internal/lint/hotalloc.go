@@ -69,118 +69,54 @@ func hotAllocRootNames(modPath string) []string {
 	}
 }
 
-// hotAllocEntryMethods are per-packet TorPipeline entry points matched by
-// method name on any receiver, like the hotpath analyzer's seeding: the
-// middleware contract is the interface, not one concrete type.
-var hotAllocEntryMethods = map[string]bool{
-	"SelectUplink":      true,
-	"OnDeliverToHost":   true,
-	"FilterHostControl": true,
-}
-
-// hotSet is the memoized forward closure of the hot roots, with the BFS
-// parent edges that reconstruct a root→function call chain for reporting.
-type hotSet struct {
-	in     map[string]bool
-	parent map[string]CallEdge // first edge by which a function was reached
-	roots  map[string]bool
-}
-
 // hotFuncs computes (once per Program) every function reachable from a
-// pinned zero-alloc root through the static call graph. Calls through plain
-// function values are not tracked, so a callback scheduled on the engine does
-// not drag its body into the hot set — its construction site does the
-// escaping, and that is what gets flagged.
-func (prog *Program) hotFuncs() *hotSet {
+// pinned zero-alloc root through the static call graph, with the parent
+// edges that rebuild a root→function chain for reporting. Calls through
+// plain function values are not tracked, so a callback scheduled on the
+// engine does not drag its body into the hot set — its construction site
+// does the escaping, and that is what gets flagged.
+func (prog *Program) hotFuncs() *walk[string, CallEdge] {
 	if prog.hot != nil {
 		return prog.hot
 	}
 	g := prog.Graph
+	// A //lint:alloc-ok on a function declaration marks a reviewed cold
+	// branch: the function is excluded from the hot set entirely, so neither
+	// its body nor its callees (via it) are scanned.
+	hot := func(name string) bool {
+		fi := g.Funcs[name]
+		return fi == nil || !prog.escaped(fi.Decl.Pos(), "alloc-ok")
+	}
 	roots := make(map[string]bool)
 	for _, r := range hotAllocRootNames(prog.ModPath) {
-		if g.Funcs[r] != nil {
+		if g.Funcs[r] != nil && hot(r) {
 			roots[r] = true
 		}
 	}
 	for _, name := range g.FuncNames {
 		fi := g.Funcs[name]
-		if fi.Decl.Recv != nil && hotAllocEntryMethods[fi.Fn.Name()] {
+		if fi.Decl.Recv != nil && torPipelineMethods[fi.Fn.Name()] && hot(name) {
 			roots[name] = true
 		}
 	}
-	// A //lint:alloc-ok on a function declaration marks a reviewed cold
-	// branch: the function is excluded from the hot set entirely, so neither
-	// its body nor its callees (via it) are scanned.
-	annCache := make(map[*ast.File]map[int]bool)
-	cold := func(name string) bool {
-		fi := g.Funcs[name]
-		if fi == nil {
-			return false
-		}
-		f := enclosingFile(fi.Pkg, fi.Decl.Pos())
-		if f == nil {
-			return false
-		}
-		ann, ok := annCache[f]
-		if !ok {
-			ann = annotatedLines(prog.Fset, f, "lint:alloc-ok")
-			annCache[f] = ann
-		}
-		line := prog.Fset.Position(fi.Decl.Pos()).Line
-		return ann[line] || ann[line-1]
-	}
-	hs := &hotSet{in: make(map[string]bool), parent: make(map[string]CallEdge), roots: roots}
-	var queue []string
-	for _, r := range sortedKeys(roots) {
-		if cold(r) {
-			continue
-		}
-		hs.in[r] = true
-		queue = append(queue, r)
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, e := range g.Edges[cur] {
-			if !hs.in[e.Callee] && !cold(e.Callee) {
-				hs.in[e.Callee] = true
-				hs.parent[e.Callee] = e
-				queue = append(queue, e.Callee)
-			}
-		}
-	}
-	prog.hot = hs
-	return hs
+	prog.hot = g.calls(sortedKeys(roots), hot)
+	return prog.hot
 }
 
 // HotFunctions exposes the hot set for the vacuity guards: the analyzer is
 // only meaningful while real packages actually sit on the pinned paths.
 func (prog *Program) HotFunctions() []string {
-	hs := prog.hotFuncs()
-	return sortedKeys(hs.in)
+	return sortedKeys(prog.hotFuncs().seen)
 }
 
-// pathTo renders the root→fn call chain recorded by the BFS parents.
-func (hs *hotSet) pathTo(prog *Program, fn string) []Step {
-	var chain []CallEdge
-	cur := fn
-	for !hs.roots[cur] {
-		e, ok := hs.parent[cur]
-		if !ok {
-			break
-		}
-		chain = append(chain, e)
-		cur = e.Caller
-	}
-	var steps []Step
-	if fi := prog.Graph.Funcs[cur]; fi != nil {
-		steps = append(steps, Step{
-			Pos:  prog.Fset.Position(fi.Decl.Pos()),
-			Note: "pinned zero-alloc root " + shortFuncName(prog.ModPath, cur),
-		})
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		e := chain[i]
+// hotPath renders the root→fn call chain the hot-set search recorded.
+func (prog *Program) hotPath(fn string) []Step {
+	root, chain := prog.hotFuncs().path(fn)
+	steps := []Step{{
+		Pos:  prog.Fset.Position(prog.Graph.Funcs[root].Decl.Pos()),
+		Note: "pinned zero-alloc root " + shortFuncName(prog.ModPath, root),
+	}}
+	for _, e := range chain {
 		steps = append(steps, Step{
 			Pos:  prog.Fset.Position(e.Pos),
 			Note: shortFuncName(prog.ModPath, e.Caller) + " calls " + shortFuncName(prog.ModPath, e.Callee),
@@ -196,7 +132,7 @@ func shortFuncName(modPath, full string) string {
 	return strings.ReplaceAll(full, modPath+"/", "")
 }
 
-func sortedKeys(m map[string]bool) []string {
+func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)
@@ -207,19 +143,16 @@ func sortedKeys(m map[string]bool) []string {
 
 func runHotAlloc(pass *Pass) []Diagnostic {
 	prog := pass.Prog
-	if prog == nil {
-		return nil
-	}
 	if prog.allocDiags == nil {
 		prog.allocDiags = make(map[string][]Diagnostic)
 		hs := prog.hotFuncs()
 		for _, name := range prog.Graph.FuncNames {
-			if !hs.in[name] {
+			if !hs.seen[name] {
 				continue
 			}
 			fi := prog.Graph.Funcs[name]
 			pkgPath := fi.Pkg.Path
-			diags := hotAllocScan(prog, hs, name, fi)
+			diags := hotAllocScan(prog, name, fi)
 			prog.allocDiags[pkgPath] = append(prog.allocDiags[pkgPath], diags...)
 		}
 	}
@@ -227,17 +160,11 @@ func runHotAlloc(pass *Pass) []Diagnostic {
 }
 
 // hotAllocScan flags the allocation sites inside one hot function body.
-func hotAllocScan(prog *Program, hs *hotSet, name string, fi *FuncInfo) []Diagnostic {
+func hotAllocScan(prog *Program, name string, fi *FuncInfo) []Diagnostic {
 	var diags []Diagnostic
 	info := fi.Pkg.Info
-	file := enclosingFile(fi.Pkg, fi.Decl.Pos())
-	var allowed map[int]bool
-	if file != nil {
-		allowed = annotatedLines(prog.Fset, file, "lint:alloc-ok")
-	}
 	report := func(pos token.Pos, what string) {
-		line := prog.Fset.Position(pos).Line
-		if allowed[line] || allowed[line-1] {
+		if prog.escaped(pos, "alloc-ok") {
 			return
 		}
 		diags = append(diags, Diagnostic{
@@ -245,7 +172,7 @@ func hotAllocScan(prog *Program, hs *hotSet, name string, fi *FuncInfo) []Diagno
 			Rule: "hotalloc",
 			Message: what + " in " + shortFuncName(prog.ModPath, name) +
 				", which is on a pinned zero-alloc hot path — hoist it, pool it, or justify with //lint:alloc-ok",
-			Path: append(hs.pathTo(prog, name), Step{Pos: prog.Fset.Position(pos), Note: what}),
+			Path: append(prog.hotPath(name), Step{Pos: prog.Fset.Position(pos), Note: what}),
 		})
 	}
 
@@ -377,14 +304,4 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	}
 	b, ok := info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == name
-}
-
-// enclosingFile returns the package file containing pos.
-func enclosingFile(p *Package, pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }

@@ -1,18 +1,16 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
-
-// hotEntryNames are the fabric.TorPipeline methods — the per-packet and
-// per-event entry points of the middleware. Work done there is paid on every
-// data packet, NACK, or link event the switch sees.
-var hotEntryNames = map[string]bool{
+// torPipelineMethods are the fabric.TorPipeline methods — the per-packet and
+// per-event entry points of the middleware — matched by method name on any
+// receiver: the middleware contract is the interface, not one concrete type.
+// hotpath seeds from all of them. hotalloc seeds from the per-packet ones
+// (true): link events are rare-path, and only per-packet work is held to the
+// zero-alloc bar.
+var torPipelineMethods = map[string]bool{
 	"SelectUplink":      true,
 	"OnDeliverToHost":   true,
 	"FilterHostControl": true,
-	"LinkStateChanged":  true,
+	"LinkStateChanged":  false,
 }
 
 // Hotpath flags full-map iteration in the middleware's packet hot path: any
@@ -30,97 +28,20 @@ var Hotpath = &Analyzer{
 }
 
 func runHotpath(pass *Pass) []Diagnostic {
-	// Same-package call edges and bodies, keyed by types.Func.FullName.
-	// Closures count toward their enclosing declaration, like in BuildReach:
-	// a callback built on the hot path still runs per packet.
-	edges := make(map[string][]string)
-	bodies := make(map[string]*ast.FuncDecl)
-	names := make(map[string]*types.Func)
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			from := fn.FullName()
-			bodies[from] = fd
-			names[from] = fn
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				callee := calleeFunc(pass.Pkg.Info, call)
-				if callee == nil || callee.Pkg() != pass.Pkg.Pkg {
-					return true
-				}
-				edges[from] = append(edges[from], callee.FullName())
-				return true
-			})
+	g := pass.Prog.Graph
+	var roots []string
+	for _, name := range g.FuncNames {
+		fi := g.Funcs[name]
+		if _, entry := torPipelineMethods[fi.Fn.Name()]; entry && fi.Pkg == pass.Pkg && fi.Decl.Recv != nil {
+			roots = append(roots, name)
 		}
 	}
-
-	// Forward BFS from the pipeline methods.
-	hot := make(map[string]bool)
-	var queue []string
-	for name, fn := range names {
-		if fd := bodies[name]; fd.Recv != nil && hotEntryNames[fn.Name()] {
-			hot[name] = true
-			queue = append(queue, name)
-		}
-	}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, callee := range edges[cur] {
-			if !hot[callee] {
-				hot[callee] = true
-				queue = append(queue, callee)
-			}
-		}
-	}
-
-	var diags []Diagnostic
-	for _, f := range pass.Pkg.Files {
-		allowed := annotatedLines(pass.Fset, f, "lint:hotpath-ok")
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok || !hot[fn.FullName()] {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				rs, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
-				}
-				tv, ok := pass.Pkg.Info.Types[rs.X]
-				if !ok {
-					return true
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				line := pass.Fset.Position(rs.For).Line
-				if allowed[line] || allowed[line-1] {
-					return true
-				}
-				diags = append(diags, Diagnostic{
-					Pos:  pass.Fset.Position(rs.For),
-					Rule: "hotpath",
-					Message: "map iteration in " + fn.Name() +
-						", which is reachable from a TorPipeline hot-path method; this is O(flows) per packet — keep incremental state instead or annotate //lint:hotpath-ok",
-				})
-				return true
-			})
-		}
-	}
-	return diags
+	// Closures count toward their enclosing declaration, as everywhere in the
+	// call graph: a callback built on the hot path still runs per packet.
+	hot := g.calls(roots, func(fn string) bool {
+		fi := g.Funcs[fn]
+		return fi != nil && fi.Pkg == pass.Pkg
+	})
+	return mapRanges(pass, "hotpath", "hotpath-ok", hot.seen,
+		", which is reachable from a TorPipeline hot-path method; this is O(flows) per packet — keep incremental state instead or annotate //lint:hotpath-ok")
 }

@@ -47,6 +47,12 @@
 //     paths (engine schedule, fabric forward, TorPipeline, counters) turn the
 //     AllocsPerRun benchmark guarantees into compile-time findings.
 //
+// The families share their machinery: one call graph (Program.Graph), one
+// breadth-first search with parent edges (search), one sink table
+// (sinkTable), one map-range rule (mapRanges, for map-order and hotpath) and
+// one suppression rule (Program.escaped) over the directives the escapes
+// audit parses.
+//
 // The driver (cmd/themis-lint) exits non-zero on findings so the suite gates
 // `make verify`; it also emits SARIF for CI annotation (-sarif) and lists
 // active escape hatches with -escapes. Analyzers are built on go/parser +
@@ -90,9 +96,6 @@ func (d Diagnostic) String() string {
 type Pass struct {
 	Fset *token.FileSet
 	Pkg  *Package
-	// Reach is the set of functions from which an event-queue or trace sink
-	// is reachable (used by the map-order analyzer; nil disables the check).
-	Reach map[string]bool
 	// Prog is the whole-module context shared by the interprocedural
 	// analyzers; they compute module-wide results once, memoized on Prog, and
 	// filter diagnostics down to Pkg.
@@ -119,10 +122,12 @@ type Program struct {
 	Graph   *Graph
 
 	reach          map[string]bool
-	hot            *hotSet
+	hot            *walk[string, CallEdge]
 	taintDiags     map[string][]Diagnostic // keyed by package path
 	taintSinkCalls map[string][]token.Pos  // sink category -> call sites seen
 	allocDiags     map[string][]Diagnostic
+	escapes        map[srcLine]escape // every known directive, by its line
+	honored        map[token.Pos]bool // the directives escaped has applied
 }
 
 // NewProgram builds the shared context over all loaded module packages.
@@ -135,10 +140,19 @@ func NewProgram(fset *token.FileSet, pkgs []*Package, modPath string) *Program {
 	}
 }
 
-// Reach memoizes the reverse closure of the event-queue/trace sinks.
+// Reach memoizes the reverse closure of the ordered sinks: every function
+// from which one is reachable through the static call graph.
 func (prog *Program) Reach() map[string]bool {
 	if prog.reach == nil {
-		prog.reach = prog.Graph.ReachingTo(sinkNames(prog.ModPath))
+		callers := make(map[string][]string)
+		for _, edges := range prog.Graph.Edges {
+			for _, e := range edges {
+				callers[e.Callee] = append(callers[e.Callee], e.Caller)
+			}
+		}
+		prog.reach = search(sortedKeys(sinks(prog.ModPath, true)),
+			func(fn string) []string { return callers[fn] },
+			func(caller string) string { return caller }).seen
 	}
 	return prog.reach
 }
@@ -148,40 +162,52 @@ func (prog *Program) Reach() map[string]bool {
 // sorted by position. Patterns are directories or `dir/...` wildcards, as the
 // go tool spells them; `testdata` trees are always skipped.
 func Run(modRoot string, patterns []string) ([]Diagnostic, error) {
-	ldr, err := NewLoader(modRoot)
+	ldr, targets, err := load(modRoot, patterns)
 	if err != nil {
 		return nil, err
 	}
+	return NewProgram(ldr.Fset, ldr.Packages(), ldr.ModPath).lint(targets), nil
+}
+
+// load parses and type-checks every package matched by patterns; the loader
+// also holds their module-internal dependencies.
+func load(modRoot string, patterns []string) (*Loader, []*Package, error) {
+	ldr, err := NewLoader(modRoot)
+	if err != nil {
+		return nil, nil, err
+	}
 	dirs, err := expandPatterns(modRoot, patterns)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var targets []*Package
 	for _, dir := range dirs {
 		p, err := ldr.LoadDir(dir)
 		if err != nil {
-			return nil, fmt.Errorf("lint: loading %s: %w", dir, err)
+			return nil, nil, fmt.Errorf("lint: loading %s: %w", dir, err)
 		}
 		targets = append(targets, p)
 	}
-	prog := NewProgram(ldr.Fset, ldr.Packages(), ldr.ModPath)
-	reach := prog.Reach()
+	return ldr, targets, nil
+}
+
+// lint runs every analyzer in scope over the target packages and returns the
+// findings sorted by position.
+func (prog *Program) lint(targets []*Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, p := range targets {
-		rel, ok := relPkgPath(ldr.ModPath, p.Path)
+		rel, ok := relPkgPath(prog.ModPath, p.Path)
 		if !ok {
 			continue
 		}
 		for _, a := range Analyzers {
-			if !inScope(a, rel) {
-				continue
+			if inScope(a, rel) {
+				diags = append(diags, a.Run(&Pass{Fset: prog.Fset, Pkg: p, Prog: prog})...)
 			}
-			pass := &Pass{Fset: ldr.Fset, Pkg: p, Reach: reach, Prog: prog}
-			diags = append(diags, a.Run(pass)...)
 		}
 	}
 	SortDiagnostics(diags)
-	return diags, nil
+	return diags
 }
 
 // SortDiagnostics orders findings by position, then rule, for stable output.

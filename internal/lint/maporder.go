@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 )
 
 // MapOrder flags `range` over a map inside any function from which an
@@ -20,40 +18,35 @@ var MapOrder = &Analyzer{
 }
 
 func runMapOrder(pass *Pass) []Diagnostic {
+	return mapRanges(pass, "maporder", "ordered", pass.Prog.Reach(),
+		", which reaches the event queue or trace ring; iterate sorted keys or annotate //lint:ordered")
+}
+
+// mapRanges is the map-range rule maporder and hotpath share: every `range`
+// over a map in a function of the pass package that selected holds is a
+// finding, unless the loop carries //lint:<directive>. The message names the
+// function, then says why.
+func mapRanges(pass *Pass, rule, directive string, selected map[string]bool, why string) []Diagnostic {
 	var diags []Diagnostic
 	for _, f := range pass.Pkg.Files {
-		ordered := annotatedLines(pass.Fset, f, "lint:ordered")
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
 			fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok || !pass.Reach[fn.FullName()] {
+			if !ok || !selected[fn.FullName()] {
 				continue
 			}
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				rs, ok := n.(*ast.RangeStmt)
-				if !ok {
-					return true
+				if ok && isMap(pass.Pkg.Info, rs.X) && !pass.Prog.escaped(rs.For, directive) {
+					diags = append(diags, Diagnostic{
+						Pos:     pass.Fset.Position(rs.For),
+						Rule:    rule,
+						Message: "map iteration in " + fn.Name() + why,
+					})
 				}
-				tv, ok := pass.Pkg.Info.Types[rs.X]
-				if !ok {
-					return true
-				}
-				if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-					return true
-				}
-				line := pass.Fset.Position(rs.For).Line
-				if ordered[line] || ordered[line-1] {
-					return true
-				}
-				diags = append(diags, Diagnostic{
-					Pos:  pass.Fset.Position(rs.For),
-					Rule: "maporder",
-					Message: "map iteration in " + fn.Name() +
-						", which reaches the event queue or trace ring; iterate sorted keys or annotate //lint:ordered",
-				})
 				return true
 			})
 		}
@@ -61,15 +54,12 @@ func runMapOrder(pass *Pass) []Diagnostic {
 	return diags
 }
 
-// annotatedLines collects the source lines carrying the given lint marker.
-func annotatedLines(fset *token.FileSet, f *ast.File, marker string) map[int]bool {
-	lines := make(map[int]bool)
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, marker) {
-				lines[fset.Position(c.Pos()).Line] = true
-			}
-		}
+// isMap reports whether the expression has a map type.
+func isMap(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
+	if !ok {
+		return false
 	}
-	return lines
+	_, m := tv.Type.Underlying().(*types.Map)
+	return m
 }

@@ -39,29 +39,6 @@ var NDTaint = &Analyzer{
 	Run:  runNDTaint,
 }
 
-// taintSinkNames maps fully-qualified function names to sink categories.
-func taintSinkNames(modPath string) map[string]string {
-	m := make(map[string]string)
-	for _, n := range []string{"At", "AtArg", "AtPri", "AtArgPri", "AtTurn", "Reserve", "Schedule", "ScheduleArg"} {
-		m["(*"+modPath+"/internal/sim.Engine)."+n] = "event scheduling"
-	}
-	for _, n := range []string{"Post", "PostArg", "Hand"} {
-		m["(*"+modPath+"/internal/sim.ShardGroup)."+n] = "event scheduling"
-	}
-	m["(*"+modPath+"/internal/sim.Timer).Reset"] = "event scheduling"
-	for _, n := range []string{"Record", "RecordPacket", "RecordFault"} {
-		m["(*"+modPath+"/internal/trace.Tracer)."+n] = "trace recording"
-	}
-	m[modPath+"/internal/exp.NewReport"] = "report JSON encoding"
-	m["(*"+modPath+"/internal/exp.Report).JSON"] = "report JSON encoding"
-	m["(*"+modPath+"/internal/exp.Report).WriteFile"] = "report JSON encoding"
-	m[modPath+"/internal/obs.NewDump"] = "trace JSONL export"
-	m[modPath+"/internal/obs.WriteJSONL"] = "trace JSONL export"
-	m[modPath+"/internal/route.recompute"] = "FIB construction"
-	m["(*"+modPath+"/internal/route.Plane).reconcile"] = "FIB construction"
-	return m
-}
-
 // tnode is one node of the taint-propagation graph. Comparable, so it keys
 // the adjacency and visited maps directly.
 type tnode struct {
@@ -91,18 +68,11 @@ type taintGraph struct {
 	// tainted or not, so tests can prove the sinks are non-vacuous.
 	sinkPkg   map[tnode]string
 	sinkCalls map[string][]token.Pos
-	// per-file escape annotations
-	ordered map[*ast.File]map[int]bool
-	taintOK map[*ast.File]map[int]bool
 }
 
 func runNDTaint(pass *Pass) []Diagnostic {
-	prog := pass.Prog
-	if prog == nil {
-		return nil
-	}
-	prog.taint()
-	return prog.taintDiags[pass.Pkg.Path]
+	pass.Prog.taint()
+	return pass.Prog.taintDiags[pass.Pkg.Path]
 }
 
 // taint builds the propagation graph and solves it once per Program.
@@ -112,18 +82,10 @@ func (prog *Program) taint() {
 	}
 	tg := &taintGraph{
 		prog:      prog,
-		sinks:     taintSinkNames(prog.ModPath),
+		sinks:     sinks(prog.ModPath, false),
 		out:       make(map[tnode][]tedge),
 		sinkPkg:   make(map[tnode]string),
 		sinkCalls: make(map[string][]token.Pos),
-		ordered:   make(map[*ast.File]map[int]bool),
-		taintOK:   make(map[*ast.File]map[int]bool),
-	}
-	for _, p := range prog.Pkgs {
-		for _, f := range p.Files {
-			tg.ordered[f] = annotatedLines(prog.Fset, f, "lint:ordered")
-			tg.taintOK[f] = annotatedLines(prog.Fset, f, "lint:taint-ok")
-		}
 	}
 	for _, p := range prog.Pkgs {
 		for _, f := range p.Files {
@@ -136,7 +98,7 @@ func (prog *Program) taint() {
 				if !ok {
 					continue
 				}
-				tg.walkFunc(p, f, fd, fn)
+				tg.walkFunc(p, fd, fn)
 			}
 		}
 	}
@@ -164,23 +126,14 @@ func (tg *taintGraph) sourceNode(pos token.Pos, desc string) tnode {
 	return n
 }
 
-// suppressed reports whether a source or sink on the given line carries one
-// of the accepted escape markers.
-func (tg *taintGraph) suppressed(f *ast.File, pos token.Pos, alsoOrdered bool) bool {
-	line := tg.prog.Fset.Position(pos).Line
-	if m := tg.taintOK[f]; m != nil && (m[line] || m[line-1]) {
-		return true
-	}
-	if alsoOrdered {
-		if m := tg.ordered[f]; m != nil && (m[line] || m[line-1]) {
-			return true
-		}
-	}
-	return false
+// suppressed reports whether a source or sink at pos carries a
+// //lint:taint-ok escape or, for the map-order sources, a //lint:ordered one.
+func (tg *taintGraph) suppressed(pos token.Pos, alsoOrdered bool) bool {
+	return tg.prog.escaped(pos, "taint-ok") || alsoOrdered && tg.prog.escaped(pos, "ordered")
 }
 
 // walkFunc adds the propagation edges contributed by one function body.
-func (tg *taintGraph) walkFunc(p *Package, f *ast.File, fd *ast.FuncDecl, fn *types.Func) {
+func (tg *taintGraph) walkFunc(p *Package, fd *ast.FuncDecl, fn *types.Func) {
 	caller := fn.FullName()
 	info := p.Info
 
@@ -223,9 +176,9 @@ func (tg *taintGraph) walkFunc(p *Package, f *ast.File, fd *ast.FuncDecl, fn *ty
 				}
 			}
 		case *ast.RangeStmt:
-			tg.walkRange(p, f, e)
+			tg.walkRange(p, e)
 		case *ast.SelectStmt:
-			tg.walkSelect(p, f, e)
+			tg.walkSelect(p, e)
 		case *ast.ReturnStmt:
 			for _, r := range e.Results {
 				for _, from := range tg.exprNodes(p, r) {
@@ -233,7 +186,7 @@ func (tg *taintGraph) walkFunc(p *Package, f *ast.File, fd *ast.FuncDecl, fn *ty
 				}
 			}
 		case *ast.CallExpr:
-			tg.walkCall(p, f, caller, e)
+			tg.walkCall(p, caller, e)
 		}
 		return true
 	})
@@ -322,12 +275,7 @@ func identObj(info *types.Info, id *ast.Ident) types.Object {
 
 // walkRange seeds map-iteration-order taint on the key/value variables and
 // propagates container taint for other range forms.
-func (tg *taintGraph) walkRange(p *Package, f *ast.File, rs *ast.RangeStmt) {
-	tv, ok := p.Info.Types[rs.X]
-	if !ok {
-		return
-	}
-	_, isMap := tv.Type.Underlying().(*types.Map)
+func (tg *taintGraph) walkRange(p *Package, rs *ast.RangeStmt) {
 	var dests []tnode
 	for _, ke := range []ast.Expr{rs.Key, rs.Value} {
 		if ke == nil {
@@ -339,7 +287,7 @@ func (tg *taintGraph) walkRange(p *Package, f *ast.File, rs *ast.RangeStmt) {
 			}
 		}
 	}
-	if isMap && !tg.suppressed(f, rs.For, true) {
+	if isMap(p.Info, rs.X) && !tg.suppressed(rs.For, true) {
 		src := tg.sourceNode(rs.For, "map iteration order")
 		for _, d := range dests {
 			tg.edge(src, d, rs.For, "observed in map-range order")
@@ -356,14 +304,14 @@ func (tg *taintGraph) walkRange(p *Package, f *ast.File, rs *ast.RangeStmt) {
 
 // walkSelect seeds scheduler-choice taint on variables bound by a select with
 // two or more communication cases.
-func (tg *taintGraph) walkSelect(p *Package, f *ast.File, ss *ast.SelectStmt) {
+func (tg *taintGraph) walkSelect(p *Package, ss *ast.SelectStmt) {
 	comms := 0
 	for _, c := range ss.Body.List {
 		if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
 			comms++
 		}
 	}
-	if comms < 2 || tg.suppressed(f, ss.Select, false) {
+	if comms < 2 || tg.suppressed(ss.Select, false) {
 		return
 	}
 	src := tg.sourceNode(ss.Select, "select with multiple ready cases")
@@ -387,11 +335,11 @@ func (tg *taintGraph) walkSelect(p *Package, f *ast.File, ss *ast.SelectStmt) {
 // walkCall binds arguments to parameters of every statically-resolved module
 // callee (interface calls fan out to each implementation), records sink call
 // sites, and seeds the sync.Map.Range source.
-func (tg *taintGraph) walkCall(p *Package, f *ast.File, caller string, call *ast.CallExpr) {
+func (tg *taintGraph) walkCall(p *Package, caller string, call *ast.CallExpr) {
 	// sync.Map.Range: iteration order taints the callback parameters.
 	if fn := calleeFunc(p.Info, call); fn != nil && fn.Name() == "Range" &&
 		fn.Pkg() != nil && fn.Pkg().Path() == "sync" && len(call.Args) == 1 {
-		if fl, ok := ast.Unparen(call.Args[0]).(*ast.FuncLit); ok && !tg.suppressed(f, call.Pos(), true) {
+		if fl, ok := ast.Unparen(call.Args[0]).(*ast.FuncLit); ok && !tg.suppressed(call.Pos(), true) {
 			src := tg.sourceNode(call.Pos(), "sync.Map.Range iteration order")
 			for _, field := range fl.Type.Params.List {
 				for _, name := range field.Names {
@@ -418,7 +366,7 @@ func (tg *taintGraph) walkCall(p *Package, f *ast.File, caller string, call *ast
 		callee := e.Callee
 		if cat, isSink := tg.sinks[callee]; isSink {
 			tg.sinkCalls[cat] = append(tg.sinkCalls[cat], call.Pos())
-			if !tg.suppressed(f, call.Pos(), false) {
+			if !tg.suppressed(call.Pos(), false) {
 				sink := tnode{kind: 'k', pos: call.Pos(), desc: cat}
 				tg.sinkPkg[sink] = p.Path
 				args := call.Args
@@ -541,8 +489,7 @@ func (tg *taintGraph) callNodes(p *Package, call *ast.CallExpr) []tnode {
 			out = tg.exprNodes(p, call.Args[0])
 			if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Kind() == types.Uintptr {
 				if at, ok := p.Info.Types[call.Args[0]]; ok && isAddrLike(at.Type) {
-					f := enclosingFile(p, call.Pos())
-					if f == nil || !tg.suppressed(f, call.Pos(), false) {
+					if !tg.suppressed(call.Pos(), false) {
 						out = append(out, tg.sourceNode(call.Pos(), "pointer→uintptr conversion"))
 					}
 				}
@@ -558,16 +505,14 @@ func (tg *taintGraph) callNodes(p *Package, call *ast.CallExpr) []tnode {
 		switch fn.Pkg().Path() {
 		case "time":
 			if forbiddenTime[fn.Name()] {
-				f := enclosingFile(p, call.Pos())
-				if f == nil || !tg.suppressed(f, call.Pos(), false) {
+				if !tg.suppressed(call.Pos(), false) {
 					return []tnode{tg.sourceNode(call.Pos(), "time."+fn.Name()+" (wall clock)")}
 				}
 				return nil
 			}
 		case "math/rand", "math/rand/v2":
 			if recvOf(fn) == nil && !allowedRand[fn.Name()] {
-				f := enclosingFile(p, call.Pos())
-				if f == nil || !tg.suppressed(f, call.Pos(), false) {
+				if !tg.suppressed(call.Pos(), false) {
 					return []tnode{tg.sourceNode(call.Pos(), "rand."+fn.Name()+" (process-global source)")}
 				}
 				return nil
@@ -613,59 +558,19 @@ func isAddrLike(t types.Type) bool {
 	return false
 }
 
-// solve runs BFS from every source and converts each reached sink node into
+// solve searches from every source and converts each reached sink node into
 // a diagnostic carrying the full propagation path.
 func (tg *taintGraph) solve() map[string][]Diagnostic {
-	type parentEdge struct {
-		from tnode
-		pos  token.Pos
-		note string
-	}
-	parent := make(map[tnode]parentEdge)
-	visited := make(map[tnode]bool)
-	var queue []tnode
-	for _, s := range tg.sources {
-		if !visited[s] {
-			visited[s] = true
-			queue = append(queue, s)
-		}
-	}
-	var reachedSinks []tnode
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.kind == 'k' {
-			reachedSinks = append(reachedSinks, cur)
-			continue // sinks have no out-edges
-		}
-		for _, e := range tg.out[cur] {
-			if !visited[e.to] {
-				visited[e.to] = true
-				parent[e.to] = parentEdge{from: cur, pos: e.pos, note: e.note}
-				queue = append(queue, e.to)
-			}
-		}
-	}
-
+	w := search(tg.sources, func(n tnode) []tedge { return tg.out[n] }, func(e tedge) tnode { return e.to })
 	diags := make(map[string][]Diagnostic)
-	for _, sink := range reachedSinks {
-		// Reconstruct source→sink steps from the BFS parents.
-		var rev []Step
-		cur := sink
-		src := sink
-		for {
-			pe, ok := parent[cur]
-			if !ok {
-				break
-			}
-			rev = append(rev, Step{Pos: tg.prog.Fset.Position(pe.pos), Note: pe.note})
-			cur = pe.from
-			src = cur
+	for _, sink := range w.order {
+		if sink.kind != 'k' {
+			continue
 		}
-		steps := make([]Step, 0, len(rev)+1)
-		steps = append(steps, Step{Pos: tg.prog.Fset.Position(src.pos), Note: "source: " + src.desc})
-		for i := len(rev) - 1; i >= 0; i-- {
-			steps = append(steps, rev[i])
+		src, edges := w.path(sink)
+		steps := []Step{{Pos: tg.prog.Fset.Position(src.pos), Note: "source: " + src.desc}}
+		for _, e := range edges {
+			steps = append(steps, Step{Pos: tg.prog.Fset.Position(e.pos), Note: e.note})
 		}
 		pkg := tg.sinkPkg[sink]
 		diags[pkg] = append(diags[pkg], Diagnostic{

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
+
+// realPatterns are the packages the vacuity guards analyze.
+var realPatterns = []string{"internal/...", "cmd/..."}
 
 // realProg loads the real module (internal/... and cmd/...) exactly once for
 // all vacuity-guard tests: the interprocedural results are memoized on the
@@ -17,18 +19,9 @@ var realProg = sync.OnceValues(func() (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	ldr, err := NewLoader(modRoot)
+	ldr, _, err := load(modRoot, realPatterns)
 	if err != nil {
 		return nil, err
-	}
-	dirs, err := expandPatterns(modRoot, []string{"internal/...", "cmd/..."})
-	if err != nil {
-		return nil, err
-	}
-	for _, dir := range dirs {
-		if _, err := ldr.LoadDir(dir); err != nil {
-			return nil, err
-		}
 	}
 	return NewProgram(ldr.Fset, ldr.Packages(), ldr.ModPath), nil
 })
@@ -187,97 +180,69 @@ func TestPurityScopeCoversArms(t *testing.T) {
 	}
 }
 
-// TestPurityAllowlistMatchesRunner proves the purity allowlist is not
-// vacuous: the one sanctioned concurrency site, exp.Runner.Run, must actually
-// be matched by purityAllowed against the real type object — a receiver-shape
-// or package-move drift would otherwise re-flag the worker pool (or worse,
-// allowlist nothing while the escape comments claim otherwise).
-func TestPurityAllowlistMatchesRunner(t *testing.T) {
+// TestPurityAllowlistMatches proves the purity allowlist is not vacuous:
+// each sanctioned concurrency site — exp.Runner.Run, the seed-sweep worker
+// pool, and sim.ShardGroup.Run, the space-parallel barrier coordinator — must
+// actually be matched by purityAllowed against the real type object. A
+// receiver-shape drift, a rename or a package move would otherwise re-flag the
+// site, or leave the allowlist entry dead while the comments claim otherwise.
+func TestPurityAllowlistMatches(t *testing.T) {
 	prog, err := realProg()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var run *types.Func
-	for _, p := range prog.Pkgs {
-		if p.Path != prog.ModPath+"/internal/exp" {
-			continue
-		}
-		obj := p.Pkg.Scope().Lookup("Runner")
-		if obj == nil {
-			t.Fatal("internal/exp no longer declares Runner")
-		}
-		named, ok := obj.Type().(*types.Named)
-		if !ok {
-			t.Fatalf("exp.Runner is %T, not a named type", obj.Type())
-		}
-		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); m.Name() == "Run" {
-				run = m
+	for _, c := range []struct{ name, pkg, typ string }{
+		{"Runner", "internal/exp", "Runner"},
+		{"ShardGroup", "internal/sim", "ShardGroup"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var run *types.Func
+			for _, p := range prog.Pkgs {
+				if p.Path != prog.ModPath+"/"+c.pkg {
+					continue
+				}
+				obj := p.Pkg.Scope().Lookup(c.typ)
+				if obj == nil {
+					t.Fatalf("%s no longer declares %s", c.pkg, c.typ)
+				}
+				named, ok := obj.Type().(*types.Named)
+				if !ok {
+					t.Fatalf("%s.%s is %T, not a named type", c.pkg, c.typ, obj.Type())
+				}
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Name() == "Run" {
+						run = m
+					}
+				}
 			}
-		}
-	}
-	if run == nil {
-		t.Fatal("exp.Runner.Run not found — the purity allowlist has nothing to allow")
-	}
-	if !purityAllowed(run, prog.ModPath) {
-		t.Errorf("purityAllowed rejects the real %s — the sanctioned worker pool would be flagged", run.FullName())
+			if run == nil {
+				t.Fatalf("%s.%s.Run not found — the purity allowlist has nothing to allow", c.pkg, c.typ)
+			}
+			if !purityAllowed(run, prog.ModPath) {
+				t.Errorf("purityAllowed rejects the real %s — the sanctioned site would be flagged", run.FullName())
+			}
+		})
 	}
 }
 
-// TestPurityAllowlistMatchesShardGroup is the same vacuity guard for the
-// second sanctioned concurrency site, sim.ShardGroup.Run (the space-parallel
-// barrier coordinator). If the symbol is renamed or moved, the allowlist
-// entry goes dead and this test fails before the stale escape comment can
-// mislead anyone.
-func TestPurityAllowlistMatchesShardGroup(t *testing.T) {
+// TestEveryEscapeIsHonored runs every analyzer over the real module and
+// requires each escape of the -escapes inventory to have suppressed a
+// finding. An escape that guards nothing claims a review for code that no
+// longer needs one; delete it.
+func TestEveryEscapeIsHonored(t *testing.T) {
 	prog, err := realProg()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var run *types.Func
-	for _, p := range prog.Pkgs {
-		if p.Path != prog.ModPath+"/internal/sim" {
-			continue
+	prog.lint(prog.Pkgs)
+	honored := make(map[srcLine]bool)
+	for pos := range prog.honored {
+		at := prog.Fset.Position(pos)
+		honored[srcLine{at.Filename, at.Line}] = true
+	}
+	for _, e := range activeEscapes(prog.Fset, prog.ModPath, prog.Pkgs) {
+		if !honored[srcLine{e.File, e.Line}] {
+			t.Errorf("%s:%d: //lint:%s suppresses nothing", e.File, e.Line, e.Directive)
 		}
-		obj := p.Pkg.Scope().Lookup("ShardGroup")
-		if obj == nil {
-			t.Fatal("internal/sim no longer declares ShardGroup")
-		}
-		named, ok := obj.Type().(*types.Named)
-		if !ok {
-			t.Fatalf("sim.ShardGroup is %T, not a named type", obj.Type())
-		}
-		for i := 0; i < named.NumMethods(); i++ {
-			if m := named.Method(i); m.Name() == "Run" {
-				run = m
-			}
-		}
-	}
-	if run == nil {
-		t.Fatal("sim.ShardGroup.Run not found — the purity allowlist has nothing to allow")
-	}
-	if !purityAllowed(run, prog.ModPath) {
-		t.Errorf("purityAllowed rejects the real %s — the sanctioned barrier coordinator would be flagged", run.FullName())
-	}
-}
-
-// TestSuiteWallBudget keeps the full-suite wall time inside the CI budget:
-// the suite runs on every verify, so a quadratic regression in the loader or
-// the taint solver must fail loudly here rather than slowly rot the edit
-// cycle. The 30 s ceiling is ~7x the current cost on the CI runner class.
-func TestSuiteWallBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wall-budget guard is not meaningful under -short")
-	}
-	modRoot, err := filepath.Abs("../..")
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := Run(modRoot, []string{"internal/...", "cmd/..."}); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Errorf("full lint suite took %v, over the 30s budget", elapsed)
 	}
 }

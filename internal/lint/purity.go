@@ -45,28 +45,22 @@ func purityAllowed(fn *types.Func, modPath string) bool {
 }
 
 func runPurity(pass *Pass) []Diagnostic {
-	modPath := pass.Pkg.Pkg.Path() // fallback when no Program is attached
-	if pass.Prog != nil {
-		modPath = pass.Prog.ModPath
-	}
 	var diags []Diagnostic
-	for _, f := range pass.Pkg.Files {
-		allowed := annotatedLines(pass.Fset, f, "lint:purity-ok")
-		report := func(pos token.Pos, what string) {
-			line := pass.Fset.Position(pos).Line
-			if allowed[line] || allowed[line-1] {
-				return
-			}
-			diags = append(diags, Diagnostic{
-				Pos:  pass.Fset.Position(pos),
-				Rule: "purity",
-				Message: what + " in the deterministic core; the event loop is the only scheduler" +
-					" (sharding assumes a goroutine-free single-shard engine) — justify with //lint:purity-ok if truly unavoidable",
-			})
+	report := func(pos token.Pos, what string) {
+		if pass.Prog.escaped(pos, "purity-ok") {
+			return
 		}
+		diags = append(diags, Diagnostic{
+			Pos:  pass.Fset.Position(pos),
+			Rule: "purity",
+			Message: what + " in the deterministic core; the event loop is the only scheduler" +
+				" (sharding assumes a goroutine-free single-shard engine) — justify with //lint:purity-ok if truly unavoidable",
+		})
+	}
+	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok {
-				if fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func); purityAllowed(fn, modPath) {
+				if fn, _ := pass.Pkg.Info.Defs[fd.Name].(*types.Func); purityAllowed(fn, pass.Prog.ModPath) {
 					continue
 				}
 			}

@@ -97,3 +97,22 @@ func (n *node) slices(xs []int) {
 	}
 	n.fire()
 }
+
+// laterMarker: a longer directive that starts with the marker is not the
+// marker — the audit calls it unknown, so it suppresses nothing here either.
+func (n *node) laterMarker(m map[int]int) {
+	/* want "unknown lint directive //lint:ordered-later suppresses nothing" */ //lint:ordered-later justified elsewhere
+	for k := range m { // want "map iteration in laterMarker, which reaches the event queue"
+		_ = k
+		n.fire()
+	}
+}
+
+// prose: a comment that mentions the marker is not a directive.
+func (n *node) prose(m map[int]int) {
+	// NOT lint:ordered safe
+	for k := range m { // want "map iteration in prose, which reaches the event queue"
+		_ = k
+		n.fire()
+	}
+}
