@@ -141,10 +141,9 @@ bench:
 # (entropy-cache / congestion-aware / relearn / ecmp / flowlet arms across
 # chaos, churn and convergence), emitting the BENCH_smoke.json,
 # BENCH_churn.json, BENCH_convergence.json, BENCH_spray.json and
-# BENCH_reps.json artifacts. Tier-1 already holds the artifact-level gates:
+# BENCH_reps.json artifacts. Tier-1 already holds the artifact-level gate:
 # TestCommittedArtifactsReproduce regenerates the same five grids and compares
-# them to the committed files, and TestGridSchedulerEquivalence re-runs them on
-# the binary-heap differential oracle. CI follows this target with
+# them to the committed files. CI follows this target with
 # `git diff --exit-code -- 'BENCH_*.json'`.
 # Gated by themis-lint so a lint regression fails before any simulation time
 # is spent.
@@ -162,9 +161,11 @@ bench-smoke: lint
 # ~40 s on two cores. `sweep` exits non-zero on a trial that errored or
 # violated an invariant (its VIOLATION lines name the seed), so the target
 # fails on any. The two grids whose trials can be cut across shards — smoke
-# (its collective cells) and spray — run twice, at one shard and cut across
-# two, and each pair of reports must be the same bytes: shard invariance over
-# seeds 1..80, not only at the seed the tests pin.
+# (its collective cells) and spray — run three times, at one shard and cut
+# across two and four, and the cut reports must be the same bytes as the
+# one-shard one: shard invariance over seeds 1..80, not only at the seed the
+# tests pin. Four shards on two cores is the oversubscribed case, and it gives
+# the mailbox banks twelve (source, destination) pairs instead of two.
 # It exists because the one finding it has produced (reps/chaos/themis-relearn
 # seed 123: an armed compensation surviving a §6 bypass window) was invisible
 # to the 2-seed artifacts and the 50-seed tests. Too slow for `make verify`;
@@ -179,7 +180,9 @@ soak:
 	for g in smoke spray; do \
 		$(SOAK) -grid $$g -seeds 80 -shards 1 -json $$tmp/$$g-1.json && \
 		$(SOAK) -grid $$g -seeds 80 -shards 2 -json $$tmp/$$g-2.json && \
-		cmp $$tmp/$$g-1.json $$tmp/$$g-2.json || exit 1; \
+		$(SOAK) -grid $$g -seeds 80 -shards 4 -json $$tmp/$$g-4.json && \
+		cmp $$tmp/$$g-1.json $$tmp/$$g-2.json && \
+		cmp $$tmp/$$g-1.json $$tmp/$$g-4.json || exit 1; \
 	done
 
 # bench-shard measures the space-parallel engine's scaling: the k=8 fat-tree

@@ -463,6 +463,9 @@ func runTrace(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *last < 0 {
+		return fmt.Errorf("trace: -last %d is negative", *last)
+	}
 	tr := trace.New(1 << 16)
 	cl, err := workload.BuildCluster(workload.ClusterConfig{
 		Seed: 42, Leaves: 2, Spines: 2, HostsPerLeaf: 4, Bandwidth: 100e9,

@@ -81,6 +81,26 @@ func TestSweepRejectsNonPositiveSeeds(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeFlagsFail: a flag value outside its range is an error naming
+// it — a non-zero exit — never a silent fallback, a vacuous success or a panic
+// outside any trial.
+func TestOutOfRangeFlagsFail(t *testing.T) {
+	for _, c := range []struct {
+		run  func([]string) error
+		args []string
+		want string
+	}{
+		{runScenario, []string{"-workload", "collective", "-shards", "-3", "-leaves", "2", "-spines", "2", "-hosts", "2", "-bytes", "4096"}, "Shards"},
+		{runScenario, []string{"-workload", "collective", "-leaves", "1", "-spines", "2", "-hosts", "4", "-bytes", "4096"}, "Leaves"},
+		{runTrace, []string{"-last", "-1"}, "-last"},
+		{runMotivation, []string{"-bytes", "-1"}, "MessageBytes"},
+	} {
+		if err := c.run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v returned %v, want an error naming %s", c.args, err, c.want)
+		}
+	}
+}
+
 // TestTraceExportInspectRoundTrip drives trace -json and then inspect on the
 // resulting dump — the full offline-debugging loop.
 func TestTraceExportInspectRoundTrip(t *testing.T) {

@@ -49,10 +49,10 @@ func hotAllocRootNames(modPath string) []string {
 		"(*" + modPath + "/internal/sim.Engine).Schedule",
 		"(*" + modPath + "/internal/sim.Engine).ScheduleArg",
 		"(*" + modPath + "/internal/sim.Engine).Cancel",
-		// Run/AdvanceTo pin the pop side of the scheduler: step, the wheel's
-		// pop/refill/cascade machinery and the heap oracle are all reachable
-		// from here, so slot-migration or run-heap maintenance growing an
-		// allocation fails the lint before it shows up in a benchmark.
+		// Run/AdvanceTo pin the pop side of the scheduler: step and the
+		// wheel's pop/refill/cascade machinery are reachable from here, so
+		// slot-migration or run-heap maintenance growing an allocation fails
+		// the lint before it shows up in a benchmark.
 		"(*" + modPath + "/internal/sim.Engine).Run",
 		"(*" + modPath + "/internal/sim.Engine).AdvanceTo",
 		// The sender re-arms its RTO on every cumulative ACK and DCQCN its α

@@ -29,10 +29,11 @@ var Purity = &Analyzer{
 //     mutable state and the output slice is index-addressed, so the report
 //     stays independent of scheduling.
 //   - sim.ShardGroup.Run — the space-parallel shard coordinator: every
-//     goroutine, channel and barrier lives lexically inside this one method
+//     goroutine, atomic and barrier lives lexically inside this one method
 //     (the analyzer skips whole function declarations, so that lexical
 //     containment is load-bearing), shards own disjoint state during an
-//     epoch, and cross-shard mail drains in a deterministic sorted order.
+//     epoch — mail is posted into one bank and drained from the other — and
+//     cross-shard mail drains in a deterministic (source, post) order.
 func purityAllowed(fn *types.Func, modPath string) bool {
 	if fn == nil {
 		return false

@@ -27,12 +27,12 @@ type Event struct {
 	// ShardGroup).
 	pri uint64
 	seq uint64 // tie-breaker: FIFO among same-(time, pri) events
-	// index is the event's position in the run/event heap when >= 0, or one
+	// index is the event's position in the wheel's run heap when >= 0, or one
 	// of the idx* sentinels (wheel.go): idxDead once popped or cancelled,
 	// idxWheel/idxOverflow while intrusively linked in the timing wheel.
 	index int
 	// next/prev are the intrusive links of the wheel's slot and overflow
-	// lists; nil while the event is heap-resident or dead.
+	// lists; nil while the event is in the run heap or dead.
 	next, prev *Event
 	loc        int32 // packed wheel level/slot while index == idxWheel
 	fn         func()
@@ -53,53 +53,17 @@ func (e *Event) Cancelled() bool { return e.cancelled }
 // not mark it cancelled.
 func (e *Event) Fired() bool { return e.fired }
 
-// Scheduler selects the engine's event-queue backend.
-type Scheduler uint8
-
-const (
-	// SchedulerWheel is the default: the hierarchical timing wheel
-	// (wheel.go) with O(1) schedule/cancel.
-	SchedulerWheel Scheduler = iota
-	// SchedulerHeap is the original container/heap queue (heap.go), kept as
-	// the differential-testing oracle. Both backends realize the identical
-	// (time, pri, seq) total order and identical Metrics.
-	SchedulerHeap
-)
-
-func (s Scheduler) String() string {
-	if s == SchedulerHeap {
-		return "heap"
-	}
-	return "wheel"
-}
-
-// defaultScheduler is what NewEngine uses. It is a package variable rather
-// than a constructor parameter because engines are built deep inside
-// workloads; the differential tests flip it for a whole run via
-// SetDefaultScheduler. Not synchronized: set it before
-// any concurrent engine construction (the exp.Runner workers only read it).
-var defaultScheduler = SchedulerWheel
-
-// SetDefaultScheduler selects the backend NewEngine uses and returns the
-// previous choice so callers can restore it.
-func SetDefaultScheduler(s Scheduler) Scheduler {
-	prev := defaultScheduler
-	defaultScheduler = s
-	return prev
-}
-
 // Metrics is the engine's hot-path counter block. Trial records surface it so
 // sweeps can report how much scheduling work a scenario did and how effective
 // event recycling was.
 //
-// The block is part of the determinism contract: both scheduler backends must
-// produce bit-identical counters for the same op sequence (asserted by
-// TestEngineMetricsBackendIdentity and the fuzz harness). The two event
-// counters are serialized into Trial records and thus into the committed
-// BENCH artifacts; the three allocator counters describe how the event set
-// was cut across a ShardGroup's engines as much as the simulation, so they are
-// read in-process only (json:"-") and a record is the same bytes at every
-// shard count.
+// The block is part of the determinism contract: the test-only heap model
+// computes every counter itself for the same op sequence, and the fuzz
+// harness holds the engine to it (wheel_test.go). The two event counters are
+// serialized into Trial records and thus into the committed BENCH artifacts;
+// the three allocator counters describe how the event set was cut across a
+// ShardGroup's engines as much as the simulation, so they are read in-process
+// only (json:"-") and a record is the same bytes at every shard count.
 type Metrics struct {
 	// EventsExecuted is the total number of events whose callbacks ran.
 	EventsExecuted uint64
@@ -111,7 +75,7 @@ type Metrics struct {
 	// list — allocations avoided by recycling popped and cancelled events.
 	EventReuses uint64 `json:"-"`
 	// HeapHighWater is the maximum number of simultaneously pending events
-	// observed, whichever backend queues them.
+	// observed.
 	HeapHighWater int `json:"-"`
 }
 
@@ -136,10 +100,8 @@ type Engine struct {
 	// curPri/curSeq complete (with now) the key of the event being executed,
 	// or last executed: what Passed compares a reserved Turn against.
 	curPri, curSeq uint64
-	sched          Scheduler
-	wheel          wheel     // timing-wheel backend (SchedulerWheel)
-	heapq          eventHeap // heap backend (SchedulerHeap)
-	pending        int       // events queued across whichever backend is active
+	wheel          wheel // the event queue (wheel.go)
+	pending        int   // events queued
 	nextSeq        uint64
 	seed           int64
 	rng            *rand.Rand
@@ -152,17 +114,10 @@ type Engine struct {
 	metrics Metrics
 }
 
-// NewEngine returns an engine with its clock at zero, a deterministic random
-// source seeded with seed, and the default scheduler backend.
+// NewEngine returns an engine with its clock at zero and a deterministic
+// random source seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return NewEngineWithScheduler(seed, defaultScheduler)
-}
-
-// NewEngineWithScheduler returns an engine on an explicit queue backend —
-// the hook the differential tests use to run one workload on both backends
-// without touching the global default.
-func NewEngineWithScheduler(seed int64, s Scheduler) *Engine {
-	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed)), sched: s}
+	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Seed returns the seed the engine was constructed with: what a component
@@ -264,11 +219,7 @@ func (e *Engine) insert(t Time, seq uint64, ev *Event) {
 	}
 	ev.time = t
 	ev.seq = seq
-	if e.sched == SchedulerHeap {
-		e.heapPush(ev)
-	} else {
-		e.wheel.add(ev)
-	}
+	e.wheel.add(ev)
 	e.pending++
 	if e.pending > e.metrics.HeapHighWater {
 		e.metrics.HeapHighWater = e.pending
@@ -346,11 +297,7 @@ func (e *Engine) Cancel(ev *Event) bool {
 		return false
 	}
 	ev.cancelled = true
-	if e.sched == SchedulerHeap {
-		e.heapRemove(ev)
-	} else {
-		e.wheel.remove(ev)
-	}
+	e.wheel.remove(ev)
 	ev.index = idxDead
 	e.pending--
 	e.metrics.EventsCancelled++
@@ -370,28 +317,15 @@ func (e *Engine) Stop() { e.stopped = true }
 // turn one shard's Stop into a group-wide halt.
 func (e *Engine) Stopped() bool { return e.stopped }
 
-// head returns the earliest pending event without removing it, or nil. On
-// the wheel backend this may repartition pending events (load the next due
-// slot into the run heap); it never executes anything.
-func (e *Engine) head() *Event {
-	if e.sched == SchedulerHeap {
-		if len(e.heapq) == 0 {
-			return nil
-		}
-		return e.heapq[0]
-	}
-	return e.wheel.peek()
-}
+// head returns the earliest pending event without removing it, or nil. It
+// may repartition pending events (load the next due slot into the wheel's
+// run heap); it never executes anything.
+func (e *Engine) head() *Event { return e.wheel.peek() }
 
 // step pops and executes the head event. Callers have checked (via head)
 // that an event is pending within their time bound.
 func (e *Engine) step() {
-	var ev *Event
-	if e.sched == SchedulerHeap {
-		ev = e.heapPop()
-	} else {
-		ev = e.wheel.pop()
-	}
+	ev := e.wheel.pop()
 	e.pending--
 	e.now, e.curPri, e.curSeq = ev.time, ev.pri, ev.seq
 	e.metrics.EventsExecuted++

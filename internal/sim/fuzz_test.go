@@ -3,9 +3,9 @@ package sim
 import "testing"
 
 // FuzzWheelHeapEquivalence feeds the op bytecode (see runOps in
-// wheel_test.go) to both scheduler backends and fails on any divergence in
-// pop order, Metrics, or the final clock, and on any wheel-invariant
-// violation along the way. The seed corpus covers the three structurally
+// wheel_test.go) to the engine and to the heap model (heap_test.go) and fails
+// on any divergence in pop order, Metrics, or the final clock, and on any
+// wheel-invariant violation along the way. The seed corpus covers the three structurally
 // distinct wheel regimes — level-0 slot boundaries, the overflow list and its
 // migrate/cascade path back down, far-future times near the top of the range
 // — and the three edges of granule-at-a-time refill under a cached bound.
@@ -94,7 +94,7 @@ func FuzzWheelHeapEquivalence(f *testing.F) {
 			t.Skip("op program longer than any real workload burst")
 		}
 		if err := diffOps(data); err != nil {
-			t.Fatalf("backends diverge: %v\nminimized: %x", err, shrinkOps(data))
+			t.Fatalf("engine and heap model diverge: %v\nminimized: %x", err, shrinkOps(data))
 		}
 	})
 }

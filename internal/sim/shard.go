@@ -22,9 +22,9 @@ import (
 //     run on separate goroutines.
 //   - Mailboxes. Cross-shard work is posted into per-(src,dst) mailboxes
 //     instead of the destination's event queue. Each destination's worker
-//     drains its own in a drain phase between epochs, source by source in
-//     post order, so the schedule order at the destination is a pure
-//     function of the simulation state, not of goroutine interleaving.
+//     drains its own at the top of its next epoch, source by source in post
+//     order, so the schedule order at the destination is a pure function of
+//     the simulation state, not of goroutine interleaving.
 //
 // Determinism across shard *counts* additionally requires that no component
 // observes the partition. Components therefore draw randomness from streams
@@ -76,33 +76,44 @@ func callFunc(fn any) { fn.(func())() }
 // partitioned topology. Shard(i) hands out the per-shard engines at build
 // time; Run advances them all under barrier-per-epoch synchronization.
 //
-// Concurrency contract: an epoch has two phases, each ended by a barrier.
-// In the drain phase shard i's share reads and truncates column i of the
-// mailboxes — the mail addressed to it — and schedules it on engine i; in
-// the advance phase it owns engine i and everything reachable from it and
-// appends to row i (Post, PostArg, Hand). Each share runs on one goroutine:
-// shard i's worker, or the coordinator when it takes the share first.
-// Between phases the coordinator owns everything. The hand-offs happen
-// through the generation barrier inside Run: the coordinator's store to the
-// generation word hands a phase out, a compare-and-swap on the shard's slot
-// takes its share, and a decrement of the outstanding count hands it back;
-// those atomic operations are the happens-before edges. No other
-// synchronization exists, which is why the themis-lint purity analyzer can
-// allowlist Run alone.
+// Concurrency contract: an epoch is one phase, ended by one barrier. Shard
+// i's share first reads and truncates column i of the retired mail bank —
+// the mail addressed to it in the epoch before — and schedules it on engine
+// i; then it owns engine i and everything reachable from it, and appends to
+// row i of the current bank (Post, PostArg, Hand). The banks are disjoint,
+// so no share reads what another is writing. Each share runs on one
+// goroutine: shard i's worker, or the coordinator when it takes the share
+// first. Between epochs the coordinator owns everything. The hand-offs happen through the
+// generation barrier inside Run: the coordinator's store to the generation
+// word hands an epoch out, a compare-and-swap on the shard's slot takes its
+// share, and a decrement of the outstanding count hands it back; those
+// atomic operations are the happens-before edges. No other synchronization
+// exists, which is why the themis-lint purity analyzer can allowlist Run
+// alone.
 type ShardGroup struct {
 	engines   []*Engine
 	lookahead Duration
-	// mail[src][dst] buffers cross-shard posts made during an advance phase
-	// until dst's worker drains them in the next drain phase. The backing
-	// arrays are retained across epochs.
-	mail [][][]mailItem
-	// epochs counts the windows Run has advanced the engines through, drains
-	// the drain phases it has run.
-	epochs, drains int
-	// work is the events the advance phases executed, span the sum over
-	// epochs of the busiest shard's share: work/span bounds the speed-up this
-	// partition allows on any number of processors.
+	// out[src] is shard src's outgoing mail, and bank the bank posts go to.
+	// Run flips bank at each barrier, retiring the bank the last epoch
+	// posted into; the next epoch drains it.
+	out  []outbox
+	bank int
+	// epochs counts the windows Run has advanced the engines through.
+	epochs int
+	// work is the events the epochs executed, span the sum over epochs of
+	// the busiest shard's share: work/span bounds the speed-up this partition
+	// allows on any number of processors.
 	work, span uint64
+}
+
+// outbox is one source shard's mail: box[b][dst] buffers its posts to dst
+// while bank b is current (the backing arrays are retained across epochs),
+// and low is the earliest at among the current bank's posts, the one word of
+// a source's mail the coordinator reads at a barrier.
+type outbox struct {
+	box [2][][]mailItem
+	low Time
+	_   [8]byte // to 64 bytes
 }
 
 // NewShardGroup assembles a coordinator over the given per-shard engines.
@@ -116,11 +127,13 @@ func NewShardGroup(engines []*Engine, lookahead Duration) *ShardGroup {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: shard lookahead must be positive, got %v", lookahead))
 	}
-	mail := make([][][]mailItem, len(engines))
-	for src := range mail {
-		mail[src] = make([][]mailItem, len(engines))
+	out := make([]outbox, len(engines))
+	for src := range out {
+		o := &out[src]
+		o.box = [2][][]mailItem{make([][]mailItem, len(engines)), make([][]mailItem, len(engines))}
+		o.low = Forever
 	}
-	return &ShardGroup{engines: engines, lookahead: lookahead, mail: mail}
+	return &ShardGroup{engines: engines, lookahead: lookahead, out: out}
 }
 
 // Shards returns the number of shards in the group.
@@ -154,21 +167,26 @@ func (g *ShardGroup) Hand(src, dst int, at Time, hand func(Time, any), arg any) 
 }
 
 func (g *ShardGroup) post(src, dst int, it mailItem) {
-	g.mail[src][dst] = append(g.mail[src][dst], it) //lint:alloc-ok mailbox growth is amortized; backing arrays are retained across epochs
+	o := &g.out[src]
+	o.box[g.bank][dst] = append(o.box[g.bank][dst], it) //lint:alloc-ok mailbox growth is amortized; backing arrays are retained across epochs
+	o.low = min(o.low, it.at)
 }
 
-// drain moves the mail addressed to dst into dst's engine: source by source
-// in shard order, each source's posts in the order they were made. The engine
-// orders events by (time, pri) and then by when they were scheduled, so the
-// drain order decides only ties at equal (time, pri), and breaks them by
-// (source shard, post order) — a function of the traffic, not of goroutine
-// interleaving, and the order a (time, pri, source, sequence) sort would
-// give. Hand callbacks run in the same order. drain touches only column dst
-// and dst's engine: each destination's worker drains its own mail.
+// drain moves the retired bank's mail addressed to dst into dst's engine:
+// source by source in shard order, each source's posts in the order they were
+// made. The engine orders events by (time, pri) and then by when they were
+// scheduled, so the drain order decides only ties at equal (time, pri), and
+// breaks them by (source shard, post order) — a function of the traffic, not
+// of goroutine interleaving, and the order a (time, pri, source, sequence)
+// sort would give. Hand callbacks run in the same order. drain touches only
+// column dst and dst's engine: each destination's worker drains its own mail.
 func (g *ShardGroup) drain(dst int) {
 	eng := g.engines[dst]
-	for src := range g.mail {
-		box := g.mail[src][dst]
+	for src := range g.out {
+		box := g.out[src].box[g.bank^1][dst]
+		if len(box) == 0 {
+			continue // write nothing: the row's other columns share this line
+		}
 		for i := range box {
 			if it := &box[i]; it.hand != nil {
 				it.hand(it.at, it.arg)
@@ -176,7 +194,7 @@ func (g *ShardGroup) drain(dst int) {
 				eng.AtArgPri(it.at, it.pri, it.fn, it.arg)
 			}
 		}
-		g.mail[src][dst] = box[:0]
+		g.out[src].box[g.bank^1][dst] = box[:0]
 	}
 }
 
@@ -194,17 +212,20 @@ func (g *ShardGroup) Metrics() Metrics {
 // synchronization and returns the latest shard clock. A Stop on any shard's
 // engine halts the whole group at the next barrier (the stop flags are
 // consumed, mirroring Engine.Run); cross-shard mail pending at a halt stays
-// buffered and is delivered by the next Run.
+// buffered and is delivered by the next Run; at until, the coordinator
+// schedules the pending mail on its destinations before returning.
 //
-// An epoch is a drain phase — every worker scheduling the mail addressed to
-// its shard, skipped when there is none — then an advance phase over the
-// window the engines' heads give. With one shard both run inline on the
-// calling goroutine and with no mail that degenerates to exactly
-// Engine.Run(until): a single epoch bounded by until, identical event order,
-// identical metrics.
+// An epoch is one phase: every shard takes in the retired bank's mail
+// addressed to it, then advances its engine through [T, T+W), where T is the
+// earliest of the engines' heads and the retired bank's posts. A post's event
+// is scheduled at its at, and a Hand pushes onto a pipe whose head is at or
+// before at, so no event the mail brings in precedes T. With one shard the
+// epoch runs inline on the calling goroutine and with no mail that
+// degenerates to exactly Engine.Run(until): a single epoch bounded by until,
+// identical event order, identical metrics.
 //
-// A phase is handed out through a generation barrier that never blocks a
-// thread: the coordinator publishes the phase and bumps an atomic generation,
+// An epoch is handed out through a generation barrier that never blocks a
+// thread: the coordinator publishes the window and bumps an atomic generation,
 // each worker polls it, takes and runs its shard's share and decrements an
 // atomic count of shares outstanding, which the coordinator polls down to
 // zero after running shard 0's share and every share no worker has taken
@@ -226,35 +247,40 @@ func (g *ShardGroup) Metrics() Metrics {
 func (g *ShardGroup) Run(until Time) Time {
 	n := len(g.engines)
 	// ctl is what the coordinator hands the workers, alone on one cache line
-	// so that taking a phase and handing it back moves as few lines between
+	// so that taking an epoch and handing it back moves as few lines between
 	// cores as possible. The plain fields are ordered by the atomics: the
-	// coordinator writes phase and limit before its store to gen, which a
-	// worker loads before it takes its share and reads them; whoever ran a
-	// share wrote its engine, its state slot and any panic before its
-	// decrement of left, which the coordinator loads before reading them.
+	// coordinator writes limit and the group's bank before its store to gen,
+	// which a worker loads before it takes its share and reads them; whoever
+	// ran a share wrote its engine, its state slot, its outbox and any panic
+	// before its decrement of left, which the coordinator loads before
+	// reading them.
 	var ctl struct {
-		phase  func(int)
 		limit  Time
 		gen    atomic.Uint32
 		left   atomic.Int32
 		closed atomic.Bool
-		_      [39]byte // to 64 bytes
+		_      [47]byte // to 64 bytes
 	}
-	// state[i] is what the coordinator reads of shard i at a barrier,
-	// recorded by whichever goroutine ran shard i's phase, and taken, the
-	// last generation whose share of shard i someone took. Each sits on a
-	// cache line of its own, so the coordinator reads one line per shard
-	// instead of the engine and mailbox lines the shard's worker just wrote.
+	// state[i] is what the coordinator reads of shard i's engine at a
+	// barrier, recorded by whichever goroutine ran shard i's share, and
+	// taken, the last generation whose share of shard i someone took. Each
+	// sits on a cache line of its own, so the coordinator reads one line per
+	// shard instead of the engine lines the shard's worker just wrote.
 	type shardState struct {
-		next            Time   // the engine's earliest pending event
-		executed        uint64 // the engine's EventsExecuted
-		taken           atomic.Uint32
-		stopped, posted bool     // a pending Stop; mail in the shard's row
-		_               [42]byte // to 64 bytes
+		next     Time   // the engine's earliest pending event
+		executed uint64 // the engine's EventsExecuted
+		taken    atomic.Uint32
+		stopped  bool     // a pending Stop
+		_        [43]byte // to 64 bytes
 	}
 	state := make([]shardState, n)
 	panics := make([]any, n)
-	// share runs shard i's part of the current phase and hands it back.
+	note := func(i int) {
+		e, s := g.engines[i], &state[i]
+		s.next, s.executed, s.stopped = e.nextTime(), e.metrics.EventsExecuted, e.stopped
+	}
+	// share runs shard i's part of the epoch and hands it back: the mail
+	// addressed to it first, then the window.
 	share := func(i int) {
 		func() {
 			defer func() {
@@ -262,7 +288,9 @@ func (g *ShardGroup) Run(until Time) Time {
 					panics[i] = p
 				}
 			}()
-			ctl.phase(i)
+			g.drain(i)
+			g.engines[i].AdvanceTo(ctl.limit)
+			note(i)
 		}()
 		ctl.left.Add(-1)
 	}
@@ -315,13 +343,12 @@ func (g *ShardGroup) Run(until Time) Time {
 			workers.Wait()
 		}()
 	}
-	// run executes one phase on every shard and returns at the barrier. The
+	// run executes one epoch on every shard and returns at the barrier. The
 	// calling goroutine runs shard 0's share, then every share whose worker
 	// has not taken it yet: a worker that is not running — its thread not yet
 	// woken, or its processor taken by the host — would otherwise hold up
 	// the barrier for longer than the share takes to run here.
-	run := func(phase func(int)) {
-		ctl.phase = phase
+	run := func() {
 		ctl.left.Store(int32(n))
 		gen := ctl.gen.Add(1)
 		share(0)
@@ -337,47 +364,34 @@ func (g *ShardGroup) Run(until Time) Time {
 			}
 		}
 	}
-	note := func(i int) {
-		e, s := g.engines[i], &state[i]
-		s.next, s.executed, s.stopped = e.nextTime(), e.metrics.EventsExecuted, e.stopped
-	}
-	// Row i is shard i's own only in the advance phase: in the drain phase
-	// every destination truncates its column of it (and nothing posts).
-	noteMail := func(i int) {
-		state[i].posted = false
-		for _, box := range g.mail[i] {
-			if len(box) > 0 {
-				state[i].posted = true
-			}
-		}
-	}
 	ran := make([]uint64, n) // each shard's executed count at the last barrier
 	for i := range state {
 		note(i)
-		noteMail(i)
 		ran[i] = state[i].executed
 	}
-	drain := func(i int) { g.drain(i); note(i) }
-	advance := func(i int) { g.engines[i].AdvanceTo(ctl.limit); note(i); noteMail(i) }
 	for {
 		// Barrier state: every worker is polling gen, so the coordinator
 		// owns all engine and mailbox state here, and state is current.
-		halted, posted, next := false, false, Forever
+		halted, next := false, Forever
 		for i := range state {
 			halted = halted || state[i].stopped
-			posted = posted || state[i].posted
+			next = min(next, state[i].next, g.out[i].low)
 		}
 		if halted {
 			break
 		}
-		if posted {
-			g.drains++
-			run(drain)
-		}
-		for i := range state {
-			next = min(next, state[i].next)
+		// Retire the bank the last epoch posted into: the next epoch drains
+		// it and posts into the other.
+		g.bank ^= 1
+		for i := range g.out {
+			if g.out[i].low != Forever {
+				g.out[i].low = Forever // only if set: the workers read this line
+			}
 		}
 		if next == Forever || next > until {
+			for i := range g.engines {
+				g.drain(i)
+			}
 			break
 		}
 		// The epoch executes [next, next+W); AdvanceTo is inclusive, so the
@@ -389,7 +403,7 @@ func (g *ShardGroup) Run(until Time) Time {
 		}
 		ctl.limit = min(limit, until)
 		g.epochs++
-		run(advance)
+		run()
 		var busiest uint64
 		for i := range state {
 			d := state[i].executed - ran[i]

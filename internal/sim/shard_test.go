@@ -131,9 +131,8 @@ func TestShardGroupSingleShardMatchesRun(t *testing.T) {
 }
 
 // A one-engine group — every trial that is not cut — costs what Engine.Run
-// costs: its events run on the calling goroutine, with no worker started, no
-// barrier crossed and, nothing being posted, no drain phase; a whole Run is
-// one epoch.
+// costs: its events run on the calling goroutine, with no worker started and
+// no barrier crossed; a whole Run is one epoch.
 func TestShardGroupOneEngineRunsOnTheCaller(t *testing.T) {
 	e := NewEngine(1)
 	g := NewShardGroup([]*Engine{e}, Duration(Forever))
@@ -150,18 +149,20 @@ func TestShardGroupOneEngineRunsOnTheCaller(t *testing.T) {
 	}
 	e.At(1, tick)
 	g.Run(350)
-	if seen != 50 || g.epochs != 1 || g.drains != 0 {
-		t.Fatalf("Run(350): %d events in %d epochs and %d drain phases, want 50 in one and none", seen, g.epochs, g.drains)
+	if seen != 50 || g.epochs != 1 {
+		t.Fatalf("Run(350): %d events in %d epochs, want 50 in one", seen, g.epochs)
 	}
 	g.RunAll()
-	if seen != 100 || g.epochs != 2 || g.drains != 0 {
-		t.Fatalf("RunAll: %d events in %d epochs and %d drain phases, want 100 in two and none", seen, g.epochs, g.drains)
+	if seen != 100 || g.epochs != 2 {
+		t.Fatalf("RunAll: %d events in %d epochs, want 100 in two", seen, g.epochs)
 	}
 }
 
 // Two shards exchanging mail across epochs: the cross-shard ping-pong must
 // execute at exactly the predicted times, twice over (determinism), with the
-// lookahead window enforcing that each post lands in a later epoch.
+// lookahead window enforcing that each post lands in a later epoch. Each hop
+// is one epoch: the window starts at the posted mail, so no epoch is spent
+// on taking it in.
 func TestShardGroupCrossShardPingPong(t *testing.T) {
 	const lookahead = Duration(10)
 	run := func() [2][]Time {
@@ -179,6 +180,9 @@ func TestShardGroupCrossShardPingPong(t *testing.T) {
 		}
 		engines[0].At(5, hop(0))
 		g.Run(100)
+		if g.epochs != 10 {
+			t.Fatalf("10 hops in %d epochs, want one each", g.epochs)
+		}
 		return seen
 	}
 	a, b := run(), run()

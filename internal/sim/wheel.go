@@ -2,7 +2,7 @@ package sim
 
 import "math/bits"
 
-// Hierarchical timing wheel — the engine's default event queue.
+// Hierarchical timing wheel — the engine's event queue.
 //
 // The motivating workload is transport timer traffic: RTO timers and
 // serialization completions are overwhelmingly near-future and frequently
@@ -23,9 +23,10 @@ import "math/bits"
 //
 // # Ordering contract
 //
-// Events pop in ascending (time, pri, seq) — bit-identical to the heap
-// backend, which is kept alive in heap.go as the differential oracle. The
-// wheel maintains the order with a three-tier partition:
+// Events pop in ascending (time, pri, seq) (eventBefore) — bit-identical to a
+// plain binary heap over the same order, which the tests keep as a reference
+// model (wheel_test.go). The wheel maintains the order with a three-tier
+// partition:
 //
 //   - run: a small binary min-heap (explicit (time, pri, seq) comparator,
 //     index-maintained for O(log) cancel) holding every pending event with
@@ -80,8 +81,20 @@ const (
 	wheelGran = Time(1) << wheelGranBits
 )
 
-// Event.index sentinels. Non-negative index means "position in the run heap
-// (wheel backend) or the event heap (heap backend)".
+// eventBefore is the engine's total order over events: (time, pri, seq).
+// seq is unique per event, so this is a strict total order — pop order is
+// fully determined by it regardless of which structure maintains it.
+func eventBefore(a, b *Event) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	if a.pri != b.pri {
+		return a.pri < b.pri
+	}
+	return a.seq < b.seq
+}
+
+// Event.index sentinels. Non-negative index means "position in the run heap".
 const (
 	idxDead     = -1 // popped, cancelled, or never scheduled
 	idxWheel    = -2 // linked into a wheel slot list; Event.loc holds level/slot

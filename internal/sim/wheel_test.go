@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the randomized differential harness for the timing wheel: it
-// drives identical op sequences through a wheel engine and a heap engine (the
-// oracle, heap.go) and asserts identical pop order — including same-timestamp
+// drives identical op sequences through the engine and through the heap model
+// (heap_test.go) and asserts identical pop order — including same-timestamp
 // (pri, seq) tie-breaks — and bit-identical Metrics. The op sequences are
 // decoded from a byte string so the property test, its shrinker, and
 // FuzzWheelHeapEquivalence (fuzz_test.go) all share one interpreter.
@@ -19,10 +19,22 @@ type fireRec struct {
 	at Time
 }
 
-// runOps interprets data as an op bytecode against a fresh engine on the
-// given backend and returns the complete firing log, the final metrics
-// snapshot, the final clock, and — on the wheel backend, where
-// checkWheelInvariants runs after every op — the first invariant violation.
+// opQueue is what an op program drives: the engine, or the heap model.
+type opQueue interface {
+	Now() Time
+	AtArgPri(t Time, pri uint64, fn func(any), arg any) *Event
+	Cancel(ev *Event) bool
+	AdvanceTo(limit Time) Time
+	Run(until Time) Time
+	RunAll() Time
+	nextTime() Time
+	Metrics() Metrics
+}
+
+// runOps interprets data as an op bytecode against q, fresh, and returns the
+// complete firing log, the final metrics snapshot, the final clock, and —
+// on the engine, where checkWheelInvariants runs after every op — the first
+// invariant violation.
 // The decoder is total: every byte string is a valid program (missing
 // operand bytes read as zero).
 //
@@ -33,12 +45,12 @@ type fireRec struct {
 //	3    schedule at now+(u8&15), pri u8&3 — same-timestamp pri collisions
 //	4    cancel live[u16 % len]          — handles may be recycled; a cancel
 //	     landing on a reused handle cancels whatever event owns it now,
-//	     which is deterministic and identical across backends
+//	     which is deterministic and the same on the engine and the model
 //	5    AdvanceTo(now+u16)              — epoch boundary, frontier advance
 //	6    Run(now+u8)                     — bounded run
 //	7    nextTime probe                  — forces a refill via the peek path
-func runOps(s Scheduler, data []byte) ([]fireRec, Metrics, Time, error) {
-	e := NewEngineWithScheduler(5, s)
+func runOps(e opQueue, data []byte) ([]fireRec, Metrics, Time, error) {
+	eng, _ := e.(*Engine)
 	var broken error
 	var fires []fireRec
 	var live []*Event
@@ -57,11 +69,11 @@ func runOps(s Scheduler, data []byte) ([]fireRec, Metrics, Time, error) {
 		switch op := next(); op & 7 {
 		case 0, 1:
 			d := Duration(uint16(next()) | uint16(next())<<8)
-			live = append(live, e.AtArg(e.Now().Add(d), rec, id))
+			live = append(live, e.AtArgPri(e.Now().Add(d), 0, rec, id))
 			id++
 		case 2:
 			d := Duration(next()) << (next() % 53)
-			live = append(live, e.AtArg(e.Now().Add(d), rec, id))
+			live = append(live, e.AtArgPri(e.Now().Add(d), 0, rec, id))
 			id++
 		case 3:
 			t := e.Now().Add(Duration(next() & 15))
@@ -79,8 +91,8 @@ func runOps(s Scheduler, data []byte) ([]fireRec, Metrics, Time, error) {
 		default:
 			_ = e.nextTime()
 		}
-		if s == SchedulerWheel && broken == nil {
-			broken = checkWheelInvariants(&e.wheel)
+		if eng != nil && broken == nil {
+			broken = checkWheelInvariants(&eng.wheel)
 		}
 	}
 	e.RunAll()
@@ -135,11 +147,12 @@ func checkWheelInvariants(w *wheel) error {
 	return nil
 }
 
-// diffOps runs one op program on both backends and returns a description of
-// the first divergence, or nil when they agree exactly.
+// diffOps runs one op program on the heap model and on the engine and
+// returns a description of the first divergence, or nil when they agree
+// exactly.
 func diffOps(data []byte) error {
-	hf, hm, ht, _ := runOps(SchedulerHeap, data)
-	wf, wm, wt, broken := runOps(SchedulerWheel, data)
+	hf, hm, ht, _ := runOps(&heapModel{}, data)
+	wf, wm, wt, broken := runOps(NewEngine(5), data)
 	if broken != nil {
 		return fmt.Errorf("wheel invariant: %v", broken)
 	}
@@ -181,10 +194,10 @@ func shrinkOps(data []byte) []byte {
 }
 
 // TestWheelHeapPropertyEquivalence drives >10⁵ random schedule/cancel/
-// advance operations (seeded, shrinkable) through both backends. 5000
-// sequences × ≥(bytes/3) ops each ≈ 2.4×10⁵ ops minimum; a divergence is
-// minimized before reporting so the failure is directly actionable (and
-// worth committing to the fuzz corpus).
+// advance operations (seeded, shrinkable) through the engine and the heap
+// model. 5000 sequences × ≥(bytes/3) ops each ≈ 2.4×10⁵ ops minimum; a
+// divergence is minimized before reporting so the failure is directly
+// actionable (and worth committing to the fuzz corpus).
 func TestWheelHeapPropertyEquivalence(t *testing.T) {
 	seqs := 5000
 	if testing.Short() {
@@ -209,7 +222,7 @@ func TestWheelHeapPropertyEquivalence(t *testing.T) {
 // holds more than the population of the granule being run. (Loading the whole
 // window at once, it would hold the window's population.)
 func TestRunQueueHoldsOneGranule(t *testing.T) {
-	e := NewEngineWithScheduler(1, SchedulerWheel)
+	e := NewEngine(1)
 	const events = 4096
 	population := map[Time]int{} // granule start -> events that run in it
 	maxDepth, fired := 0, 0
@@ -255,7 +268,7 @@ func TestRunQueueHoldsOneGranule(t *testing.T) {
 // picosecond either side of a slot boundary, exactly on it, and colliding
 // inside one slot must pop in (time, seq) order.
 func TestWheelSlotBoundary(t *testing.T) {
-	e := NewEngineWithScheduler(1, SchedulerWheel)
+	e := NewEngine(1)
 	var got []Time
 	times := []Time{
 		wheelGran - 1, wheelGran, wheelGran + 1, // slot 0 → slot 1 edge
@@ -285,7 +298,7 @@ func TestWheelSlotBoundary(t *testing.T) {
 // produce global time order, exercising migrateOverflow and the multi-level
 // cascade as the frontier catches up.
 func TestWheelOverflowCascade(t *testing.T) {
-	e := NewEngineWithScheduler(1, SchedulerWheel)
+	e := NewEngine(1)
 	horizon := Time(1) << (wheelGranBits + wheelLevels*wheelLevelBits) // 2^58 ps
 	times := []Time{
 		horizon * 3, horizon + 1, horizon * 2, // overflow residents
@@ -316,7 +329,7 @@ func TestWheelOverflowCascade(t *testing.T) {
 // order and the wheel empties — the far-future/cancel interaction the RTO
 // timer workload leans on.
 func TestWheelFarFutureCancel(t *testing.T) {
-	e := NewEngineWithScheduler(1, SchedulerWheel)
+	e := NewEngine(1)
 	var got []Time
 	far := Time(1) << 61
 	evs := make([]*Event, 0, 4)
@@ -347,7 +360,7 @@ func TestWheelFarFutureCancel(t *testing.T) {
 // the refill machinery skips them without firing anything or losing the one
 // survivor several levels up.
 func TestWheelCancelledSlotRefill(t *testing.T) {
-	e := NewEngineWithScheduler(1, SchedulerWheel)
+	e := NewEngine(1)
 	var evs []*Event
 	for k := Time(0); k < 64; k++ {
 		evs = append(evs, e.At(k*wheelGran, func() {}))
@@ -371,7 +384,7 @@ func TestWheelCancelledSlotRefill(t *testing.T) {
 // must both live entirely off the event free list and the retained run-heap
 // backing array.
 func TestWheelScheduleCancelAllocs(t *testing.T) {
-	e := NewEngineWithScheduler(1, SchedulerWheel)
+	e := NewEngine(1)
 	fn := func() {}
 	// Warm the free list and the run-heap capacity.
 	for k := 0; k < 64; k++ {

@@ -279,13 +279,17 @@ func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // buildCluster is the one cluster builder: it cuts the racks across
-// cfg.Shards engines (0 means 1; a count above the rack count is clipped to
-// it, as exp.Runner clips its workers to the grid) with identity-keyed seeds
+// cfg.Shards engines (0 means 1, a negative count is an error, and a count
+// above the rack count is clipped to it, as exp.Runner clips its workers to
+// the grid) with identity-keyed seeds
 // and a pool per shard, so a trial's results are byte-identical for every
 // count. What shards would have to share (ShardRefusal, with the run's fault
 // schedule) is refused only when there really is more than one.
 func buildCluster(cfg ClusterConfig, faults []Fault) (*Cluster, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("workload: Shards=%d is negative", cfg.Shards)
+	}
 	a, err := cfg.LB.arm()
 	if err != nil {
 		return nil, err

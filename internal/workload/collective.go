@@ -85,6 +85,10 @@ func RunCollective(cfg CollectiveConfig, faults []Fault) (CollectiveResult, erro
 	if cfg.Groups > cfg.HostsPerLeaf {
 		return CollectiveResult{}, fmt.Errorf("workload: %d groups need at most HostsPerLeaf=%d", cfg.Groups, cfg.HostsPerLeaf)
 	}
+	// A group has one rank per leaf: with one leaf it has nothing to exchange.
+	if cfg.Leaves < 2 {
+		return CollectiveResult{}, fmt.Errorf("workload: a collective needs Leaves >= 2 (one rank per leaf), got %d", cfg.Leaves)
+	}
 	cl, err := buildCluster(cfg.ClusterConfig, faults)
 	if err != nil {
 		return CollectiveResult{}, err

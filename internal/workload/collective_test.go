@@ -91,6 +91,22 @@ func TestShardGroupWorkAndSpan(t *testing.T) {
 	t.Logf("work %d, span %d: work/span %.3f", work, span, float64(work)/float64(span))
 }
 
+// A collective runs one rank per leaf, so one leaf leaves each group nothing
+// to exchange: that is an error, not a cell that "completes" with no events.
+// A negative shard count is an error naming the knob, not one shard.
+func TestCollectiveRejectsDegenerateShapes(t *testing.T) {
+	cfg := smallCollective(collective.RingAllreduce, Themis, 1)
+	cfg.Leaves = 1
+	if _, err := RunCollective(cfg, nil); err == nil || !strings.Contains(err.Error(), "Leaves") {
+		t.Fatalf("one leaf: err %v, want one naming Leaves", err)
+	}
+	cfg = smallCollective(collective.RingAllreduce, Themis, 1)
+	cfg.Shards = -3
+	if _, err := RunCollective(cfg, nil); err == nil || !strings.Contains(err.Error(), "Shards") {
+		t.Fatalf("Shards -3: err %v, want one naming Shards", err)
+	}
+}
+
 // A link failure reaches across the fabric (both link ends, every Themis
 // instance), so a collective with one runs on one shard; asking for more is
 // an error that names the knob, not a panic from the fabric.

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"themis/internal/packet"
 	"themis/internal/sim"
 	"themis/internal/stats"
@@ -80,6 +82,9 @@ func MotivationFlows() [][2]packet.NodeID {
 // RunMotivation executes the Fig. 1 experiment and returns its measurements.
 func RunMotivation(cfg MotivationConfig) (MotivationResult, error) {
 	cfg.resolve()
+	if cfg.MessageBytes < 0 {
+		return MotivationResult{}, fmt.Errorf("workload: MessageBytes=%d is negative", cfg.MessageBytes)
+	}
 	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
 		return MotivationResult{}, err
