@@ -81,7 +81,8 @@ cover:
 
 # fuzz-smoke gives every fuzz target a short budget — enough to re-check the
 # committed corpora and shake out shallow regressions on every merge; long
-# fuzz runs stay a manual/background job.
+# fuzz runs stay a manual/background job. FuzzScenarioJSON decodes and
+# validates scenarios and never runs one.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/packet/ -run '^$$' -fuzz FuzzPSNCompare -fuzztime $(FUZZTIME)
@@ -89,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzClassifyNACK -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzWheelHeapEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/exp/ -run '^$$' -fuzz FuzzScenarioJSON -fuzztime $(FUZZTIME)
 
 # bench-selftest vets and tests the nested benchmark/ module, which the root
 # `go build ./... && go test ./...` never descends into: it calls exported

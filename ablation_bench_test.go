@@ -191,15 +191,17 @@ func BenchmarkExt_PathSubset(b *testing.B) {
 // buffer unless PFC pauses hop-by-hop.
 func BenchmarkExt_PFC(b *testing.B) {
 	cell := exp.Scenario{
-		Name:         "pfc/on",
-		Workload:     exp.Incast,
-		Seed:         7,
+		Name:     "pfc/on",
+		Workload: exp.Incast,
+		ClusterConfig: workload.ClusterConfig{
+			Seed:        7,
+			Bandwidth:   100e9,
+			LinkDelay:   5 * sim.Microsecond, // long feedback loop: ECN reacts late
+			BufferBytes: 4 << 20,             // PFC headroom fits; the pre-CNP burst does not
+			LB:          workload.Themis,
+		},
 		Senders:      15,
 		MessageBytes: 2 << 20,
-		Bandwidth:    100e9,
-		LinkDelay:    5 * sim.Microsecond, // long feedback loop: ECN reacts late
-		BufferBytes:  4 << 20,             // PFC headroom fits; the pre-CNP burst does not
-		LB:           workload.Themis,
 	}
 	lossy := cell
 	lossy.Name = "pfc/off"

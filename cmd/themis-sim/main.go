@@ -79,6 +79,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"themis/internal/collective"
@@ -198,32 +199,41 @@ func printTrial(t exp.Trial) {
 
 func runScenario(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	wl := fs.String("workload", "collective", "workload: "+exp.WorkloadNames())
-	pattern := fs.String("pattern", "allreduce", "collective: "+collective.PatternNames())
-	lbs := fs.String("lb", "themis", "load balancing arm: "+workload.LBNames())
-	repsCache := fs.Int("reps-cache", 0, "reps: entropy-cache ring capacity (0 = default)")
-	pathBuckets := fs.Int("path-buckets", 0, "congestion: per-path entropy buckets (0 = default)")
-	transport := fs.String("transport", "nic-sr", "reliable transport: "+rnic.TransportNames())
-	bytes := fs.Int64("bytes", 0, "message/collective size (0 = workload default)")
-	seed := fs.Int64("seed", 1, "random seed")
-	leaves := fs.Int("leaves", 0, "leaf switches (0 = workload default)")
-	spines := fs.Int("spines", 0, "spine switches")
-	hosts := fs.Int("hosts", 0, "hosts per leaf")
-	bw := fs.Float64("bw", 0, "link bandwidth, Gbps")
-	ti := fs.Int64("ti", 0, "DCQCN rate-increase timer, microseconds (0 = 900)")
-	td := fs.Int64("td", 0, "DCQCN rate-decrease interval, microseconds (0 = 4)")
-	shards := fs.Int("shards", 0, "engine shards a collective or spray trial's racks are cut across, at most one per rack (0 = one per core, or one with -flight-dir, -distributed or a DropEveryNData/LinkFail scenario, which N > 1 refuses by name); results are byte-identical for any value; motivation, incast, churn, chaos and convergence run on one, churn because its closed loop is global and the rest by choice")
-	fatTreeK := fs.Int("fattree-k", 0, "spray: fat-tree radix k (0 = workload default)")
-	flows := fs.Int("flows", 0, "chaos: cross-rack ring flows (0 = one per host)")
-	qps := fs.Int("qps", 0, "churn: total flows opened over the run (0 = workload default)")
-	concurrency := fs.Int("concurrency", 0, "churn: flows open at a time (0 = workload default)")
-	faults := fs.Bool("faults", false, "churn: inject seeded ToR reboots and a link flap")
-	tableBudget := fs.Int("table-budget", 0, "flow-table budget per Themis instance, bytes (0 = unbounded)")
-	idleTimeout := fs.Int64("idle-timeout", 0, "evict flow-table entries idle this long, microseconds (0 = off)")
-	relearn := fs.Bool("relearn", false, "re-register evicted/lost flows from live data packets")
-	distributed := fs.Bool("distributed", false, "run the per-switch BGP-style routing plane instead of the oracle")
-	convergenceDelay := fs.Int64("convergence-delay", 0, "per-hop routing-message delay, microseconds (implies -distributed when > 0)")
-	drain := fs.Bool("drain", false, "convergence: append a maintenance drain to the fault schedule")
+	// The flags bind straight onto the scenario's fields; the defaults are
+	// the ones the zero Scenario lacks.
+	sc := exp.Scenario{Workload: exp.Collective}
+	sc.LB = workload.Themis
+	fs.Func("workload", "workload: "+exp.WorkloadNames()+" (default collective)", parsed(&sc.Workload, exp.ParseWorkload))
+	fs.Func("pattern", "collective: "+collective.PatternNames()+" (default allreduce)", parsed(&sc.Pattern, collective.ParsePattern))
+	// The chaos workload's LB arm is opt-in (see exp.Scenario.LBArmed): arm it
+	// exactly when the user passed -lb explicitly.
+	fs.Func("lb", "load balancing arm: "+workload.LBNames()+" (default themis)", func(s string) error {
+		sc.LBArmed = true
+		return parsed(&sc.LB, workload.ParseLB)(s)
+	})
+	fs.IntVar(&sc.RepsCache, "reps-cache", 0, "reps: entropy-cache ring capacity (0 = default)")
+	fs.IntVar(&sc.PathBuckets, "path-buckets", 0, "congestion: per-path entropy buckets (0 = default)")
+	fs.Func("transport", "reliable transport: "+rnic.TransportNames()+" (default nic-sr)", parsed(&sc.Transport, rnic.ParseTransport))
+	fs.Int64Var(&sc.MessageBytes, "bytes", 0, "message/collective size (0 = workload default)")
+	fs.Int64Var(&sc.Seed, "seed", 1, "random seed")
+	fs.IntVar(&sc.Leaves, "leaves", 0, "leaf switches (0 = workload default)")
+	fs.IntVar(&sc.Spines, "spines", 0, "spine switches")
+	fs.IntVar(&sc.HostsPerLeaf, "hosts", 0, "hosts per leaf")
+	fs.Func("bw", "link bandwidth, Gbps", parsed(&sc.Bandwidth, gbps))
+	fs.Func("ti", "DCQCN rate-increase timer, microseconds (0 = 900)", parsed(&sc.TI, micros))
+	fs.Func("td", "DCQCN rate-decrease interval, microseconds (0 = 4)", parsed(&sc.TD, micros))
+	fs.IntVar(&sc.Shards, "shards", 0, "engine shards a collective or spray trial's racks are cut across, at most one per rack (0 = one per core, or one with -flight-dir, -distributed or a DropEveryNData/LinkFail scenario, which N > 1 refuses by name); results are byte-identical for any value; motivation, incast, churn, chaos and convergence run on one, churn because its closed loop is global and the rest by choice")
+	fs.IntVar(&sc.FatTreeK, "fattree-k", 0, "spray: fat-tree radix k (0 = workload default)")
+	fs.IntVar(&sc.Flows, "flows", 0, "chaos: cross-rack ring flows (0 = one per host)")
+	fs.IntVar(&sc.QPs, "qps", 0, "churn: total flows opened over the run (0 = workload default)")
+	fs.IntVar(&sc.Concurrency, "concurrency", 0, "churn: flows open at a time (0 = workload default)")
+	fs.BoolVar(&sc.Faults, "faults", false, "churn: inject seeded ToR reboots and a link flap")
+	fs.IntVar(&sc.Themis.TableBudgetBytes, "table-budget", 0, "flow-table budget per Themis instance, bytes (0 = unbounded)")
+	fs.Func("idle-timeout", "evict flow-table entries idle this long, microseconds (0 = off)", parsed(&sc.Themis.IdleTimeout, micros))
+	fs.BoolVar(&sc.Themis.Relearn, "relearn", false, "re-register evicted/lost flows from live data packets")
+	fs.BoolVar(&sc.DistributedRouting, "distributed", false, "run the per-switch BGP-style routing plane instead of the oracle")
+	fs.Func("convergence-delay", "per-hop routing-message delay, microseconds (implies -distributed when > 0)", parsed(&sc.ConvergenceDelay, micros))
+	fs.BoolVar(&sc.Drain, "drain", false, "convergence: append a maintenance drain to the fault schedule")
 	jsonOut := fs.String("json", "", "write the trial as a JSON report to this path")
 	metrics := fs.Bool("metrics", false, "snapshot the metrics registry into the trial record")
 	flightDir := fs.String("flight-dir", "", "arm a flight recorder; dump a JSONL trace here on failure")
@@ -231,52 +241,11 @@ func runScenario(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	w, err := exp.ParseWorkload(*wl)
-	if err != nil {
-		return err
-	}
-	p, err := collective.ParsePattern(*pattern)
-	if err != nil {
-		return err
-	}
-	lbMode, err := workload.ParseLB(*lbs)
-	if err != nil {
-		return err
-	}
-	tr, err := rnic.ParseTransport(*transport)
-	if err != nil {
-		return err
-	}
-	// The chaos workload's LB arm is opt-in (see exp.Scenario.LBArmed): arm it
-	// exactly when the user passed -lb explicitly.
-	lbArmed := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "lb" {
-			lbArmed = true
-		}
-	})
-	sc := exp.Scenario{
-		Workload: w, Seed: *seed, Shards: *shards,
-		Pattern: p, LB: lbMode, LBArmed: lbArmed, Transport: tr,
-		RepsCache: *repsCache, PathBuckets: *pathBuckets,
-		MessageBytes: *bytes,
-		Leaves:       *leaves, Spines: *spines, HostsPerLeaf: *hosts,
-		FatTreeK:  *fatTreeK,
-		Bandwidth: int64(*bw * 1e9),
-		TI:        sim.Duration(*ti) * sim.Microsecond, TD: sim.Duration(*td) * sim.Microsecond,
-		Flows: *flows, QPs: *qps, Concurrency: *concurrency, Faults: *faults,
-
-		DistributedRouting: *distributed || *convergenceDelay > 0,
-		ConvergenceDelay:   sim.Duration(*convergenceDelay) * sim.Microsecond,
-		Drain:              *drain,
-	}
-	sc.Themis.TableBudgetBytes = *tableBudget
-	sc.Themis.IdleTimeout = sim.Duration(*idleTimeout) * sim.Microsecond
-	sc.Themis.Relearn = *relearn
+	sc.DistributedRouting = sc.DistributedRouting || sc.ConvergenceDelay > 0
 	// Unarmed, a chaos scenario is named and carries no arm, as the cells of
 	// exp.ChaosGrid do, so `run -workload chaos -seed S` writes the record of
 	// that sweep cell.
-	if w == exp.Chaos && !lbArmed {
+	if sc.Workload == exp.Chaos && !sc.LBArmed {
 		sc.Name, sc.LB = sc.Label(), 0
 	}
 	if _, err := pf.start(); err != nil {
@@ -299,6 +268,26 @@ func runScenario(args []string) error {
 		return fmt.Errorf("scenario failed: %s", failure(trial))
 	}
 	return nil
+}
+
+// parsed binds a flag to *dst through parse, for fs.Func.
+func parsed[T any](dst *T, parse func(string) (T, error)) func(string) error {
+	return func(s string) (err error) {
+		*dst, err = parse(s)
+		return err
+	}
+}
+
+// micros parses a flag given in whole microseconds.
+func micros(s string) (sim.Duration, error) {
+	us, err := strconv.ParseInt(s, 0, 64)
+	return sim.Duration(us) * sim.Microsecond, err
+}
+
+// gbps parses a bandwidth flag given in Gbps.
+func gbps(s string) (int64, error) {
+	g, err := strconv.ParseFloat(s, 64)
+	return int64(g * 1e9), err
 }
 
 // failure says why a trial must fail the command: it errored or it violated
@@ -434,6 +423,20 @@ func runMemory(args []string) error {
 	k := fs.Int("fattree", 0, "derive N_paths and NICs/ToR from a k-port fat-tree (overrides -paths/-nics)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	for _, f := range []struct {
+		name string
+		bad  bool
+	}{
+		{"-paths", *paths <= 0}, {"-bw", *bw <= 0}, {"-rtt", *rtt <= 0}, {"-nics", *nics <= 0},
+		{"-qps", *qps <= 0}, {"-mtu", *mtu <= 0}, {"-factor", *factor <= 0},
+	} {
+		if f.bad {
+			return fmt.Errorf("memory: %s must be positive", f.name)
+		}
+	}
+	if *k < 0 || *k%2 != 0 {
+		return fmt.Errorf("memory: -fattree %d is not an even port count (0 = off)", *k)
 	}
 	p := memmodel.Params{
 		NPaths:    *paths,

@@ -94,6 +94,19 @@ func TestOutOfRangeFlagsFail(t *testing.T) {
 		{runScenario, []string{"-workload", "collective", "-leaves", "1", "-spines", "2", "-hosts", "4", "-bytes", "4096"}, "Leaves"},
 		{runTrace, []string{"-last", "-1"}, "-last"},
 		{runMotivation, []string{"-bytes", "-1"}, "MessageBytes"},
+		{runScenario, []string{"-leaves", "2", "-spines", "2", "-hosts", "2", "-bytes", "-5"}, "MessageBytes"},
+		{runScenario, []string{"-workload", "churn", "-qps", "-1"}, "QPs"},
+		{runScenario, []string{"-workload", "chaos", "-flows", "-1"}, "Flows"},
+		{runScenario, []string{"-ti", "-1"}, "TI"},
+		{runScenario, []string{"-bw", "-100"}, "Bandwidth"},
+		{runMemory, []string{"-factor", "-1"}, "-factor"},
+		{runMemory, []string{"-paths", "-1"}, "-paths"},
+		{runMemory, []string{"-mtu", "0"}, "-mtu"},
+		{runMemory, []string{"-bw", "0"}, "-bw"},
+		{runMemory, []string{"-rtt", "0"}, "-rtt"},
+		{runMemory, []string{"-nics", "0"}, "-nics"},
+		{runMemory, []string{"-qps", "0"}, "-qps"},
+		{runMemory, []string{"-fattree", "3"}, "-fattree"},
 	} {
 		if err := c.run(c.args); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v returned %v, want an error naming %s", c.args, err, c.want)
@@ -217,9 +230,12 @@ func TestRunLowersDCQCNFlags(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	trial := exp.Run(exp.Scenario{
-		Workload: exp.Collective, Seed: 1, LB: workload.Themis, MessageBytes: 64 << 10,
-		Leaves: 2, Spines: 2, HostsPerLeaf: 2,
-		TI: 10 * sim.Microsecond, TD: 50 * sim.Microsecond,
+		Workload: exp.Collective,
+		ClusterConfig: workload.ClusterConfig{
+			Seed: 1, LB: workload.Themis, Leaves: 2, Spines: 2, HostsPerLeaf: 2,
+			TI: 10 * sim.Microsecond, TD: 50 * sim.Microsecond,
+		},
+		MessageBytes: 64 << 10,
 	})
 	want, err := exp.NewReport(trial.Name, []exp.Trial{trial}).JSON()
 	if err != nil {

@@ -280,15 +280,15 @@ func TestHarnessPins(t *testing.T) {
 	in := workload.ClusterConfig{
 		Seed: 9, LB: workload.Flowlet, Transport: rnic.GoBackN, BurstBytes: 9000,
 		TI: 10 * sim.Microsecond, RTO: sim.Second, RTOBackoff: 1,
-		ThemisCfg: core.Config{FallbackOnFailure: true, DisableBlocking: true},
+		Themis: core.Config{FallbackOnFailure: true, DisableBlocking: true},
 	}
 	got := Options{ClusterConfig: in}.cluster(3)
 	want := in
 	want.Seed, want.LB = 3, workload.Themis
 	want.Leaves, want.Spines, want.HostsPerLeaf, want.Bandwidth = 3, 3, 2, 100e9
 	want.LossyControl, want.RTO, want.RTOBackoff, want.RTOMax = true, 200*sim.Microsecond, 2, 10*sim.Millisecond
-	want.ThemisCfg = core.Config{Relearn: true, TableBudgetBytes: got.ThemisCfg.TableBudgetBytes}
-	if !reflect.DeepEqual(got, want) || got.ThemisCfg.TableBudgetBytes <= 0 {
+	want.Themis = core.Config{Relearn: true, TableBudgetBytes: got.Themis.TableBudgetBytes}
+	if !reflect.DeepEqual(got, want) || got.Themis.TableBudgetBytes <= 0 {
 		t.Fatalf("harness pins drifted:\n got  %+v\n want %+v", got, want)
 	}
 	if armed := (Options{ClusterConfig: in, LBSet: true}).cluster(3); armed.LB != workload.Flowlet {

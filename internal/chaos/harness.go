@@ -69,7 +69,7 @@ func BuildCluster(sc Scenario, opt Options) (*workload.Cluster, error) {
 //   - Seed: the scenario's;
 //   - LB: Themis unless LBSet;
 //   - LossyControl, RTO, RTOBackoff, RTOMax: the hardened transport;
-//   - ThemisCfg: relearn on, the derived budget, nothing else (in particular
+//   - Themis: relearn on, the derived budget, nothing else (in particular
 //     never FallbackOnFailure — the soak exercises Themis through failures).
 func (o Options) cluster(seed int64) workload.ClusterConfig {
 	o = o.withDefaults()
@@ -80,7 +80,7 @@ func (o Options) cluster(seed int64) workload.ClusterConfig {
 	}
 	cfg.LossyControl = true
 	cfg.RTO, cfg.RTOBackoff, cfg.RTOMax = 200*sim.Microsecond, 2, 10*sim.Millisecond
-	cfg.ThemisCfg = core.Config{
+	cfg.Themis = core.Config{
 		Relearn: true,
 		TableBudgetBytes: core.TableBudget(memmodel.Params{
 			Bandwidth: cfg.Bandwidth,

@@ -40,31 +40,34 @@ func (m SprayMode) String() string {
 	}
 }
 
-// Config parameterizes a Themis instance (one per ToR switch).
+// Config parameterizes a Themis instance (one per ToR switch). It is also the
+// Themis block of a serialized scenario (workload.ClusterConfig.Themis): the
+// ablation knobs carry JSON tags, while Mode, MTU and the runtime hooks do not
+// serialize, so no scenario file sets them.
 type Config struct {
 	// Mode selects the Themis-S mechanism (default DirectSpray).
-	Mode SprayMode
+	Mode SprayMode `json:"-"`
 	// QueueFactor is F, the PSN-queue capacity expansion factor over the
 	// last-hop BDP (§3.3/§4; default 1.5).
-	QueueFactor float64
+	QueueFactor float64 `json:"queue_factor,omitempty"`
 	// MTU is used for BDP-based queue sizing (default packet.DefaultMTU).
-	MTU int
+	MTU int `json:"-"`
 	// DisableBlocking turns off Themis-D NACK filtering (ablation: spraying
 	// alone, the paper's "direct combination" pathology).
-	DisableBlocking bool
+	DisableBlocking bool `json:"disable_blocking,omitempty"`
 	// DisableCompensation turns off the §3.4 NACK compensation (ablation:
 	// blocked-but-real losses must wait for the sender's RTO).
-	DisableCompensation bool
+	DisableCompensation bool `json:"disable_compensation,omitempty"`
 	// FallbackOnFailure makes the ToR disable Themis and revert to ECMP
 	// while any of its fabric links is down (§6).
-	FallbackOnFailure bool
+	FallbackOnFailure bool `json:"fallback_on_failure,omitempty"`
 	// PathSubset, if positive, restricts each flow to this many of its N
 	// equal-cost paths (the §6 future-work extension). The subset is chosen
 	// per flow from P_base, so different flows cover different paths while
 	// each flow's Eq. 1/Eq. 3 arithmetic runs modulo the subset size. Must
 	// be configured identically on the source and destination ToRs of a
 	// flow (it is part of the connection-setup handshake in deployment).
-	PathSubset int
+	PathSubset int `json:"path_subset,omitempty"`
 	// TableBudgetBytes caps the SRAM charged to per-QP flow state on this
 	// ToR (both roles), enforcing the §4 memory model at run time: every
 	// entry is charged its Table 1 footprint (flow-table entry bytes plus,
@@ -75,13 +78,13 @@ type Config struct {
 	// exactly like the post-reboot relearn path. Zero means unbounded (the
 	// historical behaviour). See TableBudget to derive a value from
 	// memmodel.Params.
-	TableBudgetBytes int
+	TableBudgetBytes int `json:"table_budget_bytes,omitempty"`
 	// IdleTimeout enables lazy reclamation of idle flow-table entries: an
 	// entry untouched for this long may be evicted by SweepIdle (run
 	// opportunistically on every registration) even without budget pressure.
 	// Requires Clock. Zero disables idle eviction; entries are then reclaimed
 	// only by UnregisterFlow or budget pressure.
-	IdleTimeout sim.Duration
+	IdleTimeout sim.Duration `json:"idle_timeout,omitempty"`
 	// Relearn makes the ToR rebuild per-QP flow state from live traffic
 	// after a state loss (Reboot): a data or NACK packet for an unknown QP
 	// re-registers the flow from its header fields, exactly as the
@@ -90,19 +93,19 @@ type Config struct {
 	// NACKs after a reboot fall through the conservative scan-miss path
 	// (forwarded) rather than being blocked — a rebooted ToR can cause
 	// spurious retransmissions but never suppress a valid NACK.
-	Relearn bool
+	Relearn bool `json:"relearn,omitempty"`
 	// Tracer, if non-nil, records middleware verdicts (spray, block,
 	// forward, compensate); see package trace. Requires Clock.
-	Tracer *trace.Tracer
+	Tracer *trace.Tracer `json:"-"`
 	// Clock supplies timestamps for trace events (normally the sim.Engine).
-	Clock interface{ Now() sim.Time }
+	Clock interface{ Now() sim.Time } `json:"-"`
 	// Pool, if non-nil, supplies packets for compensation NACKs. Share it
 	// with fabric.Config.Pool. Nil allocates normally.
-	Pool *packet.Pool
+	Pool *packet.Pool `json:"-"`
 	// Metrics, if non-nil, receives this instance's live flow-table state as
 	// additive gauges (see registerMetrics). Share one registry across all
 	// ToRs to get cluster-wide totals.
-	Metrics *obs.Registry
+	Metrics *obs.Registry `json:"-"`
 }
 
 // Stats counts Themis events on one ToR.

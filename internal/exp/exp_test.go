@@ -21,18 +21,17 @@ import (
 func testGrid() []Scenario {
 	grid := SmokeGrid(1, 2) // 2 collective cells + 1 chaos soak
 	grid = append(grid, Scenario{
-		Name:         "motivation-small",
-		Workload:     Motivation,
-		Seed:         3,
-		Transport:    rnic.SelectiveRepeat,
-		MessageBytes: 1 << 20,
+		Name:          "motivation-small",
+		Workload:      Motivation,
+		ClusterConfig: workload.ClusterConfig{Seed: 3, Transport: rnic.SelectiveRepeat},
+		MessageBytes:  1 << 20,
 	})
 	grid = append(grid, Scenario{
-		Name:         "incast-small",
-		Workload:     Incast,
-		Seed:         4,
-		Senders:      4,
-		MessageBytes: 512 << 10,
+		Name:          "incast-small",
+		Workload:      Incast,
+		ClusterConfig: workload.ClusterConfig{Seed: 4},
+		Senders:       4,
+		MessageBytes:  512 << 10,
 	})
 	grid = append(grid, ChurnGrid(5, 1)...)
 	// First four convergence cells: the three delay-0 spray arms plus one
@@ -154,7 +153,7 @@ func TestShardCountDeterminism(t *testing.T) {
 
 func TestRunnerPreservesOrderAndReportsErrors(t *testing.T) {
 	grid := []Scenario{
-		{Name: "bad", Workload: Workload("nope"), Seed: 1},
+		{Name: "bad", Workload: Workload("nope"), ClusterConfig: workload.ClusterConfig{Seed: 1}},
 		SmokeGrid(5)[0],
 	}
 	trials := Runner{Parallel: 4}.Run(grid)
@@ -609,12 +608,12 @@ func TestWorkloadTable(t *testing.T) {
 		if !strings.Contains("|"+WorkloadNames()+"|", "|"+string(row.name)+"|") {
 			t.Errorf("WorkloadNames() = %q misses %q", WorkloadNames(), row.name)
 		}
-		label := Scenario{Workload: row.name, Seed: 9}.Label()
+		label := Scenario{Workload: row.name, ClusterConfig: workload.ClusterConfig{Seed: 9}}.Label()
 		if !strings.HasPrefix(label, string(row.name)+"/") || !strings.HasSuffix(label, "/seed9") {
 			t.Errorf("%s: derived label %q", row.name, label)
 		}
 	}
-	sc := Scenario{Workload: Collective, Seed: 9, LB: workload.Themis, Pattern: collective.AllToAll}
+	sc := Scenario{Workload: Collective, ClusterConfig: workload.ClusterConfig{Seed: 9, LB: workload.Themis}, Pattern: collective.AllToAll}
 	if got := sc.Label(); got != "collective/alltoall/themis/ti0s-td0s/seed9" {
 		t.Errorf("Label = %q", got)
 	}
@@ -628,7 +627,7 @@ func TestWorkloadTable(t *testing.T) {
 	if _, err := ParseWorkload("nope"); err == nil || !strings.Contains(err.Error(), WorkloadNames()) {
 		t.Errorf("ParseWorkload(nope) error = %v, want one listing the names", err)
 	}
-	tr := run(Scenario{Workload: "nope", Seed: 3}, nil, nil, 1)
+	tr := run(Scenario{Workload: "nope", ClusterConfig: workload.ClusterConfig{Seed: 3}}, nil, nil, 1)
 	if tr.Name != "nope/seed3" || !strings.Contains(tr.Err, "unknown workload") {
 		t.Errorf("unknown workload: Name %q Err %q", tr.Name, tr.Err)
 	}
@@ -642,8 +641,9 @@ func TestWorkloadTable(t *testing.T) {
 func TestHorizonCutIsNeverSuccess(t *testing.T) {
 	for _, row := range workloads {
 		tr := Run(Scenario{
-			Workload: row.name, Seed: 3, Horizon: 5 * sim.Microsecond, MessageBytes: 256 << 10,
-			Leaves: 2, Spines: 2, HostsPerLeaf: 2,
+			Workload:      row.name,
+			ClusterConfig: workload.ClusterConfig{Seed: 3, Leaves: 2, Spines: 2, HostsPerLeaf: 2},
+			Horizon:       5 * sim.Microsecond, MessageBytes: 256 << 10,
 		})
 		cut := tr.Err != ""
 		for _, v := range tr.Violations {
@@ -689,12 +689,23 @@ func TestReportWriteFile(t *testing.T) {
 }
 
 // TestRunObservedDumpsFlightOnPanic drives the failure path of the flight
-// recorder end to end: a workload that panics mid-setup (SendMessage rejects
-// the non-positive size) must come back as a Trial.Err — never a crashed
-// grid — with the ring dumped to disk for `themis-sim inspect`.
+// recorder end to end: a workload that panics mid-run (a table row whose
+// runner builds its cluster and then panics — Validate keeps every real input
+// from getting that far) must come back as a Trial.Err — never a crashed grid
+// — with the ring dumped to disk for `themis-sim inspect`.
 func TestRunObservedDumpsFlightOnPanic(t *testing.T) {
+	const panics Workload = "panics"
+	workloads = append(workloads, workloadRow{name: panics, run: func(_ Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
+		if _, err := workload.BuildCluster(cc); err != nil {
+			return workload.Outcome{}, err
+		}
+		panic("mid-run")
+	}})
+	defer func() { workloads = workloads[:len(workloads)-1] }()
 	dir := t.TempDir()
-	sc := Scenario{Name: "chaos-bad-size", Workload: Chaos, Seed: 3, MessageBytes: -1}
+	sc := Scenario{Name: "mid-run-panic", Workload: panics, ClusterConfig: workload.ClusterConfig{
+		Seed: 3, LB: workload.Themis, Leaves: 2, Spines: 2, HostsPerLeaf: 2,
+	}}
 	tr := RunObserved(sc, Obs{FlightDir: dir})
 	if !strings.Contains(tr.Err, "panic") {
 		t.Fatalf("Err = %q, want a recovered panic", tr.Err)
@@ -719,7 +730,7 @@ func TestRunObservedDumpsFlightOnPanic(t *testing.T) {
 	}
 
 	// An error that is reported (not panicked) takes the same exit: dumped.
-	tr = RunObserved(Scenario{Name: "bad", Workload: Workload("nope"), Seed: 4}, Obs{FlightDir: dir})
+	tr = RunObserved(Scenario{Name: "bad", Workload: Workload("nope"), ClusterConfig: workload.ClusterConfig{Seed: 4}}, Obs{FlightDir: dir})
 	if tr.Err == "" || tr.FlightDump == "" {
 		t.Fatalf("erroring trial: Err=%q FlightDump=%q, want both set", tr.Err, tr.FlightDump)
 	}

@@ -27,11 +27,10 @@ func Fig1Arms() []rnic.Transport {
 // fixed 4×4×2 fabric with the given transport.
 func Fig1Scenario(seed, bytes int64, tr rnic.Transport) Scenario {
 	return Scenario{
-		Name:         fmt.Sprintf("fig1/%v/seed%d", tr, seed),
-		Workload:     Motivation,
-		Seed:         seed,
-		Transport:    tr,
-		MessageBytes: bytes,
+		Name:          fmt.Sprintf("fig1/%v/seed%d", tr, seed),
+		Workload:      Motivation,
+		ClusterConfig: workload.ClusterConfig{Seed: seed, Transport: tr},
+		MessageBytes:  bytes,
 	}
 }
 
@@ -52,13 +51,10 @@ func Fig5Cell(seed, bytes int64, pattern collective.Pattern, set workload.DCQCNS
 	return Scenario{
 		Name: fmt.Sprintf("fig5/%v/ti%d-td%d/%v/seed%d",
 			pattern, int64(set.TI/sim.Microsecond), int64(set.TD/sim.Microsecond), lb, seed),
-		Workload:     Collective,
-		Seed:         seed,
-		Pattern:      pattern,
-		LB:           lb,
-		TI:           set.TI,
-		TD:           set.TD,
-		MessageBytes: bytes,
+		Workload:      Collective,
+		ClusterConfig: workload.ClusterConfig{Seed: seed, LB: lb, TI: set.TI, TD: set.TD},
+		Pattern:       pattern,
+		MessageBytes:  bytes,
 	}
 }
 
@@ -78,16 +74,13 @@ func Fig5Grid(seed, bytes int64, pattern collective.Pattern) []Scenario {
 // a 1 MB ring Allreduce on a 4×4×4 fabric at 100 Gbps.
 func AblationCell(seed int64, lb workload.LBMode) Scenario {
 	return Scenario{
-		Name:         fmt.Sprintf("ablation/%v/seed%d", lb, seed),
-		Workload:     Collective,
-		Seed:         seed,
+		Name:     fmt.Sprintf("ablation/%v/seed%d", lb, seed),
+		Workload: Collective,
+		ClusterConfig: workload.ClusterConfig{
+			Seed: seed, LB: lb, Leaves: 4, Spines: 4, HostsPerLeaf: 4, Bandwidth: 100e9,
+		},
 		Pattern:      collective.RingAllreduce,
-		LB:           lb,
 		MessageBytes: 1 << 20,
-		Leaves:       4,
-		Spines:       4,
-		HostsPerLeaf: 4,
-		Bandwidth:    100e9,
 	}
 }
 
@@ -111,16 +104,15 @@ func QueueFactorGrid(seed int64, factors []float64) []Scenario {
 func PathSubsetGrid(seed int64, ks []int) []Scenario {
 	var grid []Scenario
 	for _, k := range ks {
-		sc := Scenario{
-			Name:         fmt.Sprintf("path-subset/k%d/seed%d", k, seed),
-			Workload:     Collective,
-			Seed:         seed,
+		grid = append(grid, Scenario{
+			Name:     fmt.Sprintf("path-subset/k%d/seed%d", k, seed),
+			Workload: Collective,
+			ClusterConfig: workload.ClusterConfig{
+				Seed: seed, LB: workload.Themis, Themis: core.Config{PathSubset: k},
+			},
 			Pattern:      collective.RingAllreduce,
-			LB:           workload.Themis,
 			MessageBytes: 2 << 20,
-		}
-		sc.Themis.PathSubset = k
-		grid = append(grid, sc)
+		})
 	}
 	return grid
 }
@@ -132,22 +124,18 @@ func PathSubsetGrid(seed int64, ks []int) []Scenario {
 func LossRecoveryGrid(seed int64) []Scenario {
 	var grid []Scenario
 	for _, disable := range []bool{false, true} {
-		sc := Scenario{
-			Name:           fmt.Sprintf("loss-recovery/comp=%t/seed%d", !disable, seed),
-			Workload:       Collective,
-			Seed:           seed,
-			Pattern:        collective.RingAllreduce,
-			LB:             workload.Themis,
-			MessageBytes:   1 << 20,
-			Leaves:         2,
-			Spines:         4,
-			HostsPerLeaf:   2,
-			Bandwidth:      100e9,
-			RTO:            500 * sim.Microsecond,
-			DropEveryNData: 500,
-		}
-		sc.Themis.DisableCompensation = disable
-		grid = append(grid, sc)
+		grid = append(grid, Scenario{
+			Name:     fmt.Sprintf("loss-recovery/comp=%t/seed%d", !disable, seed),
+			Workload: Collective,
+			ClusterConfig: workload.ClusterConfig{
+				Seed: seed, LB: workload.Themis,
+				Leaves: 2, Spines: 4, HostsPerLeaf: 2, Bandwidth: 100e9,
+				RTO: 500 * sim.Microsecond, DropEveryNData: 500,
+				Themis: core.Config{DisableCompensation: disable},
+			},
+			Pattern:      collective.RingAllreduce,
+			MessageBytes: 1 << 20,
+		})
 	}
 	return grid
 }
@@ -169,7 +157,7 @@ func LinkFailureScenario(seed int64) Scenario {
 func ChaosGrid(first int64, count int) []Scenario {
 	grid := make([]Scenario, count)
 	for i := range grid {
-		grid[i] = Scenario{Workload: Chaos, Seed: first + int64(i)}
+		grid[i] = Scenario{Workload: Chaos, ClusterConfig: workload.ClusterConfig{Seed: first + int64(i)}}
 		grid[i].Name = grid[i].Label()
 	}
 	return grid
@@ -195,17 +183,14 @@ func ConvergenceGrid(first int64, count int) []Scenario {
 		seed := first + int64(i)
 		for _, d := range ConvergenceDelays() {
 			for _, arm := range repsArms[2:] { // the three established baselines
-				sc := Scenario{
+				grid = append(grid, Scenario{
 					Name: fmt.Sprintf("convergence/%s/d%dus/seed%d",
 						arm.name, int64(d/sim.Microsecond), seed),
-					Workload:           Convergence,
-					Seed:               seed,
-					LB:                 arm.lb,
-					DistributedRouting: true,
-					ConvergenceDelay:   d,
-					Themis:             arm.knobs,
-				}
-				grid = append(grid, sc)
+					Workload: Convergence,
+					ClusterConfig: workload.ClusterConfig{
+						Seed: seed, LB: arm.lb, DistributedRouting: true, ConvergenceDelay: d, Themis: arm.knobs,
+					},
+				})
 			}
 		}
 	}
@@ -236,33 +221,28 @@ func churnBudgetBytes(entries int) int {
 func ChurnGrid(first int64, count int) []Scenario {
 	budget := churnBudgetBytes(churnQPs / 10)
 	arms := []struct {
-		name   string
-		knobs  ThemisKnobs
-		budget int
+		name  string
+		knobs core.Config
 	}{
-		{"budgeted-relearn", ThemisKnobs{Relearn: true, FallbackOnFailure: true}, budget},
-		{"budgeted-ecmp", ThemisKnobs{FallbackOnFailure: true}, budget},
-		{"unbounded", ThemisKnobs{Relearn: true, FallbackOnFailure: true}, 0},
+		{"budgeted-relearn", core.Config{Relearn: true, FallbackOnFailure: true, TableBudgetBytes: budget}},
+		{"budgeted-ecmp", core.Config{FallbackOnFailure: true, TableBudgetBytes: budget}},
+		{"unbounded", core.Config{Relearn: true, FallbackOnFailure: true}},
 	}
 	var grid []Scenario
 	for i := 0; i < count; i++ {
 		seed := first + int64(i)
 		for _, arm := range arms {
-			sc := Scenario{
-				Name:         fmt.Sprintf("churn/%s/seed%d", arm.name, seed),
-				Workload:     Churn,
-				Seed:         seed,
-				LB:           workload.Themis,
+			grid = append(grid, Scenario{
+				Name:     fmt.Sprintf("churn/%s/seed%d", arm.name, seed),
+				Workload: Churn,
+				ClusterConfig: workload.ClusterConfig{
+					Seed: seed, LB: workload.Themis, BurstBytes: 9000, LossyControl: true, Themis: arm.knobs,
+				},
 				QPs:          churnQPs,
 				Concurrency:  24,
 				MessageBytes: 64 << 10,
-				BurstBytes:   9000,
-				LossyControl: true,
 				Faults:       true,
-				Themis:       arm.knobs,
-			}
-			sc.Themis.TableBudgetBytes = arm.budget
-			grid = append(grid, sc)
+			})
 		}
 	}
 	return grid
@@ -272,7 +252,7 @@ func ChurnGrid(first int64, count int) []Scenario {
 type sprayArm struct {
 	name  string
 	lb    workload.LBMode
-	knobs ThemisKnobs
+	knobs core.Config
 }
 
 // repsArms is the spraying-arm comparison set the REPS grid sweeps: the two
@@ -282,11 +262,11 @@ type sprayArm struct {
 // only matter on the churn cells; the chaos and convergence harness pins its
 // own hardened middleware config.
 var repsArms = []sprayArm{
-	{"reps", workload.REPS, ThemisKnobs{}},
-	{"congestion", workload.CongestionAware, ThemisKnobs{}},
-	{"themis-relearn", workload.Themis, ThemisKnobs{Relearn: true, FallbackOnFailure: true}},
-	{"ecmp", workload.ECMP, ThemisKnobs{}},
-	{"flowlet", workload.Flowlet, ThemisKnobs{}},
+	{"reps", workload.REPS, core.Config{}},
+	{"congestion", workload.CongestionAware, core.Config{}},
+	{"themis-relearn", workload.Themis, core.Config{Relearn: true, FallbackOnFailure: true}},
+	{"ecmp", workload.ECMP, core.Config{}},
+	{"flowlet", workload.Flowlet, core.Config{}},
 }
 
 // RepsGrid returns the REPS evaluation sweep for seeds [first, first+count):
@@ -304,34 +284,31 @@ func RepsGrid(first int64, count int) []Scenario {
 		for _, arm := range repsArms {
 			grid = append(grid,
 				Scenario{
-					Name:         fmt.Sprintf("reps/chaos/%s/seed%d", arm.name, seed),
-					Workload:     Chaos,
-					Seed:         seed,
-					LB:           arm.lb,
-					LBArmed:      true,
-					MessageBytes: 512 << 10,
+					Name:          fmt.Sprintf("reps/chaos/%s/seed%d", arm.name, seed),
+					Workload:      Chaos,
+					ClusterConfig: workload.ClusterConfig{Seed: seed, LB: arm.lb},
+					LBArmed:       true,
+					MessageBytes:  512 << 10,
 				},
 				Scenario{
-					Name:         fmt.Sprintf("reps/churn/%s/seed%d", arm.name, seed),
-					Workload:     Churn,
-					Seed:         seed,
-					LB:           arm.lb,
+					Name:     fmt.Sprintf("reps/churn/%s/seed%d", arm.name, seed),
+					Workload: Churn,
+					ClusterConfig: workload.ClusterConfig{
+						Seed: seed, LB: arm.lb, LossyControl: true, Themis: arm.knobs,
+					},
 					QPs:          48,
 					Concurrency:  12,
 					MessageBytes: 64 << 10,
-					LossyControl: true,
 					Faults:       true,
-					Themis:       arm.knobs,
 				},
 				Scenario{
-					Name:               fmt.Sprintf("reps/convergence/%s/seed%d", arm.name, seed),
-					Workload:           Convergence,
-					Seed:               seed,
-					LB:                 arm.lb,
-					MessageBytes:       512 << 10,
-					DistributedRouting: true,
-					ConvergenceDelay:   5 * sim.Microsecond,
-					Themis:             arm.knobs,
+					Name:     fmt.Sprintf("reps/convergence/%s/seed%d", arm.name, seed),
+					Workload: Convergence,
+					ClusterConfig: workload.ClusterConfig{
+						Seed: seed, LB: arm.lb, DistributedRouting: true, ConvergenceDelay: 5 * sim.Microsecond,
+						Themis: arm.knobs,
+					},
+					MessageBytes: 512 << 10,
 				})
 		}
 	}
@@ -345,16 +322,13 @@ func SmokeGrid(seeds ...int64) []Scenario {
 	var grid []Scenario
 	for _, seed := range seeds {
 		grid = append(grid, Scenario{
-			Name:         fmt.Sprintf("smoke/themis/seed%d", seed),
-			Workload:     Collective,
-			Seed:         seed,
+			Name:     fmt.Sprintf("smoke/themis/seed%d", seed),
+			Workload: Collective,
+			ClusterConfig: workload.ClusterConfig{
+				Seed: seed, LB: workload.Themis, Leaves: 3, Spines: 3, HostsPerLeaf: 2, Bandwidth: 100e9,
+			},
 			Pattern:      collective.RingAllreduce,
-			LB:           workload.Themis,
 			MessageBytes: 256 << 10,
-			Leaves:       3,
-			Spines:       3,
-			HostsPerLeaf: 2,
-			Bandwidth:    100e9,
 		})
 	}
 	if len(seeds) > 0 {
@@ -382,12 +356,10 @@ func SprayGrid(seeds ...int64) []Scenario {
 			workload.CongestionAware,
 		} {
 			grid = append(grid, Scenario{
-				Name:         fmt.Sprintf("spray/%v/seed%d", lb, seed),
-				Workload:     Spray,
-				Seed:         seed,
-				LB:           lb,
-				FatTreeK:     4,
-				MessageBytes: 64 << 10,
+				Name:          fmt.Sprintf("spray/%v/seed%d", lb, seed),
+				Workload:      Spray,
+				ClusterConfig: workload.ClusterConfig{Seed: seed, LB: lb, FatTreeK: 4},
+				MessageBytes:  64 << 10,
 			})
 		}
 	}

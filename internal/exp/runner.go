@@ -10,8 +10,8 @@ import (
 // state; results land in the output slice at their scenario's index, making
 // the trial order — and therefore the serialized report — independent of the
 // worker count and of scheduling. The cores are split between the workers: a
-// trial that can be cut across shards (see Scenario.Shards) gets its
-// worker's share, GOMAXPROCS / workers.
+// trial that can be cut across shards (see workload.ClusterConfig.Shards)
+// gets its worker's share, GOMAXPROCS / workers.
 type Runner struct {
 	// Parallel is the worker count; values < 1 mean 1 (sequential).
 	Parallel int

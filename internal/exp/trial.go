@@ -109,16 +109,19 @@ func runObserved(sc Scenario, o Obs, cores int) (t Trial) {
 	return t
 }
 
-// run hands the scenario to its row of the workload table with the
-// observability hooks threaded through and a shard count of 0 resolved: the
-// cores the trial has to itself, or one when the cluster holds what shards
-// cannot share (an explicit count meets the same list as the runner's error).
-// The trial is the runner's Outcome, or Err.
+// run validates the scenario and hands it to its row of the workload table
+// with the observability hooks threaded through and a shard count of 0
+// resolved: the cores the trial has to itself, or one when the cluster holds
+// what shards cannot share (an explicit count meets the same list as the
+// runner's error). The trial is the runner's Outcome, or Err.
 func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry, cores int) Trial {
 	t := Trial{Name: sc.Label(), Scenario: sc}
 	row, err := sc.Workload.row()
 	if err == nil {
-		cc := sc.cluster()
+		err = sc.Validate()
+	}
+	if err == nil {
+		cc := sc.ClusterConfig
 		cc.Tracer, cc.Metrics = tr, reg
 		if cc.Shards == 0 {
 			cc.Shards = cores

@@ -49,9 +49,9 @@ type workloadRow struct {
 	// arm, if non-nil, renders the arm segment of a derived label
 	// ("name/arm/seedN"; "name/seedN" without one).
 	arm func(Scenario) string
-	// run lowers the scenario's shape fields onto cc — the scenario's lowered
-	// cluster config with the observability hooks attached — calls the
-	// runner and returns the record it filled.
+	// run lowers the scenario's shape fields onto cc — the scenario's
+	// ClusterConfig with the observability hooks attached and Shards
+	// resolved — calls the runner and returns the record it filled.
 	run func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error)
 }
 

@@ -189,7 +189,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 	c := d.run.wait(cfg.Horizon)
 
 	res := ChurnResult{Outcome: cl.Outcome(c.End), Opened: d.opened, Completed: cfg.QPs - c.Unfinished}
-	res.TableBytesPeak, res.TableBudgetBytes = d.maxTable, cl.Config.ThemisCfg.TableBudgetBytes
+	res.TableBytesPeak, res.TableBudgetBytes = d.maxTable, cl.Config.Themis.TableBudgetBytes
 	if sec := c.End.Seconds(); sec > 0 {
 		res.GoodputGbps = float64(res.Sender.GoodputBytes) * 8 / sec / 1e9
 	}

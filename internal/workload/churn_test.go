@@ -23,8 +23,8 @@ const dstEntryBytes = memmodel.FlowTableEntryBytes + 25*memmodel.QueueEntryBytes
 func TestOverlappingFailureWithFallbackLatches(t *testing.T) {
 	cl, err := BuildCluster(ClusterConfig{
 		Seed: 1, Leaves: 2, Spines: 4, HostsPerLeaf: 2, Bandwidth: 100e9,
-		LB:        Themis,
-		ThemisCfg: core.Config{FallbackOnFailure: true},
+		LB:     Themis,
+		Themis: core.Config{FallbackOnFailure: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestOverlappingFailureWithFallbackLatches(t *testing.T) {
 // every flow completes, nothing is ever evicted or rejected.
 func TestChurnUnboundedCompletes(t *testing.T) {
 	res, err := RunChurn(ChurnConfig{
-		ClusterConfig: ClusterConfig{Seed: 1, LB: Themis, ThemisCfg: core.Config{Relearn: true}},
+		ClusterConfig: ClusterConfig{Seed: 1, LB: Themis, Themis: core.Config{Relearn: true}},
 		QPs:           60, Concurrency: 12, MessageBytes: 64 << 10,
 	})
 	if err != nil {
@@ -103,7 +103,7 @@ func TestChurnBudgetedDegradesGracefully(t *testing.T) {
 	res, err := RunChurn(ChurnConfig{
 		ClusterConfig: ClusterConfig{
 			Seed: 1, LB: Themis,
-			ThemisCfg: core.Config{Relearn: true, TableBudgetBytes: budget},
+			Themis: core.Config{Relearn: true, TableBudgetBytes: budget},
 		},
 		QPs: 60, Concurrency: 12, MessageBytes: 64 << 10,
 	})
@@ -133,7 +133,7 @@ func TestChurnDeterministic(t *testing.T) {
 	cfg := ChurnConfig{
 		ClusterConfig: ClusterConfig{
 			Seed: 3, LB: Themis,
-			ThemisCfg: core.Config{Relearn: true, FallbackOnFailure: true, TableBudgetBytes: 4 * dstEntryBytes},
+			Themis: core.Config{Relearn: true, FallbackOnFailure: true, TableBudgetBytes: 4 * dstEntryBytes},
 		},
 		QPs: 40, Concurrency: 8, MessageBytes: 32 << 10, Faults: true,
 	}
@@ -191,7 +191,7 @@ func TestChurnFaultSchedule(t *testing.T) {
 func TestChurnFaultsReachTheTrace(t *testing.T) {
 	tr := trace.New(1 << 18)
 	res, err := RunChurn(ChurnConfig{
-		ClusterConfig: ClusterConfig{Seed: 1, LB: Themis, Tracer: tr, ThemisCfg: core.Config{Relearn: true}},
+		ClusterConfig: ClusterConfig{Seed: 1, LB: Themis, Tracer: tr, Themis: core.Config{Relearn: true}},
 		QPs:           24, Concurrency: 8, MessageBytes: 32 << 10, Faults: true,
 	})
 	if err != nil {
@@ -238,7 +238,7 @@ func TestChurnSoak(t *testing.T) {
 		for i, arm := range arms {
 			cfg := base
 			cfg.Seed = seed
-			cfg.ThemisCfg = arm.cfg
+			cfg.Themis = arm.cfg
 			res, err := RunChurn(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -16,8 +16,10 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 
 	"themis/internal/collective"
 	"themis/internal/core"
@@ -32,65 +34,77 @@ import (
 	"themis/internal/trace"
 )
 
-// ClusterConfig describes one simulated cluster. It is the only declaration
-// of the fabric, LB, NIC, CC, routing and observability knobs: every runner
-// config and chaos.Options embed it, and exp.Scenario lowers to it in one
-// place (Scenario.cluster).
+// ClusterConfig describes one simulated cluster. It is the one declaration of
+// the fabric, LB, NIC, CC, routing and middleware knobs, and its JSON tags are
+// their wire format: every runner config and chaos.Options embed it, and so
+// does exp.Scenario, whose serialized form is this struct's keys beside the
+// workload shape. Adding a knob is one tagged field here (or in core.Config,
+// the Themis block) plus its lowering into the fabric, NIC or arm config
+// below; Validate covers a numeric one without being told. The runtime hooks
+// (Shards, Tracer, Metrics) are not serialized.
 type ClusterConfig struct {
-	Seed int64
+	Seed int64 `json:"seed"`
 
-	// Shards is the number of space-parallel engine shards RunCollective and
-	// RunSpray cut the racks across (0 means 1; a count above the rack count
-	// is clipped to it). An execution knob, not an experiment arm: a result
-	// is byte-identical for every value (TestCollectiveShardInvariance,
-	// TestSprayShardInvariance). What shards would have to share is refused
-	// above one (ShardRefusal). The other runners build through BuildCluster
-	// and run on one engine whatever it says: churn because its closed loop
-	// is global, the rest by choice.
-	Shards int
+	// Shards is an execution knob, not an experiment arm: the number of
+	// space-parallel engine shards RunCollective and RunSpray cut the racks
+	// across (0 means 1 here; a count above the rack count is clipped to it).
+	// exp resolves a scenario's 0 to the cores the trial has to itself —
+	// GOMAXPROCS for exp.Run, GOMAXPROCS/Parallel for a Runner worker — or to
+	// one when the cluster holds what shards cannot share (ShardRefusal),
+	// which an explicit count above one makes an error. The other runners
+	// build through BuildCluster and run on one engine whatever it says: churn
+	// because its closed loop is global, the rest by choice. A result is
+	// byte-identical for every value (TestCollectiveShardInvariance,
+	// TestSprayShardInvariance, exp's shard determinism regression), so like
+	// exp.Runner.Parallel it is not serialized.
+	Shards int `json:"-"`
 
-	// Topology: leaf-spine unless FatTreeK > 0.
-	Leaves, Spines, HostsPerLeaf int
-	FatTreeK                     int
-	Bandwidth                    int64        // all links
-	LinkDelay                    sim.Duration // per-hop propagation
+	// Topology: leaf-spine unless FatTreeK > 0 (Motivation pins the paper's
+	// 4×4×2 fabric; FatTreeK is spray's).
+	Leaves       int          `json:"leaves,omitempty"`
+	Spines       int          `json:"spines,omitempty"`
+	HostsPerLeaf int          `json:"hosts_per_leaf,omitempty"`
+	FatTreeK     int          `json:"fat_tree_k,omitempty"`
+	Bandwidth    int64        `json:"bandwidth,omitempty"`  // all links
+	LinkDelay    sim.Duration `json:"link_delay,omitempty"` // per-hop propagation
 
 	// Switch.
-	BufferBytes int  // default 64 MB (the paper's switch buffer)
-	DisablePFC  bool // PFC is on by default (RoCE fabrics run lossless)
+	BufferBytes int  `json:"buffer_bytes,omitempty"` // default 64 MB (the paper's switch buffer)
+	DisablePFC  bool `json:"disable_pfc,omitempty"`  // PFC is on by default (RoCE fabrics run lossless)
 
 	// Load balancing.
-	LB LBMode
+	LB LBMode `json:"lb,omitempty"`
 	// RepsCache is the REPS entropy-ring capacity (default
 	// lb.DefaultREPSCache). Used when LB == REPS.
-	RepsCache int
+	RepsCache int `json:"reps_cache,omitempty"`
 	// PathBuckets is the entropy-bucket count of the congestion-aware arm:
 	// the sender round-robins data packets over this many source ports and
 	// DCQCN keeps one α per bucket (default 16). Used when
 	// LB == CongestionAware.
-	PathBuckets int
+	PathBuckets int `json:"path_buckets,omitempty"`
 
 	// NIC / transport.
-	Transport  rnic.Transport
-	BurstBytes int // default 16 KB pacer bursts
-	RTO        sim.Duration
-	RTOBackoff float64      // RTO multiplier per consecutive timeout (<=1: fixed RTO)
-	RTOMax     sim.Duration // backoff cap (default 100x RTO when backing off)
-	TI, TD     sim.Duration // DCQCN knobs (Fig. 5 sweep)
+	Transport  rnic.Transport `json:"transport,omitempty"`
+	BurstBytes int            `json:"burst_bytes,omitempty"` // default 16 KB pacer bursts
+	RTO        sim.Duration   `json:"rto,omitempty"`
+	RTOBackoff float64        `json:"rto_backoff,omitempty"` // RTO multiplier per consecutive timeout (<=1: fixed RTO)
+	RTOMax     sim.Duration   `json:"rto_max,omitempty"`     // backoff cap (default 100x RTO when backing off)
+	TI         sim.Duration   `json:"ti,omitempty"`          // DCQCN knobs (Fig. 5 sweep)
+	TD         sim.Duration   `json:"td,omitempty"`
 
 	// LossyControl subjects ACK/NACK/CNP to buffer drops and injected loss
 	// (fabric.Config.ControlLossless = false) — the robustness configuration;
 	// production RoCE fabrics keep the control class lossless.
-	LossyControl bool
+	LossyControl bool `json:"lossy_control,omitempty"`
 
 	// DistributedRouting replaces the instant global routing oracle with the
 	// per-switch BGP-style control plane (internal/route): link events
 	// propagate hop-by-hop with ConvergenceDelay per message, and forwarding
 	// during the window uses each switch's possibly-stale FIB.
-	DistributedRouting bool
+	DistributedRouting bool `json:"distributed_routing,omitempty"`
 	// ConvergenceDelay is the per-hop control-message processing delay.
 	// Zero converges synchronously (oracle-equivalent results).
-	ConvergenceDelay sim.Duration
+	ConvergenceDelay sim.Duration `json:"convergence_delay,omitempty"`
 
 	// DropEveryNData, if positive, drops every Nth data packet at switch
 	// egress — the declarative form of the counter-based loss hook the loss
@@ -99,20 +113,62 @@ type ClusterConfig struct {
 	// workload whatever faults are injected beside it; with LossyControl the
 	// count and the drops take in control packets too, which then consult the
 	// hook like data. A cluster cut across more than one shard rejects it.
-	DropEveryNData int
+	DropEveryNData int `json:"drop_every_n_data,omitempty"`
 
-	// Themis middleware (used when LB == Themis).
-	ThemisCfg core.Config
+	// Themis is the middleware config (used when LB == Themis): its ablation
+	// knobs are serialized, and its runtime hooks — Tracer, Metrics, Pool and
+	// Clock — are the cluster's to set (Validate rejects a preset one).
+	Themis core.Config `json:"themis"`
 
 	// Tracer, if non-nil, records packet and middleware events for
 	// debugging (see internal/trace).
-	Tracer *trace.Tracer
+	Tracer *trace.Tracer `json:"-"`
 
 	// Metrics, if non-nil, is shared by every component of the cluster for
 	// what Outcome does not carry: the routing plane's message counts, each
 	// ToR's live flow-table occupancy and each NIC's message completion
 	// latencies register on it (see internal/obs).
-	Metrics *obs.Registry
+	Metrics *obs.Registry `json:"-"`
+}
+
+// Validate rejects a config no cluster is built from, naming the field: a
+// negative numeric knob (any Seed is a seed, and RTOBackoff <= 1 means a fixed
+// RTO), an unknown LB arm or transport, or a Themis runtime hook set by the
+// caller — the cluster wires Tracer and Metrics from its own fields, and Pool
+// and Clock per shard. buildCluster calls it first.
+func (c ClusterConfig) Validate() error {
+	if field := negative(reflect.ValueOf(c), ""); field != "" {
+		return fmt.Errorf("workload: %s is negative", field)
+	}
+	if _, err := c.LB.arm(); err != nil {
+		return err
+	}
+	if _, err := rnic.ParseTransport(c.Transport.String()); err != nil {
+		return fmt.Errorf("workload: Transport: %w", err)
+	}
+	t := c.Themis
+	if t.Tracer != nil || t.Metrics != nil || t.Pool != nil || t.Clock != nil {
+		return errors.New("workload: Themis.Tracer/Metrics/Pool/Clock are the cluster's to set; trace or meter it through ClusterConfig.Tracer/Metrics")
+	}
+	return nil
+}
+
+// negative returns "path=value" for the first negative numeric field of the
+// struct v, descending into nested structs, or "" if there is none.
+func negative(v reflect.Value, prefix string) string {
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), prefix+v.Type().Field(i).Name
+		switch {
+		case name == "Seed" || name == "RTOBackoff" || !v.Type().Field(i).IsExported():
+		case f.CanInt() && f.Int() < 0, f.CanFloat() && f.Float() < 0:
+			return fmt.Sprintf("%s=%v", name, f.Interface())
+		case f.Kind() == reflect.Struct:
+			if n := negative(f, name+"."); n != "" {
+				return n
+			}
+		}
+	}
+	return ""
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
@@ -278,22 +334,18 @@ func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 	return buildCluster(cfg, nil)
 }
 
-// buildCluster is the one cluster builder: it cuts the racks across
-// cfg.Shards engines (0 means 1, a negative count is an error, and a count
-// above the rack count is clipped to it, as exp.Runner clips its workers to
-// the grid) with identity-keyed seeds
-// and a pool per shard, so a trial's results are byte-identical for every
-// count. What shards would have to share (ShardRefusal, with the run's fault
+// buildCluster is the one cluster builder: it validates cfg and cuts the
+// racks across cfg.Shards engines (0 means 1, and a count above the rack count
+// is clipped to it, as exp.Runner clips its workers to the grid) with
+// identity-keyed seeds and a pool per shard, so a trial's results are
+// byte-identical for every count. What shards would have to share (ShardRefusal, with the run's fault
 // schedule) is refused only when there really is more than one.
 func buildCluster(cfg ClusterConfig, faults []Fault) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("workload: Shards=%d is negative", cfg.Shards)
-	}
-	a, err := cfg.LB.arm()
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
+	a := &arms[cfg.LB] // Validate looked it up
 	t, err := cfg.topology()
 	if err != nil {
 		return nil, err
@@ -351,15 +403,10 @@ func buildCluster(cfg ClusterConfig, faults []Fault) (*Cluster, error) {
 	}
 
 	if a.pipeline {
-		tcfg := cfg.ThemisCfg
-		if tcfg.Metrics == nil {
-			tcfg.Metrics = cfg.Metrics
-		}
+		tcfg := cfg.Themis
+		tcfg.Tracer, tcfg.Metrics = cfg.Tracer, cfg.Metrics
 		if cfg.FatTreeK > 0 && tcfg.Mode == core.DirectSpray {
 			tcfg.Mode = core.PathMapSpray
-		}
-		if cfg.Tracer != nil && tcfg.Tracer == nil {
-			tcfg.Tracer = cfg.Tracer
 		}
 		cl.torIDs = t.ToRs()
 		for _, id := range cl.torIDs {

@@ -8,8 +8,11 @@ import (
 	"testing"
 
 	"themis/internal/collective"
+	"themis/internal/core"
 	"themis/internal/obs"
+	"themis/internal/packet"
 	"themis/internal/sim"
+	"themis/internal/trace"
 )
 
 // The collective determinism contract, spray's (TestSprayShardInvariance) one
@@ -107,13 +110,33 @@ func TestCollectiveRejectsDegenerateShapes(t *testing.T) {
 	}
 }
 
+// The middleware's runtime hooks are the cluster's: a tracer set only on the
+// Themis block passed the shard refusals (which read ClusterConfig.Tracer) and
+// raced across shards, so every preset hook is an error naming the cluster's
+// own field — at any shard count, before anything is built.
+func TestThemisHooksAreTheCluster(t *testing.T) {
+	for name, th := range map[string]core.Config{
+		"Tracer":  {Tracer: trace.New(16)},
+		"Metrics": {Metrics: obs.NewRegistry()},
+		"Pool":    {Pool: packet.NewPool()},
+		"Clock":   {Clock: sim.NewEngine(1)},
+	} {
+		cfg := smallCollective(collective.RingAllreduce, Themis, 1)
+		cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf, cfg.Groups, cfg.MessageBytes = 2, 2, 2, 2, 256<<10
+		cfg.Shards, cfg.Themis = 2, th
+		if _, err := RunCollective(cfg, nil); err == nil || !strings.Contains(err.Error(), "ClusterConfig.Tracer") {
+			t.Errorf("Themis.%s preset: err %v, want one naming ClusterConfig.Tracer/Metrics", name, err)
+		}
+	}
+}
+
 // A link failure reaches across the fabric (both link ends, every Themis
 // instance), so a collective with one runs on one shard; asking for more is
 // an error that names the knob, not a panic from the fabric.
 func TestCollectiveLinkFailNeedsOneShard(t *testing.T) {
 	cfg := smallCollective(collective.RingAllreduce, Themis, 3)
 	cfg.MessageBytes, cfg.Groups = 256<<10, 1
-	cfg.ThemisCfg.FallbackOnFailure = true
+	cfg.Themis.FallbackOnFailure = true
 	faults := []Fault{{Kind: LinkFlap, Sw: 0, Port: 4, At: 20 * sim.Microsecond}}
 	cfg.Shards = 2
 	if _, err := RunCollective(cfg, faults); err == nil || !strings.Contains(err.Error(), "fault schedule") {

@@ -140,7 +140,7 @@ func (cl *Cluster) Inject(faults []Fault) {
 			cl.addLossRule(lossRule{from: start, to: end, sw: -1, port: -1, ctrl: true, rate: f.Rate})
 		case TorReboot:
 			// All flow-table and ring-queue state is lost mid-flow; with
-			// ThemisCfg.Relearn the instance rebuilds it from live traffic. A
+			// Themis.Relearn the instance rebuilds it from live traffic. A
 			// no-op (but still an event) on clusters without the middleware,
 			// so one schedule runs on every arm.
 			cl.Engine.At(start, func() {
