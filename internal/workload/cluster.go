@@ -36,12 +36,10 @@ import (
 
 // ClusterConfig describes one simulated cluster. It is the one declaration of
 // the fabric, LB, NIC, CC, routing and middleware knobs, and its JSON tags are
-// their wire format: every runner config and chaos.Options embed it, and so
-// does exp.Scenario, whose serialized form is this struct's keys beside the
-// workload shape. Adding a knob is one tagged field here (or in core.Config,
-// the Themis block) plus its lowering into the fabric, NIC or arm config
-// below; Validate covers a numeric one without being told. The runtime hooks
-// (Shards, Tracer, Metrics) are not serialized.
+// their wire format: every runner config, chaos.Options and exp.Scenario
+// embed it. Adding a knob is one tagged field here (or in core.Config, the
+// Themis block) plus its lowering into the fabric, NIC or arm config below.
+// The runtime hooks (Shards, Tracer, Metrics) are not serialized.
 type ClusterConfig struct {
 	Seed int64 `json:"seed"`
 
@@ -132,13 +130,16 @@ type ClusterConfig struct {
 }
 
 // Validate rejects a config no cluster is built from, naming the field: a
-// negative numeric knob (any Seed is a seed, and RTOBackoff <= 1 means a fixed
-// RTO), an unknown LB arm or transport, or a Themis runtime hook set by the
-// caller — the cluster wires Tracer and Metrics from its own fields, and Pool
-// and Clock per shard. buildCluster calls it first.
+// negative numeric knob (see numericKnobs), an unknown LB arm or transport,
+// or a Themis runtime hook set by the caller — the cluster wires Tracer and
+// Metrics from its own fields, and Pool and Clock per shard. buildCluster
+// calls it first.
 func (c ClusterConfig) Validate() error {
-	if field := negative(reflect.ValueOf(c), ""); field != "" {
-		return fmt.Errorf("workload: %s is negative", field)
+	v := reflect.ValueOf(&c).Elem()
+	for _, k := range numericKnobs {
+		if f := v.FieldByIndex(k.index); f.CanInt() && f.Int() < 0 || f.CanFloat() && f.Float() < 0 {
+			return fmt.Errorf("workload: %s=%v is negative", k.name, f.Interface())
+		}
 	}
 	if _, err := c.LB.arm(); err != nil {
 		return err
@@ -153,22 +154,32 @@ func (c ClusterConfig) Validate() error {
 	return nil
 }
 
-// negative returns "path=value" for the first negative numeric field of the
-// struct v, descending into nested structs, or "" if there is none.
-func negative(v reflect.Value, prefix string) string {
-	for i := 0; i < v.NumField(); i++ {
-		f, name := v.Field(i), prefix+v.Type().Field(i).Name
-		switch {
-		case name == "Seed" || name == "RTOBackoff" || !v.Type().Field(i).IsExported():
-		case f.CanInt() && f.Int() < 0, f.CanFloat() && f.Float() < 0:
-			return fmt.Sprintf("%s=%v", name, f.Interface())
-		case f.Kind() == reflect.Struct:
-			if n := negative(f, name+"."); n != "" {
-				return n
+// numericKnobs is every numeric field of ClusterConfig, the Themis block's
+// included, by dotted name and index: a knob added later is validated without
+// being listed. Seed is left out (any value is a seed), and so is RTOBackoff
+// (<= 1 means a fixed RTO). Built once, so Validate costs no field walk.
+var numericKnobs = numericFields(reflect.TypeOf(ClusterConfig{}), "", nil)
+
+type knob struct {
+	name  string
+	index []int
+}
+
+func numericFields(t reflect.Type, prefix string, index []int) []knob {
+	var out []knob
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		name, at := prefix+f.Name, append(index[:len(index):len(index)], i)
+		switch f.Type.Kind() {
+		case reflect.Struct:
+			out = append(out, numericFields(f.Type, name+".", at)...)
+		case reflect.Int, reflect.Int64, reflect.Float64:
+			if f.IsExported() && name != "Seed" && name != "RTOBackoff" {
+				out = append(out, knob{name, at})
 			}
 		}
 	}
-	return ""
+	return out
 }
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
