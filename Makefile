@@ -108,8 +108,9 @@ bench-selftest:
 # built at PARENT and at HEAD from `git archive` exports, N alternating
 # parent/change pairs of workload W at -seed SEED (~25 s a run, so 10 pairs is
 # ~9 min), then per-side median and quartiles of the four end-to-end metrics
-# and calib_ns, the change's win count on wall_s and whether sim_digest moved.
-# Keep the machine otherwise idle. A change that edits benchmark/ is refused.
+# and calib_ns, the change's win count on wall_s and whether sim_digest moved;
+# the summary is appended as one JSON line to perf/ledger.jsonl, which is
+# committed. Keep the machine otherwise idle. A change that edits benchmark/ is refused.
 N ?= 10
 SEED ?= 9
 bench-pair:

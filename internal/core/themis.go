@@ -330,16 +330,15 @@ func (th *Themis) FlowCounts() (src, dst int) {
 // compensation). A rejected flow is unmanaged, not broken — it runs over
 // plain ECMP with NACKs forwarded, and relearn retries it later.
 func (th *Themis) RegisterFlow(qp packet.QPID, src, dst packet.NodeID, sport uint16) error {
-	if th.topology.ToROf(src) == th.topology.ToROf(dst) {
+	// Ownership first: the cluster offers every flow to every ToR, and the
+	// path count is a walk of the topology (1 for a same-rack flow).
+	isSrc := th.topology.ToROf(src) == th.swID
+	isDst := th.topology.ToROf(dst) == th.swID
+	if !isSrc && !isDst {
 		return nil
 	}
 	full := th.topology.PathCount(src, dst)
 	if full < 2 {
-		return nil
-	}
-	isSrc := th.topology.ToROf(src) == th.swID
-	isDst := th.topology.ToROf(dst) == th.swID
-	if !isSrc && !isDst {
 		return nil
 	}
 	th.SweepIdle()

@@ -10,9 +10,10 @@ import (
 )
 
 // The tests in this file pin the elided serializer completion (see
-// outQueue.maybeStart): a transmission that releases nothing and has nothing
-// behind it schedules no txDone, everything else still does, and the instants
-// at which packets start, arrive and drop are the ones the eager model gave.
+// outQueue.maybeStart): a transmission with nothing behind it schedules no
+// txDone, what it holds of its switch is released lazily but exactly (see
+// debt), and the instants at which packets start, arrive and drop and PFC
+// frames leave are the ones the eager model gave.
 
 const ctrlSize = 64 // header-only ACK/NACK/CNP on the wire
 
@@ -30,6 +31,18 @@ func fabricUplink(n *Network, h packet.NodeID) *outQueue {
 		}
 	}
 	panic("no uplink")
+}
+
+// held returns what switch sw holds — shared-buffer bytes and, under PFC, the
+// bytes charged to each ingress port — once every release whose turn has
+// passed is paid: the totals the eager model's txDone left at this instant.
+func held(n *Network, sw int) (buf int, ingress []int) {
+	s := n.switches[sw]
+	s.settle()
+	if s.pfc != nil {
+		ingress = slices.Clone(s.pfc.ingressBytes)
+	}
+	return s.bufUsed, ingress
 }
 
 // checkPipes is the test-only invariant check on every link's propagation
@@ -242,8 +255,8 @@ func TestPFCFramesDuringElidedTransmission(t *testing.T) {
 			if want := tc.dataStart.Add(3 * (serData + usec)); len(c.pkts) != 2 || dataAt != want {
 				t.Fatalf("%d delivered, data at %v; want 2, data at %v (on the uplink at %v)", len(c.pkts), dataAt, want, tc.dataStart)
 			}
-			// The data was charged to its ingress and released by its txDone.
-			if got := n.switches[0].pfc.ingressBytes; got[0] != 0 || got[1] != 0 {
+			// The data was charged to its ingress and released when it left.
+			if _, got := held(n, 0); got[0] != 0 || got[1] != 0 {
 				t.Fatalf("ingress bytes left charged: %v", got)
 			}
 		})
@@ -330,29 +343,28 @@ func TestLinkFailureRetractsElidedTransmission(t *testing.T) {
 	balanced()
 }
 
-// Completions that release something keep their event. A lossy-control fabric
-// charges control packets to the switch buffer, and PFC charges data to its
-// ingress: both still run txDone on every switch port (two events per link),
-// the buffer drains to zero and the PFC frame counts are the eager model's.
-func TestReleasingCompletionsKeepTheirEvent(t *testing.T) {
+// Completions that release something elide like the rest. A lossy-control
+// fabric charges control packets to the switch buffer, and PFC charges data
+// to its ingress: on an idle path each link still costs one event, the burst
+// delivery, the buffer is owed until its turn and then drains to zero, and
+// the PFC frame counts are the eager model's.
+func TestReleasingCompletionsElide(t *testing.T) {
 	tp := leafSpine(t, 2, 1, 1)
 	e := sim.NewEngine(1)
 	n := NewNetwork(e, tp, Config{ControlLossless: false, BufferBytes: 1 << 20})
 	n.AttachHost(1, func(*packet.Packet) {})
 	n.Inject(0, &packet.Packet{Kind: packet.Nack, Src: 0, Dst: 1, PSN: 3})
 	e.Run(sim.Time(serCtrl + usec)) // at the first switch
-	if got := n.switches[0].bufUsed; got != ctrlSize {
+	if got, _ := held(n, 0); got != ctrlSize {
 		t.Fatalf("leaf 0 holds %d buffer bytes for the NACK in transit, want %d", got, ctrlSize)
 	}
 	e.RunAll()
-	// The host uplink (no buffer to release) elides: 1 event. Each of the
-	// three switch ports pays its txDone and its burst delivery: 6.
-	if got := e.Executed(); got != 7 {
-		t.Fatalf("%d events executed, want 7", got)
+	if got := e.Executed(); got != 4 {
+		t.Fatalf("%d events executed for one NACK over four links, want 4", got)
 	}
-	for _, s := range n.switches {
-		if s.bufUsed != 0 {
-			t.Fatalf("switch %d still holds %d buffer bytes", s.sw.ID, s.bufUsed)
+	for sw := range n.switches {
+		if got, _ := held(n, sw); got != 0 {
+			t.Fatalf("switch %d still holds %d buffer bytes", sw, got)
 		}
 	}
 
@@ -362,8 +374,13 @@ func TestReleasingCompletionsKeepTheirEvent(t *testing.T) {
 	n.AttachHost(1, func(*packet.Packet) {})
 	n.Inject(0, newData(0, 1, 0, 1000))
 	e.RunAll()
-	if got := e.Executed(); got != 7 {
-		t.Fatalf("%d events executed for one data packet under PFC, want 7", got)
+	if got := e.Executed(); got != 4 {
+		t.Fatalf("%d events executed for one data packet under PFC, want 4", got)
+	}
+	for sw := range n.switches {
+		if _, got := held(n, sw); slices.ContainsFunc(got, func(b int) bool { return b != 0 }) {
+			t.Fatalf("switch %d ingress bytes left charged: %v", sw, got)
+		}
 	}
 
 	// The 4:1 incast of TestPFCPreventsDropsUnderIncast: the PAUSE/RESUME
@@ -387,6 +404,199 @@ func TestReleasingCompletionsKeepTheirEvent(t *testing.T) {
 	}
 	if probe < 10 {
 		t.Fatalf("only %d pipe probes ran", probe)
+	}
+}
+
+// Admission reads the buffer through the debts: a release whose turn has
+// passed is paid before a packet is refused, one still owed is not. The
+// buffer holds exactly one data packet.
+func TestAdmissionSettlesOnlyPassedDebts(t *testing.T) {
+	size := newData(0, 2, 0, 1000).Size()
+	ser := sim.Duration(sim.TransmitTime(size, gbps100))
+	tp := leafSpine(t, 2, 1, 2) // hosts 0,1 on leaf 0; 2,3 on leaf 1
+	e := sim.NewEngine(1)
+	n := NewNetwork(e, tp, Config{ControlLossless: true, BufferBytes: size})
+	var c collector
+	n.AttachHost(2, c.recv(e))
+	up := fabricUplink(n, 0)
+
+	// Host 0's first packet reaches leaf 0 at ser+usec and leaves its uplink,
+	// elided, at 2ser+usec. Host 1's packet arrives in between and is refused
+	// as the eager model refused it; host 0's second arrives after and is
+	// admitted only by paying the first one's debt.
+	n.Inject(0, newData(0, 2, 0, 1000))
+	e.At(sim.Time(ser/2), func() { n.Inject(1, newData(1, 2, 0, 1000)) })
+	e.At(sim.Time(2*ser), func() { n.Inject(0, newData(0, 2, 1, 1000)) })
+	secondAt := sim.Time(3*ser + usec)
+	e.Run(secondAt - 1)
+	if got := n.Counters().DataDrops; got != 1 {
+		t.Fatalf("%d data drops before the second packet arrives, want host 1's", got)
+	}
+	if s := n.switches[0]; s.bufUsed != size || !up.owed.buffered {
+		t.Fatalf("leaf 0 counts %d buffer bytes, uplink owes %+v; want the first packet's debt still counted", s.bufUsed, up.owed)
+	}
+	e.RunAll()
+	if got := n.Counters().DataDrops; got != 1 || len(c.pkts) != 2 || c.pkts[1].PSN != 1 {
+		t.Fatalf("%d data drops, %d delivered; want 1 and host 0's two packets", got, len(c.pkts))
+	}
+	for sw := range n.switches {
+		if got, _ := held(n, sw); got != 0 {
+			t.Fatalf("switch %d still holds %d buffer bytes", sw, got)
+		}
+	}
+	// Two timed injects, one event per link for each delivered packet, and
+	// host 1's one hop to the refusal.
+	if got := e.Executed(); got != 2+4+4+1 {
+		t.Fatalf("%d events executed, want %d", got, 2+4+4+1)
+	}
+}
+
+// PAUSE asserted on an ingress while an elided transmission still owes it
+// bytes fills that transmission's turn with the wake: the release runs there,
+// so the RESUME it sends leaves when the eager txDone sent it. A packet that
+// starts while its ingress is paused keeps its txDone, whose RESUME is on time
+// as before.
+func TestPauseOnOwedIngressResumesOnTime(t *testing.T) {
+	size := newData(0, 2, 0, 1000).Size()
+	ser := sim.Duration(sim.TransmitTime(size, gbps100))
+	tp := leafSpine(t, 2, 1, 2) // hosts 0,1 on leaf 0; 2,3 on leaf 1
+	e := sim.NewEngine(1)
+	n := NewNetwork(e, tp, Config{ControlLossless: true, PFC: PFCConfig{Enabled: true, XoffBytes: 2 * size, XonBytes: size}})
+	var c collector
+	for h := packet.NodeID(0); h < 3; h++ {
+		n.AttachHost(h, c.recv(e))
+	}
+	s := n.switches[0]
+	up := fabricUplink(n, 0)
+	local := s.ports[tp.HostAttach(1).Port]
+	in := tp.HostAttach(0).Port
+	hairpin := s.ports[in] // towards host 0 itself: a second port to hold a packet
+	host := n.hostUp[0]    // what the ingress's PFC frames gate
+	frames := func() (uint64, uint64) { return n.PFCStats(0) }
+
+	// Both packets come in on host 0's port. The first leaves on the idle
+	// uplink, elided, owing its ingress; the second, held by the paused port
+	// towards host 1, crosses Xoff mid-transmission.
+	local.setPaused(true)
+	s.enqueue(newData(0, 2, 0, 1000), up.port, in)
+	if up.busy || !up.owed.accounted || up.owed.in != in {
+		t.Fatalf("uplink busy=%t owes %+v; want an elided start owing ingress %d", up.busy, up.owed, in)
+	}
+	e.At(sim.Time(ser/2), func() { s.enqueue(newData(0, 1, 0, 1000), local.port, in) })
+	e.Run(sim.Time(ser / 2))
+	if p, _ := frames(); p != 1 || !up.wakeArmed {
+		t.Fatalf("%d PAUSE sent, wake armed %t; want 1 and the owed turn filled", p, up.wakeArmed)
+	}
+	// The first packet's last bit leaves at ser: its release takes the
+	// ingress down to Xon, and RESUME lands one host-link delay later.
+	resumeAt := sim.Time(ser).Add(usec)
+	e.Run(resumeAt - 1)
+	if _, r := frames(); r != 1 || !host.paused {
+		t.Fatalf("%d RESUME sent, host paused %t just before the frame lands", r, host.paused)
+	}
+	e.Run(resumeAt)
+	if host.paused {
+		t.Fatalf("host 0 still paused at %v", resumeAt)
+	}
+
+	// A third packet, held towards host 0, re-asserts PAUSE with nothing
+	// owed. Releasing the port towards host 1 starts the second packet alone
+	// under that pause: it keeps its txDone, and its release sends RESUME at
+	// its completion.
+	hairpin.setPaused(true)
+	s.enqueue(newData(0, 0, 0, 1000), hairpin.port, in)
+	if p, _ := frames(); p != 2 {
+		t.Fatalf("%d PAUSE sent, want 2", p)
+	}
+	start := e.Now()
+	local.setPaused(false)
+	if !local.busy {
+		t.Fatal("a packet from a paused ingress started without its txDone")
+	}
+	e.Run(start.Add(ser + usec - 1))
+	if _, r := frames(); r != 2 || !host.paused {
+		t.Fatalf("%d RESUME sent, host paused %t just before the second RESUME lands", r, host.paused)
+	}
+	e.Run(start.Add(ser + usec))
+	if host.paused {
+		t.Fatalf("host 0 still paused at %v", start.Add(ser+usec))
+	}
+	hairpin.setPaused(false)
+	e.RunAll()
+	if p, r := frames(); p != 2 || r != 2 || host.paused || len(c.pkts) != 3 {
+		t.Fatalf("%d PAUSE / %d RESUME, host paused %t, %d delivered; want 2 / 2, false, 3", p, r, host.paused, len(c.pkts))
+	}
+	if _, got := held(n, 0); got[in] != 0 {
+		t.Fatalf("ingress bytes left charged: %v", got)
+	}
+}
+
+// The Xoff test reads the ingress count through the debts as admission reads
+// the buffer: a release whose turn has passed is paid before PAUSE is
+// asserted.
+func TestXoffSettlesPassedDebts(t *testing.T) {
+	size := newData(0, 2, 0, 1000).Size()
+	ser := sim.Duration(sim.TransmitTime(size, gbps100))
+	tp := leafSpine(t, 2, 1, 2)
+	e := sim.NewEngine(1)
+	n := NewNetwork(e, tp, Config{ControlLossless: true, PFC: PFCConfig{Enabled: true, XoffBytes: 2 * size, XonBytes: size}})
+	n.AttachHost(2, func(*packet.Packet) {})
+	s := n.switches[0]
+	up := fabricUplink(n, 0)
+	in := tp.HostAttach(0).Port
+
+	// The first packet leaves on the idle uplink owing its ingress; the
+	// second comes in on the same port after the first's last bit left.
+	s.enqueue(newData(0, 2, 0, 1000), up.port, in)
+	e.At(sim.Time(2*ser), func() {
+		if got := s.pfc.ingressBytes[in]; got != size || !up.owed.accounted {
+			t.Errorf("ingress %d counts %d bytes, uplink owes %+v; want the first packet still counted", in, got, up.owed)
+		}
+		s.enqueue(newData(0, 2, 1, 1000), up.port, in)
+	})
+	e.RunAll()
+	if p, _ := n.PFCStats(0); p != 0 {
+		t.Fatalf("%d PAUSE sent for an ingress that never held two packets at once", p)
+	}
+}
+
+// A link that fails during an elided data transmission drops the packet (see
+// retract), and the packet's debt is still paid: the buffer and ingress bytes
+// it held come back as the eager txDone gave them back.
+func TestLinkFailureDuringElidedDataPaysItsDebt(t *testing.T) {
+	tp := leafSpine(t, 2, 1, 1)
+	e := sim.NewEngine(1)
+	pool := packet.NewPool()
+	n := NewNetwork(e, tp, Config{ControlLossless: true, BufferBytes: 1 << 20, PFC: DefaultPFC(gbps100), Pool: pool})
+	delivered := 0
+	n.AttachHost(1, func(*packet.Packet) { delivered++ })
+	q := fabricUplink(n, 0)
+	pkt := pool.Get()
+	*pkt = *newData(0, 1, 0, 1000)
+	ser := sim.Duration(sim.TransmitTime(pkt.Size(), gbps100))
+	n.Inject(0, pkt)
+	e.At(sim.Time(usec+ser+ser/2), func() {
+		if !q.owed.buffered || !q.owed.accounted {
+			t.Errorf("uplink owes %+v mid-transmission, want the data's buffer and ingress bytes", q.owed)
+		}
+		n.SetLinkState(0, q.port, false)
+	})
+	// Read the totals once the dropped packet's last bit would have left.
+	e.At(sim.Time(usec+3*ser), func() {
+		if buf, ingress := held(n, 0); buf != 0 || slices.ContainsFunc(ingress, func(b int) bool { return b != 0 }) {
+			t.Errorf("leaf 0 holds %d buffer bytes and ingress %v after the drop", buf, ingress)
+		}
+	})
+	e.RunAll()
+	if got := n.Counters().LinkDrops; got != 1 || delivered != 0 {
+		t.Fatalf("LinkDrops = %d, delivered = %d; want 1, 0", got, delivered)
+	}
+	if allocs, reuses, returns := pool.Stats(); allocs+reuses != returns {
+		t.Fatalf("pool: %d gets, %d puts", allocs+reuses, returns)
+	}
+	// The host uplink's delivery, the failure and the read: no completion.
+	if got := e.Executed(); got != 3 || e.Pending() != 0 {
+		t.Fatalf("%d events executed, %d pending; want 3, 0", got, e.Pending())
 	}
 }
 

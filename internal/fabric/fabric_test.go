@@ -572,7 +572,7 @@ func TestBufferReleasedAfterTransit(t *testing.T) {
 	}
 	e.RunAll()
 	for sw := 0; sw < tp.NumSwitches(); sw++ {
-		if used := n.switches[sw].bufUsed; used != 0 {
+		if used, _ := held(n, sw); used != 0 {
 			t.Fatalf("switch %d leaked %d buffer bytes", sw, used)
 		}
 	}

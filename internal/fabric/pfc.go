@@ -59,7 +59,11 @@ func newPFCState(nPorts int) *pfcState {
 }
 
 // accountIngress charges a queued data packet to its ingress port and
-// asserts PAUSE upstream when the Xoff threshold is crossed.
+// asserts PAUSE upstream when the Xoff threshold is crossed. The count may
+// still hold releases that elided transmissions owe (see debt): the due ones
+// are settled before the threshold decides, and the rest are made to pay in
+// their own turns once PAUSE is asserted, so the RESUME they may send goes out
+// when the eager model's txDone sent it.
 func (s *swInst) accountIngress(pkt *packet.Packet, inPort int) {
 	if s.pfc == nil || inPort < 0 || pkt.Kind.IsControl() {
 		return
@@ -67,22 +71,27 @@ func (s *swInst) accountIngress(pkt *packet.Packet, inPort int) {
 	pkt.InPort = int32(inPort)
 	pkt.Accounted = true
 	s.pfc.ingressBytes[inPort] += pkt.Size()
-	if !s.pfc.pauseSent[inPort] && s.pfc.ingressBytes[inPort] >= s.net.cfg.PFC.XoffBytes {
-		s.pfc.pauseSent[inPort] = true
-		s.pfc.pausesTx++
-		s.sendPauseFrame(inPort, true)
+	if s.pfc.pauseSent[inPort] || s.pfc.ingressBytes[inPort] < s.net.cfg.PFC.XoffBytes {
+		return
+	}
+	s.settle()
+	if s.pfc.ingressBytes[inPort] < s.net.cfg.PFC.XoffBytes {
+		return
+	}
+	s.pfc.pauseSent[inPort] = true
+	s.pfc.pausesTx++
+	s.sendPauseFrame(inPort, true)
+	for _, q := range s.ports {
+		if q.owed.accounted && q.owed.in == inPort {
+			q.armWake()
+		}
 	}
 }
 
-// releaseIngress un-charges a packet when it leaves this switch and sends
-// RESUME once the backlog falls below Xon.
-func (s *swInst) releaseIngress(pkt *packet.Packet) {
-	if s.pfc == nil || !pkt.Accounted {
-		return
-	}
-	pkt.Accounted = false
-	inPort := int(pkt.InPort)
-	s.pfc.ingressBytes[inPort] -= pkt.Size()
+// releaseIngress un-charges size bytes from ingress port inPort when a packet
+// leaves this switch and sends RESUME once the backlog falls below Xon.
+func (s *swInst) releaseIngress(inPort, size int) {
+	s.pfc.ingressBytes[inPort] -= size
 	if s.pfc.pauseSent[inPort] && s.pfc.ingressBytes[inPort] <= s.net.cfg.PFC.XonBytes {
 		s.pfc.pauseSent[inPort] = false
 		s.pfc.resumesTx++

@@ -156,8 +156,8 @@ func TestPFCWatchdogFlushesStuckQueue(t *testing.T) {
 	if q.bytes != 0 || q.data.len() > 0 {
 		t.Fatalf("data backlog not flushed: %d bytes", q.bytes)
 	}
-	if s.bufUsed != 0 {
-		t.Fatalf("buffer accounting leaked: %d bytes still charged", s.bufUsed)
+	if used, _ := held(n, 0); used != 0 {
+		t.Fatalf("buffer accounting leaked: %d bytes still charged", used)
 	}
 }
 

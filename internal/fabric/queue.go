@@ -117,6 +117,9 @@ type outQueue struct {
 	// wake is armed there (wakeArmed).
 	done      sim.Turn
 	wakeArmed bool
+	// owed is the buffer and PFC ingress release that transmission owes its
+	// switch at done (see debt and settle).
+	owed debt
 
 	// PFC deadlock watchdog (see PFCConfig.WatchdogTimeout). pausedSince is
 	// when the current pause was asserted; wdArmed is whether a check is
@@ -238,14 +241,24 @@ func (q *outQueue) kick() {
 	case q.eng.Passed(q.done):
 		q.maybeStart()
 	default:
+		q.armWake()
+	}
+}
+
+// armWake fills the turn of the latest elided completion, which must not have
+// passed, with the wake event.
+func (q *outQueue) armWake() {
+	if !q.wakeArmed {
 		q.wakeArmed = true
 		q.eng.AtTurn(q.done, wake, q)
 	}
 }
 
 // wake fills the turn of an elided completion when something was enqueued (or
-// the data class resumed) before it. One function serves every queue — the
-// queue rides in the event's argument — so wiring binds no callback for it.
+// the data class resumed) before it, or when its debt must be paid on time
+// (PAUSE asserted on the debt's ingress, see accountIngress). One function
+// serves every queue — the queue rides in the event's argument — so wiring
+// binds no callback for it.
 func wake(a any) {
 	q := a.(*outQueue)
 	q.wakeArmed = false
@@ -269,19 +282,25 @@ func (q *outQueue) next() *packet.Packet {
 // maybeStart begins serializing the next eligible packet, if any.
 //
 // A transmission normally ends in a txDone event. That event is elided when
-// it would have nothing to do: nothing to release (the packet holds no buffer
-// space and no PFC ingress bytes — control on a lossless-control fabric,
-// anything on a host uplink), nothing to start (control FIFO empty, data FIFO
-// empty or paused) and a wire to put the packet on (up port, delay > 0). The
-// completion instant and hence the arrival are known now, so the packet is
-// committed to the pipe at once and the completion's place in the execution
-// order is only reserved (done); an arrival before it arms the one wake
-// event there (kick), so a backlogged queue pays one event per packet as
-// before and an idle one none. Deliveries are ordered by (time, channel
-// stamp) alone, never by when their burst event was armed, so committing
-// early reorders nothing downstream, and the wake runs where the txDone
-// would have: the elision removes events and moves none.
+// it would have nothing to start (control FIFO empty, data FIFO empty or
+// paused), a wire to put the packet on (up port, delay > 0) and no RESUME
+// riding on its release (its PFC ingress is not paused). The completion
+// instant and hence the arrival are known now, so the packet is committed to
+// the pipe at once and the completion's place in the execution order is only
+// reserved (done); an arrival before it arms the one wake event there (kick),
+// so a backlogged queue pays one event per packet as before and an idle one
+// none. Deliveries are ordered by (time, channel stamp) alone, never by when
+// their burst event was armed, so committing early reorders nothing
+// downstream, and the wake runs where the txDone would have: the elision
+// removes events and moves none.
+//
+// The buffer space and PFC ingress bytes the packet holds become a debt the
+// queue owes at done (owed). It is paid at the queue's next start or wake,
+// both at or after the turn, or earlier by swInst.settle when an admission or
+// Xoff decision would read the over-estimate; PAUSE on its ingress fills the
+// turn with the wake so the release runs exactly there.
 func (q *outQueue) maybeStart() {
+	q.settle()
 	pkt := q.next()
 	if pkt == nil {
 		return
@@ -298,10 +317,11 @@ func (q *outQueue) maybeStart() {
 		}
 	}
 	ser := sim.TransmitTime(pkt.Size(), q.bw)
-	if !pkt.Buffered && !pkt.Accounted && q.delay > 0 && q.ctrl.len() == 0 &&
-		(q.paused || q.data.len() == 0) && (q.sw == nil || q.sw.portUp[q.port]) {
+	if q.delay > 0 && q.ctrl.len() == 0 && (q.paused || q.data.len() == 0) &&
+		(q.sw == nil || q.sw.portUp[q.port] && !(pkt.Accounted && q.sw.pfc.pauseSent[pkt.InPort])) {
 		q.busy = false
 		q.done = q.eng.Reserve(q.eng.Now().Add(ser))
+		q.owed = take(pkt)
 		q.txPackets++
 		q.txBytes += uint64(pkt.Size())
 		q.commit(pkt, q.done.Time().Add(q.delay))
@@ -330,6 +350,15 @@ func (q *outQueue) txDone(pkt *packet.Packet) {
 	}
 	q.busy = false
 	q.maybeStart()
+}
+
+// settle pays the latest elided transmission's debt, if it is still owed.
+// Callers run at or after its turn.
+func (q *outQueue) settle() {
+	if q.owed.held() {
+		q.sw.pay(q.owed)
+		q.owed = debt{}
+	}
 }
 
 // commit puts pkt on the wire to arrive at time at: straight onto the pipe,

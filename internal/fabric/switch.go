@@ -188,8 +188,7 @@ func (s *swInst) enqueue(pkt *packet.Packet, port, inPort int) {
 		return
 	}
 	if !lossless {
-		limit := s.net.cfg.BufferBytes
-		if limit > 0 && s.bufUsed+pkt.Size() > limit {
+		if s.overBuffer(pkt.Size()) {
 			if isCtrl {
 				s.ctr.CtrlDrops++
 				s.free(pkt)
@@ -227,14 +226,58 @@ func (s *swInst) shouldMark(qBytes int) bool {
 	}
 }
 
+// overBuffer reports whether admitting size more bytes would overflow the
+// shared buffer. bufUsed may still count releases that elided transmissions
+// owe (see debt); they are settled only when that could turn the answer.
+func (s *swInst) overBuffer(size int) bool {
+	limit := s.net.cfg.BufferBytes
+	if limit <= 0 || s.bufUsed+size <= limit {
+		return false
+	}
+	s.settle()
+	return s.bufUsed+size > limit
+}
+
+// debt is what a packet holds of its switch from admission until its last bit
+// leaves the port: its size in the shared buffer (buffered) and in the PFC
+// count of ingress port in (accounted).
+type debt struct {
+	size                int
+	in                  int
+	buffered, accounted bool
+}
+
+func (d debt) held() bool { return d.buffered || d.accounted }
+
+// take moves pkt's hold on the switch into a debt, clearing its flags.
+func take(pkt *packet.Packet) debt {
+	d := debt{pkt.Size(), int(pkt.InPort), pkt.Buffered, pkt.Accounted}
+	pkt.Buffered, pkt.Accounted = false, false
+	return d
+}
+
 // release returns buffer space and PFC ingress accounting when a packet
 // leaves (transmitted or dropped at the head of a failed link).
-func (s *swInst) release(pkt *packet.Packet) {
-	if pkt.Buffered {
-		s.bufUsed -= pkt.Size()
-		pkt.Buffered = false
+func (s *swInst) release(pkt *packet.Packet) { s.pay(take(pkt)) }
+
+// pay returns what d holds; un-charging an ingress may send RESUME.
+func (s *swInst) pay(d debt) {
+	if d.buffered {
+		s.bufUsed -= d.size
 	}
-	s.releaseIngress(pkt)
+	if d.accounted {
+		s.releaseIngress(d.in, d.size)
+	}
+}
+
+// settle pays every debt of an elided transmission whose completion turn
+// execution has passed, making bufUsed and the PFC ingress counts exact.
+func (s *swInst) settle() {
+	for _, q := range s.ports {
+		if q.owed.held() && s.eng.Passed(q.done) {
+			q.settle()
+		}
+	}
 }
 
 // loopDrop discards a packet whose TTL expired. The drop only indicts the

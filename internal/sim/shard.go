@@ -96,14 +96,18 @@ type ShardGroup struct {
 	// out[src] is shard src's outgoing mail, and bank the bank posts go to.
 	// Run flips bank at each barrier, retiring the bank the last epoch
 	// posted into; the next epoch drains it.
-	out  []outbox
-	bank int
-	// epochs counts the windows Run has advanced the engines through.
-	epochs int
-	// work is the events the epochs executed, span the sum over epochs of
-	// the busiest shard's share: work/span bounds the speed-up this partition
-	// allows on any number of processors.
-	work, span uint64
+	out    []outbox
+	bank   int
+	epochs EpochStats // what Run has counted (see Epochs)
+}
+
+// EpochStats counts the windows Run has advanced the engines through. Work is
+// the events the epochs executed and Span the sum over epochs of the busiest
+// shard's share: Work/Span bounds the speed-up this partition allows on any
+// number of processors.
+type EpochStats struct {
+	Epochs     int
+	Work, Span uint64
 }
 
 // outbox is one source shard's mail: box[b][dst] buffers its posts to dst
@@ -197,6 +201,9 @@ func (g *ShardGroup) drain(dst int) {
 		g.out[src].box[g.bank^1][dst] = box[:0]
 	}
 }
+
+// Epochs returns what Run has counted of its epochs so far.
+func (g *ShardGroup) Epochs() EpochStats { return g.epochs }
 
 // Metrics returns the group's counter block: every shard engine's metrics
 // folded together with Metrics.Merge.
@@ -402,16 +409,16 @@ func (g *ShardGroup) Run(until Time) Time {
 			limit = next.Add(g.lookahead) - 1
 		}
 		ctl.limit = min(limit, until)
-		g.epochs++
+		g.epochs.Epochs++
 		run()
 		var busiest uint64
 		for i := range state {
 			d := state[i].executed - ran[i]
 			ran[i] = state[i].executed
-			g.work += d
+			g.epochs.Work += d
 			busiest = max(busiest, d)
 		}
-		g.span += busiest
+		g.epochs.Span += busiest
 	}
 	var end Time
 	for _, e := range g.engines {

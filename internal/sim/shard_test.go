@@ -149,12 +149,12 @@ func TestShardGroupOneEngineRunsOnTheCaller(t *testing.T) {
 	}
 	e.At(1, tick)
 	g.Run(350)
-	if seen != 50 || g.epochs != 1 {
-		t.Fatalf("Run(350): %d events in %d epochs, want 50 in one", seen, g.epochs)
+	if seen != 50 || g.Epochs().Epochs != 1 {
+		t.Fatalf("Run(350): %d events in %d epochs, want 50 in one", seen, g.Epochs().Epochs)
 	}
 	g.RunAll()
-	if seen != 100 || g.epochs != 2 {
-		t.Fatalf("RunAll: %d events in %d epochs, want 100 in two", seen, g.epochs)
+	if seen != 100 || g.Epochs().Epochs != 2 {
+		t.Fatalf("RunAll: %d events in %d epochs, want 100 in two", seen, g.Epochs().Epochs)
 	}
 }
 
@@ -180,8 +180,8 @@ func TestShardGroupCrossShardPingPong(t *testing.T) {
 		}
 		engines[0].At(5, hop(0))
 		g.Run(100)
-		if g.epochs != 10 {
-			t.Fatalf("10 hops in %d epochs, want one each", g.epochs)
+		if n := g.Epochs().Epochs; n != 10 {
+			t.Fatalf("10 hops in %d epochs, want one each", n)
 		}
 		return seen
 	}

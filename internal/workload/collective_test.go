@@ -3,7 +3,6 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -65,8 +64,7 @@ func TestCollectiveShardInvariance(t *testing.T) {
 // The coordinator's work and span are exact counts of a cut run: work is
 // every event the advance phases executed — the merged EventsExecuted — and
 // span sums each epoch's busiest shard, so on two shards it lies between half
-// the work (a perfect split) and all of it (one shard idle). The group keeps
-// both unexported, so they are read by field name.
+// the work (a perfect split) and all of it (one shard idle).
 func TestShardGroupWorkAndSpan(t *testing.T) {
 	cfg := smallCollective(collective.RingAllreduce, Themis, 3)
 	cfg.Shards = 2
@@ -83,8 +81,8 @@ func TestShardGroupWorkAndSpan(t *testing.T) {
 	if cl.group.Shards() != 2 {
 		t.Fatalf("%d shards, want 2", cl.group.Shards())
 	}
-	group := reflect.ValueOf(cl.group).Elem()
-	work, span := group.FieldByName("work").Uint(), group.FieldByName("span").Uint()
+	ep := cl.group.Epochs()
+	work, span := ep.Work, ep.Span
 	if executed := cl.group.Metrics().EventsExecuted; work != executed {
 		t.Fatalf("work = %d, want the merged EventsExecuted %d", work, executed)
 	}
