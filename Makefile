@@ -171,15 +171,20 @@ bench-smoke: lint
 # the mailbox banks twelve (source, destination) pairs instead of two.
 # It exists because the one finding it has produced (reps/chaos/themis-relearn
 # seed 123: an armed compensation surviving a §6 bypass window) was invisible
-# to the 2-seed artifacts and the 50-seed tests. Too slow for `make verify`;
-# CI runs it as its own job.
-SOAK = $(GO) run ./cmd/themis-sim sweep -parallel $$(nproc)
+# to the 2-seed artifacts and the 50-seed tests. Every sweep takes
+# -flight-dir: a passing trial records nothing, and a failing one is replayed
+# on one shard into a trace ring whose dump path prints under its VIOLATION
+# lines (a replay that differs from the trial is itself an error); the
+# directory is kept, and named, only when the soak fails. Too slow for
+# `make verify`; CI runs it as its own job.
+SOAK = $(GO) run ./cmd/themis-sim sweep -parallel $$(nproc) -flight-dir $$flight
 soak:
-	$(SOAK) -grid reps -seeds 300
-	$(SOAK) -grid chaos -seeds 300
-	$(SOAK) -grid churn -seeds 100
-	$(SOAK) -grid convergence -seeds 80
-	tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	flight=$$(mktemp -d) && tmp=$$(mktemp -d) && \
+	trap 's=$$?; rm -rf "$$tmp"; if [ $$s -eq 0 ]; then rm -rf "$$flight"; else echo "soak failed; flight dumps: $$flight"; fi' EXIT && \
+	$(SOAK) -grid reps -seeds 300 && \
+	$(SOAK) -grid chaos -seeds 300 && \
+	$(SOAK) -grid churn -seeds 100 && \
+	$(SOAK) -grid convergence -seeds 80 && \
 	for g in smoke spray; do \
 		$(SOAK) -grid $$g -seeds 80 -shards 1 -json $$tmp/$$g-1.json && \
 		$(SOAK) -grid $$g -seeds 80 -shards 2 -json $$tmp/$$g-2.json && \

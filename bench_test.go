@@ -4,7 +4,7 @@
 // harness (internal/exp), the same front door `themis-sim run`/`sweep` use.
 // `go test -bench=. -benchmem .` therefore doubles as the reproduction
 // harness (see EXPERIMENTS.md for recorded outputs). The Fig. 1b/1c time series are emitted by
-// `themis-sim motivation -series`; the benchmarks report the scalar averages.
+// `themis-sim run -workload motivation -series`; the benchmarks report the scalar averages.
 //
 // Scale: by default messages are scaled down from the paper (10 MB instead
 // of 100 MB for Fig. 1, 3 MB instead of 300 MB for Fig. 5) so the whole
@@ -69,7 +69,7 @@ func BenchmarkFig1b_RetransRatio(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := mustTrials(b, benchRunner().Run(grid))[0]
 		if i == 0 {
-			fmt.Printf("\n# Fig 1b: retransmission ratio, NIC-SR + random spraying (series: themis-sim motivation -series)\n")
+			fmt.Printf("\n# Fig 1b: retransmission ratio, NIC-SR + random spraying (series: themis-sim run -workload motivation -series)\n")
 			fmt.Printf("# average retransmission ratio (all flows): %.4f\n", t.RetransRatio)
 		}
 		b.ReportMetric(t.RetransRatio, "retrans/pkt")
@@ -83,7 +83,7 @@ func BenchmarkFig1c_SendRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		t := mustTrials(b, benchRunner().Run(grid))[0]
 		if i == 0 {
-			fmt.Printf("\n# Fig 1c: sending rate (flow 0->2), NIC-SR + random spraying (series: themis-sim motivation -series)\n")
+			fmt.Printf("\n# Fig 1c: sending rate (flow 0->2), NIC-SR + random spraying (series: themis-sim run -workload motivation -series)\n")
 			fmt.Printf("# average rate: %.1f Gbps (line rate 100 Gbps)\n", t.AvgRateGbps)
 		}
 		b.ReportMetric(t.AvgRateGbps, "Gbps")

@@ -1,26 +1,25 @@
 // Command themis-sim runs the paper's experiments from the command line.
 //
-//	themis-sim motivation [-bytes N] [-seed S] [-transport NAME] [-series]
-//	    Fig. 1: the §2.2 motivation study (retransmission ratio, sending
-//	    rate, throughput vs the ideal transport).
-//
 //	themis-sim run [-workload NAME] [-lb ...] [-transport ...]
 //	    [-pattern ...] [-bytes N] [-seed S] [-leaves N] [-spines N] [-hosts N] [-fattree-k K] [-bw gbps]
-//	    [-ti US] [-td US] [-shards N] [-json out.json]
+//	    [-ti US] [-td US] [-shards N] [-json out.json] [-series]
 //	    [-flows N] [-qps N] [-concurrency N] [-faults] [-table-budget BYTES] [-idle-timeout US] [-relearn]
 //	    [-distributed] [-convergence-delay US] [-drain]
 //	    [-metrics] [-flight-dir DIR] [-cpuprofile F] [-memprofile F] [-pprof-addr HOST:PORT]
 //	    One declarative scenario through the experiment harness; prints the
 //	    trial record and optionally writes it as a JSON report. NAME is a row
 //	    of the workload table (internal/exp/workloads.go); -h lists the names.
-//	    Exits non-zero if the trial failed or violated an invariant. One Fig. 5
-//	    cell is -workload collective with its -pattern, -lb and the DCQCN
-//	    -ti/-td (0 = the 900/4 us default); a chaos sweep cell replays as
-//	    -workload chaos -seed S (-flows sets its ring flows). -metrics
-//	    prints the trial's sender, middleware and net counter blocks and
-//	    snapshots its metrics registry (what those blocks lack) into the
-//	    record; -flight-dir arms a flight recorder that dumps a JSONL trace
-//	    on failure. The churn workload takes -qps/-concurrency (flow churn
+//	    Exits non-zero if the trial failed or violated an invariant. Fig. 1 is
+//	    -workload motivation (100 MB, nic-sr and, unless -lb names another arm,
+//	    random spraying; -transport ideal for Fig. 1d's other bar), and -series
+//	    prints its Fig. 1b/1c time series. One Fig. 5 cell is -workload
+//	    collective with its -pattern, -lb and the DCQCN -ti/-td (0 = the 900/4
+//	    us default); a chaos sweep cell replays as -workload chaos -seed S
+//	    (-flows sets its ring flows). -metrics prints the trial's sender,
+//	    middleware and net counter blocks and snapshots its metrics registry
+//	    (what those blocks lack) into the record; with -flight-dir a trial that
+//	    fails is replayed on one shard into a trace ring, dumped there as JSONL
+//	    for inspect. The churn workload takes -qps/-concurrency (flow churn
 //	    shape), -faults (seeded ToR reboots + a link flap), and the
 //	    lifecycle knobs: -table-budget caps each instance's flow table at
 //	    the §4 SRAM budget, -idle-timeout evicts entries idle for that long,
@@ -36,8 +35,8 @@
 //	    -shards N cuts a collective or spray trial's racks across N engine
 //	    shards (at most one per rack); the default, 0, takes one per core,
 //	    or one where the trial holds what shards would have to share
-//	    (-flight-dir, -distributed, a scenario's DropEveryNData or LinkFail
-//	    fault schedule), which N > 1 refuses with an error naming it.
+//	    (-distributed, a scenario's DropEveryNData or LinkFail fault
+//	    schedule), which N > 1 refuses with an error naming it.
 //	    Motivation, incast, churn, chaos and convergence run on one engine:
 //	    churn because its closed loop is global, the rest by choice. Results
 //	    are byte-identical for every shard count, so like
@@ -64,15 +63,11 @@
 //	themis-sim memory [-paths N] [-bw gbps] [-rtt us] [-nics N] [-qps N] [-mtu N] [-factor F]
 //	    Table 1 / §4: the Themis memory-overhead model.
 //
-//	themis-sim trace [-qp N] [-last N] [-json out.jsonl]
-//	    Run a small contended Themis scenario and dump the packet/middleware
-//	    event trace — the evidence trail behind each NACK verdict. -json
-//	    exports the full trace as a schema-v1 JSONL dump for `inspect`.
-//
-//	themis-sim inspect <dump.jsonl> [-qp N] [-psn N] [-events]
-//	    Reconstruct per-flow timelines from a JSONL trace dump (written by
-//	    `trace -json` or a flight recorder), re-check the ledger invariants,
-//	    and explain NACK verdicts ("why was this NACK blocked?").
+//	themis-sim inspect [-qp N] [-psn N] [-events] <dump.jsonl | -scenario s.json>
+//	    Reconstruct per-flow timelines from a JSONL trace dump (a flight
+//	    dump of -flight-dir) or from a one-shard traced replay of a scenario
+//	    JSON (a trial record's "scenario" object), re-check the ledger
+//	    invariants, and explain NACK verdicts ("why was this NACK blocked?").
 package main
 
 import (
@@ -86,10 +81,8 @@ import (
 	"themis/internal/exp"
 	"themis/internal/memmodel"
 	"themis/internal/obs"
-	"themis/internal/packet"
 	"themis/internal/rnic"
 	"themis/internal/sim"
-	"themis/internal/trace"
 	"themis/internal/workload"
 )
 
@@ -100,16 +93,12 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "motivation":
-		err = runMotivation(os.Args[2:])
 	case "run":
 		err = runScenario(os.Args[2:])
 	case "sweep":
 		err = runSweep(os.Args[2:])
 	case "memory":
 		err = runMemory(os.Args[2:])
-	case "trace":
-		err = runTrace(os.Args[2:])
 	case "inspect":
 		err = runInspect(os.Args[2:])
 	case "-h", "--help", "help":
@@ -126,44 +115,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: themis-sim <motivation|run|sweep|memory|trace|inspect> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: themis-sim <run|sweep|memory|inspect> [flags]")
 	fmt.Fprintln(os.Stderr, "run 'themis-sim <command> -h' for command flags")
-}
-
-func runMotivation(args []string) error {
-	fs := flag.NewFlagSet("motivation", flag.ExitOnError)
-	bytes := fs.Int64("bytes", 100<<20, "message size per flow")
-	seed := fs.Int64("seed", 1, "random seed")
-	transport := fs.String("transport", "nic-sr", "reliable transport: "+rnic.TransportNames())
-	series := fs.Bool("series", false, "print full time series (Fig. 1b/1c data)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	tr, err := rnic.ParseTransport(*transport)
-	if err != nil {
-		return err
-	}
-	res, err := workload.RunMotivation(workload.MotivationConfig{
-		ClusterConfig: workload.ClusterConfig{Seed: *seed, Transport: tr},
-		MessageBytes:  *bytes,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("motivation (Fig. 1): transport=%s bytes=%d seed=%d\n", tr, *bytes, *seed)
-	fmt.Printf("  completion time          : %.3f ms\n", res.CCTMillis)
-	fmt.Printf("  avg retransmission ratio : %.4f   (Fig. 1b, paper ~0.16)\n", res.RetransRatio)
-	fmt.Printf("  avg sending rate         : %.1f Gbps (Fig. 1c, paper ~86)\n", res.AvgRateGbps)
-	fmt.Printf("  avg flow throughput      : %.2f Gbps (Fig. 1d, paper 68.09 nic-sr / 95.43 ideal)\n", res.GoodputGbps)
-	fmt.Printf("  sender: packets=%d retransmits=%d nacks=%d timeouts=%d\n",
-		res.Sender.DataPackets, res.Sender.Retransmits, res.Sender.NacksRx, res.Sender.Timeouts)
-	if *series {
-		fmt.Println()
-		fmt.Print(res.RetransSeries.Table())
-		fmt.Println()
-		fmt.Print(res.RateGbps.Table())
-	}
-	return nil
 }
 
 // writeReport serializes trials to path as a BENCH-style report artifact.
@@ -184,8 +137,15 @@ func printTrial(t exp.Trial) {
 		fmt.Printf("%-40s ERROR: %s\n", t.Name, t.Err)
 		return
 	}
-	fmt.Printf("%-40s cct=%10.3fms retrans=%.4f timeouts=%d events=%d\n",
+	fmt.Printf("%-40s cct=%10.3fms retrans=%.4f timeouts=%d events=%d",
 		t.Name, t.CCTMillis, t.RetransRatio, t.Sender.Timeouts, t.Engine.EventsExecuted)
+	if t.GoodputGbps != 0 {
+		fmt.Printf(" goodput=%.2fGbps", t.GoodputGbps)
+	}
+	if t.AvgRateGbps != 0 {
+		fmt.Printf(" avg_rate=%.1fGbps", t.AvgRateGbps)
+	}
+	fmt.Println()
 	if t.Metrics != nil { // -metrics: the counter blocks the registry does not repeat
 		fmt.Printf("  sender:     %+v\n  middleware: %+v\n  net:        %+v\n", t.Sender, t.Middleware, t.Net)
 	}
@@ -207,7 +167,7 @@ func runScenario(args []string) error {
 	fs.Func("pattern", "collective: "+collective.PatternNames()+" (default allreduce)", parsed(&sc.Pattern, collective.ParsePattern))
 	// The chaos workload's LB arm is opt-in (see exp.Scenario.LBArmed): arm it
 	// exactly when the user passed -lb explicitly.
-	fs.Func("lb", "load balancing arm: "+workload.LBNames()+" (default themis)", func(s string) error {
+	fs.Func("lb", "load balancing arm: "+workload.LBNames()+" (default themis; rps for motivation)", func(s string) error {
 		sc.LBArmed = true
 		return parsed(&sc.LB, workload.ParseLB)(s)
 	})
@@ -222,7 +182,7 @@ func runScenario(args []string) error {
 	fs.Func("bw", "link bandwidth, Gbps", parsed(&sc.Bandwidth, gbps))
 	fs.Func("ti", "DCQCN rate-increase timer, microseconds (0 = 900)", parsed(&sc.TI, micros))
 	fs.Func("td", "DCQCN rate-decrease interval, microseconds (0 = 4)", parsed(&sc.TD, micros))
-	fs.IntVar(&sc.Shards, "shards", 0, "engine shards a collective or spray trial's racks are cut across, at most one per rack (0 = one per core, or one with -flight-dir, -distributed or a DropEveryNData/LinkFail scenario, which N > 1 refuses by name); results are byte-identical for any value; motivation, incast, churn, chaos and convergence run on one, churn because its closed loop is global and the rest by choice")
+	fs.IntVar(&sc.Shards, "shards", 0, "engine shards a collective or spray trial's racks are cut across, at most one per rack (0 = one per core, or one with -distributed or a DropEveryNData/LinkFail scenario, which N > 1 refuses by name); results are byte-identical for any value; motivation, incast, churn, chaos and convergence run on one, churn because its closed loop is global and the rest by choice")
 	fs.IntVar(&sc.FatTreeK, "fattree-k", 0, "spray: fat-tree radix k (0 = workload default)")
 	fs.IntVar(&sc.Flows, "flows", 0, "chaos: cross-rack ring flows (0 = one per host)")
 	fs.IntVar(&sc.QPs, "qps", 0, "churn: total flows opened over the run (0 = workload default)")
@@ -236,7 +196,8 @@ func runScenario(args []string) error {
 	fs.BoolVar(&sc.Drain, "drain", false, "convergence: append a maintenance drain to the fault schedule")
 	jsonOut := fs.String("json", "", "write the trial as a JSON report to this path")
 	metrics := fs.Bool("metrics", false, "snapshot the metrics registry into the trial record")
-	flightDir := fs.String("flight-dir", "", "arm a flight recorder; dump a JSONL trace here on failure")
+	flightDir := fs.String("flight-dir", "", "on failure, replay the trial on one shard and dump its JSONL trace here")
+	series := fs.Bool("series", false, "motivation: print the Fig. 1b/1c time series")
 	pf := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -248,6 +209,14 @@ func runScenario(args []string) error {
 	if sc.Workload == exp.Chaos && !sc.LBArmed {
 		sc.Name, sc.LB = sc.Label(), 0
 	}
+	// Unarmed, a motivation scenario carries no arm either, as exp.Fig1Scenario
+	// does, so it runs Fig. 1's random spraying rather than run's Themis.
+	if sc.Workload == exp.Motivation && !sc.LBArmed {
+		sc.LB = 0
+	}
+	if *series && sc.Workload != exp.Motivation {
+		return fmt.Errorf("run: -series needs -workload motivation, the one that samples time series")
+	}
 	if _, err := pf.start(); err != nil {
 		return err
 	}
@@ -258,6 +227,9 @@ func runScenario(args []string) error {
 	printTrial(trial)
 	if trial.Metrics != nil {
 		printSnapshot(trial.Metrics)
+	}
+	if *series && trial.Series != nil {
+		fmt.Printf("\n%s\n%s", trial.Series.Retrans.Table(), trial.Series.RateGbps.Table())
 	}
 	if trial.Err == "" && *jsonOut != "" {
 		if err := writeReport(trial.Name, *jsonOut, []exp.Trial{trial}); err != nil {
@@ -335,7 +307,7 @@ func runSweep(args []string) error {
 	shards := fs.Int("shards", 0, "engine shards each collective or spray trial's racks are cut across, at most one per rack (0 = its share of the cores, GOMAXPROCS/-parallel, or one where the trial holds what shards cannot share, which N > 1 refuses by name; see run -h); reports are byte-identical for any value; motivation, incast, churn, chaos and convergence trials run on one, churn because its closed loop is global and the rest by choice")
 	jsonOut := fs.String("json", "", "write the aggregated report JSON to this path")
 	metrics := fs.Bool("metrics", false, "snapshot a per-trial metrics registry into each record")
-	flightDir := fs.String("flight-dir", "", "arm per-trial flight recorders; dump JSONL traces here on failure")
+	flightDir := fs.String("flight-dir", "", "replay each failed trial on one shard and dump its JSONL trace here")
 	pf := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -455,59 +427,5 @@ func runMemory(args []string) error {
 			*k, ft.Leaves(), ft.Spines(), ft.Cores(), ft.Hosts())
 	}
 	fmt.Print(p.Report())
-	return nil
-}
-
-func runTrace(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	qp := fs.Int("qp", 0, "restrict the dump to one QP (0 = all)")
-	last := fs.Int("last", 60, "print only the last N events")
-	jsonOut := fs.String("json", "", "export the full trace as a JSONL dump to this path")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *last < 0 {
-		return fmt.Errorf("trace: -last %d is negative", *last)
-	}
-	tr := trace.New(1 << 16)
-	cl, err := workload.BuildCluster(workload.ClusterConfig{
-		Seed: 42, Leaves: 2, Spines: 2, HostsPerLeaf: 4, Bandwidth: 100e9,
-		LB: workload.Themis, Tracer: tr,
-	})
-	if err != nil {
-		return err
-	}
-	ts := make([]workload.Transfer, 4)
-	for i := range ts {
-		ts[i] = workload.Transfer{Src: packet.NodeID(i), Dst: packet.NodeID(4 + i), Bytes: 2 << 20}
-	}
-	if err := cl.Drive(nil, ts, sim.Second).Err("trace", "flow"); err != nil {
-		return err
-	}
-	evs := tr.Events()
-	if *qp > 0 {
-		evs = tr.ByQP(packet.QPID(*qp))
-	}
-	if len(evs) > *last {
-		fmt.Printf("... (%d earlier events elided)\n", len(evs)-*last)
-		evs = evs[len(evs)-*last:]
-	}
-	for _, ev := range evs {
-		fmt.Println(ev)
-	}
-	fmt.Println()
-	fmt.Print(tr.Summary())
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		d := obs.NewDump("trace", 42, tr, nil)
-		if err := obs.WriteJSONL(f, d); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d events)\n", *jsonOut, len(d.Events))
-	}
 	return nil
 }

@@ -11,7 +11,10 @@ import (
 	"testing"
 
 	"themis/internal/exp"
+	"themis/internal/obs"
+	"themis/internal/rnic"
 	"themis/internal/sim"
+	"themis/internal/trace"
 	"themis/internal/workload"
 )
 
@@ -92,8 +95,10 @@ func TestOutOfRangeFlagsFail(t *testing.T) {
 	}{
 		{runScenario, []string{"-workload", "collective", "-shards", "-3", "-leaves", "2", "-spines", "2", "-hosts", "2", "-bytes", "4096"}, "Shards"},
 		{runScenario, []string{"-workload", "collective", "-leaves", "1", "-spines", "2", "-hosts", "4", "-bytes", "4096"}, "Leaves"},
-		{runTrace, []string{"-last", "-1"}, "-last"},
-		{runMotivation, []string{"-bytes", "-1"}, "MessageBytes"},
+		{runScenario, []string{"-workload", "motivation", "-bytes", "-1"}, "MessageBytes"},
+		{runScenario, []string{"-workload", "collective", "-series"}, "-series"},
+		{runInspect, []string{"-qp", "1", "-psn", "16777217", "-scenario", quickstart}, "-psn"},
+		{runInspect, []string{"-qp", "-1", "-psn", "0", "-scenario", quickstart}, "-qp"},
 		{runScenario, []string{"-leaves", "2", "-spines", "2", "-hosts", "2", "-bytes", "-5"}, "MessageBytes"},
 		{runScenario, []string{"-workload", "churn", "-qps", "-1"}, "QPs"},
 		{runScenario, []string{"-workload", "chaos", "-flows", "-1"}, "Flows"},
@@ -114,34 +119,118 @@ func TestOutOfRangeFlagsFail(t *testing.T) {
 	}
 }
 
-// TestTraceExportInspectRoundTrip drives trace -json and then inspect on the
-// resulting dump — the full offline-debugging loop.
-func TestTraceExportInspectRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full trace scenario")
+// quickstart is the committed scenario of the README's inspect example: a
+// contended Themis alltoall in which Themis-D blocks reordered NACKs.
+const quickstart = "testdata/contended-themis.json"
+
+// stdout returns what fn prints to os.Stdout, and its error.
+func stdout(t *testing.T, fn func() error) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	ferr := fn()
+	os.Stdout = saved
+	w.Close()
+	return <-out, ferr
+}
+
+// TestInspectScenarioMatchesItsDump drives the offline-debugging loop from a
+// scenario file: inspect -scenario replays the committed quickstart on one
+// shard — its clean exit re-checks every flow's ledger invariants — and
+// explains a blocked verdict; the same replay written as a JSONL dump and
+// read back by inspect prints the same report.
+func TestInspectScenarioMatchesItsDump(t *testing.T) {
+	raw, err := os.ReadFile(quickstart)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc exp.Scenario
+	if err := json.Unmarshal(raw, &sc); err != nil {
+		t.Fatal(err)
+	}
+	sc.Shards = 1
+	ring := trace.New(obs.DefaultFlightCapacity)
+	trial := exp.RunObserved(sc, exp.Obs{Tracer: ring})
+	if trial.Err != "" || trial.Middleware.NacksBlocked == 0 {
+		t.Fatalf("%s: Err %q, %d NACKs blocked; want a clean run that blocks some", quickstart, trial.Err, trial.Middleware.NacksBlocked)
 	}
 	dump := filepath.Join(t.TempDir(), "dump.jsonl")
-	if err := runTrace([]string{"-last", "1", "-json", dump}); err != nil {
-		t.Fatalf("trace: %v", err)
+	f, err := os.Create(dump)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// inspect exits non-nil when any ledger invariant fails, so a clean run
-	// doubles as an invariant check over every flow in the dump.
-	if err := runInspect([]string{dump}); err != nil {
-		t.Fatalf("inspect: %v", err)
+	if err := obs.WriteJSONL(f, obs.NewDump(trial.Name, sc.Seed, ring, trial.Violations)); err != nil {
+		t.Fatal(err)
 	}
-	if err := runInspect([]string{"-qp", "1", "-psn", "0", dump}); err != nil {
-		t.Fatalf("inspect -qp -psn: %v", err)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, args := range [][]string{{}, {"-events"}, {"-qp", "1", "-psn", "70"}} {
+		replayed, err := stdout(t, func() error { return runInspect(append(args, "-scenario", quickstart)) })
+		if err != nil {
+			t.Fatalf("inspect %v -scenario: %v", args, err)
+		}
+		read, err := stdout(t, func() error { return runInspect(append(args, dump)) })
+		if err != nil {
+			t.Fatalf("inspect %v <dump>: %v", args, err)
+		}
+		if replayed != read {
+			t.Errorf("inspect %v: -scenario printed\n%s\nthe dump printed\n%s", args, replayed, read)
+		}
+		if len(args) == 4 && !strings.Contains(replayed, "BLOCKED") {
+			t.Errorf("inspect %v names no blocked verdict:\n%s", args, replayed)
+		}
+	}
+}
+
+// TestRunMotivationSeries: run -workload motivation is the Fig. 1 cell —
+// random spraying, not run's Themis default — and -series prints its Fig. 1b
+// and 1c time series after the trial line, which carries Fig. 1c's and 1d's
+// averages, without touching the JSON record.
+func TestRunMotivationSeries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	out, err := stdout(t, func() error {
+		return runScenario([]string{"-workload", "motivation", "-bytes", "1048576", "-series", "-json", path})
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	for _, want := range []string{"goodput=", "avg_rate=", "# retransmission ratio (flow 0->2): time_us value", "# rate Gbps (flow 0->2): time_us value"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("run -series printed no %q:\n%.400s", want, out)
+		}
+	}
+	sc := exp.Fig1Scenario(1, 1<<20, rnic.SelectiveRepeat)
+	sc.Name = ""
+	trial := exp.Run(sc)
+	want, err := exp.NewReport(trial.Name, []exp.Trial{trial}).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("run wrote (%v)\n%s\nthe Fig. 1 cell gives\n%s", err, got, want)
 	}
 }
 
 // TestRunWithMetricsAndFlightDir covers the run subcommand's observability
-// flags: metrics snapshot printed, flight dir accepted (no dump on success).
+// flags: metrics snapshot printed, flight dir accepted on a trial cut across
+// two shards (no dump on success).
 func TestRunWithMetricsAndFlightDir(t *testing.T) {
 	dir := t.TempDir()
 	err := runScenario([]string{
 		"-workload", "collective", "-bytes", "1048576",
 		"-leaves", "2", "-spines", "2", "-hosts", "2", "-bw", "100",
-		"-metrics", "-flight-dir", dir,
+		"-shards", "2", "-metrics", "-flight-dir", dir,
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)

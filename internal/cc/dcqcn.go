@@ -132,7 +132,6 @@ type DCQCN struct {
 
 	incTimer   *sim.Ticker
 	alphaTimer *sim.Timer
-	cnpSeen    bool // a CNP arrived during the current alpha period
 
 	stats Stats
 }
@@ -186,7 +185,6 @@ func (d *DCQCN) OnCNPPath(bucket int) {
 
 func (d *DCQCN) onCNP(bucket int) {
 	d.stats.CNPs++
-	d.cnpSeen = true
 	if d.paths != nil && bucket >= 0 && bucket < d.paths.Buckets() {
 		d.paths.OnMark(bucket)
 	} else {
@@ -276,30 +274,22 @@ func (d *DCQCN) decrease(bucket int) {
 func (d *DCQCN) updateAlphaUp() {
 	g := d.cfg.AlphaG
 	d.alpha = (1-g)*d.alpha + g
-	d.armAlphaTimer()
-}
-
-func (d *DCQCN) armAlphaTimer() {
-	d.cnpSeen = false
 	d.alphaTimer.Reset(d.cfg.AlphaTimer)
 }
 
-// onAlphaTimer decays α after a CNP-free period. The timer self-cancels once
-// α has fully decayed so an idle sender leaves the event queue quiescent;
-// any later CNP re-arms it via updateAlphaUp.
+// onAlphaTimer decays α after a CNP-free period: every CNP re-arms the timer
+// through updateAlphaUp, so it only fires a full period after the last one.
+// The timer self-cancels once α has fully decayed so an idle sender leaves
+// the event queue quiescent.
 func (d *DCQCN) onAlphaTimer() {
-	if !d.cnpSeen {
-		d.alpha = (1 - d.cfg.AlphaG) * d.alpha
-		if d.paths != nil {
-			d.paths.Decay()
-		}
-	}
-	live := d.cnpSeen || d.alpha >= 1e-4
-	if d.paths != nil && d.paths.Max() >= 1e-4 {
-		live = true
+	d.alpha = (1 - d.cfg.AlphaG) * d.alpha
+	live := d.alpha >= 1e-4
+	if d.paths != nil {
+		d.paths.Decay()
+		live = live || d.paths.Max() >= 1e-4
 	}
 	if live {
-		d.armAlphaTimer()
+		d.alphaTimer.Reset(d.cfg.AlphaTimer)
 	}
 }
 

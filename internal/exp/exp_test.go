@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -257,7 +258,7 @@ func TestShardRefusals(t *testing.T) {
 		sc   Scenario
 		obs  Obs
 	}{
-		{"Tracer", traced, Obs{FlightDir: t.TempDir()}},
+		{"Tracer", traced, Obs{Tracer: trace.New(1 << 10)}},
 		{"DropEveryNData", lossy, Obs{}},
 		{"DistributedRouting", distributed, Obs{}},
 		{"fault schedule", LinkFailureScenario(3), Obs{}},
@@ -737,5 +738,69 @@ func TestRunObservedDumpsFlightOnPanic(t *testing.T) {
 	tr = RunObserved(Scenario{Name: "bad", Workload: Workload("nope"), ClusterConfig: workload.ClusterConfig{Seed: 4}}, Obs{FlightDir: dir})
 	if tr.Err == "" || tr.FlightDump == "" {
 		t.Fatalf("erroring trial: Err=%q FlightDump=%q, want both set", tr.Err, tr.FlightDump)
+	}
+}
+
+// TestFlightDumpIsTheOneShardReplay: a flight-recorded trial runs as Run runs
+// it, cut across its shards with no ring, and only a failure pays for one — a
+// replay on one shard, whose dump holds the bytes a one-shard traced run of
+// the same scenario gives. A passing trial writes no dump and the record Run
+// writes; a replay that differs from the trial is an error, and a shard count
+// the scenario itself refuses is not replayed.
+func TestFlightDumpIsTheOneShardReplay(t *testing.T) {
+	sc := Scenario{Name: "cut", Workload: Collective, Pattern: collective.AllToAll, MessageBytes: 256 << 10,
+		Horizon: 8 * sim.Microsecond, ClusterConfig: workload.ClusterConfig{
+			Seed: 3, LB: workload.Themis, Leaves: 2, Spines: 2, HostsPerLeaf: 2, Bandwidth: 100e9, Shards: 2,
+		}}
+	tr := RunObserved(sc, Obs{FlightDir: t.TempDir()})
+	if tr.Err == "" || strings.Contains(tr.Err, "diverged") || tr.FlightDump == "" {
+		t.Fatalf("horizon-cut trial at Shards 2: Err %q, FlightDump %q; want a cut, a dump and no divergence", tr.Err, tr.FlightDump)
+	}
+	got, err := os.ReadFile(tr.FlightDump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := sc
+	one.Shards = 1
+	ring := trace.New(obs.DefaultFlightCapacity)
+	rec := RunObserved(one, Obs{Tracer: ring})
+	var want bytes.Buffer
+	if err := obs.WriteJSONL(&want, obs.NewDump(rec.Name, one.Seed, ring, []string{rec.Err})); err != nil {
+		t.Fatal(err)
+	}
+	if len(ring.Events()) == 0 || !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("flight dump of the cut trial differs from the one-shard traced run (%d events recorded)", len(ring.Events()))
+	}
+
+	sc.Horizon = 0
+	dir := t.TempDir()
+	pass := RunObserved(sc, Obs{FlightDir: dir})
+	if ents, _ := os.ReadDir(dir); pass.Err != "" || len(ents) != 0 {
+		t.Fatalf("passing trial: Err %q, dumps %v; want neither", pass.Err, ents)
+	}
+	a, _ := json.Marshal(pass)
+	b, _ := json.Marshal(Run(sc))
+	if !bytes.Equal(a, b) {
+		t.Errorf("flight-dir trial wrote\n%s\nRun wrote\n%s", a, b)
+	}
+
+	// A workload whose result depends on the shard count fails the replay.
+	const bent Workload = "bent"
+	workloads = append(workloads, workloadRow{name: bent, run: func(_ Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
+		return workload.Outcome{CCTMillis: float64(cc.Shards)}, errors.New("bent")
+	}})
+	defer func() { workloads = workloads[:len(workloads)-1] }()
+	diverged := sc
+	diverged.Workload = bent
+	if tr := RunObserved(diverged, Obs{FlightDir: t.TempDir()}); !strings.Contains(tr.Err, "flight replay diverged") {
+		t.Errorf("shard-dependent trial: Err %q, want a divergence note", tr.Err)
+	}
+
+	// A refused shard count is the whole error: no replay, no dump.
+	refused := sc
+	refused.DropEveryNData = 50
+	if tr := RunObserved(refused, Obs{FlightDir: t.TempDir()}); !strings.Contains(tr.Err, "DropEveryNData") ||
+		strings.Contains(tr.Err, "diverged") || tr.FlightDump != "" {
+		t.Errorf("refused shard count: Err %q, FlightDump %q; want the refusal alone", tr.Err, tr.FlightDump)
 	}
 }

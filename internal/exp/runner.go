@@ -15,8 +15,8 @@ import (
 type Runner struct {
 	// Parallel is the worker count; values < 1 mean 1 (sequential).
 	Parallel int
-	// Obs is the per-trial observability configuration. Flight recorders and
-	// metrics registries are created per trial; a shared Tracer runs the grid
+	// Obs is the per-trial observability configuration. Flight replays and
+	// metrics registries are per trial; a shared Tracer runs the grid
 	// sequentially whatever Parallel says (results do not depend on it).
 	Obs Obs
 }

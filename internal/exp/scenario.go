@@ -70,11 +70,15 @@ type Scenario struct {
 	LinkFail []workload.Fault `json:"link_fail,omitempty"`
 }
 
-// Validate rejects a scenario no trial runs, naming the field: the cluster's
-// own checks (workload.ClusterConfig.Validate), a negative shape field, an
-// unknown Pattern, or a Tracer or Metrics registry set on the scenario, which
-// exp.run wires from Obs. run calls it before anything is built.
+// Validate rejects a scenario no trial runs, naming the field: an unknown
+// Workload, the cluster's own checks (workload.ClusterConfig.Validate), a
+// negative shape field, an unknown Pattern, or a Tracer or Metrics registry
+// set on the scenario, which exp.run wires from Obs. run calls it before
+// anything is built.
 func (s Scenario) Validate() error {
+	if _, err := s.Workload.row(); err != nil {
+		return err
+	}
 	if s.Tracer != nil || s.Metrics != nil {
 		return errors.New("exp: a scenario's Tracer and Metrics are the harness's; pass them through exp.Obs")
 	}

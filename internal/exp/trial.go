@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 
@@ -28,8 +30,8 @@ type Trial struct {
 	// Metrics is the trial's metrics-registry snapshot (RunObserved with
 	// Obs.Metrics; nil otherwise).
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-	// FlightDump is the path of the flight-recorder dump written when an
-	// armed trial failed, panicked or violated an invariant.
+	// FlightDump is the path of the one-shard replay dump written when a
+	// trial run with Obs.FlightDir failed, panicked or violated an invariant.
 	FlightDump string `json:"flight_dump,omitempty"`
 }
 
@@ -38,18 +40,21 @@ type Trial struct {
 type Obs struct {
 	// Tracer, if non-nil, records the run's packet and middleware events.
 	// Owned by the caller and shared by every trial of a grid, so a Runner
-	// holding one runs its trials one at a time; FlightDir is per-trial.
+	// holding one runs its trials one at a time, each on one shard (the ring
+	// is state shards would share; see workload.ClusterConfig.ShardRefusal).
 	Tracer *trace.Tracer
 	// Metrics creates a per-trial metrics registry; its snapshot lands in
 	// Trial.Metrics.
 	Metrics bool
-	// FlightDir, if non-empty, arms a per-trial flight recorder: the run
-	// records into a bounded ring and, when the trial errors, panics or
-	// violates an invariant, the retained window is dumped to
-	// <FlightDir>/flight-<label>.jsonl for `themis-sim inspect`. Ignored when
-	// Tracer is set (the caller already owns the ring).
-	FlightDir string
-	// FlightCapacity sizes the flight ring (default obs.DefaultFlightCapacity).
+	// FlightDir, if non-empty, keeps the evidence of a failed trial. The
+	// trial runs as Run runs it, at its shard count and with no ring; only
+	// when it errors, panics or violates an invariant is its Scenario
+	// replayed on one shard into a ring of FlightCapacity events (default
+	// obs.DefaultFlightCapacity), dumped to <FlightDir>/flight-<label>.jsonl
+	// for `themis-sim inspect`. A replay whose result differs from the
+	// trial's is noted on Trial.Err. Ignored when Tracer is set (the caller
+	// already owns the ring).
+	FlightDir      string
 	FlightCapacity int
 }
 
@@ -62,51 +67,73 @@ func Run(sc Scenario) Trial {
 }
 
 // RunObserved is Run with the observability harness attached: an optional
-// event tracer or per-trial flight recorder, and an optional per-trial
-// metrics registry snapshotted into the result. A panicking workload is
-// converted into Trial.Err (with a flight dump when armed) instead of taking
-// the whole grid down.
+// event tracer or flight replay, and an optional per-trial metrics registry
+// snapshotted into the result. A panicking workload is converted into
+// Trial.Err instead of taking the whole grid down.
 func RunObserved(sc Scenario, o Obs) Trial {
 	return runObserved(sc, o, runtime.GOMAXPROCS(0))
 }
 
 // runObserved is RunObserved for a trial given cores of the machine.
-func runObserved(sc Scenario, o Obs, cores int) (t Trial) {
-	// Identify the trial up front so a panic dump still carries its label.
-	t = Trial{Name: sc.Label(), Scenario: sc}
-	var flight *obs.FlightRecorder
-	tr := o.Tracer
-	if tr == nil && o.FlightDir != "" {
-		flight = obs.NewFlightRecorder(o.FlightDir, o.FlightCapacity)
-		tr = flight.Tracer()
-	}
+func runObserved(sc Scenario, o Obs, cores int) Trial {
 	var reg *obs.Registry
 	if o.Metrics {
 		reg = obs.NewRegistry()
 	}
-	dump := func(violations []string) {
-		if flight == nil {
-			return
-		}
-		path, err := flight.Dump(t.Name, sc.Seed, violations)
-		if err != nil {
-			t.Err += "; " + obs.DumpError(err)
-			return
-		}
-		t.FlightDump = path
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			t.Err = fmt.Sprintf("panic: %v", r)
-			dump([]string{t.Err})
-		}
-	}()
-	t = run(sc, tr, reg, cores)
+	t := recovered(sc, o.Tracer, reg, cores)
 	t.Metrics = reg.Snapshot()
-	if t.Err != "" || len(t.Violations) > 0 {
-		dump(t.Violations)
+	if o.Tracer == nil && o.FlightDir != "" && (t.Err != "" || len(t.Violations) > 0) {
+		flightReplay(&t, o)
 	}
 	return t
+}
+
+// recovered is run with a panic of the workload turned into Trial.Err.
+func recovered(sc Scenario, tr *trace.Tracer, reg *obs.Registry, cores int) (t Trial) {
+	defer func() {
+		if r := recover(); r != nil {
+			t = Trial{Name: sc.Label(), Scenario: sc, Err: fmt.Sprintf("panic: %v", r)}
+		}
+	}()
+	return run(sc, tr, reg, cores)
+}
+
+// flightReplay re-runs the failed trial t's scenario on one shard into a
+// flight ring and dumps the replay, its error and violations in the header.
+// A trial's results do not depend on its shard count, so the replay is the
+// trial, and one whose Err or Outcome differs from t's is a shard-invariance
+// failure, noted on t.Err. A shard count the scenario itself refuses
+// (negative, or above one with what shards cannot share) is the whole
+// failure, which no one-shard replay repeats: it leaves no dump.
+func flightReplay(t *Trial, o Obs) {
+	sc := t.Scenario
+	if sc.Shards < 0 || sc.Shards > 1 && sc.ShardRefusal(sc.LinkFail) != nil {
+		return
+	}
+	note := func(msg string) {
+		if t.Err != "" {
+			t.Err += "; "
+		}
+		t.Err += msg
+	}
+	sc.Shards = 1
+	flight := obs.NewFlightRecorder(o.FlightDir, o.FlightCapacity)
+	r := recovered(sc, flight.Tracer(), nil, 1)
+	got, _ := json.Marshal(r.Outcome) // plain data: Marshal cannot fail on it
+	want, _ := json.Marshal(t.Outcome)
+	if r.Err != t.Err || !bytes.Equal(got, want) {
+		note(fmt.Sprintf("flight replay diverged: the one-shard replay's err (%q) or outcome differs", r.Err))
+	}
+	failure := r.Violations
+	if r.Err != "" {
+		failure = append([]string{r.Err}, failure...)
+	}
+	path, err := flight.Dump(t.Name, sc.Seed, failure)
+	if err != nil {
+		note(fmt.Sprintf("flight recorder dump failed: %v", err))
+		return
+	}
+	t.FlightDump = path
 }
 
 // run validates the scenario and hands it to its row of the workload table
@@ -116,11 +143,9 @@ func runObserved(sc Scenario, o Obs, cores int) (t Trial) {
 // runner's error). The trial is the runner's Outcome, or Err.
 func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry, cores int) Trial {
 	t := Trial{Name: sc.Label(), Scenario: sc}
-	row, err := sc.Workload.row()
+	err := sc.Validate()
 	if err == nil {
-		err = sc.Validate()
-	}
-	if err == nil {
+		row, _ := sc.Workload.row() // Validate looked it up
 		cc := sc.ClusterConfig
 		cc.Tracer, cc.Metrics = tr, reg
 		if cc.Shards == 0 {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,15 +14,11 @@ import (
 // parallel trial.
 const DefaultFlightCapacity = 1 << 16
 
-// FlightRecorder couples a bounded trace ring with a dump directory: the
-// simulation records into the ring for free (it is an ordinary tracer), and
-// when an invariant trips, a trial errors or a panic unwinds, Dump flushes
-// the retained window to disk as a schema-v1 JSONL artifact. Every red run
-// thereby ships its own repro evidence; `themis-sim inspect` reconstructs
-// the offending flow's timeline from the file.
-//
-// A nil *FlightRecorder is inert: Tracer() returns nil (zero recording cost,
-// per the tracer's nil convention) and Dump is a no-op.
+// FlightRecorder couples a bounded trace ring with a dump directory. The
+// experiment harness arms one only for a trial that already failed, on its
+// one-shard replay (see exp.Obs.FlightDir), and Dump writes the retained
+// window as a schema-v1 JSONL artifact; `themis-sim inspect` reconstructs the
+// offending flow's timeline from the file.
 type FlightRecorder struct {
 	tracer *trace.Tracer
 	dir    string
@@ -39,21 +34,12 @@ func NewFlightRecorder(dir string, capacity int) *FlightRecorder {
 }
 
 // Tracer returns the recording ring; install it as the cluster's tracer.
-// Nil-safe (nil recorder -> nil tracer -> zero-cost recording).
-func (f *FlightRecorder) Tracer() *trace.Tracer {
-	if f == nil {
-		return nil
-	}
-	return f.tracer
-}
+func (f *FlightRecorder) Tracer() *trace.Tracer { return f.tracer }
 
-// Dump writes the retained events as <dir>/flight-<label>.jsonl and returns
-// the path. The label is sanitized for use as a file name. Safe on nil
-// (returns "" and no error) so callers can dump unconditionally.
+// Dump writes the retained events as <dir>/flight-<label>.jsonl, renamed into
+// place so a reader never sees half a dump, and returns the path. The label
+// is sanitized for use as a file name.
 func (f *FlightRecorder) Dump(label string, seed int64, violations []string) (string, error) {
-	if f == nil {
-		return "", nil
-	}
 	if err := os.MkdirAll(f.dir, 0o755); err != nil {
 		return "", err
 	}
@@ -71,8 +57,6 @@ func (f *FlightRecorder) Dump(label string, seed int64, violations []string) (st
 	if err := tmp.Close(); err != nil {
 		return "", err
 	}
-	// Rename-into-place so a concurrently tailing reader never sees a
-	// half-written dump.
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return "", err
 	}
@@ -95,10 +79,4 @@ func FlightFileName(label string) string {
 		s = "unnamed"
 	}
 	return "flight-" + s + ".jsonl"
-}
-
-// DumpError formats a dump failure for surfacing next to the original
-// violation without masking it.
-func DumpError(err error) string {
-	return fmt.Sprintf("flight recorder dump failed: %v", err)
 }

@@ -49,18 +49,6 @@ func TestFlightRecorderDumpAndReload(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderNilSafe(t *testing.T) {
-	var fr *FlightRecorder
-	if fr.Tracer() != nil {
-		t.Fatal("nil recorder should expose a nil tracer")
-	}
-	fr.Tracer().Record(trace.Event{}) // must not panic
-	path, err := fr.Dump("x", 0, nil)
-	if err != nil || path != "" {
-		t.Fatalf("nil recorder dump: got %q, %v", path, err)
-	}
-}
-
 func TestFlightRecorderDefaultCapacity(t *testing.T) {
 	fr := NewFlightRecorder(t.TempDir(), 0)
 	for i := 0; i < DefaultFlightCapacity+5; i++ {

@@ -10,9 +10,9 @@
 //   - jsonl.go: a versioned, round-trippable JSONL serialization of a trace
 //     dump (schema v1), replacing the ad-hoc text Dump format for anything a
 //     tool needs to re-read.
-//   - flight.go: a FlightRecorder that invariant checkers and the experiment
-//     runner flush to disk the moment a trial fails, so a red run ships its
-//     own reproduction evidence.
+//   - flight.go: a FlightRecorder, the ring the experiment harness replays a
+//     failed trial into and flushes to disk, so a red run ships its own
+//     reproduction evidence.
 //   - timeline.go: per-flow, per-PSN ledger reconstruction — the structure
 //     that answers "why was this NACK blocked?" and carries the executable
 //     form of the paper's §3 correctness argument (ledger invariants).
@@ -21,8 +21,7 @@
 //     counts, live flow-table occupancy, the message completion latency
 //     distribution — snapshotted into a metered experiment trial.
 //
-// Everything here follows the tracer's nil-object convention: a nil
-// *Registry, *FlightRecorder or *Histogram is safe to use and free, so
-// instrumented code needs no guards and the hot path stays zero-alloc when
-// observability is disabled.
+// The metrics follow the tracer's nil-object convention: a nil *Registry or
+// *Histogram is safe to use and free, so instrumented code needs no guards
+// and the hot path stays zero-alloc when observability is disabled.
 package obs

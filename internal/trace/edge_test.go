@@ -87,9 +87,6 @@ func TestNilTracerEveryMethod(t *testing.T) {
 	if err := tr.Dump(&sb); err != nil || sb.Len() != 0 {
 		t.Fatal("nil Dump")
 	}
-	if s := tr.Summary(); !strings.Contains(s, "0 events") {
-		t.Fatalf("nil Summary = %q", s)
-	}
 }
 
 // TestOpStringExhaustive iterates the whole Op space via Ops(): every defined

@@ -12,7 +12,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"themis/internal/packet"
 	"themis/internal/sim"
@@ -262,20 +261,4 @@ func (t *Tracer) Dump(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Summary counts retained events per op.
-func (t *Tracer) Summary() string {
-	counts := map[Op]int{}
-	for _, ev := range t.Events() {
-		counts[ev.Op]++
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %d events retained (%d total)\n", t.Len(), t.Total())
-	for op := HostTx; op < lastOp; op++ {
-		if c := counts[op]; c > 0 {
-			fmt.Fprintf(&b, "  %-14s %d\n", op, c)
-		}
-	}
-	return b.String()
 }

@@ -136,7 +136,7 @@ func TestByOpAndFaultEvents(t *testing.T) {
 	}
 }
 
-func TestDumpAndSummary(t *testing.T) {
+func TestDump(t *testing.T) {
 	tr := New(4)
 	tr.Record(ev(0, Drop, 1))
 	tr.Record(ev(1, Mark, 2))
@@ -146,9 +146,5 @@ func TestDumpAndSummary(t *testing.T) {
 	}
 	if got := strings.Count(sb.String(), "\n"); got != 2 {
 		t.Fatalf("dump lines = %d", got)
-	}
-	sum := tr.Summary()
-	if !strings.Contains(sum, "drop") || !strings.Contains(sum, "mark") || !strings.Contains(sum, "2 events") {
-		t.Fatalf("summary = %q", sum)
 	}
 }

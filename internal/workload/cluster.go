@@ -314,7 +314,7 @@ var shardRefusals = []struct {
 	knob, why string
 	holds     func(c *ClusterConfig, faults []Fault) bool
 }{
-	{"Tracer", "tracing: the trace ring, a flight recorder's included, is global mutable state",
+	{"Tracer", "tracing: the trace ring is global mutable state",
 		func(c *ClusterConfig, _ []Fault) bool { return c.Tracer != nil }},
 	{"DropEveryNData", "a shared loss hook couples shards",
 		func(c *ClusterConfig, _ []Fault) bool { return c.DropEveryNData > 0 }},

@@ -53,16 +53,19 @@ func (c *MotivationConfig) resolve() {
 // MotivationResult carries the Fig. 1 measurements. Its Outcome adds the
 // figure's scalars to the cluster record — CCTMillis is the last flow's
 // completion, RetransRatio over all flows Fig. 1b's average, AvgRateGbps
-// Fig. 1c and GoodputGbps, the mean per-flow throughput, Fig. 1d's bar.
+// Fig. 1c and GoodputGbps, the mean per-flow throughput, Fig. 1d's bar — and
+// carries the observed flow's Series.
 type MotivationResult struct {
 	Outcome
-	// RetransSeries is the windowed retransmission ratio of the observed
-	// flow (node 0 → node 2), Fig. 1b.
-	RetransSeries *stats.Series
-	// RateGbps is the observed flow's sending rate over time, Fig. 1c.
-	RateGbps *stats.Series
 	// ThroughputGbps is each flow's goodput over its completion time.
 	ThroughputGbps []float64
+}
+
+// MotivationSeries is what the motivation runner samples of the observed flow
+// (node 0 → node 2): its windowed retransmission ratio (Fig. 1b) and its
+// sending rate over time (Fig. 1c).
+type MotivationSeries struct {
+	Retrans, RateGbps *stats.Series
 }
 
 // MotivationFlows returns the ring flow pairs of Fig. 1a: two groups
@@ -123,7 +126,8 @@ func RunMotivation(cfg MotivationConfig) (MotivationResult, error) {
 	if err := c.Err("motivation", "flow"); err != nil {
 		return MotivationResult{}, err
 	}
-	res := MotivationResult{Outcome: cl.Outcome(c.Last()), RetransSeries: ratio.Finish(c.At[0]), RateGbps: rate}
+	res := MotivationResult{Outcome: cl.Outcome(c.Last())}
+	res.Series = &MotivationSeries{Retrans: ratio.Finish(c.At[0]), RateGbps: rate}
 	// Truncate the rate series to the observed flow's active period before
 	// averaging.
 	var active []float64

@@ -46,6 +46,11 @@ type Outcome struct {
 
 	// Violations lists invariant violations (chaos, convergence and churn).
 	Violations []string `json:"violations,omitempty"`
+
+	// Series holds the time series the motivation runner samples (Fig. 1b/1c;
+	// nil for every other runner). Not serialized: a report carries their
+	// averages, RetransRatio and AvgRateGbps.
+	Series *MotivationSeries `json:"-"`
 }
 
 // Outcome reads the full record off a drained cluster whose workload

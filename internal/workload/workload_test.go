@@ -166,7 +166,7 @@ func TestRunMotivationSmall(t *testing.T) {
 	if res.GoodputGbps <= 0 || res.GoodputGbps > 100 {
 		t.Fatalf("avg throughput = %f", res.GoodputGbps)
 	}
-	if res.RetransSeries.Len() == 0 || res.RateGbps.Len() == 0 {
+	if res.Series.Retrans.Len() == 0 || res.Series.RateGbps.Len() == 0 {
 		t.Fatal("empty time series")
 	}
 }
