@@ -82,7 +82,8 @@ cover:
 # fuzz-smoke gives every fuzz target a short budget — enough to re-check the
 # committed corpora and shake out shallow regressions on every merge; long
 # fuzz runs stay a manual/background job. FuzzScenarioJSON decodes and
-# validates scenarios and never runs one.
+# validates scenarios and never runs one. FuzzHostQueueRecords runs a fuzzed
+# host-link schedule with and without send records and compares the logs.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/packet/ -run '^$$' -fuzz FuzzPSNCompare -fuzztime $(FUZZTIME)
@@ -90,6 +91,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzClassifyNACK -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzWheelHeapEquivalence -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/fabric/ -run '^$$' -fuzz FuzzHostQueueRecords -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/exp/ -run '^$$' -fuzz FuzzScenarioJSON -fuzztime $(FUZZTIME)
 
 # bench-selftest vets and tests the nested benchmark/ module, which the root

@@ -622,6 +622,17 @@ func TestWorkloadTable(t *testing.T) {
 	if got := sc.Label(); got != "collective/alltoall/themis/ti0s-td0s/seed9" {
 		t.Errorf("Label = %q", got)
 	}
+	// Motivation scenarios that differ only in an armed LB are distinct cells;
+	// the unarmed Fig. 1 label keeps its form.
+	motiv := func(armed bool, lb workload.LBMode) string {
+		return Scenario{Workload: Motivation, ClusterConfig: workload.ClusterConfig{Seed: 1, LB: lb}, LBArmed: armed}.Label()
+	}
+	if a, b := motiv(true, workload.Themis), motiv(true, workload.RandomSpray); a == b || a != "motivation/nic-sr/themis/seed1" {
+		t.Errorf("armed motivation labels %q and %q, want distinct, the first motivation/nic-sr/themis/seed1", a, b)
+	}
+	if got := motiv(false, 0); got != "motivation/nic-sr/seed1" {
+		t.Errorf("unarmed motivation label = %q, want motivation/nic-sr/seed1", got)
+	}
 	sc.Name = "explicit"
 	if sc.Label() != "explicit" {
 		t.Error("explicit name not honoured")

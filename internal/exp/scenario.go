@@ -46,7 +46,8 @@ type Scenario struct {
 	// LBArmed marks LB as an explicit chaos-workload arm: chaos scenarios
 	// historically always ran the harness default (Themis), so the arm must
 	// be opt-in to keep their serialized form and results unchanged.
-	// Convergence scenarios always arm LB; other workloads ignore this.
+	// Convergence scenarios always arm LB, and a motivation scenario's label
+	// names an armed LB; other workloads ignore this.
 	LBArmed bool               `json:"lb_armed,omitempty"`
 	Pattern collective.Pattern `json:"pattern,omitempty"` // collective only
 

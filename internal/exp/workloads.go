@@ -59,7 +59,12 @@ type workloadRow struct {
 // and WorkloadNames. Adding a workload is its runner file, one constant above
 // and one row here (the shape lowering the row calls sits below the table).
 var workloads = []workloadRow{
-	{Motivation, func(s Scenario) string { return s.Transport.String() },
+	{Motivation, func(s Scenario) string {
+		if s.LBArmed {
+			return fmt.Sprintf("%v/%v", s.Transport, s.LB)
+		}
+		return s.Transport.String()
+	},
 		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
 			res, err := workload.RunMotivation(s.motivation(cc))
 			return res.Outcome, err

@@ -29,21 +29,29 @@ func leafSpine(t *testing.T, leaves, spines, hosts int) *topo.Topology {
 	return tp
 }
 
-// collector records delivered packets at a host.
+// collector records delivered packets at a host. It keeps a copy of each:
+// the receive path must not retain a delivered packet (see deliverToHost).
 type collector struct {
-	pkts  []*packet.Packet
+	pkts  []packet.Packet
 	times []sim.Time
 }
 
 func (c *collector) recv(e *sim.Engine) func(*packet.Packet) {
 	return func(p *packet.Packet) {
-		c.pkts = append(c.pkts, p)
+		c.pkts = append(c.pkts, *p)
 		c.times = append(c.times, e.Now())
 	}
 }
 
 func newData(src, dst packet.NodeID, psn packet.PSN, payload int) *packet.Packet {
 	return &packet.Packet{Kind: packet.Data, Src: src, Dst: dst, QP: 1, SPort: 1000, DPort: 4791, PSN: psn, Payload: payload}
+}
+
+// sameSend reports whether two packets are the same transmission: equal in
+// every field the sender set.
+func sameSend(a, b *packet.Packet) bool {
+	return a.Kind == b.Kind && a.Key() == b.Key() && a.QP == b.QP && a.PSN == b.PSN &&
+		a.Payload == b.Payload && a.Retransmit == b.Retransmit
 }
 
 func TestDeliveryAndLatency(t *testing.T) {
@@ -57,8 +65,8 @@ func TestDeliveryAndLatency(t *testing.T) {
 	n.Inject(0, p)
 	e.RunAll()
 
-	if len(c.pkts) != 1 || c.pkts[0] != p {
-		t.Fatalf("delivered %d packets", len(c.pkts))
+	if len(c.pkts) != 1 || !sameSend(&c.pkts[0], p) {
+		t.Fatalf("delivered %d packets, want the one injected", len(c.pkts))
 	}
 	// Path: host0 uplink, leaf0->spine, spine->leaf1, leaf1->host1:
 	// 4 serializations of 1064B at 100Gbps + 4 x 1us propagation.

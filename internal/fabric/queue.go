@@ -105,8 +105,18 @@ type outQueue struct {
 
 	data fifo[*packet.Packet] // data class
 	ctrl fifo[*packet.Packet] // control class (strict priority)
+	// runs is a host access link's data class while its packets wait: a
+	// waiting packet is packed into a sendRun and its struct goes back to the
+	// pool (see pack). The link holds an O(message) backlog at line-rate
+	// pacing, which as *Packets would cost a pooled struct apiece. Switch
+	// ports, and host links under the test-only keepPackets, leave it empty.
+	runs        fifo[sendRun]
+	keepPackets bool
+	// peak is the most entries a host link's data class has held waiting:
+	// packets under keepPackets, sendRuns otherwise (read by tests).
+	peak int
 
-	bytes  int  // queued data-class bytes (LB and ECN look at this)
+	bytes  int  // queued data-class bytes (LB and ECN look at this); > 0 iff data waits
 	busy   bool // a txDone event is pending and will start the next packet
 	paused bool // PFC pause asserted by the downstream ingress (data only)
 
@@ -217,6 +227,8 @@ func (q *outQueue) bind() {
 }
 
 // enqueue appends pkt to its class and starts the serializer if it is free.
+// A data packet still waiting on a host link afterwards is the newest one
+// queued (next serves runs first), so packing it keeps the class in order.
 func (q *outQueue) enqueue(pkt *packet.Packet) {
 	if pkt.Kind.IsControl() {
 		q.ctrl.push(pkt)
@@ -228,6 +240,75 @@ func (q *outQueue) enqueue(pkt *packet.Packet) {
 		}
 	}
 	q.kick()
+	if q.sw == nil && q.data.len() > 0 {
+		if !q.keepPackets {
+			q.pack(q.data.popTail())
+		}
+		q.peak = max(q.peak, q.data.len()+q.runs.len())
+	}
+}
+
+// sendRun is a run of count data packets waiting on a host access link, equal
+// in every field but PSN, which runs psn, psn+1, … modulo 2^24: a pacer burst
+// of one QP is one record. hdr holds every field Network.Inject can leave set
+// except Kind (Data) and PSN; the fabric-internal Buffered, Accounted and
+// InPort are zero before a packet's first switch (pack checks it).
+type sendRun struct {
+	hdr   sendHdr
+	psn   packet.PSN
+	count int
+}
+
+type sendHdr struct {
+	src, dst     packet.NodeID
+	qp           packet.QPID
+	sport, dport uint16
+	payload      int
+	ecn          bool
+	ttl          uint8
+	routeEpoch   uint32
+	retransmit   bool
+}
+
+// pack appends a waiting data packet to the runs, extending the tail run when
+// it is that run's next PSN with an equal header, and returns its struct to
+// the pool. A per-packet SPort (REPS) or a RouteEpoch change breaks the run.
+func (q *outQueue) pack(pkt *packet.Packet) {
+	if pkt.Buffered || pkt.Accounted || pkt.InPort != 0 {
+		panic("fabric: a host link's waiting packet carries switch state")
+	}
+	h := sendHdr{
+		src: pkt.Src, dst: pkt.Dst, qp: pkt.QP, sport: pkt.SPort, dport: pkt.DPort,
+		payload: pkt.Payload, ecn: pkt.ECN, ttl: pkt.TTL, routeEpoch: pkt.RouteEpoch,
+		retransmit: pkt.Retransmit,
+	}
+	if n := q.runs.len(); n > 0 {
+		if t := q.runs.at(n - 1); t.hdr == h && t.psn.Add(t.count) == pkt.PSN {
+			t.count++
+			q.pool.Put(pkt)
+			return
+		}
+	}
+	q.runs.push(sendRun{hdr: h, psn: pkt.PSN, count: 1})
+	q.pool.Put(pkt)
+}
+
+// unpack takes the head run's first packet into a struct from the pool.
+func (q *outQueue) unpack() *packet.Packet {
+	r := q.runs.at(0)
+	h := &r.hdr
+	pkt := q.pool.Get()
+	*pkt = packet.Packet{
+		Kind: packet.Data, Src: h.src, Dst: h.dst, QP: h.qp, SPort: h.sport, DPort: h.dport,
+		PSN: r.psn, Payload: h.payload, ECN: h.ecn, TTL: h.ttl, RouteEpoch: h.routeEpoch,
+		Retransmit: h.retransmit,
+	}
+	if r.count--; r.count == 0 {
+		q.runs.pop()
+	} else {
+		r.psn = r.psn.Next()
+	}
+	return pkt
 }
 
 // kick starts the serializer if it is free, and otherwise makes sure an event
@@ -271,10 +352,15 @@ func (q *outQueue) next() *packet.Packet {
 	if q.ctrl.len() > 0 {
 		return q.ctrl.pop()
 	}
-	if q.paused || q.data.len() == 0 {
+	if q.paused || q.bytes == 0 {
 		return nil
 	}
-	pkt := q.data.pop()
+	var pkt *packet.Packet
+	if q.runs.len() > 0 {
+		pkt = q.unpack()
+	} else {
+		pkt = q.data.pop()
+	}
 	q.bytes -= pkt.Size()
 	return pkt
 }
@@ -317,7 +403,7 @@ func (q *outQueue) maybeStart() {
 		}
 	}
 	ser := sim.TransmitTime(pkt.Size(), q.bw)
-	if q.delay > 0 && q.ctrl.len() == 0 && (q.paused || q.data.len() == 0) &&
+	if q.delay > 0 && q.ctrl.len() == 0 && (q.paused || q.bytes == 0) &&
 		(q.sw == nil || q.sw.portUp[q.port] && !(pkt.Accounted && q.sw.pfc.pauseSent[pkt.InPort])) {
 		q.busy = false
 		q.done = q.eng.Reserve(q.eng.Now().Add(ser))
@@ -405,12 +491,12 @@ func (q *outQueue) setPaused(pause bool) {
 	q.paused = pause
 	if pause {
 		q.pausedSince = q.eng.Now()
-		if q.data.len() > 0 {
+		if q.bytes > 0 {
 			q.armWatchdog()
 		}
 		return
 	}
-	if q.data.len() > 0 {
+	if q.bytes > 0 {
 		q.kick()
 	}
 }

@@ -223,10 +223,15 @@ func TestRunCleanTree(t *testing.T) {
 // the suite runs on every verify, so a quadratic regression in the loader or
 // the taint solver must fail loudly here rather than slowly rot the edit
 // cycle. The 30 s ceiling is ~7x the current cost on the CI runner class. It
-// times the same run TestRunCleanTree checks.
+// times the same run TestRunCleanTree checks. Under the race detector the same
+// run takes 25–26 s alone, so the budget there measures how busy the machine
+// is, not the linter: the guard runs without it.
 func TestSuiteWallBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-budget guard is not meaningful under -short")
+	}
+	if raceEnabled {
+		t.Skip("wall-budget guard is not meaningful under the race detector")
 	}
 	r := fullRun()
 	if r.err != nil {
