@@ -277,20 +277,19 @@ func (q *outQueue) pack(pkt *packet.Packet) {
 	if pkt.Buffered || pkt.Accounted || pkt.InPort != 0 {
 		panic("fabric: a host link's waiting packet carries switch state")
 	}
-	h := sendHdr{
+	r := sendRun{hdr: sendHdr{
 		src: pkt.Src, dst: pkt.Dst, qp: pkt.QP, sport: pkt.SPort, dport: pkt.DPort,
 		payload: pkt.Payload, ecn: pkt.ECN, ttl: pkt.TTL, routeEpoch: pkt.RouteEpoch,
 		retransmit: pkt.Retransmit,
-	}
+	}, psn: pkt.PSN, count: 1}
+	q.pool.Put(pkt)
 	if n := q.runs.len(); n > 0 {
-		if t := q.runs.at(n - 1); t.hdr == h && t.psn.Add(t.count) == pkt.PSN {
+		if t := q.runs.at(n - 1); t.hdr == r.hdr && t.psn.Add(t.count) == r.psn {
 			t.count++
-			q.pool.Put(pkt)
 			return
 		}
 	}
-	q.runs.push(sendRun{hdr: h, psn: pkt.PSN, count: 1})
-	q.pool.Put(pkt)
+	q.runs.push(r)
 }
 
 // unpack takes the head run's first packet into a struct from the pool.
