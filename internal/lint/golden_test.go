@@ -224,7 +224,7 @@ func TestRunCleanTree(t *testing.T) {
 // the taint solver must fail loudly here rather than slowly rot the edit
 // cycle. The 30 s ceiling is ~7x the current cost on the CI runner class. It
 // times the same run TestRunCleanTree checks. Under the race detector the same
-// run takes 25–26 s alone, so the budget there measures how busy the machine
+// run takes over 20 s alone, so the budget there measures how busy the machine
 // is, not the linter: the guard runs without it.
 func TestSuiteWallBudget(t *testing.T) {
 	if testing.Short() {
