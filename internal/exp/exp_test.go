@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"themis/internal/collective"
@@ -82,8 +84,9 @@ func TestRunnerParallelDeterminism(t *testing.T) {
 // are partition-invariant too.
 //
 // The base run leaves Shards at 0 and gives each trial four cores, so 0 cuts
-// every cell four ways (three on the smoke fabric's three racks) whatever the
-// host; {1, 2, 4} are explicit. The link-failure cell stays at 0 in every run:
+// every cell one shard per rack (8 and 32 on the k=4 and k=8 fat-trees, 4 on
+// the ablation cells, 3 on the smoke fabric) and runs the shards on four
+// goroutines whatever the host; {1, 2, 4} are explicit. The link-failure cell stays at 0 in every run:
 // it holds what shards cannot share, so 0 must fall back to one shard and
 // write what one shard writes.
 func TestShardCountDeterminism(t *testing.T) {
@@ -148,6 +151,59 @@ func TestShardCountDeterminism(t *testing.T) {
 		}
 		if !bytes.Equal(want, got) {
 			t.Fatalf("shards=%d report differs from shards=0:\n--- base ---\n%s\n--- got ---\n%s", shards, want, got)
+		}
+	}
+}
+
+// A Runner splits the cores between its workers and hands each trial its
+// share, which bounds the goroutines its shard group runs on: at Parallel =
+// GOMAXPROCS every trial's group runs on its caller alone, and however finely
+// its fabric is cut, the grid never spins more goroutines than processors.
+// Run keeps every core for its one trial. Shards is passed through as the
+// scenario states it: 0 is resolved where the racks are known.
+func TestRunnerHandsEachTrialItsCores(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	var mu sync.Mutex
+	var cores, shards []int
+	restore := ObserveClusters(func(cc workload.ClusterConfig) {
+		mu.Lock()
+		defer mu.Unlock()
+		cores, shards = append(cores, cc.Cores), append(shards, cc.Shards)
+	})
+	defer restore()
+	grid := SmokeGrid(1)[:max(procs, 2)]
+	for _, tr := range (Runner{Parallel: procs}).Run(grid) {
+		if tr.Err != "" {
+			t.Fatalf("%s: %s", tr.Name, tr.Err)
+		}
+	}
+	for i := range cores {
+		if cores[i] != 1 || shards[i] != 0 {
+			t.Fatalf("trial %d at Parallel %d: Cores %d, Shards %d; want 1 and 0", i, procs, cores[i], shards[i])
+		}
+	}
+	cores = cores[:0]
+	if Run(grid[0]); len(cores) != 1 || cores[0] != procs {
+		t.Fatalf("Run handed its trial Cores %v, want [%d]", cores, procs)
+	}
+}
+
+// The paper's fabric at a tier-1 size: a Fig. 5 cell writes the same trial
+// at one shard, two, and Shards 0's one per rack (16 on this fabric).
+func TestFig5CellShardInvariance(t *testing.T) {
+	var trials [3][]byte
+	for i, shards := range []int{1, 2, 0} {
+		sc := Fig5Cell(4, 64<<10, collective.AllToAll, workload.PaperDCQCNSettings()[0], workload.Themis)
+		sc.Shards = shards
+		tr := Run(sc)
+		if tr.Err != "" {
+			t.Fatalf("Shards %d: %s", shards, tr.Err)
+		}
+		trials[i], _ = json.Marshal(tr)
+	}
+	for i, shards := range []int{2, 0} {
+		if !bytes.Equal(trials[i+1], trials[0]) {
+			t.Errorf("Shards %d wrote\n%s\nShards 1 wrote\n%s", shards, trials[i+1], trials[0])
 		}
 	}
 }

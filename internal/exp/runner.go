@@ -10,8 +10,9 @@ import (
 // state; results land in the output slice at their scenario's index, making
 // the trial order — and therefore the serialized report — independent of the
 // worker count and of scheduling. The cores are split between the workers: a
-// trial that can be cut across shards (see workload.ClusterConfig.Shards)
-// gets its worker's share, GOMAXPROCS / workers.
+// trial cut across shards (see workload.ClusterConfig.Shards) runs them on
+// its worker's share, GOMAXPROCS / workers, so a grid never has more
+// goroutines spinning on shard barriers than there are processors.
 type Runner struct {
 	// Parallel is the worker count; values < 1 mean 1 (sequential).
 	Parallel int

@@ -34,7 +34,8 @@ type ThemisKnobs = core.Config
 // what it varies; a runner may still pin a cluster knob (see each runner's
 // resolve, and chaos.BuildCluster). Durations serialize as picoseconds. The
 // cluster's runtime hooks are not the scenario's: Shards is an execution knob
-// (exp.run resolves 0), and a trial is traced and metered through Obs.
+// (exp.run adds the trial's Cores), and a trial is traced and metered through
+// Obs.
 type Scenario struct {
 	// Name uniquely labels the scenario within a grid; Label() derives one
 	// when empty.

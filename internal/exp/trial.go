@@ -61,7 +61,8 @@ type Obs struct {
 // Run executes one scenario to completion on private engines and returns its
 // trial record. Failures are reported in Trial.Err, never by panicking, so a
 // grid run surfaces every bad cell at once. Every core is the trial's: a
-// collective or spray scenario with Shards 0 is cut across GOMAXPROCS shards.
+// collective or spray scenario with Shards 0 is cut one shard per rack, and
+// its shards run on GOMAXPROCS goroutines.
 func Run(sc Scenario) Trial {
 	return RunObserved(sc, Obs{})
 }
@@ -137,23 +138,17 @@ func flightReplay(t *Trial, o Obs) {
 }
 
 // run validates the scenario and hands it to its row of the workload table
-// with the observability hooks threaded through and a shard count of 0
-// resolved: the cores the trial has to itself, or one when the cluster holds
-// what shards cannot share (an explicit count meets the same list as the
-// runner's error). The trial is the runner's Outcome, or Err.
+// with the observability hooks threaded through and the cores the trial has
+// to itself, which bound the goroutines a cut cluster runs on (how finely it
+// is cut is Shards, 0 meaning one shard per rack). The trial is the runner's
+// Outcome, or Err.
 func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry, cores int) Trial {
 	t := Trial{Name: sc.Label(), Scenario: sc}
 	err := sc.Validate()
 	if err == nil {
 		row, _ := sc.Workload.row() // Validate looked it up
 		cc := sc.ClusterConfig
-		cc.Tracer, cc.Metrics = tr, reg
-		if cc.Shards == 0 {
-			cc.Shards = cores
-			if cc.ShardRefusal(sc.LinkFail) != nil {
-				cc.Shards = 1
-			}
-		}
+		cc.Tracer, cc.Metrics, cc.Cores = tr, reg, cores
 		t.Outcome, err = row.run(sc, cc)
 	}
 	if err != nil {

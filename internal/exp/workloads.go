@@ -50,8 +50,8 @@ type workloadRow struct {
 	// ("name/arm/seedN"; "name/seedN" without one).
 	arm func(Scenario) string
 	// run lowers the scenario's shape fields onto cc — the scenario's
-	// ClusterConfig with the observability hooks attached and Shards
-	// resolved — calls the runner and returns the record it filled.
+	// ClusterConfig with the observability hooks and the trial's Cores
+	// attached — calls the runner and returns the record it filled.
 	run func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error)
 }
 

@@ -16,7 +16,7 @@ func TestForwardPathZeroAllocWhenUnobserved(t *testing.T) {
 	e := sim.NewEngine(1)
 	pool := packet.NewPool()
 	n := NewNetwork(e, tp, Config{Pool: pool, ControlLossless: true})
-	n.AttachHost(1, func(p *packet.Packet) { pool.Put(p) })
+	n.AttachHost(1, func(*packet.Packet) {}) // deliverToHost recycles into pool
 
 	psn := packet.PSN(0)
 	send := func() {
@@ -38,6 +38,16 @@ func TestForwardPathZeroAllocWhenUnobserved(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
 		t.Fatalf("forward path allocates %.1f/op with observability disabled", allocs)
+	}
+	poolBalanced(t, pool)
+}
+
+// poolBalanced fails t unless every packet the pool handed out has come back
+// exactly once: a double Put or a leaked packet breaks the equality.
+func poolBalanced(t *testing.T, pool *packet.Pool) {
+	t.Helper()
+	if allocs, reuses, returns := pool.Stats(); allocs+reuses != returns {
+		t.Fatalf("pool handed out %d packets (%d allocs + %d reuses) but took back %d", allocs+reuses, allocs, reuses, returns)
 	}
 }
 
@@ -74,4 +84,5 @@ func TestBurstDeliveryZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
 		t.Fatalf("burst delivery allocates %.1f per 32-packet window, want 0", allocs)
 	}
+	poolBalanced(t, pool)
 }

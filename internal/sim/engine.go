@@ -104,7 +104,7 @@ type Engine struct {
 	pending        int   // events queued
 	nextSeq        uint64
 	seed           int64
-	rng            *rand.Rand
+	rng            *rand.Rand // built by the first Rand call
 	stopped        bool
 
 	// free is the intrusive free list: fired and cancelled events are pushed
@@ -117,7 +117,7 @@ type Engine struct {
 // NewEngine returns an engine with its clock at zero and a deterministic
 // random source seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return &Engine{seed: seed}
 }
 
 // Seed returns the seed the engine was constructed with: what a component
@@ -130,7 +130,14 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source, for drivers that
 // live on one engine (the churn arrival process). Anything a partition can
 // split across engines — switches — draws from its own NewStream instead.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
+// The source is seeded on the first call: most engines never draw, and a
+// math/rand source costs about 5 KB to build.
+func (e *Engine) Rand() *rand.Rand {
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(e.seed))
+	}
+	return e.rng
+}
 
 // Pending returns the number of events currently queued.
 func (e *Engine) Pending() int { return e.pending }

@@ -58,13 +58,22 @@ func NewStream(seed int64, key uint64) *rand.Rand {
 }
 
 // mailItem is one cross-shard post: fn(arg) to schedule on the destination
-// shard at an absolute time with a same-time priority, or hand(at, arg) to run
-// there when the mail is drained (Hand). A plain func() rides in arg behind
-// callFunc. The source is the mailbox row, so an item carries no provenance.
+// shard at an absolute time with a same-time priority. A plain func() rides in
+// arg behind callFunc. The source is the mailbox row, so an item carries no
+// provenance.
 type mailItem struct {
+	at  Time
+	pri uint64
+	fn  func(any)
+	arg any
+}
+
+// handItem is one Hand: hand(at, arg) to run on the destination shard when
+// its mail is drained. Hands are nearly all the cross-shard traffic (every
+// packet that crosses a cut link), so they ride in boxes of their own,
+// without the post's priority word.
+type handItem struct {
 	at   Time
-	pri  uint64
-	fn   func(any)
 	hand func(Time, any)
 	arg  any
 }
@@ -82,17 +91,18 @@ func callFunc(fn any) { fn.(func())() }
 // i; then it owns engine i and everything reachable from it, and appends to
 // row i of the current bank (Post, PostArg, Hand). The banks are disjoint,
 // so no share reads what another is writing. Each share runs on one
-// goroutine: shard i's worker, or the coordinator when it takes the share
-// first. Between epochs the coordinator owns everything. The hand-offs happen through the
-// generation barrier inside Run: the coordinator's store to the generation
-// word hands an epoch out, a compare-and-swap on the shard's slot takes its
-// share, and a decrement of the outstanding count hands it back; those
+// goroutine: whichever of Run's participants claimed it. Between epochs the
+// coordinator owns everything. The hand-offs happen through the barrier
+// inside Run: the coordinator's store to the share counter hands an epoch
+// out, an increment of it claims a share, and a decrement of the outstanding
+// count hands it back; those
 // atomic operations are the happens-before edges. No other synchronization
 // exists, which is why the themis-lint purity analyzer can allowlist Run
 // alone.
 type ShardGroup struct {
 	engines   []*Engine
 	lookahead Duration
+	cores     int // the processors Run may occupy; 0 means GOMAXPROCS
 	// out[src] is shard src's outgoing mail, and bank the bank posts go to.
 	// Run flips bank at each barrier, retiring the bank the last epoch
 	// posted into; the next epoch drains it.
@@ -110,14 +120,16 @@ type EpochStats struct {
 	Work, Span uint64
 }
 
-// outbox is one source shard's mail: box[b][dst] buffers its posts to dst
-// while bank b is current (the backing arrays are retained across epochs),
-// and low is the earliest at among the current bank's posts, the one word of
-// a source's mail the coordinator reads at a barrier.
+// outbox is one source shard's mail: post[b][dst] and hand[b][dst] buffer its
+// posts and hands to dst while bank b is current (the backing arrays are
+// retained across epochs), and low is the earliest at among the current
+// bank's mail, the one word of a source's mail the coordinator reads at a
+// barrier.
 type outbox struct {
-	box [2][][]mailItem
-	low Time
-	_   [8]byte // to 64 bytes
+	post [2][][]mailItem
+	hand [2][][]handItem
+	low  Time
+	_    [24]byte // to 128 bytes
 }
 
 // NewShardGroup assembles a coordinator over the given per-shard engines.
@@ -134,7 +146,10 @@ func NewShardGroup(engines []*Engine, lookahead Duration) *ShardGroup {
 	out := make([]outbox, len(engines))
 	for src := range out {
 		o := &out[src]
-		o.box = [2][][]mailItem{make([][]mailItem, len(engines)), make([][]mailItem, len(engines))}
+		for b := range o.post {
+			o.post[b] = make([][]mailItem, len(engines))
+			o.hand[b] = make([][]handItem, len(engines))
+		}
 		o.low = Forever
 	}
 	return &ShardGroup{engines: engines, lookahead: lookahead, out: out}
@@ -145,6 +160,12 @@ func (g *ShardGroup) Shards() int { return len(g.engines) }
 
 // Shard returns shard i's engine.
 func (g *ShardGroup) Shard(i int) *Engine { return g.engines[i] }
+
+// SetCores bounds the processors Run occupies: an epoch's shares run on the
+// calling goroutine and at most cores-1 workers. 0, the default, means
+// GOMAXPROCS; a trial that shares the machine with others passes its share.
+// How finely the fabric is cut is the engine count, a separate choice.
+func (g *ShardGroup) SetCores(cores int) { g.cores = cores }
 
 // Post queues fn to run on shard dst at absolute time at. It must be called
 // from shard src's worker during an epoch (or from the build phase before
@@ -157,7 +178,9 @@ func (g *ShardGroup) Post(src, dst int, at Time, pri uint64, fn func()) {
 
 // PostArg is the arg-carrying analogue of Post; see Engine.AtArg.
 func (g *ShardGroup) PostArg(src, dst int, at Time, pri uint64, fn func(any), arg any) {
-	g.post(src, dst, mailItem{at: at, pri: pri, fn: fn, arg: arg})
+	o := &g.out[src]
+	*mail(o.post[g.bank], dst) = mailItem{at: at, pri: pri, fn: fn, arg: arg}
+	o.low = min(o.low, at)
 }
 
 // Hand queues hand(at, arg) to run on shard dst's worker when it drains its
@@ -167,38 +190,53 @@ func (g *ShardGroup) PostArg(src, dst int, at Time, pri uint64, fn func(any), ar
 // pipe, which keeps one pending event per link however many packets are on
 // the wire. hand must schedule nothing before at; the other rules are Post's.
 func (g *ShardGroup) Hand(src, dst int, at Time, hand func(Time, any), arg any) {
-	g.post(src, dst, mailItem{at: at, hand: hand, arg: arg})
+	o := &g.out[src]
+	*mail(o.hand[g.bank], dst) = handItem{at: at, hand: hand, arg: arg}
+	o.low = min(o.low, at)
 }
 
-func (g *ShardGroup) post(src, dst int, it mailItem) {
-	o := &g.out[src]
-	o.box[g.bank][dst] = append(o.box[g.bank][dst], it) //lint:alloc-ok mailbox growth is amortized; backing arrays are retained across epochs
-	o.low = min(o.low, it.at)
+// mail extends the box bound for dst by one item and returns it.
+func mail[T any](box [][]T, dst int) *T {
+	var it T
+	box[dst] = append(box[dst], it) //lint:alloc-ok mailbox growth is amortized; backing arrays are retained across epochs
+	return &box[dst][len(box[dst])-1]
 }
 
 // drain moves the retired bank's mail addressed to dst into dst's engine:
-// source by source in shard order, each source's posts in the order they were
-// made. The engine orders events by (time, pri) and then by when they were
-// scheduled, so the drain order decides only ties at equal (time, pri), and
-// breaks them by (source shard, post order) — a function of the traffic, not
-// of goroutine interleaving, and the order a (time, pri, source, sequence)
-// sort would give. Hand callbacks run in the same order. drain touches only
-// column dst and dst's engine: each destination's worker drains its own mail.
+// source by source in shard order, each source's hands and then its posts,
+// each in the order they were made. The engine orders events by (time, pri)
+// and then by when they were scheduled, so the drain order decides only ties
+// at equal (time, pri), and breaks them by (source shard, post order) — a
+// function of the traffic, not of goroutine interleaving, and the order a
+// (time, pri, source, sequence) sort would give.
+//
+// Draining a source's hands before its posts reorders no event the fabric
+// schedules: a hand schedules at most its link's burst, at the link's even
+// priority 2·chanID, and a post (a PFC pause frame) schedules at its queue's
+// odd priority 2·chanID+1, so no hand's event ties a post's on (time, pri).
+// Hands keep their order among themselves, and posts theirs. drain touches
+// only column dst and dst's engine: each destination's share drains its own
+// mail.
 func (g *ShardGroup) drain(dst int) {
-	eng := g.engines[dst]
+	eng, b := g.engines[dst], g.bank^1
 	for src := range g.out {
-		box := g.out[src].box[g.bank^1][dst]
-		if len(box) == 0 {
-			continue // write nothing: the row's other columns share this line
+		o := &g.out[src]
+		// Write a box back only if it held mail: the row's other columns
+		// share its line.
+		if hands := o.hand[b][dst]; len(hands) > 0 {
+			for i := range hands {
+				h := &hands[i]
+				h.hand(h.at, h.arg)
+			}
+			o.hand[b][dst] = hands[:0]
 		}
-		for i := range box {
-			if it := &box[i]; it.hand != nil {
-				it.hand(it.at, it.arg)
-			} else {
+		if posts := o.post[b][dst]; len(posts) > 0 {
+			for i := range posts {
+				it := &posts[i]
 				eng.AtArgPri(it.at, it.pri, it.fn, it.arg)
 			}
+			o.post[b][dst] = posts[:0]
 		}
-		g.out[src].box[g.bank^1][dst] = box[:0]
 	}
 }
 
@@ -231,15 +269,18 @@ func (g *ShardGroup) Metrics() Metrics {
 // degenerates to exactly Engine.Run(until): a single epoch bounded by until,
 // identical event order, identical metrics.
 //
-// An epoch is handed out through a generation barrier that never blocks a
-// thread: the coordinator publishes the window and bumps an atomic generation,
-// each worker polls it, takes and runs its shard's share and decrements an
-// atomic count of shares outstanding, which the coordinator polls down to
-// zero after running shard 0's share and every share no worker has taken
-// yet. Waking a parked thread costs hundreds of microseconds on a small VM —
-// a large slice of an epoch — so a waiting side spins on the word before it
-// starts yielding its processor between polls, and yields at once when the
-// group has more shards than processors to run them.
+// An epoch's shares run on w = min(shards, cores) participants (SetCores):
+// the calling goroutine and w-1 workers. The coordinator publishes the
+// window and resets an atomic share counter; each participant claims shares
+// by incrementing the counter until it runs past the last shard, and hands
+// each back by decrementing an atomic count of shares outstanding, which the
+// coordinator polls down to zero once it can claim no more. A share costs a counter increment, not a goroutine, so the
+// fabric can be cut finer than there are processors: a shard's events for
+// one window run together and stay in cache. The handout never blocks a
+// thread. Waking a parked thread costs hundreds of microseconds on a small VM
+// — a large slice of an epoch — so a waiting side spins on the word before it
+// starts yielding its processor between polls, and yields at once when there
+// are more participants than processors to run them.
 //
 // An event callback that panics on a worker is recovered there, carried
 // across the barrier and re-raised here on the calling goroutine once every
@@ -253,32 +294,36 @@ func (g *ShardGroup) Metrics() Metrics {
 // inside this one function.
 func (g *ShardGroup) Run(until Time) Time {
 	n := len(g.engines)
-	// ctl is what the coordinator hands the workers, alone on one cache line
-	// so that taking an epoch and handing it back moves as few lines between
-	// cores as possible. The plain fields are ordered by the atomics: the
-	// coordinator writes limit and the group's bank before its store to gen,
-	// which a worker loads before it takes its share and reads them; whoever
+	cores := g.cores
+	if cores < 1 {
+		cores = runtime.GOMAXPROCS(0)
+	}
+	w := min(n, cores)
+	// ctl is what the coordinator hands the participants, alone on one cache
+	// line so that taking an epoch and handing it back moves as few lines
+	// between cores as possible. The plain fields are ordered by the atomics:
+	// the coordinator writes limit and the group's bank before its store to
+	// next, which a participant's claim reads before it reads them; whoever
 	// ran a share wrote its engine, its state slot, its outbox and any panic
 	// before its decrement of left, which the coordinator loads before
 	// reading them.
 	var ctl struct {
 		limit  Time
-		gen    atomic.Uint32
-		left   atomic.Int32
+		next   atomic.Int32 // the next share to claim; n or more when none is left
+		left   atomic.Int32 // the shares not yet handed back
 		closed atomic.Bool
-		_      [47]byte // to 64 bytes
+		_      [44]byte // to 64 bytes
 	}
+	ctl.next.Store(int32(n))
 	// state[i] is what the coordinator reads of shard i's engine at a
-	// barrier, recorded by whichever goroutine ran shard i's share, and
-	// taken, the last generation whose share of shard i someone took. Each
-	// sits on a cache line of its own, so the coordinator reads one line per
-	// shard instead of the engine lines the shard's worker just wrote.
+	// barrier, recorded by whoever ran shard i's share, on a cache line of
+	// its own, so the coordinator reads one line per shard instead of the
+	// engine lines the share just wrote.
 	type shardState struct {
 		next     Time   // the engine's earliest pending event
 		executed uint64 // the engine's EventsExecuted
-		taken    atomic.Uint32
-		stopped  bool     // a pending Stop
-		_        [43]byte // to 64 bytes
+		stopped  bool   // a pending Stop
+		_        [47]byte
 	}
 	state := make([]shardState, n)
 	panics := make([]any, n)
@@ -301,12 +346,22 @@ func (g *ShardGroup) Run(until Time) Time {
 		}()
 		ctl.left.Add(-1)
 	}
+	// claim runs shares until the epoch has none left to hand out. A
+	// participant still claiming when the next epoch is handed out claims
+	// from it, which is as good: its increment reads the coordinator's reset
+	// of next, which orders the new window before the share.
+	claim := func() {
+		for i := int(ctl.next.Add(1)) - 1; i < n; i = int(ctl.next.Add(1)) - 1 {
+			share(i)
+		}
+	}
 	// spins is how many times a waiting side polls before it yields between
-	// polls. With a processor per shard the other side is usually running
-	// and answers within the budget; with more shards than processors it may
-	// be the one waiting for this processor, so yield from the first poll.
+	// polls. With a processor per participant the other side is usually
+	// running and answers within the budget; with more participants than
+	// processors it may be the one waiting for this processor, so yield from
+	// the first poll.
 	spins := 0
-	if n <= runtime.GOMAXPROCS(0) {
+	if w <= runtime.GOMAXPROCS(0) {
 		spins = 4096
 	}
 	await := func(ready func() bool) {
@@ -317,53 +372,37 @@ func (g *ShardGroup) Run(until Time) Time {
 		}
 	}
 	finished := func() bool { return ctl.left.Load() == 0 }
+	handedOut := func() bool { return ctl.next.Load() < int32(n) || ctl.closed.Load() }
 	var workers sync.WaitGroup
-	if n > 1 {
-		workers.Add(n - 1)
-		for i := 1; i < n; i++ {
-			go func(i int) {
+	if w > 1 {
+		workers.Add(w - 1)
+		for range w - 1 {
+			go func() {
 				defer workers.Done()
-				var seen uint32
-				bumped := func() bool { return ctl.gen.Load() != seen }
 				for {
-					await(bumped)
-					// Generation seen hands out one share per shard; the
-					// coordinator takes this one itself when it gets there
-					// first, and the bump after it waits for that share.
-					// Check closed after loading seen: the closing bump
-					// comes after the store to closed.
-					seen = ctl.gen.Load()
+					await(handedOut)
 					if ctl.closed.Load() {
 						return
 					}
-					if state[i].taken.CompareAndSwap(seen-1, seen) {
-						share(i)
-					}
+					claim()
 				}
-			}(i)
+			}()
 		}
 		// Every return path, the re-raised panic included, leaves no worker
 		// behind: it happens at a barrier, with every share handed back.
 		defer func() {
 			ctl.closed.Store(true)
-			ctl.gen.Add(1)
 			workers.Wait()
 		}()
 	}
 	// run executes one epoch on every shard and returns at the barrier. The
-	// calling goroutine runs shard 0's share, then every share whose worker
-	// has not taken it yet: a worker that is not running — its thread not yet
-	// woken, or its processor taken by the host — would otherwise hold up
-	// the barrier for longer than the share takes to run here.
+	// calling goroutine claims shares like any worker: one that is not
+	// running — its thread not yet woken, or its processor taken by the host
+	// — holds up only the share it is in, never one it has not claimed.
 	run := func() {
 		ctl.left.Store(int32(n))
-		gen := ctl.gen.Add(1)
-		share(0)
-		for i := 1; i < n; i++ {
-			if state[i].taken.Load() == gen-1 && state[i].taken.CompareAndSwap(gen-1, gen) {
-				share(i)
-			}
-		}
+		ctl.next.Store(0)
+		claim()
 		await(finished)
 		for _, p := range panics {
 			if p != nil {
@@ -377,7 +416,7 @@ func (g *ShardGroup) Run(until Time) Time {
 		ran[i] = state[i].executed
 	}
 	for {
-		// Barrier state: every worker is polling gen, so the coordinator
+		// Barrier state: every worker is polling next, so the coordinator
 		// owns all engine and mailbox state here, and state is current.
 		halted, next := false, Forever
 		for i := range state {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -158,6 +159,52 @@ func TestShardGroupOneEngineRunsOnTheCaller(t *testing.T) {
 	}
 }
 
+// A group cut finer than its cores runs every epoch's shares on at most that
+// many goroutines, the caller included: at one core no worker starts at all.
+// The schedule is the same at every bound.
+func TestShardGroupRunsOnItsCores(t *testing.T) {
+	const shards, W = 16, Duration(10)
+	run := func(cores int) (extra int, seen [shards][]Time) {
+		engines := make([]*Engine, shards)
+		for i := range engines {
+			engines[i] = NewEngine(int64(i))
+		}
+		g := NewShardGroup(engines, W)
+		g.SetCores(cores)
+		before := runtime.NumGoroutine()
+		var peak [shards]int // each shard's own: only its share writes it
+		var hop func(s int) func()
+		hop = func(s int) func() {
+			return func() {
+				e := engines[s]
+				peak[s] = max(peak[s], runtime.NumGoroutine()-before)
+				seen[s] = append(seen[s], e.Now())
+				if e.Now() < 400 {
+					g.Post(s, (s+5)%shards, e.Now().Add(W), uint64(s), hop((s+5)%shards))
+				}
+			}
+		}
+		for s := range engines {
+			engines[s].At(Time(s), hop(s))
+		}
+		g.RunAll()
+		return slices.Max(peak[:]), seen
+	}
+	var got [3][shards][]Time
+	for i, cores := range []int{1, 2, 4} {
+		var extra int
+		if extra, got[i] = run(cores); extra > cores-1 {
+			t.Errorf("cores=%d: %d goroutines beyond the caller's ran the shares", cores, extra)
+		}
+	}
+	_, want := run(shards)
+	for i := range got {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want) {
+			t.Errorf("run %d: the schedule differs from one goroutine per shard", i)
+		}
+	}
+}
+
 // Two shards exchanging mail across epochs: the cross-shard ping-pong must
 // execute at exactly the predicted times, twice over (determinism), with the
 // lookahead window enforcing that each post lands in a later epoch. Each hop
@@ -279,6 +326,20 @@ func TestShardGroupWorkerPanicReachesCaller(t *testing.T) {
 	engines[1].At(5, func() { panic("second") })
 	if got := run(g); got != "first" {
 		t.Fatalf("caller recovered %v, want shard 0's value", got)
+	}
+
+	// Sixteen shards on two cores: the panicking share is claimed by
+	// whichever participant gets there, and the worker still exits.
+	engines = make([]*Engine, 16)
+	for i := range engines {
+		engines[i] = NewEngine(int64(i))
+		engines[i].At(5, func() {})
+	}
+	engines[9].At(5, func() { panic("nine") })
+	g = NewShardGroup(engines, Duration(10))
+	g.SetCores(2)
+	if got := run(g); got != "nine" {
+		t.Fatalf("caller recovered %v, want shard 9's value", got)
 	}
 
 	// Run waited for the workers, so at most the last instants of their

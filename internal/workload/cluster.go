@@ -45,17 +45,22 @@ type ClusterConfig struct {
 
 	// Shards is an execution knob, not an experiment arm: the number of
 	// space-parallel engine shards RunCollective and RunSpray cut the racks
-	// across (0 means 1 here; a count above the rack count is clipped to it).
-	// exp resolves a scenario's 0 to the cores the trial has to itself —
-	// GOMAXPROCS for exp.Run, GOMAXPROCS/Parallel for a Runner worker — or to
-	// one when the cluster holds what shards cannot share (ShardRefusal),
-	// which an explicit count above one makes an error. The other runners
-	// build through BuildCluster and run on one engine whatever it says: churn
-	// because its closed loop is global, the rest by choice. A result is
-	// byte-identical for every value (TestCollectiveShardInvariance,
+	// across. 0 cuts one shard per rack, the finest cut there is, whose
+	// windows of one rack's events stay in cache — or takes one shard when
+	// the cluster holds what shards cannot share (ShardRefusal), which an
+	// explicit count above one makes an error. A count above the rack count
+	// is clipped to it. How many processors run the shards is Cores. The
+	// other runners build through BuildCluster and run on one engine whatever
+	// it says: churn because its closed loop is global, the rest by choice. A
+	// result is byte-identical for every value (TestCollectiveShardInvariance,
 	// TestSprayShardInvariance, exp's shard determinism regression), so like
 	// exp.Runner.Parallel it is not serialized.
 	Shards int `json:"-"`
+	// Cores bounds the goroutines that run a cut cluster's shards
+	// (sim.ShardGroup.SetCores): the processors the trial has to itself —
+	// GOMAXPROCS for exp.Run, GOMAXPROCS/Parallel for an exp.Runner worker.
+	// 0 means GOMAXPROCS. Not serialized, for Shards' reason.
+	Cores int `json:"-"`
 
 	// Topology: leaf-spine unless FatTreeK > 0 (Motivation pins the paper's
 	// 4×4×2 fabric; FatTreeK is spray's).
@@ -305,11 +310,9 @@ func streamKeyShardEngine(shard int) uint64 { return 0xE5<<56 | uint64(shard) }
 
 // shardRefusals is the one list of what a cluster cut across more than one
 // shard cannot hold: state its shards would have to share. buildCluster
-// refuses a count above one that meets an entry, naming the knob; a caller
-// that picks the count itself (exp, for a scenario that leaves Shards at 0)
-// reads the same list through ShardRefusal and takes one shard instead. A
-// metrics registry and every LB arm, Themis included, are not on it: they run
-// at any count.
+// refuses a count above one that meets an entry, naming the knob, and takes
+// one shard instead at Shards 0. A metrics registry and every LB arm, Themis
+// included, are not on it: they run at any count.
 var shardRefusals = []struct {
 	knob, why string
 	holds     func(c *ClusterConfig, faults []Fault) bool
@@ -346,11 +349,12 @@ func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // buildCluster is the one cluster builder: it validates cfg and cuts the
-// racks across cfg.Shards engines (0 means 1, and a count above the rack count
-// is clipped to it, as exp.Runner clips its workers to the grid) with
-// identity-keyed seeds and a pool per shard, so a trial's results are
-// byte-identical for every count. What shards would have to share (ShardRefusal, with the run's fault
-// schedule) is refused only when there really is more than one.
+// racks across cfg.Shards engines (0 means one per rack, and a count above
+// the rack count is clipped to it, as exp.Runner clips its workers to the
+// grid) with identity-keyed seeds and a pool per shard, so a trial's results
+// are byte-identical for every count. What shards would have to share
+// (ShardRefusal, with the run's fault schedule) is refused only when there
+// really is more than one, and sends a Shards 0 cluster to one shard.
 func buildCluster(cfg ClusterConfig, faults []Fault) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -361,11 +365,15 @@ func buildCluster(cfg ClusterConfig, faults []Fault) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	shards := min(max(cfg.Shards, 1), len(t.ToRs()))
-	if shards > 1 {
-		if err := cfg.ShardRefusal(faults); err != nil {
+	shards := len(t.ToRs())
+	if cfg.Shards > 0 {
+		shards = min(cfg.Shards, shards)
+	}
+	if err := cfg.ShardRefusal(faults); err != nil && shards > 1 {
+		if cfg.Shards > 0 {
 			return nil, err
 		}
+		shards = 1
 	}
 	part, err := topo.PartitionRacks(t, shards)
 	if err != nil {
@@ -390,6 +398,7 @@ func buildCluster(cfg ClusterConfig, faults []Fault) (*Cluster, error) {
 		cl.engines[i] = sim.NewEngine(sim.StreamSeed(cfg.Seed, streamKeyShardEngine(i)))
 	}
 	cl.group = sim.NewShardGroup(cl.engines, la)
+	cl.group.SetCores(cfg.Cores)
 	cl.Net, err = fabric.NewShardedNetwork(cl.group, t, part, cfg.Seed, cfg.fabricConfig(a))
 	if err != nil {
 		return nil, err

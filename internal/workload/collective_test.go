@@ -61,6 +61,40 @@ func TestCollectiveShardInvariance(t *testing.T) {
 	}
 }
 
+// Shards 0 is the finest cut there is, one shard per rack — 16 on the paper
+// fabric, 8 on spray's k=4 fat-tree — and one shard for a cluster holding what
+// shards cannot share; an explicit count is taken as given, clipped to the
+// racks, and BuildCluster is one engine whatever it says.
+func TestShardsZeroCutsOnePerRack(t *testing.T) {
+	paper := ClusterConfig{Seed: 1, Leaves: 16, Spines: 16, HostsPerLeaf: 16}
+	spray := SprayConfig{ClusterConfig: ClusterConfig{Seed: 1}}
+	spray.resolve()
+	for _, c := range []struct {
+		name   string
+		cfg    ClusterConfig
+		faults []Fault
+		want   int
+	}{
+		{"paper fabric", paper, nil, 16},
+		{"spray k=4", spray.ClusterConfig, nil, 8},
+		{"explicit 2", func() ClusterConfig { c := paper; c.Shards = 2; return c }(), nil, 2},
+		{"explicit 40", func() ClusterConfig { c := paper; c.Shards = 40; return c }(), nil, 16},
+		{"DropEveryNData", func() ClusterConfig { c := paper; c.DropEveryNData = 50; return c }(), nil, 1},
+		{"a fault schedule", paper, []Fault{{Kind: LinkFlap, Sw: 0, Port: 16, At: sim.Microsecond}}, 1},
+	} {
+		cl, err := buildCluster(c.cfg, c.faults)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := cl.group.Shards(); got != c.want {
+			t.Errorf("%s: %d shards, want %d", c.name, got, c.want)
+		}
+	}
+	if cl, err := BuildCluster(paper); err != nil || cl.group.Shards() != 1 {
+		t.Fatalf("BuildCluster: err %v, want one engine", err)
+	}
+}
+
 // The coordinator's work and span are exact counts of a cut run: work is
 // every event the advance phases executed — the merged EventsExecuted — and
 // span sums each epoch's busiest shard, so on two shards it lies between half

@@ -22,7 +22,7 @@ type SprayConfig struct {
 
 // resolve applies the spray defaults in place. The runner pins nothing: what
 // more than one shard cannot host (ClusterConfig.ShardRefusal) is an error at
-// Shards > 1 and runs at Shards 1. The topology is always a fat-tree, so
+// Shards > 1 and runs on one shard at Shards 0 or 1. The topology is always a fat-tree, so
 // Leaves/Spines/HostsPerLeaf are moot.
 func (c *SprayConfig) resolve() {
 	if c.FatTreeK == 0 {

@@ -8,7 +8,8 @@
 # the four end-to-end metrics, the change's win count on wall_s, calib_ns beside
 # the host times, each side's GOMAXPROCS and nproc, and whether the sim_digest
 # moved. Sides that ran at different GOMAXPROCS are not summarised: a trial cut
-# across shards takes one per core, so the core count is part of the result.
+# across shards runs them on every core, so the core count is part of the
+# result.
 # The summary is also appended as one JSON line to perf/ledger.jsonl: both
 # revisions, workload, seed, GOMAXPROCS/nproc, go version, each side's
 # quartiles of the four metrics and calib_ns, pairs won, both sim_digests and
