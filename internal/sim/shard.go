@@ -274,10 +274,10 @@ func (g *ShardGroup) Metrics() Metrics {
 // window and resets an atomic share counter; each participant claims shares
 // by incrementing the counter until it runs past the last shard, and hands
 // each back by decrementing an atomic count of shares outstanding, which the
-// coordinator polls down to zero once it can claim no more. A share costs a counter increment, not a goroutine, so the
-// fabric can be cut finer than there are processors: a shard's events for
-// one window run together and stay in cache. The handout never blocks a
-// thread. Waking a parked thread costs hundreds of microseconds on a small VM
+// coordinator polls down to zero once it can claim no more. A share costs a
+// counter increment, not a goroutine, so the fabric can be cut finer than
+// there are processors: a shard's events for one window run together and
+// stay in cache. The handout never blocks a thread. Waking a parked thread costs hundreds of microseconds on a small VM
 // — a large slice of an epoch — so a waiting side spins on the word before it
 // starts yielding its processor between polls, and yields at once when there
 // are more participants than processors to run them.
