@@ -33,10 +33,11 @@
 //	    explicit maintenance drain to it. The spray workload is the
 //	    space-parallel fat-tree permutation (-fattree-k sets the radix).
 //	    -shards N cuts a collective or spray trial's racks across N engine
-//	    shards (at most one per rack); the default, 0, takes one per rack,
-//	    or one where the trial holds what shards would have to share
-//	    (-distributed, a scenario's DropEveryNData or LinkFail fault
-//	    schedule), which N > 1 refuses with an error naming it. However
+//	    shards (at most one per rack); the default, 0, takes one per rack
+//	    on a fabric of 32 hosts or more and one below, whose working set
+//	    fits in cache, or one where the trial holds what shards would have
+//	    to share (-distributed, a scenario's DropEveryNData or LinkFail
+//	    fault schedule), which N > 1 refuses with an error naming it. However
 //	    many shards there are, they run on at most GOMAXPROCS goroutines.
 //	    Motivation, incast, churn, chaos and convergence run on one engine:
 //	    churn because its closed loop is global, the rest by choice. Results
@@ -183,7 +184,7 @@ func runScenario(args []string) error {
 	fs.Func("bw", "link bandwidth, Gbps", parsed(&sc.Bandwidth, gbps))
 	fs.Func("ti", "DCQCN rate-increase timer, microseconds (0 = 900)", parsed(&sc.TI, micros))
 	fs.Func("td", "DCQCN rate-decrease interval, microseconds (0 = 4)", parsed(&sc.TD, micros))
-	fs.IntVar(&sc.Shards, "shards", 0, "engine shards a collective or spray trial's racks are cut across, at most one per rack (0 = one per rack, or one with -distributed or a DropEveryNData/LinkFail scenario, which N > 1 refuses by name); they run on at most GOMAXPROCS goroutines; results are byte-identical for any value; motivation, incast, churn, chaos and convergence run on one, churn because its closed loop is global and the rest by choice")
+	fs.IntVar(&sc.Shards, "shards", 0, "engine shards a collective or spray trial's racks are cut across, at most one per rack (0 = one per rack from 32 hosts up, one below, or one with -distributed or a DropEveryNData/LinkFail scenario, which N > 1 refuses by name); they run on at most GOMAXPROCS goroutines; results are byte-identical for any value; motivation, incast, churn, chaos and convergence run on one, churn because its closed loop is global and the rest by choice")
 	fs.IntVar(&sc.FatTreeK, "fattree-k", 0, "spray: fat-tree radix k (0 = workload default)")
 	fs.IntVar(&sc.Flows, "flows", 0, "chaos: cross-rack ring flows (0 = one per host)")
 	fs.IntVar(&sc.QPs, "qps", 0, "churn: total flows opened over the run (0 = workload default)")
@@ -305,7 +306,7 @@ func runSweep(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed (first seed for multi-seed grids)")
 	seeds := fs.Int("seeds", 1, "seed count (multi-seed grids)")
 	parallel := fs.Int("parallel", 1, "worker pool size")
-	shards := fs.Int("shards", 0, "engine shards each collective or spray trial's racks are cut across, at most one per rack (0 = one per rack, or one where the trial holds what shards cannot share, which N > 1 refuses by name; see run -h); the shards run on the trial's share of the cores, GOMAXPROCS/-parallel; reports are byte-identical for any value; motivation, incast, churn, chaos and convergence trials run on one, churn because its closed loop is global and the rest by choice")
+	shards := fs.Int("shards", 0, "engine shards each collective or spray trial's racks are cut across, at most one per rack (0 = one per rack from 32 hosts up, one below, or one where the trial holds what shards cannot share, which N > 1 refuses by name; see run -h); the shards run on the trial's share of the cores, GOMAXPROCS/-parallel; reports are byte-identical for any value; motivation, incast, churn, chaos and convergence trials run on one, churn because its closed loop is global and the rest by choice")
 	jsonOut := fs.String("json", "", "write the aggregated report JSON to this path")
 	metrics := fs.Bool("metrics", false, "snapshot a per-trial metrics registry into each record")
 	flightDir := fs.String("flight-dir", "", "replay each failed trial on one shard and dump its JSONL trace here")

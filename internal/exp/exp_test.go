@@ -85,9 +85,10 @@ func TestRunnerParallelDeterminism(t *testing.T) {
 // are partition-invariant too.
 //
 // The base run leaves Shards at 0 and gives each trial four cores, so 0 cuts
-// every cell one shard per rack (8 and 32 on the k=4 and k=8 fat-trees, 16
-// on the paper fabric, 4 on the ablation cells, 3 on the smoke fabric) and
-// runs the shards on four goroutines whatever the host; {1, 2, 4} are explicit. The link-failure cell stays at 0 in every run:
+// the cells of 32 hosts or more one shard per rack (32 on the k=8 fat-tree,
+// 16 on the paper fabric), runs the smaller ones (the k=4 fat-tree, the
+// ablation and smoke fabrics) on one engine, and runs the shards on four
+// goroutines whatever the host; {1, 2, 4} are explicit. The link-failure cell stays at 0 in every run:
 // it holds what shards cannot share, so 0 must fall back to one shard and
 // write what one shard writes.
 func TestShardCountDeterminism(t *testing.T) {
@@ -173,7 +174,10 @@ func TestRunnerHandsEachTrialItsCores(t *testing.T) {
 		cores, shards = append(cores, cc.Cores), append(shards, cc.Shards)
 	})
 	defer restore()
-	grid := SmokeGrid(1)[:max(procs, 2)]
+	var grid []Scenario // a trial per worker
+	for range max(procs, 2) {
+		grid = append(grid, SmokeGrid(1)[0])
+	}
 	for _, tr := range (Runner{Parallel: procs}).Run(grid) {
 		if tr.Err != "" {
 			t.Fatalf("%s: %s", tr.Name, tr.Err)

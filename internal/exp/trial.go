@@ -61,8 +61,9 @@ type Obs struct {
 // Run executes one scenario to completion on private engines and returns its
 // trial record. Failures are reported in Trial.Err, never by panicking, so a
 // grid run surfaces every bad cell at once. Every core is the trial's: a
-// collective or spray scenario with Shards 0 is cut one shard per rack, and
-// its shards run on GOMAXPROCS goroutines.
+// collective or spray scenario with Shards 0 is cut one shard per rack (on
+// one engine below 32 hosts, see workload.ClusterConfig.Shards), and its
+// shards run on GOMAXPROCS goroutines.
 func Run(sc Scenario) Trial {
 	return RunObserved(sc, Obs{})
 }
@@ -140,7 +141,8 @@ func flightReplay(t *Trial, o Obs) {
 // run validates the scenario and hands it to its row of the workload table
 // with the observability hooks threaded through and the cores the trial has
 // to itself, which bound the goroutines a cut cluster runs on (how finely it
-// is cut is Shards, 0 meaning one shard per rack). The trial is the runner's
+// is cut is Shards, 0 meaning one shard per rack on a fabric too large for
+// cache). The trial is the runner's
 // Outcome, or Err.
 func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry, cores int) Trial {
 	t := Trial{Name: sc.Label(), Scenario: sc}

@@ -227,7 +227,7 @@ func wire(group *sim.ShardGroup, t *topo.Topology, part topo.Partition, pools []
 			if peerShard := part.SwitchShard[p.PeerSwitch]; peerShard != shard {
 				w := &q.wire
 				q.peer, w.eng = peerShard, group.Shard(peerShard)
-				w.hand = func(at sim.Time, a any) { w.push(a.(*packet.Packet), at) }
+				w.hand = func(_ sim.Time, s any) { w.take(s.(*fifo[pipeSlot])) }
 			}
 		}
 	}

@@ -154,9 +154,11 @@ type outQueue struct {
 //
 // The pipe belongs to the link's receiving end: eng is the engine that
 // delivers. On a link whose peer switch lives on another shard the sending
-// queue hands each packet over through the epoch mailbox and the receiving
-// worker pushes it here when it drains its mail (hand, see commit), so a
-// cross-shard link holds one pending event too.
+// queue stages each packet in the pipe's staged slots for the current mail
+// bank and hands the link over through the epoch mailbox once an epoch, at
+// its first packet; the receiving worker moves the staged slots onto the
+// pipe when it drains its mail (hand, see commit), so a cross-shard link
+// holds one pending event too.
 type pipe struct {
 	slots   fifo[pipeSlot]
 	eng     *sim.Engine
@@ -166,9 +168,13 @@ type pipe struct {
 	// burstEv is the head arrival's event while the pipe is non-empty (stale
 	// otherwise).
 	burstEv *sim.Event
-	// hand is push in the form sim.ShardGroup.Hand calls it; set only on a
+	// staged[b] holds the packets the sender committed while mail bank b
+	// was current (sim.ShardGroup.Bank): the sender writes the current
+	// bank's slots while the receiver takes the retired bank's. hand moves
+	// the slots it is handed onto the pipe. Both are set only on a
 	// cross-shard link.
-	hand func(sim.Time, any)
+	staged [2]fifo[pipeSlot]
+	hand   func(sim.Time, any)
 }
 
 // pipeSlot is one in-flight packet on a link's propagation pipe.
@@ -447,13 +453,30 @@ func (q *outQueue) settle() {
 }
 
 // commit puts pkt on the wire to arrive at time at: straight onto the pipe,
-// or, across a shard boundary, handed to the shard that owns it.
+// or, across a shard boundary, into the current bank's staged slots, handing
+// the link to the shard that owns the pipe at the bank's first packet. One
+// Hand carries a link's epoch of packets, at its earliest arrival: the
+// receiver pushes them in commit order, so the pipe's burst event is armed
+// where the first packet's own hand would have armed it.
 func (q *outQueue) commit(pkt *packet.Packet, at sim.Time) {
-	if q.wire.hand != nil {
-		q.net.group.Hand(q.shard, q.peer, at, q.wire.hand, pkt)
+	w := &q.wire
+	if w.hand == nil {
+		w.push(pkt, at)
 		return
 	}
-	q.wire.push(pkt, at)
+	s := &w.staged[q.net.group.Bank()]
+	if s.len() == 0 {
+		q.net.group.Hand(q.shard, q.peer, at, w.hand, s)
+	}
+	s.push(pipeSlot{pkt: pkt, at: at})
+}
+
+// take moves a bank of staged slots onto the pipe, in commit order.
+func (p *pipe) take(s *fifo[pipeSlot]) {
+	for s.len() > 0 {
+		sl := s.pop()
+		p.push(sl.pkt, sl.at)
+	}
 }
 
 // retract is the link-failure edge of an elided completion. txDone drops a

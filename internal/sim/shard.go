@@ -69,9 +69,9 @@ type mailItem struct {
 }
 
 // handItem is one Hand: hand(at, arg) to run on the destination shard when
-// its mail is drained. Hands are nearly all the cross-shard traffic (every
-// packet that crosses a cut link), so they ride in boxes of their own,
-// without the post's priority word.
+// its mail is drained. Hands are nearly all the cross-shard mail (one per cut
+// link per epoch that carried a packet over it), so they ride in boxes of
+// their own, without the post's priority word.
 type handItem struct {
 	at   Time
 	hand func(Time, any)
@@ -167,6 +167,13 @@ func (g *ShardGroup) Shard(i int) *Engine { return g.engines[i] }
 // How finely the fabric is cut is the engine count, a separate choice.
 func (g *ShardGroup) SetCores(cores int) { g.cores = cores }
 
+// Bank returns which of the two mail banks is current: mail made while it
+// reads b is drained in the epoch after, while it reads b^1. A source that
+// batches its own cross-shard traffic double-buffers it on this bit and
+// hands the batch over once (Hand), so the destination reads one buffer
+// while the source fills the other.
+func (g *ShardGroup) Bank() int { return g.bank }
+
 // Post queues fn to run on shard dst at absolute time at. It must be called
 // from shard src's worker during an epoch (or from the build phase before
 // Run), and at must be at least one lookahead past the posting instant —
@@ -186,9 +193,10 @@ func (g *ShardGroup) PostArg(src, dst int, at Time, pri uint64, fn func(any), ar
 // Hand queues hand(at, arg) to run on shard dst's worker when it drains its
 // mail — in drain order, before any event of the next epoch — instead of
 // scheduling an event at at. It is for work the destination orders itself:
-// the receiving end of a link pushes the packet onto its own propagation
-// pipe, which keeps one pending event per link however many packets are on
-// the wire. hand must schedule nothing before at; the other rules are Post's.
+// the receiving end of a link pushes the packets the source staged for it
+// this epoch (see Bank) onto its own propagation pipe, which keeps one
+// pending event per link however many packets are on the wire. hand must
+// schedule nothing before at; the other rules are Post's.
 func (g *ShardGroup) Hand(src, dst int, at Time, hand func(Time, any), arg any) {
 	o := &g.out[src]
 	*mail(o.hand[g.bank], dst) = handItem{at: at, hand: hand, arg: arg}

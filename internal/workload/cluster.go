@@ -45,11 +45,13 @@ type ClusterConfig struct {
 
 	// Shards is an execution knob, not an experiment arm: the number of
 	// space-parallel engine shards RunCollective and RunSpray cut the racks
-	// across. 0 cuts one shard per rack, the finest cut there is, whose
-	// windows of one rack's events stay in cache — or takes one shard when
-	// the cluster holds what shards cannot share (ShardRefusal), which an
-	// explicit count above one makes an error. A count above the rack count
-	// is clipped to it. How many processors run the shards is Cores. The
+	// across. 0 cuts a fabric of blockedHosts hosts or more one shard per
+	// rack, the finest cut there is, whose windows of one rack's events stay
+	// in cache, and runs a smaller one, whose working set is in cache
+	// already, on one engine — as it does a cluster that holds what shards
+	// cannot share (ShardRefusal), which an explicit count above one makes
+	// an error. A count above the rack count is clipped to it. How many
+	// processors run the shards is Cores. The
 	// other runners build through BuildCluster and run on one engine whatever
 	// it says: churn because its closed loop is global, the rest by choice. A
 	// result is byte-identical for every value (TestCollectiveShardInvariance,
@@ -348,13 +350,24 @@ func BuildCluster(cfg ClusterConfig) (*Cluster, error) {
 	return buildCluster(cfg, nil)
 }
 
+// blockedHosts is the smallest fabric Shards 0 cuts one shard per rack. Below
+// it a trial's working set fits in a core's cache, so per-rack windows buy no
+// locality and cost a barrier per lookahead: swept at one core a trial,
+// the smoke and spray grids (6 and 16 hosts) ran 5–9 % slower cut per rack
+// than on one engine, and at two cores 5–13 % slower cut in two. From 32
+// hosts up the cut wins on one core: 8×8×4 −11 %, 8×8×8 −17 to −21 %, the
+// k=8 fat-tree (128) −31 %, the paper's 16×16×16 (256) −38 % (DESIGN.md
+// "Cache-blocked epochs").
+const blockedHosts = 32
+
 // buildCluster is the one cluster builder: it validates cfg and cuts the
-// racks across cfg.Shards engines (0 means one per rack, and a count above
-// the rack count is clipped to it, as exp.Runner clips its workers to the
-// grid) with identity-keyed seeds and a pool per shard, so a trial's results
-// are byte-identical for every count. What shards would have to share
-// (ShardRefusal, with the run's fault schedule) is refused only when there
-// really is more than one, and sends a Shards 0 cluster to one shard.
+// racks across cfg.Shards engines (0 means one per rack from blockedHosts
+// hosts up and one engine below, and a count above the rack count is clipped
+// to it, as exp.Runner clips its workers to the grid) with identity-keyed
+// seeds and a pool per shard, so a trial's results are byte-identical for
+// every count. What shards would have to share (ShardRefusal, with the run's
+// fault schedule) is refused only when there really is more than one, and
+// sends a Shards 0 cluster to one shard.
 func buildCluster(cfg ClusterConfig, faults []Fault) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -366,8 +379,11 @@ func buildCluster(cfg ClusterConfig, faults []Fault) (*Cluster, error) {
 		return nil, err
 	}
 	shards := len(t.ToRs())
-	if cfg.Shards > 0 {
+	switch {
+	case cfg.Shards > 0:
 		shards = min(cfg.Shards, shards)
+	case t.NumHosts() < blockedHosts:
+		shards = 1
 	}
 	if err := cfg.ShardRefusal(faults); err != nil && shards > 1 {
 		if cfg.Shards > 0 {

@@ -61,14 +61,21 @@ func TestCollectiveShardInvariance(t *testing.T) {
 	}
 }
 
-// Shards 0 is the finest cut there is, one shard per rack — 16 on the paper
-// fabric, 8 on spray's k=4 fat-tree — and one shard for a cluster holding what
-// shards cannot share; an explicit count is taken as given, clipped to the
-// racks, and BuildCluster is one engine whatever it says.
+// Shards 0 is the finest cut there is, one shard per rack, from blockedHosts
+// hosts up — 16 on the paper fabric, 32 on spray's k=8 fat-tree — and one
+// shard for a smaller fabric (spray's default k=4, 16 hosts; 4×4×8 at 32
+// hosts is cut) or a cluster holding what shards cannot share; an explicit
+// count is taken as given, clipped to the racks, and BuildCluster is one
+// engine whatever it says.
 func TestShardsZeroCutsOnePerRack(t *testing.T) {
 	paper := ClusterConfig{Seed: 1, Leaves: 16, Spines: 16, HostsPerLeaf: 16}
 	spray := SprayConfig{ClusterConfig: ClusterConfig{Seed: 1}}
 	spray.resolve()
+	spray8 := SprayConfig{ClusterConfig: ClusterConfig{Seed: 1, FatTreeK: 8}}
+	spray8.resolve()
+	edge := ClusterConfig{Seed: 1, Leaves: 4, Spines: 4, HostsPerLeaf: blockedHosts / 4}
+	small := edge
+	small.HostsPerLeaf--
 	for _, c := range []struct {
 		name   string
 		cfg    ClusterConfig
@@ -76,7 +83,11 @@ func TestShardsZeroCutsOnePerRack(t *testing.T) {
 		want   int
 	}{
 		{"paper fabric", paper, nil, 16},
-		{"spray k=4", spray.ClusterConfig, nil, 8},
+		{"spray k=4", spray.ClusterConfig, nil, 1},
+		{"spray k=8", spray8.ClusterConfig, nil, 32},
+		{"4x4x8", edge, nil, 4},
+		{"4x4x7", small, nil, 1},
+		{"explicit 8 on spray k=4", func() ClusterConfig { c := spray.ClusterConfig; c.Shards = 8; return c }(), nil, 8},
 		{"explicit 2", func() ClusterConfig { c := paper; c.Shards = 2; return c }(), nil, 2},
 		{"explicit 40", func() ClusterConfig { c := paper; c.Shards = 40; return c }(), nil, 16},
 		{"DropEveryNData", func() ClusterConfig { c := paper; c.DropEveryNData = 50; return c }(), nil, 1},
