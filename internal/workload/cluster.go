@@ -51,12 +51,12 @@ type ClusterConfig struct {
 	// already, on one engine — as it does a cluster that holds what shards
 	// cannot share (ShardRefusal), which an explicit count above one makes
 	// an error. A count above the rack count is clipped to it. How many
-	// processors run the shards is Cores. The
-	// other runners build through BuildCluster and run on one engine whatever
-	// it says: churn because its closed loop is global, the rest by choice. A
-	// result is byte-identical for every value (TestCollectiveShardInvariance,
-	// TestSprayShardInvariance, exp's shard determinism regression), so like
-	// exp.Runner.Parallel it is not serialized.
+	// processors run the shards is Cores. The other runners build through
+	// BuildCluster and run on one engine whatever it says: churn because its
+	// closed loop is global, the rest by choice. A result is byte-identical
+	// for every value (TestCollectiveShardInvariance, TestSprayShardInvariance,
+	// exp's shard determinism regression), so like exp.Runner.Parallel it is
+	// not serialized.
 	Shards int `json:"-"`
 	// Cores bounds the goroutines that run a cut cluster's shards
 	// (sim.ShardGroup.SetCores): the processors the trial has to itself —
