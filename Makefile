@@ -6,7 +6,7 @@ GO ?= go
 # trip it, while a wholesale untested subsystem still does.
 COVER_FLOOR ?= 80
 
-.PHONY: build test vet fmt-check lint lint-sarif lint-escapes loc race race-sim cover fuzz-smoke verify bench bench-smoke bench-shard bench-selftest bench-pair soak
+.PHONY: build test vet fmt-check lint lint-sarif lint-escapes loc race race-sim test-cpus cover fuzz-smoke verify bench bench-smoke bench-shard bench-selftest bench-pair soak
 
 build:
 	$(GO) build ./...
@@ -67,6 +67,14 @@ race:
 # livelock with fewer processors than shards hangs here rather than in a run.
 race-sim:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim/...
+
+# test-cpus runs the tests that cut a trial across shards or split the cores
+# between trials at one and at four processors, whatever the machine has: a
+# core count decides how many participants run an epoch and how big their
+# homes are, and a fault that shows only above two processors (a 4-vCPU CI
+# runner) never shows on a two-core box at its default.
+test-cpus:
+	$(GO) test -cpu 1,4 -run 'Shard|Runner|Cores' ./internal/exp/... ./internal/workload/...
 
 # cover gates statement coverage on the simulation packages: the observability
 # and fuzz hardening work is only worth keeping if the floor holds.
@@ -131,6 +139,7 @@ verify:
 	$(MAKE) test
 	$(MAKE) bench-selftest
 	$(MAKE) race-sim
+	$(MAKE) test-cpus
 	$(MAKE) race
 	$(MAKE) cover
 	$(MAKE) fuzz-smoke

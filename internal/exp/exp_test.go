@@ -88,7 +88,9 @@ func TestRunnerParallelDeterminism(t *testing.T) {
 // the cells of 32 hosts or more one shard per rack (32 on the k=8 fat-tree,
 // 16 on the paper fabric), runs the smaller ones (the k=4 fat-tree, the
 // ablation and smoke fabrics) on one engine, and runs the shards on four
-// goroutines whatever the host; {1, 2, 4} are explicit. The link-failure cell stays at 0 in every run:
+// goroutines whatever the host; {1, 2, 4} are explicit, and the paper-fabric
+// cell also runs at 0 on one, two and three cores. The link-failure cell
+// stays at 0 in every run:
 // it holds what shards cannot share, so 0 must fall back to one shard and
 // write what one shard writes.
 func TestShardCountDeterminism(t *testing.T) {
@@ -144,6 +146,23 @@ func TestShardCountDeterminism(t *testing.T) {
 			if tr.Middleware.NacksBlocked == 0 && i != linkFail {
 				t.Fatalf("%s blocked no NACK; Themis-D is not exercised", tr.Name)
 			}
+		}
+	}
+	// The paper-fabric cell is cut one shard per rack, 16 ways, and its
+	// trial was run on four cores above (homes of 4 shards each): on one,
+	// two and three (homes of 5, 5 and 6) it writes the same bytes.
+	fig5 := linkFail - 1
+	cell, err := NewReport("shard-determinism", base[fig5:fig5+1]).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cores := range []int{1, 2, 3} {
+		got, err := NewReport("shard-determinism", []Trial{runObserved(grid[fig5], Obs{Metrics: true}, cores)}).JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(cell, got) {
+			t.Fatalf("cores=%d: %s differs from its run on four cores:\n--- base ---\n%s\n--- got ---\n%s", cores, grid[fig5].Name, cell, got)
 		}
 	}
 	run := Runner{Parallel: 4, Obs: Obs{Metrics: true}}.Run

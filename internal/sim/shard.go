@@ -91,14 +91,14 @@ func callFunc(fn any) { fn.(func())() }
 // i; then it owns engine i and everything reachable from it, and appends to
 // row i of the current bank (Post, PostArg, Hand). The banks are disjoint,
 // so no share reads what another is writing. Each share runs on one
-// goroutine: whichever of Run's participants claimed it. Between epochs the
-// coordinator owns everything. The hand-offs happen through the barrier
-// inside Run: the coordinator's store to the share counter hands an epoch
-// out, an increment of it claims a share, and a decrement of the outstanding
-// count hands it back; those
-// atomic operations are the happens-before edges. No other synchronization
-// exists, which is why the themis-lint purity analyzer can allowlist Run
-// alone.
+// goroutine: whichever of Run's participants claimed it — nearly always the
+// one whose home holds it, so a shard stays on one core from epoch to epoch.
+// Between epochs the coordinator owns everything. The hand-offs happen
+// through the barrier inside Run: the coordinator's store to a home word
+// hands that home's shares out, a compare-and-swap on it claims one, and a
+// decrement of the outstanding count hands it back; those atomic operations
+// are the happens-before edges. No other synchronization exists, which is
+// why the themis-lint purity analyzer can allowlist Run alone.
 type ShardGroup struct {
 	engines   []*Engine
 	lookahead Duration
@@ -114,10 +114,13 @@ type ShardGroup struct {
 // EpochStats counts the windows Run has advanced the engines through. Work is
 // the events the epochs executed and Span the sum over epochs of the busiest
 // shard's share: Work/Span bounds the speed-up this partition allows on any
-// number of processors.
+// number of processors. Those three are exact. Steals is the shares a
+// participant ran off its own home (see Run): the one count here that
+// depends on timing, so it is a diagnostic, never serialized.
 type EpochStats struct {
 	Epochs     int
 	Work, Span uint64
+	Steals     uint64
 }
 
 // outbox is one source shard's mail: post[b][dst] and hand[b][dst] buffer its
@@ -278,17 +281,23 @@ func (g *ShardGroup) Metrics() Metrics {
 // identical event order, identical metrics.
 //
 // An epoch's shares run on w = min(shards, cores) participants (SetCores):
-// the calling goroutine and w-1 workers. The coordinator publishes the
-// window and resets an atomic share counter; each participant claims shares
-// by incrementing the counter until it runs past the last shard, and hands
-// each back by decrementing an atomic count of shares outstanding, which the
-// coordinator polls down to zero once it can claim no more. A share costs a
-// counter increment, not a goroutine, so the fabric can be cut finer than
-// there are processors: a shard's events for one window run together and
-// stay in cache. The handout never blocks a thread. Waking a parked thread costs hundreds of microseconds on a small VM
-// — a large slice of an epoch — so a waiting side spins on the word before it
-// starts yielding its processor between polls, and yields at once when there
-// are more participants than processors to run them.
+// the calling goroutine (participant 0) and w-1 workers. Participant p's
+// home is the run of shards [p·n/w, (p+1)·n/w), one atomic word holding the
+// run's unclaimed front and back. The coordinator publishes the window and
+// stores every home's run; each participant claims its home's shares from
+// the front, and once its home is empty steals from the back of the others,
+// and hands each share back by decrementing an atomic count of shares
+// outstanding, which the coordinator polls down to zero once it can claim no
+// more. A share costs a compare-and-swap, not a goroutine, so the fabric can
+// be cut finer than there are processors: a shard's events for one window
+// run together and stay in cache. Homes keep them in the same cache from
+// epoch to epoch — a shard runs where it ran last — and a thief takes the
+// share its owner would reach last, so an uneven epoch still balances. The
+// handout never blocks a thread. Waking a parked thread costs hundreds of
+// microseconds on a small VM — a large slice of an epoch — so a waiting side
+// spins on the word before it starts yielding its processor between polls,
+// and yields at once when there are more participants than processors to
+// run them.
 //
 // An event callback that panics on a worker is recovered there, carried
 // across the barrier and re-raised here on the calling goroutine once every
@@ -310,19 +319,26 @@ func (g *ShardGroup) Run(until Time) Time {
 	// ctl is what the coordinator hands the participants, alone on one cache
 	// line so that taking an epoch and handing it back moves as few lines
 	// between cores as possible. The plain fields are ordered by the atomics:
-	// the coordinator writes limit and the group's bank before its store to
-	// next, which a participant's claim reads before it reads them; whoever
-	// ran a share wrote its engine, its state slot, its outbox and any panic
-	// before its decrement of left, which the coordinator loads before
-	// reading them.
+	// the coordinator writes limit and the group's bank before its stores to
+	// the home words, which a participant's claim reads before it reads them;
+	// whoever ran a share wrote its engine, its state slot, its outbox, any
+	// panic and its steal before its decrement of left, which the coordinator
+	// loads before reading them.
 	var ctl struct {
 		limit  Time
-		next   atomic.Int32 // the next share to claim; n or more when none is left
-		left   atomic.Int32 // the shares not yet handed back
+		gen    atomic.Uint32 // bumped once an epoch's homes are stored
+		left   atomic.Int32  // the shares not yet handed back
+		steals atomic.Uint64 // shares run off their home in this Run
 		closed atomic.Bool
-		_      [44]byte // to 64 bytes
+		_      [36]byte // to 64 bytes
 	}
-	ctl.next.Store(int32(n))
+	// homes[p] is participant p's unclaimed run of shards, front<<32 | back,
+	// on a cache line of its own: its owner claims front, a thief back-1.
+	type home struct {
+		run atomic.Uint64
+		_   [56]byte
+	}
+	homes := make([]home, w)
 	// state[i] is what the coordinator reads of shard i's engine at a
 	// barrier, recorded by whoever ran shard i's share, on a cache line of
 	// its own, so the coordinator reads one line per shard instead of the
@@ -354,13 +370,40 @@ func (g *ShardGroup) Run(until Time) Time {
 		}()
 		ctl.left.Add(-1)
 	}
-	// claim runs shares until the epoch has none left to hand out. A
+	// take claims a share of home h, its front for the owner and its back
+	// for a thief, or returns -1 when the home is empty.
+	take := func(h int, own bool) int {
+		for {
+			r := homes[h].run.Load()
+			front, back := int(r>>32), int(uint32(r))
+			if front >= back {
+				return -1
+			}
+			i, claimed := back-1, r-1
+			if own {
+				i, claimed = front, r+1<<32
+			}
+			if homes[h].run.CompareAndSwap(r, claimed) {
+				return i
+			}
+		}
+	}
+	// claim runs participant p's shares until the epoch has none left to
+	// hand out: its home's, then the other homes' in order p+1, p+2, ... A
 	// participant still claiming when the next epoch is handed out claims
-	// from it, which is as good: its increment reads the coordinator's reset
-	// of next, which orders the new window before the share.
-	claim := func() {
-		for i := int(ctl.next.Add(1)) - 1; i < n; i = int(ctl.next.Add(1)) - 1 {
+	// from it, which is as good: its compare-and-swap reads the
+	// coordinator's store of the home word, which orders the new window
+	// before the share.
+	claim := func(p int) {
+		for i := take(p, true); i >= 0; i = take(p, true) {
 			share(i)
+		}
+		for k := 1; k < w; k++ {
+			h := (p + k) % w
+			for i := take(h, false); i >= 0; i = take(h, false) {
+				ctl.steals.Add(1)
+				share(i)
+			}
 		}
 	}
 	// spins is how many times a waiting side polls before it yields between
@@ -380,19 +423,21 @@ func (g *ShardGroup) Run(until Time) Time {
 		}
 	}
 	finished := func() bool { return ctl.left.Load() == 0 }
-	handedOut := func() bool { return ctl.next.Load() < int32(n) || ctl.closed.Load() }
 	var workers sync.WaitGroup
 	if w > 1 {
 		workers.Add(w - 1)
-		for range w - 1 {
+		for p := 1; p < w; p++ {
 			go func() {
 				defer workers.Done()
+				var seen uint32 // the last epoch handed out that p claimed from
+				handedOut := func() bool { return ctl.gen.Load() != seen || ctl.closed.Load() }
 				for {
 					await(handedOut)
 					if ctl.closed.Load() {
 						return
 					}
-					claim()
+					seen = ctl.gen.Load()
+					claim(p)
 				}
 			}()
 		}
@@ -409,8 +454,12 @@ func (g *ShardGroup) Run(until Time) Time {
 	// — holds up only the share it is in, never one it has not claimed.
 	run := func() {
 		ctl.left.Store(int32(n))
-		ctl.next.Store(0)
-		claim()
+		for p := range homes {
+			lo, hi := homeRun(p, n, w)
+			homes[p].run.Store(uint64(lo)<<32 | uint64(hi))
+		}
+		ctl.gen.Add(1)
+		claim(0)
 		await(finished)
 		for _, p := range panics {
 			if p != nil {
@@ -424,7 +473,7 @@ func (g *ShardGroup) Run(until Time) Time {
 		ran[i] = state[i].executed
 	}
 	for {
-		// Barrier state: every worker is polling next, so the coordinator
+		// Barrier state: every worker is polling gen, so the coordinator
 		// owns all engine and mailbox state here, and state is current.
 		halted, next := false, Forever
 		for i := range state {
@@ -466,6 +515,7 @@ func (g *ShardGroup) Run(until Time) Time {
 			busiest = max(busiest, d)
 		}
 		g.epochs.Span += busiest
+		g.epochs.Steals += ctl.steals.Swap(0)
 	}
 	var end Time
 	for _, e := range g.engines {
@@ -476,6 +526,12 @@ func (g *ShardGroup) Run(until Time) Time {
 	}
 	return end
 }
+
+// homeRun is participant p's home among w participants over n shards: the
+// shards [p·n/w, (p+1)·n/w). The homes tile [0, n) in order, their sizes
+// differ by at most one, and home 0 is a smallest: its owner also keeps the
+// barrier's books.
+func homeRun(p, n, w int) (lo, hi int) { return p * n / w, (p + 1) * n / w }
 
 // RunAll advances the group until every shard's queue drains (or a Stop
 // halts it).

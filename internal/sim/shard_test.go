@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -202,6 +203,89 @@ func TestShardGroupRunsOnItsCores(t *testing.T) {
 		if fmt.Sprint(got[i]) != fmt.Sprint(want) {
 			t.Errorf("run %d: the schedule differs from one goroutine per shard", i)
 		}
+	}
+}
+
+// Homes tile the shards: contiguous, disjoint, covering [0, n) in
+// participant order, no two more than one shard apart in size, and home 0 —
+// the coordinator's — a smallest.
+func TestShardHomesTileTheShards(t *testing.T) {
+	for n := 1; n <= 20; n++ {
+		for w := 1; w <= min(n, 8); w++ {
+			next, sizes := 0, make([]int, w)
+			for p := range w {
+				lo, hi := homeRun(p, n, w)
+				if lo != next || hi < lo {
+					t.Fatalf("n=%d w=%d: home %d is [%d, %d), want it to start at %d", n, w, p, lo, hi, next)
+				}
+				next, sizes[p] = hi, hi-lo
+			}
+			if next != n {
+				t.Fatalf("n=%d w=%d: the homes end at %d", n, w, next)
+			}
+			if lo, hi := slices.Min(sizes), slices.Max(sizes); hi-lo > 1 || sizes[0] != lo {
+				t.Fatalf("n=%d w=%d: home sizes %v", n, w, sizes)
+			}
+		}
+	}
+}
+
+// A participant whose home is empty steals the other homes' shares from the
+// back. Sixteen shards on two cores: shard 0's event, which its owner (the
+// caller) claims first, spins until shards 1–7 — the rest of its home — have
+// run, which only the other participant can do, by stealing. Every shard
+// still runs exactly once an epoch, and the schedule is the one-core run's,
+// where nothing is stolen.
+func TestShardGroupStealsFromTheBack(t *testing.T) {
+	const shards, W = 16, Duration(10)
+	run := func(cores int) ([shards][]Time, EpochStats) {
+		engines := make([]*Engine, shards)
+		for i := range engines {
+			engines[i] = NewEngine(int64(i))
+		}
+		g := NewShardGroup(engines, W)
+		g.SetCores(cores)
+		var ran [shards]atomic.Int32 // events run per shard, read across participants
+		var seen [shards][]Time
+		var hop func(s int) func()
+		hop = func(s int) func() {
+			return func() {
+				e := engines[s]
+				if s == 0 && cores > 1 {
+					for j := 1; j < shards/2; j++ {
+						for ran[j].Load() < ran[0].Load()+1 {
+							runtime.Gosched()
+						}
+					}
+				}
+				ran[s].Add(1)
+				seen[s] = append(seen[s], e.Now())
+				if e.Now() < 60 {
+					g.Post(s, (s+1)%shards, e.Now().Add(2*W), uint64(s), hop((s+1)%shards))
+				}
+			}
+		}
+		for s := range engines {
+			engines[s].At(5, hop(s))
+		}
+		g.RunAll()
+		return seen, g.Epochs()
+	}
+	want, one := run(1)
+	if one.Epochs != 4 || one.Steals != 0 {
+		t.Fatalf("one core: %d epochs, %d steals; want 4 and none", one.Epochs, one.Steals)
+	}
+	for s := range want {
+		if !slices.Equal(want[s], []Time{5, 25, 45, 65}) {
+			t.Fatalf("shard %d ran at %v, want once an epoch", s, want[s])
+		}
+	}
+	got, two := run(2)
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("two cores ran\n%v\nwant\n%v", got, want)
+	}
+	if two.Epochs != 4 || two.Steals < 4*(shards/2-1) {
+		t.Fatalf("two cores: %d epochs, %d steals; want 4 and at least %d", two.Epochs, two.Steals, 4*(shards/2-1))
 	}
 }
 
@@ -523,9 +607,10 @@ func TestShardGroupHaltKeepsMail(t *testing.T) {
 // The coordinator reproduces the one-engine schedule: components that message
 // each other — over the mailboxes when they live on different shards,
 // straight onto their engine when they share one — execute exactly the same
-// events at the same instants whether the group has 1, 2, 4 or 8 shards — 8
-// being more shards than processors on a small box, where the barrier's
-// waiting sides yield instead of spinning. Each
+// events at the same instants whether the group has 1, 2, 4 or 8 shards, run
+// on 1, 2, 3 or 4 cores — three cores give 8 shards homes of 2, 3 and 3, and
+// four cores are more participants than processors on a small box, where the
+// barrier's waiting sides yield instead of spinning. Each
 // component draws from its own stream and stamps its messages with its own
 // priority at strictly increasing times, the fabric's rule, so (time, pri) is
 // unique at every receiver. Half the components post, half hand off. Under
@@ -533,7 +618,7 @@ func TestShardGroupHaltKeepsMail(t *testing.T) {
 // hand the mailboxes over cleanly.
 func TestShardGroupMatchesOneEngine(t *testing.T) {
 	const components, W, horizon = 8, Duration(10), Time(2000)
-	run := func(shards int) [][]Time {
+	run := func(shards, cores int) [][]Time {
 		engines := make([]*Engine, shards)
 		for i := range engines {
 			engines[i] = NewEngine(int64(i))
@@ -543,6 +628,7 @@ func TestShardGroupMatchesOneEngine(t *testing.T) {
 			lookahead = Duration(Forever)
 		}
 		g := NewShardGroup(engines, lookahead)
+		g.SetCores(cores)
 		shardOf := func(c int) int { return c % shards }
 		seen := make([][]Time, components) // seen[c] is only touched by c's shard
 		rngs := make([]*rand.Rand, components)
@@ -577,7 +663,7 @@ func TestShardGroupMatchesOneEngine(t *testing.T) {
 		g.RunAll()
 		return seen
 	}
-	want := run(1)
+	want := run(1, 1)
 	total := 0
 	for _, s := range want {
 		total += len(s)
@@ -586,10 +672,12 @@ func TestShardGroupMatchesOneEngine(t *testing.T) {
 		t.Fatalf("only %d events: the storm is too small to check anything", total)
 	}
 	for _, shards := range []int{2, 4, 8} {
-		got := run(shards)
-		for c := range want {
-			if fmt.Sprint(got[c]) != fmt.Sprint(want[c]) {
-				t.Fatalf("shards=%d: component %d ran at\n%v\nwant\n%v", shards, c, got[c], want[c])
+		for _, cores := range []int{1, 2, 3, 4} {
+			got := run(shards, cores)
+			for c := range want {
+				if fmt.Sprint(got[c]) != fmt.Sprint(want[c]) {
+					t.Fatalf("shards=%d cores=%d: component %d ran at\n%v\nwant\n%v", shards, cores, c, got[c], want[c])
+				}
 			}
 		}
 	}
