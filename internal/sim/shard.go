@@ -91,14 +91,14 @@ func callFunc(fn any) { fn.(func())() }
 // i; then it owns engine i and everything reachable from it, and appends to
 // row i of the current bank (Post, PostArg, Hand). The banks are disjoint,
 // so no share reads what another is writing. Each share runs on one
-// goroutine: whichever of Run's participants claimed it — nearly always the
-// one whose home holds it, so a shard stays on one core from epoch to epoch.
-// Between epochs the coordinator owns everything. The hand-offs happen
-// through the barrier inside Run: the coordinator's store to a home word
-// hands that home's shares out, a compare-and-swap on it claims one, and a
-// decrement of the outstanding count hands it back; those atomic operations
-// are the happens-before edges. No other synchronization exists, which is
-// why the themis-lint purity analyzer can allowlist Run alone.
+// goroutine: whichever of Run's participants claimed it, nearly always the
+// one whose home holds it. Between epochs the coordinator owns everything.
+// The hand-offs happen through the barrier inside Run: the coordinator's
+// store to a home word hands that home's shares out, a compare-and-swap on
+// it claims one, and a decrement of the outstanding count hands it back;
+// those atomic operations are the happens-before edges. No other
+// synchronization exists, which is why the themis-lint purity analyzer can
+// allowlist Run alone.
 type ShardGroup struct {
 	engines   []*Engine
 	lookahead Duration
@@ -114,9 +114,9 @@ type ShardGroup struct {
 // EpochStats counts the windows Run has advanced the engines through. Work is
 // the events the epochs executed and Span the sum over epochs of the busiest
 // shard's share: Work/Span bounds the speed-up this partition allows on any
-// number of processors. Those three are exact. Steals is the shares a
-// participant ran off its own home (see Run): the one count here that
-// depends on timing, so it is a diagnostic, never serialized.
+// number of processors. Those three are exact; Steals, the shares run off
+// their participant's home (see Run), depends on timing and is never
+// serialized.
 type EpochStats struct {
 	Epochs     int
 	Work, Span uint64
@@ -281,23 +281,20 @@ func (g *ShardGroup) Metrics() Metrics {
 // identical event order, identical metrics.
 //
 // An epoch's shares run on w = min(shards, cores) participants (SetCores):
-// the calling goroutine (participant 0) and w-1 workers. Participant p's
-// home is the run of shards [p·n/w, (p+1)·n/w), one atomic word holding the
-// run's unclaimed front and back. The coordinator publishes the window and
-// stores every home's run; each participant claims its home's shares from
-// the front, and once its home is empty steals from the back of the others,
-// and hands each share back by decrementing an atomic count of shares
-// outstanding, which the coordinator polls down to zero once it can claim no
-// more. A share costs a compare-and-swap, not a goroutine, so the fabric can
-// be cut finer than there are processors: a shard's events for one window
-// run together and stay in cache. Homes keep them in the same cache from
-// epoch to epoch — a shard runs where it ran last — and a thief takes the
-// share its owner would reach last, so an uneven epoch still balances. The
-// handout never blocks a thread. Waking a parked thread costs hundreds of
-// microseconds on a small VM — a large slice of an epoch — so a waiting side
-// spins on the word before it starts yielding its processor between polls,
-// and yields at once when there are more participants than processors to
-// run them.
+// the calling goroutine (participant 0) and w-1 workers. The coordinator
+// publishes the window and stores each participant's home, the shards
+// [p·n/w, (p+1)·n/w); a participant claims its home's shares from the front,
+// then steals the other homes' from the back, and hands each back by
+// decrementing an atomic count of shares outstanding, which the coordinator
+// polls down to zero once it can claim no more. A share costs a
+// compare-and-swap, not a goroutine, so the fabric can be cut finer than
+// there are processors: a shard's events for one window run together, stay
+// in cache, and run on the core that ran them the epoch before; a thief
+// takes what the owner would reach last. The handout never blocks a thread.
+// Waking a parked thread costs hundreds of microseconds on a small VM — a
+// large slice of an epoch — so a waiting side spins on the word before it
+// starts yielding its processor between polls, and yields at once when there
+// are more participants than processors to run them.
 //
 // An event callback that panics on a worker is recovered there, carried
 // across the barrier and re-raised here on the calling goroutine once every
@@ -527,10 +524,9 @@ func (g *ShardGroup) Run(until Time) Time {
 	return end
 }
 
-// homeRun is participant p's home among w participants over n shards: the
-// shards [p·n/w, (p+1)·n/w). The homes tile [0, n) in order, their sizes
-// differ by at most one, and home 0 is a smallest: its owner also keeps the
-// barrier's books.
+// homeRun is participant p's home among w over n shards. The homes tile
+// [0, n) in order, differ in size by at most one, and home 0 is a smallest:
+// its owner also keeps the barrier's books.
 func homeRun(p, n, w int) (lo, hi int) { return p * n / w, (p + 1) * n / w }
 
 // RunAll advances the group until every shard's queue drains (or a Stop
