@@ -74,7 +74,7 @@ race-sim:
 # homes are, and a fault that shows only above two processors (a 4-vCPU CI
 # runner) never shows on a two-core box at its default.
 test-cpus:
-	$(GO) test -cpu 1,4 -run 'Shard|Runner|Cores' ./internal/exp/... ./internal/workload/...
+	$(GO) test -cpu 1,4 -run 'Shard|Runner|Cores' ./internal/exp/... ./internal/workload/... ./internal/fabric/...
 
 # cover gates statement coverage on the simulation packages: the observability
 # and fuzz hardening work is only worth keeping if the floor holds.

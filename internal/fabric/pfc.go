@@ -111,19 +111,31 @@ func (s *swInst) sendPauseFrame(inPort int, pause bool) {
 	} else {
 		target = s.net.switches[p.PeerSwitch].ports[p.PeerPort]
 	}
-	fn := target.resumeFn
+	frame := resumeFrame
 	if pause {
-		fn = target.pauseFn
+		frame = pauseFrame
 	}
-	// Pause frames cross shard boundaries through the epoch mailbox; their
-	// one-link propagation delay is >= the group lookahead by construction,
-	// which is what makes the post legal (see topo.Lookahead).
+	// A pause frame crosses a shard boundary as a hand; its one-link
+	// propagation delay is >= the group lookahead by construction, which is
+	// what makes the hand legal (see topo.Lookahead).
 	at := s.eng.Now().Add(p.Delay)
 	if target.shard != s.shard {
-		s.net.group.Post(s.shard, target.shard, at, target.pausePri, fn)
+		s.net.group.Hand(s.shard, target.shard, at, frame, target)
 	} else {
-		s.eng.AtPri(at, target.pausePri, fn)
+		frame(at, target)
 	}
+}
+
+// pauseFrame and resumeFrame schedule a frame's arrival at its queue a (an
+// *outQueue): the one place (time, pri, fn) is decided, on either shard path.
+func pauseFrame(at sim.Time, a any) {
+	q := a.(*outQueue)
+	q.eng.AtPri(at, q.pausePri, q.pauseFn)
+}
+
+func resumeFrame(at sim.Time, a any) {
+	q := a.(*outQueue)
+	q.eng.AtPri(at, q.pausePri, q.resumeFn)
 }
 
 // PFCStats reports (pauses, resumes) sent by a switch.

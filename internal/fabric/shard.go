@@ -11,8 +11,9 @@ import (
 
 // This file is the partitioned entry to the one wiring (wire, fabric.go): every
 // switch and host uplink is owned by exactly one shard (engine, counter block,
-// packet pool) and switch-to-switch link egress crossing a shard boundary goes
-// through the group's epoch mailboxes instead of the propagation pipe.
+// packet pool), and what crosses a shard boundary — a cut link's packets and
+// the PFC pause frames sent back over it — is handed to the receiving shard
+// (sim.ShardGroup.Hand), which schedules it itself.
 //
 // Global mutable state that cannot be partitioned is rejected where it would
 // really be shared: a tracer, a loss-injection hook, the distributed routing

@@ -13,18 +13,20 @@ import (
 	"themis/internal/trace"
 )
 
-// shardRec is one delivery observation: arrival time and packet identity,
-// copied out of the packet before the fabric recycles it.
+// shardRec is one delivery observation: arrival time, packet identity and ECN
+// mark, copied out of the packet before the fabric recycles it.
 type shardRec struct {
 	at  sim.Time
 	src packet.NodeID
 	psn packet.PSN
+	ce  bool
 }
 
-// runShardedFabric drives the same cross-rack traffic pattern over a
-// leaf-spine partitioned into the given number of shards and returns what
-// every host observed plus the fabric counters.
-func runShardedFabric(t *testing.T, shards int) ([][]shardRec, Counters, sim.Time) {
+// runShardedFabric drives the same traffic — cross-rack bursts and an incast —
+// over a leaf-spine partitioned into the given number of shards and returns
+// what every host observed, the fabric counters, the end time and the PFC
+// pauses the switches sent.
+func runShardedFabric(t *testing.T, shards int) ([][]shardRec, Counters, sim.Time, uint64) {
 	t.Helper()
 	tp := leafSpine(t, 4, 2, 2)
 	part, err := topo.PartitionRacks(tp, shards)
@@ -54,7 +56,7 @@ func runShardedFabric(t *testing.T, shards int) ([][]shardRec, Counters, sim.Tim
 		h := h
 		eng := g.Shard(part.HostShard[h])
 		n.AttachHost(packet.NodeID(h), func(p *packet.Packet) {
-			recs[h] = append(recs[h], shardRec{at: eng.Now(), src: p.Src, psn: p.PSN})
+			recs[h] = append(recs[h], shardRec{at: eng.Now(), src: p.Src, psn: p.PSN, ce: p.ECN})
 		})
 	}
 	// Every host blasts a burst at the host two positions over (always the
@@ -67,8 +69,22 @@ func runShardedFabric(t *testing.T, shards int) ([][]shardRec, Counters, sim.Tim
 			n.Inject(src, &packet.Packet{Kind: packet.Data, Src: src, Dst: dst, QP: 1, SPort: uint16(1000 + h), DPort: 4791, PSN: packet.PSN(i), Payload: 1000})
 		}
 	}
+	// Incast: every other host sends host 0 more than its access link drains,
+	// so its ToR pauses the spines feeding it — one of them across a shard
+	// boundary once the racks are cut.
+	for i := 0; i < 60; i++ {
+		for h := 1; h < hosts; h++ {
+			src := packet.NodeID(h)
+			n.Inject(src, &packet.Packet{Kind: packet.Data, Src: src, Dst: 0, QP: 2, SPort: uint16(2000 + h), DPort: 4791, PSN: packet.PSN(i), Payload: 1000})
+		}
+	}
 	end := g.RunAll()
-	return recs, n.Counters(), end
+	var pauses uint64
+	for sw := 0; sw < tp.NumSwitches(); sw++ {
+		p, _ := n.PFCStats(sw)
+		pauses += p
+	}
+	return recs, n.Counters(), end, pauses
 }
 
 // oneShardNetwork is NewShardedNetwork over a single engine: what NewNetwork
@@ -170,7 +186,7 @@ func TestCrossShardLinkHoldsOnePropagationEvent(t *testing.T) {
 // A link whose peer switch lives on another shard, and only such a link,
 // hands its packets to the peer's shard through the epoch mailbox: its pipe
 // is the peer's.
-func TestPostOnlyOnCrossShardLinks(t *testing.T) {
+func TestHandOnlyOnCrossShardLinks(t *testing.T) {
 	tp := leafSpine(t, 4, 2, 2)
 	part, err := topo.PartitionRacks(tp, 2)
 	if err != nil {
@@ -212,14 +228,18 @@ func TestPostOnlyOnCrossShardLinks(t *testing.T) {
 }
 
 // The sharded-fabric determinism contract: every host observes the exact same
-// delivery sequence — times, sources, PSNs — no matter how many shards the
-// topology is cut into, and the summed counters agree too.
+// delivery sequence — times, sources, PSNs, ECN marks — no matter how many
+// shards the topology is cut into, and the summed counters agree too. The
+// incast pass sends PFC pause frames, so the check covers them.
 func TestShardedNetworkShardCountInvariance(t *testing.T) {
-	ref, refCtr, refEnd := runShardedFabric(t, 1)
+	ref, refCtr, refEnd, refPauses := runShardedFabric(t, 1)
+	if refPauses == 0 {
+		t.Fatal("no PFC pause frame was sent: the incast pass checks nothing")
+	}
 	for _, shards := range []int{2, 4} {
-		got, ctr, end := runShardedFabric(t, shards)
-		if end != refEnd {
-			t.Fatalf("shards=%d: end %v, want %v", shards, end, refEnd)
+		got, ctr, end, pauses := runShardedFabric(t, shards)
+		if end != refEnd || pauses != refPauses {
+			t.Fatalf("shards=%d: end %v and %d pauses, want %v and %d", shards, end, pauses, refEnd, refPauses)
 		}
 		if ctr != refCtr {
 			t.Fatalf("shards=%d: counters %+v, want %+v", shards, ctr, refCtr)

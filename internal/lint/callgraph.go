@@ -12,7 +12,7 @@ import (
 // sinkTable is the one list of sinks, spelled relative to the module path,
 // and each entry says which analyzer reads it. An ordered entry is a call
 // whose invocation order is simulation state: scheduling on the event queue
-// or posting to a shard mailbox (every fabric-link delivery, serializer
+// or handing to a shard mailbox (every fabric-link delivery, serializer
 // completion and pause frame is one of the Arg/Pri forms or, across a shard
 // boundary, a hand-off; an elided completion reserves its place in the order
 // and fills it later), (re)arming timers, and appending to the trace ring.
@@ -27,7 +27,7 @@ var sinkTable = []struct {
 	category string
 }{
 	{"(*internal/sim.Engine)", []string{"At", "AtArg", "AtPri", "AtArgPri", "AtTurn", "Reserve", "Schedule", "ScheduleArg"}, true, "event scheduling"},
-	{"(*internal/sim.ShardGroup)", []string{"Post", "PostArg", "Hand"}, true, "event scheduling"},
+	{"(*internal/sim.ShardGroup)", []string{"Post", "Hand"}, true, "event scheduling"},
 	{"(*internal/sim.Timer)", []string{"Reset"}, true, "event scheduling"},
 	{"(*internal/sim.Ticker)", []string{"Start"}, true, ""},
 	{"(*internal/fabric.Network)", []string{"Inject"}, true, ""},

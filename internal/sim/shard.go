@@ -20,11 +20,11 @@ import (
 //     inside the window lands in other shards at or after T+W, i.e. in a
 //     later epoch — so shards never need to see each other mid-epoch and can
 //     run on separate goroutines.
-//   - Mailboxes. Cross-shard work is posted into per-(src,dst) mailboxes
-//     instead of the destination's event queue. Each destination's worker
-//     drains its own at the top of its next epoch, source by source in post
-//     order, so the schedule order at the destination is a pure function of
-//     the simulation state, not of goroutine interleaving.
+//   - Mail. Cross-shard work is handed into per-(src,dst) boxes instead of
+//     the destination's event queue. Each destination's worker drains its own
+//     at the top of its next epoch, source by source in the order the hands
+//     were made, so the schedule order at the destination is a pure function
+//     of the simulation state, not of goroutine interleaving.
 //
 // Determinism across shard *counts* additionally requires that no component
 // observes the partition. Components therefore draw randomness from streams
@@ -57,29 +57,14 @@ func NewStream(seed int64, key uint64) *rand.Rand {
 	return rand.New(rand.NewSource(StreamSeed(seed, key)))
 }
 
-// mailItem is one cross-shard post: fn(arg) to schedule on the destination
-// shard at an absolute time with a same-time priority. A plain func() rides in
-// arg behind callFunc. The source is the mailbox row, so an item carries no
-// provenance.
-type mailItem struct {
-	at  Time
-	pri uint64
-	fn  func(any)
-	arg any
-}
-
 // handItem is one Hand: hand(at, arg) to run on the destination shard when
-// its mail is drained. Hands are nearly all the cross-shard mail (one per cut
-// link per epoch that carried a packet over it), so they ride in boxes of
-// their own, without the post's priority word.
+// its mail is drained. The source is the box's row, so an item carries no
+// provenance.
 type handItem struct {
 	at   Time
 	hand func(Time, any)
 	arg  any
 }
-
-// callFunc runs a func() posted through Post.
-func callFunc(fn any) { fn.(func())() }
 
 // ShardGroup coordinates a set of engines that jointly simulate one
 // partitioned topology. Shard(i) hands out the per-shard engines at build
@@ -87,12 +72,11 @@ func callFunc(fn any) { fn.(func())() }
 //
 // Concurrency contract: an epoch is one phase, ended by one barrier. Shard
 // i's share first reads and truncates column i of the retired mail bank —
-// the mail addressed to it in the epoch before — and schedules it on engine
-// i; then it owns engine i and everything reachable from it, and appends to
-// row i of the current bank (Post, PostArg, Hand). The banks are disjoint,
-// so no share reads what another is writing. Each share runs on one
-// goroutine: whichever of Run's participants claimed it, nearly always the
-// one whose home holds it. Between epochs the coordinator owns everything.
+// the hands addressed to it in the epoch before — and runs them on engine i;
+// then it owns engine i and everything reachable from it, and appends to row
+// i of the current bank (Hand). The banks are disjoint, so no share reads
+// what another is writing. Each share runs on one goroutine: whichever of
+// Run's participants claimed it, nearly always the one whose home holds it. Between epochs the coordinator owns everything.
 // The hand-offs happen through the barrier inside Run: the coordinator's
 // store to a home word hands that home's shares out, a compare-and-swap on
 // it claims one, and a decrement of the outstanding count hands it back;
@@ -103,9 +87,9 @@ type ShardGroup struct {
 	engines   []*Engine
 	lookahead Duration
 	cores     int // the processors Run may occupy; 0 means GOMAXPROCS
-	// out[src] is shard src's outgoing mail, and bank the bank posts go to.
+	// out[src] is shard src's outgoing mail, and bank the bank hands go to.
 	// Run flips bank at each barrier, retiring the bank the last epoch
-	// posted into; the next epoch drains it.
+	// handed into; the next epoch drains it.
 	out    []outbox
 	bank   int
 	epochs EpochStats // what Run has counted (see Epochs)
@@ -123,16 +107,14 @@ type EpochStats struct {
 	Steals     uint64
 }
 
-// outbox is one source shard's mail: post[b][dst] and hand[b][dst] buffer its
-// posts and hands to dst while bank b is current (the backing arrays are
-// retained across epochs), and low is the earliest at among the current
-// bank's mail, the one word of a source's mail the coordinator reads at a
-// barrier.
+// outbox is one source shard's mail: hand[b][dst] buffers its hands to dst
+// while bank b is current (the backing arrays are retained across epochs),
+// and low is the earliest at among the current bank's mail, the one word of a
+// source's mail the coordinator reads at a barrier.
 type outbox struct {
-	post [2][][]mailItem
 	hand [2][][]handItem
 	low  Time
-	_    [24]byte // to 128 bytes
+	_    [8]byte // to 64 bytes
 }
 
 // NewShardGroup assembles a coordinator over the given per-shard engines.
@@ -149,10 +131,7 @@ func NewShardGroup(engines []*Engine, lookahead Duration) *ShardGroup {
 	out := make([]outbox, len(engines))
 	for src := range out {
 		o := &out[src]
-		for b := range o.post {
-			o.post[b] = make([][]mailItem, len(engines))
-			o.hand[b] = make([][]handItem, len(engines))
-		}
+		o.hand = [2][][]handItem{make([][]handItem, len(engines)), make([][]handItem, len(engines))}
 		o.low = Forever
 	}
 	return &ShardGroup{engines: engines, lookahead: lookahead, out: out}
@@ -177,59 +156,40 @@ func (g *ShardGroup) SetCores(cores int) { g.cores = cores }
 // while the source fills the other.
 func (g *ShardGroup) Bank() int { return g.bank }
 
-// Post queues fn to run on shard dst at absolute time at. It must be called
-// from shard src's worker during an epoch (or from the build phase before
-// Run), and at must be at least one lookahead past the posting instant —
-// the drain panics via Engine.schedule otherwise, which is exactly the
-// violation a too-optimistic lookahead would cause.
+// Post queues fn to run on shard dst at time at, same-time priority pri: a
+// Hand that schedules it, with a closure built per call. The rules are Hand's.
 func (g *ShardGroup) Post(src, dst int, at Time, pri uint64, fn func()) {
-	g.PostArg(src, dst, at, pri, callFunc, fn)
-}
-
-// PostArg is the arg-carrying analogue of Post; see Engine.AtArg.
-func (g *ShardGroup) PostArg(src, dst int, at Time, pri uint64, fn func(any), arg any) {
-	o := &g.out[src]
-	*mail(o.post[g.bank], dst) = mailItem{at: at, pri: pri, fn: fn, arg: arg}
-	o.low = min(o.low, at)
+	eng := g.engines[dst]
+	g.Hand(src, dst, at, func(at Time, _ any) { eng.AtPri(at, pri, fn) }, nil)
 }
 
 // Hand queues hand(at, arg) to run on shard dst's worker when it drains its
-// mail — in drain order, before any event of the next epoch — instead of
-// scheduling an event at at. It is for work the destination orders itself:
-// the receiving end of a link pushes the packets the source staged for it
-// this epoch (see Bank) onto its own propagation pipe, which keeps one
-// pending event per link however many packets are on the wire. hand must
-// schedule nothing before at; the other rules are Post's.
+// mail — in drain order, before any event of the next epoch. The destination
+// orders the work itself: a cut link's receiving end pushes the packets staged
+// for it (see Bank) onto its own pipe, and a PFC pause frame schedules itself.
+// Call it from shard src's worker during an epoch (or from the build phase
+// before Run); at must be at least one lookahead past now, and hand must
+// schedule nothing before at — Engine.schedule panics otherwise, which is
+// exactly the violation a too-optimistic lookahead would cause.
 func (g *ShardGroup) Hand(src, dst int, at Time, hand func(Time, any), arg any) {
 	o := &g.out[src]
-	*mail(o.hand[g.bank], dst) = handItem{at: at, hand: hand, arg: arg}
+	box := o.hand[g.bank]
+	box[dst] = append(box[dst], handItem{at: at, hand: hand, arg: arg}) //lint:alloc-ok mailbox growth is amortized; backing arrays are retained across epochs
 	o.low = min(o.low, at)
 }
 
-// mail extends the box bound for dst by one item and returns it.
-func mail[T any](box [][]T, dst int) *T {
-	var it T
-	box[dst] = append(box[dst], it) //lint:alloc-ok mailbox growth is amortized; backing arrays are retained across epochs
-	return &box[dst][len(box[dst])-1]
-}
-
-// drain moves the retired bank's mail addressed to dst into dst's engine:
-// source by source in shard order, each source's hands and then its posts,
-// each in the order they were made. The engine orders events by (time, pri)
-// and then by when they were scheduled, so the drain order decides only ties
-// at equal (time, pri), and breaks them by (source shard, post order) — a
-// function of the traffic, not of goroutine interleaving, and the order a
-// (time, pri, source, sequence) sort would give.
-//
-// Draining a source's hands before its posts reorders no event the fabric
-// schedules: a hand schedules at most its link's burst, at the link's even
-// priority 2·chanID, and a post (a PFC pause frame) schedules at its queue's
-// odd priority 2·chanID+1, so no hand's event ties a post's on (time, pri).
-// Hands keep their order among themselves, and posts theirs. drain touches
-// only column dst and dst's engine: each destination's share drains its own
-// mail.
+// drain runs the retired bank's hands addressed to dst on dst's worker, source
+// by source in shard order, each source's in the order they were made. The
+// engine orders events by (time, pri), then by insertion, so this decides only
+// ties at equal (time, pri), and breaks them by (source, hand order): a
+// function of the traffic, not of goroutine interleaving. A source's PFC pause
+// frames interleave with its links' hands and tie none of their events: each
+// priority the fabric's mail schedules at belongs to one channel (a link's
+// bursts 2·chanID, the pause frames to its queue 2·chanID+1, sent only by the
+// switch at its far end), whose mail one source makes, in order. drain
+// touches only column dst and dst's engine.
 func (g *ShardGroup) drain(dst int) {
-	eng, b := g.engines[dst], g.bank^1
+	b := g.bank ^ 1
 	for src := range g.out {
 		o := &g.out[src]
 		// Write a box back only if it held mail: the row's other columns
@@ -240,13 +200,6 @@ func (g *ShardGroup) drain(dst int) {
 				h.hand(h.at, h.arg)
 			}
 			o.hand[b][dst] = hands[:0]
-		}
-		if posts := o.post[b][dst]; len(posts) > 0 {
-			for i := range posts {
-				it := &posts[i]
-				eng.AtArgPri(it.at, it.pri, it.fn, it.arg)
-			}
-			o.post[b][dst] = posts[:0]
 		}
 	}
 }
@@ -273,9 +226,8 @@ func (g *ShardGroup) Metrics() Metrics {
 //
 // An epoch is one phase: every shard takes in the retired bank's mail
 // addressed to it, then advances its engine through [T, T+W), where T is the
-// earliest of the engines' heads and the retired bank's posts. A post's event
-// is scheduled at its at, and a Hand pushes onto a pipe whose head is at or
-// before at, so no event the mail brings in precedes T. With one shard the
+// earliest of the engines' heads and the retired bank's hands. A hand
+// schedules nothing before its at, so no event the mail brings in precedes T. With one shard the
 // epoch runs inline on the calling goroutine and with no mail that
 // degenerates to exactly Engine.Run(until): a single epoch bounded by until,
 // identical event order, identical metrics.
@@ -480,8 +432,8 @@ func (g *ShardGroup) Run(until Time) Time {
 		if halted {
 			break
 		}
-		// Retire the bank the last epoch posted into: the next epoch drains
-		// it and posts into the other.
+		// Retire the bank the last epoch handed into: the next epoch drains
+		// it and hands into the other.
 		g.bank ^= 1
 		for i := range g.out {
 			if g.out[i].low != Forever {

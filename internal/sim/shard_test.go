@@ -2,9 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -132,18 +135,30 @@ func TestShardGroupSingleShardMatchesRun(t *testing.T) {
 	}
 }
 
+// goid is the calling goroutine's ID, parsed from the "goroutine N [...]"
+// header runtime.Stack writes first.
+func goid() uint64 {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	id, err := strconv.ParseUint(f[1], 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
 // A one-engine group — every trial that is not cut — costs what Engine.Run
-// costs: its events run on the calling goroutine, with no worker started and
-// no barrier crossed; a whole Run is one epoch.
+// costs: its events run on the calling goroutine, with no worker to hand them
+// to and no barrier crossed; a whole Run is one epoch.
 func TestShardGroupOneEngineRunsOnTheCaller(t *testing.T) {
 	e := NewEngine(1)
 	g := NewShardGroup([]*Engine{e}, Duration(Forever))
-	before := runtime.NumGoroutine()
+	caller := goid()
 	seen := 0
 	var tick func()
 	tick = func() {
-		if n := runtime.NumGoroutine(); n != before {
-			t.Fatalf("%d goroutines inside a one-engine Run, %d before it", n, before)
+		if id := goid(); id != caller {
+			t.Errorf("an event of a one-engine Run ran on goroutine %d, not the caller's %d", id, caller)
 		}
 		if seen++; seen < 100 {
 			e.Schedule(7, tick)
@@ -161,24 +176,23 @@ func TestShardGroupOneEngineRunsOnTheCaller(t *testing.T) {
 }
 
 // A group cut finer than its cores runs every epoch's shares on at most that
-// many goroutines, the caller included: at one core no worker starts at all.
-// The schedule is the same at every bound.
+// many goroutines, the caller included: at one core only the caller runs
+// them. The schedule is the same at every bound.
 func TestShardGroupRunsOnItsCores(t *testing.T) {
 	const shards, W = 16, Duration(10)
-	run := func(cores int) (extra int, seen [shards][]Time) {
+	run := func(cores int) (ran map[uint64]bool, seen [shards][]Time) {
 		engines := make([]*Engine, shards)
 		for i := range engines {
 			engines[i] = NewEngine(int64(i))
 		}
 		g := NewShardGroup(engines, W)
 		g.SetCores(cores)
-		before := runtime.NumGoroutine()
-		var peak [shards]int // each shard's own: only its share writes it
+		var on [shards]map[uint64]bool // on[s]: the goroutines that ran shard s; only its share writes it
 		var hop func(s int) func()
 		hop = func(s int) func() {
 			return func() {
 				e := engines[s]
-				peak[s] = max(peak[s], runtime.NumGoroutine()-before)
+				on[s][goid()] = true
 				seen[s] = append(seen[s], e.Now())
 				if e.Now() < 400 {
 					g.Post(s, (s+5)%shards, e.Now().Add(W), uint64(s), hop((s+5)%shards))
@@ -186,16 +200,25 @@ func TestShardGroupRunsOnItsCores(t *testing.T) {
 			}
 		}
 		for s := range engines {
+			on[s] = make(map[uint64]bool)
 			engines[s].At(Time(s), hop(s))
 		}
 		g.RunAll()
-		return slices.Max(peak[:]), seen
+		ran = make(map[uint64]bool)
+		for _, ids := range on {
+			maps.Copy(ran, ids)
+		}
+		return ran, seen
 	}
+	caller := goid()
 	var got [3][shards][]Time
 	for i, cores := range []int{1, 2, 4} {
-		var extra int
-		if extra, got[i] = run(cores); extra > cores-1 {
-			t.Errorf("cores=%d: %d goroutines beyond the caller's ran the shares", cores, extra)
+		var ran map[uint64]bool
+		if ran, got[i] = run(cores); len(ran) > cores {
+			t.Errorf("cores=%d: %d goroutines ran the shares", cores, len(ran))
+		}
+		if cores == 1 && (len(ran) != 1 || !ran[caller]) {
+			t.Errorf("cores=1: the shares ran on goroutines %v, want only the caller's %d", ran, caller)
 		}
 	}
 	_, want := run(shards)
@@ -338,12 +361,12 @@ func TestShardGroupMailDrainOrder(t *testing.T) {
 	var order []int
 	rec := func(v int) func() { return func() { order = append(order, v) } }
 	// Build-phase posts (coordinator-owned, before Run) in scrambled order.
-	g.Post(2, 0, 5, 1, rec(3))                                               // time 5, pri 1, src 2
-	g.Post(1, 0, 7, 0, rec(5))                                               // time 7
-	g.Post(1, 0, 5, 1, rec(2))                                               // time 5, pri 1, src 1
-	g.Post(0, 0, 5, 2, rec(4))                                               // time 5, pri 2
-	g.Post(0, 0, 5, 1, rec(0))                                               // time 5, pri 1, src 0, seq first
-	g.PostArg(0, 0, 5, 1, func(a any) { order = append(order, a.(int)) }, 1) // src 0, seq second
+	g.Post(2, 0, 5, 1, rec(3)) // time 5, pri 1, src 2
+	g.Post(1, 0, 7, 0, rec(5)) // time 7
+	g.Post(1, 0, 5, 1, rec(2)) // time 5, pri 1, src 1
+	g.Post(0, 0, 5, 2, rec(4)) // time 5, pri 2
+	g.Post(0, 0, 5, 1, rec(0)) // time 5, pri 1, src 0, seq first
+	g.Post(0, 0, 5, 1, rec(1)) // src 0, seq second
 	g.Run(100)
 	want := []int{0, 1, 2, 3, 4, 5}
 	if len(order) != len(want) {
@@ -684,8 +707,9 @@ func TestShardGroupMatchesOneEngine(t *testing.T) {
 }
 
 // The barrier costs no allocation per epoch: whatever Run allocates it
-// allocates once, so a two-shard ping-pong through 2 000 single-post epochs
-// allocates exactly what one through 20 does.
+// allocates once, so a two-shard ping-pong through 2 000 single-hand epochs
+// allocates exactly what one through 20 does. The hands are bound once, as the
+// fabric's are; Post builds a closure per call.
 func TestShardGroupEpochsDoNotAllocate(t *testing.T) {
 	allocs := func(hops int) float64 {
 		const W = Duration(10)
@@ -693,13 +717,15 @@ func TestShardGroupEpochsDoNotAllocate(t *testing.T) {
 		g := NewShardGroup(engines, W)
 		left := 0
 		var hop [2]func()
+		var hand [2]func(Time, any)
 		for s := range hop {
 			hop[s] = func() {
 				if left > 0 {
 					left--
-					g.Post(s, 1-s, engines[s].Now().Add(W), 1, hop[1-s])
+					g.Hand(s, 1-s, engines[s].Now().Add(W), hand[1-s], nil)
 				}
 			}
+			hand[s] = func(at Time, _ any) { engines[s].AtPri(at, 1, hop[s]) }
 		}
 		return testing.AllocsPerRun(5, func() {
 			left = hops
