@@ -200,8 +200,7 @@ func BenchmarkExt_PFC(b *testing.B) {
 			BufferBytes: 4 << 20,             // PFC headroom fits; the pre-CNP burst does not
 			LB:          workload.Themis,
 		},
-		Senders:      15,
-		MessageBytes: 2 << 20,
+		Shape: workload.Shape{Senders: 15, MessageBytes: 2 << 20},
 	}
 	lossy := cell
 	lossy.Name = "pfc/off"

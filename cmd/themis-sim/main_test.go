@@ -324,7 +324,7 @@ func TestRunLowersDCQCNFlags(t *testing.T) {
 			Seed: 1, LB: workload.Themis, Leaves: 2, Spines: 2, HostsPerLeaf: 2,
 			TI: 10 * sim.Microsecond, TD: 50 * sim.Microsecond,
 		},
-		MessageBytes: 64 << 10,
+		Shape: workload.Shape{MessageBytes: 64 << 10},
 	})
 	want, err := exp.NewReport(trial.Name, []exp.Trial{trial}).JSON()
 	if err != nil {

@@ -291,7 +291,7 @@ func TestHarnessPins(t *testing.T) {
 	if !reflect.DeepEqual(got, want) || got.Themis.TableBudgetBytes <= 0 {
 		t.Fatalf("harness pins drifted:\n got  %+v\n want %+v", got, want)
 	}
-	if armed := (Options{ClusterConfig: in, LBSet: true}).cluster(3); armed.LB != workload.Flowlet {
-		t.Fatalf("LBSet arm = %v, want flowlet", armed.LB)
+	if armed := (Options{ClusterConfig: in, Shape: workload.Shape{LBArmed: true}}).cluster(3); armed.LB != workload.Flowlet {
+		t.Fatalf("LBArmed arm = %v, want flowlet", armed.LB)
 	}
 }

@@ -9,23 +9,15 @@ import (
 	"themis/internal/workload"
 )
 
-// Options parameterizes the scenario harness. The defaults are a small
-// cross-rack workload on a 3×3 leaf-spine — big enough for every fault kind
-// to matter, small enough that a 50-seed soak stays cheap.
-type Options struct {
-	// ClusterConfig carries every fabric, LB, NIC and CC knob; BuildCluster
-	// overrides the ones the hardened harness pins. Defaults: a 3×3
-	// leaf-spine, 2 hosts per leaf, 100 Gbps.
-	workload.ClusterConfig
-
-	Flows        int          // cross-rack ring flows (default one per host)
-	MessageBytes int64        // per-flow transfer (default 2 MB)
-	Horizon      sim.Duration // wall guard (default 2 s virtual)
-	// LBSet marks LB as an explicit choice; without it the harness runs its
-	// default arm (Themis) — workload.ECMP is the LBMode zero value, so a
-	// flag is needed to ask for it.
-	LBSet bool
-}
+// Options parameterizes the scenario harness: its ClusterConfig carries every
+// fabric, LB, NIC and CC knob, BuildCluster overriding the ones the hardened
+// harness pins, and of its Shape the harness reads Flows (cross-rack ring
+// flows), MessageBytes (per flow), Horizon (the wall guard) and LBArmed
+// (without it the harness runs its default arm, Themis). The defaults
+// (withDefaults) are a small cross-rack workload on a 3×3 leaf-spine — big
+// enough for every fault kind to matter, small enough that a 50-seed soak
+// stays cheap.
+type Options workload.Config
 
 func (o Options) withDefaults() Options {
 	if o.Leaves == 0 {
@@ -67,7 +59,7 @@ func BuildCluster(sc Scenario, opt Options) (*workload.Cluster, error) {
 // cluster returns o's cluster config with the defaults and the harness pins
 // applied, whatever o says:
 //   - Seed: the scenario's;
-//   - LB: Themis unless LBSet;
+//   - LB: Themis unless LBArmed;
 //   - LossyControl, RTO, RTOBackoff, RTOMax: the hardened transport;
 //   - Themis: relearn on, the derived budget, nothing else (in particular
 //     never FallbackOnFailure — the soak exercises Themis through failures).
@@ -75,7 +67,7 @@ func (o Options) cluster(seed int64) workload.ClusterConfig {
 	o = o.withDefaults()
 	cfg := o.ClusterConfig
 	cfg.Seed = seed
-	if !o.LBSet {
+	if !o.LBArmed {
 		cfg.LB = workload.Themis
 	}
 	cfg.LossyControl = true

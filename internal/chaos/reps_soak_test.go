@@ -29,7 +29,7 @@ func TestREPSRecoversFasterThanRPSUnderBlackhole(t *testing.T) {
 	run := func(mode workload.LBMode) (meanMillis float64) {
 		opt := Options{
 			ClusterConfig: workload.ClusterConfig{LB: mode},
-			LBSet:         true, MessageBytes: 256 << 10,
+			Shape:         workload.Shape{LBArmed: true, MessageBytes: 256 << 10},
 		}
 		var total float64
 		for seed := int64(1); seed <= seeds; seed++ {

@@ -27,14 +27,13 @@ func testGrid() []Scenario {
 		Name:          "motivation-small",
 		Workload:      Motivation,
 		ClusterConfig: workload.ClusterConfig{Seed: 3, Transport: rnic.SelectiveRepeat},
-		MessageBytes:  1 << 20,
+		Shape:         workload.Shape{MessageBytes: 1 << 20},
 	})
 	grid = append(grid, Scenario{
 		Name:          "incast-small",
 		Workload:      Incast,
 		ClusterConfig: workload.ClusterConfig{Seed: 4},
-		Senders:       4,
-		MessageBytes:  512 << 10,
+		Shape:         workload.Shape{Senders: 4, MessageBytes: 512 << 10},
 	})
 	grid = append(grid, ChurnGrid(5, 1)...)
 	// First four convergence cells: the three delay-0 spray arms plus one
@@ -187,10 +186,10 @@ func TestRunnerHandsEachTrialItsCores(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	var mu sync.Mutex
 	var cores, shards []int
-	restore := ObserveClusters(func(cc workload.ClusterConfig) {
+	restore := ObserveClusters(func(c workload.Config) {
 		mu.Lock()
 		defer mu.Unlock()
-		cores, shards = append(cores, cc.Cores), append(shards, cc.Shards)
+		cores, shards = append(cores, c.Cores), append(shards, c.Shards)
 	})
 	defer restore()
 	var grid []Scenario // a trial per worker
@@ -679,14 +678,14 @@ func TestWorkloadTable(t *testing.T) {
 			t.Errorf("%s: derived label %q", row.name, label)
 		}
 	}
-	sc := Scenario{Workload: Collective, ClusterConfig: workload.ClusterConfig{Seed: 9, LB: workload.Themis}, Pattern: collective.AllToAll}
+	sc := Scenario{Workload: Collective, ClusterConfig: workload.ClusterConfig{Seed: 9, LB: workload.Themis}, Shape: workload.Shape{Pattern: collective.AllToAll}}
 	if got := sc.Label(); got != "collective/alltoall/themis/ti0s-td0s/seed9" {
 		t.Errorf("Label = %q", got)
 	}
 	// Motivation scenarios that differ only in an armed LB are distinct cells;
 	// the unarmed Fig. 1 label keeps its form.
 	motiv := func(armed bool, lb workload.LBMode) string {
-		return Scenario{Workload: Motivation, ClusterConfig: workload.ClusterConfig{Seed: 1, LB: lb}, LBArmed: armed}.Label()
+		return Scenario{Workload: Motivation, ClusterConfig: workload.ClusterConfig{Seed: 1, LB: lb}, Shape: workload.Shape{LBArmed: armed}}.Label()
 	}
 	if a, b := motiv(true, workload.Themis), motiv(true, workload.RandomSpray); a == b || a != "motivation/nic-sr/themis/seed1" {
 		t.Errorf("armed motivation labels %q and %q, want distinct, the first motivation/nic-sr/themis/seed1", a, b)
@@ -720,7 +719,7 @@ func TestHorizonCutIsNeverSuccess(t *testing.T) {
 		tr := Run(Scenario{
 			Workload:      row.name,
 			ClusterConfig: workload.ClusterConfig{Seed: 3, Leaves: 2, Spines: 2, HostsPerLeaf: 2},
-			Horizon:       5 * sim.Microsecond, MessageBytes: 256 << 10,
+			Shape:         workload.Shape{Horizon: 5 * sim.Microsecond, MessageBytes: 256 << 10},
 		})
 		cut := tr.Err != ""
 		for _, v := range tr.Violations {
@@ -772,8 +771,8 @@ func TestReportWriteFile(t *testing.T) {
 // — with the ring dumped to disk for `themis-sim inspect`.
 func TestRunObservedDumpsFlightOnPanic(t *testing.T) {
 	const panics Workload = "panics"
-	workloads = append(workloads, workloadRow{name: panics, run: func(_ Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
-		if _, err := workload.BuildCluster(cc); err != nil {
+	workloads = append(workloads, workloadRow{name: panics, run: func(c workload.Config) (workload.Outcome, error) {
+		if _, err := workload.BuildCluster(c.ClusterConfig); err != nil {
 			return workload.Outcome{}, err
 		}
 		panic("mid-run")
@@ -820,10 +819,12 @@ func TestRunObservedDumpsFlightOnPanic(t *testing.T) {
 // writes; a replay that differs from the trial is an error, and a shard count
 // the scenario itself refuses is not replayed.
 func TestFlightDumpIsTheOneShardReplay(t *testing.T) {
-	sc := Scenario{Name: "cut", Workload: Collective, Pattern: collective.AllToAll, MessageBytes: 256 << 10,
-		Horizon: 8 * sim.Microsecond, ClusterConfig: workload.ClusterConfig{
+	sc := Scenario{Name: "cut", Workload: Collective,
+		ClusterConfig: workload.ClusterConfig{
 			Seed: 3, LB: workload.Themis, Leaves: 2, Spines: 2, HostsPerLeaf: 2, Bandwidth: 100e9, Shards: 2,
-		}}
+		},
+		Shape: workload.Shape{Pattern: collective.AllToAll, MessageBytes: 256 << 10, Horizon: 8 * sim.Microsecond},
+	}
 	tr := RunObserved(sc, Obs{FlightDir: t.TempDir()})
 	if tr.Err == "" || strings.Contains(tr.Err, "diverged") || tr.FlightDump == "" {
 		t.Fatalf("horizon-cut trial at Shards 2: Err %q, FlightDump %q; want a cut, a dump and no divergence", tr.Err, tr.FlightDump)
@@ -858,8 +859,8 @@ func TestFlightDumpIsTheOneShardReplay(t *testing.T) {
 
 	// A workload whose result depends on the shard count fails the replay.
 	const bent Workload = "bent"
-	workloads = append(workloads, workloadRow{name: bent, run: func(_ Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
-		return workload.Outcome{CCTMillis: float64(cc.Shards)}, errors.New("bent")
+	workloads = append(workloads, workloadRow{name: bent, run: func(c workload.Config) (workload.Outcome, error) {
+		return workload.Outcome{CCTMillis: float64(c.Shards)}, errors.New("bent")
 	}})
 	defer func() { workloads = workloads[:len(workloads)-1] }()
 	diverged := sc

@@ -30,7 +30,7 @@ func Fig1Scenario(seed, bytes int64, tr rnic.Transport) Scenario {
 		Name:          fmt.Sprintf("fig1/%v/seed%d", tr, seed),
 		Workload:      Motivation,
 		ClusterConfig: workload.ClusterConfig{Seed: seed, Transport: tr},
-		MessageBytes:  bytes,
+		Shape:         workload.Shape{MessageBytes: bytes},
 	}
 }
 
@@ -53,8 +53,7 @@ func Fig5Cell(seed, bytes int64, pattern collective.Pattern, set workload.DCQCNS
 			pattern, int64(set.TI/sim.Microsecond), int64(set.TD/sim.Microsecond), lb, seed),
 		Workload:      Collective,
 		ClusterConfig: workload.ClusterConfig{Seed: seed, LB: lb, TI: set.TI, TD: set.TD},
-		Pattern:       pattern,
-		MessageBytes:  bytes,
+		Shape:         workload.Shape{Pattern: pattern, MessageBytes: bytes},
 	}
 }
 
@@ -79,8 +78,7 @@ func AblationCell(seed int64, lb workload.LBMode) Scenario {
 		ClusterConfig: workload.ClusterConfig{
 			Seed: seed, LB: lb, Leaves: 4, Spines: 4, HostsPerLeaf: 4, Bandwidth: 100e9,
 		},
-		Pattern:      collective.RingAllreduce,
-		MessageBytes: 1 << 20,
+		Shape: workload.Shape{Pattern: collective.RingAllreduce, MessageBytes: 1 << 20},
 	}
 }
 
@@ -110,8 +108,7 @@ func PathSubsetGrid(seed int64, ks []int) []Scenario {
 			ClusterConfig: workload.ClusterConfig{
 				Seed: seed, LB: workload.Themis, Themis: core.Config{PathSubset: k},
 			},
-			Pattern:      collective.RingAllreduce,
-			MessageBytes: 2 << 20,
+			Shape: workload.Shape{Pattern: collective.RingAllreduce, MessageBytes: 2 << 20},
 		})
 	}
 	return grid
@@ -133,8 +130,7 @@ func LossRecoveryGrid(seed int64) []Scenario {
 				RTO: 500 * sim.Microsecond, DropEveryNData: 500,
 				Themis: core.Config{DisableCompensation: disable},
 			},
-			Pattern:      collective.RingAllreduce,
-			MessageBytes: 1 << 20,
+			Shape: workload.Shape{Pattern: collective.RingAllreduce, MessageBytes: 1 << 20},
 		})
 	}
 	return grid
@@ -238,10 +234,7 @@ func ChurnGrid(first int64, count int) []Scenario {
 				ClusterConfig: workload.ClusterConfig{
 					Seed: seed, LB: workload.Themis, BurstBytes: 9000, LossyControl: true, Themis: arm.knobs,
 				},
-				QPs:          churnQPs,
-				Concurrency:  24,
-				MessageBytes: 64 << 10,
-				Faults:       true,
+				Shape: workload.Shape{QPs: churnQPs, Concurrency: 24, MessageBytes: 64 << 10, Faults: true},
 			})
 		}
 	}
@@ -287,8 +280,7 @@ func RepsGrid(first int64, count int) []Scenario {
 					Name:          fmt.Sprintf("reps/chaos/%s/seed%d", arm.name, seed),
 					Workload:      Chaos,
 					ClusterConfig: workload.ClusterConfig{Seed: seed, LB: arm.lb},
-					LBArmed:       true,
-					MessageBytes:  512 << 10,
+					Shape:         workload.Shape{LBArmed: true, MessageBytes: 512 << 10},
 				},
 				Scenario{
 					Name:     fmt.Sprintf("reps/churn/%s/seed%d", arm.name, seed),
@@ -296,10 +288,7 @@ func RepsGrid(first int64, count int) []Scenario {
 					ClusterConfig: workload.ClusterConfig{
 						Seed: seed, LB: arm.lb, LossyControl: true, Themis: arm.knobs,
 					},
-					QPs:          48,
-					Concurrency:  12,
-					MessageBytes: 64 << 10,
-					Faults:       true,
+					Shape: workload.Shape{QPs: 48, Concurrency: 12, MessageBytes: 64 << 10, Faults: true},
 				},
 				Scenario{
 					Name:     fmt.Sprintf("reps/convergence/%s/seed%d", arm.name, seed),
@@ -308,7 +297,7 @@ func RepsGrid(first int64, count int) []Scenario {
 						Seed: seed, LB: arm.lb, DistributedRouting: true, ConvergenceDelay: 5 * sim.Microsecond,
 						Themis: arm.knobs,
 					},
-					MessageBytes: 512 << 10,
+					Shape: workload.Shape{MessageBytes: 512 << 10},
 				})
 		}
 	}
@@ -327,8 +316,7 @@ func SmokeGrid(seeds ...int64) []Scenario {
 			ClusterConfig: workload.ClusterConfig{
 				Seed: seed, LB: workload.Themis, Leaves: 3, Spines: 3, HostsPerLeaf: 2, Bandwidth: 100e9,
 			},
-			Pattern:      collective.RingAllreduce,
-			MessageBytes: 256 << 10,
+			Shape: workload.Shape{Pattern: collective.RingAllreduce, MessageBytes: 256 << 10},
 		})
 	}
 	if len(seeds) > 0 {
@@ -359,7 +347,7 @@ func SprayGrid(seeds ...int64) []Scenario {
 				Name:          fmt.Sprintf("spray/%v/seed%d", lb, seed),
 				Workload:      Spray,
 				ClusterConfig: workload.ClusterConfig{Seed: seed, LB: lb, FatTreeK: 4},
-				MessageBytes:  64 << 10,
+				Shape:         workload.Shape{MessageBytes: 64 << 10},
 			})
 		}
 	}

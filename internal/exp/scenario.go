@@ -15,9 +15,7 @@ import (
 	"errors"
 	"fmt"
 
-	"themis/internal/collective"
 	"themis/internal/core"
-	"themis/internal/sim"
 	"themis/internal/workload"
 )
 
@@ -29,13 +27,13 @@ type ThemisKnobs = core.Config
 // Scenario declaratively describes one trial: the cluster it runs on —
 // workload.ClusterConfig, embedded, so every fabric, LB, NIC, CC, routing and
 // middleware knob and its JSON key are declared once, there — and the
-// workload's shape. The zero value of every field means "workload default"
-// (the same defaults the workload runners apply), so a scenario only states
-// what it varies; a runner may still pin a cluster knob (see each runner's
-// resolve, and chaos.BuildCluster). Durations serialize as picoseconds. The
-// cluster's runtime hooks are not the scenario's: Shards is an execution knob
-// (exp.run adds the trial's Cores), and a trial is traced and metered through
-// Obs.
+// workload's shape, workload.Shape, embedded likewise. The zero value of every
+// field means "workload default" (the same defaults the workload runners
+// apply), so a scenario only states what it varies; a runner may still pin a
+// cluster knob (see each runner's resolve, and chaos.BuildCluster). Durations
+// serialize as picoseconds. The cluster's runtime hooks are not the
+// scenario's: Shards is an execution knob (exp.run adds the trial's Cores),
+// and a trial is traced and metered through Obs.
 type Scenario struct {
 	// Name uniquely labels the scenario within a grid; Label() derives one
 	// when empty.
@@ -43,40 +41,13 @@ type Scenario struct {
 	Workload Workload `json:"workload"`
 
 	workload.ClusterConfig
-
-	// LBArmed marks LB as an explicit chaos-workload arm: chaos scenarios
-	// historically always ran the harness default (Themis), so the arm must
-	// be opt-in to keep their serialized form and results unchanged.
-	// Convergence scenarios always arm LB, and a motivation scenario's label
-	// names an armed LB; other workloads ignore this.
-	LBArmed bool               `json:"lb_armed,omitempty"`
-	Pattern collective.Pattern `json:"pattern,omitempty"` // collective only
-
-	// Workload shape.
-	MessageBytes int64        `json:"message_bytes,omitempty"`
-	Groups       int          `json:"groups,omitempty"`      // collective
-	Senders      int          `json:"senders,omitempty"`     // incast fan-in
-	Flows        int          `json:"flows,omitempty"`       // chaos ring flows
-	QPs          int          `json:"qps,omitempty"`         // churn: total flows opened
-	Concurrency  int          `json:"concurrency,omitempty"` // churn: flows open at once
-	Faults       bool         `json:"faults,omitempty"`      // churn: seeded reboots + link flap
-	Horizon      sim.Duration `json:"horizon,omitempty"`
-
-	// Drain appends a maintenance drain to a convergence scenario's fault
-	// schedule.
-	Drain bool `json:"drain,omitempty"`
-
-	// LinkFail is a collective's fault schedule (§5.3's link failure is one
-	// LinkFlap), as Faults above is churn-only. It keeps a trial on one shard
-	// (see workload.ClusterConfig.Shards), as DropEveryNData does.
-	LinkFail []workload.Fault `json:"link_fail,omitempty"`
+	workload.Shape
 }
 
 // Validate rejects a scenario no trial runs, naming the field: an unknown
-// Workload, the cluster's own checks (workload.ClusterConfig.Validate), a
-// negative shape field, an unknown Pattern, or a Tracer or Metrics registry
-// set on the scenario, which exp.run wires from Obs. run calls it before
-// anything is built.
+// Workload, a Tracer or Metrics registry set on the scenario, which exp.run
+// wires from Obs, and what workload.ClusterConfig.Validate and
+// workload.Shape.Validate reject. run calls it before anything is built.
 func (s Scenario) Validate() error {
 	if _, err := s.Workload.row(); err != nil {
 		return err
@@ -87,22 +58,7 @@ func (s Scenario) Validate() error {
 	if err := s.ClusterConfig.Validate(); err != nil {
 		return err
 	}
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"MessageBytes", s.MessageBytes}, {"Groups", int64(s.Groups)}, {"Senders", int64(s.Senders)},
-		{"Flows", int64(s.Flows)}, {"QPs", int64(s.QPs)}, {"Concurrency", int64(s.Concurrency)},
-		{"Horizon", int64(s.Horizon)},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("exp: %s=%d is negative", f.name, f.v)
-		}
-	}
-	if _, err := collective.ParsePattern(s.Pattern.String()); err != nil {
-		return fmt.Errorf("exp: Pattern: %w", err)
-	}
-	return nil
+	return s.Shape.Validate()
 }
 
 // Label returns Name, or a derived "workload/arm/seed" identifier whose arm

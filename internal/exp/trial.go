@@ -138,20 +138,20 @@ func flightReplay(t *Trial, o Obs) {
 	t.FlightDump = path
 }
 
-// run validates the scenario and hands it to its row of the workload table
-// with the observability hooks threaded through and the cores the trial has
-// to itself, which bound the goroutines a cut cluster runs on (how finely it
-// is cut is Shards, 0 meaning one shard per rack on a fabric too large for
-// cache). The trial is the runner's
-// Outcome, or Err.
+// run validates the scenario and hands its cluster and shape, as one
+// workload.Config, to its row of the workload table with the observability
+// hooks threaded through and the cores the trial has to itself, which bound
+// the goroutines a cut cluster runs on (how finely it is cut is Shards, 0
+// meaning one shard per rack on a fabric too large for cache). The trial is
+// the runner's Outcome, or Err.
 func run(sc Scenario, tr *trace.Tracer, reg *obs.Registry, cores int) Trial {
 	t := Trial{Name: sc.Label(), Scenario: sc}
 	err := sc.Validate()
 	if err == nil {
 		row, _ := sc.Workload.row() // Validate looked it up
-		cc := sc.ClusterConfig
-		cc.Tracer, cc.Metrics, cc.Cores = tr, reg, cores
-		t.Outcome, err = row.run(sc, cc)
+		cfg := workload.Config{ClusterConfig: sc.ClusterConfig, Shape: sc.Shape}
+		cfg.Tracer, cfg.Metrics, cfg.Cores = tr, reg, cores
+		t.Outcome, err = row.run(cfg)
 	}
 	if err != nil {
 		t.Err = err.Error()

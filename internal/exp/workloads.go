@@ -49,15 +49,15 @@ type workloadRow struct {
 	// arm, if non-nil, renders the arm segment of a derived label
 	// ("name/arm/seedN"; "name/seedN" without one).
 	arm func(Scenario) string
-	// run lowers the scenario's shape fields onto cc — the scenario's
-	// ClusterConfig with the observability hooks and the trial's Cores
-	// attached — calls the runner and returns the record it filled.
-	run func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error)
+	// run calls the runner on the scenario's cluster and shape — with the
+	// observability hooks and the trial's Cores attached — and returns the
+	// record it filled.
+	run func(workload.Config) (workload.Outcome, error)
 }
 
 // workloads is the workload table, behind Scenario.Label, run, ParseWorkload
 // and WorkloadNames. Adding a workload is its runner file, one constant above
-// and one row here (the shape lowering the row calls sits below the table).
+// and one row here.
 var workloads = []workloadRow{
 	{Motivation, func(s Scenario) string {
 		if s.LBArmed {
@@ -65,43 +65,43 @@ var workloads = []workloadRow{
 		}
 		return s.Transport.String()
 	},
-		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
-			res, err := workload.RunMotivation(s.motivation(cc))
+		func(c workload.Config) (workload.Outcome, error) {
+			res, err := workload.RunMotivation(c)
 			return res.Outcome, err
 		}},
 	{Collective, func(s Scenario) string { return fmt.Sprintf("%v/%v/ti%v-td%v", s.Pattern, s.LB, s.TI, s.TD) },
-		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
-			res, err := workload.RunCollective(s.collective(cc))
+		func(c workload.Config) (workload.Outcome, error) {
+			res, err := workload.RunCollective(c)
 			return res.Outcome, err
 		}},
-	{Incast, lbArm,
-		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
-			return workload.RunIncast(s.incast(cc))
-		}},
+	{Incast, lbArm, workload.RunIncast},
 	{Chaos, nil,
-		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
-			return chaos.RunGenerated(s.Seed, chaos.Generate, s.chaos(cc))
+		func(c workload.Config) (workload.Outcome, error) {
+			return chaos.RunGenerated(c.Seed, chaos.Generate, chaos.Options(c))
 		}},
 	{Churn, lbArm,
-		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
-			res, err := workload.RunChurn(s.churn(cc))
+		func(c workload.Config) (workload.Outcome, error) {
+			res, err := workload.RunChurn(c)
 			return res.Outcome, err
 		}},
+	// Convergence always arms LB, so an ECMP arm — the LBMode zero value —
+	// is not silently replaced with the harness default.
 	{Convergence, func(s Scenario) string {
 		return fmt.Sprintf("%v/d%dus", s.LB, int64(s.ConvergenceDelay/sim.Microsecond))
 	},
-		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
-			return chaos.RunGenerated(s.Seed, func(seed int64, tp *topo.Topology) chaos.Scenario {
+		func(c workload.Config) (workload.Outcome, error) {
+			c.LBArmed = true
+			return chaos.RunGenerated(c.Seed, func(seed int64, tp *topo.Topology) chaos.Scenario {
 				csc := chaos.GenerateConvergence(seed, tp)
-				if s.Drain {
+				if c.Drain {
 					csc.Faults = append(csc.Faults, chaos.DrainFault(tp))
 				}
 				return csc
-			}, s.chaos(cc))
+			}, chaos.Options(c))
 		}},
 	{Spray, lbArm,
-		func(s Scenario, cc workload.ClusterConfig) (workload.Outcome, error) {
-			res, err := workload.RunSpray(s.spray(cc))
+		func(c workload.Config) (workload.Outcome, error) {
+			res, err := workload.RunSpray(c)
 			return res.Outcome, err
 		}},
 }
@@ -133,59 +133,4 @@ func WorkloadNames() string {
 func ParseWorkload(s string) (Workload, error) {
 	_, err := Workload(s).row()
 	return Workload(s), err
-}
-
-// The shape lowerings add only the workload's shape fields to cc.
-
-// collective also hands LinkFail to the runner as its fault schedule.
-func (s Scenario) collective(cc workload.ClusterConfig) (workload.CollectiveConfig, []workload.Fault) {
-	return workload.CollectiveConfig{
-		ClusterConfig: cc,
-		Pattern:       s.Pattern,
-		MessageBytes:  s.MessageBytes,
-		Groups:        s.Groups,
-		Horizon:       s.Horizon,
-	}, s.LinkFail
-}
-
-func (s Scenario) motivation(cc workload.ClusterConfig) workload.MotivationConfig {
-	return workload.MotivationConfig{ClusterConfig: cc, MessageBytes: s.MessageBytes, Horizon: s.Horizon}
-}
-
-func (s Scenario) incast(cc workload.ClusterConfig) workload.IncastConfig {
-	return workload.IncastConfig{
-		ClusterConfig: cc,
-		Senders:       s.Senders,
-		MessageBytes:  s.MessageBytes,
-		Horizon:       s.Horizon,
-	}
-}
-
-func (s Scenario) churn(cc workload.ClusterConfig) workload.ChurnConfig {
-	return workload.ChurnConfig{
-		ClusterConfig: cc,
-		QPs:           s.QPs,
-		Concurrency:   s.Concurrency,
-		MessageBytes:  s.MessageBytes,
-		Faults:        s.Faults,
-		Horizon:       s.Horizon,
-	}
-}
-
-func (s Scenario) spray(cc workload.ClusterConfig) workload.SprayConfig {
-	return workload.SprayConfig{ClusterConfig: cc, MessageBytes: s.MessageBytes, Horizon: s.Horizon}
-}
-
-// chaos lowers a chaos or convergence scenario to the chaos harness. The LB
-// arm is opt-in for chaos (see Scenario.LBArmed) and always explicit for
-// convergence, so an ECMP arm — the LBMode zero value — is not silently
-// replaced with the harness default.
-func (s Scenario) chaos(cc workload.ClusterConfig) chaos.Options {
-	return chaos.Options{
-		ClusterConfig: cc,
-		Flows:         s.Flows,
-		MessageBytes:  s.MessageBytes,
-		Horizon:       s.Horizon,
-		LBSet:         s.LBArmed || s.Workload == Convergence,
-	}
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Event is a scheduled callback. It is returned by the Schedule family so
 // callers can cancel pending events (e.g. retransmission timers).
@@ -104,7 +101,6 @@ type Engine struct {
 	pending        int   // events queued
 	nextSeq        uint64
 	seed           int64
-	rng            *rand.Rand // built by the first Rand call
 	stopped        bool
 
 	// free is the intrusive free list: fired and cancelled events are pushed
@@ -114,8 +110,8 @@ type Engine struct {
 	metrics Metrics
 }
 
-// NewEngine returns an engine with its clock at zero and a deterministic
-// random source seeded with seed.
+// NewEngine returns an engine with its clock at zero and the given seed
+// (Seed).
 func NewEngine(seed int64) *Engine {
 	return &Engine{seed: seed}
 }
@@ -126,18 +122,6 @@ func (e *Engine) Seed() int64 { return e.seed }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Rand returns the engine's deterministic random source, for drivers that
-// live on one engine (the churn arrival process). Anything a partition can
-// split across engines — switches — draws from its own NewStream instead.
-// The source is seeded on the first call: most engines never draw, and a
-// math/rand source costs about 5 KB to build.
-func (e *Engine) Rand() *rand.Rand {
-	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.seed))
-	}
-	return e.rng
-}
 
 // Pending returns the number of events currently queued.
 func (e *Engine) Pending() int { return e.pending }

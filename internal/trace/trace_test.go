@@ -63,21 +63,6 @@ func TestMinCapacity(t *testing.T) {
 	}
 }
 
-func TestFilterAndByQP(t *testing.T) {
-	tr := New(16)
-	tr.Record(Event{Op: Drop, QP: 1, PSN: 10})
-	tr.Record(Event{Op: Mark, QP: 2, PSN: 20})
-	tr.Record(Event{Op: Drop, QP: 1, PSN: 30})
-	drops := tr.Filter(func(e Event) bool { return e.Op == Drop })
-	if len(drops) != 2 {
-		t.Fatalf("drops = %d", len(drops))
-	}
-	qp1 := tr.ByQP(1)
-	if len(qp1) != 2 || qp1[0].PSN != 10 || qp1[1].PSN != 30 {
-		t.Fatalf("qp1 = %v", qp1)
-	}
-}
-
 func TestEventString(t *testing.T) {
 	e := ev(sim.Time(1500*sim.Nanosecond), NackBlocked, 7)
 	s := e.String()
@@ -133,18 +118,5 @@ func TestByOpAndFaultEvents(t *testing.T) {
 	nilTr.RecordFault(0, FaultReset, 0, -1)
 	if nilTr.ByOp(FaultReset) != nil {
 		t.Fatal("nil tracer ByOp")
-	}
-}
-
-func TestDump(t *testing.T) {
-	tr := New(4)
-	tr.Record(ev(0, Drop, 1))
-	tr.Record(ev(1, Mark, 2))
-	var sb strings.Builder
-	if err := tr.Dump(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(sb.String(), "\n"); got != 2 {
-		t.Fatalf("dump lines = %d", got)
 	}
 }

@@ -47,7 +47,7 @@ func TestUnknownArmIsAnError(t *testing.T) {
 		if _, err := BuildCluster(ClusterConfig{Leaves: 2, Spines: 2, HostsPerLeaf: 1, LB: bad}); err == nil {
 			t.Fatalf("BuildCluster accepted LB %d", int(bad))
 		}
-		if _, err := RunSpray(SprayConfig{ClusterConfig: ClusterConfig{LB: bad}}); err == nil {
+		if _, err := RunSpray(Config{ClusterConfig: ClusterConfig{LB: bad}}); err == nil {
 			t.Fatalf("RunSpray accepted LB %d", int(bad))
 		}
 		if !strings.HasPrefix(bad.String(), "LBMode(") {
@@ -83,6 +83,8 @@ func fillSentinel(v reflect.Value) {
 		v.SetBool(true)
 	case reflect.Ptr:
 		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			if v.Field(i).CanSet() {
@@ -92,56 +94,44 @@ func fillSentinel(v reflect.Value) {
 	}
 }
 
-// TestRunnerPins is the workload half of the "no silently dropped knob"
-// contract (exp.TestScenarioLoweringTotal is the other): every ClusterConfig
-// field a caller sets survives the runner's resolve untouched, except the
-// pins each runner documents.
+// TestRunnerPins is the "no silently dropped knob" contract: every
+// ClusterConfig and Shape field a caller sets survives the runner's resolve
+// untouched, except the pins each runner documents. A field added to either
+// is covered without being listed.
 func TestRunnerPins(t *testing.T) {
 	cases := []struct {
 		name    string
-		resolve func(ClusterConfig) ClusterConfig
-		pin     func(*ClusterConfig)
+		resolve func(*Config)
+		pin     func(*Config)
 	}{
-		{"collective", func(c ClusterConfig) ClusterConfig {
-			cfg := CollectiveConfig{ClusterConfig: c}
-			cfg.resolve()
-			return cfg.ClusterConfig
-		}, func(c *ClusterConfig) { c.FatTreeK = 0 }},
-		{"motivation", func(c ClusterConfig) ClusterConfig {
-			cfg := MotivationConfig{ClusterConfig: c}
-			cfg.resolve()
-			return cfg.ClusterConfig
-		}, func(c *ClusterConfig) {
+		{"collective", (*Config).resolveCollective, func(c *Config) { c.FatTreeK = 0 }},
+		{"motivation", (*Config).resolveMotivation, func(c *Config) {
 			c.Leaves, c.Spines, c.HostsPerLeaf, c.FatTreeK, c.Bandwidth = 4, 4, 2, 0, 100e9
 		}},
-		{"incast", func(c ClusterConfig) ClusterConfig {
-			cfg := IncastConfig{ClusterConfig: c, Senders: 5}
-			cfg.resolve()
-			return cfg.ClusterConfig
-		}, func(c *ClusterConfig) { c.Leaves, c.Spines, c.HostsPerLeaf, c.FatTreeK = 6, 6, 1, 0 }},
-		{"churn", func(c ClusterConfig) ClusterConfig {
-			cfg := ChurnConfig{ClusterConfig: c}
-			cfg.resolve()
-			return cfg.ClusterConfig
-		}, func(*ClusterConfig) {}},
-		{"spray", func(c ClusterConfig) ClusterConfig {
-			cfg := SprayConfig{ClusterConfig: c}
-			cfg.resolve()
-			return cfg.ClusterConfig
-		}, func(*ClusterConfig) {}},
+		{"incast", (*Config).resolveIncast, func(c *Config) {
+			c.Leaves, c.Spines, c.HostsPerLeaf, c.FatTreeK = c.Senders+1, c.Senders+1, 1, 0
+		}},
+		{"churn", (*Config).resolveChurn, func(c *Config) { c.Concurrency = min(c.Concurrency, c.QPs) }},
+		{"spray", (*Config).resolveSpray, func(*Config) {}},
 	}
+	var sentinel Config
+	fillSentinel(reflect.ValueOf(&sentinel).Elem())
 	for _, c := range cases {
-		want := sentinelCluster()
+		want, got := sentinel, sentinel
 		c.pin(&want)
-		if got := c.resolve(sentinelCluster()); !reflect.DeepEqual(got, want) {
+		if c.resolve(&got); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: resolve changed more than its pins:\n got  %+v\n want %+v", c.name, got, want)
 		}
 	}
-	// Motivation's one value-dependent pin: the zero arm means RandomSpray.
-	cfg := MotivationConfig{}
-	cfg.resolve()
+	// The value-dependent pins: motivation's zero arm means RandomSpray, and
+	// churn opens no more flows at once than it opens in all.
+	cfg := Config{Shape: Shape{QPs: 3, Concurrency: 9}}
+	cfg.resolveMotivation()
 	if cfg.LB != RandomSpray {
 		t.Fatalf("motivation default arm = %v", cfg.LB)
+	}
+	if cfg.resolveChurn(); cfg.Concurrency != 3 {
+		t.Fatalf("churn Concurrency = %d, want it clipped to QPs = 3", cfg.Concurrency)
 	}
 }
 
@@ -156,7 +146,7 @@ func TestSprayRejectsUnshardableKnobs(t *testing.T) {
 		"DropEveryNData":      {Shards: 2, DropEveryNData: 100},
 		"distributed routing": {Shards: 2, DistributedRouting: true},
 	} {
-		_, err := RunSpray(SprayConfig{ClusterConfig: c, MessageBytes: 4 << 10})
+		_, err := RunSpray(Config{ClusterConfig: c, Shape: Shape{MessageBytes: 4 << 10}})
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: RunSpray returned %v", want, err)
 		}
@@ -171,7 +161,7 @@ func TestSprayRejectsUnshardableKnobs(t *testing.T) {
 		if shards <= 1 {
 			c.Tracer, c.DropEveryNData = trace.New(1<<16), 100
 		}
-		res, err := RunSpray(SprayConfig{ClusterConfig: c, MessageBytes: 64 << 10})
+		res, err := RunSpray(Config{ClusterConfig: c, Shape: Shape{MessageBytes: 64 << 10}})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}

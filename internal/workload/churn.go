@@ -9,34 +9,11 @@ import (
 	"themis/internal/topo"
 )
 
-// ChurnConfig parameterizes the flow-churn workload: a stream of short-lived
-// cross-rack QPs (open → transfer → close) with far more QPs over the run —
-// and optionally more concurrently — than a budgeted Themis flow table can
-// hold. It is the workload the §4 lifecycle layer exists for: production
-// clusters see millions of short-lived QPs, not a fixed set sized to SRAM.
-type ChurnConfig struct {
-	// ClusterConfig carries every fabric, LB, NIC and CC knob. Defaults: the
-	// chaos harness's 3×3 leaf-spine, 2 hosts per leaf, 100 Gbps, and its
-	// hardened RTO (200 us, ×2 backoff capped at 10 ms).
-	ClusterConfig
-
-	// Churn shape: QPs flows are opened over the run, Concurrency at a time;
-	// each transfers MessageBytes then closes, and its slot opens the next
-	// flow. Defaults: 120 QPs, 24 concurrent, 128 KB per flow.
-	QPs          int
-	Concurrency  int
-	MessageBytes int64
-
-	// Faults mixes seeded ToR reboots and a link flap into the churn (the
-	// soak configuration): state loss, relearn and the §6 fallback all run
-	// while flows are being opened and closed.
-	Faults bool
-
-	Horizon sim.Duration // wall guard (default 2 s virtual)
-}
-
-// resolve applies the churn defaults in place; the runner pins nothing.
-func (c *ChurnConfig) resolve() {
+// resolveChurn applies the churn defaults in place — the chaos harness's
+// 3×3 leaf-spine, 2 hosts per leaf, 100 Gbps, and its hardened RTO (200 us,
+// ×2 backoff capped at 10 ms); 120 QPs, 24 concurrent, 128 KB per flow; a 2 s
+// virtual horizon. Its one pin clips Concurrency to QPs.
+func (c *Config) resolveChurn() {
 	if c.Leaves == 0 {
 		c.Leaves = 3
 	}
@@ -90,7 +67,7 @@ type ChurnResult struct {
 // flight, each completion closing its QP and opening the next.
 type churnDriver struct {
 	cl  *Cluster
-	cfg ChurnConfig
+	cfg Config
 	rng *rand.Rand
 	// run holds a completion slot per flow: the i-th opened writes slot i.
 	run driver
@@ -166,13 +143,23 @@ func churnFaults(seed int64, tp *topo.Topology) []Fault {
 	return append(faults, Fault{Kind: LinkFlap, Sw: l[0], Port: l[1], At: down, Duration: sim.Duration(30+rng.Intn(120)) * us})
 }
 
-// RunChurn executes one flow-churn trial and audits it: occupancy never
-// exceeds the budget at any open/close point, and the drained cluster passes
-// Cluster.Audit (every flow completes, blocked NACKs are exactly the
-// middleware's deliberate verdicts, no armed compensation outlives the run,
-// …).
-func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
-	cfg.resolve()
+// RunChurn executes one flow-churn trial: a stream of short-lived cross-rack
+// QPs (open → transfer → close) with far more QPs over the run — and
+// optionally more concurrently — than a budgeted Themis flow table can hold.
+// It is the workload the §4 lifecycle layer exists for: production clusters
+// see millions of short-lived QPs, not a fixed set sized to SRAM. cfg.QPs
+// flows are opened over the run, cfg.Concurrency at a time; each transfers
+// cfg.MessageBytes then closes, and its slot opens the next flow. cfg.Faults
+// mixes seeded ToR reboots and a link flap into the churn (the soak
+// configuration): state loss, relearn and the §6 fallback all run while flows
+// are being opened and closed.
+//
+// The trial is audited: occupancy never exceeds the budget at any open/close
+// point, and the drained cluster passes Cluster.Audit (every flow completes,
+// blocked NACKs are exactly the middleware's deliberate verdicts, no armed
+// compensation outlives the run, …).
+func RunChurn(cfg Config) (ChurnResult, error) {
+	cfg.resolveChurn()
 	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
 		return ChurnResult{}, err
@@ -182,7 +169,7 @@ func RunChurn(cfg ChurnConfig) (ChurnResult, error) {
 		faults = churnFaults(cfg.Seed, cl.Topo)
 	}
 
-	d := &churnDriver{cl: cl, cfg: cfg, rng: cl.Engine.Rand(), run: cl.newDriver(faults, cfg.QPs)}
+	d := &churnDriver{cl: cl, cfg: cfg, rng: rand.New(rand.NewSource(cl.Engine.Seed())), run: cl.newDriver(faults, cfg.QPs)}
 	for i := 0; i < cfg.Concurrency; i++ {
 		d.openNext()
 	}

@@ -70,9 +70,9 @@ func TestOverlappingFailureWithFallbackLatches(t *testing.T) {
 // TestChurnUnboundedCompletes is the baseline arm: no budget, no faults —
 // every flow completes, nothing is ever evicted or rejected.
 func TestChurnUnboundedCompletes(t *testing.T) {
-	res, err := RunChurn(ChurnConfig{
+	res, err := RunChurn(Config{
 		ClusterConfig: ClusterConfig{Seed: 1, LB: Themis, Themis: core.Config{Relearn: true}},
-		QPs:           60, Concurrency: 12, MessageBytes: 64 << 10,
+		Shape:         Shape{QPs: 60, Concurrency: 12, MessageBytes: 64 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,12 +100,12 @@ func TestChurnUnboundedCompletes(t *testing.T) {
 // to ECMP, and every transfer still completes.
 func TestChurnBudgetedDegradesGracefully(t *testing.T) {
 	budget := 6 * dstEntryBytes // 60 QPs offered, table fits ~6 dst entries
-	res, err := RunChurn(ChurnConfig{
+	res, err := RunChurn(Config{
 		ClusterConfig: ClusterConfig{
 			Seed: 1, LB: Themis,
 			Themis: core.Config{Relearn: true, TableBudgetBytes: budget},
 		},
-		QPs: 60, Concurrency: 12, MessageBytes: 64 << 10,
+		Shape: Shape{QPs: 60, Concurrency: 12, MessageBytes: 64 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -130,12 +130,12 @@ func TestChurnBudgetedDegradesGracefully(t *testing.T) {
 
 // TestChurnDeterministic: same seed, same config → byte-identical results.
 func TestChurnDeterministic(t *testing.T) {
-	cfg := ChurnConfig{
+	cfg := Config{
 		ClusterConfig: ClusterConfig{
 			Seed: 3, LB: Themis,
 			Themis: core.Config{Relearn: true, FallbackOnFailure: true, TableBudgetBytes: 4 * dstEntryBytes},
 		},
-		QPs: 40, Concurrency: 8, MessageBytes: 32 << 10, Faults: true,
+		Shape: Shape{QPs: 40, Concurrency: 8, MessageBytes: 32 << 10, Faults: true},
 	}
 	a, err := RunChurn(cfg)
 	if err != nil {
@@ -172,8 +172,8 @@ func TestChurnFaultSchedule(t *testing.T) {
 			{Kind: LinkFlap, Sw: 0, Port: 4, At: 91 * us, Duration: 123 * us},
 		},
 	}
-	var cfg ChurnConfig
-	cfg.resolve()
+	var cfg Config
+	cfg.resolveChurn()
 	tp, err := cfg.topology()
 	if err != nil {
 		t.Fatal(err)
@@ -190,9 +190,9 @@ func TestChurnFaultSchedule(t *testing.T) {
 // dump) shows it.
 func TestChurnFaultsReachTheTrace(t *testing.T) {
 	tr := trace.New(1 << 18)
-	res, err := RunChurn(ChurnConfig{
+	res, err := RunChurn(Config{
 		ClusterConfig: ClusterConfig{Seed: 1, LB: Themis, Tracer: tr, Themis: core.Config{Relearn: true}},
-		QPs:           24, Concurrency: 8, MessageBytes: 32 << 10, Faults: true,
+		Shape:         Shape{QPs: 24, Concurrency: 8, MessageBytes: 32 << 10, Faults: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,12 +216,12 @@ func TestChurnFaultsReachTheTrace(t *testing.T) {
 // stay within 15% of the unbounded baseline.
 func TestChurnSoak(t *testing.T) {
 	const seeds = 50
-	base := ChurnConfig{
-		QPs: 120, Concurrency: 24, MessageBytes: 64 << 10, Faults: true,
+	base := Config{
 		// The burst pacer is what turns spraying into OOO arrivals and hence
 		// NACK traffic (rnic.Config.BurstBytes); without it the soak's NACK
 		// invariants are near-vacuous.
 		ClusterConfig: ClusterConfig{BurstBytes: 9000, LB: Themis, LossyControl: true},
+		Shape:         Shape{QPs: 120, Concurrency: 24, MessageBytes: 64 << 10, Faults: true},
 	}
 	budget := 12 * dstEntryBytes // table for 1/10 of the offered QPs
 	arms := []struct {

@@ -36,9 +36,10 @@ import (
 
 // ClusterConfig describes one simulated cluster. It is the one declaration of
 // the fabric, LB, NIC, CC, routing and middleware knobs, and its JSON tags are
-// their wire format: every runner config, chaos.Options and exp.Scenario
-// embed it. Adding a knob is one tagged field here (or in core.Config, the
-// Themis block) plus its lowering into the fabric, NIC or arm config below.
+// their wire format: Config, which every runner takes, and exp.Scenario embed
+// it beside Shape, the workload's knobs. Adding a knob is one tagged field
+// here (or in core.Config, the Themis block) plus its lowering into the
+// fabric, NIC or arm config below.
 // The runtime hooks (Shards, Tracer, Metrics) are not serialized.
 type ClusterConfig struct {
 	Seed int64 `json:"seed"`
@@ -142,11 +143,8 @@ type ClusterConfig struct {
 // Metrics from its own fields, and Pool and Clock per shard. buildCluster
 // calls it first.
 func (c ClusterConfig) Validate() error {
-	v := reflect.ValueOf(&c).Elem()
-	for _, k := range numericKnobs {
-		if f := v.FieldByIndex(k.index); f.CanInt() && f.Int() < 0 || f.CanFloat() && f.Float() < 0 {
-			return fmt.Errorf("workload: %s=%v is negative", k.name, f.Interface())
-		}
+	if err := nonNegative(reflect.ValueOf(&c).Elem(), numericKnobs); err != nil {
+		return err
 	}
 	if _, err := c.LB.arm(); err != nil {
 		return err
@@ -172,6 +170,16 @@ type knob struct {
 	index []int
 }
 
+// nonNegative names the first of knobs, fields of v, that is negative.
+func nonNegative(v reflect.Value, knobs []knob) error {
+	for _, k := range knobs {
+		if f := v.FieldByIndex(k.index); f.CanInt() && f.Int() < 0 || f.CanFloat() && f.Float() < 0 {
+			return fmt.Errorf("workload: %s=%v is negative", k.name, f.Interface())
+		}
+	}
+	return nil
+}
+
 func numericFields(t reflect.Type, prefix string, index []int) []knob {
 	var out []knob
 	for i := 0; i < t.NumField(); i++ {
@@ -181,7 +189,7 @@ func numericFields(t reflect.Type, prefix string, index []int) []knob {
 		case reflect.Struct:
 			out = append(out, numericFields(f.Type, name+".", at)...)
 		case reflect.Int, reflect.Int64, reflect.Float64:
-			if f.IsExported() && name != "Seed" && name != "RTOBackoff" {
+			if f.IsExported() && name != "Seed" && name != "RTOBackoff" && name != "Pattern" {
 				out = append(out, knob{name, at})
 			}
 		}

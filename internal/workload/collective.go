@@ -8,28 +8,13 @@ import (
 	"themis/internal/sim"
 )
 
-// CollectiveConfig parameterizes the §5 evaluation (Fig. 5): synchronized
-// collective communication across groups that each span all racks.
-type CollectiveConfig struct {
-	// ClusterConfig carries every fabric, LB, NIC and CC knob. The topology
-	// defaults to the paper's 16×16 leaf-spine with 16 hosts per leaf
-	// (256 NICs) at ClusterConfig's 400 Gbps.
-	ClusterConfig
-
-	Pattern collective.Pattern
-	// MessageBytes is the per-group collective size S (paper: 300 MB).
-	MessageBytes int64
-	// Groups is the number of communication groups; group g consists of
-	// host g of every leaf, so every group spans all racks and GroupSize ==
-	// Leaves. Defaults to HostsPerLeaf (every NIC participates).
-	Groups  int
-	Horizon sim.Duration // simulation cap (default 30 s)
-}
-
-// resolve applies the collective defaults in place and enforces the
+// resolveCollective applies the Fig. 5 defaults in place — the paper's
+// 16×16 leaf-spine with 16 hosts per leaf (256 NICs) at ClusterConfig's
+// 400 Gbps, a 300 MB per-group collective (the paper's S), one group per host
+// of a leaf (every NIC participates) and a 30 s horizon — and enforces the
 // runner's pins:
 //   - FatTreeK = 0: groups are "host g of every leaf", a leaf-spine layout.
-func (c *CollectiveConfig) resolve() {
+func (c *Config) resolveCollective() {
 	c.FatTreeK = 0
 	if c.MessageBytes == 0 {
 		c.MessageBytes = 300 << 20
@@ -72,16 +57,19 @@ func GroupHosts(leaves, hostsPerLeaf, g int) []packet.NodeID {
 	return hosts
 }
 
-// RunCollective executes one Fig. 5 cell under a fault schedule (nil for the
-// paper's fault-free cells; §5.3's link failure is one LinkFlap): all groups
-// start the same collective simultaneously; the result records per-group and
-// tail CCT. The racks are cut across cfg.Shards engines: every rank is a
-// completion slot written by the rank's own callbacks on its host's shard, so
-// the cell runs to quiescence at any shard count without a global stop. A
-// fault schedule reaches across the fabric, so it runs on one shard only
+// RunCollective executes one Fig. 5 cell — synchronized collective
+// communication across groups that each span all racks — under cfg.LinkFail
+// (nil for the paper's fault-free cells; §5.3's link failure is one
+// LinkFlap): cfg.Groups groups, group g being host g of every leaf (so
+// GroupSize == Leaves), all start cfg.Pattern over cfg.MessageBytes
+// simultaneously; the result records per-group and tail CCT. The racks are
+// cut across cfg.Shards engines: every rank is a completion slot written by
+// the rank's own callbacks on its host's shard, so the cell runs to
+// quiescence at any shard count without a global stop. A fault schedule
+// reaches across the fabric, so it runs on one shard only
 // (ClusterConfig.ShardRefusal).
-func RunCollective(cfg CollectiveConfig, faults []Fault) (CollectiveResult, error) {
-	cfg.resolve()
+func RunCollective(cfg Config) (CollectiveResult, error) {
+	cfg.resolveCollective()
 	if cfg.Groups > cfg.HostsPerLeaf {
 		return CollectiveResult{}, fmt.Errorf("workload: %d groups need at most HostsPerLeaf=%d", cfg.Groups, cfg.HostsPerLeaf)
 	}
@@ -89,13 +77,13 @@ func RunCollective(cfg CollectiveConfig, faults []Fault) (CollectiveResult, erro
 	if cfg.Leaves < 2 {
 		return CollectiveResult{}, fmt.Errorf("workload: a collective needs Leaves >= 2 (one rank per leaf), got %d", cfg.Leaves)
 	}
-	cl, err := buildCluster(cfg.ClusterConfig, faults)
+	cl, err := buildCluster(cfg.ClusterConfig, cfg.LinkFail)
 	if err != nil {
 		return CollectiveResult{}, err
 	}
 	// Rank r of group g is slot g*ranks+r.
 	ranks := cfg.Leaves
-	d := cl.newDriver(faults, cfg.Groups*ranks)
+	d := cl.newDriver(cfg.LinkFail, cfg.Groups*ranks)
 	for g := 0; g < cfg.Groups; g++ {
 		hosts := GroupHosts(cfg.Leaves, cfg.HostsPerLeaf, g)
 		collective.RunRanks(cfg.Pattern, cl.Mesh(hosts), ranks, cfg.MessageBytes, func(r int) {

@@ -28,7 +28,7 @@ func TestCollectiveShardInvariance(t *testing.T) {
 		cfg.MessageBytes, cfg.Shards = 256<<10, shards
 		reg := obs.NewRegistry()
 		cfg.Metrics = reg
-		res, err := RunCollective(cfg, nil)
+		res, err := RunCollective(cfg)
 		if err != nil {
 			t.Fatalf("%v %v shards=%d: %v", p, lb, shards, err)
 		}
@@ -69,10 +69,10 @@ func TestCollectiveShardInvariance(t *testing.T) {
 // engine whatever it says.
 func TestShardsZeroCutsOnePerRack(t *testing.T) {
 	paper := ClusterConfig{Seed: 1, Leaves: 16, Spines: 16, HostsPerLeaf: 16}
-	spray := SprayConfig{ClusterConfig: ClusterConfig{Seed: 1}}
-	spray.resolve()
-	spray8 := SprayConfig{ClusterConfig: ClusterConfig{Seed: 1, FatTreeK: 8}}
-	spray8.resolve()
+	spray := Config{ClusterConfig: ClusterConfig{Seed: 1}}
+	spray.resolveSpray()
+	spray8 := Config{ClusterConfig: ClusterConfig{Seed: 1, FatTreeK: 8}}
+	spray8.resolveSpray()
 	edge := ClusterConfig{Seed: 1, Leaves: 4, Spines: 4, HostsPerLeaf: blockedHosts / 4}
 	small := edge
 	small.HostsPerLeaf--
@@ -113,7 +113,7 @@ func TestShardsZeroCutsOnePerRack(t *testing.T) {
 func TestShardGroupWorkAndSpan(t *testing.T) {
 	cfg := smallCollective(collective.RingAllreduce, Themis, 3)
 	cfg.Shards = 2
-	cfg.resolve()
+	cfg.resolveCollective()
 	cl, err := buildCluster(cfg.ClusterConfig, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -143,12 +143,12 @@ func TestShardGroupWorkAndSpan(t *testing.T) {
 func TestCollectiveRejectsDegenerateShapes(t *testing.T) {
 	cfg := smallCollective(collective.RingAllreduce, Themis, 1)
 	cfg.Leaves = 1
-	if _, err := RunCollective(cfg, nil); err == nil || !strings.Contains(err.Error(), "Leaves") {
+	if _, err := RunCollective(cfg); err == nil || !strings.Contains(err.Error(), "Leaves") {
 		t.Fatalf("one leaf: err %v, want one naming Leaves", err)
 	}
 	cfg = smallCollective(collective.RingAllreduce, Themis, 1)
 	cfg.Shards = -3
-	if _, err := RunCollective(cfg, nil); err == nil || !strings.Contains(err.Error(), "Shards") {
+	if _, err := RunCollective(cfg); err == nil || !strings.Contains(err.Error(), "Shards") {
 		t.Fatalf("Shards -3: err %v, want one naming Shards", err)
 	}
 }
@@ -167,7 +167,7 @@ func TestThemisHooksAreTheCluster(t *testing.T) {
 		cfg := smallCollective(collective.RingAllreduce, Themis, 1)
 		cfg.Leaves, cfg.Spines, cfg.HostsPerLeaf, cfg.Groups, cfg.MessageBytes = 2, 2, 2, 2, 256<<10
 		cfg.Shards, cfg.Themis = 2, th
-		if _, err := RunCollective(cfg, nil); err == nil || !strings.Contains(err.Error(), "ClusterConfig.Tracer") {
+		if _, err := RunCollective(cfg); err == nil || !strings.Contains(err.Error(), "ClusterConfig.Tracer") {
 			t.Errorf("Themis.%s preset: err %v, want one naming ClusterConfig.Tracer/Metrics", name, err)
 		}
 	}
@@ -180,13 +180,13 @@ func TestCollectiveLinkFailNeedsOneShard(t *testing.T) {
 	cfg := smallCollective(collective.RingAllreduce, Themis, 3)
 	cfg.MessageBytes, cfg.Groups = 256<<10, 1
 	cfg.Themis.FallbackOnFailure = true
-	faults := []Fault{{Kind: LinkFlap, Sw: 0, Port: 4, At: 20 * sim.Microsecond}}
+	cfg.LinkFail = []Fault{{Kind: LinkFlap, Sw: 0, Port: 4, At: 20 * sim.Microsecond}}
 	cfg.Shards = 2
-	if _, err := RunCollective(cfg, faults); err == nil || !strings.Contains(err.Error(), "fault schedule") {
+	if _, err := RunCollective(cfg); err == nil || !strings.Contains(err.Error(), "fault schedule") {
 		t.Fatalf("a link failure at 2 shards: err %v, want one naming the fault schedule", err)
 	}
 	cfg.Shards = 1
-	res, err := RunCollective(cfg, faults)
+	res, err := RunCollective(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

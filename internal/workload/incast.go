@@ -5,28 +5,12 @@ import (
 	"themis/internal/sim"
 )
 
-// IncastConfig parameterizes a many-to-one stress test: every other host
-// sends MessageBytes to host 0 simultaneously. Incast is not one of the
-// paper's headline workloads but is the regime that stresses two substrate
-// properties Themis relies on: PFC's losslessness (drops would turn every
-// blocked NACK into a compensation or timeout) and the strict-priority
-// control class (NACK return latency bounds the §3.3 ring sizing).
-type IncastConfig struct {
-	// ClusterConfig carries every fabric, LB, NIC and CC knob (the fabric
-	// shape is pinned, see resolve). Bandwidth defaults to 100 Gbps.
-	ClusterConfig
-
-	Senders      int   // fan-in degree (default 15)
-	MessageBytes int64 // per sender (default 2 MB)
-	Horizon      sim.Duration
-}
-
-// resolve applies the incast defaults in place and enforces the runner's
-// pins:
+// resolveIncast applies the incast defaults in place — 15 senders of 2 MB
+// each at 100 Gbps, a 30 s horizon — and enforces the runner's pins:
 //   - Leaves/Spines/HostsPerLeaf/FatTreeK: each sender sits alone on its own
 //     rack (Senders+1 leaves and spines, one host each) so every flow crosses
 //     the fabric.
-func (c *IncastConfig) resolve() {
+func (c *Config) resolveIncast() {
 	if c.Senders == 0 {
 		c.Senders = 15
 	}
@@ -42,11 +26,17 @@ func (c *IncastConfig) resolve() {
 	}
 }
 
-// RunIncast places each sender on its own rack (Senders+1 leaves, one host
-// each) so every flow crosses the fabric, then blasts them all at host 0. The
+// RunIncast is a many-to-one stress test: it places each of cfg.Senders
+// senders on its own rack (Senders+1 leaves, one host each) so every flow
+// crosses the fabric, then blasts cfg.MessageBytes from each at host 0. The
 // record's GoodputGbps is the receiver's goodput over the completion time.
-func RunIncast(cfg IncastConfig) (Outcome, error) {
-	cfg.resolve()
+// Incast is not one of the paper's headline workloads but is the regime that
+// stresses two substrate properties Themis relies on: PFC's losslessness
+// (drops would turn every blocked NACK into a compensation or timeout) and
+// the strict-priority control class (NACK return latency bounds the §3.3 ring
+// sizing).
+func RunIncast(cfg Config) (Outcome, error) {
+	cfg.resolveIncast()
 	cl, err := BuildCluster(cfg.ClusterConfig)
 	if err != nil {
 		return Outcome{}, err

@@ -8,29 +8,16 @@ import (
 	"themis/internal/stats"
 )
 
-// MotivationConfig parameterizes the §2.2 motivation experiment (Fig. 1):
-// eight nodes in two 4-node ring groups over a 100 Gbps leaf-spine fabric,
-// random packet spraying, each node sending MessageBytes to the next node of
-// its group.
-type MotivationConfig struct {
-	// ClusterConfig carries the transport, LB and CC knobs (the fabric shape
-	// is pinned, see resolve). TI/TD default to the classic DCQCN values
-	// (55 us fast-recovery timer, 50 us rate-reduce gate [41]) — the Fig. 1c
-	// sawtooth (drops to ~50-90% with quick recovery, averaging ~86% of
-	// line rate) requires cuts to be rate-limited and recovery to be fast;
-	// Fig. 5 separately sweeps these knobs.
-	ClusterConfig
-
-	MessageBytes int64        // default 100 MB (the paper's size)
-	Horizon      sim.Duration // simulation cap (default 10 s)
-}
-
-// resolve applies the motivation defaults in place and enforces the
-// runner's pins:
+// resolveMotivation applies the Fig. 1 defaults in place — the paper's
+// 100 MB per flow, a 10 s horizon, and the classic DCQCN timers (TI 55 us
+// fast-recovery timer, TD 50 us rate-reduce gate [41]): the Fig. 1c sawtooth
+// (drops to ~50-90% with quick recovery, averaging ~86% of line rate)
+// requires cuts to be rate-limited and recovery to be fast; Fig. 5
+// separately sweeps these knobs. It enforces the runner's pins:
 //   - Leaves/Spines/HostsPerLeaf/FatTreeK/Bandwidth: Fig. 1a's fixed 4×4×2
 //     leaf-spine at 100 Gbps (MotivationFlows hard-codes its eight hosts).
 //   - LB: the zero value (ECMP) means the study's arm, RandomSpray.
-func (c *MotivationConfig) resolve() {
+func (c *Config) resolveMotivation() {
 	c.Leaves, c.Spines, c.HostsPerLeaf, c.FatTreeK = 4, 4, 2, 0
 	c.Bandwidth = 100e9
 	if c.LB == ECMP {
@@ -82,9 +69,13 @@ func MotivationFlows() [][2]packet.NodeID {
 	return flows
 }
 
-// RunMotivation executes the Fig. 1 experiment and returns its measurements.
-func RunMotivation(cfg MotivationConfig) (MotivationResult, error) {
-	cfg.resolve()
+// RunMotivation executes the §2.2 motivation experiment (Fig. 1) and returns
+// its measurements: eight nodes in two 4-node ring groups over a 100 Gbps
+// leaf-spine fabric, random packet spraying, each node sending
+// cfg.MessageBytes to the next node of its group. Of the shape it reads only
+// MessageBytes and Horizon; the fabric shape is pinned (resolveMotivation).
+func RunMotivation(cfg Config) (MotivationResult, error) {
+	cfg.resolveMotivation()
 	if cfg.MessageBytes < 0 {
 		return MotivationResult{}, fmt.Errorf("workload: MessageBytes=%d is negative", cfg.MessageBytes)
 	}

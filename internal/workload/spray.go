@@ -5,26 +5,12 @@ import (
 	"themis/internal/sim"
 )
 
-// SprayConfig parameterizes the space-parallel permutation workload: every
-// host on a K-ary fat-tree sends one message to the host half the cluster
-// away (dst = (src + H/2) mod H), so all traffic crosses the core and every
-// shard carries an equal slice. Like RunCollective it cuts its cluster across
-// ClusterConfig.Shards engines: each transfer's completion slot is written on
-// its sender's shard, so nothing is shared.
-type SprayConfig struct {
-	// ClusterConfig carries the fabric, LB and NIC knobs and the shard
-	// count. Defaults: a k=4 fat-tree at 100 Gbps.
-	ClusterConfig
-
-	MessageBytes int64        // per host (default 1 MB)
-	Horizon      sim.Duration // default 30 s
-}
-
-// resolve applies the spray defaults in place. The runner pins nothing: what
-// more than one shard cannot host (ClusterConfig.ShardRefusal) is an error at
-// Shards > 1 and runs on one shard at Shards 0 or 1. The topology is always a fat-tree, so
-// Leaves/Spines/HostsPerLeaf are moot.
-func (c *SprayConfig) resolve() {
+// resolveSpray applies the spray defaults in place: a k=4 fat-tree at
+// 100 Gbps, 1 MB per host, a 30 s horizon. The runner pins nothing: what more
+// than one shard cannot host (ClusterConfig.ShardRefusal) is an error at
+// Shards > 1 and runs on one shard at Shards 0 or 1. The topology is always a
+// fat-tree, so Leaves/Spines/HostsPerLeaf are moot.
+func (c *Config) resolveSpray() {
 	if c.FatTreeK == 0 {
 		c.FatTreeK = 4
 	}
@@ -48,9 +34,14 @@ type SprayResult struct {
 	End      sim.Time
 }
 
-// RunSpray builds the partitioned fat-tree cluster and runs the permutation.
-func RunSpray(cfg SprayConfig) (SprayResult, error) {
-	cfg.resolve()
+// RunSpray runs the space-parallel permutation workload: every host on a
+// K-ary fat-tree sends cfg.MessageBytes to the host half the cluster away
+// (dst = (src + H/2) mod H), so all traffic crosses the core and every shard
+// carries an equal slice. Like RunCollective it cuts its cluster across
+// cfg.Shards engines: each transfer's completion slot is written on its
+// sender's shard, so nothing is shared.
+func RunSpray(cfg Config) (SprayResult, error) {
+	cfg.resolveSpray()
 	cl, err := buildCluster(cfg.ClusterConfig, nil)
 	if err != nil {
 		return SprayResult{}, err

@@ -18,9 +18,9 @@ import (
 // properties of how the event set is cut, and are not serialized.
 func TestSprayShardInvariance(t *testing.T) {
 	for _, lbm := range []LBMode{ECMP, RandomSpray} {
-		base := SprayConfig{
+		base := Config{
 			ClusterConfig: ClusterConfig{Seed: 7, FatTreeK: 4, LB: lbm},
-			MessageBytes:  64 << 10,
+			Shape:         Shape{MessageBytes: 64 << 10},
 		}
 		base.Shards = 1
 		ref, err := RunSpray(base)
@@ -88,9 +88,9 @@ func TestSprayThroughSharedBuilderMatchesPrivateWiring(t *testing.T) {
 		}, 175, 1758},
 	} {
 		for _, shards := range []int{1, 2, 4} {
-			res, err := RunSpray(SprayConfig{
+			res, err := RunSpray(Config{
 				ClusterConfig: ClusterConfig{Seed: 7, FatTreeK: 4, LB: tc.lb, Shards: shards},
-				MessageBytes:  64 << 10,
+				Shape:         Shape{MessageBytes: 64 << 10},
 			})
 			if err != nil {
 				t.Fatalf("%v shards=%d: %v", tc.lb, shards, err)
@@ -113,8 +113,8 @@ func TestSprayThroughSharedBuilderMatchesPrivateWiring(t *testing.T) {
 // and a sender-feedback arm.
 func TestBuildClusterIsRunSprayAtOneShard(t *testing.T) {
 	for _, lbm := range []LBMode{RandomSpray, REPS} {
-		cfg := SprayConfig{ClusterConfig: ClusterConfig{Seed: 5, LB: lbm}, MessageBytes: 64 << 10}
-		cfg.resolve()
+		cfg := Config{ClusterConfig: ClusterConfig{Seed: 5, LB: lbm}, Shape: Shape{MessageBytes: 64 << 10}}
+		cfg.resolveSpray()
 		cl, err := BuildCluster(cfg.ClusterConfig)
 		if err != nil {
 			t.Fatal(err)
@@ -157,9 +157,9 @@ func TestBuildClusterIsRunSprayAtOneShard(t *testing.T) {
 // hops did too, their buffer release owed until it is read (fabric.debt; again
 // no packet moved).
 func TestSprayQueueHighWater(t *testing.T) {
-	res, err := RunSpray(SprayConfig{
+	res, err := RunSpray(Config{
 		ClusterConfig: ClusterConfig{Seed: 1, FatTreeK: 8, LB: RandomSpray, Shards: 1},
-		MessageBytes:  256 << 10,
+		Shape:         Shape{MessageBytes: 256 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -173,9 +173,9 @@ func TestSprayQueueHighWater(t *testing.T) {
 }
 
 func TestSprayCompletes(t *testing.T) {
-	res, err := RunSpray(SprayConfig{
+	res, err := RunSpray(Config{
 		ClusterConfig: ClusterConfig{Seed: 1, FatTreeK: 4, LB: RandomSpray, Shards: 2},
-		MessageBytes:  32 << 10,
+		Shape:         Shape{MessageBytes: 32 << 10},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,9 +198,9 @@ func TestSprayCompletes(t *testing.T) {
 func TestThemisSprayShardInvariance(t *testing.T) {
 	run := func(k, shards int) []byte {
 		reg := obs.NewRegistry()
-		res, err := RunSpray(SprayConfig{
+		res, err := RunSpray(Config{
 			ClusterConfig: ClusterConfig{Seed: 7, FatTreeK: k, LB: Themis, Metrics: reg, Shards: shards},
-			MessageBytes:  128 << 10,
+			Shape:         Shape{MessageBytes: 128 << 10},
 		})
 		if err != nil {
 			t.Fatalf("k=%d shards=%d: %v", k, shards, err)
@@ -238,9 +238,9 @@ func BenchmarkShardScaling(b *testing.B) {
 		for _, shards := range []int{1, 2, 4} {
 			b.Run(fmt.Sprintf("%v/shards=%d", lbm, shards), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					res, err := RunSpray(SprayConfig{
+					res, err := RunSpray(Config{
 						ClusterConfig: ClusterConfig{Seed: 11, FatTreeK: 8, LB: lbm, Shards: shards},
-						MessageBytes:  128 << 10,
+						Shape:         Shape{MessageBytes: 128 << 10},
 					})
 					if err != nil {
 						b.Fatal(err)

@@ -143,7 +143,7 @@ func TestMotivationFlows(t *testing.T) {
 }
 
 func TestRunMotivationSmall(t *testing.T) {
-	res, err := RunMotivation(MotivationConfig{ClusterConfig: ClusterConfig{Seed: 3}, MessageBytes: 2 << 20})
+	res, err := RunMotivation(Config{ClusterConfig: ClusterConfig{Seed: 3}, Shape: Shape{MessageBytes: 2 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +172,13 @@ func TestRunMotivationSmall(t *testing.T) {
 }
 
 func TestRunMotivationIdealBeatsNICSR(t *testing.T) {
-	nicsr, err := RunMotivation(MotivationConfig{ClusterConfig: ClusterConfig{Seed: 3}, MessageBytes: 2 << 20})
+	nicsr, err := RunMotivation(Config{ClusterConfig: ClusterConfig{Seed: 3}, Shape: Shape{MessageBytes: 2 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ideal, err := RunMotivation(MotivationConfig{
+	ideal, err := RunMotivation(Config{
 		ClusterConfig: ClusterConfig{Seed: 3, Transport: rnic.Ideal},
-		MessageBytes:  2 << 20,
+		Shape:         Shape{MessageBytes: 2 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -191,16 +191,16 @@ func TestRunMotivationIdealBeatsNICSR(t *testing.T) {
 	}
 }
 
-func smallCollective(pattern collective.Pattern, lb LBMode, seed int64) CollectiveConfig {
-	return CollectiveConfig{
+func smallCollective(pattern collective.Pattern, lb LBMode, seed int64) Config {
+	return Config{
 		ClusterConfig: ClusterConfig{Seed: seed, Leaves: 4, Spines: 4, HostsPerLeaf: 4, Bandwidth: 100e9, LB: lb},
-		Pattern:       pattern, MessageBytes: 1 << 20, Groups: 4,
+		Shape:         Shape{Pattern: pattern, MessageBytes: 1 << 20, Groups: 4},
 	}
 }
 
 func TestRunCollectiveAllreduceArms(t *testing.T) {
 	for _, arm := range Fig5Arms() {
-		res, err := RunCollective(smallCollective(collective.RingAllreduce, arm, 5), nil)
+		res, err := RunCollective(smallCollective(collective.RingAllreduce, arm, 5))
 		if err != nil {
 			t.Fatalf("%v: %v", arm, err)
 		}
@@ -219,7 +219,7 @@ func TestRunCollectiveAllreduceArms(t *testing.T) {
 }
 
 func TestRunCollectiveAlltoall(t *testing.T) {
-	res, err := RunCollective(smallCollective(collective.AllToAll, Themis, 5), nil)
+	res, err := RunCollective(smallCollective(collective.AllToAll, Themis, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +234,11 @@ func TestRunCollectiveAlltoall(t *testing.T) {
 func TestRunCollectiveThemisBeatsAdaptive(t *testing.T) {
 	// The paper's headline comparison: Themis vs the direct combination of
 	// commodity RNICs and adaptive routing (§5).
-	themis, err := RunCollective(smallCollective(collective.RingAllreduce, Themis, 5), nil)
+	themis, err := RunCollective(smallCollective(collective.RingAllreduce, Themis, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := RunCollective(smallCollective(collective.RingAllreduce, Adaptive, 5), nil)
+	ar, err := RunCollective(smallCollective(collective.RingAllreduce, Adaptive, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,11 +257,11 @@ func TestRunCollectiveThemisBeatsAdaptive(t *testing.T) {
 }
 
 func TestRunCollectiveDeterministic(t *testing.T) {
-	a, err := RunCollective(smallCollective(collective.RingAllreduce, Adaptive, 9), nil)
+	a, err := RunCollective(smallCollective(collective.RingAllreduce, Adaptive, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCollective(smallCollective(collective.RingAllreduce, Adaptive, 9), nil)
+	b, err := RunCollective(smallCollective(collective.RingAllreduce, Adaptive, 9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestRunCollectiveDeterministic(t *testing.T) {
 func TestRunCollectiveTooManyGroups(t *testing.T) {
 	cfg := smallCollective(collective.RingAllreduce, ECMP, 1)
 	cfg.Groups = 10
-	if _, err := RunCollective(cfg, nil); err == nil {
+	if _, err := RunCollective(cfg); err == nil {
 		t.Fatal("expected error")
 	}
 }
@@ -420,9 +420,9 @@ func TestClusterTracing(t *testing.T) {
 	if tr.Total() == 0 {
 		t.Fatal("no events traced")
 	}
-	injected := tr.Filter(func(e trace.Event) bool { return e.Op == trace.HostTx })
-	delivered := tr.Filter(func(e trace.Event) bool { return e.Op == trace.Deliver })
-	sprayed := tr.Filter(func(e trace.Event) bool { return e.Op == trace.Spray })
+	injected := tr.ByOp(trace.HostTx)
+	delivered := tr.ByOp(trace.Deliver)
+	sprayed := tr.ByOp(trace.Spray)
 	if len(injected) == 0 || len(delivered) == 0 || len(sprayed) == 0 {
 		t.Fatalf("missing trace classes: inj=%d del=%d spray=%d", len(injected), len(delivered), len(sprayed))
 	}
@@ -436,9 +436,9 @@ func TestClusterTracing(t *testing.T) {
 }
 
 func TestRunIncastLossless(t *testing.T) {
-	res, err := RunIncast(IncastConfig{
+	res, err := RunIncast(Config{
 		ClusterConfig: ClusterConfig{Seed: 2, LB: Themis},
-		Senders:       8, MessageBytes: 1 << 20,
+		Shape:         Shape{Senders: 8, MessageBytes: 1 << 20},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -464,9 +464,9 @@ func TestRunIncastLossless(t *testing.T) {
 func TestRunIncastLossyVsLossless(t *testing.T) {
 	// With a shallow buffer and a long feedback loop, only PFC prevents the
 	// pre-CNP burst from overflowing.
-	base := IncastConfig{
+	base := Config{
 		ClusterConfig: ClusterConfig{Seed: 2, LB: Themis, BufferBytes: 4 << 20, LinkDelay: 5 * sim.Microsecond},
-		Senders:       12, MessageBytes: 1 << 20,
+		Shape:         Shape{Senders: 12, MessageBytes: 1 << 20},
 	}
 	lossless, err := RunIncast(base)
 	if err != nil {
