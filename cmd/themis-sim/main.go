@@ -167,10 +167,11 @@ func runScenario(args []string) error {
 	sc.LB = workload.Themis
 	fs.Func("workload", "workload: "+exp.WorkloadNames()+" (default collective)", parsed(&sc.Workload, exp.ParseWorkload))
 	fs.Func("pattern", "collective: "+collective.PatternNames()+" (default allreduce)", parsed(&sc.Pattern, collective.ParsePattern))
-	// The chaos workload's LB arm is opt-in (see exp.Scenario.LBArmed): arm it
-	// exactly when the user passed -lb explicitly.
+	// The chaos and motivation LB arms are opt-in (see workload.Shape.LBArmed):
+	// arm them exactly when the user passed -lb explicitly.
+	armed := false
 	fs.Func("lb", "load balancing arm: "+workload.LBNames()+" (default themis; rps for motivation)", func(s string) error {
-		sc.LBArmed = true
+		armed = true
 		return parsed(&sc.LB, workload.ParseLB)(s)
 	})
 	fs.IntVar(&sc.RepsCache, "reps-cache", 0, "reps: entropy-cache ring capacity (0 = default)")
@@ -205,6 +206,9 @@ func runScenario(args []string) error {
 		return err
 	}
 	sc.DistributedRouting = sc.DistributedRouting || sc.ConvergenceDelay > 0
+	// The other workloads do not read LBArmed, and a scenario that sets a
+	// shape field its workload does not read is an error.
+	sc.LBArmed = armed && (sc.Workload == exp.Chaos || sc.Workload == exp.Motivation)
 	// Unarmed, a chaos scenario is named and carries no arm, as the cells of
 	// exp.ChaosGrid do, so `run -workload chaos -seed S` writes the record of
 	// that sweep cell.

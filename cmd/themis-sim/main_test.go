@@ -351,3 +351,15 @@ func TestChaosRunReplaysSweepCell(t *testing.T) {
 		t.Errorf("run wrote\n%s\nsweep wrote\n%s", ran, swept)
 	}
 }
+
+// TestRunSetsNoUnreadShapeField: run's flag defaults, and -lb's arming, set no
+// shape field a workload does not read (exp.Scenario.Validate refuses one), so
+// every workload runs from the command line with an explicit arm.
+func TestRunSetsNoUnreadShapeField(t *testing.T) {
+	for _, w := range strings.Split(exp.WorkloadNames(), "|") {
+		err := runScenario([]string{"-workload", w, "-lb", "ecmp", "-bytes", "16384", "-leaves", "2", "-spines", "2", "-hosts", "2"})
+		if err != nil && strings.Contains(err.Error(), "does not read") {
+			t.Errorf("run -workload %s -lb ecmp: %v", w, err)
+		}
+	}
+}

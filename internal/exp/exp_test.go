@@ -859,7 +859,7 @@ func TestFlightDumpIsTheOneShardReplay(t *testing.T) {
 
 	// A workload whose result depends on the shard count fails the replay.
 	const bent Workload = "bent"
-	workloads = append(workloads, workloadRow{name: bent, run: func(c workload.Config) (workload.Outcome, error) {
+	workloads = append(workloads, workloadRow{name: bent, reads: []string{"Pattern", "MessageBytes"}, run: func(c workload.Config) (workload.Outcome, error) {
 		return workload.Outcome{CCTMillis: float64(c.Shards)}, errors.New("bent")
 	}})
 	defer func() { workloads = workloads[:len(workloads)-1] }()

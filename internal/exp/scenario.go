@@ -49,13 +49,17 @@ type Scenario struct {
 // wires from Obs, and what workload.ClusterConfig.Validate and
 // workload.Shape.Validate reject. run calls it before anything is built.
 func (s Scenario) Validate() error {
-	if _, err := s.Workload.row(); err != nil {
+	row, err := s.Workload.row()
+	if err != nil {
 		return err
 	}
 	if s.Tracer != nil || s.Metrics != nil {
 		return errors.New("exp: a scenario's Tracer and Metrics are the harness's; pass them through exp.Obs")
 	}
 	if err := s.ClusterConfig.Validate(); err != nil {
+		return err
+	}
+	if err := row.unread(s.Shape); err != nil {
 		return err
 	}
 	return s.Shape.Validate()

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 
 	"themis/internal/chaos"
@@ -49,6 +51,9 @@ type workloadRow struct {
 	// arm, if non-nil, renders the arm segment of a derived label
 	// ("name/arm/seedN"; "name/seedN" without one).
 	arm func(Scenario) string
+	// reads names the workload.Shape fields the runner (or arm) reads;
+	// Scenario.Validate rejects any other that is set.
+	reads []string
 	// run calls the runner on the scenario's cluster and shape — with the
 	// observability hooks and the trial's Cores attached — and returns the
 	// record it filled.
@@ -64,22 +69,23 @@ var workloads = []workloadRow{
 			return fmt.Sprintf("%v/%v", s.Transport, s.LB)
 		}
 		return s.Transport.String()
-	},
+	}, []string{"LBArmed", "MessageBytes", "Horizon"},
 		func(c workload.Config) (workload.Outcome, error) {
 			res, err := workload.RunMotivation(c)
 			return res.Outcome, err
 		}},
 	{Collective, func(s Scenario) string { return fmt.Sprintf("%v/%v/ti%v-td%v", s.Pattern, s.LB, s.TI, s.TD) },
+		[]string{"Pattern", "MessageBytes", "Groups", "Horizon", "LinkFail"},
 		func(c workload.Config) (workload.Outcome, error) {
 			res, err := workload.RunCollective(c)
 			return res.Outcome, err
 		}},
-	{Incast, lbArm, workload.RunIncast},
-	{Chaos, nil,
+	{Incast, lbArm, []string{"MessageBytes", "Senders", "Horizon"}, workload.RunIncast},
+	{Chaos, nil, []string{"LBArmed", "MessageBytes", "Flows", "Horizon"},
 		func(c workload.Config) (workload.Outcome, error) {
 			return chaos.RunGenerated(c.Seed, chaos.Generate, chaos.Options(c))
 		}},
-	{Churn, lbArm,
+	{Churn, lbArm, []string{"MessageBytes", "QPs", "Concurrency", "Faults", "Horizon"},
 		func(c workload.Config) (workload.Outcome, error) {
 			res, err := workload.RunChurn(c)
 			return res.Outcome, err
@@ -88,7 +94,7 @@ var workloads = []workloadRow{
 	// is not silently replaced with the harness default.
 	{Convergence, func(s Scenario) string {
 		return fmt.Sprintf("%v/d%dus", s.LB, int64(s.ConvergenceDelay/sim.Microsecond))
-	},
+	}, []string{"MessageBytes", "Flows", "Horizon", "Drain"},
 		func(c workload.Config) (workload.Outcome, error) {
 			c.LBArmed = true
 			return chaos.RunGenerated(c.Seed, func(seed int64, tp *topo.Topology) chaos.Scenario {
@@ -99,7 +105,7 @@ var workloads = []workloadRow{
 				return csc
 			}, chaos.Options(c))
 		}},
-	{Spray, lbArm,
+	{Spray, lbArm, []string{"MessageBytes", "Horizon"},
 		func(c workload.Config) (workload.Outcome, error) {
 			res, err := workload.RunSpray(c)
 			return res.Outcome, err
@@ -107,6 +113,19 @@ var workloads = []workloadRow{
 }
 
 func lbArm(s Scenario) string { return s.LB.String() }
+
+// unread names the first field of sh that is set but not in the row's reads:
+// a knob the trial would silently run without.
+func (r *workloadRow) unread(sh workload.Shape) error {
+	v := reflect.ValueOf(sh)
+	for i := 0; i < v.NumField(); i++ {
+		f, field := v.Field(i), v.Type().Field(i)
+		if !f.IsZero() && !(f.Kind() == reflect.Slice && f.Len() == 0) && !slices.Contains(r.reads, field.Name) {
+			return fmt.Errorf("exp: workload %s does not read %s (%q)", r.name, field.Name, strings.Split(field.Tag.Get("json"), ",")[0])
+		}
+	}
+	return nil
+}
 
 // row looks the workload up in the table; an unknown name (e.g. a hand-edited
 // scenario JSON) is an error, which run reports as Trial.Err.

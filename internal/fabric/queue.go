@@ -6,51 +6,46 @@ import (
 	"themis/internal/trace"
 )
 
-// fifo is a head-indexed queue over a retained backing array: pop advances
-// the head instead of shifting, the array rewinds when the queue empties and
-// is compacted once the dead prefix dominates, so steady-state push/pop
-// allocates nothing. Vacated slots are zeroed so popped packets do not stay
-// reachable.
+// fifo is a queue over a power-of-two ring: its capacity doubles when full
+// and is kept, so steady-state push/pop allocates nothing and the ring is
+// never more than twice the most the queue has held. Vacated slots are zeroed
+// so popped packets do not stay reachable.
 type fifo[T any] struct {
-	buf  []T
-	head int
+	buf     []T // len(buf) is 0 or a power of two
+	head, n int
 }
 
-func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+func (f *fifo[T]) len() int { return f.n }
 
 // at returns the i-th queued element (0 is the head).
-func (f *fifo[T]) at(i int) *T { return &f.buf[f.head+i] }
+func (f *fifo[T]) at(i int) *T { return &f.buf[(f.head+i)&(len(f.buf)-1)] }
 
 func (f *fifo[T]) push(v T) {
-	f.buf = append(f.buf, v) //lint:alloc-ok FIFO growth is amortized; the backing array is retained
+	if f.n == len(f.buf) {
+		buf := make([]T, max(4, 2*f.n)) //lint:alloc-ok FIFO growth is amortized; the ring is retained
+		copy(buf[copy(buf, f.buf[f.head:]):], f.buf[:f.head])
+		f.buf, f.head = buf, 0
+	}
+	f.n++
+	*f.at(f.n - 1) = v
 }
 
 func (f *fifo[T]) pop() T {
 	var zero T
 	v := f.buf[f.head]
 	f.buf[f.head] = zero
-	f.head++
-	switch {
-	case f.head == len(f.buf):
-		f.buf, f.head = f.buf[:0], 0
-	case f.head > 64 && f.head*2 >= len(f.buf):
-		n := copy(f.buf, f.buf[f.head:])
-		clear(f.buf[n:])
-		f.buf, f.head = f.buf[:n], 0
-	}
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
 	return v
 }
 
 // popTail removes and returns the most recently pushed element.
 func (f *fifo[T]) popTail() T {
 	var zero T
-	n := len(f.buf) - 1
-	v := f.buf[n]
-	f.buf[n] = zero
-	f.buf = f.buf[:n]
-	if f.head == n {
-		f.buf, f.head = f.buf[:0], 0
-	}
+	f.n--
+	p := f.at(f.n)
+	v := *p
+	*p = zero
 	return v
 }
 
@@ -258,21 +253,24 @@ func (q *outQueue) enqueue(pkt *packet.Packet) {
 // in every field but PSN, which runs psn, psn+1, … modulo 2^24: a pacer burst
 // of one QP is one record. hdr holds every field Network.Inject can leave set
 // except Kind (Data) and PSN; the fabric-internal Buffered, Accounted and
-// InPort are zero before a packet's first switch (pack checks it).
+// InPort are zero before a packet's first switch (pack checks it). A record
+// is 36 bytes: payload and count are int32 (an MTU payload; a link backlog of
+// packets) and the header's 4-byte fields come first, so its 2- and 1-byte
+// fields pack behind them.
 type sendRun struct {
 	hdr   sendHdr
 	psn   packet.PSN
-	count int
+	count int32
 }
 
 type sendHdr struct {
 	src, dst     packet.NodeID
 	qp           packet.QPID
+	payload      int32
+	routeEpoch   uint32
 	sport, dport uint16
-	payload      int
 	ecn          bool
 	ttl          uint8
-	routeEpoch   uint32
 	retransmit   bool
 }
 
@@ -285,12 +283,12 @@ func (q *outQueue) pack(pkt *packet.Packet) {
 	}
 	r := sendRun{hdr: sendHdr{
 		src: pkt.Src, dst: pkt.Dst, qp: pkt.QP, sport: pkt.SPort, dport: pkt.DPort,
-		payload: pkt.Payload, ecn: pkt.ECN, ttl: pkt.TTL, routeEpoch: pkt.RouteEpoch,
+		payload: int32(pkt.Payload), ecn: pkt.ECN, ttl: pkt.TTL, routeEpoch: pkt.RouteEpoch,
 		retransmit: pkt.Retransmit,
 	}, psn: pkt.PSN, count: 1}
 	q.pool.Put(pkt)
 	if n := q.runs.len(); n > 0 {
-		if t := q.runs.at(n - 1); t.hdr == r.hdr && t.psn.Add(t.count) == r.psn {
+		if t := q.runs.at(n - 1); t.hdr == r.hdr && t.psn.Add(int(t.count)) == r.psn {
 			t.count++
 			return
 		}
@@ -305,7 +303,7 @@ func (q *outQueue) unpack() *packet.Packet {
 	pkt := q.pool.Get()
 	*pkt = packet.Packet{
 		Kind: packet.Data, Src: h.src, Dst: h.dst, QP: h.qp, SPort: h.sport, DPort: h.dport,
-		PSN: r.psn, Payload: h.payload, ECN: h.ecn, TTL: h.ttl, RouteEpoch: h.routeEpoch,
+		PSN: r.psn, Payload: int(h.payload), ECN: h.ecn, TTL: h.ttl, RouteEpoch: h.routeEpoch,
 		Retransmit: h.retransmit,
 	}
 	if r.count--; r.count == 0 {

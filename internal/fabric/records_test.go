@@ -151,7 +151,7 @@ func hostRecordsOp(n *Network, kind, a, b, c byte, next *[4]packet.PSN, uplinks 
 // split where pack should have extended it.
 func checkRunsMaximal(t *testing.T, q *outQueue) {
 	for i := 1; i < q.runs.len(); i++ {
-		if r, s := q.runs.at(i-1), q.runs.at(i); r.hdr == s.hdr && r.psn.Add(r.count) == s.psn {
+		if r, s := q.runs.at(i-1), q.runs.at(i); r.hdr == s.hdr && r.psn.Add(int(r.count)) == s.psn {
 			t.Fatalf("records %d and %d form one run: %+v then %+v", i-1, i, *r, *s)
 		}
 	}

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Event is a scheduled callback. It is returned by the Schedule family so
 // callers can cancel pending events (e.g. retransmission timers).
@@ -13,8 +16,14 @@ import "fmt"
 // observe its event firing must drop the handle at that point — the pattern
 // Timer and the transport pacer follow by nilling their reference inside the
 // callback.
+//
+// An Event is one 64-byte cache line: the callback is one func(any) field
+// beside its argument (a nil fn means arg holds a func(), which an interface
+// stores without allocating), pri is 32 bits wide, and one int32 index holds
+// both the event's place in the queue and its final state.
 type Event struct {
 	time Time
+	seq  uint64 // tie-breaker: FIFO among same-(time, pri) events
 	// pri orders same-time events before seq. Most code never sets it (zero),
 	// which is pure FIFO order among same-time events. The fabric stamps
 	// cross-component deliveries with a stable per-channel priority so that
@@ -22,33 +31,33 @@ type Event struct {
 	// identity, not of which engine happened to schedule the event — the
 	// property that makes event order invariant under repartitioning (see
 	// ShardGroup).
-	pri uint64
-	seq uint64 // tie-breaker: FIFO among same-(time, pri) events
+	pri uint32
 	// index is the event's position in the wheel's run heap when >= 0, or one
-	// of the idx* sentinels (wheel.go): idxDead once popped or cancelled,
-	// idxWheel/idxOverflow while intrusively linked in the timing wheel.
-	index int
+	// of the idx* sentinels (wheel.go): idxFired or idxCancelled once dead,
+	// idxOverflow or a packed wheel slot while intrusively linked in the
+	// timing wheel.
+	index int32
 	// next/prev are the intrusive links of the wheel's slot and overflow
 	// lists; nil while the event is in the run heap or dead.
 	next, prev *Event
-	loc        int32 // packed wheel level/slot while index == idxWheel
-	fn         func()
-	fnArg      func(any) // arg-carrying callback (used when fn == nil)
+	fn         func(any)
 	arg        any
-	cancelled  bool
-	fired      bool
 }
 
 // Time returns the virtual time at which the event fires.
 func (e *Event) Time() Time { return e.time }
 
 // Cancelled reports whether Cancel removed the event before it fired.
-func (e *Event) Cancelled() bool { return e.cancelled }
+func (e *Event) Cancelled() bool { return e.index == idxCancelled }
 
 // Fired reports whether the event's callback ran. Fired and Cancelled are
 // mutually exclusive: cancelling an already-fired event is a no-op and does
 // not mark it cancelled.
-func (e *Event) Fired() bool { return e.fired }
+func (e *Event) Fired() bool { return e.index == idxFired }
+
+// pending reports whether the event is queued: in the run heap, a wheel slot
+// or the overflow list.
+func (e *Event) pending() bool { return e.index >= 0 || e.index <= idxOverflow }
 
 // Metrics is the engine's hot-path counter block. Trial records surface it so
 // sweeps can report how much scheduling work a scenario did and how effective
@@ -96,12 +105,13 @@ type Engine struct {
 	now Time
 	// curPri/curSeq complete (with now) the key of the event being executed,
 	// or last executed: what Passed compares a reserved Turn against.
-	curPri, curSeq uint64
-	wheel          wheel // the event queue (wheel.go)
-	pending        int   // events queued
-	nextSeq        uint64
-	seed           int64
-	stopped        bool
+	curPri  uint32
+	curSeq  uint64
+	wheel   wheel // the event queue (wheel.go)
+	pending int   // events queued
+	nextSeq uint64
+	seed    int64
+	stopped bool
 
 	// free is the intrusive free list: fired and cancelled events are pushed
 	// here and reused by the next Schedule/At instead of allocating.
@@ -147,55 +157,44 @@ func (e *Engine) newEvent() *Event {
 	return ev
 }
 
-// release recycles a dead event. The final fired/cancelled flags stay
+// release recycles a dead event. The final fired/cancelled state stays
 // readable on the handle until the struct is reused; the callback references
 // are dropped immediately so captured state can be collected.
 func (e *Engine) release(ev *Event) {
-	ev.fn = nil
-	ev.fnArg = nil
-	ev.arg = nil
+	ev.fn, ev.arg = nil, nil
 	e.free = append(e.free, ev) //lint:alloc-ok free-list growth is amortized; capacity is retained
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it always indicates a logic bug in a discrete-event model.
-func (e *Engine) At(t Time, fn func()) *Event {
-	ev := e.newEvent()
-	ev.fn = fn
-	e.schedule(t, ev)
-	return ev
-}
+func (e *Engine) At(t Time, fn func()) *Event { return e.AtArgPri(t, 0, nil, fn) }
 
 // AtArg schedules fn(arg) at absolute time t. Unlike At, a caller that keeps
 // one bound fn and varies arg schedules without any closure allocation — the
 // fabric's serializers use this for their per-packet completion events.
-func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event {
-	ev := e.newEvent()
-	ev.fnArg = fn
-	ev.arg = arg
-	e.schedule(t, ev)
-	return ev
-}
+func (e *Engine) AtArg(t Time, fn func(any), arg any) *Event { return e.AtArgPri(t, 0, fn, arg) }
 
 // AtPri schedules fn at absolute time t with a same-time ordering priority
-// (see Event.pri). Only the fabric uses non-zero priorities.
-func (e *Engine) AtPri(t Time, pri uint64, fn func()) *Event {
-	ev := e.newEvent()
-	ev.fn = fn
-	ev.pri = pri
-	e.schedule(t, ev)
-	return ev
-}
+// (see Event.pri), which must fit 32 bits. Only the fabric uses non-zero
+// priorities.
+func (e *Engine) AtPri(t Time, pri uint64, fn func()) *Event { return e.AtArgPri(t, pri, nil, fn) }
 
 // AtArgPri schedules fn(arg) at absolute time t with a same-time ordering
 // priority; the arg-carrying analogue of AtPri.
 func (e *Engine) AtArgPri(t Time, pri uint64, fn func(any), arg any) *Event {
 	ev := e.newEvent()
-	ev.fnArg = fn
-	ev.arg = arg
-	ev.pri = pri
+	ev.fn, ev.arg, ev.pri = fn, arg, narrowPri(pri)
 	e.schedule(t, ev)
 	return ev
+}
+
+// narrowPri checks that a same-time priority fits the Event's 32 bits. The
+// fabric stamps 2·chanID and 2·chanID+1, so a wider one is a logic bug.
+func narrowPri(pri uint64) uint32 {
+	if pri > math.MaxUint32 {
+		panic(fmt.Sprintf("sim: same-time priority %d does not fit 32 bits", pri))
+	}
+	return uint32(pri)
 }
 
 func (e *Engine) schedule(t Time, ev *Event) {
@@ -257,8 +256,7 @@ func (e *Engine) AtTurn(s Turn, fn func(any), arg any) *Event {
 		panic(fmt.Sprintf("sim: filling a turn at %v that execution (now %v) has passed", s.at, e.now))
 	}
 	ev := e.newEvent()
-	ev.fnArg = fn
-	ev.arg = arg
+	ev.fn, ev.arg = fn, arg
 	e.insert(s.at, s.seq, ev)
 	return ev
 }
@@ -284,12 +282,11 @@ func (e *Engine) ScheduleArg(d Duration, fn func(any), arg any) *Event {
 // returning false — in particular a fired event is NOT marked cancelled, so
 // Fired/Cancelled always reflect what actually happened to the callback.
 func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.cancelled || ev.fired || ev.index == idxDead {
+	if ev == nil || !ev.pending() {
 		return false
 	}
-	ev.cancelled = true
 	e.wheel.remove(ev)
-	ev.index = idxDead
+	ev.index = idxCancelled
 	e.pending--
 	e.metrics.EventsCancelled++
 	e.release(ev)
@@ -320,13 +317,12 @@ func (e *Engine) step() {
 	e.pending--
 	e.now, e.curPri, e.curSeq = ev.time, ev.pri, ev.seq
 	e.metrics.EventsExecuted++
-	// Mark fired before invoking so a callback cancelling its own handle
-	// is a no-op rather than a double release.
-	ev.fired = true
-	if ev.fn != nil {
-		ev.fn()
+	// The popped event is marked fired (runPop) before its callback runs, so
+	// a callback cancelling its own handle is a no-op, not a double release.
+	if ev.fn == nil {
+		ev.arg.(func())()
 	} else {
-		ev.fnArg(ev.arg)
+		ev.fn(ev.arg)
 	}
 	e.release(ev)
 }

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestTimeArithmetic(t *testing.T) {
@@ -544,4 +546,46 @@ func BenchmarkEngineRunDense(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.RunAll()
+}
+
+// TestEventIsOneCacheLine pins Event at 64 bytes. Every scheduled event is one
+// of these, touched on each schedule, cancel and pop, and a free-list struct
+// stays allocated for the run: a field that pushes it past one line costs a
+// second line per scheduler touch and a third more heap per pending event.
+func TestEventIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 64 {
+		t.Fatalf("Event is %d bytes, want 64", got)
+	}
+}
+
+// TestPriorityWiderThan32BitsPanics: Event stores pri in 32 bits, so AtPri,
+// AtArgPri and ShardGroup.Post refuse a wider one at the call instead of
+// truncating it into a different same-time order. The widest that fits is
+// scheduled and runs.
+func TestPriorityWiderThan32BitsPanics(t *testing.T) {
+	e := NewEngine(1)
+	g := NewShardGroup([]*Engine{e}, Microsecond)
+	for _, c := range []struct {
+		name     string
+		schedule func(uint64)
+	}{
+		{"AtPri", func(p uint64) { e.AtPri(10, p, func() {}) }},
+		{"AtArgPri", func(p uint64) { e.AtArgPri(10, p, func(any) {}, nil) }},
+		{"Post", func(p uint64) { g.Post(0, 0, 10, p, func() {}) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with priority 2^32: no panic", c.name)
+				}
+			}()
+			c.schedule(math.MaxUint32 + 1)
+		}()
+	}
+	fired := false
+	e.AtPri(10, math.MaxUint32, func() { fired = true })
+	e.RunAll()
+	if !fired {
+		t.Fatal("an event at priority 2^32-1 did not run")
+	}
 }

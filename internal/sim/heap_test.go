@@ -17,12 +17,12 @@ func (h eventHeap) Len() int           { return len(h) }
 func (h eventHeap) Less(i, j int) bool { return eventBefore(h[i], h[j]) }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = int32(i)
+	h[j].index = int32(j)
 }
 func (h *eventHeap) Push(x any) {
 	e := x.(*Event)
-	e.index = len(*h)
+	e.index = int32(len(*h))
 	*h = append(*h, e)
 }
 func (h *eventHeap) Pop() any {
@@ -30,7 +30,7 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = idxDead
+	e.index = idxFired
 	*h = old[:n-1]
 	return e
 }
@@ -61,7 +61,7 @@ func (m *heapModel) AtArgPri(t Time, pri uint64, fn func(any), arg any) *Event {
 		ev = &Event{}
 		m.metrics.EventAllocs++
 	}
-	ev.time, ev.pri, ev.seq, ev.fnArg, ev.arg = t, pri, m.nextSeq, fn, arg
+	ev.time, ev.pri, ev.seq, ev.fn, ev.arg = t, uint32(pri), m.nextSeq, fn, arg
 	m.nextSeq++
 	heap.Push(&m.q, ev)
 	m.metrics.HeapHighWater = max(m.metrics.HeapHighWater, len(m.q))
@@ -69,11 +69,11 @@ func (m *heapModel) AtArgPri(t Time, pri uint64, fn func(any), arg any) *Event {
 }
 
 func (m *heapModel) Cancel(ev *Event) bool {
-	if ev == nil || ev.cancelled || ev.fired || ev.index == idxDead {
+	if ev == nil || !ev.pending() {
 		return false
 	}
-	ev.cancelled = true
-	heap.Remove(&m.q, ev.index)
+	heap.Remove(&m.q, int(ev.index))
+	ev.index = idxCancelled
 	m.metrics.EventsCancelled++
 	m.free = append(m.free, ev)
 	return true
@@ -84,8 +84,7 @@ func (m *heapModel) AdvanceTo(limit Time) Time {
 		ev := heap.Pop(&m.q).(*Event)
 		m.now = ev.time
 		m.metrics.EventsExecuted++
-		ev.fired = true
-		ev.fnArg(ev.arg)
+		ev.fn(ev.arg)
 		m.free = append(m.free, ev)
 	}
 	return m.now

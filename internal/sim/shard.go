@@ -157,8 +157,10 @@ func (g *ShardGroup) SetCores(cores int) { g.cores = cores }
 func (g *ShardGroup) Bank() int { return g.bank }
 
 // Post queues fn to run on shard dst at time at, same-time priority pri: a
-// Hand that schedules it, with a closure built per call. The rules are Hand's.
+// Hand that schedules it, with a closure built per call. The rules are Hand's;
+// pri must fit 32 bits, as AtPri's, and a wider one panics here, at the post.
 func (g *ShardGroup) Post(src, dst int, at Time, pri uint64, fn func()) {
+	narrowPri(pri)
 	eng := g.engines[dst]
 	g.Hand(src, dst, at, func(at Time, _ any) { eng.AtPri(at, pri, fn) }, nil)
 }

@@ -94,12 +94,17 @@ func eventBefore(a, b *Event) bool {
 	return a.seq < b.seq
 }
 
-// Event.index sentinels. Non-negative index means "position in the run heap".
+// Event.index sentinels. Non-negative index means "position in the run heap";
+// at or below idxWheel it is a wheel slot list, idxWheel - (level<<8 | slot).
 const (
-	idxDead     = -1 // popped, cancelled, or never scheduled
-	idxWheel    = -2 // linked into a wheel slot list; Event.loc holds level/slot
-	idxOverflow = -3 // linked into the overflow list
+	idxFired     = -1 // popped to run its callback
+	idxCancelled = -2 // removed by Cancel
+	idxOverflow  = -3 // linked into the overflow list
+	idxWheel     = -4 // linked into slot 0 of level 0 (see loc)
 )
+
+// loc returns the packed level<<8 | slot of an event linked into a wheel slot.
+func (ev *Event) loc() int { return idxWheel - int(ev.index) }
 
 // wheel is the hierarchical timing wheel state, embedded by value in Engine.
 type wheel struct {
@@ -136,8 +141,7 @@ func (w *wheel) insert(ev *Event) {
 		shift := uint(wheelGranBits + lv*wheelLevelBits)
 		if (t>>shift)-(f>>shift) < wheelSlots {
 			slot := int(t>>shift) & (wheelSlots - 1)
-			ev.index = idxWheel
-			ev.loc = int32(lv<<wheelLevelBits | slot)
+			ev.index = int32(idxWheel - (lv<<wheelLevelBits | slot))
 			ev.prev = nil
 			ev.next = w.slots[lv][slot]
 			if ev.next != nil {
@@ -163,10 +167,10 @@ func (w *wheel) insert(ev *Event) {
 func (w *wheel) remove(ev *Event) {
 	switch {
 	case ev.index >= 0:
-		w.runRemove(ev.index)
-	case ev.index == idxWheel:
-		lv := int(ev.loc) >> wheelLevelBits
-		slot := int(ev.loc) & (wheelSlots - 1)
+		w.runRemove(int(ev.index))
+	case ev.index <= idxWheel:
+		lv := ev.loc() >> wheelLevelBits
+		slot := ev.loc() & (wheelSlots - 1)
 		if ev.prev != nil {
 			ev.prev.next = ev.next
 		} else {
@@ -206,7 +210,7 @@ func (w *wheel) peek() *Event {
 	return w.run[0]
 }
 
-// pop removes and returns the earliest pending event, or nil.
+// pop removes and returns the earliest pending event, or nil, marked fired.
 func (w *wheel) pop() *Event {
 	if len(w.run) == 0 && !w.refill() {
 		return nil
@@ -403,9 +407,9 @@ func (w *wheel) overflowMinTime() Time {
 
 // runPush inserts into the run min-heap.
 func (w *wheel) runPush(ev *Event) {
-	ev.index = len(w.run)
+	ev.index = int32(len(w.run))
 	w.run = append(w.run, ev) //lint:alloc-ok run-heap growth is amortized; capacity is retained
-	w.runUp(ev.index)
+	w.runUp(len(w.run) - 1)
 }
 
 // runPop removes and returns the run-heap minimum. Caller ensures non-empty.
@@ -422,7 +426,7 @@ func (w *wheel) runPop() *Event {
 	if n > 1 {
 		w.runDown(0)
 	}
-	top.index = idxDead
+	top.index = idxFired
 	return top
 }
 
@@ -432,7 +436,7 @@ func (w *wheel) runRemove(i int) {
 	n := len(h) - 1
 	if i != n {
 		h[i] = h[n]
-		h[i].index = i
+		h[i].index = int32(i)
 	}
 	h[n] = nil
 	w.run = h[:n]
@@ -451,8 +455,8 @@ func (w *wheel) runUp(i int) {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
-		h[i].index = i
-		h[p].index = p
+		h[i].index = int32(i)
+		h[p].index = int32(p)
 		i = p
 	}
 }
@@ -474,8 +478,8 @@ func (w *wheel) runDown(i int) bool {
 			break
 		}
 		h[i], h[m] = h[m], h[i]
-		h[i].index = i
-		h[m].index = m
+		h[i].index = int32(i)
+		h[m].index = int32(m)
 		i = m
 		moved = true
 	}

@@ -107,7 +107,7 @@ func runOps(e opQueue, data []byte) ([]fireRec, Metrics, Time, error) {
 // lists.
 func checkWheelInvariants(w *wheel) error {
 	for i, ev := range w.run {
-		if ev.time >= w.runEnd || ev.index != i {
+		if ev.time >= w.runEnd || int(ev.index) != i {
 			return fmt.Errorf("run[%d]: time %v index %d with runEnd %v", i, ev.time, ev.index, w.runEnd)
 		}
 	}
@@ -252,7 +252,7 @@ func TestRunQueueHoldsOneGranule(t *testing.T) {
 	}
 	rto := Time(100 * Microsecond)
 	population[rto&^(wheelGran-1)]++
-	if lv := e.AtArg(rto, fn, false).loc >> wheelLevelBits; lv != 2 {
+	if lv := e.AtArg(rto, fn, false).loc() >> wheelLevelBits; lv != 2 {
 		t.Fatalf("the RTO-distance timer sits at level %d, want 2", lv)
 	}
 	e.RunAll()

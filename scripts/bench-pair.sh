@@ -5,14 +5,16 @@
 # change"): build the frozen benchmark once at two revisions, run N alternating
 # parent/change pairs of one workload (which side goes first alternates, which
 # is what cancels the host's drift), and print per-side median and quartiles of
-# the four end-to-end metrics, the change's win count on wall_s, calib_ns beside
+# the four end-to-end metrics, the change's wins and losses on each of them (in
+# the direction each improves: pkts_per_wall_s higher, the rest lower), calib_ns beside
 # the host times, each side's GOMAXPROCS and nproc, and whether the sim_digest
 # moved. Sides that ran at different GOMAXPROCS are not summarised: a trial cut
 # across shards runs them on every core, so the core count is part of the
 # result.
 # The summary is also appended as one JSON line to perf/ledger.jsonl: both
 # revisions, workload, seed, GOMAXPROCS/nproc, go version, each side's
-# quartiles of the four metrics and calib_ns, pairs won, both sim_digests and
+# quartiles of the four metrics and calib_ns, pairs won and lost per metric
+# ("wins", plus the older wall_s_wins/wall_s_losses), both sim_digests and
 # every run's values.
 # Both revisions are exported with `git archive` into a temporary directory —
 # committed files only, nothing is left behind in the repository — and a
@@ -80,7 +82,7 @@ awk -v parent="$(git -C "$root" rev-parse "$parent")" -v change="$(git -C "$root
 		for (i = 2; i <= n; i++) { t = out[i]; for (j = i - 1; j >= 1 && out[j] > t; j--) out[j + 1] = out[j]; out[j + 1] = t }
 		return n
 	}
-	{ runs++; s[runs] = $1; pair[runs] = $2; for (c = 3; c <= 7; c++) v[runs, c] = $c; dig[$1] = dig[$1] " " $9; if ($1 == "parent") pw[$2] = $3; else cw[$2] = $3
+	{ runs++; s[runs] = $1; pair[runs] = $2; for (c = 3; c <= 7; c++) v[runs, c] = $c; dig[$1] = dig[$1] " " $9; for (c = 3; c <= 6; c++) pv[$1, $2, c] = $c; pairs[$2]
 	  split($10, pn, "/"); gmp[pn[1]]++; if (!(($1, $10) in seen)) { seen[$1, $10]; procs[$1] = procs[$1] " " $10 }; procs1 = $10; gover[$1] = $11
 	  rows = rows sprintf("%s{\"side\":\"%s\",\"pair\":%d,\"wall_s\":%s,\"pkts_per_wall_s\":%s,\"heap_live_peak_mb\":%s,\"setup_s\":%s,\"calib_ns\":%s}", runs == 1 ? "" : ",", $1, $2, $3, $4, $5, $6, $7) }
 	END {
@@ -102,15 +104,26 @@ awk -v parent="$(git -C "$root" rev-parse "$parent")" -v change="$(git -C "$root
 			}
 		}
 		for (c = 3; c <= 7; c++) printf "%s\n%s\n", line[c, "parent"], line[c, "change"]
-		for (p in pw) { if (cw[p] < pw[p]) wins++; else if (cw[p] > pw[p]) losses++ }
-		d = (med["change", 3] - med["parent", 3]) / med["parent", 3] * 100
-		printf "\nwall_s: change wins %d, loses %d of %d pairs; median %+.1f %% (parent IQR %.1f %% of its median)\n",
-			wins, losses, length(pw), d, iqr["parent", 3] / med["parent", 3] * 100
+		# A win is a pair whose change side is better in the direction the
+		# metric improves in: pkts_per_wall_s (column 4) is higher-is-better.
+		printf "\n"
+		for (c = 3; c <= 6; c++) {
+			won[c] = lost[c] = 0
+			for (p in pairs) {
+				delta = pv["change", p, c] - pv["parent", p, c]
+				if (c == 4) delta = -delta
+				if (delta < 0) won[c]++; else if (delta > 0) lost[c]++
+			}
+			d = (med["change", c] - med["parent", c]) / med["parent", c] * 100
+			printf "%s: change wins %d, loses %d of %d pairs; median %+.1f %% (parent IQR %.1f %% of its median)\n",
+				name[c - 2], won[c], lost[c], length(pairs), d, iqr["parent", c] / med["parent", c] * 100
+			wj = wj sprintf("%s\"%s\":{\"won\":%d,\"lost\":%d}", c == 3 ? "" : ",", name[c - 2], won[c], lost[c])
+		}
 		split(dig["parent"], dp, " "); split(dig["change"], dc, " ")
 		printf "sim_digest: parent %s, change %s (%s)\n", substr(dp[1], 1, 12), substr(dc[1], 1, 12), dp[1] == dc[1] ? "equal: every simulated statistic identical" : "DIFFERENT: simulated statistics or event counts moved"
 		split(procs1, pn, "/")
-		printf "{\"parent\":\"%s\",\"change\":\"%s\",\"workload\":\"%s\",\"seed\":%d,\"gomaxprocs\":%d,\"nproc\":%d,\"go\":{\"parent\":\"%s\",\"change\":\"%s\"},\"pairs\":%d,\"wall_s_wins\":%d,\"wall_s_losses\":%d,\"quartiles\":{\"parent\":{%s},\"change\":{%s}},\"sim_digest\":{\"parent\":\"%s\",\"change\":\"%s\"},\"runs\":[%s]}\n",
-			parent, change, workload, seed, pn[1], pn[2], gover["parent"], gover["change"], length(pw), wins, losses, js["parent"], js["change"], dp[1], dc[1], rows > ledger
+		printf "{\"parent\":\"%s\",\"change\":\"%s\",\"workload\":\"%s\",\"seed\":%d,\"gomaxprocs\":%d,\"nproc\":%d,\"go\":{\"parent\":\"%s\",\"change\":\"%s\"},\"pairs\":%d,\"wins\":{%s},\"wall_s_wins\":%d,\"wall_s_losses\":%d,\"quartiles\":{\"parent\":{%s},\"change\":{%s}},\"sim_digest\":{\"parent\":\"%s\",\"change\":\"%s\"},\"runs\":[%s]}\n",
+			parent, change, workload, seed, pn[1], pn[2], gover["parent"], gover["change"], length(pairs), wj, won[3], lost[3], js["parent"], js["change"], dp[1], dc[1], rows > ledger
 	}
 ' "$tmp/runs"
 mkdir -p "$root/perf"
