@@ -118,11 +118,12 @@ bench-selftest:
 # bench-pair is the paired procedure every perf claim goes through
 # (benchmark/README.md "Comparing a parent and a change"): the frozen benchmark
 # built at PARENT and at HEAD from `git archive` exports, N alternating
-# parent/change pairs of workload W at -seed SEED (~25 s a run, so 10 pairs is
-# ~9 min), then per-side median and quartiles of the four end-to-end metrics
-# and calib_ns, the change's win count on wall_s and whether sim_digest moved;
-# the summary is appended as one JSON line to perf/ledger.jsonl, which is
-# committed. Keep the machine otherwise idle. A change that edits benchmark/ is refused.
+# parent/change pairs of workload W at -seed SEED (6-13 s a run on two cores,
+# so 10 pairs is 2-5 min), then per-side median and quartiles of the four
+# end-to-end metrics and calib_ns, the change's wins and losses on each of the
+# four and whether sim_digest moved; the summary is appended as one JSON line
+# to perf/ledger.jsonl, which is committed. Keep the machine otherwise idle. A
+# change that edits benchmark/ is refused.
 N ?= 10
 SEED ?= 9
 bench-pair:

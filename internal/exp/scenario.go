@@ -46,8 +46,9 @@ type Scenario struct {
 
 // Validate rejects a scenario no trial runs, naming the field: an unknown
 // Workload, a Tracer or Metrics registry set on the scenario, which exp.run
-// wires from Obs, and what workload.ClusterConfig.Validate and
-// workload.Shape.Validate reject. run calls it before anything is built.
+// wires from Obs, a Shape field the workload does not read, and what
+// workload.ClusterConfig.Validate and workload.Shape.Validate reject. run
+// calls it before anything is built.
 func (s Scenario) Validate() error {
 	row, err := s.Workload.row()
 	if err != nil {

@@ -11,12 +11,13 @@ import (
 // Shape is the one declaration of a workload's shape knobs, and its JSON tags
 // are their wire format: exp.Scenario embeds it after its ClusterConfig. The
 // zero value of every field means the runner's default (see each runner's
-// resolve), and a runner ignores what its workload has no use for.
+// resolve). A runner reads only what its workload uses, and exp.Scenario's
+// Validate rejects a scenario that sets any other field.
 type Shape struct {
 	// LBArmed marks ClusterConfig.LB as an explicit chaos-harness arm: chaos
 	// runs the harness default (Themis) unless it is set, because ECMP is the
 	// LBMode zero value. Convergence always arms LB, and a motivation
-	// scenario's label names an armed LB; other workloads ignore it.
+	// scenario's label names an armed LB; other workloads do not read it.
 	LBArmed bool               `json:"lb_armed,omitempty"`
 	Pattern collective.Pattern `json:"pattern,omitempty"` // collective only
 

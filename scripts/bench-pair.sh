@@ -5,10 +5,10 @@
 # change"): build the frozen benchmark once at two revisions, run N alternating
 # parent/change pairs of one workload (which side goes first alternates, which
 # is what cancels the host's drift), and print per-side median and quartiles of
-# the four end-to-end metrics, the change's wins and losses on each of them (in
-# the direction each improves: pkts_per_wall_s higher, the rest lower), calib_ns beside
-# the host times, each side's GOMAXPROCS and nproc, and whether the sim_digest
-# moved. Sides that ran at different GOMAXPROCS are not summarised: a trial cut
+# the four end-to-end metrics, the change's wins and losses on each of them
+# (in the direction each improves: pkts_per_wall_s higher, the rest lower),
+# calib_ns beside the host times, each side's GOMAXPROCS and nproc, and whether
+# the sim_digest moved. Sides that ran at different GOMAXPROCS are not summarised: a trial cut
 # across shards runs them on every core, so the core count is part of the
 # result.
 # The summary is also appended as one JSON line to perf/ledger.jsonl: both
