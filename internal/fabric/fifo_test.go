@@ -6,19 +6,20 @@ import (
 )
 
 // FuzzFifo drives the ring and a plain-slice model with one op sequence —
-// push, pop, popTail and at — across wraps and growths. After every op the
-// two hold the same elements in the same order, every slot outside the live
-// range is zero (popped values are not kept reachable), and the capacity is
-// a power of two at most twice the queue's high water, and at least 4.
+// push, pop and popTail — across wraps and growths. After every op the two
+// hold the same elements in the same order (read through at), every slot
+// outside the live range is zero (popped values are not kept reachable), and
+// the capacity is a power of two at most twice the queue's high water, and at
+// least 4.
 func FuzzFifo(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 1, 1, 3, 7})
-	f.Add([]byte{0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 3, 5, 1, 1, 1, 1, 1})
+	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0, 1, 1, 0, 2})
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0, 2, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var q fifo[int]
 		var model []int
 		high, next := 0, 1
-		for i := 0; i < len(ops); i++ {
-			switch ops[i] & 3 {
+		for i := range ops {
+			switch ops[i] % 3 {
 			case 0:
 				q.push(next)
 				model = append(model, next)
@@ -36,13 +37,6 @@ func FuzzFifo(f *testing.F) {
 						t.Fatalf("op %d: popTail %d, model %d", i, got, model[n-1])
 					}
 					model = model[:n-1]
-				}
-			case 3:
-				if n := len(model); n > 0 && i+1 < len(ops) {
-					i++
-					if k := int(ops[i]) % n; *q.at(k) != model[k] {
-						t.Fatalf("op %d: at(%d) %d, model %d", i, k, *q.at(k), model[k])
-					}
 				}
 			}
 			high = max(high, len(model))
