@@ -68,7 +68,7 @@ func (s *CongestionAware) Select(pkt *packet.Packet, cands []int, ctx Context) i
 		}
 		s.ewma[c] = (1-s.Gain)*s.ewma[c] + s.Gain*m
 	}
-	start := seededIndex(Hash(pkt.Key()), ctx.Seed(), n)
+	start := Index(gf32Mul(Hash(pkt.Key()), ctx.Seed()|1), n)
 	best := cands[start]
 	bestE := s.ewma[best]
 	for i := 0; i < n; i++ {

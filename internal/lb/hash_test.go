@@ -2,7 +2,6 @@ package lb
 
 import (
 	"hash/crc32"
-	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -53,23 +52,4 @@ func TestHashZeroAlloc(t *testing.T) {
 		t.Fatalf("hashing allocates %.1f/op", allocs)
 	}
 	_ = sink
-}
-
-// TestSeededIndexMatchesMultiply pins the parity-mask fast path to the carry
-// loop it replaces: for every tier seed and every power-of-two candidate
-// count up to 256 the index equals Index(gf32Mul(h, seed|1), n), bit for bit.
-// Other counts and a non-tier seed take the loop itself.
-func TestSeededIndexMatchesMultiply(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	seeds := []uint32{TierSeed(0), TierSeed(1), TierSeed(2), TierSeed(3), SwitchSeed(7)}
-	for i := 0; i < 200_000; i++ {
-		h := rng.Uint32()
-		for _, seed := range seeds {
-			for _, n := range []int{1, 2, 3, 4, 8, 16, 32, 48, 64, 128, 256, 512} {
-				if got, want := seededIndex(h, seed, n), Index(gf32Mul(h, seed|1), n); got != want {
-					t.Fatalf("h=%#x seed=%#x n=%d: seededIndex %d, multiply %d", h, seed, n, got, want)
-				}
-			}
-		}
-	}
 }

@@ -11,7 +11,6 @@ package lb
 
 import (
 	"hash/crc32"
-	"math/bits"
 	"math/rand"
 
 	"themis/internal/packet"
@@ -137,54 +136,12 @@ func gf32Mul(a, b uint32) uint32 {
 	return r
 }
 
-// seedMasks holds, for one multiplier c, the parity masks of the low eight
-// bits of h ↦ gf32Mul(h, c): the map is GF(2)-linear, so bit j of the product
-// is the parity of h & bit[j].
-type seedMasks struct {
-	c   uint32
-	bit [8]uint32
-}
-
-// tierMasks are the masks of the tier seeds (TierSeed(t)|1 for the three
-// tiers a topology builds), computed once from gf32Mul itself.
-var tierMasks = func() (t [3]seedMasks) {
-	for tier := range t {
-		m := &t[tier]
-		m.c = TierSeed(tier) | 1
-		for i := 0; i < 32; i++ {
-			p := gf32Mul(1<<i, m.c)
-			for j := range m.bit {
-				m.bit[j] |= p >> j & 1 << i
-			}
-		}
-	}
-	return t
-}()
-
-// seededIndex is Index(gf32Mul(h, seed|1), n). For a tier seed and a
-// power-of-two n ≤ 256 the log2 n index bits are popcount parities of h,
-// not the 32-step carry loop; any other seed or n takes the loop.
-func seededIndex(h, seed uint32, n int) int {
-	if n > 0 && n <= 256 && n&(n-1) == 0 {
-		for k := range tierMasks {
-			if m := &tierMasks[k]; m.c == seed|1 {
-				idx := 0
-				for j := 0; 1<<j < n; j++ {
-					idx |= bits.OnesCount32(h&m.bit[j]) & 1 << j
-				}
-				return idx
-			}
-		}
-	}
-	return Index(gf32Mul(h, seed|1), n)
-}
-
 // ECMPIndex is the canonical ECMP decision: the candidate index a switch
 // with the given seed picks for flow key k among n candidates. Both the
 // fabric's ECMP selector and the offline PathMap prober use it, so the two
 // can never disagree.
 func ECMPIndex(k packet.FlowKey, seed uint32, n int) int {
-	return seededIndex(Hash(k), seed, n)
+	return Index(gf32Mul(Hash(k), seed|1), n)
 }
 
 // ECMP hashes the five-tuple; all packets of a flow take one path.
