@@ -206,9 +206,12 @@ func runScenario(args []string) error {
 		return err
 	}
 	sc.DistributedRouting = sc.DistributedRouting || sc.ConvergenceDelay > 0
-	// The other workloads do not read LBArmed, and a scenario that sets a
-	// shape field its workload does not read is an error.
-	sc.LBArmed = armed && (sc.Workload == exp.Chaos || sc.Workload == exp.Motivation)
+	// -lb arms the workloads whose exp table row reads LBArmed: a scenario
+	// that sets only that field validates exactly for them, and
+	// Scenario.Validate refuses it on any other.
+	probe := exp.Scenario{Workload: sc.Workload}
+	probe.LBArmed = true
+	sc.LBArmed = armed && probe.Validate() == nil
 	// Unarmed, a chaos scenario is named and carries no arm, as the cells of
 	// exp.ChaosGrid do, so `run -workload chaos -seed S` writes the record of
 	// that sweep cell.

@@ -353,13 +353,25 @@ func TestChaosRunReplaysSweepCell(t *testing.T) {
 }
 
 // TestRunSetsNoUnreadShapeField: run's flag defaults, and -lb's arming, set no
-// shape field a workload does not read (exp.Scenario.Validate refuses one), so
-// every workload runs from the command line with an explicit arm.
+// shape field a workload does not read (exp.Scenario.Validate refuses one), and
+// -lb reaches every workload: each runs from the command line with an explicit
+// non-default arm and records that arm, the chaos and motivation ones (which
+// run their own default unless LBArmed) included.
 func TestRunSetsNoUnreadShapeField(t *testing.T) {
+	dir := t.TempDir()
 	for _, w := range strings.Split(exp.WorkloadNames(), "|") {
-		err := runScenario([]string{"-workload", w, "-lb", "ecmp", "-bytes", "16384", "-leaves", "2", "-spines", "2", "-hosts", "2"})
-		if err != nil && strings.Contains(err.Error(), "does not read") {
-			t.Errorf("run -workload %s -lb ecmp: %v", w, err)
+		path := filepath.Join(dir, w+".json")
+		err := runScenario([]string{"-workload", w, "-lb", "adaptive", "-bytes", "16384", "-leaves", "2", "-spines", "2", "-hosts", "2", "-json", path})
+		if err != nil {
+			t.Errorf("run -workload %s -lb adaptive: %v", w, err)
+			continue
+		}
+		var tr exp.Trial
+		if err := json.Unmarshal(reportTrials(t, path)[0], &tr); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Scenario.LB != workload.Adaptive {
+			t.Errorf("run -workload %s -lb adaptive ran arm %v", w, tr.Scenario.LB)
 		}
 	}
 }

@@ -120,14 +120,17 @@ func RunMotivation(cfg Config) (MotivationResult, error) {
 	res := MotivationResult{Outcome: cl.Outcome(c.Last())}
 	res.Series = &MotivationSeries{Retrans: ratio.Finish(c.At[0]), RateGbps: rate}
 	// Truncate the rate series to the observed flow's active period before
-	// averaging.
+	// averaging. A flow that ends before the first sample has no average
+	// (zero, not Mean's NaN, which a JSON report cannot hold).
 	var active []float64
 	for _, s := range rate.Samples {
 		if s.T <= c.At[0] {
 			active = append(active, s.V)
 		}
 	}
-	res.AvgRateGbps = stats.Mean(active)
+	if len(active) > 0 {
+		res.AvgRateGbps = stats.Mean(active)
+	}
 	for i, f := range flows {
 		gbps := float64(cl.Conn(f[0], f[1]).Sender.Stats().GoodputBytes) * 8 / c.At[i].Seconds() / 1e9
 		res.ThroughputGbps = append(res.ThroughputGbps, gbps)
