@@ -45,13 +45,21 @@ lint-escapes:
 	$(GO) run ./cmd/themis-lint -escapes ./...
 
 # loc prints the size ledger CHANGES.md quotes before/after a simplification:
-# non-test Go lines (benchmark/ and testdata/ excluded) and the //lint:
+# non-test Go lines (benchmark/ and testdata/ excluded), the //lint:
 # directive lines outside the linter's own package — the same count
-# `themis-lint -escapes` reports (usage text naming //lint:* is not one).
+# `themis-lint -escapes` reports (usage text naming //lint:* is not one) — and
+# the config knobs: the exported named fields of every exported *Config struct
+# and of workload.Shape, exp.Obs and exp.Runner, `A, B T` counting two
+# (embedded fields are counted where their own type is declared).
 GO_SRC = find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path '*/testdata/*'
+KNOBS_AWK = '/^type ([A-Z][A-Za-z0-9]*)?Config struct \{/ || FILENAME ~ /internal\/workload\// && /^type Shape struct \{/ || FILENAME ~ /internal\/exp\// && /^type (Obs|Runner) struct \{/ { body = 1; next } \
+	body && /^\}/ { body = 0 } \
+	body && /^\t[A-Z]/ { sub(/^\t/, ""); n = 1; while (sub(/^[A-Za-z0-9_]+, */, "")) n++; if ($$0 ~ /^[A-Za-z0-9_]+[ \t]+[^\/ \t`]/) k += n } \
+	END { print k + 0 }'
 loc:
 	@echo "non-test Go lines: $$($(GO_SRC) -print0 | xargs -0 cat | wc -l)"
 	@echo "//lint: escapes:   $$($(GO_SRC) -not -path './internal/lint/*' -print0 | xargs -0 grep -h '//lint:[a-z]' | wc -l)"
+	@echo "config knobs:      $$($(GO_SRC) -print0 | xargs -0 awk $(KNOBS_AWK))"
 
 # The simulator core is single-threaded per shard, but run the whole tree
 # under the race detector anyway — it catches accidental goroutine leaks in

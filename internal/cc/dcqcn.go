@@ -14,10 +14,30 @@ package cc
 
 import "themis/internal/sim"
 
+// The rate machine's fixed parameters: the published DCQCN values [Zhu et
+// al., SIGCOMM'15] and the NACK cut. A commodity RNIC's firmware fixes them;
+// only TI and TD are settable (Config), and a sweep of one of these edits the
+// constant.
+const (
+	// alphaG is the EWMA gain g for the congestion estimate α.
+	alphaG = 1.0 / 256
+	// alphaTimer is the α-decay period when no CNP arrives.
+	alphaTimer = 55 * sim.Microsecond
+	// byteCounter is the byte-counter threshold B for rate increases.
+	byteCounter = 10 << 20
+	// fastRecovery is the number of increase events in fast recovery (F).
+	fastRecovery = 5
+	// nackFactor is the multiplicative cut applied when the transport
+	// reports a NACK (the paper's "unnecessary slow start", §2.2). NACK cuts
+	// are gated by TD like CNP cuts but are loss-signal responses: they do
+	// not update α and do not restart the increase timer phase — they only
+	// re-enter fast recovery towards the pre-cut rate.
+	nackFactor = 0.75
+)
+
 // Config parameterizes DCQCN. Zero fields take the published defaults.
 type Config struct {
 	LineRate int64 // link rate in bits per second (required)
-	MinRate  int64 // floor rate; default LineRate/1000
 
 	// TI is the rate-increase timer period (the paper's T_I, default 900us:
 	// the "recommended" setting of [27] used in Fig. 5's first column).
@@ -26,75 +46,23 @@ type Config struct {
 	// paper's T_D, default 4us).
 	TD sim.Duration
 
-	// AlphaG is the EWMA gain g for the congestion estimate (default 1/256).
-	AlphaG float64
-	// AlphaTimer is the α-decay period when no CNP arrives (default 55us).
-	AlphaTimer sim.Duration
-	// ByteCounter is the byte-counter threshold B for rate increases
-	// (default 10 MB).
-	ByteCounter int64
-	// FastRecovery is the number of increase events in fast recovery
-	// (default 5).
-	FastRecovery int
-	// RAI and RHAI are the additive and hyper increase steps (defaults
-	// LineRate/100 and LineRate/20, matching the common practice of scaling
-	// the published 40/400 Mbps steps to the link rate).
-	RAI, RHAI int64
 	// PathBuckets, when positive, enables per-path congestion estimates: one
 	// α EWMA per entropy bucket (see PathAlpha). A CNP attributed to bucket b
 	// (via OnCNPPath) marks and cuts by α_b instead of the flow-global α, so
 	// a spraying flow crossing one congested path no longer cuts as if every
 	// path were congested. Zero keeps the published flow-global behavior.
 	PathBuckets int
-	// NackFactor is the multiplicative cut applied when the transport
-	// reports a NACK (the paper's "unnecessary slow start", §2.2). NACK
-	// cuts are gated by TD like CNP cuts but are loss-signal responses:
-	// they do not update α and do not restart the increase timer phase —
-	// they only re-enter fast recovery towards the pre-cut rate. Default
-	// 0.75.
-	NackFactor float64
-
-	// RateListener, if set, is invoked after every rate change (for the
-	// Fig. 1c rate-over-time series).
-	RateListener func(t sim.Time, rate int64)
 }
 
 func (c Config) withDefaults() Config {
 	if c.LineRate <= 0 {
 		panic("cc: Config.LineRate is required")
 	}
-	if c.MinRate == 0 {
-		c.MinRate = c.LineRate / 1000
-	}
-	if c.MinRate <= 0 {
-		c.MinRate = 1
-	}
 	if c.TI == 0 {
 		c.TI = 900 * sim.Microsecond
 	}
 	if c.TD == 0 {
 		c.TD = 4 * sim.Microsecond
-	}
-	if c.AlphaG == 0 {
-		c.AlphaG = 1.0 / 256
-	}
-	if c.AlphaTimer == 0 {
-		c.AlphaTimer = 55 * sim.Microsecond
-	}
-	if c.ByteCounter == 0 {
-		c.ByteCounter = 10 << 20
-	}
-	if c.FastRecovery == 0 {
-		c.FastRecovery = 5
-	}
-	if c.RAI == 0 {
-		c.RAI = c.LineRate / 100
-	}
-	if c.RHAI == 0 {
-		c.RHAI = c.LineRate / 20
-	}
-	if c.NackFactor == 0 {
-		c.NackFactor = 0.75
 	}
 	return c
 }
@@ -113,6 +81,12 @@ type Stats struct {
 type DCQCN struct {
 	engine *sim.Engine
 	cfg    Config
+
+	// minRate (LineRate/1000, at least 1 bit/s) is the rate floor; rai and
+	// rhai are the additive and hyper increase steps, LineRate/100 and
+	// LineRate/20, matching the common practice of scaling the published
+	// 40/400 Mbps steps to the link rate.
+	minRate, rai, rhai int64
 
 	rc    int64   // current rate
 	rt    int64   // target rate
@@ -140,14 +114,17 @@ type DCQCN struct {
 func New(engine *sim.Engine, cfg Config) *DCQCN {
 	cfg = cfg.withDefaults()
 	d := &DCQCN{
-		engine: engine,
-		cfg:    cfg,
-		rc:     cfg.LineRate,
-		rt:     cfg.LineRate,
-		alpha:  1,
+		engine:  engine,
+		cfg:     cfg,
+		minRate: max(cfg.LineRate/1000, 1),
+		rai:     cfg.LineRate / 100,
+		rhai:    cfg.LineRate / 20,
+		rc:      cfg.LineRate,
+		rt:      cfg.LineRate,
+		alpha:   1,
 	}
 	if cfg.PathBuckets > 0 {
-		d.paths = NewPathAlpha(cfg.PathBuckets, cfg.AlphaG)
+		d.paths = NewPathAlpha(cfg.PathBuckets, alphaG)
 	}
 	d.incTimer = sim.NewTicker(engine, cfg.TI, d.onTimerIncrease)
 	d.alphaTimer = sim.NewTimer(engine, d.onAlphaTimer)
@@ -196,7 +173,7 @@ func (d *DCQCN) onCNP(bucket int) {
 // OnNack processes a NACK: commodity RNICs treat it as a congestion/loss
 // signal and cut the rate — the paper's "unnecessary slow start" (§2.2).
 // The cut is TD-gated like a CNP cut, but it neither updates α nor restarts
-// the increase-timer phase: the rate dips by NackFactor and fast recovery
+// the increase-timer phase: the rate dips by nackFactor and fast recovery
 // pulls it back towards the pre-cut rate.
 func (d *DCQCN) OnNack() {
 	d.stats.Nacks++
@@ -212,7 +189,7 @@ func (d *DCQCN) OnNack() {
 	if d.rc > d.rt {
 		d.rt = d.rc
 	}
-	d.setRate(int64(float64(d.rc) * d.cfg.NackFactor))
+	d.setRate(int64(float64(d.rc) * nackFactor))
 	// Re-enter fast recovery without disturbing the running timer phase.
 	d.timerStage = 0
 	d.byteStage = 0
@@ -223,11 +200,11 @@ func (d *DCQCN) OnNack() {
 	}
 }
 
-// OnTimeout processes a retransmission timeout with a full cut to MinRate
+// OnTimeout processes a retransmission timeout with a full cut to the floor
 // (the most conservative slow start).
 func (d *DCQCN) OnTimeout() {
-	d.setRate(d.cfg.MinRate)
-	d.rt = d.cfg.MinRate
+	d.setRate(d.minRate)
+	d.rt = d.minRate
 	d.alpha = 1
 	if d.paths != nil {
 		d.paths.Reset()
@@ -238,8 +215,8 @@ func (d *DCQCN) OnTimeout() {
 // OnBytesSent advances the byte counter.
 func (d *DCQCN) OnBytesSent(n int) {
 	d.bytesAcc += int64(n)
-	for d.bytesAcc >= d.cfg.ByteCounter {
-		d.bytesAcc -= d.cfg.ByteCounter
+	for d.bytesAcc >= byteCounter {
+		d.bytesAcc -= byteCounter
 		d.byteStage++
 		d.increase()
 	}
@@ -272,9 +249,8 @@ func (d *DCQCN) decrease(bucket int) {
 }
 
 func (d *DCQCN) updateAlphaUp() {
-	g := d.cfg.AlphaG
-	d.alpha = (1-g)*d.alpha + g
-	d.alphaTimer.Reset(d.cfg.AlphaTimer)
+	d.alpha = (1-alphaG)*d.alpha + alphaG
+	d.alphaTimer.Reset(alphaTimer)
 }
 
 // onAlphaTimer decays α after a CNP-free period: every CNP re-arms the timer
@@ -282,14 +258,14 @@ func (d *DCQCN) updateAlphaUp() {
 // The timer self-cancels once α has fully decayed so an idle sender leaves
 // the event queue quiescent.
 func (d *DCQCN) onAlphaTimer() {
-	d.alpha = (1 - d.cfg.AlphaG) * d.alpha
+	d.alpha = (1 - alphaG) * d.alpha
 	live := d.alpha >= 1e-4
 	if d.paths != nil {
 		d.paths.Decay()
 		live = live || d.paths.Max() >= 1e-4
 	}
 	if live {
-		d.alphaTimer.Reset(d.cfg.AlphaTimer)
+		d.alphaTimer.Reset(alphaTimer)
 	}
 }
 
@@ -310,16 +286,15 @@ func (d *DCQCN) onTimerIncrease() {
 // increase applies one rate-increase event per the DCQCN phases.
 func (d *DCQCN) increase() {
 	d.stats.IncreaseEvents++
-	f := d.cfg.FastRecovery
 	switch {
-	case d.timerStage <= f && d.byteStage <= f:
+	case d.timerStage <= fastRecovery && d.byteStage <= fastRecovery:
 		// Fast recovery: halve the gap to the target.
-	case d.timerStage > f && d.byteStage > f:
+	case d.timerStage > fastRecovery && d.byteStage > fastRecovery:
 		// Hyper increase.
-		d.rt += d.cfg.RHAI
+		d.rt += d.rhai
 	default:
 		// Additive increase.
-		d.rt += d.cfg.RAI
+		d.rt += d.rai
 	}
 	if d.rt > d.cfg.LineRate {
 		d.rt = d.cfg.LineRate
@@ -335,19 +310,7 @@ func (d *DCQCN) increase() {
 }
 
 func (d *DCQCN) setRate(r int64) {
-	if r < d.cfg.MinRate {
-		r = d.cfg.MinRate
-	}
-	if r > d.cfg.LineRate {
-		r = d.cfg.LineRate
-	}
-	if r == d.rc {
-		return
-	}
-	d.rc = r
-	if d.cfg.RateListener != nil {
-		d.cfg.RateListener(d.engine.Now(), r)
-	}
+	d.rc = min(max(r, d.minRate), d.cfg.LineRate)
 }
 
 // Stop cancels the rate machine's timers (a QP teardown hook).

@@ -163,11 +163,14 @@ func TestByteCounterDrivesIncrease(t *testing.T) {
 	e := sim.NewEngine(1)
 	d := newD(e, func(c *Config) {
 		c.TI = sim.Second // effectively disable the timer path
-		c.ByteCounter = 1 << 20
 	})
 	d.OnCNP()
 	rc0 := d.Rate()
-	d.OnBytesSent(1 << 20) // one byte-counter event
+	d.OnBytesSent(byteCounter - 1)
+	if d.Rate() != rc0 || d.Stats().IncreaseEvents != 0 {
+		t.Fatal("increase before a full byte counter")
+	}
+	d.OnBytesSent(1) // one byte-counter event
 	if d.Rate() <= rc0 {
 		t.Fatal("byte counter did not increase rate")
 	}
@@ -176,29 +179,35 @@ func TestByteCounterDrivesIncrease(t *testing.T) {
 	}
 }
 
+// TestHyperIncreaseAfterBothExceedF walks the three increase phases from the floor, where
+// the target is far below line rate: fastRecovery byte stages leave the
+// target alone, the next adds RAI, timer stages add RAI while the timer is
+// still in fast recovery, and once both stages are past it the step is RHAI.
 func TestHyperIncreaseAfterBothExceedF(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := newD(e, func(c *Config) {
-		c.TI = 10 * sim.Microsecond
-		c.ByteCounter = 1000
-		c.FastRecovery = 2
-	})
-	d.OnCNP()
-	// Drive both stages past F.
-	for i := 0; i < 3; i++ {
-		d.OnBytesSent(1000)
+	d := newD(e, func(c *Config) { c.TI = 10 * sim.Microsecond })
+	d.OnTimeout() // rc = rt = floor; the timer ticks at 10us, 20us, ...
+	floor, rai, rhai := line/1000, line/100, line/20
+	for i := 0; i < fastRecovery; i++ {
+		d.OnBytesSent(byteCounter)
 	}
-	e.Run(sim.Time(30 * sim.Microsecond)) // 3 timer events
-	rtBefore := d.TargetRate()
-	_ = rtBefore
-	// Both stages now > F = 2: next event is hyper increase, but rt is
-	// already capped at line rate, so just assert the cap holds.
-	d.OnBytesSent(1000)
-	if d.TargetRate() > line {
-		t.Fatal("target exceeded line rate")
+	if d.TargetRate() != floor {
+		t.Fatalf("target after %d fast-recovery stages = %d, want %d", fastRecovery, d.TargetRate(), floor)
 	}
-	if d.Rate() > line {
-		t.Fatal("rate exceeded line rate")
+	d.OnBytesSent(byteCounter) // byte stage 6: additive
+	if d.TargetRate() != floor+rai {
+		t.Fatalf("target after byte stage %d = %d, want %d", fastRecovery+1, d.TargetRate(), floor+rai)
+	}
+	e.Run(sim.Time(fastRecovery * 10 * sim.Microsecond)) // timer stages 1-5: additive
+	if want := floor + (fastRecovery+1)*rai; d.TargetRate() != want {
+		t.Fatalf("target after %d timer stages = %d, want %d", fastRecovery, d.TargetRate(), want)
+	}
+	e.Run(sim.Time((fastRecovery + 1) * 10 * sim.Microsecond)) // both past F: hyper
+	if want := floor + (fastRecovery+1)*rai + rhai; d.TargetRate() != want {
+		t.Fatalf("target after hyper increase = %d, want %d", d.TargetRate(), want)
+	}
+	if d.Rate() > d.TargetRate() {
+		t.Fatalf("rate %d above target %d", d.Rate(), d.TargetRate())
 	}
 }
 
@@ -221,10 +230,11 @@ func TestAlphaDecaysWithoutCNPs(t *testing.T) {
 
 func TestTimeoutResetsToMinRate(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := newD(e, func(c *Config) { c.MinRate = 1e9 })
+	d := newD(e, nil)
+	d.OnCNP()
 	d.OnTimeout()
-	if d.Rate() != 1e9 {
-		t.Fatalf("rate after timeout = %d", d.Rate())
+	if d.Rate() != line/1000 || d.TargetRate() != line/1000 {
+		t.Fatalf("rate/target after timeout = %d/%d, want %d", d.Rate(), d.TargetRate(), line/1000)
 	}
 	if d.Alpha() != 1 {
 		t.Fatal("alpha not reset")
@@ -233,27 +243,29 @@ func TestTimeoutResetsToMinRate(t *testing.T) {
 
 func TestRateFloorAndCeiling(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := newD(e, func(c *Config) { c.MinRate = 5e9; c.TD = 0 })
+	d := newD(e, nil)
 	for i := 0; i < 100; i++ {
 		d.OnCNP()
-		// Space the cuts out past TD.
-		e.At(e.Now().Add(5*sim.Microsecond), func() {})
-		e.RunAll()
+		// Space the cuts out past TD, well inside one TI.
+		next := e.Now().Add(5 * sim.Microsecond)
+		e.At(next, func() {})
+		e.Run(next)
 	}
-	if d.Rate() < 5e9 {
-		t.Fatalf("rate %d below floor", d.Rate())
+	if d.Rate() != line/1000 {
+		t.Fatalf("rate %d after 100 cuts, want the floor %d", d.Rate(), line/1000)
+	}
+	e.RunAll()
+	if d.Rate() != line {
+		t.Fatalf("rate %d after recovery, want line rate %d", d.Rate(), line)
 	}
 }
 
-func TestRateListener(t *testing.T) {
+func TestTinyLineRateFloorIsOne(t *testing.T) {
 	e := sim.NewEngine(1)
-	var events []int64
-	d := newD(e, func(c *Config) {
-		c.RateListener = func(_ sim.Time, r int64) { events = append(events, r) }
-	})
-	d.OnCNP()
-	if len(events) != 1 || events[0] != line/2 {
-		t.Fatalf("listener events = %v", events)
+	d := New(e, Config{LineRate: 999})
+	d.OnTimeout()
+	if d.Rate() != 1 {
+		t.Fatalf("floor = %d, want 1 bit/s", d.Rate())
 	}
 }
 
@@ -269,7 +281,7 @@ func TestStopCancelsTimers(t *testing.T) {
 
 func TestRecoveryToLineRateEventually(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := newD(e, func(c *Config) { c.TI = 50 * sim.Microsecond; c.ByteCounter = 1 << 20 })
+	d := newD(e, func(c *Config) { c.TI = 50 * sim.Microsecond })
 	d.OnCNP()
 	// Simulate sending while recovering.
 	tick := sim.NewTicker(e, 10*sim.Microsecond, func() { d.OnBytesSent(125000) })

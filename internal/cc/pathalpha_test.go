@@ -54,18 +54,18 @@ func TestPathAlphaMarkAndDecayAreLocal(t *testing.T) {
 // than the flow-global α=1 would.
 func TestCNPPathCutsByBucketAlpha(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := newD(e, func(c *Config) { c.PathBuckets = 4; c.AlphaG = 0.5 })
+	d := newD(e, func(c *Config) { c.PathBuckets = 4 })
 	if d.Paths() == nil || d.Paths().Buckets() != 4 {
 		t.Fatal("per-path estimates not armed")
 	}
 	// Decay bucket 2 well below 1 without touching the machine's rate.
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 600; i++ {
 		d.Paths().Decay()
 	}
-	a2 := d.Paths().Alpha(2) // (1-g)^6 ≈ 0.0156
+	a2 := d.Paths().Alpha(2) // (1-g)^600 ≈ 0.096
 	d.OnCNPPath(2)
 	// The mark runs first: α₂ ← (1-g)α₂+g, then the cut is rc·(1-α₂/2).
-	marked := (1-0.5)*a2 + 0.5
+	marked := (1-alphaG)*a2 + alphaG
 	want := int64(float64(line) * (1 - marked/2))
 	if d.Rate() != want {
 		t.Fatalf("rate = %d, want %d (cut by bucket α %g)", d.Rate(), want, marked)
@@ -113,7 +113,7 @@ func TestCNPPathWithoutBucketsIsGlobal(t *testing.T) {
 // alive until the per-path estimates have fully decayed too.
 func TestPathAlphaDecaysOverQuietPeriods(t *testing.T) {
 	e := sim.NewEngine(1)
-	d := newD(e, func(c *Config) { c.PathBuckets = 2; c.AlphaG = 0.25 })
+	d := newD(e, func(c *Config) { c.PathBuckets = 2 })
 	d.OnCNPPath(0) // mark bucket 0, arm the timer
 	before := d.Paths().Alpha(1)
 	e.Run(sim.Time(2 * sim.Millisecond))
@@ -121,8 +121,9 @@ func TestPathAlphaDecaysOverQuietPeriods(t *testing.T) {
 		t.Fatalf("clean bucket did not decay: %g -> %g", before, got)
 	}
 	// After a long quiet window every estimate is negligible: the timer was
-	// kept alive long enough to decay the per-path state, then went quiescent.
-	e.Run(sim.Time(50 * sim.Millisecond))
+	// kept alive long enough to decay the per-path state (about 2 350 α
+	// periods, 130 ms), then went quiescent.
+	e.Run(sim.Time(200 * sim.Millisecond))
 	if m := d.Paths().Max(); m >= 1e-4 {
 		t.Fatalf("per-path estimates never fully decayed: max %g", m)
 	}
@@ -143,6 +144,6 @@ func TestTimeoutResetsPathAlpha(t *testing.T) {
 		}
 	}
 	if d.Rate() != line/1000 {
-		t.Fatalf("rate = %d, want MinRate", d.Rate())
+		t.Fatalf("rate = %d, want the floor", d.Rate())
 	}
 }

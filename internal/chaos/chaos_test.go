@@ -280,7 +280,7 @@ func TestHarnessPins(t *testing.T) {
 	in := workload.ClusterConfig{
 		Seed: 9, LB: workload.Flowlet, Transport: rnic.GoBackN, BurstBytes: 9000,
 		TI: 10 * sim.Microsecond, RTO: sim.Second, RTOBackoff: 1,
-		Themis: core.Config{FallbackOnFailure: true, DisableBlocking: true},
+		Themis: core.Config{FallbackOnFailure: true, DisableCompensation: true},
 	}
 	got := Options{ClusterConfig: in}.cluster(3)
 	want := in

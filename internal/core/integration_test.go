@@ -158,16 +158,14 @@ func TestThemisUsesAllSpines(t *testing.T) {
 func TestThemisLossRecoveredWithoutTimeout(t *testing.T) {
 	dropped := false
 	tp := leafSpineT(t, 2, 4, 2, 100e9)
-	b := newBed(t, tp, fabric.Config{
-		ControlLossless: true,
-		LossFunc: func(p *packet.Packet, sw, port int) bool {
-			if !dropped && p.PSN == 40 && sw < 2 {
-				dropped = true
-				return true
-			}
-			return false
-		},
-	}, rnic.Config{RTO: 10 * sim.Millisecond}, core.Config{}, true)
+	b := newBed(t, tp, fabric.Config{ControlLossless: true}, rnic.Config{RTO: 10 * sim.Millisecond}, core.Config{}, true)
+	b.net.SetLossFunc(func(p *packet.Packet, sw, port int) bool {
+		if !dropped && p.PSN == 40 && sw < 2 {
+			dropped = true
+			return true
+		}
+		return false
+	})
 	s, r := b.flow(t, 1, 0, 2, 1000)
 	var end sim.Time
 	s.SendMessage(1_000_000, func() { end = b.engine.Now() })
@@ -201,16 +199,14 @@ func TestThemisCompensationAblationFallsBackToRTO(t *testing.T) {
 	run := func(disable bool) uint64 {
 		dropped := false
 		tp := leafSpineT(t, 2, 4, 2, 100e9)
-		b := newBed(t, tp, fabric.Config{
-			ControlLossless: true,
-			LossFunc: func(p *packet.Packet, sw, port int) bool {
-				if !dropped && p.PSN == 40 && sw < 2 {
-					dropped = true
-					return true
-				}
-				return false
-			},
-		}, rnic.Config{RTO: 500 * sim.Microsecond}, core.Config{DisableCompensation: disable}, true)
+		b := newBed(t, tp, fabric.Config{ControlLossless: true}, rnic.Config{RTO: 500 * sim.Microsecond}, core.Config{DisableCompensation: disable}, true)
+		b.net.SetLossFunc(func(p *packet.Packet, sw, port int) bool {
+			if !dropped && p.PSN == 40 && sw < 2 {
+				dropped = true
+				return true
+			}
+			return false
+		})
 		s, _ := b.flow(t, 1, 0, 2, 1000)
 		done := false
 		s.SendMessage(1_000_000, func() { done = true })

@@ -42,7 +42,7 @@ func (m SprayMode) String() string {
 
 // Config parameterizes a Themis instance (one per ToR switch). It is also the
 // Themis block of a serialized scenario (workload.ClusterConfig.Themis): the
-// ablation knobs carry JSON tags, while Mode, MTU and the runtime hooks do not
+// ablation knobs carry JSON tags, while Mode and the runtime hooks do not
 // serialize, so no scenario file sets them.
 type Config struct {
 	// Mode selects the Themis-S mechanism (default DirectSpray).
@@ -50,11 +50,6 @@ type Config struct {
 	// QueueFactor is F, the PSN-queue capacity expansion factor over the
 	// last-hop BDP (§3.3/§4; default 1.5).
 	QueueFactor float64 `json:"queue_factor,omitempty"`
-	// MTU is used for BDP-based queue sizing (default packet.DefaultMTU).
-	MTU int `json:"-"`
-	// DisableBlocking turns off Themis-D NACK filtering (ablation: spraying
-	// alone, the paper's "direct combination" pathology).
-	DisableBlocking bool `json:"disable_blocking,omitempty"`
 	// DisableCompensation turns off the §3.4 NACK compensation (ablation:
 	// blocked-but-real losses must wait for the sender's RTO).
 	DisableCompensation bool `json:"disable_compensation,omitempty"`
@@ -194,9 +189,6 @@ type Themis struct {
 func New(t *topo.Topology, swID int, cfg Config) *Themis {
 	if cfg.QueueFactor == 0 {
 		cfg.QueueFactor = 1.5
-	}
-	if cfg.MTU == 0 {
-		cfg.MTU = packet.DefaultMTU
 	}
 	th := &Themis{
 		topology: t,
@@ -403,12 +395,13 @@ func (th *Themis) RegisterFlow(qp packet.QPID, src, dst packet.NodeID, sport uin
 }
 
 // ringCapacity sizes the per-QP PSN queue from the last-hop BDP (§3.3):
-// slightly more than BDP/MTU, scaled by the expansion factor F.
+// slightly more than BDP/MTU (packet.DefaultMTU, the RNIC's), scaled by the
+// expansion factor F.
 func (th *Themis) ringCapacity(dst packet.NodeID) int {
 	a := th.topology.HostAttach(dst)
 	rtt := 2 * a.Delay // last-hop round trip
 	bdpBytes := float64(a.Bandwidth) / 8 * rtt.Seconds()
-	entries := int(math.Ceil(bdpBytes / float64(th.cfg.MTU) * th.cfg.QueueFactor))
+	entries := int(math.Ceil(bdpBytes / packet.DefaultMTU * th.cfg.QueueFactor))
 	if entries < 1 {
 		entries = 1
 	}
@@ -522,12 +515,12 @@ func (th *Themis) FilterHostControl(pkt *packet.Packet) bool {
 		// a spurious retransmission is always cheaper than a suppressed
 		// valid NACK. Counted so the churn invariants can prove the
 		// conservative path actually ran (non-vacuity).
-		if !th.bypassed() && !th.cfg.DisableBlocking {
+		if !th.bypassed() {
 			th.stats.UnknownNacksForwarded++
 		}
 		return true
 	}
-	if th.bypassed() || th.cfg.DisableBlocking {
+	if th.bypassed() {
 		return true
 	}
 	th.touch(fs)

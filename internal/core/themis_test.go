@@ -237,16 +237,6 @@ func TestCompensationCancelledWhenBePSNArrives(t *testing.T) {
 	}
 }
 
-func TestDisableBlockingAblation(t *testing.T) {
-	_, dst, _ := setup(t, Config{DisableBlocking: true})
-	for _, psn := range []packet.PSN{0, 1, 3, 2} {
-		dst.OnDeliverToHost(dataPkt(1, 0, 2, psn))
-	}
-	if !dst.FilterHostControl(nackPkt(1, 2, 0, 2)) {
-		t.Fatal("blocking disabled but NACK blocked")
-	}
-}
-
 func TestDisableCompensationAblation(t *testing.T) {
 	_, dst, _ := setup(t, Config{DisableCompensation: true})
 	for _, psn := range []packet.PSN{0, 1, 3} {

@@ -577,7 +577,7 @@ func TestWideSeedRegression(t *testing.T) {
 //     txDone and the propagation pipe's burst delivery — or 1 when the txDone
 //     is elided (fabric.outQueue.maybeStart): the completion had nothing to
 //     start. At 2 each that is 8 per data packet, and
-//     the same 8 for the ACK each one draws at AckEvery = 1 (or the NACK an
+//     the same 8 for the ACK every in-order arrival draws (or the NACK an
 //     out-of-order arrival draws instead). A NACK Themis-D blocks dies at the
 //     receiver's ToR after its first link: 2.
 //   - The pacer: one event per burst (≤ 16 KB on the wire). A 4 KB ring chunk

@@ -49,13 +49,11 @@ type Obs struct {
 	// FlightDir, if non-empty, keeps the evidence of a failed trial. The
 	// trial runs as Run runs it, at its shard count and with no ring; only
 	// when it errors, panics or violates an invariant is its Scenario
-	// replayed on one shard into a ring of FlightCapacity events (default
-	// obs.DefaultFlightCapacity), dumped to <FlightDir>/flight-<label>.jsonl
-	// for `themis-sim inspect`. A replay whose result differs from the
-	// trial's is noted on Trial.Err. Ignored when Tracer is set (the caller
-	// already owns the ring).
-	FlightDir      string
-	FlightCapacity int
+	// replayed on one shard into a ring of obs.DefaultFlightCapacity events,
+	// dumped to <FlightDir>/flight-<label>.jsonl for `themis-sim inspect`. A
+	// replay whose result differs from the trial's is noted on Trial.Err.
+	// Ignored when Tracer is set (the caller already owns the ring).
+	FlightDir string
 }
 
 // Run executes one scenario to completion on private engines and returns its
@@ -119,7 +117,7 @@ func flightReplay(t *Trial, o Obs) {
 		t.Err += msg
 	}
 	sc.Shards = 1
-	flight := obs.NewFlightRecorder(o.FlightDir, o.FlightCapacity)
+	flight := obs.NewFlightRecorder(o.FlightDir)
 	r := recovered(sc, flight.Tracer(), nil, 1)
 	got, _ := json.Marshal(r.Outcome) // plain data: Marshal cannot fail on it
 	want, _ := json.Marshal(t.Outcome)

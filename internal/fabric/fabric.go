@@ -75,10 +75,6 @@ type Config struct {
 	// A factory (not a shared instance) because some selectors (flowlet)
 	// carry per-switch state. Defaults to ECMP.
 	NewDataSelector func() lb.Selector
-	// LossFunc, if set, is consulted at every switch egress enqueue of a
-	// data packet — and of control packets too when ControlLossless is false;
-	// returning true drops the packet (fault injection).
-	LossFunc func(pkt *packet.Packet, sw, port int) bool
 	// ControlLossless exempts ACK/NACK/CNP from buffer accounting and drops,
 	// modeling their strict priority in RoCE deployments. Default true via
 	// NewNetwork.
@@ -110,7 +106,7 @@ type Config struct {
 // Counters aggregates network-wide statistics.
 type Counters struct {
 	Delivered   uint64 // packets handed to host receivers
-	DataDrops   uint64 // data packets dropped (buffer overflow or LossFunc)
+	DataDrops   uint64 // data packets dropped (buffer overflow or loss hook)
 	CtrlDrops   uint64 // control packets dropped (only if !ControlLossless)
 	EcnMarks    uint64 // CE marks applied
 	Blocked     uint64 // control packets blocked by a ToR pipeline
@@ -140,6 +136,9 @@ type Network struct {
 
 	// plane is the distributed control plane (nil in oracle mode).
 	plane *route.Plane
+	// lose is the loss-injection hook (nil: no injected loss); see
+	// SetLossFunc.
+	lose func(pkt *packet.Packet, sw, port int) bool
 
 	// Oracle-mode incremental reconvergence state: when any fabric link is
 	// down or drained, per-destination candidate tables are computed lazily
@@ -305,10 +304,14 @@ func (n *Network) SetTorPipeline(sw int, p TorPipeline) {
 	}
 }
 
-// SetLossFunc installs (or replaces) the loss-injection hook after
-// construction; see Config.LossFunc.
+// SetLossFunc installs (or replaces, or with nil removes) the loss-injection
+// hook: it is consulted at every switch egress enqueue of a data packet — and
+// of control packets too when ControlLossless is false — and returning true
+// drops the packet (fault injection). One hook serves every switch, so it is
+// refused on a network partitioned across shards.
 func (n *Network) SetLossFunc(f func(pkt *packet.Packet, sw, port int) bool) {
-	n.cfg.LossFunc = f
+	n.mustBeOneShard("loss hooks")
+	n.lose = f
 }
 
 // Inject transmits pkt from host h over its access link. The packet is

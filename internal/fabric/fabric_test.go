@@ -284,7 +284,8 @@ func TestLossFuncInjection(t *testing.T) {
 	tp := leafSpine(t, 2, 1, 1)
 	e := sim.NewEngine(1)
 	dropPSN5 := func(p *packet.Packet, sw, port int) bool { return p.PSN == 5 && sw == 0 }
-	n := NewNetwork(e, tp, Config{LossFunc: dropPSN5})
+	n := NewNetwork(e, tp, Config{})
+	n.SetLossFunc(dropPSN5)
 	var c collector
 	n.AttachHost(1, c.recv(e))
 	for i := 0; i < 10; i++ {
@@ -305,7 +306,8 @@ func TestLossFuncSparesControlWhenLossless(t *testing.T) {
 	tp := leafSpine(t, 2, 1, 1)
 	e := sim.NewEngine(1)
 	dropAll := func(p *packet.Packet, sw, port int) bool { return true }
-	n := NewNetwork(e, tp, Config{ControlLossless: true, LossFunc: dropAll})
+	n := NewNetwork(e, tp, Config{ControlLossless: true})
+	n.SetLossFunc(dropAll)
 	var c collector
 	n.AttachHost(1, c.recv(e))
 	n.Inject(0, newData(0, 1, 0, 1000))
@@ -325,7 +327,8 @@ func TestLossFuncHitsControlWhenLossy(t *testing.T) {
 	tp := leafSpine(t, 2, 1, 1)
 	e := sim.NewEngine(1)
 	dropNacks := func(p *packet.Packet, sw, port int) bool { return p.Kind == packet.Nack }
-	n := NewNetwork(e, tp, Config{ControlLossless: false, LossFunc: dropNacks})
+	n := NewNetwork(e, tp, Config{ControlLossless: false})
+	n.SetLossFunc(dropNacks)
 	var c collector
 	n.AttachHost(1, c.recv(e))
 	n.Inject(0, &packet.Packet{Kind: packet.Nack, Src: 0, Dst: 1, PSN: 1})

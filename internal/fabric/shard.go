@@ -16,12 +16,13 @@ import (
 // (sim.ShardGroup.Hand), which schedules it itself.
 //
 // Global mutable state that cannot be partitioned is rejected where it would
-// really be shared: a tracer, a loss-injection hook, the distributed routing
-// plane and a caller's packet pool couple shards through shared memory, so
-// NewShardedNetwork refuses them when — and only when — the partition has
-// more than one shard. (A metrics registry is not such state: it is written
-// at build time and read after the run, see obs.Registry.) Runtime link state
-// changes panic on the same condition (mustBeOneShard).
+// really be shared: a tracer, the distributed routing plane and a caller's
+// packet pool couple shards through shared memory, so NewShardedNetwork
+// refuses them when — and only when — the partition has more than one shard.
+// (A metrics registry is not such state: it is written at build time and read
+// after the run, see obs.Registry.) Runtime link state changes and a
+// loss-injection hook (SetLossFunc) panic on the same condition
+// (mustBeOneShard).
 
 // streamKeySwitch is the sim.StreamSeed key namespace for per-switch RNG
 // streams (see swInst.Rand).
@@ -44,8 +45,6 @@ func NewShardedNetwork(group *sim.ShardGroup, t *topo.Topology, part topo.Partit
 		switch {
 		case cfg.Tracer != nil:
 			return nil, fmt.Errorf("fabric: tracing is not supported on a network partitioned across shards (the trace ring is global mutable state)")
-		case cfg.LossFunc != nil:
-			return nil, fmt.Errorf("fabric: LossFunc is not supported on a network partitioned across shards (a shared hook couples shards)")
 		case cfg.Routing.Mode == route.Distributed:
 			return nil, fmt.Errorf("fabric: distributed routing is not supported on a network partitioned across shards (the plane is a global subsystem)")
 		case cfg.Pool != nil:

@@ -22,8 +22,8 @@ type shardRec struct {
 	ce  bool
 }
 
-// runShardedFabric drives the same traffic — cross-rack bursts and an incast —
-// over a leaf-spine partitioned into the given number of shards and returns
+// runShardedFabric drives the same traffic — cross-rack bursts, an incast and
+// a second incast injected after the first run — over a leaf-spine partitioned into the given number of shards and returns
 // what every host observed, the fabric counters, the end time and the PFC
 // pauses the switches sent.
 func runShardedFabric(t *testing.T, shards int) ([][]shardRec, Counters, sim.Time, uint64) {
@@ -77,6 +77,14 @@ func runShardedFabric(t *testing.T, shards int) ([][]shardRec, Counters, sim.Tim
 			src := packet.NodeID(h)
 			n.Inject(src, &packet.Packet{Kind: packet.Data, Src: src, Dst: 0, QP: 2, SPort: uint16(2000 + h), DPort: 4791, PSN: packet.PSN(i), Payload: 1000})
 		}
+	}
+	g.RunAll()
+	// A second incast, injected once the first run has drained: it starts at
+	// each host engine's clock, which the group leaves at the run's end on
+	// every shard, so its deliveries are the same at any shard count too.
+	for h := 1; h < hosts; h++ {
+		src := packet.NodeID(h)
+		n.Inject(src, &packet.Packet{Kind: packet.Data, Src: src, Dst: 0, QP: 3, SPort: uint16(3000 + h), DPort: 4791, Payload: 1000})
 	}
 	end := g.RunAll()
 	var pauses uint64
@@ -392,7 +400,6 @@ func TestShardedNetworkRejectsGlobalFeatures(t *testing.T) {
 	}
 	for want, cfg := range map[string]Config{
 		"tracing":             {Tracer: trace.New(16)},
-		"LossFunc":            {LossFunc: func(*packet.Packet, int, int) bool { return false }},
 		"distributed routing": {Routing: route.Config{Mode: route.Distributed}},
 		"Config.Pool":         {Pool: packet.NewPool()},
 	} {
@@ -440,4 +447,37 @@ func TestShardedNetworkLinkStatePanics(t *testing.T) {
 		}
 	}()
 	n.SetLinkState(0, 2, false)
+}
+
+// One loss hook serves every switch, so installing one on more than one shard
+// panics, naming it; on one shard it installs (TestLossFuncInjection drops
+// through it).
+func TestShardedNetworkLossHookPanics(t *testing.T) {
+	tp := leafSpine(t, 2, 2, 1)
+	never := func(*packet.Packet, int, int) bool { return false }
+	for shards := 1; shards <= 2; shards++ {
+		part, _ := topo.PartitionRacks(tp, shards)
+		la, _ := topo.Lookahead(tp, part)
+		engines := make([]*sim.Engine, shards)
+		for i := range engines {
+			engines[i] = sim.NewEngine(int64(i + 1))
+		}
+		n, err := NewShardedNetwork(sim.NewShardGroup(engines, la), tp, part, 1, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				p := recover()
+				msg, _ := p.(string)
+				if shards == 1 && p != nil {
+					t.Errorf("one shard: SetLossFunc panicked: %v", p)
+				}
+				if shards > 1 && !strings.Contains(msg, "loss hooks") {
+					t.Errorf("%d shards: SetLossFunc panic = %v, want one naming loss hooks", shards, p)
+				}
+			}()
+			n.SetLossFunc(never)
+		}()
+	}
 }

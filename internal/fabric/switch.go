@@ -177,7 +177,7 @@ func (s *swInst) enqueue(pkt *packet.Packet, port, inPort int) {
 	// Loss injection: data packets always, control packets only when the
 	// control class is not lossless (DESIGN.md key decision 6 — the flag that
 	// subjects ACK/NACK/CNP to loss for robustness tests).
-	if s.net.cfg.LossFunc != nil && !lossless && s.net.cfg.LossFunc(pkt, s.sw.ID, port) {
+	if s.net.lose != nil && !lossless && s.net.lose(pkt, s.sw.ID, port) {
 		if isCtrl {
 			s.ctr.CtrlDrops++
 			s.net.cfg.Tracer.RecordPacket(s.eng.Now(), trace.Drop, s.sw.ID, port, pkt)

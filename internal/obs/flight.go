@@ -8,10 +8,9 @@ import (
 	"themis/internal/trace"
 )
 
-// DefaultFlightCapacity is the ring size a flight recorder uses when the
-// caller does not choose one: large enough to hold the full event history of
-// the harness's small scenarios, small enough (a few MB) to keep one per
-// parallel trial.
+// DefaultFlightCapacity is the ring size of a flight recorder: large enough
+// to hold the full event history of the harness's small scenarios, small
+// enough (a few MB) to keep one per parallel trial.
 const DefaultFlightCapacity = 1 << 16
 
 // FlightRecorder couples a bounded trace ring with a dump directory. The
@@ -24,13 +23,10 @@ type FlightRecorder struct {
 	dir    string
 }
 
-// NewFlightRecorder creates a recorder ringing the last capacity events
-// (DefaultFlightCapacity when capacity <= 0) and dumping into dir.
-func NewFlightRecorder(dir string, capacity int) *FlightRecorder {
-	if capacity <= 0 {
-		capacity = DefaultFlightCapacity
-	}
-	return &FlightRecorder{tracer: trace.New(capacity), dir: dir}
+// NewFlightRecorder creates a recorder ringing the last DefaultFlightCapacity
+// events and dumping into dir.
+func NewFlightRecorder(dir string) *FlightRecorder {
+	return &FlightRecorder{tracer: trace.New(DefaultFlightCapacity), dir: dir}
 }
 
 // Tracer returns the recording ring; install it as the cluster's tracer.

@@ -10,7 +10,7 @@ import (
 
 func TestFlightRecorderDumpAndReload(t *testing.T) {
 	dir := t.TempDir()
-	fr := NewFlightRecorder(dir, 128)
+	fr := NewFlightRecorder(dir)
 	for _, ev := range sampleEvents() {
 		fr.Tracer().Record(ev)
 	}
@@ -50,7 +50,7 @@ func TestFlightRecorderDumpAndReload(t *testing.T) {
 }
 
 func TestFlightRecorderDefaultCapacity(t *testing.T) {
-	fr := NewFlightRecorder(t.TempDir(), 0)
+	fr := NewFlightRecorder(t.TempDir())
 	for i := 0; i < DefaultFlightCapacity+5; i++ {
 		fr.Tracer().Record(trace.Event{Op: trace.HostTx})
 	}

@@ -123,16 +123,14 @@ func TestTransferSprayIdealClean(t *testing.T) {
 
 func TestTransferLossRecoveryECMP(t *testing.T) {
 	dropped := false
-	tb := newTestbed(t, 2, fabric.Config{
-		ControlLossless: true,
-		LossFunc: func(p *packet.Packet, sw, port int) bool {
-			if !dropped && p.Kind == packet.Data && p.PSN == 50 && sw < 2 {
-				dropped = true
-				return true
-			}
-			return false
-		},
-	}, rnic.Config{Transport: rnic.SelectiveRepeat})
+	tb := newTestbed(t, 2, fabric.Config{ControlLossless: true}, rnic.Config{Transport: rnic.SelectiveRepeat})
+	tb.net.SetLossFunc(func(p *packet.Packet, sw, port int) bool {
+		if !dropped && p.Kind == packet.Data && p.PSN == 50 && sw < 2 {
+			dropped = true
+			return true
+		}
+		return false
+	})
 	s, r := tb.connect(1, 0, 2, 1000)
 	done := false
 	s.SendMessage(1_000_000, func() { done = true })
@@ -156,16 +154,14 @@ func TestTransferTailLossTimeout(t *testing.T) {
 	// Drop the very last packet: no subsequent OOO arrival can trigger a
 	// NACK, so only the RTO can recover.
 	dropped := false
-	tb := newTestbed(t, 1, fabric.Config{
-		ControlLossless: true,
-		LossFunc: func(p *packet.Packet, sw, port int) bool {
-			if !dropped && p.Kind == packet.Data && p.PSN == 66 && sw < 2 {
-				dropped = true
-				return true
-			}
-			return false
-		},
-	}, rnic.Config{Transport: rnic.SelectiveRepeat, RTO: 200 * sim.Microsecond})
+	tb := newTestbed(t, 1, fabric.Config{ControlLossless: true}, rnic.Config{Transport: rnic.SelectiveRepeat, RTO: 200 * sim.Microsecond})
+	tb.net.SetLossFunc(func(p *packet.Packet, sw, port int) bool {
+		if !dropped && p.Kind == packet.Data && p.PSN == 66 && sw < 2 {
+			dropped = true
+			return true
+		}
+		return false
+	})
 	s, _ := tb.connect(1, 0, 2, 1000)
 	done := false
 	s.SendMessage(100_000, func() { done = true }) // 67 packets: PSN 66 is last

@@ -33,8 +33,6 @@ type ReceiverQP struct {
 	nackedEPSN packet.PSN
 	nackedSet  bool
 
-	inOrderStreak int // for ACK coalescing
-
 	lastCNP     sim.Time
 	cnpEverSent bool
 
@@ -76,7 +74,6 @@ func (r *ReceiverQP) onData(p *packet.Packet) {
 		r.deliver(p.PSN, p.Payload)
 		r.epsn = r.epsn.Next()
 		// Drain the OOO bitmap: advance to the smallest missing PSN.
-		drained := 0
 		for {
 			payload, ok := r.bitmap[r.epsn]
 			if !ok {
@@ -85,16 +82,8 @@ func (r *ReceiverQP) onData(p *packet.Packet) {
 			delete(r.bitmap, r.epsn)
 			r.deliver(r.epsn, payload)
 			r.epsn = r.epsn.Next()
-			drained++
 		}
-		r.inOrderStreak++
-		// ACK coalescing applies only to smooth in-order streams: a hole
-		// fill (drained > 0) or a still-pending bitmap acks immediately so
-		// the sender learns about the ePSN jump.
-		if r.inOrderStreak >= r.nic.cfg.AckEvery || drained > 0 || len(r.bitmap) > 0 {
-			r.inOrderStreak = 0
-			r.sendAck()
-		}
+		r.sendAck()
 
 	case p.PSN.After(r.epsn):
 		r.stats.OutOfOrder++
@@ -147,14 +136,17 @@ func (r *ReceiverQP) sendNack() {
 	r.nic.inject(r.nic.cfg.Pool.Control(packet.Nack, r.nic.id, r.src, r.qp, r.sport, r.epsn))
 }
 
-// maybeSendCNP rate-limits congestion notifications to one per CNPInterval.
+// cnpInterval is the minimum gap between CNPs per QP.
+const cnpInterval = 50 * sim.Microsecond
+
+// maybeSendCNP rate-limits congestion notifications to one per cnpInterval.
 // The CNP echoes the marked data packet's source-port entropy so a spraying
 // sender can attribute the congestion to the path it stamped (per-path
 // DCQCN); for non-spraying flows the data entropy equals the flow sport, so
 // the echo is indistinguishable from the historical constant stamp.
 func (r *ReceiverQP) maybeSendCNP(entropy uint16) {
 	now := r.nic.engine.Now()
-	if r.cnpEverSent && now.Sub(r.lastCNP) < r.nic.cfg.CNPInterval {
+	if r.cnpEverSent && now.Sub(r.lastCNP) < cnpInterval {
 		return
 	}
 	r.lastCNP = now

@@ -71,8 +71,6 @@ func ParseTransport(s string) (Transport, error) {
 
 // Config parameterizes a NIC. Zero fields take defaults.
 type Config struct {
-	// MTU is the data payload per packet (default packet.DefaultMTU).
-	MTU int
 	// Transport selects the reliable transport (default SelectiveRepeat).
 	Transport Transport
 	// LineRate is the access link rate in bits per second (required).
@@ -92,12 +90,6 @@ type Config struct {
 	// RTOMax caps the backed-off timeout. Defaults to 100 × RTO when
 	// RTOBackoff > 1; ignored otherwise.
 	RTOMax sim.Duration
-	// CNPInterval is the minimum gap between CNPs per QP (default 50 us).
-	CNPInterval sim.Duration
-	// AckEvery coalesces ACKs: in-order arrivals are acknowledged every
-	// AckEvery packets (default 1 = every packet). OOO/duplicate handling is
-	// unaffected.
-	AckEvery int
 	// BurstBytes is the pacer granularity: up to this many bytes leave
 	// back-to-back at line rate before the pacer inserts the rate-matching
 	// gap. Hardware rate limiters on commodity RNICs schedule whole WQE
@@ -130,9 +122,6 @@ func (c Config) withDefaults() Config {
 	if c.LineRate <= 0 {
 		panic("rnic: Config.LineRate is required")
 	}
-	if c.MTU == 0 {
-		c.MTU = packet.DefaultMTU
-	}
 	if c.RTO == 0 {
 		c.RTO = sim.Millisecond
 	}
@@ -141,12 +130,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RTOBackoff > 1 && c.RTOMax == 0 {
 		c.RTOMax = 100 * c.RTO
-	}
-	if c.CNPInterval == 0 {
-		c.CNPInterval = 50 * sim.Microsecond
-	}
-	if c.AckEvery == 0 {
-		c.AckEvery = 1
 	}
 	if c.CC.LineRate == 0 {
 		c.CC.LineRate = c.LineRate

@@ -178,7 +178,7 @@ func TestReceiverIdealNeverNacks(t *testing.T) {
 func TestReceiverCNPRateLimit(t *testing.T) {
 	e := sim.NewEngine(1)
 	var sink capture
-	n := New(e, 1, Config{LineRate: 100e9, DisableCC: true, CNPInterval: 50 * sim.Microsecond}, sink.inject)
+	n := New(e, 1, Config{LineRate: 100e9, DisableCC: true}, sink.inject)
 	r := n.OpenReceiver(1, 0, 7)
 	mk := func(psn packet.PSN) *packet.Packet {
 		p := data(1, 0, 1, psn, 1000)
@@ -501,34 +501,16 @@ func TestTransportString(t *testing.T) {
 	}
 }
 
-func TestReceiverAckCoalescing(t *testing.T) {
+func TestReceiverHoleFillAcksJump(t *testing.T) {
 	e := sim.NewEngine(1)
 	var sink capture
-	n := New(e, 1, Config{LineRate: 100e9, DisableCC: true, AckEvery: 4, RTO: sim.Second}, sink.inject)
-	r := n.OpenReceiver(1, 0, 7)
-	for psn := packet.PSN(0); psn < 8; psn++ {
-		r.onData(data(1, 0, 1, psn, 1000))
-	}
-	// 8 in-order arrivals, ack every 4th: exactly 2 ACKs.
-	acks := sink.byKind(packet.Ack)
-	if len(acks) != 2 {
-		t.Fatalf("acks = %d, want 2", len(acks))
-	}
-	if acks[0].PSN != 4 || acks[1].PSN != 8 {
-		t.Fatalf("ack PSNs = %d,%d", acks[0].PSN, acks[1].PSN)
-	}
-}
-
-func TestReceiverAckCoalescingFlushesOnOOO(t *testing.T) {
-	e := sim.NewEngine(1)
-	var sink capture
-	n := New(e, 1, Config{LineRate: 100e9, DisableCC: true, AckEvery: 100, RTO: sim.Second}, sink.inject)
+	n := newTestNIC(e, 1, SelectiveRepeat, &sink)
 	r := n.OpenReceiver(1, 0, 7)
 	r.onData(data(1, 0, 1, 0, 1000))
 	r.onData(data(1, 0, 1, 2, 1000)) // OOO: NACK(1)
 	r.onData(data(1, 0, 1, 1, 1000)) // fills hole; bitmap drains
-	// The hole-filling arrival must ACK immediately despite coalescing so
-	// the sender learns about the jump.
+	// The hole-filling arrival ACKs the drained ePSN so the sender learns
+	// about the jump.
 	acks := sink.byKind(packet.Ack)
 	if len(acks) == 0 || acks[len(acks)-1].PSN != 3 {
 		t.Fatalf("acks = %v", acks)

@@ -141,11 +141,11 @@ func (s *SenderQP) SendMessage(size int64, done func()) {
 	if size <= 0 {
 		panic("rnic: SendMessage with non-positive size")
 	}
-	mtu := int64(s.nic.cfg.MTU)
+	const mtu = packet.DefaultMTU
 	packets := (size + mtu - 1) / mtu
 	tail := int(size - (packets-1)*mtu)
 	endPSN := s.nextPSN.Add(int(packets))
-	if tail != s.nic.cfg.MTU {
+	if tail != mtu {
 		s.lastSize[endPSN.Add(-1)] = tail
 	}
 	s.nextPSN = endPSN
@@ -160,7 +160,7 @@ func (s *SenderQP) payloadOf(psn packet.PSN) int {
 	if sz, ok := s.lastSize[psn]; ok {
 		return sz
 	}
-	return s.nic.cfg.MTU
+	return packet.DefaultMTU
 }
 
 // pump drives the pacing loop: inject the next packet when the pacer allows.

@@ -373,3 +373,13 @@ func (e *Engine) nextTime() Time {
 
 // RunAll executes events until the queue drains or Stop is called.
 func (e *Engine) RunAll() Time { return e.Run(Forever) }
+
+// idleTo moves the clock forward to t, but never past the earliest pending
+// event: the clock then reads the start of that instant, before anything at
+// it has run. The shard coordinator leaves every shard's clock at the group's
+// end this way (ShardGroup.Run).
+func (e *Engine) idleTo(t Time) {
+	if t = min(t, e.nextTime()); t > e.now {
+		e.now, e.curPri, e.curSeq = t, 0, 0
+	}
+}

@@ -220,11 +220,13 @@ func (g *ShardGroup) Metrics() Metrics {
 }
 
 // Run advances every shard to until under conservative barrier-per-epoch
-// synchronization and returns the latest shard clock. A Stop on any shard's
-// engine halts the whole group at the next barrier (the stop flags are
-// consumed, mirroring Engine.Run); cross-shard mail pending at a halt stays
-// buffered and is delivered by the next Run; at until, the coordinator
-// schedules the pending mail on its destinations before returning.
+// synchronization and returns the latest shard clock, end, which every
+// shard's clock then reads (or its earliest pending event, if a Stop left one
+// before end). A Stop on any shard's engine halts the whole group at the next
+// barrier (the stop flags are consumed, mirroring Engine.Run); cross-shard
+// mail pending at a halt stays buffered and is delivered by the next Run; at
+// until, the coordinator schedules the pending mail on its destinations
+// before returning.
 //
 // An epoch is one phase: every shard takes in the retired bank's mail
 // addressed to it, then advances its engine through [T, T+W), where T is the
@@ -471,9 +473,13 @@ func (g *ShardGroup) Run(until Time) Time {
 	var end Time
 	for _, e := range g.engines {
 		e.stopped = false // consume the halt, as Engine.Run does
-		if e.now > end {
-			end = e.now
-		}
+		end = max(end, e.now)
+	}
+	// Every clock reads end, as the one engine of an uncut run does, so work
+	// injected after Run starts at the same instant at any shard count. A
+	// Stop can leave a shard's event before end; that clock stops at it.
+	for _, e := range g.engines {
+		e.idleTo(end)
 	}
 	return end
 }

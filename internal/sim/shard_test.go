@@ -401,6 +401,34 @@ func TestShardGroupStopHaltsGroup(t *testing.T) {
 	}
 }
 
+// Run leaves every shard's clock at its end, as one engine's would be, so work
+// scheduled at Now() afterwards starts at the same instant on every shard;
+// a shard a Stop left with an event before end stops at that event instead.
+func TestShardGroupLeavesClocksAtEnd(t *testing.T) {
+	engines := []*Engine{NewEngine(1), NewEngine(2)}
+	g := NewShardGroup(engines, Duration(100))
+	engines[0].At(5, func() { engines[0].Stop() })
+	engines[0].At(8, func() {})
+	engines[1].At(20, func() {})
+	if end := g.Run(Forever); end != 20 {
+		t.Fatalf("halted Run returned %v, want 20", end)
+	}
+	if engines[0].Now() != 8 || engines[1].Now() != 20 {
+		t.Fatalf("clocks after a halt = %v, %v; want 8 (its pending event) and 20", engines[0].Now(), engines[1].Now())
+	}
+	engines[1].At(30, func() {})
+	if end := g.RunAll(); end != 30 {
+		t.Fatalf("RunAll returned %v, want 30", end)
+	}
+	for i, e := range engines {
+		if e.Now() != 30 {
+			t.Fatalf("shard %d clock = %v after RunAll, want 30", i, e.Now())
+		}
+		e.At(e.Now(), func() {})
+	}
+	g.RunAll()
+}
+
 // An event that panics on a shard worker must surface as a panic on the
 // goroutine that called Run — where exp.RunObserved's recover turns it into
 // Trial.Err — and Run must not return, normally or by panic, before its
