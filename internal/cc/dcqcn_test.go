@@ -179,10 +179,11 @@ func TestByteCounterDrivesIncrease(t *testing.T) {
 	}
 }
 
-// TestHyperIncreaseAfterBothExceedF walks the three increase phases from the floor, where
-// the target is far below line rate: fastRecovery byte stages leave the
-// target alone, the next adds RAI, timer stages add RAI while the timer is
-// still in fast recovery, and once both stages are past it the step is RHAI.
+// TestHyperIncreaseAfterBothExceedF walks the three increase phases from the
+// floor, where the target is far below line rate: fastRecovery byte stages
+// leave the target alone, the next adds RAI, timer stages add RAI while the
+// timer is still in fast recovery, and once both are past it the step is
+// RHAI.
 func TestHyperIncreaseAfterBothExceedF(t *testing.T) {
 	e := sim.NewEngine(1)
 	d := newD(e, func(c *Config) { c.TI = 10 * sim.Microsecond })
